@@ -12,19 +12,13 @@ from .identities import (
     IdentityParams,
     VARIANTS,
     catalog,
-    classical_sum_checks,
     default_cap,
     equal_parameter_rhs,
     expand_lowered,
     expand_raised,
     get,
-    kummer_first_check,
-    kummer_second_alt_check,
-    kummer_second_check,
-    preece_bailey_checks,
     product_expansion_lhs,
     product_expansion_rhs,
-    contiguous_product_checks,
 )
 from .rationals import (
     Rational,
@@ -77,7 +71,6 @@ __all__ = [
     "bailey_product_series",
     "catalog",
     "check_admissible",
-    "classical_sum_checks",
     "compare_series",
     "default_cap",
     "equal_parameter_rhs",
@@ -88,17 +81,12 @@ __all__ = [
     "format_rational",
     "get",
     "is_nonpositive_integer",
-    "kummer_first_check",
-    "kummer_second_alt_check",
-    "kummer_second_check",
     "parse_rational",
     "pfq_eval_float",
     "pfq_series",
     "pochhammer",
-    "preece_bailey_checks",
     "product_expansion_lhs",
     "product_expansion_rhs",
-    "contiguous_product_checks",
     "report_for_sides",
     "reports_to_csv",
     "sweep",

@@ -16,7 +16,7 @@ from fractions import Fraction
 from .hyper import DegenerateParameterError
 from .identities import IdentityParams, catalog, get
 from .rationals import RationalParseError, parse_rational
-from .reports import reports_to_csv
+from .reports import csv_text, relative_error, reports_to_csv
 from .verify import DEFAULT_FLOAT_TOL, sweep, verify_identity
 
 __all__ = ["build_parser", "main", "run"]
@@ -114,15 +114,8 @@ def _cmd_list(args: argparse.Namespace) -> int:
         ]
         print(json.dumps(doc, indent=2))
     elif args.output == "csv":
-        import csv
-        import io
-
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["identity", "name", "kind", "uses", "summary"])
-        for d in entries:
-            writer.writerow([d.tag, d.name, d.kind, " ".join(d.uses), d.summary])
-        sys.stdout.write(buf.getvalue())
+        rows = [[d.tag, d.name, d.kind, " ".join(d.uses), d.summary] for d in entries]
+        sys.stdout.write(csv_text(["identity", "name", "kind", "uses", "summary"], rows))
     else:
         width = max(len(d.name) for d in entries)
         for d in entries:
@@ -188,15 +181,8 @@ def _cmd_expand(args: argparse.Namespace) -> int:
         }
         print(json.dumps(doc, indent=2))
     elif args.output == "csv":
-        import csv
-        import io
-
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["degree", "coefficient"])
-        for degree, text in enumerate(series.coefficient_strings()):
-            writer.writerow([degree, text])
-        sys.stdout.write(buf.getvalue())
+        rows = enumerate(series.coefficient_strings())
+        sys.stdout.write(csv_text(["degree", "coefficient"], rows))
     else:
         print(f"{define.tag} {args.side} at {params.describe()}:")
         print(series.to_text())
@@ -222,8 +208,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     else:
         lhs, rhs, converged = define.scalar_float(params)
         x = define.fixed_argument
-    scale = max(abs(lhs), abs(rhs))
-    rel = abs(lhs - rhs) / scale if scale > 0 else 0.0
+    rel = relative_error(lhs, rhs)
     if args.output == "json":
         doc = {
             "identity": define.tag,
@@ -236,14 +221,9 @@ def _cmd_eval(args: argparse.Namespace) -> int:
         }
         print(json.dumps(doc, indent=2))
     elif args.output == "csv":
-        import csv
-        import io
-
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["identity", "x", "lhs", "rhs", "relative_error", "converged"])
-        writer.writerow([define.tag, x, repr(lhs), repr(rhs), repr(rel), converged])
-        sys.stdout.write(buf.getvalue())
+        header = ["identity", "x", "lhs", "rhs", "relative_error", "converged"]
+        row = [define.tag, x, repr(lhs), repr(rhs), repr(rel), converged]
+        sys.stdout.write(csv_text(header, [row]))
     else:
         print(f"{define.tag} at x = {x:g}, {params.describe()}:")
         print(f"  lhs = {lhs!r}")
@@ -273,3 +253,7 @@ def run(argv: list[str] | None = None) -> int:
 
 def main() -> None:
     sys.exit(run())
+
+
+if __name__ == "__main__":
+    main()

@@ -25,6 +25,7 @@ __all__ = [
     "FloatSum",
     "HypSpec",
     "bailey_product_series",
+    "bailey_product_spec",
     "pfq_eval_float",
     "pfq_series",
 ]
@@ -164,18 +165,21 @@ def pfq_eval_float(
     return FloatSum(total + comp, False, max_terms + 1, term)
 
 
+def bailey_product_spec(rho: Fraction | int, sigma: Fraction | int) -> HypSpec:
+    """Parameters of the single series equal to 0F1(; rho; t) * 0F1(; sigma; t).
+
+    The product is ``2F3((rho+sigma)/2, (rho+sigma-1)/2; rho, sigma,
+    rho+sigma-1; 4t)``. Degenerate rho, sigma, or rho+sigma-1 raise here.
+    """
+    s = Fraction(rho) + Fraction(sigma)
+    return HypSpec(upper=(s / 2, (s - 1) / 2), lower=(rho, sigma, s - 1))
+
+
 def bailey_product_series(rho: Fraction | int, sigma: Fraction | int, cap: int) -> TruncatedSeries:
     """Single-series form of the product 0F1(; rho; t) * 0F1(; sigma; t).
 
-    Returns the exact truncation of
-    ``2F3((rho+sigma)/2, (rho+sigma-1)/2; rho, sigma, rho+sigma-1; 4t)``
-    as a series in t, the variable the two factors share. Degenerate rho,
-    sigma, or rho+sigma-1 raise before any work happens.
+    Returns the exact truncation of the :func:`bailey_product_spec` series
+    at ``4t``, as a series in t, the variable the two factors share.
+    Degenerate parameters raise before any work happens.
     """
-    rho = Fraction(rho)
-    sigma = Fraction(sigma)
-    spec = HypSpec(
-        upper=((rho + sigma) / 2, (rho + sigma - 1) / 2),
-        lower=(rho, sigma, rho + sigma - 1),
-    )
-    return pfq_series(spec, cap).scale_argument(4)
+    return pfq_series(bailey_product_spec(rho, sigma), cap).scale_argument(4)

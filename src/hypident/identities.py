@@ -1,13 +1,17 @@
 """The identity catalog: every checkable equation this package knows about.
 
 Each catalog entry pairs two independent constructions of the same object.
-For the series identities both sides are produced as exact
-:class:`~hypident.series.TruncatedSeries`, the left side by raw Cauchy
-products of the factor series and the right side from its structured
-closed form, so a single coefficient comparison settles the claim up to
-the cap. Two entries are fixed-argument summation theorems whose closed
-form is a Gamma-function ratio; those are checked in floating point. One
-entry is a terminating sum checked as a single exact scalar equation.
+For the series identities each side is declared once, as a :class:`Side`:
+an optional exponential prefactor times a sum of weighted products of
+``pFq`` factors. The left side of every entry names only raw factors, so
+its series is a plain Cauchy product; the right side is its structured
+closed form. Two interpreters turn one declaration into an exact
+:class:`~hypident.series.TruncatedSeries` and into a float, so a single
+coefficient comparison settles the claim up to the cap and the float
+cross-check evaluates exactly the sides that were compared. Two entries are
+fixed-argument summation theorems whose closed form is a Gamma-function
+ratio; those are checked in floating point. One entry is a terminating sum
+checked as a single exact scalar equation.
 
 Entries are addressed by stable catalog tags ("1.1" through "3.3"). The
 tags are opaque identifiers used by the command line and in reports; the
@@ -20,22 +24,11 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from time import perf_counter
 from typing import Callable
 
-from .hyper import DegenerateParameterError, HypSpec, bailey_product_series, pfq_eval_float, pfq_series
+from .hyper import DegenerateParameterError, HypSpec, bailey_product_spec, pfq_eval_float, pfq_series
 from .rationals import factorial, format_rational, is_nonpositive_integer, pochhammer
-from .reports import (
-    STATUS_EXACT_MATCH,
-    STATUS_FLOAT_ONLY_FAIL,
-    STATUS_FLOAT_ONLY_PASS,
-    STATUS_MISMATCH,
-    CoefficientMismatch,
-    FloatResidual,
-    ParameterRequirement,
-    VerifyReport,
-    compare_series,
-)
+from .reports import ParameterRequirement
 from .series import TruncatedSeries, exp_series
 
 __all__ = [
@@ -44,19 +37,13 @@ __all__ = [
     "IdentityParams",
     "VARIANTS",
     "catalog",
-    "classical_sum_checks",
     "default_cap",
     "equal_parameter_rhs",
     "expand_lowered",
     "expand_raised",
     "get",
-    "kummer_first_check",
-    "kummer_second_alt_check",
-    "kummer_second_check",
-    "preece_bailey_checks",
     "product_expansion_lhs",
     "product_expansion_rhs",
-    "contiguous_product_checks",
 ]
 
 HALF = Fraction(1, 2)
@@ -165,18 +152,6 @@ class IdentityParams:
         return doc
 
 
-# --------------------------------------------------------------------------
-# small builders shared by several identities
-
-
-def _f1_series(upper: Fraction, lower: Fraction, cap: int) -> TruncatedSeries:
-    return pfq_series(HypSpec((upper,), (lower,)), cap)
-
-
-def _f01_series(lower: Fraction, cap: int) -> TruncatedSeries:
-    return pfq_series(HypSpec((), (lower,)), cap)
-
-
 def _nonzero_poch(expr: str, base: Fraction, count: int) -> Fraction:
     """Rising factorial that must not vanish (a denominator weight)."""
     value = pochhammer(base, count)
@@ -190,84 +165,157 @@ def _float_pfq(spec: HypSpec, x: float, max_terms: int = _FLOAT_TERMS) -> tuple[
     return result.value, result.converged
 
 
-def _f1_float(upper: Fraction, lower: Fraction, x: float) -> tuple[float, bool]:
-    return _float_pfq(HypSpec((upper,), (lower,)), x)
+# --------------------------------------------------------------------------
+# side descriptions and their two interpreters
 
 
-# A structured right-hand side is a list of (weight, power, spec) terms:
-# weight * x**power * pFq(spec; x**2 / divisor), optionally times e**(±x).
-# Building the exact series and the float value from the same term list
-# keeps the two evaluations of one side consistent by construction; the
-# other side of each identity is built along a different route entirely.
+@dataclass(frozen=True)
+class Arg:
+    """Argument of one pFq factor: ``c*x``, or ``x**2/c`` when ``squared``."""
 
-Terms = list[tuple[Fraction, int, HypSpec]]
+    c: int = 1
+    squared: bool = False
+
+    def series(self, s: TruncatedSeries) -> TruncatedSeries:
+        """Substitute this argument into the series ``s`` of pFq(t)."""
+        if self.squared:
+            return s.substitute_even(self.c)
+        return s if self.c == 1 else s.scale_argument(self.c)
+
+    def at(self, x: float) -> float:
+        return x * x / self.c if self.squared else self.c * x
 
 
-def _terms_series(terms: Terms, cap: int, divisor: int, exp_sign: int | None = None) -> TruncatedSeries:
-    total = TruncatedSeries.zero(cap)
-    for weight, power, spec in terms:
-        if weight == 0:
-            continue
-        block = pfq_series(spec, cap).substitute_even(divisor).shift(power).scale(weight)
-        total = total + block
-    if exp_sign is not None:
-        total = exp_series(cap, exp_sign) * total
+_X = Arg()
+_NEG_X = Arg(-1)
+_SQ4 = Arg(4, squared=True)
+_SQ16 = Arg(16, squared=True)
+
+Factor = tuple[HypSpec, Arg]
+
+
+@dataclass(frozen=True)
+class Term:
+    """``weight * x**power`` times the product of its ``pFq(spec; arg)`` factors."""
+
+    factors: tuple[Factor, ...]
+    weight: Fraction = Fraction(1)
+    power: int = 0
+
+
+@dataclass(frozen=True)
+class Side:
+    """A sum of terms times ``e**(exp*x)``; ``exp`` is 0, +-1/2 or +-1."""
+
+    terms: tuple[Term, ...]
+    exp: Fraction = Fraction(0)
+
+
+def _f11(a: Fraction, b: Fraction, arg: Arg = _X) -> Factor:
+    return HypSpec((a,), (b,)), arg
+
+
+def _f01(b: Fraction, arg: Arg = _X) -> Factor:
+    return HypSpec((), (b,)), arg
+
+
+def _product(*factors: Factor, exp: Fraction | int = 0) -> Side:
+    """One unweighted term: the plain product of its factors."""
+    return Side((Term(factors),), Fraction(exp))
+
+
+def _side_series(side: Side, cap: int) -> TruncatedSeries:
+    """Exact truncation of a side. A spec used twice is expanded once."""
+    expanded: dict[HypSpec, TruncatedSeries] = {}
+    total = None
+    for term in side.terms:
+        block = None
+        for spec, arg in term.factors:
+            if spec not in expanded:
+                expanded[spec] = pfq_series(spec, cap)
+            factor = arg.series(expanded[spec])
+            block = factor if block is None else block * factor
+        if term.power:
+            block = block.shift(term.power)
+        if term.weight != 1:
+            block = block.scale(term.weight)
+        total = block if total is None else total + block
+    if side.exp:
+        total = exp_series(cap, 1 if side.exp > 0 else -1, half=abs(side.exp) == HALF) * total
     return total
 
 
-def _terms_float(terms: Terms, x: float, divisor: int, exp_sign: int | None = None) -> tuple[float, bool]:
-    arg = x * x / divisor
+def _side_float(side: Side, x: float) -> tuple[float, bool]:
+    """Float value of a side at x, and whether every factor's sum converged."""
+    values: dict[Factor, tuple[float, bool]] = {}
     total = 0.0
     ok = True
-    for weight, power, spec in terms:
-        value, converged = _float_pfq(spec, arg)
-        ok = ok and converged
-        total += float(weight) * x**power * value
-    if exp_sign is not None:
-        total *= math.exp(exp_sign * x)
+    for term in side.terms:
+        value = float(term.weight) * x**term.power
+        for factor in term.factors:
+            if factor not in values:
+                spec, arg = factor
+                values[factor] = _float_pfq(spec, arg.at(x))
+            factor_value, converged = values[factor]
+            value *= factor_value
+            ok = ok and converged
+        total += value
+    if side.exp:
+        total *= math.exp(side.exp * x)
     return total, ok
 
 
 # --------------------------------------------------------------------------
-# expansion of e**(-x/2) 1F1 into shifted 0F1 blocks
+# expansion of e**(-x/2) 1F1(alpha; 2*alpha +/- i; x) into shifted 0F1 blocks
+#
+# The lowered expansion is the raised one at alpha - i with alternating
+# signs. ``names`` spells (parameter, shift, summation index) in messages,
+# so the same code serves as either factor of a product.
+
+_FIRST = ("alpha", "i", "m")
+_SECOND = ("beta", "j", "n")
 
 
-def _expand_raised_terms(alpha: Fraction, i: int) -> Terms:
-    terms: Terms = []
+def _expansion_spelling(
+    alpha: Fraction, i: int, raised: bool, names: tuple[str, str, str]
+) -> tuple[Fraction, str, str, str]:
+    """Base parameter of the raised form, then how to write its lower
+    parameter ``2*alpha +/- i``, its weight base and its block parameter."""
+    a, s, k = names
+    if raised:
+        return alpha, f"2*{a} + {s}", f"{a} - 1/2", f"{a} + {k} + 1/2"
+    return alpha - i, f"2*{a} - {s}", f"{a} - {s} - 1/2", f"{a} + {k} - {s} + 1/2"
+
+
+def _expansion_terms(
+    alpha: Fraction, i: int, raised: bool, names: tuple[str, str, str] = _FIRST
+) -> list[tuple[Fraction, int, Fraction]]:
+    """``(weight, m, rho)`` triples: the expansion is the sum of
+    ``weight * x**m * 0F1(; rho; x**2/16)``. Zero weights are dropped."""
+    base, lower, weight_base, _ = _expansion_spelling(alpha, i, raised, names)
+    k = names[2]
+    sign = 1 if raised else -1
+    terms = []
     for m in range(i + 1):
         # denominator guards run before the zero-numerator shortcut so that
         # a 0/0 weight raises instead of being silently dropped
         den = (
-            _nonzero_poch("(2*alpha + i)_m", 2 * alpha + i, m)
-            * _nonzero_poch("(alpha - 1/2)_m", alpha - HALF, m)
+            _nonzero_poch(f"({lower})_{k}", 2 * base + i, m)
+            * _nonzero_poch(f"({weight_base})_{k}", base - HALF, m)
             * factorial(m)
-            * Fraction(4) ** m
+            * 4**m
         )
-        num = pochhammer(Fraction(-i), m) * pochhammer(2 * alpha - 1, m)
-        if num == 0:
-            continue
-        terms.append((num / den, m, HypSpec((), (alpha + m + HALF,))))
+        num = sign**m * pochhammer(Fraction(-i), m) * pochhammer(2 * base - 1, m)
+        if num != 0:
+            terms.append((num / den, m, base + m + HALF))
     return terms
 
 
-def _expand_lowered_terms(alpha: Fraction, i: int) -> Terms:
-    terms: Terms = []
-    for m in range(i + 1):
-        den = (
-            _nonzero_poch("(2*alpha - i)_m", 2 * alpha - i, m)
-            * _nonzero_poch("(alpha - i - 1/2)_m", alpha - i - HALF, m)
-            * factorial(m)
-            * Fraction(4) ** m
-        )
-        num = (
-            Fraction(-1) ** m
-            * pochhammer(Fraction(-i), m)
-            * pochhammer(2 * alpha - 2 * i - 1, m)
-        )
-        if num == 0:
-            continue
-        terms.append((num / den, m, HypSpec((), (alpha + m - i + HALF,))))
-    return terms
+def _expansion_side(alpha: Fraction, i: int, raised: bool) -> Side:
+    return Side(tuple(
+        Term((_f01(rho, _SQ16),), weight, m)
+        for weight, m, rho in _expansion_terms(alpha, i, raised)
+    ))
 
 
 def expand_raised(alpha: Fraction | int, i: int, cap: int) -> TruncatedSeries:
@@ -278,120 +326,61 @@ def expand_raised(alpha: Fraction | int, i: int, cap: int) -> TruncatedSeries:
     """
     if i < 0:
         raise ValueError("shift i must be nonnegative")
-    return _terms_series(_expand_raised_terms(Fraction(alpha), i), cap, 16)
+    return _side_series(_expansion_side(Fraction(alpha), i, raised=True), cap)
 
 
 def expand_lowered(alpha: Fraction | int, i: int, cap: int) -> TruncatedSeries:
     """Structured form of ``e**(-x/2) * 1F1(alpha; 2*alpha - i; x)``."""
     if i < 0:
         raise ValueError("shift i must be nonnegative")
-    return _terms_series(_expand_lowered_terms(Fraction(alpha), i), cap, 16)
+    return _side_series(_expansion_side(Fraction(alpha), i, raised=False), cap)
 
 
 # --------------------------------------------------------------------------
 # the shifted-product family: 1F1(alpha; 2*alpha +/- i; x) * 1F1(beta; 2*beta +/- j; x)
 
 
-def _product_lower_params(variant: str, alpha: Fraction, beta: Fraction, i: int, j: int) -> tuple[Fraction, Fraction]:
-    first = 2 * alpha + i if variant[0] == "P" else 2 * alpha - i
-    second = 2 * beta + j if variant[1] == "P" else 2 * beta - j
-    return first, second
-
-
-def _product_term(
-    variant: str,
-    alpha: Fraction,
-    beta: Fraction,
-    i: int,
-    j: int,
-    m: int,
-    n: int,
-    printed_form: bool = False,
-) -> tuple[Fraction, HypSpec]:
-    """Weight and inner-series parameters of one (m, n) summand.
-
-    The mixed variant carries two transcriptions of its second shift
-    factor: the default indexes it by n (the reading the raw-product
-    comparison confirms); printed_form indexes it by m instead, which is
-    only useful for demonstrating the disagreement.
-    """
-    if variant == "PP":
-        sign = Fraction(1)
-        num = (
-            pochhammer(Fraction(-i), m)
-            * pochhammer(Fraction(-j), n)
-            * pochhammer(2 * alpha - 1, m)
-            * pochhammer(2 * beta - 1, n)
-        )
-        den = (
-            _nonzero_poch("(2*alpha + i)_m", 2 * alpha + i, m)
-            * _nonzero_poch("(2*beta + j)_n", 2 * beta + j, n)
-            * _nonzero_poch("(alpha - 1/2)_m", alpha - HALF, m)
-            * _nonzero_poch("(beta - 1/2)_n", beta - HALF, n)
-        )
-        shift_sum = m + n
-        first_lower = alpha + m + HALF
-        second_lower = beta + n + HALF
-    elif variant == "MM":
-        sign = Fraction(-1) ** (m + n)
-        num = (
-            pochhammer(Fraction(-i), m)
-            * pochhammer(Fraction(-j), n)
-            * pochhammer(2 * alpha - 2 * i - 1, m)
-            * pochhammer(2 * beta - 2 * j - 1, n)
-        )
-        den = (
-            _nonzero_poch("(2*alpha - i)_m", 2 * alpha - i, m)
-            * _nonzero_poch("(2*beta - j)_n", 2 * beta - j, n)
-            * _nonzero_poch("(alpha - i - 1/2)_m", alpha - i - HALF, m)
-            * _nonzero_poch("(beta - j - 1/2)_n", beta - j - HALF, n)
-        )
-        shift_sum = m + n - i - j
-        first_lower = alpha + m - i + HALF
-        second_lower = beta + n - j + HALF
-    elif variant == "PM":
-        sign = Fraction(-1) ** n
-        second_shift = pochhammer(Fraction(-j), m if printed_form else n)
-        num = (
-            pochhammer(Fraction(-i), m)
-            * second_shift
-            * pochhammer(2 * alpha - 1, m)
-            * pochhammer(2 * beta - 2 * j - 1, n)
-        )
-        den = (
-            _nonzero_poch("(2*alpha + i)_m", 2 * alpha + i, m)
-            * _nonzero_poch("(2*beta - j)_n", 2 * beta - j, n)
-            * _nonzero_poch("(alpha - 1/2)_m", alpha - HALF, m)
-            * _nonzero_poch("(beta - j - 1/2)_n", beta - j - HALF, n)
-        )
-        shift_sum = m + n - j
-        first_lower = alpha + m + HALF
-        second_lower = beta + n - j + HALF
-    else:
+def _variant_raised(variant: str) -> tuple[bool, bool]:
+    """Whether each factor's lower parameter is raised (P) or lowered (M)."""
+    if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}, expected one of {VARIANTS}")
+    return variant[0] == "P", variant[1] == "P"
 
-    weight = sign * num / (den * factorial(m) * factorial(n) * Fraction(4) ** (m + n))
-    s = alpha + beta + shift_sum
-    spec = HypSpec(
-        upper=((s + 1) / 2, s / 2),
-        lower=(first_lower, second_lower, s),
+
+def _product_lhs(variant: str, params: IdentityParams, beta: Fraction) -> Side:
+    """The raw product of the two confluent factors, nothing else."""
+    first_raised, second_raised = _variant_raised(variant)
+    alpha, i, j = params.alpha, params.i, params.j
+    return _product(
+        _f11(alpha, 2 * alpha + (i if first_raised else -i)),
+        _f11(beta, 2 * beta + (j if second_raised else -j)),
     )
-    return weight, spec
 
 
-def _product_terms(variant: str, params: IdentityParams, beta: Fraction | None = None) -> Terms:
-    alpha = params.alpha
-    if beta is None:
-        beta = params.beta
-    terms: Terms = []
-    for m in range(params.i + 1):
-        for n in range(params.j + 1):
-            weight, spec = _product_term(
-                variant, alpha, beta, params.i, params.j, m, n, params.printed_form
-            )
+def _product_rhs(variant: str, params: IdentityParams) -> Side:
+    """Composed closed form: e**x times the product of the two factors'
+    1.17/1.18 expansions, each pair of 0F1 blocks merged by the 1.11 block.
+
+    Multiplying the two expansions gives ``e**x`` times a double sum of
+    ``w1 * w2 * x**(m+n) * 0F1(; rho; t) 0F1(; sigma; t)`` with
+    ``t = x**2/16``, and 1.11 turns each 0F1 pair into one 2F3 at ``4t``.
+    The printed-form mixed variant indexes the second shift factor by m:
+    its weight is overridden by ``(-j)_m / (-j)_n``.
+    """
+    first_raised, second_raised = _variant_raised(variant)
+    first = _expansion_terms(params.alpha, params.i, first_raised)
+    second = _expansion_terms(params.beta, params.j, second_raised, _SECOND)
+    printed = params.printed_form and variant == "PM"
+    minus_j = Fraction(-params.j)
+    terms = []
+    for w1, m, rho in first:
+        for w2, n, sigma in second:
+            weight = w1 * w2
+            if printed:
+                weight = weight * pochhammer(minus_j, m) / pochhammer(minus_j, n)
             if weight != 0:
-                terms.append((weight, m + n, spec))
-    return terms
+                terms.append(Term(((bailey_product_spec(rho, sigma), _SQ4),), weight, m + n))
+    return Side(tuple(terms), Fraction(1))
 
 
 def product_expansion_lhs(variant: str, params: IdentityParams) -> TruncatedSeries:
@@ -400,9 +389,7 @@ def product_expansion_lhs(variant: str, params: IdentityParams) -> TruncatedSeri
     No structure from the closed form is reused here; this is the oracle
     the structured side is judged against.
     """
-    cap = params.effective_cap
-    first, second = _product_lower_params(variant, params.alpha, params.beta, params.i, params.j)
-    return _f1_series(params.alpha, first, cap) * _f1_series(params.beta, second, cap)
+    return _side_series(_product_lhs(variant, params, params.beta), params.effective_cap)
 
 
 def product_expansion_rhs(variant: str, params: IdentityParams) -> TruncatedSeries:
@@ -413,19 +400,7 @@ def product_expansion_rhs(variant: str, params: IdentityParams) -> TruncatedSeri
     ``params.printed_form`` selects the m-indexed transcription instead,
     which disagrees with the product at every nonzero shift.
     """
-    cap = params.effective_cap
-    return _terms_series(_product_terms(variant, params), cap, 4, exp_sign=1)
-
-
-def _product_lhs_float(variant: str, params: IdentityParams, x: float) -> tuple[float, bool]:
-    first, second = _product_lower_params(variant, params.alpha, params.beta, params.i, params.j)
-    a_val, a_ok = _f1_float(params.alpha, first, x)
-    b_val, b_ok = _f1_float(params.beta, second, x)
-    return a_val * b_val, a_ok and b_ok
-
-
-def _product_rhs_float(variant: str, params: IdentityParams, x: float) -> tuple[float, bool]:
-    return _terms_float(_product_terms(variant, params), x, 4, exp_sign=1)
+    return _side_series(_product_rhs(variant, params), params.effective_cap)
 
 
 # --------------------------------------------------------------------------
@@ -506,16 +481,16 @@ def _equal_param_term(
     return weight, spec
 
 
-def _equal_param_terms(variant: str, params: IdentityParams) -> Terms:
-    terms: Terms = []
+def _equal_param_rhs(variant: str, params: IdentityParams) -> Side:
+    terms = []
     for m in range(params.i + 1):
         for n in range(params.j + 1):
             weight, spec = _equal_param_term(
                 variant, params.alpha, params.i, params.j, m, n, params.printed_form
             )
             if weight != 0:
-                terms.append((weight, m + n, spec))
-    return terms
+                terms.append(Term(((spec, _SQ4),), weight, m + n))
+    return Side(tuple(terms), Fraction(1))
 
 
 def equal_parameter_rhs(
@@ -529,28 +504,11 @@ def equal_parameter_rhs(
     """Single-parameter closed form of the shifted product at beta = alpha.
 
     Written out from its own formula (only alpha appears), so comparing it
-    against the two-parameter structured side at beta = alpha is a real
+    against the two-parameter composed side at beta = alpha is a real
     consistency check rather than a tautology.
     """
     params = IdentityParams(alpha=alpha, i=i, j=j, cap=cap, printed_form=printed_form)
-    return _terms_series(_equal_param_terms(variant, params), cap, 4, exp_sign=1)
-
-
-def _equal_param_lhs(variant: str, params: IdentityParams) -> TruncatedSeries:
-    cap = params.effective_cap
-    first, second = _product_lower_params(variant, params.alpha, params.alpha, params.i, params.j)
-    return _f1_series(params.alpha, first, cap) * _f1_series(params.alpha, second, cap)
-
-
-def _equal_param_lhs_float(variant: str, params: IdentityParams, x: float) -> tuple[float, bool]:
-    first, second = _product_lower_params(variant, params.alpha, params.alpha, params.i, params.j)
-    a_val, a_ok = _f1_float(params.alpha, first, x)
-    b_val, b_ok = _f1_float(params.alpha, second, x)
-    return a_val * b_val, a_ok and b_ok
-
-
-def _equal_param_rhs_float(variant: str, params: IdentityParams, x: float) -> tuple[float, bool]:
-    return _terms_float(_equal_param_terms(variant, params), x, 4, exp_sign=1)
+    return _side_series(_equal_param_rhs(variant, params), cap)
 
 
 # --------------------------------------------------------------------------
@@ -643,76 +601,43 @@ def _req_poch(expr: str, value: Fraction, max_index: int) -> ParameterRequiremen
     return ParameterRequirement("poch", expr, value, max_index=max_index)
 
 
-def _expand_requirements(params: IdentityParams, raised: bool) -> list[ParameterRequirement]:
-    alpha, i = params.alpha, params.i
-    if raised:
-        reqs = [
-            _req_lower("2*alpha + i", 2 * alpha + i),
-            _req_poch("(2*alpha + i)_m", 2 * alpha + i, i),
-            _req_poch("(alpha - 1/2)_m", alpha - HALF, i),
-        ]
-        reqs += [
-            _req_lower("alpha + m + 1/2", alpha + m + HALF, where=f"summand m={m}")
-            for m in range(i + 1)
-        ]
-    else:
-        reqs = [
-            _req_lower("2*alpha - i", 2 * alpha - i),
-            _req_poch("(2*alpha - i)_m", 2 * alpha - i, i),
-            _req_poch("(alpha - i - 1/2)_m", alpha - i - HALF, i),
-        ]
-        reqs += [
-            _req_lower("alpha + m - i + 1/2", alpha + m - i + HALF, where=f"summand m={m}")
-            for m in range(i + 1)
-        ]
-    return reqs
+def _expand_requirements(
+    alpha: Fraction, i: int, raised: bool, names: tuple[str, str, str] = _FIRST
+) -> tuple[list[ParameterRequirement], list[ParameterRequirement]]:
+    """Admissibility of one expansion: the conditions on its factor and
+    weights, then the lower parameter of every block."""
+    base, lower, weight_base, block = _expansion_spelling(alpha, i, raised, names)
+    k = names[2]
+    weights = [
+        _req_lower(lower, 2 * base + i),
+        _req_poch(f"({lower})_{k}", 2 * base + i, i),
+        _req_poch(f"({weight_base})_{k}", base - HALF, i),
+    ]
+    blocks = [
+        _req_lower(block, base + m + HALF, where=f"summand {k}={m}")
+        for m in range(i + 1)
+    ]
+    return weights, blocks
 
 
 def _product_requirements(variant: str, params: IdentityParams, equal_param: bool = False) -> list[ParameterRequirement]:
-    alpha = params.alpha
-    beta = alpha if equal_param else params.beta
-    i, j = params.i, params.j
-    b_name = "alpha" if equal_param else "beta"
-    reqs: list[ParameterRequirement] = []
+    """Both expansions' requirements, then the third lower parameter
+    ``rho + sigma - 1`` of every 1.11 block."""
+    first_raised, second_raised = _variant_raised(variant)
+    alpha, i, j = params.alpha, params.i, params.j
+    beta, b_name = (alpha, "alpha") if equal_param else (params.beta, "beta")
+    first_weights, first_blocks = _expand_requirements(alpha, i, first_raised)
+    second_weights, second_blocks = _expand_requirements(beta, j, second_raised, (b_name, "j", "n"))
+    reqs = first_weights + second_weights + first_blocks + second_blocks
 
-    if variant[0] == "P":
-        reqs.append(_req_lower("2*alpha + i", 2 * alpha + i))
-        reqs.append(_req_poch("(2*alpha + i)_m", 2 * alpha + i, i))
-        reqs.append(_req_poch("(alpha - 1/2)_m", alpha - HALF, i))
-        first_lowers = [("alpha + m + 1/2", alpha + m + HALF, f"summand m={m}") for m in range(i + 1)]
-    else:
-        reqs.append(_req_lower("2*alpha - i", 2 * alpha - i))
-        reqs.append(_req_poch("(2*alpha - i)_m", 2 * alpha - i, i))
-        reqs.append(_req_poch("(alpha - i - 1/2)_m", alpha - i - HALF, i))
-        first_lowers = [("alpha + m - i + 1/2", alpha + m - i + HALF, f"summand m={m}") for m in range(i + 1)]
-
-    if variant[1] == "P":
-        reqs.append(_req_lower(f"2*{b_name} + j", 2 * beta + j))
-        reqs.append(_req_poch(f"(2*{b_name} + j)_n", 2 * beta + j, j))
-        reqs.append(_req_poch(f"({b_name} - 1/2)_n", beta - HALF, j))
-        second_lowers = [(f"{b_name} + n + 1/2", beta + n + HALF, f"summand n={n}") for n in range(j + 1)]
-    else:
-        reqs.append(_req_lower(f"2*{b_name} - j", 2 * beta - j))
-        reqs.append(_req_poch(f"(2*{b_name} - j)_n", 2 * beta - j, j))
-        reqs.append(_req_poch(f"({b_name} - j - 1/2)_n", beta - j - HALF, j))
-        second_lowers = [(f"{b_name} + n - j + 1/2", beta + n - j + HALF, f"summand n={n}") for n in range(j + 1)]
-
-    for expr, value, where in first_lowers + second_lowers:
-        reqs.append(_req_lower(expr, value, where=where))
-
-    # third lower parameter of every 2F3 block: alpha + beta plus a shift
-    # that runs over m (P: 0..i, M: m-i) and n (P: 0..j, M: n-j)
+    # rho + sigma - 1 is alpha + beta plus a shift running over m + n,
+    # offset by -i for a lowered first factor and -j for a lowered second
     s_name = "2*alpha" if equal_param else "alpha + beta"
-    s_base = alpha + beta
-    s_values = set()
-    for m in range(i + 1):
-        for n in range(j + 1):
-            shift = (m if variant[0] == "P" else m - i) + (n if variant[1] == "P" else n - j)
-            s_values.add(shift)
-    for shift in sorted(s_values):
+    low = (0 if first_raised else -i) + (0 if second_raised else -j)
+    for shift in range(low, low + i + j + 1):
         sign = "+" if shift >= 0 else "-"
         expr = f"{s_name} {sign} {abs(shift)}" if shift != 0 else s_name
-        reqs.append(_req_lower(expr, s_base + shift, where=f"summand shift {shift}"))
+        reqs.append(_req_lower(expr, alpha + beta + shift, where=f"summand shift {shift}"))
     return reqs
 
 
@@ -786,162 +711,28 @@ def _pm_notes(params: IdentityParams) -> tuple[str, ...]:
     return (_PM_NOTE_PRINTED if params.printed_form else _PM_NOTE_DEFAULT,)
 
 
-def _build_registry() -> dict[IdentityId, IdentityDef]:
-    defs: list[IdentityDef] = []
+SideOf = Callable[[IdentityParams], Side]
 
-    def cap_of(params: IdentityParams) -> int:
-        return params.effective_cap
 
-    # ---- two-parameter exponential-shift transformation
-
-    def kummer_first_lhs(p: IdentityParams) -> TruncatedSeries:
-        return exp_series(cap_of(p), -1) * _f1_series(p.alpha, p.beta, cap_of(p))
-
-    def kummer_first_rhs(p: IdentityParams) -> TruncatedSeries:
-        return _f1_series(p.beta - p.alpha, p.beta, cap_of(p)).scale_argument(-1)
-
-    def kummer_first_lhs_float(p: IdentityParams, x: float) -> tuple[float, bool]:
-        value, ok = _f1_float(p.alpha, p.beta, x)
-        return math.exp(-x) * value, ok
-
-    def kummer_first_rhs_float(p: IdentityParams, x: float) -> tuple[float, bool]:
-        return _f1_float(p.beta - p.alpha, p.beta, -x)
-
-    defs.append(IdentityDef(
-        id=IdentityId.KUMMER_FIRST,
-        name="kummer-first",
-        summary="e^(-x) 1F1(alpha; beta; x) = 1F1(beta - alpha; beta; -x)",
-        uses=("alpha", "beta"),
+def _series_entry(lhs: SideOf, rhs: SideOf, **fields) -> IdentityDef:
+    """A series entry: both builders and both float evaluators come from
+    the two side declarations."""
+    return IdentityDef(
         kind="series",
-        build_lhs=kummer_first_lhs,
-        build_rhs=kummer_first_rhs,
-        lhs_float=kummer_first_lhs_float,
-        rhs_float=kummer_first_rhs_float,
-        requirements=lambda p: [_req_lower("beta", p.beta)],
-    ))
+        build_lhs=lambda p: _side_series(lhs(p), p.effective_cap),
+        build_rhs=lambda p: _side_series(rhs(p), p.effective_cap),
+        lhs_float=lambda p, x: _side_float(lhs(p), x),
+        rhs_float=lambda p, x: _side_float(rhs(p), x),
+        **fields,
+    )
 
-    # ---- half-exponential square-argument transformations
 
+def _build_registry() -> dict[IdentityId, IdentityDef]:
     def halved_reqs(p: IdentityParams) -> list[ParameterRequirement]:
         return [
             _req_lower("2*alpha", 2 * p.alpha),
             _req_lower("alpha + 1/2", p.alpha + HALF),
         ]
-
-    def kummer_second_lhs(p: IdentityParams) -> TruncatedSeries:
-        return exp_series(cap_of(p), -1, half=True) * _f1_series(p.alpha, 2 * p.alpha, cap_of(p))
-
-    def kummer_second_rhs(p: IdentityParams) -> TruncatedSeries:
-        return _f01_series(p.alpha + HALF, cap_of(p)).substitute_even(16)
-
-    def kummer_second_lhs_float(p: IdentityParams, x: float) -> tuple[float, bool]:
-        value, ok = _f1_float(p.alpha, 2 * p.alpha, x)
-        return math.exp(-x / 2) * value, ok
-
-    def kummer_second_rhs_float(p: IdentityParams, x: float) -> tuple[float, bool]:
-        return _float_pfq(HypSpec((), (p.alpha + HALF,)), x * x / 16)
-
-    defs.append(IdentityDef(
-        id=IdentityId.KUMMER_SECOND,
-        name="kummer-second",
-        summary="e^(-x/2) 1F1(alpha; 2*alpha; x) = 0F1(; alpha + 1/2; x^2/16)",
-        uses=("alpha",),
-        kind="series",
-        build_lhs=kummer_second_lhs,
-        build_rhs=kummer_second_rhs,
-        lhs_float=kummer_second_lhs_float,
-        rhs_float=kummer_second_rhs_float,
-        requirements=halved_reqs,
-    ))
-
-    def kummer_scaled_lhs(p: IdentityParams) -> TruncatedSeries:
-        return _f1_series(p.alpha, 2 * p.alpha, cap_of(p)).scale_argument(2)
-
-    def kummer_scaled_rhs(p: IdentityParams) -> TruncatedSeries:
-        return _terms_series(
-            [(Fraction(1), 0, HypSpec((), (p.alpha + HALF,)))], cap_of(p), 4, exp_sign=1
-        )
-
-    def kummer_scaled_lhs_float(p: IdentityParams, x: float) -> tuple[float, bool]:
-        return _f1_float(p.alpha, 2 * p.alpha, 2 * x)
-
-    def kummer_scaled_rhs_float(p: IdentityParams, x: float) -> tuple[float, bool]:
-        return _terms_float(
-            [(Fraction(1), 0, HypSpec((), (p.alpha + HALF,)))], x, 4, exp_sign=1
-        )
-
-    defs.append(IdentityDef(
-        id=IdentityId.KUMMER_SECOND_SCALED,
-        name="kummer-second-scaled",
-        summary="1F1(alpha; 2*alpha; 2x) = e^x 0F1(; alpha + 1/2; x^2/4)",
-        uses=("alpha",),
-        kind="series",
-        build_lhs=kummer_scaled_lhs,
-        build_rhs=kummer_scaled_rhs,
-        lhs_float=kummer_scaled_lhs_float,
-        rhs_float=kummer_scaled_rhs_float,
-        requirements=halved_reqs,
-    ))
-
-    # ---- alternating and matched products of two confluent factors
-
-    def preece_terms(p: IdentityParams) -> Terms:
-        return [(Fraction(1), 0, HypSpec((p.alpha,), (p.alpha + HALF, 2 * p.alpha)))]
-
-    def preece_alt_lhs(p: IdentityParams) -> TruncatedSeries:
-        factor = _f1_series(p.alpha, 2 * p.alpha, cap_of(p))
-        return factor * factor.scale_argument(-1)
-
-    def preece_alt_rhs(p: IdentityParams) -> TruncatedSeries:
-        return _terms_series(preece_terms(p), cap_of(p), 4)
-
-    def preece_alt_lhs_float(p: IdentityParams, x: float) -> tuple[float, bool]:
-        a_val, a_ok = _f1_float(p.alpha, 2 * p.alpha, x)
-        b_val, b_ok = _f1_float(p.alpha, 2 * p.alpha, -x)
-        return a_val * b_val, a_ok and b_ok
-
-    def preece_alt_rhs_float(p: IdentityParams, x: float) -> tuple[float, bool]:
-        return _terms_float(preece_terms(p), x, 4)
-
-    defs.append(IdentityDef(
-        id=IdentityId.PREECE_ALTERNATING,
-        name="preece-alternating",
-        summary="1F1(alpha; 2*alpha; x) 1F1(alpha; 2*alpha; -x) = 1F2(alpha; alpha + 1/2, 2*alpha; x^2/4)",
-        uses=("alpha",),
-        kind="series",
-        build_lhs=preece_alt_lhs,
-        build_rhs=preece_alt_rhs,
-        lhs_float=preece_alt_lhs_float,
-        rhs_float=preece_alt_rhs_float,
-        requirements=halved_reqs,
-    ))
-
-    def preece_sq_lhs(p: IdentityParams) -> TruncatedSeries:
-        factor = _f1_series(p.alpha, 2 * p.alpha, cap_of(p))
-        return factor * factor
-
-    def preece_sq_rhs(p: IdentityParams) -> TruncatedSeries:
-        return _terms_series(preece_terms(p), cap_of(p), 4, exp_sign=1)
-
-    def preece_sq_lhs_float(p: IdentityParams, x: float) -> tuple[float, bool]:
-        value, ok = _f1_float(p.alpha, 2 * p.alpha, x)
-        return value * value, ok
-
-    def preece_sq_rhs_float(p: IdentityParams, x: float) -> tuple[float, bool]:
-        return _terms_float(preece_terms(p), x, 4, exp_sign=1)
-
-    defs.append(IdentityDef(
-        id=IdentityId.PREECE_SQUARED,
-        name="preece-squared",
-        summary="[1F1(alpha; 2*alpha; x)]^2 = e^x 1F2(alpha; alpha + 1/2, 2*alpha; x^2/4)",
-        uses=("alpha",),
-        kind="series",
-        build_lhs=preece_sq_lhs,
-        build_rhs=preece_sq_rhs,
-        lhs_float=preece_sq_lhs_float,
-        rhs_float=preece_sq_rhs_float,
-        requirements=halved_reqs,
-    ))
 
     def bailey_reqs(p: IdentityParams) -> list[ParameterRequirement]:
         return [
@@ -952,251 +743,159 @@ def _build_registry() -> dict[IdentityId, IdentityDef]:
             _req_lower("alpha + beta", p.alpha + p.beta),
         ]
 
-    def bailey_terms(p: IdentityParams) -> Terms:
-        s = p.alpha + p.beta
-        spec = HypSpec(
-            upper=(s / 2, (s + 1) / 2),
-            lower=(p.alpha + HALF, p.beta + HALF, s),
-        )
-        return [(Fraction(1), 0, spec)]
+    def preece_block(p: IdentityParams) -> Factor:
+        return HypSpec((p.alpha,), (p.alpha + HALF, 2 * p.alpha)), _SQ4
 
-    def bailey_alt_lhs(p: IdentityParams) -> TruncatedSeries:
-        return (
-            _f1_series(p.alpha, 2 * p.alpha, cap_of(p))
-            * _f1_series(p.beta, 2 * p.beta, cap_of(p)).scale_argument(-1)
-        )
+    def bailey_block(p: IdentityParams) -> Factor:
+        return bailey_product_spec(p.alpha + HALF, p.beta + HALF), _SQ4
 
-    def bailey_alt_rhs(p: IdentityParams) -> TruncatedSeries:
-        return _terms_series(bailey_terms(p), cap_of(p), 4)
-
-    def bailey_alt_lhs_float(p: IdentityParams, x: float) -> tuple[float, bool]:
-        a_val, a_ok = _f1_float(p.alpha, 2 * p.alpha, x)
-        b_val, b_ok = _f1_float(p.beta, 2 * p.beta, -x)
-        return a_val * b_val, a_ok and b_ok
-
-    def bailey_alt_rhs_float(p: IdentityParams, x: float) -> tuple[float, bool]:
-        return _terms_float(bailey_terms(p), x, 4)
-
-    defs.append(IdentityDef(
-        id=IdentityId.BAILEY_ALTERNATING,
-        name="bailey-alternating",
-        summary="1F1(alpha; 2*alpha; x) 1F1(beta; 2*beta; -x) = 2F3((alpha+beta)/2, (alpha+beta+1)/2; alpha + 1/2, beta + 1/2, alpha + beta; x^2/4)",
-        uses=("alpha", "beta"),
-        kind="series",
-        build_lhs=bailey_alt_lhs,
-        build_rhs=bailey_alt_rhs,
-        lhs_float=bailey_alt_lhs_float,
-        rhs_float=bailey_alt_rhs_float,
-        requirements=bailey_reqs,
-    ))
-
-    def bailey_matched_lhs(p: IdentityParams) -> TruncatedSeries:
-        return (
-            _f1_series(p.alpha, 2 * p.alpha, cap_of(p))
-            * _f1_series(p.beta, 2 * p.beta, cap_of(p))
-        )
-
-    def bailey_matched_rhs(p: IdentityParams) -> TruncatedSeries:
-        return _terms_series(bailey_terms(p), cap_of(p), 4, exp_sign=1)
-
-    def bailey_matched_lhs_float(p: IdentityParams, x: float) -> tuple[float, bool]:
-        a_val, a_ok = _f1_float(p.alpha, 2 * p.alpha, x)
-        b_val, b_ok = _f1_float(p.beta, 2 * p.beta, x)
-        return a_val * b_val, a_ok and b_ok
-
-    def bailey_matched_rhs_float(p: IdentityParams, x: float) -> tuple[float, bool]:
-        return _terms_float(bailey_terms(p), x, 4, exp_sign=1)
-
-    defs.append(IdentityDef(
-        id=IdentityId.BAILEY_MATCHED,
-        name="bailey-matched",
-        summary="1F1(alpha; 2*alpha; x) 1F1(beta; 2*beta; x) = e^x 2F3(...; x^2/4), same block as 1.7",
-        uses=("alpha", "beta"),
-        kind="series",
-        build_lhs=bailey_matched_lhs,
-        build_rhs=bailey_matched_rhs,
-        lhs_float=bailey_matched_lhs_float,
-        rhs_float=bailey_matched_rhs_float,
-        requirements=bailey_reqs,
-    ))
-
-    # ---- product of two 0F1 factors as one 2F3
-
-    def f01_product_lhs(p: IdentityParams) -> TruncatedSeries:
-        return _f01_series(p.alpha, cap_of(p)) * _f01_series(p.beta, cap_of(p))
-
-    def f01_product_rhs(p: IdentityParams) -> TruncatedSeries:
-        return bailey_product_series(p.alpha, p.beta, cap_of(p))
-
-    def f01_product_lhs_float(p: IdentityParams, x: float) -> tuple[float, bool]:
-        a_val, a_ok = _float_pfq(HypSpec((), (p.alpha,)), x)
-        b_val, b_ok = _float_pfq(HypSpec((), (p.beta,)), x)
-        return a_val * b_val, a_ok and b_ok
-
-    def f01_product_rhs_float(p: IdentityParams, x: float) -> tuple[float, bool]:
-        s = p.alpha + p.beta
-        spec = HypSpec(upper=(s / 2, (s - 1) / 2), lower=(p.alpha, p.beta, s - 1))
-        return _float_pfq(spec, 4 * x)
-
-    defs.append(IdentityDef(
-        id=IdentityId.F01_PRODUCT,
-        name="f01-product",
-        summary="0F1(; alpha; t) 0F1(; beta; t) = 2F3((alpha+beta)/2, (alpha+beta-1)/2; alpha, beta, alpha+beta-1; 4t)",
-        uses=("alpha", "beta"),
-        kind="series",
-        build_lhs=f01_product_lhs,
-        build_rhs=f01_product_rhs,
-        lhs_float=f01_product_lhs_float,
-        rhs_float=f01_product_rhs_float,
-        requirements=lambda p: [
-            _req_lower("alpha", p.alpha),
-            _req_lower("beta", p.beta),
-            _req_lower("alpha + beta - 1", p.alpha + p.beta - 1),
-        ],
-    ))
-
-    # ---- contiguous products (lower parameter off by one)
-
-    def contig_raised_terms(p: IdentityParams) -> Terms:
+    def contig_raised_rhs(p: IdentityParams) -> Side:
         a = p.alpha
         head = HypSpec((a,), (a + HALF, 2 * a))
         tail = HypSpec((a + 1,), (a + Fraction(3, 2), 2 * a + 1))
-        return [
-            (Fraction(1), 0, head),
-            (Fraction(-1) / (2 * (2 * a + 1)), 1, tail),
-        ]
+        return Side((
+            Term(((head, _SQ4),)),
+            Term(((tail, _SQ4),), Fraction(-1) / (2 * (2 * a + 1)), 1),
+        ), Fraction(1))
 
-    def contig_raised_lhs(p: IdentityParams) -> TruncatedSeries:
-        return (
-            _f1_series(p.alpha, 2 * p.alpha, cap_of(p))
-            * _f1_series(p.alpha, 2 * p.alpha + 1, cap_of(p))
-        )
-
-    def contig_raised_rhs(p: IdentityParams) -> TruncatedSeries:
-        return _terms_series(contig_raised_terms(p), cap_of(p), 4, exp_sign=1)
-
-    def contig_raised_lhs_float(p: IdentityParams, x: float) -> tuple[float, bool]:
-        a_val, a_ok = _f1_float(p.alpha, 2 * p.alpha, x)
-        b_val, b_ok = _f1_float(p.alpha, 2 * p.alpha + 1, x)
-        return a_val * b_val, a_ok and b_ok
-
-    def contig_raised_rhs_float(p: IdentityParams, x: float) -> tuple[float, bool]:
-        return _terms_float(contig_raised_terms(p), x, 4, exp_sign=1)
-
-    defs.append(IdentityDef(
-        id=IdentityId.CONTIG_RAISED,
-        name="contiguous-raised",
-        summary="1F1(alpha; 2*alpha; x) 1F1(alpha; 2*alpha+1; x) = e^x (1F2 block - x/(2(2*alpha+1)) 1F2 block)",
-        uses=("alpha",),
-        kind="series",
-        build_lhs=contig_raised_lhs,
-        build_rhs=contig_raised_rhs,
-        lhs_float=contig_raised_lhs_float,
-        rhs_float=contig_raised_rhs_float,
-        requirements=lambda p: [
-            _req_lower("2*alpha", 2 * p.alpha),
-            _req_lower("2*alpha + 1", 2 * p.alpha + 1),
-            _req_lower("alpha + 1/2", p.alpha + HALF),
-            _req_lower("alpha + 3/2", p.alpha + Fraction(3, 2)),
-        ],
-    ))
-
-    def contig_lowered_terms(p: IdentityParams) -> Terms:
+    def contig_lowered_rhs(p: IdentityParams) -> Side:
         a = p.alpha
         head = HypSpec((a,), (a + HALF, 2 * a - 1))
         tail = HypSpec((a,), (a + HALF, 2 * a))
-        return [
-            (Fraction(1), 0, head),
-            (Fraction(1) / (2 * (2 * a - 1)), 1, tail),
-        ]
+        return Side((
+            Term(((head, _SQ4),)),
+            Term(((tail, _SQ4),), Fraction(1) / (2 * (2 * a - 1)), 1),
+        ), Fraction(1))
 
-    def contig_lowered_lhs(p: IdentityParams) -> TruncatedSeries:
-        return (
-            _f1_series(p.alpha, 2 * p.alpha, cap_of(p))
-            * _f1_series(p.alpha, 2 * p.alpha - 1, cap_of(p))
-        )
-
-    def contig_lowered_rhs(p: IdentityParams) -> TruncatedSeries:
-        return _terms_series(contig_lowered_terms(p), cap_of(p), 4, exp_sign=1)
-
-    def contig_lowered_lhs_float(p: IdentityParams, x: float) -> tuple[float, bool]:
-        a_val, a_ok = _f1_float(p.alpha, 2 * p.alpha, x)
-        b_val, b_ok = _f1_float(p.alpha, 2 * p.alpha - 1, x)
-        return a_val * b_val, a_ok and b_ok
-
-    def contig_lowered_rhs_float(p: IdentityParams, x: float) -> tuple[float, bool]:
-        return _terms_float(contig_lowered_terms(p), x, 4, exp_sign=1)
-
-    defs.append(IdentityDef(
-        id=IdentityId.CONTIG_LOWERED,
-        name="contiguous-lowered",
-        summary="1F1(alpha; 2*alpha; x) 1F1(alpha; 2*alpha-1; x) = e^x (1F2 block + x/(2(2*alpha-1)) 1F2 block)",
-        uses=("alpha",),
-        kind="series",
-        build_lhs=contig_lowered_lhs,
-        build_rhs=contig_lowered_rhs,
-        lhs_float=contig_lowered_lhs_float,
-        rhs_float=contig_lowered_rhs_float,
-        requirements=lambda p: [
-            _req_lower("2*alpha", 2 * p.alpha),
-            _req_lower("2*alpha - 1", 2 * p.alpha - 1),
-            _req_lower("alpha + 1/2", p.alpha + HALF),
-        ],
-    ))
-
-    # ---- expansion of e^(-x/2) 1F1 with shifted lower parameter
-
-    def expand_raised_lhs(p: IdentityParams) -> TruncatedSeries:
-        return exp_series(cap_of(p), -1, half=True) * _f1_series(p.alpha, 2 * p.alpha + p.i, cap_of(p))
-
-    def expand_raised_rhs(p: IdentityParams) -> TruncatedSeries:
-        return expand_raised(p.alpha, p.i, cap_of(p))
-
-    def expand_raised_lhs_float(p: IdentityParams, x: float) -> tuple[float, bool]:
-        value, ok = _f1_float(p.alpha, 2 * p.alpha + p.i, x)
-        return math.exp(-x / 2) * value, ok
-
-    def expand_raised_rhs_float(p: IdentityParams, x: float) -> tuple[float, bool]:
-        return _terms_float(_expand_raised_terms(p.alpha, p.i), x, 16)
-
-    defs.append(IdentityDef(
-        id=IdentityId.EXPAND_RAISED,
-        name="expand-raised",
-        summary="e^(-x/2) 1F1(alpha; 2*alpha+i; x) as a sum of i+1 weighted x^m 0F1(; alpha+m+1/2; x^2/16) blocks",
-        uses=("alpha", "i"),
-        kind="series",
-        build_lhs=expand_raised_lhs,
-        build_rhs=expand_raised_rhs,
-        lhs_float=expand_raised_lhs_float,
-        rhs_float=expand_raised_rhs_float,
-        requirements=lambda p: _expand_requirements(p, raised=True),
-    ))
-
-    def expand_lowered_lhs(p: IdentityParams) -> TruncatedSeries:
-        return exp_series(cap_of(p), -1, half=True) * _f1_series(p.alpha, 2 * p.alpha - p.i, cap_of(p))
-
-    def expand_lowered_rhs(p: IdentityParams) -> TruncatedSeries:
-        return expand_lowered(p.alpha, p.i, cap_of(p))
-
-    def expand_lowered_lhs_float(p: IdentityParams, x: float) -> tuple[float, bool]:
-        value, ok = _f1_float(p.alpha, 2 * p.alpha - p.i, x)
-        return math.exp(-x / 2) * value, ok
-
-    def expand_lowered_rhs_float(p: IdentityParams, x: float) -> tuple[float, bool]:
-        return _terms_float(_expand_lowered_terms(p.alpha, p.i), x, 16)
-
-    defs.append(IdentityDef(
-        id=IdentityId.EXPAND_LOWERED,
-        name="expand-lowered",
-        summary="e^(-x/2) 1F1(alpha; 2*alpha-i; x) as a sum of i+1 weighted x^m 0F1(; alpha+m-i+1/2; x^2/16) blocks",
-        uses=("alpha", "i"),
-        kind="series",
-        build_lhs=expand_lowered_lhs,
-        build_rhs=expand_lowered_rhs,
-        lhs_float=expand_lowered_lhs_float,
-        rhs_float=expand_lowered_rhs_float,
-        requirements=lambda p: _expand_requirements(p, raised=False),
-    ))
+    defs = [
+        # ---- two-parameter exponential-shift transformation
+        _series_entry(
+            id=IdentityId.KUMMER_FIRST,
+            name="kummer-first",
+            summary="e^(-x) 1F1(alpha; beta; x) = 1F1(beta - alpha; beta; -x)",
+            uses=("alpha", "beta"),
+            lhs=lambda p: _product(_f11(p.alpha, p.beta), exp=-1),
+            rhs=lambda p: _product(_f11(p.beta - p.alpha, p.beta, _NEG_X)),
+            requirements=lambda p: [_req_lower("beta", p.beta)],
+        ),
+        # ---- half-exponential square-argument transformations
+        _series_entry(
+            id=IdentityId.KUMMER_SECOND,
+            name="kummer-second",
+            summary="e^(-x/2) 1F1(alpha; 2*alpha; x) = 0F1(; alpha + 1/2; x^2/16)",
+            uses=("alpha",),
+            lhs=lambda p: _product(_f11(p.alpha, 2 * p.alpha), exp=-HALF),
+            rhs=lambda p: _product(_f01(p.alpha + HALF, _SQ16)),
+            requirements=halved_reqs,
+        ),
+        _series_entry(
+            id=IdentityId.KUMMER_SECOND_SCALED,
+            name="kummer-second-scaled",
+            summary="1F1(alpha; 2*alpha; 2x) = e^x 0F1(; alpha + 1/2; x^2/4)",
+            uses=("alpha",),
+            lhs=lambda p: _product(_f11(p.alpha, 2 * p.alpha, Arg(2))),
+            rhs=lambda p: _product(_f01(p.alpha + HALF, _SQ4), exp=1),
+            requirements=halved_reqs,
+        ),
+        # ---- alternating and matched products of two confluent factors
+        _series_entry(
+            id=IdentityId.PREECE_ALTERNATING,
+            name="preece-alternating",
+            summary="1F1(alpha; 2*alpha; x) 1F1(alpha; 2*alpha; -x) = 1F2(alpha; alpha + 1/2, 2*alpha; x^2/4)",
+            uses=("alpha",),
+            lhs=lambda p: _product(_f11(p.alpha, 2 * p.alpha), _f11(p.alpha, 2 * p.alpha, _NEG_X)),
+            rhs=lambda p: _product(preece_block(p)),
+            requirements=halved_reqs,
+        ),
+        _series_entry(
+            id=IdentityId.PREECE_SQUARED,
+            name="preece-squared",
+            summary="[1F1(alpha; 2*alpha; x)]^2 = e^x 1F2(alpha; alpha + 1/2, 2*alpha; x^2/4)",
+            uses=("alpha",),
+            lhs=lambda p: _product(_f11(p.alpha, 2 * p.alpha), _f11(p.alpha, 2 * p.alpha)),
+            rhs=lambda p: _product(preece_block(p), exp=1),
+            requirements=halved_reqs,
+        ),
+        _series_entry(
+            id=IdentityId.BAILEY_ALTERNATING,
+            name="bailey-alternating",
+            summary="1F1(alpha; 2*alpha; x) 1F1(beta; 2*beta; -x) = 2F3((alpha+beta)/2, (alpha+beta+1)/2; alpha + 1/2, beta + 1/2, alpha + beta; x^2/4)",
+            uses=("alpha", "beta"),
+            lhs=lambda p: _product(_f11(p.alpha, 2 * p.alpha), _f11(p.beta, 2 * p.beta, _NEG_X)),
+            rhs=lambda p: _product(bailey_block(p)),
+            requirements=bailey_reqs,
+        ),
+        _series_entry(
+            id=IdentityId.BAILEY_MATCHED,
+            name="bailey-matched",
+            summary="1F1(alpha; 2*alpha; x) 1F1(beta; 2*beta; x) = e^x 2F3(...; x^2/4), same block as 1.7",
+            uses=("alpha", "beta"),
+            lhs=lambda p: _product(_f11(p.alpha, 2 * p.alpha), _f11(p.beta, 2 * p.beta)),
+            rhs=lambda p: _product(bailey_block(p), exp=1),
+            requirements=bailey_reqs,
+        ),
+        # ---- product of two 0F1 factors as one 2F3
+        _series_entry(
+            id=IdentityId.F01_PRODUCT,
+            name="f01-product",
+            summary="0F1(; alpha; t) 0F1(; beta; t) = 2F3((alpha+beta)/2, (alpha+beta-1)/2; alpha, beta, alpha+beta-1; 4t)",
+            uses=("alpha", "beta"),
+            lhs=lambda p: _product(_f01(p.alpha), _f01(p.beta)),
+            rhs=lambda p: _product((bailey_product_spec(p.alpha, p.beta), Arg(4))),
+            requirements=lambda p: [
+                _req_lower("alpha", p.alpha),
+                _req_lower("beta", p.beta),
+                _req_lower("alpha + beta - 1", p.alpha + p.beta - 1),
+            ],
+        ),
+        # ---- contiguous products (lower parameter off by one)
+        _series_entry(
+            id=IdentityId.CONTIG_RAISED,
+            name="contiguous-raised",
+            summary="1F1(alpha; 2*alpha; x) 1F1(alpha; 2*alpha+1; x) = e^x (1F2 block - x/(2(2*alpha+1)) 1F2 block)",
+            uses=("alpha",),
+            lhs=lambda p: _product(_f11(p.alpha, 2 * p.alpha), _f11(p.alpha, 2 * p.alpha + 1)),
+            rhs=contig_raised_rhs,
+            requirements=lambda p: [
+                _req_lower("2*alpha", 2 * p.alpha),
+                _req_lower("2*alpha + 1", 2 * p.alpha + 1),
+                _req_lower("alpha + 1/2", p.alpha + HALF),
+                _req_lower("alpha + 3/2", p.alpha + Fraction(3, 2)),
+            ],
+        ),
+        _series_entry(
+            id=IdentityId.CONTIG_LOWERED,
+            name="contiguous-lowered",
+            summary="1F1(alpha; 2*alpha; x) 1F1(alpha; 2*alpha-1; x) = e^x (1F2 block + x/(2(2*alpha-1)) 1F2 block)",
+            uses=("alpha",),
+            lhs=lambda p: _product(_f11(p.alpha, 2 * p.alpha), _f11(p.alpha, 2 * p.alpha - 1)),
+            rhs=contig_lowered_rhs,
+            requirements=lambda p: [
+                _req_lower("2*alpha", 2 * p.alpha),
+                _req_lower("2*alpha - 1", 2 * p.alpha - 1),
+                _req_lower("alpha + 1/2", p.alpha + HALF),
+            ],
+        ),
+        # ---- expansion of e^(-x/2) 1F1 with shifted lower parameter
+        _series_entry(
+            id=IdentityId.EXPAND_RAISED,
+            name="expand-raised",
+            summary="e^(-x/2) 1F1(alpha; 2*alpha+i; x) as a sum of i+1 weighted x^m 0F1(; alpha+m+1/2; x^2/16) blocks",
+            uses=("alpha", "i"),
+            lhs=lambda p: _product(_f11(p.alpha, 2 * p.alpha + p.i), exp=-HALF),
+            rhs=lambda p: _expansion_side(p.alpha, p.i, raised=True),
+            requirements=lambda p: sum(_expand_requirements(p.alpha, p.i, raised=True), []),
+        ),
+        _series_entry(
+            id=IdentityId.EXPAND_LOWERED,
+            name="expand-lowered",
+            summary="e^(-x/2) 1F1(alpha; 2*alpha-i; x) as a sum of i+1 weighted x^m 0F1(; alpha+m-i+1/2; x^2/16) blocks",
+            uses=("alpha", "i"),
+            lhs=lambda p: _product(_f11(p.alpha, 2 * p.alpha - p.i), exp=-HALF),
+            rhs=lambda p: _expansion_side(p.alpha, p.i, raised=False),
+            requirements=lambda p: sum(_expand_requirements(p.alpha, p.i, raised=False), []),
+        ),
+    ]
 
     # ---- the shifted-product family and its equal-parameter forms
 
@@ -1207,17 +906,9 @@ def _build_registry() -> dict[IdentityId, IdentityDef]:
     ):
         first_desc = "2*alpha+i" if variant[0] == "P" else "2*alpha-i"
         second_desc = "2*beta+j" if variant[1] == "P" else "2*beta-j"
+        notes = _pm_notes if variant == "PM" else None
 
-        def make_product(variant: str = variant) -> dict:
-            return dict(
-                build_lhs=lambda p: product_expansion_lhs(variant, p),
-                build_rhs=lambda p: product_expansion_rhs(variant, p),
-                lhs_float=lambda p, x: _product_lhs_float(variant, p, x),
-                rhs_float=lambda p, x: _product_rhs_float(variant, p, x),
-                requirements=lambda p: _product_requirements(variant, p),
-            )
-
-        defs.append(IdentityDef(
+        defs.append(_series_entry(
             id=prod_id,
             name=f"product-{variant.lower()}",
             summary=(
@@ -1225,24 +916,14 @@ def _build_registry() -> dict[IdentityId, IdentityDef]:
                 "= e^x times a double sum of weighted x^(m+n) 2F3(...; x^2/4) blocks"
             ),
             uses=("alpha", "beta", "i", "j"),
-            kind="series",
-            notes=_pm_notes if variant == "PM" else None,
-            **make_product(),
+            notes=notes,
+            lhs=lambda p, v=variant: _product_lhs(v, p, p.beta),
+            rhs=lambda p, v=variant: _product_rhs(v, p),
+            requirements=lambda p, v=variant: _product_requirements(v, p),
         ))
 
-        def make_equal(variant: str = variant) -> dict:
-            return dict(
-                build_lhs=lambda p: _equal_param_lhs(variant, p),
-                build_rhs=lambda p: equal_parameter_rhs(
-                    variant, p.alpha, p.i, p.j, p.effective_cap, p.printed_form
-                ),
-                lhs_float=lambda p, x: _equal_param_lhs_float(variant, p, x),
-                rhs_float=lambda p, x: _equal_param_rhs_float(variant, p, x),
-                requirements=lambda p: _product_requirements(variant, p, equal_param=True),
-            )
-
         second_desc_eq = second_desc.replace("beta", "alpha")
-        defs.append(IdentityDef(
+        defs.append(_series_entry(
             id=equal_id,
             name=f"equal-param-{variant.lower()}",
             summary=(
@@ -1250,9 +931,10 @@ def _build_registry() -> dict[IdentityId, IdentityDef]:
                 "as e^x times a double sum written with alpha only"
             ),
             uses=("alpha", "i", "j"),
-            kind="series",
-            notes=_pm_notes if variant == "PM" else None,
-            **make_equal(),
+            notes=notes,
+            lhs=lambda p, v=variant: _product_lhs(v, p, p.alpha),
+            rhs=lambda p, v=variant: _equal_param_rhs(v, p),
+            requirements=lambda p, v=variant: _product_requirements(v, p, equal_param=True),
         ))
 
     # ---- scalar closed forms
@@ -1314,135 +996,3 @@ def get(identity: IdentityId | str) -> IdentityDef:
 def catalog() -> tuple[IdentityDef, ...]:
     """All entries in tag order."""
     return tuple(get(tag) for tag in _ORDER)
-
-
-# --------------------------------------------------------------------------
-# exact check runners (admissibility is the caller's business; degenerate
-# parameters raise here, they do not produce reports)
-
-
-def _series_check(identity: IdentityId, params: IdentityParams) -> VerifyReport:
-    define = get(identity)
-    define.validate_params(params)
-    start = perf_counter()
-    lhs = define.build_lhs(params)
-    rhs = define.build_rhs(params)
-    mismatches = compare_series(lhs, rhs)
-    return VerifyReport(
-        identity=define.tag,
-        params=params,
-        cap=min(lhs.cap, rhs.cap),
-        status=STATUS_EXACT_MATCH if not mismatches else STATUS_MISMATCH,
-        mismatches=mismatches,
-        notes=define.notes(params) if define.notes else (),
-        elapsed_seconds=perf_counter() - start,
-    )
-
-
-def _scalar_exact_check(identity: IdentityId, params: IdentityParams) -> VerifyReport:
-    define = get(identity)
-    define.validate_params(params)
-    start = perf_counter()
-    lhs, rhs = define.scalar_exact(params)
-    mismatches = () if lhs == rhs else (CoefficientMismatch(0, lhs, rhs),)
-    return VerifyReport(
-        identity=define.tag,
-        params=params,
-        cap=params.i,
-        status=STATUS_EXACT_MATCH if not mismatches else STATUS_MISMATCH,
-        mismatches=mismatches,
-        elapsed_seconds=perf_counter() - start,
-    )
-
-
-def _scalar_float_check(identity: IdentityId, params: IdentityParams, tol: float) -> VerifyReport:
-    define = get(identity)
-    define.validate_params(params)
-    start = perf_counter()
-    lhs, rhs, converged = define.scalar_float(params)
-    scale = max(abs(lhs), abs(rhs))
-    rel = abs(lhs - rhs) / scale if scale > 0 else 0.0
-    residual = FloatResidual(define.fixed_argument, rel, lhs, rhs, converged)
-    passed = converged and rel <= tol
-    return VerifyReport(
-        identity=define.tag,
-        params=params,
-        cap=None,
-        status=STATUS_FLOAT_ONLY_PASS if passed else STATUS_FLOAT_ONLY_FAIL,
-        float_residuals=(residual,),
-        elapsed_seconds=perf_counter() - start,
-    )
-
-
-# --------------------------------------------------------------------------
-# named check operations for the classical chain
-
-
-def kummer_first_check(alpha: Fraction | int, beta: Fraction | int, cap: int | None = None) -> VerifyReport:
-    """Exact two-route check of the 1.1 transformation."""
-    return _series_check(IdentityId.KUMMER_FIRST, IdentityParams(alpha=alpha, beta=beta, cap=cap))
-
-
-def kummer_second_check(alpha: Fraction | int, cap: int | None = None) -> VerifyReport:
-    """Exact two-route check of the 1.2 transformation."""
-    return _series_check(IdentityId.KUMMER_SECOND, IdentityParams(alpha=alpha, cap=cap))
-
-
-def kummer_second_alt_check(alpha: Fraction | int, cap: int | None = None) -> VerifyReport:
-    """Exact two-route check of the doubled-argument form 1.5."""
-    return _series_check(IdentityId.KUMMER_SECOND_SCALED, IdentityParams(alpha=alpha, cap=cap))
-
-
-def preece_bailey_checks(
-    alpha: Fraction | int, beta: Fraction | int, cap: int | None = None
-) -> list[VerifyReport]:
-    """Exact checks of the four product identities 1.6, 1.7, 1.9, 1.10.
-
-    One report each, in tag order. The single-parameter entries use alpha
-    alone; the two-parameter entries use both.
-    """
-    return [
-        _series_check(IdentityId.PREECE_ALTERNATING, IdentityParams(alpha=alpha, cap=cap)),
-        _series_check(IdentityId.BAILEY_ALTERNATING, IdentityParams(alpha=alpha, beta=beta, cap=cap)),
-        _series_check(IdentityId.PREECE_SQUARED, IdentityParams(alpha=alpha, cap=cap)),
-        _series_check(IdentityId.BAILEY_MATCHED, IdentityParams(alpha=alpha, beta=beta, cap=cap)),
-    ]
-
-
-def contiguous_product_checks(alpha: Fraction | int, cap: int | None = None) -> list[VerifyReport]:
-    """Exact checks of the contiguous products 1.12 and 1.13, in tag order."""
-    return [
-        _series_check(IdentityId.CONTIG_RAISED, IdentityParams(alpha=alpha, cap=cap)),
-        _series_check(IdentityId.CONTIG_LOWERED, IdentityParams(alpha=alpha, cap=cap)),
-    ]
-
-
-def classical_sum_checks(
-    a: Fraction | int,
-    b: Fraction | int,
-    c: Fraction | int | None = None,
-    tol: float = 1e-10,
-) -> list[VerifyReport]:
-    """Check the classical summation theorems at one parameter point.
-
-    Always checks the half-argument sum 1.4 with (a, b). When a is a
-    nonpositive integer and c is given, also checks the terminating sum
-    1.3 with n = -a. When c is given, also checks the unit-argument sum
-    1.8 with (a, b, c). Reports come back in tag order.
-    """
-    a = Fraction(a)
-    b = Fraction(b)
-    out = []
-    if c is not None and is_nonpositive_integer(a):
-        out.append(_scalar_exact_check(
-            IdentityId.GAUSS_TERMINATING,
-            IdentityParams(alpha=b, beta=Fraction(c), i=int(-a)),
-        ))
-    out.append(_scalar_float_check(
-        IdentityId.GAUSS_SECOND, IdentityParams(alpha=a, beta=b), tol
-    ))
-    if c is not None:
-        out.append(_scalar_float_check(
-            IdentityId.WATSON_UNIT, IdentityParams(alpha=a, beta=b, gamma=Fraction(c)), tol
-        ))
-    return out

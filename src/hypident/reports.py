@@ -12,7 +12,7 @@ import csv
 import io
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .rationals import format_rational, is_nonpositive_integer
 from .series import TruncatedSeries
@@ -27,6 +27,8 @@ __all__ = [
     "ParameterRequirement",
     "VerifyReport",
     "compare_series",
+    "csv_text",
+    "relative_error",
     "reports_to_csv",
     "CSV_HEADER",
     "STATUS_EXACT_MATCH",
@@ -188,6 +190,14 @@ class FloatResidual:
         }
 
 
+def relative_error(lhs: float, rhs: float) -> float:
+    """``|lhs - rhs|`` over the larger magnitude; 0.0 when both sides are 0."""
+    scale = max(abs(lhs), abs(rhs))
+    if scale == 0.0:
+        return 0.0
+    return abs(lhs - rhs) / scale
+
+
 def compare_series(lhs: TruncatedSeries, rhs: TruncatedSeries) -> tuple[CoefficientMismatch, ...]:
     """Exact coefficient diff up to the smaller cap, in degree order."""
     cap = min(lhs.cap, rhs.cap)
@@ -307,11 +317,15 @@ class VerifyReport:
         return "\n".join(lines)
 
 
-def reports_to_csv(reports: list[VerifyReport] | tuple[VerifyReport, ...]) -> str:
-    """Render reports as a CSV document, one row per report."""
+def csv_text(header: Sequence[str], rows: Iterable[Sequence]) -> str:
+    """Render a header row and data rows as one CSV document."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(CSV_HEADER)
-    for report in reports:
-        writer.writerow(report.csv_row())
+    writer.writerow(header)
+    writer.writerows(rows)
     return buf.getvalue()
+
+
+def reports_to_csv(reports: list[VerifyReport] | tuple[VerifyReport, ...]) -> str:
+    """Render reports as a CSV document, one row per report."""
+    return csv_text(CSV_HEADER, (report.csv_row() for report in reports))

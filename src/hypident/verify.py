@@ -15,13 +15,19 @@ from fractions import Fraction
 from time import perf_counter
 from typing import Iterable, Sequence
 
-from . import identities
+from . import identities, reports
 from .identities import IdentityDef, IdentityId, IdentityParams
 from .reports import (
+    STATUS_EXACT_MATCH,
+    STATUS_FLOAT_ONLY_FAIL,
+    STATUS_FLOAT_ONLY_PASS,
     STATUS_INADMISSIBLE,
+    STATUS_MISMATCH,
     AdmissibilityFinding,
+    CoefficientMismatch,
     FloatResidual,
     VerifyReport,
+    relative_error,
 )
 
 __all__ = [
@@ -54,13 +60,6 @@ def check_admissible(identity: IdentityId | str, params: IdentityParams) -> list
     return findings
 
 
-def _relative_error(lhs: float, rhs: float) -> float:
-    scale = max(abs(lhs), abs(rhs))
-    if scale == 0.0:
-        return 0.0
-    return abs(lhs - rhs) / scale
-
-
 def _float_residuals(
     define: IdentityDef,
     params: IdentityParams,
@@ -71,9 +70,58 @@ def _float_residuals(
         lhs, lhs_ok = define.lhs_float(params, x)
         rhs, rhs_ok = define.rhs_float(params, x)
         ok = lhs_ok and rhs_ok
-        rel = _relative_error(lhs, rhs) if ok else math.inf
+        rel = relative_error(lhs, rhs) if ok else math.inf
         out.append(FloatResidual(x, rel, lhs, rhs, ok))
     return tuple(out)
+
+
+def _compared(define: IdentityDef, params: IdentityParams, lhs, rhs, **fields) -> VerifyReport:
+    """Compare two exact series sides coefficient by coefficient and report."""
+    # through the module, so that perfbench's tracing wrapper sees the call
+    mismatches = reports.compare_series(lhs, rhs)
+    return VerifyReport(
+        identity=define.tag,
+        params=params,
+        cap=min(lhs.cap, rhs.cap),
+        status=STATUS_MISMATCH if mismatches else STATUS_EXACT_MATCH,
+        mismatches=mismatches,
+        **fields,
+    )
+
+
+def _series_check(define: IdentityDef, params: IdentityParams, float_points: Sequence[float]) -> VerifyReport:
+    return _compared(
+        define,
+        params,
+        define.build_lhs(params),
+        define.build_rhs(params),
+        float_residuals=_float_residuals(define, params, float_points),
+        notes=define.notes(params) if define.notes else (),
+    )
+
+
+def _scalar_exact_check(define: IdentityDef, params: IdentityParams) -> VerifyReport:
+    lhs, rhs = define.scalar_exact(params)
+    mismatches = () if lhs == rhs else (CoefficientMismatch(0, lhs, rhs),)
+    return VerifyReport(
+        identity=define.tag,
+        params=params,
+        cap=params.i,
+        status=STATUS_MISMATCH if mismatches else STATUS_EXACT_MATCH,
+        mismatches=mismatches,
+    )
+
+
+def _scalar_float_check(define: IdentityDef, params: IdentityParams, tol: float) -> VerifyReport:
+    lhs, rhs, converged = define.scalar_float(params)
+    rel = relative_error(lhs, rhs)
+    return VerifyReport(
+        identity=define.tag,
+        params=params,
+        cap=None,
+        status=STATUS_FLOAT_ONLY_PASS if converged and rel <= tol else STATUS_FLOAT_ONLY_FAIL,
+        float_residuals=(FloatResidual(define.fixed_argument, rel, lhs, rhs, converged),),
+    )
 
 
 def verify_identity(
@@ -89,37 +137,30 @@ def verify_identity(
     with float cross-checks at ``float_points`` attached as evidence.
     Scalar entries compare one exact or one floating-point equation; for
     the float ones, ``tol`` is the relative-error verdict threshold.
+    Degenerate parameters that admissibility does not catch raise.
     """
     define = identities.get(identity)
     define.validate_params(params)
     start = perf_counter()
     findings = check_admissible(identity, params)
     if findings:
-        return VerifyReport(
+        report = VerifyReport(
             identity=define.tag,
             params=params,
             cap=params.effective_cap if define.kind == "series" else None,
             status=STATUS_INADMISSIBLE,
             findings=tuple(findings),
             notes=define.notes(params) if define.notes else (),
-            elapsed_seconds=perf_counter() - start,
         )
-
-    if define.kind == "series":
-        report = identities._series_check(define.id, params)
-        residuals = _float_residuals(define, params, float_points)
-        return dataclasses.replace(
-            report,
-            float_residuals=residuals,
-            elapsed_seconds=perf_counter() - start,
-        )
-    if define.kind == "exact_sum":
-        report = identities._scalar_exact_check(define.id, params)
-        return dataclasses.replace(report, elapsed_seconds=perf_counter() - start)
-    if define.kind == "float_sum":
-        report = identities._scalar_float_check(define.id, params, tol)
-        return dataclasses.replace(report, elapsed_seconds=perf_counter() - start)
-    raise ValueError(f"unknown identity kind {define.kind!r}")
+    elif define.kind == "series":
+        report = _series_check(define, params, float_points)
+    elif define.kind == "exact_sum":
+        report = _scalar_exact_check(define, params)
+    elif define.kind == "float_sum":
+        report = _scalar_float_check(define, params, tol)
+    else:
+        raise ValueError(f"unknown identity kind {define.kind!r}")
+    return dataclasses.replace(report, elapsed_seconds=perf_counter() - start)
 
 
 def report_for_sides(
@@ -131,21 +172,11 @@ def report_for_sides(
     """Build a report from externally supplied series sides.
 
     This is the hook fault-injection tests use: perturb one side, feed
-    both in, and the comparison machinery must flag the damage.
+    both in, and the comparison machinery must flag the damage. The
+    comparison is the one :func:`verify_identity` uses; the report is
+    untimed.
     """
-    from .reports import STATUS_EXACT_MATCH, STATUS_MISMATCH, compare_series
-
-    define = identities.get(identity)
-    start = perf_counter()
-    mismatches = compare_series(lhs, rhs)
-    return VerifyReport(
-        identity=define.tag,
-        params=params,
-        cap=min(lhs.cap, rhs.cap),
-        status=STATUS_EXACT_MATCH if not mismatches else STATUS_MISMATCH,
-        mismatches=mismatches,
-        elapsed_seconds=perf_counter() - start,
-    )
+    return _compared(identities.get(identity), params, lhs, rhs)
 
 
 def sweep(

@@ -6,10 +6,12 @@ diagnostics, and exit codes.
 """
 
 import json
+import os
 import shutil
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -261,3 +263,15 @@ def test_fresh_interpreter_smoke():
     )
     assert proc.returncode == 0
     assert "2.3" in proc.stdout
+
+
+def test_module_entry_point_runs_the_cli():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "hypident.cli", "list"],
+        capture_output=True, text=True, timeout=120, env=env,
+    )
+    assert proc.returncode == 0
+    for d in catalog():
+        assert f"{d.tag:>5}  {d.name}" in proc.stdout

@@ -1,4 +1,4 @@
-"""Tests for the identity catalog: builders, check operations, registry."""
+"""Tests for the identity catalog: builders, registry, and catalog checks."""
 
 import math
 from fractions import Fraction
@@ -13,7 +13,6 @@ from hypident.identities import (
     IdentityParams,
     VARIANTS,
     catalog,
-    classical_sum_checks,
     default_cap,
     equal_parameter_rhs,
     expand_lowered,
@@ -21,18 +20,14 @@ from hypident.identities import (
     gauss_second_sides_float,
     gauss_terminating_sides,
     get,
-    kummer_first_check,
-    kummer_second_alt_check,
-    kummer_second_check,
-    preece_bailey_checks,
     product_expansion_lhs,
     product_expansion_rhs,
-    contiguous_product_checks,
     watson_unit_sides_float,
     _gamma_ratio,
 )
 from hypident.rationals import pochhammer
 from hypident.series import exp_series
+from hypident.verify import verify_identity
 
 A = Fraction(3, 7)
 B = Fraction(2, 5)
@@ -93,29 +88,36 @@ class TestParams:
 
 class TestClassicalChainChecks:
     def test_kummer_first(self):
-        report = kummer_first_check(A, B, cap=24)
+        report = verify_identity("1.1", IdentityParams(alpha=A, beta=B, cap=24))
         assert report.status == "exact_match"
         assert report.cap == 24
 
     def test_kummer_second_and_scaled(self):
-        assert kummer_second_check(A, cap=24).status == "exact_match"
-        assert kummer_second_alt_check(A, cap=24).status == "exact_match"
+        assert verify_identity("1.2", IdentityParams(alpha=A, cap=24)).status == "exact_match"
+        assert verify_identity("1.5", IdentityParams(alpha=A, cap=24)).status == "exact_match"
 
     def test_preece_bailey_batch(self):
-        reports = preece_bailey_checks(A, B, cap=24)
+        reports = [
+            verify_identity("1.6", IdentityParams(alpha=A, cap=24)),
+            verify_identity("1.7", IdentityParams(alpha=A, beta=B, cap=24)),
+            verify_identity("1.9", IdentityParams(alpha=A, cap=24)),
+            verify_identity("1.10", IdentityParams(alpha=A, beta=B, cap=24)),
+        ]
         assert [r.identity for r in reports] == ["1.6", "1.7", "1.9", "1.10"]
         assert all(r.status == "exact_match" for r in reports)
 
     def test_contiguous_batch(self):
-        reports = contiguous_product_checks(A, cap=24)
+        reports = [
+            verify_identity("1.12", IdentityParams(alpha=A, cap=24)),
+            verify_identity("1.13", IdentityParams(alpha=A, cap=24)),
+        ]
         assert [r.identity for r in reports] == ["1.12", "1.13"]
         assert all(r.status == "exact_match" for r in reports)
 
     def test_degenerate_raises_rather_than_reporting(self):
-        # alpha = 0 makes the 2*alpha lower parameter vanish
+        # alpha = 0 makes the 2*alpha lower parameter of the left side vanish
         with pytest.raises(DegenerateParameterError):
-            kummer_second_check(Fraction(0), cap=8)
-
+            get("1.2").build_lhs(IdentityParams(alpha=0, cap=8))
 
 class TestExpansions:
     @pytest.mark.parametrize("i", range(5))
@@ -231,19 +233,30 @@ class TestScalarSides:
 
 class TestClassicalSumBatch:
     def test_full_batch(self):
-        reports = classical_sum_checks(Fraction(-3), Fraction(1, 2), Fraction(5, 3))
+        a, b, c = Fraction(-3), Fraction(1, 2), Fraction(5, 3)
+        reports = [
+            verify_identity("1.3", IdentityParams(alpha=b, beta=c, i=3)),
+            verify_identity("1.4", IdentityParams(alpha=a, beta=b)),
+            verify_identity("1.8", IdentityParams(alpha=a, beta=b, gamma=c)),
+        ]
         assert [r.identity for r in reports] == ["1.3", "1.4", "1.8"]
         assert reports[0].status == "exact_match"
         assert reports[1].status == "float_only_pass"
         assert reports[2].status == "float_only_pass"
 
     def test_without_third_parameter(self):
-        reports = classical_sum_checks(Fraction(1, 3), Fraction(2, 5))
-        assert [r.identity for r in reports] == ["1.4"]
+        report = verify_identity("1.4", IdentityParams(alpha=Fraction(1, 3), beta=Fraction(2, 5)))
+        assert report.identity == "1.4"
+        assert report.status == "float_only_pass"
 
     def test_non_terminating_first_parameter_skips_terminating_sum(self):
-        reports = classical_sum_checks(Fraction(1, 3), Fraction(2, 5), Fraction(9, 5))
+        a, b, c = Fraction(1, 3), Fraction(2, 5), Fraction(9, 5)
+        reports = [
+            verify_identity("1.4", IdentityParams(alpha=a, beta=b)),
+            verify_identity("1.8", IdentityParams(alpha=a, beta=b, gamma=c)),
+        ]
         assert [r.identity for r in reports] == ["1.4", "1.8"]
+        assert all(r.status == "float_only_pass" for r in reports)
 
 
 @given(
@@ -253,6 +266,6 @@ class TestClassicalSumBatch:
 @settings(max_examples=25)
 def test_matched_product_identity_property(alpha, beta):
     """The two-parameter matched product holds for random positive rationals."""
-    report = preece_bailey_checks(alpha, beta, cap=14)[3]
+    report = verify_identity("1.10", IdentityParams(alpha=alpha, beta=beta, cap=14))
     assert report.identity == "1.10"
     assert report.status == "exact_match"

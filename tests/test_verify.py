@@ -13,6 +13,8 @@ from hypident.reports import (
     PASSING_STATUSES,
     VerifyReport,
     compare_series,
+    csv_text,
+    relative_error,
     reports_to_csv,
 )
 from hypident.series import TruncatedSeries
@@ -63,6 +65,27 @@ class TestCheckAdmissible:
         for f in findings:
             assert f.severity == "fatal"
             assert f.detail
+
+
+    def test_product_findings_keep_their_order_and_text(self):
+        # both factors' weight conditions come before either factor's block
+        # parameters, then the third block parameter by ascending shift
+        findings = check_admissible(
+            "2.2", IdentityParams(alpha=Fraction(1, 2), beta=Fraction(1, 2), i=2, j=1)
+        )
+        assert [f.parameter_expr for f in findings] == [
+            "2*alpha - i", "(2*alpha - i)_m", "2*beta - j", "(2*beta - j)_n",
+            "alpha + m - i + 1/2", "alpha + m - i + 1/2", "beta + n - j + 1/2",
+            "alpha + beta - 3", "alpha + beta - 2", "alpha + beta - 1",
+        ]
+
+    def test_equal_parameter_findings_keep_their_order_and_text(self):
+        findings = check_admissible("3.2", IdentityParams(alpha=Fraction(1, 2), i=2, j=1))
+        assert [f.parameter_expr for f in findings] == [
+            "2*alpha - i", "(2*alpha - i)_m", "2*alpha - j", "(2*alpha - j)_n",
+            "alpha + m - i + 1/2", "alpha + m - i + 1/2", "alpha + n - j + 1/2",
+            "2*alpha - 3", "2*alpha - 2", "2*alpha - 1",
+        ]
 
 
 class TestVerifyIdentity:
@@ -152,6 +175,27 @@ class TestReportRendering:
         text = report.render_text()
         assert "inadmissible" in text
         assert "(alpha - 1/2)_m" in text
+
+
+class TestRelativeError:
+    def test_scaled_by_larger_magnitude(self):
+        assert relative_error(1.0, 0.5) == 0.5
+        assert relative_error(-2.0, 2.0) == 2.0
+
+    def test_both_zero_is_zero(self):
+        assert relative_error(0.0, 0.0) == 0.0
+
+    def test_unconverged_float_residual_is_infinite(self):
+        # a budget that runs out makes the residual inf, whatever the values
+        params = IdentityParams(alpha=A, beta=B)
+        report = verify_identity("1.1", params, float_points=(1e6,))
+        residual = report.float_residuals[0]
+        assert not residual.converged
+        assert residual.relative_error == math.inf
+
+
+def test_csv_text_writes_header_then_rows():
+    assert csv_text(["a", "b"], [[1, "x,y"], [2, True]]) == 'a,b\n1,"x,y"\n2,True\n'
 
 
 class TestFaultInjection:
