@@ -19,7 +19,13 @@ from .rationals import RationalParseError, parse_rational
 from .reports import csv_text, relative_error, reports_to_csv
 from .verify import DEFAULT_FLOAT_TOL, sweep, verify_identity
 
-__all__ = ["build_parser", "main", "run"]
+__all__ = ["MAX_DEGREE", "MAX_SHIFT", "MAX_SWEEP_POINTS", "build_parser", "main", "run"]
+
+#: Request size limits. Exact work grows steeply with the cap and the
+#: shifts, so larger requests are refused up front rather than run unbounded.
+MAX_DEGREE = 512
+MAX_SHIFT = 64
+MAX_SWEEP_POINTS = 10_000
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -83,7 +89,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_size(args: argparse.Namespace) -> None:
+    """Refuse a cap or shift above its limit before any series work."""
+    if args.degree is not None and args.degree > MAX_DEGREE:
+        raise ValueError(f"--degree {args.degree} exceeds the limit of {MAX_DEGREE}")
+    for name in ("i", "j"):
+        value = getattr(args, name)
+        if value > MAX_SHIFT:
+            raise ValueError(f"--{name} {value} exceeds the limit of {MAX_SHIFT}")
+
+
 def _parse_params(args: argparse.Namespace) -> IdentityParams:
+    _check_size(args)
     return IdentityParams(
         alpha=parse_rational(args.alpha),
         beta=parse_rational(args.beta) if args.beta else None,
@@ -140,10 +157,24 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
+    _check_size(args)
+    alphas = _parse_rational_list(args.alpha)
+    betas = _parse_rational_list(args.beta) if args.beta else []
+    define = get(args.identity)
+    # the grid sweep() visits: distinct values of each parameter the entry uses
+    points = len(set(alphas))
+    if "beta" in define.uses:
+        points *= len(set(betas))
+    if "i" in define.uses:
+        points *= max(args.i + 1, 0)
+    if "j" in define.uses:
+        points *= max(args.j + 1, 0)
+    if points > MAX_SWEEP_POINTS:
+        raise ValueError(f"sweep grid of {points} points exceeds the limit of {MAX_SWEEP_POINTS}")
     reports = sweep(
         args.identity,
-        alpha_set=_parse_rational_list(args.alpha),
-        beta_set=_parse_rational_list(args.beta) if args.beta else (),
+        alpha_set=alphas,
+        beta_set=betas,
         i_max=args.i,
         j_max=args.j,
         cap=args.degree,

@@ -63,8 +63,9 @@ class HypSpec:
     lower: tuple[Fraction, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "upper", tuple(Fraction(a) for a in self.upper))
-        object.__setattr__(self, "lower", tuple(Fraction(b) for b in self.lower))
+        # tuple() of a list, not of a generator: see TruncatedSeries.from_integers
+        object.__setattr__(self, "upper", tuple([Fraction(a) for a in self.upper]))
+        object.__setattr__(self, "lower", tuple([Fraction(b) for b in self.lower]))
         for pos, b in enumerate(self.lower):
             if is_nonpositive_integer(b):
                 raise DegenerateParameterError(f"lower[{pos}]", b, int(-b))
@@ -86,26 +87,50 @@ class HypSpec:
 def pfq_series(spec: HypSpec, cap: int) -> TruncatedSeries:
     """Exact truncation of pFq(upper; lower; x) to the given cap.
 
+    With every parameter written over one common denominator L, step k of
+    the recurrence multiplies by ``num_k / den_k`` where
+    ``num_k = prod(A_j + k*L) * L**(q-p)`` and
+    ``den_k = (k+1) * prod(B_j + k*L) * L**(p-q)`` (each power only when
+    positive) are integers. Coefficient k is then the prefix product of
+    the numerator factors times the suffix product of the denominator
+    factors over the product of all of them, with no gcd inside the loop.
+
     Once a term hits zero (an upper parameter was a nonpositive integer)
     every later term is zero too, so the loop stops early and the series
     is genuinely polynomial.
     """
     if cap < 0:
         raise ValueError("series cap must be nonnegative")
-    coeffs = [Fraction(1)] + [Fraction(0)] * cap
-    term = Fraction(1)
+    scale = math.lcm(*(v.denominator for v in spec.upper + spec.lower))
+    upper = [a.numerator * (scale // a.denominator) for a in spec.upper]
+    lower = [b.numerator * (scale // b.denominator) for b in spec.lower]
+    excess = len(spec.lower) - len(spec.upper)
+    num_extra = scale**excess if excess > 0 else 1
+    den_extra = scale**-excess if excess < 0 else 1
+
+    prefix = [1]  # prefix[k] = num_0 * ... * num_{k-1}
+    dens = []
     for k in range(cap):
-        num = Fraction(1)
-        for a in spec.upper:
-            num *= a + k
+        num = num_extra
+        for a in upper:
+            num *= a + k * scale
         if num == 0:
             break
-        den = Fraction(k + 1)
-        for b in spec.lower:
-            den *= b + k
-        term = term * num / den
-        coeffs[k + 1] = term
-    return TruncatedSeries(cap, tuple(coeffs))
+        den = (k + 1) * den_extra
+        for b in lower:
+            den *= b + k * scale
+        prefix.append(prefix[-1] * num)
+        dens.append(den)
+
+    # walking down, suffix = den_k * ... * den_{last - 1}
+    top = len(dens)
+    nums = [0] * (cap + 1)
+    suffix = 1
+    for k in range(top, -1, -1):
+        nums[k] = prefix[k] * suffix
+        if k:
+            suffix *= dens[k - 1]
+    return TruncatedSeries.from_integers(cap, suffix, nums)
 
 
 @dataclass(frozen=True)

@@ -176,10 +176,15 @@ class Arg:
     c: int = 1
     squared: bool = False
 
-    def series(self, s: TruncatedSeries) -> TruncatedSeries:
-        """Substitute this argument into the series ``s`` of pFq(t)."""
+    def t_cap(self, cap: int) -> int:
+        """Degree in t that a series in x needs up to ``x**cap``."""
+        return cap // 2 if self.squared else cap
+
+    def series(self, s: TruncatedSeries, cap: int) -> TruncatedSeries:
+        """Substitute this argument into the series ``s`` of pFq(t), expanded
+        to ``t_cap(cap)``, giving a series in x up to ``x**cap``."""
         if self.squared:
-            return s.substitute_even(self.c)
+            return s.substitute_even(self.c, cap)
         return s if self.c == 1 else s.scale_argument(self.c)
 
     def at(self, x: float) -> float:
@@ -225,21 +230,36 @@ def _product(*factors: Factor, exp: Fraction | int = 0) -> Side:
 
 
 def _side_series(side: Side, cap: int) -> TruncatedSeries:
-    """Exact truncation of a side. A spec used twice is expanded once."""
-    expanded: dict[HypSpec, TruncatedSeries] = {}
+    """Exact truncation of a side.
+
+    A term ``x**power * F(...)`` is expanded only to ``x**(cap - power)``
+    and then shifted up to the cap, so each pFq factor is expanded only to
+    the degree in t that still reaches the cap; a term whose power is past
+    the cap contributes nothing. A spec that two factors of one term share
+    is expanded once; specs repeat only within a term, so no expansion is
+    kept past its term.
+    """
     total = None
     for term in side.terms:
+        need = cap - term.power
+        if need < 0:
+            continue
+        expanded: dict[tuple[HypSpec, int], TruncatedSeries] = {}
         block = None
         for spec, arg in term.factors:
-            if spec not in expanded:
-                expanded[spec] = pfq_series(spec, cap)
-            factor = arg.series(expanded[spec])
+            key = spec, arg.t_cap(need)
+            series = expanded.get(key)
+            if series is None:
+                series = expanded[key] = pfq_series(*key)
+            factor = arg.series(series, need)
             block = factor if block is None else block * factor
         if term.power:
-            block = block.shift(term.power)
+            block = block.shift(term.power, cap)
         if term.weight != 1:
             block = block.scale(term.weight)
         total = block if total is None else total + block
+    if total is None:
+        total = TruncatedSeries.zero(cap)
     if side.exp:
         total = exp_series(cap, 1 if side.exp > 0 else -1, half=abs(side.exp) == HALF) * total
     return total

@@ -1,10 +1,13 @@
 """Exact rational scalars plus the factorial and rising-factorial primitives.
 
-Every parameter and series coefficient in this package is a
+Every parameter, weight and reported coefficient in this package is a
 :class:`fractions.Fraction`. Construction reduces to lowest terms with a
 positive denominator, arithmetic never rounds, and equality is structural,
-so two routes to the same value compare equal by ``==``. The helpers here
-are the small combinatorial layer everything else is assembled from.
+so two routes to the same value compare equal by ``==``. Truncated series
+are the exception inside the arithmetic: :mod:`hypident.series` keeps their
+coefficients as integer numerators over one shared denominator and turns
+them into fractions only at the boundaries. The helpers here are the small
+combinatorial layer everything else is assembled from.
 """
 
 from __future__ import annotations

@@ -199,13 +199,20 @@ def relative_error(lhs: float, rhs: float) -> float:
 
 
 def compare_series(lhs: TruncatedSeries, rhs: TruncatedSeries) -> tuple[CoefficientMismatch, ...]:
-    """Exact coefficient diff up to the smaller cap, in degree order."""
-    cap = min(lhs.cap, rhs.cap)
-    out = []
-    for k in range(cap + 1):
-        if lhs.coeffs[k] != rhs.coeffs[k]:
-            out.append(CoefficientMismatch(k, lhs.coeffs[k], rhs.coeffs[k]))
-    return tuple(out)
+    """Exact coefficient diff up to the smaller cap, in degree order.
+
+    Equal series are equal in canonical form, so a match costs one tuple
+    comparison. Otherwise each degree is compared by cross-multiplying the
+    integer numerators, and fractions are built only where they differ.
+    """
+    if lhs == rhs:
+        return ()
+    a, da, b, db = lhs.nums, lhs.den, rhs.nums, rhs.den
+    return tuple(
+        CoefficientMismatch(k, Fraction(a[k], da), Fraction(b[k], db))
+        for k in range(min(lhs.cap, rhs.cap) + 1)
+        if a[k] * db != b[k] * da
+    )
 
 
 CSV_HEADER = (

@@ -10,12 +10,13 @@ import os
 import shutil
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from hypident.cli import build_parser, run
+from hypident.cli import MAX_DEGREE, MAX_SHIFT, MAX_SWEEP_POINTS, build_parser, run
 from hypident.identities import catalog
 from hypident.rationals import parse_rational
 
@@ -236,6 +237,45 @@ class TestBadRequests:
         with pytest.raises(SystemExit) as exc:
             run(["frobnicate"])
         assert exc.value.code == 2
+
+
+class TestRequestLimits:
+    @pytest.mark.parametrize(
+        "argv, needle",
+        [
+            (["verify", "--identity", "2.1", "--alpha", "1/3", "--beta", "1/5",
+              "--degree", "100000"], f"--degree 100000 exceeds the limit of {MAX_DEGREE}"),
+            (["sweep", "--identity", "2.1", "--alpha", "1/3", "--beta", "1/5",
+              "--i", "65"], f"--i 65 exceeds the limit of {MAX_SHIFT}"),
+            (["expand", "--identity", "2.2", "--alpha", "1/3", "--beta", "1/5",
+              "--j", str(MAX_SHIFT + 1)], f"--j {MAX_SHIFT + 1} exceeds"),
+            (["eval", "--identity", "1.1", "--alpha", "1/3", "--beta", "1/5", "--x", "1",
+              "--degree", str(MAX_DEGREE + 1)], f"limit of {MAX_DEGREE}"),
+            # 3 * 3 * 41 * 41 = 15129 points, every shift within its own limit
+            (["sweep", "--identity", "2.1", "--alpha", "1/3,1/7,1/11",
+              "--beta", "1/5,1/9,1/13", "--i", "40", "--j", "40"],
+             f"sweep grid of 15129 points exceeds the limit of {MAX_SWEEP_POINTS}"),
+        ],
+    )
+    def test_oversized_request_exits_2_at_once(self, capsys, argv, needle):
+        start = time.perf_counter()
+        code, out, err = invoke(capsys, *argv)
+        assert time.perf_counter() - start < 1.0
+        assert code == 2
+        assert out == ""
+        assert needle in err
+
+    def test_limits_are_inclusive(self, capsys):
+        code, out, _ = invoke(capsys, "expand", "--identity", "1.17", "--alpha", "1/3",
+                              "--i", str(MAX_SHIFT), "--degree", "0", "--output", "json")
+        assert code == 0
+        assert json.loads(out)["coefficients"] == ["1"]
+
+    def test_sweep_grid_counts_distinct_values(self, capsys):
+        # a repeated alpha is visited once, so this 2-point grid is allowed
+        code, _, err = invoke(capsys, "sweep", "--identity", "1.2", "--alpha", "1/3,1/3,2/7")
+        assert code == 0
+        assert "2/2 points passed" in err
 
 
 def test_parser_builds_and_documents_subcommands():

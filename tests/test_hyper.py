@@ -81,6 +81,60 @@ class TestPfqSeries:
             pfq_series(HypSpec((), ()), -1)
 
 
+def term_ratio_reference(upper, lower, cap: int) -> list[Fraction]:
+    """pFq coefficients by the term ratio, one Fraction at a time."""
+    out = [Fraction(1)]
+    for k in range(cap):
+        ratio = Fraction(1, k + 1)
+        for a in upper:
+            ratio *= a + k
+        for b in lower:
+            ratio /= b + k
+        out.append(out[-1] * ratio)
+    return out
+
+
+class TestPfqSeriesIntegerKernel:
+    """The integer recurrence against a plain-Fraction term-ratio reference."""
+
+    @given(
+        st.lists(param_st, max_size=3),
+        st.lists(admissible_lower_st, max_size=3),
+        st.integers(min_value=0, max_value=30),
+    )
+    @settings(max_examples=60)
+    def test_matches_reference(self, upper, lower, cap):
+        spec = HypSpec(tuple(upper), tuple(lower))
+        s = pfq_series(spec, cap)
+        assert s.coeffs == tuple(term_ratio_reference(spec.upper, spec.lower, cap))
+        assert s.den > 0
+        assert math.gcd(s.den, *s.nums) == 1
+
+    @pytest.mark.parametrize(
+        "upper, lower",
+        [
+            # mixed denominators
+            ((Fraction(1, 3), Fraction(-5, 7)), (Fraction(3, 4), Fraction(11, 6), Fraction(2, 5))),
+            # negative, non-integer parameters
+            ((Fraction(-7, 2),), (Fraction(-9, 4), Fraction(-1, 3))),
+            # terminating upper parameter -n, with a mixed-denominator lower one
+            ((Fraction(-4), Fraction(2, 3)), (Fraction(5, 6),)),
+            # 0F0 (exp) and 2F0 (more upper than lower parameters)
+            ((), ()),
+            ((Fraction(1, 2), Fraction(-3, 5)), ()),
+        ],
+    )
+    @pytest.mark.parametrize("cap", [0, 1, 5, 24])
+    def test_parameter_shapes(self, upper, lower, cap):
+        s = pfq_series(HypSpec(upper, lower), cap)
+        assert s.coeffs == tuple(term_ratio_reference(upper, lower, cap))
+
+    def test_terminating_series_stops_at_n(self):
+        s = pfq_series(HypSpec((Fraction(-4), Fraction(2, 3)), (Fraction(5, 6),)), 24)
+        assert s.coefficient(4) != 0
+        assert set(s.nums[5:]) == {0}
+
+
 class TestPfqEvalFloat:
     def test_at_zero(self):
         result = pfq_eval_float(HypSpec((), (Fraction(3, 2),)), 0.0)

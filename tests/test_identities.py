@@ -269,3 +269,29 @@ def test_matched_product_identity_property(alpha, beta):
     report = verify_identity("1.10", IdentityParams(alpha=alpha, beta=beta, cap=14))
     assert report.identity == "1.10"
     assert report.status == "exact_match"
+
+
+SERIES_TAGS = [d.tag for d in catalog() if d.kind == "series"]
+TRUNCATION_POINTS = [
+    dict(alpha=A, beta=B, i=3, j=2),
+    # printed_form only changes the mixed-variant right sides
+    dict(alpha=Fraction(-5, 11), beta=Fraction(7, 13), i=2, j=3, printed_form=True),
+]
+
+
+@pytest.mark.parametrize("point", TRUNCATION_POINTS, ids=["first", "second"])
+@pytest.mark.parametrize("tag", SERIES_TAGS)
+def test_low_caps_are_truncations_of_deeper_builds(tag, point):
+    """A side built at cap c equals the same side built at c + 5 and cut to c.
+
+    Blocks ``x**p * F(x**2/c)`` expand F only to degree ``(cap - p)//2``,
+    so odd caps and caps below the block powers are where an off-by-one
+    would show.
+    """
+    define = get(tag)
+    assert verify_identity(tag, IdentityParams(**point), float_points=()).findings == ()
+    for cap in range(8):
+        shallow = IdentityParams(cap=cap, **point)
+        deep = IdentityParams(cap=cap + 5, **point)
+        for build in (define.build_lhs, define.build_rhs):
+            assert build(shallow) == build(deep).truncate(cap)

@@ -4,7 +4,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hypident.rationals import parse_rational
@@ -174,3 +174,132 @@ class TestExpSeries:
     def test_bad_sign(self):
         with pytest.raises(ValueError):
             exp_series(3, sign=2)
+
+
+# -- the integer representation against plain-Fraction references ----------
+
+# numerators include 0 and negatives; denominators run to 30
+rational_st = st.builds(
+    Fraction, st.integers(min_value=-50, max_value=50), st.integers(min_value=1, max_value=30)
+)
+nonzero_st = rational_st.filter(lambda q: q != 0)
+
+
+@st.composite
+def coeff_lists(draw, min_cap=0, max_cap=40):
+    cap = draw(st.integers(min_value=min_cap, max_value=max_cap))
+    return draw(st.lists(rational_st, min_size=cap + 1, max_size=cap + 1))
+
+
+few = settings(max_examples=40)
+
+
+def assert_matches(result: TruncatedSeries, reference: list[Fraction]) -> None:
+    """Same coefficients as the reference, in canonical integer form."""
+    assert result.cap == len(reference) - 1
+    assert result.coeffs == tuple(reference)
+    assert result.den > 0
+    assert math.gcd(result.den, *result.nums) == 1
+    rebuilt = TruncatedSeries(result.cap, reference)
+    assert result == rebuilt
+    assert hash(result) == hash(rebuilt)
+
+
+class TestIntegerRepresentation:
+    @given(coeff_lists())
+    @few
+    def test_constructor_keeps_coefficients(self, coeffs):
+        s = TruncatedSeries(len(coeffs) - 1, tuple(coeffs))
+        assert s.coeffs == tuple(coeffs)
+        assert [s.coefficient(k) for k in range(s.cap + 1)] == coeffs
+        assert_matches(s, coeffs)
+
+    @given(coeff_lists(), st.integers(min_value=-9, max_value=9).filter(bool))
+    @few
+    def test_equal_coefficients_give_equal_series_and_hash(self, coeffs, k):
+        s = TruncatedSeries(len(coeffs) - 1, tuple(coeffs))
+        # the same coefficients over a denominator scaled by k, sign included
+        other = TruncatedSeries.from_integers(s.cap, s.den * k, [n * k for n in s.nums])
+        assert other == s
+        assert hash(other) == hash(s)
+        assert (other.den, other.nums) == (s.den, s.nums)
+
+    def test_unequal_series_differ(self):
+        assert TruncatedSeries.from_coeffs([1, 2]) != TruncatedSeries.from_coeffs([1, 3])
+        assert TruncatedSeries.from_coeffs([1, 2]) != TruncatedSeries.from_coeffs([1, 2], cap=2)
+
+    @given(coeff_lists(), coeff_lists())
+    @few
+    def test_add_sub_neg(self, a, b):
+        f, g = TruncatedSeries(len(a) - 1, a), TruncatedSeries(len(b) - 1, b)
+        n = min(len(a), len(b))
+        assert_matches(f + g, [x + y for x, y in zip(a[:n], b[:n])])
+        assert_matches(f - g, [x - y for x, y in zip(a[:n], b[:n])])
+        assert_matches(-f, [-x for x in a])
+
+    @given(coeff_lists(), coeff_lists())
+    @few
+    def test_mul(self, a, b):
+        f, g = TruncatedSeries(len(a) - 1, a), TruncatedSeries(len(b) - 1, b)
+        n = min(len(a), len(b))
+        reference = [sum((a[t] * b[k - t] for t in range(k + 1)), Fraction(0)) for k in range(n)]
+        assert_matches(f * g, reference)
+
+    @given(coeff_lists(), rational_st)
+    @few
+    def test_scale(self, a, factor):
+        assert_matches(TruncatedSeries(len(a) - 1, a).scale(factor), [factor * x for x in a])
+
+    @given(coeff_lists(), rational_st)
+    @few
+    def test_scale_argument(self, a, factor):
+        reference = [x * factor**k for k, x in enumerate(a)]
+        assert_matches(TruncatedSeries(len(a) - 1, a).scale_argument(factor), reference)
+
+    @given(coeff_lists(), st.integers(min_value=0, max_value=45), st.data())
+    @few
+    def test_shift(self, a, power, data):
+        s = TruncatedSeries(len(a) - 1, a)
+        cap = data.draw(st.one_of(st.none(), st.integers(min_value=0, max_value=s.cap + power)))
+        out_cap = s.cap if cap is None else cap
+        reference = [a[k - power] if k >= power else Fraction(0) for k in range(out_cap + 1)]
+        assert_matches(s.shift(power, cap), reference)
+
+    @given(coeff_lists(), nonzero_st, st.data())
+    @few
+    def test_substitute_even(self, a, divisor, data):
+        s = TruncatedSeries(len(a) - 1, a)
+        cap = data.draw(st.one_of(st.none(), st.integers(min_value=0, max_value=2 * s.cap + 1)))
+        out_cap = s.cap if cap is None else cap
+        reference = [
+            a[k // 2] / divisor ** (k // 2) if k % 2 == 0 else Fraction(0)
+            for k in range(out_cap + 1)
+        ]
+        assert_matches(s.substitute_even(divisor, cap), reference)
+
+    @given(coeff_lists(), st.data())
+    @few
+    def test_truncate(self, a, data):
+        s = TruncatedSeries(len(a) - 1, a)
+        cap = data.draw(st.integers(min_value=0, max_value=s.cap))
+        assert_matches(s.truncate(cap), a[: cap + 1])
+
+    @given(st.integers(min_value=0, max_value=40), st.sampled_from([1, -1]), st.booleans())
+    @few
+    def test_exp_series(self, cap, sign, half):
+        reference = [
+            Fraction(sign**k, math.factorial(k) * (2**k if half else 1)) for k in range(cap + 1)
+        ]
+        assert_matches(exp_series(cap, sign, half), reference)
+
+    @given(coeff_lists(max_cap=10), st.integers(min_value=0, max_value=12))
+    @few
+    def test_output_cap_limits(self, a, power):
+        s = TruncatedSeries(len(a) - 1, a)
+        s.shift(power, s.cap + power)
+        s.substitute_even(3, 2 * s.cap + 1)
+        # one degree further would claim an unknown coefficient is zero
+        with pytest.raises(ValueError):
+            s.shift(power, s.cap + power + 1)
+        with pytest.raises(ValueError):
+            s.substitute_even(3, 2 * s.cap + 2)
