@@ -224,6 +224,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     params = _parse_params(args)
     define = get(args.identity)
     define.validate_params(params)
+    scale = 0.0  # sum |t_k| of a float sum, see verify._scalar_float_check
     if define.kind == "series":
         if args.x is None:
             raise ValueError(f"identity {define.tag} needs --x to evaluate")
@@ -237,9 +238,11 @@ def _cmd_eval(args: argparse.Namespace) -> int:
         x = 1.0
         converged = True
     else:
-        lhs, rhs, converged = define.scalar_float(params)
+        lhs, rhs, lhs_sum = define.scalar_float(params)
         x = define.fixed_argument
-    rel = relative_error(lhs, rhs)
+        converged = lhs_sum.converged
+        scale = lhs_sum.abs_sum
+    rel = relative_error(lhs, rhs, scale)
     if args.output == "json":
         doc = {
             "identity": define.tag,

@@ -26,7 +26,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Callable
 
-from .hyper import DegenerateParameterError, HypSpec, bailey_product_spec, pfq_eval_float, pfq_series
+from .hyper import DegenerateParameterError, FloatSum, HypSpec, bailey_product_spec, pfq_eval_float, pfq_series
 from .rationals import factorial, format_rational, is_nonpositive_integer, pochhammer
 from .reports import ParameterRequirement
 from .series import TruncatedSeries, exp_series
@@ -577,8 +577,12 @@ def gauss_terminating_sides(n: int, b: Fraction, c: Fraction) -> tuple[Fraction,
     return lhs, rhs
 
 
-def gauss_second_sides_float(a: Fraction, b: Fraction) -> tuple[float, float, bool]:
-    """Half-argument 2F1 sum against its Gamma-ratio closed form."""
+def gauss_second_sides_float(a: Fraction, b: Fraction) -> tuple[float, float, FloatSum]:
+    """Half-argument 2F1 sum against its Gamma-ratio closed form.
+
+    Returns the summed left side, the closed form, and the left side's
+    :class:`~hypident.hyper.FloatSum` (convergence, terms, ``abs_sum``).
+    """
     a = Fraction(a)
     b = Fraction(b)
     spec = HypSpec((a, b), ((a + b + 1) / 2,))
@@ -587,15 +591,16 @@ def gauss_second_sides_float(a: Fraction, b: Fraction) -> tuple[float, float, bo
         [HALF, (a + b + 1) / 2],
         [(a + 1) / 2, (b + 1) / 2],
     )
-    return lhs.value, rhs, lhs.converged
+    return lhs.value, rhs, lhs
 
 
-def watson_unit_sides_float(a: Fraction, b: Fraction, c: Fraction) -> tuple[float, float, bool]:
+def watson_unit_sides_float(a: Fraction, b: Fraction, c: Fraction) -> tuple[float, float, FloatSum]:
     """Unit-argument 3F2 sum against its Gamma-ratio closed form.
 
-    The sum converges only polynomially at the unit argument, so the term
-    budget is generous; terminating parameter choices (a or b a nonpositive
-    integer) finish quickly.
+    Returned as :func:`gauss_second_sides_float` returns its sides. The
+    sum converges only polynomially at the unit argument; its tail is
+    bounded by telescoping (:func:`~hypident.hyper.pfq_eval_float`), from
+    the series' own parameters, never from the closed form.
     """
     a = Fraction(a)
     b = Fraction(b)
@@ -606,7 +611,7 @@ def watson_unit_sides_float(a: Fraction, b: Fraction, c: Fraction) -> tuple[floa
         [HALF, c + HALF, (a + b + 1) / 2, c - (a + b) / 2 + HALF],
         [(a + 1) / 2, (b + 1) / 2, c - a / 2 + HALF, c - b / 2 + HALF],
     )
-    return lhs.value, rhs, lhs.converged
+    return lhs.value, rhs, lhs
 
 
 # --------------------------------------------------------------------------
@@ -701,7 +706,7 @@ class IdentityDef:
     lhs_float: Callable[[IdentityParams, float], tuple[float, bool]] | None = None
     rhs_float: Callable[[IdentityParams, float], tuple[float, bool]] | None = None
     scalar_exact: Callable[[IdentityParams], tuple[Fraction, Fraction]] | None = None
-    scalar_float: Callable[[IdentityParams], tuple[float, float, bool]] | None = None
+    scalar_float: Callable[[IdentityParams], tuple[float, float, FloatSum]] | None = None
     requirements: Callable[[IdentityParams], list[ParameterRequirement]] = lambda params: []
     notes: Callable[[IdentityParams], tuple[str, ...]] | None = None
     fixed_argument: float | None = None

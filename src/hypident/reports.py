@@ -32,6 +32,7 @@ __all__ = [
     "reports_to_csv",
     "CSV_HEADER",
     "STATUS_EXACT_MATCH",
+    "STATUS_FLOAT_INCONCLUSIVE",
     "STATUS_FLOAT_ONLY_FAIL",
     "STATUS_FLOAT_ONLY_PASS",
     "STATUS_INADMISSIBLE",
@@ -44,6 +45,8 @@ STATUS_MISMATCH = "mismatch"
 STATUS_INADMISSIBLE = "inadmissible"
 STATUS_FLOAT_ONLY_PASS = "float_only_pass"
 STATUS_FLOAT_ONLY_FAIL = "float_only_fail"
+# the float sum found no tail bound within its term budget: neither verdict
+STATUS_FLOAT_INCONCLUSIVE = "float_inconclusive"
 
 PASSING_STATUSES = frozenset({STATUS_EXACT_MATCH, STATUS_FLOAT_ONLY_PASS})
 
@@ -172,27 +175,40 @@ class CoefficientMismatch:
 
 @dataclass(frozen=True)
 class FloatResidual:
-    """Relative disagreement of the two float evaluations at one point."""
+    """Relative disagreement of the two float evaluations at one point.
+
+    ``terms`` is the number of series terms a float-sum verdict summed;
+    it is None for the cross-checks of series identities.
+    """
 
     x: float
     relative_error: float
     lhs: float
     rhs: float
     converged: bool = True
+    terms: int | None = None
 
     def to_json_dict(self) -> dict:
-        return {
+        doc = {
             "x": self.x,
             "relative_error": self.relative_error,
             "lhs": self.lhs,
             "rhs": self.rhs,
             "converged": self.converged,
         }
+        if self.terms is not None:
+            doc["terms"] = self.terms
+        return doc
 
 
-def relative_error(lhs: float, rhs: float) -> float:
-    """``|lhs - rhs|`` over the larger magnitude; 0.0 when both sides are 0."""
-    scale = max(abs(lhs), abs(rhs))
+def relative_error(lhs: float, rhs: float, scale: float = 0.0) -> float:
+    """``|lhs - rhs|`` over the largest of ``|lhs|``, ``|rhs|`` and ``scale``.
+
+    ``scale`` is the magnitude the values were computed from, such as
+    ``sum |t_k|`` of a summed series; near a zero of the sum it keeps the
+    residual meaningful. The result is 0.0 when every scale is 0.
+    """
+    scale = max(abs(lhs), abs(rhs), scale)
     if scale == 0.0:
         return 0.0
     return abs(lhs - rhs) / scale
@@ -313,10 +329,11 @@ class VerifyReport:
         if len(self.mismatches) > 10:
             lines.append(f"mismatch: ... {len(self.mismatches) - 10} more")
         for r in self.float_residuals:
+            terms = "" if r.terms is None else f", {r.terms} terms"
             conv = "" if r.converged else " [did not converge]"
             lines.append(
                 f"float:    x = {r.x:g}: lhs {r.lhs:.15g}, rhs {r.rhs:.15g}, "
-                f"rel {r.relative_error:.3e}{conv}"
+                f"rel {r.relative_error:.3e}{terms}{conv}"
             )
         for note in self.notes:
             lines.append(f"note:     {note}")

@@ -3,8 +3,9 @@
 The exact comparison is the verdict for series identities; the float
 residuals attached to the same report are advisory cross-checks of the two
 sides' numeric evaluations. For the fixed-argument summation entries the
-float comparison IS the verdict, reported as float_only_pass or
-float_only_fail.
+float comparison IS the verdict: float_only_pass or float_only_fail when
+the sum's tail was bounded, float_inconclusive when its term budget ran
+out first.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from . import identities, reports
 from .identities import IdentityDef, IdentityId, IdentityParams
 from .reports import (
     STATUS_EXACT_MATCH,
+    STATUS_FLOAT_INCONCLUSIVE,
     STATUS_FLOAT_ONLY_FAIL,
     STATUS_FLOAT_ONLY_PASS,
     STATUS_INADMISSIBLE,
@@ -113,14 +115,22 @@ def _scalar_exact_check(define: IdentityDef, params: IdentityParams) -> VerifyRe
 
 
 def _scalar_float_check(define: IdentityDef, params: IdentityParams, tol: float) -> VerifyReport:
-    lhs, rhs, converged = define.scalar_float(params)
-    rel = relative_error(lhs, rhs)
+    """The residual is scaled by ``sum |t_k|`` as well as by both sides, so
+    that a sum whose exact value is 0 is judged against the size of its
+    terms rather than against its own rounding error."""
+    lhs, rhs, lhs_sum = define.scalar_float(params)
+    rel = relative_error(lhs, rhs, lhs_sum.abs_sum)
+    if not lhs_sum.converged:
+        status = STATUS_FLOAT_INCONCLUSIVE
+    else:
+        status = STATUS_FLOAT_ONLY_PASS if rel <= tol else STATUS_FLOAT_ONLY_FAIL
+    residual = FloatResidual(define.fixed_argument, rel, lhs, rhs, lhs_sum.converged, lhs_sum.terms)
     return VerifyReport(
         identity=define.tag,
         params=params,
         cap=None,
-        status=STATUS_FLOAT_ONLY_PASS if converged and rel <= tol else STATUS_FLOAT_ONLY_FAIL,
-        float_residuals=(FloatResidual(define.fixed_argument, rel, lhs, rhs, converged),),
+        status=status,
+        float_residuals=(residual,),
     )
 
 

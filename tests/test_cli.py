@@ -89,6 +89,18 @@ class TestVerify:
         assert code == 1
         assert json.loads(out)["status"] == "mismatch"
 
+    def test_inconclusive_float_sum_exits_1(self, capsys, float_budget_of_ten):
+        argv = ["verify", "--identity", "1.8", "--alpha", "1/3", "--beta", "1/4", "--gamma=-1/6"]
+        code, out, _ = invoke(capsys, *argv, "--output", "json")
+        assert code == 1
+        doc = json.loads(out)
+        assert doc["status"] == "float_inconclusive"
+        assert doc["float_residuals"][0]["converged"] is False
+        assert doc["float_residuals"][0]["terms"] == 11
+        code, out, _ = invoke(capsys, *argv, "--output", "csv")
+        assert code == 1
+        assert out.splitlines()[1].split(",")[7] == "float_inconclusive"
+
     def test_csv_single_row(self, capsys):
         code, out, _ = invoke(
             capsys, "verify", "--identity", "1.1",
@@ -195,6 +207,17 @@ class TestEval:
         doc = json.loads(out)
         assert doc["x"] == 0.5
         assert doc["relative_error"] < 1e-12
+
+    def test_float_sum_residual_is_scaled_by_its_terms(self, capsys):
+        # the closed form is exactly 0 here; the float sum is rounding noise
+        code, out, _ = invoke(
+            capsys, "eval", "--identity", "1.8", "--alpha=-3", "--beta", "2/5",
+            "--gamma", "7/3", "--output", "json",
+        )
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["rhs"] == 0.0
+        assert doc["relative_error"] < 1e-15
 
     def test_terminating_sum_evaluates_exactly(self, capsys):
         code, out, _ = invoke(

@@ -1,6 +1,7 @@
 """Tests for the generic pFq machinery, exact and float."""
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -174,6 +175,161 @@ class TestPfqEvalFloat:
             pfq_eval_float(spec, 1.0, tol=0.0)
         with pytest.raises(ValueError):
             pfq_eval_float(spec, 1.0, max_terms=0)
+
+
+def watson_spec(a, b, c) -> HypSpec:
+    """3F2(a, b, c; (a+b+1)/2, 2c; x), the series of tag 1.8."""
+    a, b, c = Fraction(a), Fraction(b), Fraction(c)
+    return HypSpec((a, b, c), ((a + b + 1) / 2, 2 * c))
+
+
+def low_excess_points(count: int, seed: int) -> list[tuple[Fraction, Fraction, Fraction]]:
+    """Seeded non-terminating 1.8 points with excess in (0, 3/2].
+
+    a and b have distinct odd-prime denominators and the excess a third
+    one, doubled, so no parameter, lower parameter or Gamma argument of
+    Watson's closed form is an integer.
+    """
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        qa, qb, qs = rng.sample((3, 5, 7, 11, 13), 3)
+        a = Fraction(rng.choice([k for k in range(-2 * qa + 1, 2 * qa) if k % qa]), qa)
+        b = Fraction(rng.choice([k for k in range(-2 * qb + 1, 2 * qb) if k % qb]), qb)
+        excess = Fraction(rng.choice([k for k in range(1, 3 * qs + 1) if k % qs]), 2 * qs)
+        out.append((a, b, excess + (a + b) / 2 - Fraction(1, 2)))
+    return out
+
+
+# the three unit-argument points the stopping rule |term| <= tol*|sum| got wrong
+ROADMAP_WATSON_POINTS = [
+    (Fraction(1, 3), Fraction(1, 4), Fraction(1, 2)),
+    (Fraction(1, 2), Fraction(1, 2), Fraction(1, 3)),
+    (Fraction(1, 3), Fraction(1, 4), Fraction(-1, 6)),  # excess 1/24
+]
+
+
+class TestFloatTailBound:
+    """The stopping rule: a proven tail bound, returned with the value."""
+
+    def test_roadmap_points_finish_in_tens_of_terms(self):
+        for point in ROADMAP_WATSON_POINTS:
+            result = pfq_eval_float(watson_spec(*point), 1.0, tol=1e-16, max_terms=400_000)
+            assert result.converged
+            assert result.terms < 100
+            assert 0 < result.error_bound < 1e-12 * abs(result.value)
+
+    def test_budget_exhaustion_gives_no_bound(self):
+        result = pfq_eval_float(watson_spec(*ROADMAP_WATSON_POINTS[2]), 1.0, tol=1e-16, max_terms=10)
+        assert not result.converged
+        assert result.terms == 11
+        assert result.error_bound == math.inf
+
+    def test_nonpositive_excess_gives_no_bound(self):
+        # 3F2(1/3, 1/4, 1/2; 1/2, 1/3; 1) diverges: excess 5/6 - 13/12 < 0
+        spec = HypSpec((Fraction(1, 3), Fraction(1, 4), Fraction(1, 2)), (Fraction(1, 2), Fraction(1, 3)))
+        assert not pfq_eval_float(spec, 1.0, max_terms=2000).converged
+
+    def test_more_upper_than_lower_plus_one_gives_no_bound(self):
+        # 2F0 diverges for every x != 0, however small its first terms are
+        spec = HypSpec((Fraction(1, 2), Fraction(-3, 5)), ())
+        assert not pfq_eval_float(spec, 0.01, max_terms=200).converged
+
+    def test_terminating_sum_has_zero_tail(self):
+        # tag 1.8 at a = -3: the exact value is 0, the float sum is rounding noise
+        result = pfq_eval_float(watson_spec(-3, Fraction(2, 5), Fraction(7, 3)), 1.0, tol=1e-16)
+        assert result.converged
+        assert result.terms == 5
+        assert abs(result.value) <= result.error_bound < 1e-13
+        assert result.abs_sum > 1.0
+
+    def test_abs_sum_is_the_sum_of_term_magnitudes(self):
+        spec = HypSpec((Fraction(1, 3),), (Fraction(2, 3),))
+        alternating = pfq_eval_float(spec, -2.0, tol=1e-16)
+        positive = pfq_eval_float(spec, 2.0, tol=1e-16)
+        assert math.isclose(alternating.abs_sum, positive.value, rel_tol=1e-14)
+        assert math.isclose(positive.abs_sum, positive.value, rel_tol=1e-14)
+
+    def test_slow_geometric_tail_is_bounded(self):
+        # ratio -> 0.99: the tail is about 100 times the last term, so a
+        # loose tolerance exposes a rule that stops on the term size alone
+        spec = HypSpec((Fraction(1, 2), Fraction(1, 3)), (Fraction(5, 4),))
+        loose = pfq_eval_float(spec, 0.99, tol=1e-8, max_terms=100_000)
+        tight = pfq_eval_float(spec, 0.99, tol=1e-16, max_terms=100_000)
+        assert loose.converged and tight.converged
+        assert abs(loose.value - tight.value) <= loose.error_bound + tight.error_bound
+        assert loose.error_bound <= 2e-8 * abs(loose.value)
+
+    def test_geometric_rule_keeps_term_counts(self):
+        # Once the ratio bound is under 1/2 the tail bound is under the last
+        # term, so these sums stop where |term| <= tol*|sum| first held:
+        # the counts below are the ones that rule gave.
+        spec = HypSpec((Fraction(1, 3),), (Fraction(2, 3),))
+        for x, terms in ((-8.0, 47), (-2.0, 25), (0.5, 16), (8.0, 42)):
+            assert pfq_eval_float(spec, x, tol=1e-16, max_terms=800).terms == terms
+        gauss = HypSpec((Fraction(1, 3), Fraction(2, 5)), (Fraction(13, 15),))
+        assert pfq_eval_float(gauss, 0.5, tol=1e-16, max_terms=600).terms == 46
+
+
+class TestFloatTailBoundOracle:
+    """Returned bounds against high-precision values from mpmath (optional)."""
+
+    def test_low_excess_unit_sums(self):
+        mpmath = pytest.importorskip("mpmath")
+
+        def gamma(q):
+            return mpmath.gamma(mpmath.mpf(q.numerator) / q.denominator)
+
+        half = Fraction(1, 2)
+        for a, b, c in low_excess_points(30, seed=8):
+            # Watson's theorem at 30 digits stands in for hyp3f2(..., 1),
+            # which mpmath needs seconds for here (and fails at excess 1/24)
+            with mpmath.workdps(30):
+                exact = (
+                    gamma(half) * gamma(c + half) * gamma((a + b + 1) / 2) * gamma(c - (a + b) / 2 + half)
+                    / (gamma((a + 1) / 2) * gamma((b + 1) / 2) * gamma(c - a / 2 + half) * gamma(c - b / 2 + half))
+                )
+            result = pfq_eval_float(watson_spec(a, b, c), 1.0, tol=1e-16, max_terms=400_000)
+            assert result.converged, (a, b, c)
+            assert result.terms < 1000, (a, b, c)
+            assert abs(result.value - exact) <= result.error_bound, (a, b, c)
+
+    def test_unit_sum_against_hyp3f2(self):
+        mpmath = pytest.importorskip("mpmath")
+        spec = watson_spec(*ROADMAP_WATSON_POINTS[0])
+        with mpmath.workdps(20):
+            exact = mpmath.hyp3f2(*(mpmath.mpf(v.numerator) / v.denominator for v in spec.upper + spec.lower), 1)
+        result = pfq_eval_float(spec, 1.0, tol=1e-16)
+        assert abs(result.value - exact) <= result.error_bound
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            HypSpec((Fraction(1, 3),), (Fraction(2, 3),)),
+            HypSpec((Fraction(3, 7),), (Fraction(6, 7),)),
+            HypSpec((), (Fraction(5, 4),)),
+            HypSpec((Fraction(1, 2), Fraction(1, 3)), (Fraction(7, 4), Fraction(9, 5), Fraction(1, 5))),
+        ],
+    )
+    def test_entire_functions_never_understate(self, spec):
+        mpmath = pytest.importorskip("mpmath")
+        for x in (-8.0, -2.0, -0.5, 0.5, 2.0, 8.0):
+            with mpmath.workdps(30):
+                exact = mpmath.hyper(*([mpmath.mpf(v.numerator) / v.denominator for v in side] for side in (spec.upper, spec.lower)), x)
+            for tol, max_terms in ((1e-16, 400), (1e-15, 500)):
+                result = pfq_eval_float(spec, x, tol=tol, max_terms=max_terms)
+                assert result.converged
+                assert abs(result.value - exact) <= result.error_bound, x
+
+    def test_half_argument_gauss_sums(self):
+        mpmath = pytest.importorskip("mpmath")
+        for a, b in [(Fraction(1, 3), Fraction(2, 5)), (Fraction(-3, 2), Fraction(7, 5)), (Fraction(1, 5), Fraction(-1, 3))]:
+            spec = HypSpec((a, b), ((a + b + 1) / 2,))
+            result = pfq_eval_float(spec, 0.5, tol=1e-16, max_terms=600)
+            with mpmath.workdps(30):
+                exact = mpmath.hyp2f1(*(mpmath.mpf(v.numerator) / v.denominator for v in spec.upper + spec.lower), 0.5)
+            assert result.converged
+            assert abs(result.value - exact) <= result.error_bound
 
 
 class TestBaileyProduct:

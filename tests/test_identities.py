@@ -212,15 +212,15 @@ class TestScalarSides:
             gauss_terminating_sides(3, Fraction(1, 2), Fraction(-2))
 
     def test_gauss_second_close(self):
-        lhs, rhs, converged = gauss_second_sides_float(Fraction(1, 3), Fraction(2, 5))
-        assert converged
+        lhs, rhs, lhs_sum = gauss_second_sides_float(Fraction(1, 3), Fraction(2, 5))
+        assert lhs_sum.converged
         assert math.isclose(lhs, rhs, rel_tol=1e-12)
 
     def test_watson_terminating_close(self):
-        lhs, rhs, converged = watson_unit_sides_float(
+        lhs, rhs, lhs_sum = watson_unit_sides_float(
             Fraction(-4), Fraction(2, 5), Fraction(7, 3)
         )
-        assert converged
+        assert lhs_sum.converged
         assert math.isclose(lhs, rhs, rel_tol=1e-10)
 
     def test_gamma_ratio_denominator_pole_gives_zero(self):

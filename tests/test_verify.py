@@ -139,12 +139,59 @@ class TestVerifyIdentity:
             verify_identity("7.7", IdentityParams(alpha=A))
 
     def test_statuses_belong_to_the_contract(self):
-        allowed = PASSING_STATUSES | {"mismatch", "inadmissible", "float_only_fail"}
+        allowed = PASSING_STATUSES | {"mismatch", "inadmissible", "float_only_fail", "float_inconclusive"}
         for tag, params in [
             ("1.1", IdentityParams(alpha=A, beta=B)),
             ("1.8", IdentityParams(alpha=Fraction(-2), beta=Fraction(1, 3), gamma=Fraction(5, 4))),
         ]:
             assert verify_identity(tag, params).status in allowed
+
+
+# the three unit-argument points the stopping rule |term| <= tol*|sum| failed
+ROADMAP_WATSON_POINTS = [
+    (Fraction(1, 3), Fraction(1, 4), Fraction(1, 2)),
+    (Fraction(1, 2), Fraction(1, 2), Fraction(1, 3)),
+    (Fraction(1, 3), Fraction(1, 4), Fraction(-1, 6)),
+]
+
+
+class TestFloatSumVerdicts:
+    @pytest.mark.parametrize("a, b, c", ROADMAP_WATSON_POINTS)
+    def test_low_excess_unit_sums_pass(self, a, b, c):
+        report = verify_identity("1.8", IdentityParams(alpha=a, beta=b, gamma=c))
+        assert report.status == "float_only_pass"
+        residual = report.float_residuals[0]
+        assert residual.converged
+        assert residual.terms < 100
+
+    def test_odd_terminating_unit_sum_passes(self):
+        # at a = -3 the closed form is exactly 0 (1/Gamma(-1) = 0) and the
+        # float sum is rounding noise; scaled by |lhs| alone the residual was 1.0
+        report = verify_identity("1.8", IdentityParams(alpha=Fraction(-3), beta=Fraction(2, 5), gamma=Fraction(7, 3)))
+        assert report.status == "float_only_pass"
+        residual = report.float_residuals[0]
+        assert residual.rhs == 0.0
+        assert residual.relative_error < 1e-15
+
+    def test_budget_exhaustion_is_inconclusive(self, float_budget_of_ten):
+        a, b, c = ROADMAP_WATSON_POINTS[2]
+        report = verify_identity("1.8", IdentityParams(alpha=a, beta=b, gamma=c))
+        assert report.status == "float_inconclusive"
+        assert not report.passed
+        residual = report.float_residuals[0]
+        assert not residual.converged
+        assert residual.terms == 11
+
+    def test_float_sum_residual_records_terms(self):
+        report = verify_identity("1.4", IdentityParams(alpha=Fraction(1, 3), beta=B))
+        assert report.float_residuals[0].terms == 46
+        assert report.to_json_dict()["float_residuals"][0]["terms"] == 46
+        assert "46 terms" in report.render_text()
+
+    def test_series_cross_checks_carry_no_term_count(self):
+        report = verify_identity("1.1", IdentityParams(alpha=A, beta=B))
+        assert all(r.terms is None for r in report.float_residuals)
+        assert all("terms" not in doc for doc in report.to_json_dict()["float_residuals"])
 
 
 class TestReportRendering:
@@ -184,6 +231,10 @@ class TestRelativeError:
 
     def test_both_zero_is_zero(self):
         assert relative_error(0.0, 0.0) == 0.0
+
+    def test_scale_floors_the_denominator(self):
+        assert relative_error(3e-16, 0.0, 2.0) == 1.5e-16
+        assert relative_error(1.0, 0.5, 0.25) == 0.5
 
     def test_unconverged_float_residual_is_infinite(self):
         # a budget that runs out makes the residual inf, whatever the values
