@@ -12,12 +12,15 @@ Usage:
 
 import argparse
 import json
+import sys
 from pathlib import Path
 
-from hypident.identities import IdentityParams
-from hypident.rationals import parse_rational
-from hypident.reports import reports_to_csv
-from hypident.verify import verify_identity
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from hypident.identities import IdentityParams  # noqa: E402
+from hypident.rationals import parse_rational  # noqa: E402
+from hypident.reports import reports_to_csv  # noqa: E402
+from hypident.verify import verify_identity  # noqa: E402
 
 PRODUCT_TAGS = ("2.1", "2.2", "2.3")
 

@@ -13,15 +13,9 @@ from .identities import (
     VARIANTS,
     catalog,
     default_cap,
-    equal_parameter_rhs,
-    expand_lowered,
-    expand_raised,
     get,
-    product_expansion_lhs,
-    product_expansion_rhs,
 )
 from .rationals import (
-    Rational,
     RationalParseError,
     factorial,
     format_rational,
@@ -63,7 +57,6 @@ __all__ = [
     "IdentityId",
     "IdentityParams",
     "ParameterRequirement",
-    "Rational",
     "RationalParseError",
     "TruncatedSeries",
     "VARIANTS",
@@ -73,9 +66,6 @@ __all__ = [
     "check_admissible",
     "compare_series",
     "default_cap",
-    "equal_parameter_rhs",
-    "expand_lowered",
-    "expand_raised",
     "exp_series",
     "factorial",
     "format_rational",
@@ -85,8 +75,6 @@ __all__ = [
     "pfq_eval_float",
     "pfq_series",
     "pochhammer",
-    "product_expansion_lhs",
-    "product_expansion_rhs",
     "report_for_sides",
     "reports_to_csv",
     "sweep",

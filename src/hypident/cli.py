@@ -158,6 +158,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     _check_size(args)
+    if args.i < 0 or args.j < 0:
+        raise ValueError("--i and --j must be nonnegative")
     alphas = _parse_rational_list(args.alpha)
     betas = _parse_rational_list(args.beta) if args.beta else []
     define = get(args.identity)
@@ -166,9 +168,12 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     if "beta" in define.uses:
         points *= len(set(betas))
     if "i" in define.uses:
-        points *= max(args.i + 1, 0)
+        points *= args.i + 1
     if "j" in define.uses:
-        points *= max(args.j + 1, 0)
+        points *= args.j + 1
+    if points == 0:
+        uses = ", ".join(f"--{name}" for name in define.uses if name in ("alpha", "beta"))
+        raise ValueError(f"sweep grid is empty: identity {define.tag} needs at least one value of {uses}")
     if points > MAX_SWEEP_POINTS:
         raise ValueError(f"sweep grid of {points} points exceeds the limit of {MAX_SWEEP_POINTS}")
     reports = sweep(

@@ -4,15 +4,18 @@ Exact coefficients come from the term-ratio recurrence
 
     c_{k+1} = c_k * prod(a_j + k) / (prod(b_j + k) * (k + 1))
 
-so each degree costs one big-rational multiply and divide instead of fresh
-rising-factorial products. The float path runs the same recurrence in
-double precision with Neumaier-compensated accumulation, which keeps the
-digits of alternating series at moderate arguments. It stops only on a
-proven bound for the omitted tail and returns that bound with the value:
-a geometric bound from the term ratio wherever the ratio tends below 1,
-and a telescoped tail at the unit argument, where ``p = q + 1`` series
-converge only like ``k**-(1+s)``. A sum that exhausts its term budget
-reports no bound rather than a wrong value.
+run over integers: with every parameter over one common denominator, each
+coefficient is a prefix product of the numerator factors times a suffix
+product of the denominator factors, all over one shared denominator, so
+no degree builds a fraction or takes a gcd (see :func:`pfq_series`). The
+float path runs the same recurrence in double precision with
+Neumaier-compensated accumulation, which keeps the digits of alternating
+series at moderate arguments. It stops only on a proven bound for the
+omitted tail and returns that bound with the value: a geometric bound
+from the term ratio wherever the ratio tends below 1, and a telescoped
+tail at the unit argument, where ``p = q + 1`` series converge only like
+``k**-(1+s)``. A sum that exhausts its term budget reports no bound
+rather than a wrong value.
 """
 
 from __future__ import annotations
@@ -20,9 +23,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
 
-from .rationals import format_rational, is_nonpositive_integer, parse_rational
+from .rationals import format_rational, is_nonpositive_integer
 from .series import TruncatedSeries
 
 __all__ = [
@@ -74,19 +76,6 @@ class HypSpec:
         for pos, b in enumerate(self.lower):
             if is_nonpositive_integer(b):
                 raise DegenerateParameterError(f"lower[{pos}]", b, int(-b))
-
-    def to_json_dict(self) -> dict:
-        return {
-            "upper": [format_rational(a) for a in self.upper],
-            "lower": [format_rational(b) for b in self.lower],
-        }
-
-    @staticmethod
-    def from_json_dict(doc: dict) -> "HypSpec":
-        return HypSpec(
-            upper=tuple(parse_rational(a) for a in doc["upper"]),
-            lower=tuple(parse_rational(b) for b in doc["lower"]),
-        )
 
 
 def pfq_series(spec: HypSpec, cap: int) -> TruncatedSeries:
@@ -157,7 +146,6 @@ class FloatSum:
     value: float
     converged: bool
     terms: int
-    last_term: float
     abs_sum: float
     error_bound: float
 
@@ -236,8 +224,8 @@ def pfq_eval_float(
         if tail <= tol * abs(value):
             steps = 2 * (len(upper) + len(lower)) + 4
             rounding = steps * (k + 2) * _ROUNDOFF * (abs_sum + magnitude)
-            return FloatSum(value, True, k + 2, term, abs_sum + abs(correction), tail + rounding)
-    return FloatSum(total + comp, False, max_terms + 1, term, abs_sum, math.inf)
+            return FloatSum(value, True, k + 2, abs_sum + abs(correction), tail + rounding)
+    return FloatSum(total + comp, False, max_terms + 1, abs_sum, math.inf)
 
 
 def _geometric_tail(upper: list[float], lower: list[float], x: float, n: int, term: float):

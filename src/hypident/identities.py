@@ -38,12 +38,7 @@ __all__ = [
     "VARIANTS",
     "catalog",
     "default_cap",
-    "equal_parameter_rhs",
-    "expand_lowered",
-    "expand_raised",
     "get",
-    "product_expansion_lhs",
-    "product_expansion_rhs",
 ]
 
 HALF = Fraction(1, 2)
@@ -97,8 +92,8 @@ class IdentityParams:
     nonnegative integer shifts, ``cap`` the truncation degree (None means
     ``default_cap(i, j)``). ``gamma`` is the third rational of the
     unit-argument summation check. ``printed_form`` switches the mixed
-    product variant to its alternate transcription; see
-    :func:`product_expansion_rhs`.
+    product variants (2.3, 3.3) to their alternate transcription, whose
+    second shift factor is indexed by m instead of n.
     """
 
     alpha: Fraction
@@ -158,11 +153,6 @@ def _nonzero_poch(expr: str, base: Fraction, count: int) -> Fraction:
     if value == 0:
         raise DegenerateParameterError(expr, base, int(-base) + 1)
     return value
-
-
-def _float_pfq(spec: HypSpec, x: float, max_terms: int = _FLOAT_TERMS) -> tuple[float, bool]:
-    result = pfq_eval_float(spec, x, tol=_FLOAT_TOL, max_terms=max_terms)
-    return result.value, result.converged
 
 
 # --------------------------------------------------------------------------
@@ -267,22 +257,19 @@ def _side_series(side: Side, cap: int) -> TruncatedSeries:
 
 def _side_float(side: Side, x: float) -> tuple[float, bool]:
     """Float value of a side at x, and whether every factor's sum converged."""
-    values: dict[Factor, tuple[float, bool]] = {}
+    sums: dict[Factor, FloatSum] = {}
     total = 0.0
-    ok = True
     for term in side.terms:
         value = float(term.weight) * x**term.power
         for factor in term.factors:
-            if factor not in values:
+            if factor not in sums:
                 spec, arg = factor
-                values[factor] = _float_pfq(spec, arg.at(x))
-            factor_value, converged = values[factor]
-            value *= factor_value
-            ok = ok and converged
+                sums[factor] = pfq_eval_float(spec, arg.at(x), tol=_FLOAT_TOL, max_terms=_FLOAT_TERMS)
+            value *= sums[factor].value
         total += value
     if side.exp:
         total *= math.exp(side.exp * x)
-    return total, ok
+    return total, all(s.converged for s in sums.values())
 
 
 # --------------------------------------------------------------------------
@@ -338,32 +325,12 @@ def _expansion_side(alpha: Fraction, i: int, raised: bool) -> Side:
     ))
 
 
-def expand_raised(alpha: Fraction | int, i: int, cap: int) -> TruncatedSeries:
-    """Structured form of ``e**(-x/2) * 1F1(alpha; 2*alpha + i; x)``.
-
-    A sum over ``m <= i`` of weighted ``x**m * 0F1(; alpha + m + 1/2;
-    x**2/16)`` blocks. Degenerate weights raise before any series work.
-    """
-    if i < 0:
-        raise ValueError("shift i must be nonnegative")
-    return _side_series(_expansion_side(Fraction(alpha), i, raised=True), cap)
-
-
-def expand_lowered(alpha: Fraction | int, i: int, cap: int) -> TruncatedSeries:
-    """Structured form of ``e**(-x/2) * 1F1(alpha; 2*alpha - i; x)``."""
-    if i < 0:
-        raise ValueError("shift i must be nonnegative")
-    return _side_series(_expansion_side(Fraction(alpha), i, raised=False), cap)
-
-
 # --------------------------------------------------------------------------
 # the shifted-product family: 1F1(alpha; 2*alpha +/- i; x) * 1F1(beta; 2*beta +/- j; x)
 
 
 def _variant_raised(variant: str) -> tuple[bool, bool]:
     """Whether each factor's lower parameter is raised (P) or lowered (M)."""
-    if variant not in VARIANTS:
-        raise ValueError(f"unknown variant {variant!r}, expected one of {VARIANTS}")
     return variant[0] == "P", variant[1] == "P"
 
 
@@ -401,26 +368,6 @@ def _product_rhs(variant: str, params: IdentityParams) -> Side:
             if weight != 0:
                 terms.append(Term(((bailey_product_spec(rho, sigma), _SQ4),), weight, m + n))
     return Side(tuple(terms), Fraction(1))
-
-
-def product_expansion_lhs(variant: str, params: IdentityParams) -> TruncatedSeries:
-    """Raw product side: the two confluent factors Cauchy-multiplied.
-
-    No structure from the closed form is reused here; this is the oracle
-    the structured side is judged against.
-    """
-    return _side_series(_product_lhs(variant, params, params.beta), params.effective_cap)
-
-
-def product_expansion_rhs(variant: str, params: IdentityParams) -> TruncatedSeries:
-    """Structured side: e**x times the double sum of weighted 2F3 blocks.
-
-    The mixed variant defaults to the transcription whose second shift
-    factor is indexed by n, which is the reading the raw product confirms;
-    ``params.printed_form`` selects the m-indexed transcription instead,
-    which disagrees with the product at every nonzero shift.
-    """
-    return _side_series(_product_rhs(variant, params), params.effective_cap)
 
 
 # --------------------------------------------------------------------------
@@ -471,7 +418,7 @@ def _equal_param_term(
         shift_sum = m + n - i - j
         first_lower = alpha + m - i + HALF
         second_lower = alpha + n - j + HALF
-    elif variant == "PM":
+    else:  # PM
         sign = Fraction(-1) ** n
         second_shift = pochhammer(Fraction(-j), m if printed_form else n)
         num = (
@@ -489,8 +436,6 @@ def _equal_param_term(
         shift_sum = m + n - j
         first_lower = alpha + m + HALF
         second_lower = alpha + n - j + HALF
-    else:
-        raise ValueError(f"unknown variant {variant!r}, expected one of {VARIANTS}")
 
     weight = sign * num / (den * factorial(m) * factorial(n) * Fraction(4) ** (m + n))
     s = 2 * alpha + shift_sum
@@ -502,6 +447,8 @@ def _equal_param_term(
 
 
 def _equal_param_rhs(variant: str, params: IdentityParams) -> Side:
+    """Single-parameter closed form at beta = alpha. Only alpha appears, so
+    comparing it with the composed two-parameter side is not a tautology."""
     terms = []
     for m in range(params.i + 1):
         for n in range(params.j + 1):
@@ -511,24 +458,6 @@ def _equal_param_rhs(variant: str, params: IdentityParams) -> Side:
             if weight != 0:
                 terms.append(Term(((spec, _SQ4),), weight, m + n))
     return Side(tuple(terms), Fraction(1))
-
-
-def equal_parameter_rhs(
-    variant: str,
-    alpha: Fraction | int,
-    i: int,
-    j: int,
-    cap: int,
-    printed_form: bool = False,
-) -> TruncatedSeries:
-    """Single-parameter closed form of the shifted product at beta = alpha.
-
-    Written out from its own formula (only alpha appears), so comparing it
-    against the two-parameter composed side at beta = alpha is a real
-    consistency check rather than a tautology.
-    """
-    params = IdentityParams(alpha=alpha, i=i, j=j, cap=cap, printed_form=printed_form)
-    return _side_series(_equal_param_rhs(variant, params), cap)
 
 
 # --------------------------------------------------------------------------

@@ -17,7 +17,6 @@ import re
 from fractions import Fraction
 
 __all__ = [
-    "Rational",
     "RationalParseError",
     "factorial",
     "format_rational",
@@ -25,8 +24,6 @@ __all__ = [
     "parse_rational",
     "pochhammer",
 ]
-
-Rational = Fraction
 
 # m! as an arbitrary-precision integer; the stdlib version is exact.
 factorial = math.factorial

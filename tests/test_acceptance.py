@@ -16,15 +16,7 @@ import time
 from fractions import Fraction
 
 from hypident.hyper import HypSpec, pfq_series
-from hypident.identities import (
-    IdentityParams,
-    equal_parameter_rhs,
-    expand_lowered,
-    expand_raised,
-    gauss_terminating_sides,
-    get,
-    product_expansion_rhs,
-)
+from hypident.identities import IdentityParams, gauss_terminating_sides, get
 from hypident.reports import compare_series
 from hypident.series import TruncatedSeries, exp_series
 from hypident.verify import check_admissible, report_for_sides, verify_identity
@@ -32,6 +24,7 @@ from hypident.verify import check_admissible, report_for_sides, verify_identity
 GRID_ALPHA = Fraction(3, 7)
 GRID_BETA = Fraction(2, 5)
 VARIANT_TAGS = (("PP", "2.1"), ("MM", "2.2"), ("PM", "2.3"))
+EQUAL_PARAM_TAGS = {"PP": "3.1", "MM": "3.2", "PM": "3.3"}
 RNG_SEED = 20260816
 
 FLOAT_SUM_TOL = 1e-10   # criterion 7
@@ -71,7 +64,7 @@ def criterion_02_bailey_reduction():
     failures = []
     for alpha, beta in ((GRID_ALPHA, GRID_BETA), (Fraction(7, 3), Fraction(9, 4))):
         params = IdentityParams(alpha=alpha, beta=beta, cap=30)
-        double_sum = product_expansion_rhs("PP", params)
+        double_sum = get("2.1").build_rhs(params)
         direct = get("1.10").build_rhs(params)
         for bad in compare_series(double_sum, direct):
             failures.append(
@@ -103,13 +96,14 @@ def criterion_03_preece_reduction():
 def criterion_04_equal_parameter_consistency():
     """The one-parameter expansions agree with the two-parameter ones at beta=alpha."""
     failures = []
-    for variant, _ in VARIANT_TAGS:
+    for variant, tag in VARIANT_TAGS:
         for i in range(4):
             for j in range(4):
-                specialized = equal_parameter_rhs(variant, GRID_ALPHA, i, j, cap=24)
-                general = product_expansion_rhs(
-                    variant,
-                    IdentityParams(alpha=GRID_ALPHA, beta=GRID_ALPHA, i=i, j=j, cap=24),
+                specialized = get(EQUAL_PARAM_TAGS[variant]).build_rhs(
+                    IdentityParams(alpha=GRID_ALPHA, i=i, j=j, cap=24)
+                )
+                general = get(tag).build_rhs(
+                    IdentityParams(alpha=GRID_ALPHA, beta=GRID_ALPHA, i=i, j=j, cap=24)
                 )
                 if compare_series(specialized, general):
                     failures.append(f"{variant} diverges at i={i}, j={j}")
@@ -122,19 +116,23 @@ def criterion_05_expansion_lemmas():
     """Both single-series expansions match the damped-product oracle."""
     failures = []
     cap = 30
+
+    def build(tag, alpha, i):
+        return get(tag).build_rhs(IdentityParams(alpha=alpha, i=i, cap=cap))
+
     for alpha in (GRID_ALPHA, Fraction(2, 5), Fraction(7, 3)):
         damping = exp_series(cap, sign=-1, half=True)
         for i in range(5):
-            for name, build, lower in (
-                ("raised", expand_raised, 2 * alpha + i),
-                ("lowered", expand_lowered, 2 * alpha - i),
+            for name, tag, lower in (
+                ("raised", "1.17", 2 * alpha + i),
+                ("lowered", "1.18", 2 * alpha - i),
             ):
                 oracle = damping * pfq_series(HypSpec((alpha,), (lower,)), cap)
-                if compare_series(build(alpha, i, cap), oracle):
+                if compare_series(build(tag, alpha, i), oracle):
                     failures.append(f"{name} expansion off at alpha={alpha}, i={i}")
         even = pfq_series(HypSpec((), (alpha + Fraction(1, 2),)), cap).substitute_even(16)
-        for name, build in (("raised", expand_raised), ("lowered", expand_lowered)):
-            if compare_series(build(alpha, 0, cap), even):
+        for name, tag in (("raised", "1.17"), ("lowered", "1.18")):
+            if compare_series(build(tag, alpha, 0), even):
                 failures.append(f"{name} expansion at i=0 is not the even series, alpha={alpha}")
     return failures
 

@@ -142,6 +142,22 @@ class TestSweep:
         doc = json.loads(out)
         assert [r["params"]["alpha"] for r in doc] == ["2/5", "3/7"]
 
+    @pytest.mark.parametrize(
+        "extra, needle",
+        [
+            (["--alpha", "3/7"], "sweep grid is empty"),  # --beta forgotten
+            (["--alpha", ",", "--beta", "2/5"], "sweep grid is empty"),
+            (["--alpha", "3/7", "--beta", "2/5", "--i", "-1"], "nonnegative"),
+        ],
+        ids=["no-beta", "no-alpha", "negative-i"],
+    )
+    def test_empty_or_malformed_grid_exits_2(self, capsys, extra, needle):
+        code, out, err = invoke(capsys, "sweep", "--identity", "2.1", *extra)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("hypident: error:")
+        assert needle in err
+
 
 class TestExpand:
     def test_json_coefficients_are_exact_rationals(self, capsys):
@@ -338,3 +354,15 @@ def test_module_entry_point_runs_the_cli():
     assert proc.returncode == 0
     for d in catalog():
         assert f"{d.tag:>5}  {d.name}" in proc.stdout
+
+
+def test_sweep_script_runs_without_pythonpath(tmp_path):
+    script = Path(__file__).resolve().parent.parent / "scripts" / "sweep_product_grid.py"
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    proc = subprocess.run(
+        [sys.executable, str(script), "--i-max", "0", "--j-max", "0", "--out-dir", str(tmp_path)],
+        capture_output=True, text=True, timeout=120, env=env, cwd=tmp_path,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "grid.csv").is_file()
+    assert (tmp_path / "grid.json").is_file()

@@ -37,12 +37,6 @@ class TestHypSpec:
     def test_upper_unrestricted(self):
         HypSpec((Fraction(-3),), (Fraction(1, 2),))  # fine: terminating series
 
-    def test_json_round_trip(self):
-        spec = HypSpec((Fraction(1, 2), Fraction(-3)), (Fraction(7, 4),))
-        doc = spec.to_json_dict()
-        assert doc == {"upper": ["1/2", "-3"], "lower": ["7/4"]}
-        assert HypSpec.from_json_dict(doc) == spec
-
 
 class TestPfqSeries:
     def test_frozen_f01_values(self):

@@ -14,14 +14,9 @@ from hypident.identities import (
     VARIANTS,
     catalog,
     default_cap,
-    equal_parameter_rhs,
-    expand_lowered,
-    expand_raised,
     gauss_second_sides_float,
     gauss_terminating_sides,
     get,
-    product_expansion_lhs,
-    product_expansion_rhs,
     watson_unit_sides_float,
     _gamma_ratio,
 )
@@ -31,6 +26,15 @@ from hypident.verify import verify_identity
 
 A = Fraction(3, 7)
 B = Fraction(2, 5)
+
+# catalog tags of each shifted-product variant and of its equal-parameter form
+PRODUCT_TAG = {"PP": "2.1", "MM": "2.2", "PM": "2.3"}
+EQUAL_PARAM_TAG = {"PP": "3.1", "MM": "3.2", "PM": "3.3"}
+
+
+def expanded(tag, alpha, i, cap):
+    """Right side of expansion 1.17 (raised) or 1.18 (lowered)."""
+    return get(tag).build_rhs(IdentityParams(alpha=alpha, i=i, cap=cap))
 
 
 class TestCatalog:
@@ -126,7 +130,7 @@ class TestExpansions:
         lhs = exp_series(cap, -1, half=True) * pfq_series(
             HypSpec((A,), (2 * A + i,)), cap
         )
-        assert expand_raised(A, i, cap) == lhs
+        assert expanded("1.17", A, i, cap) == lhs
 
     @pytest.mark.parametrize("i", range(5))
     def test_lowered_matches_oracle(self, i):
@@ -134,23 +138,23 @@ class TestExpansions:
         lhs = exp_series(cap, -1, half=True) * pfq_series(
             HypSpec((A,), (2 * A - i,)), cap
         )
-        assert expand_lowered(A, i, cap) == lhs
+        assert expanded("1.18", A, i, cap) == lhs
 
     def test_reduces_to_plain_transformation_at_zero_shift(self):
         plain = get("1.2")
         p = IdentityParams(alpha=A, cap=18)
-        assert expand_raised(A, 0, 18) == plain.build_rhs(p)
-        assert expand_lowered(A, 0, 18) == plain.build_rhs(p)
+        assert expanded("1.17", A, 0, 18) == plain.build_rhs(p)
+        assert expanded("1.18", A, 0, 18) == plain.build_rhs(p)
 
     def test_degenerate_weight_raises(self):
         # alpha - i - 1/2 = 0 at alpha = 5/2, i = 2
         with pytest.raises(DegenerateParameterError) as err:
-            expand_lowered(Fraction(5, 2), 2, 12)
+            expanded("1.18", Fraction(5, 2), 2, 12)
         assert err.value.expr == "(alpha - i - 1/2)_m"
 
     def test_negative_shift(self):
         with pytest.raises(ValueError):
-            expand_raised(A, -1, 10)
+            expanded("1.17", A, -1, 10)
 
 
 class TestProductExpansion:
@@ -159,9 +163,8 @@ class TestProductExpansion:
     def test_structured_side_matches_raw_product(self, variant, point):
         i, j = point
         params = IdentityParams(alpha=A, beta=B, i=i, j=j)
-        lhs = product_expansion_lhs(variant, params)
-        rhs = product_expansion_rhs(variant, params)
-        assert lhs == rhs
+        product = get(PRODUCT_TAG[variant])
+        assert product.build_lhs(params) == product.build_rhs(params)
 
     @pytest.mark.parametrize("point", [(0, 1), (1, 0), (1, 1), (2, 1)])
     def test_printed_form_disagrees_at_nonzero_shifts(self, point):
@@ -170,33 +173,31 @@ class TestProductExpansion:
         # every m >= 1 term
         i, j = point
         params = IdentityParams(alpha=A, beta=B, i=i, j=j, printed_form=True)
-        lhs = product_expansion_lhs("PM", params)
-        rhs = product_expansion_rhs("PM", params)
-        assert lhs != rhs
+        mixed = get("2.3")
+        assert mixed.build_lhs(params) != mixed.build_rhs(params)
 
     def test_printed_form_agrees_at_zero_shifts(self):
         params = IdentityParams(alpha=A, beta=B, i=0, j=0, printed_form=True)
-        assert product_expansion_lhs("PM", params) == product_expansion_rhs("PM", params)
-
-    def test_unknown_variant(self):
-        with pytest.raises(ValueError, match="unknown variant"):
-            product_expansion_rhs("XX", IdentityParams(alpha=A, beta=B))
+        mixed = get("2.3")
+        assert mixed.build_lhs(params) == mixed.build_rhs(params)
 
     @pytest.mark.parametrize("variant", VARIANTS)
     def test_equal_parameter_form_matches_two_parameter_form(self, variant):
         for i, j in [(0, 0), (1, 2), (3, 1)]:
             cap = default_cap(i, j)
-            two_param = product_expansion_rhs(
-                variant, IdentityParams(alpha=A, beta=A, i=i, j=j, cap=cap)
+            two_param = get(PRODUCT_TAG[variant]).build_rhs(
+                IdentityParams(alpha=A, beta=A, i=i, j=j, cap=cap)
             )
-            one_param = equal_parameter_rhs(variant, A, i, j, cap)
+            one_param = get(EQUAL_PARAM_TAG[variant]).build_rhs(
+                IdentityParams(alpha=A, i=i, j=j, cap=cap)
+            )
             assert one_param == two_param
 
     def test_zero_shift_reduces_to_matched_product_form(self):
         # at i = j = 0 every variant collapses to the e^x 2F3 closed form
         base = get("1.10").build_rhs(IdentityParams(alpha=A, beta=B, cap=16))
         for variant in VARIANTS:
-            got = product_expansion_rhs(variant, IdentityParams(alpha=A, beta=B, cap=16))
+            got = get(PRODUCT_TAG[variant]).build_rhs(IdentityParams(alpha=A, beta=B, cap=16))
             assert got == base
 
 
