@@ -10,7 +10,6 @@ from .identities import (
     IdentityDef,
     IdentityId,
     IdentityParams,
-    VARIANTS,
     catalog,
     default_cap,
     get,
@@ -59,7 +58,6 @@ __all__ = [
     "ParameterRequirement",
     "RationalParseError",
     "TruncatedSeries",
-    "VARIANTS",
     "VerifyReport",
     "bailey_product_series",
     "catalog",

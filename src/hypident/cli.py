@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
 
@@ -226,6 +227,8 @@ def _cmd_expand(args: argparse.Namespace) -> int:
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:
+    if args.x is not None and not math.isfinite(args.x):
+        raise ValueError(f"--x must be a finite number, got {args.x}")
     params = _parse_params(args)
     define = get(args.identity)
     define.validate_params(params)

@@ -71,11 +71,14 @@ class HypSpec:
 
     def __post_init__(self) -> None:
         # tuple() of a list, not of a generator: see TruncatedSeries.from_integers
-        object.__setattr__(self, "upper", tuple([Fraction(a) for a in self.upper]))
-        object.__setattr__(self, "lower", tuple([Fraction(b) for b in self.lower]))
-        for pos, b in enumerate(self.lower):
-            if is_nonpositive_integer(b):
-                raise DegenerateParameterError(f"lower[{pos}]", b, int(-b))
+        # (and a Fraction is kept as it is, not copied)
+        upper = tuple([a if isinstance(a, Fraction) else Fraction(a) for a in self.upper])
+        lower = tuple([b if isinstance(b, Fraction) else Fraction(b) for b in self.lower])
+        object.__setattr__(self, "upper", upper)
+        object.__setattr__(self, "lower", lower)
+        for pos, b in enumerate(lower):
+            if b.denominator == 1 and b.numerator <= 0:
+                raise DegenerateParameterError(f"lower[{pos}]", b, -b.numerator)
 
 
 def pfq_series(spec: HypSpec, cap: int) -> TruncatedSeries:

@@ -35,18 +35,12 @@ __all__ = [
     "IdentityDef",
     "IdentityId",
     "IdentityParams",
-    "VARIANTS",
     "catalog",
     "default_cap",
     "get",
 ]
 
 HALF = Fraction(1, 2)
-
-#: Variant labels for the shifted-product family: first letter says whether
-#: the first factor's lower parameter is raised (P) or lowered (M) by i,
-#: second letter the same for j.
-VARIANTS = ("PP", "MM", "PM")
 
 _FLOAT_TOL = 1e-16
 _FLOAT_TERMS = 800
@@ -220,36 +214,64 @@ def _product(*factors: Factor, exp: Fraction | int = 0) -> Side:
 
 
 def _side_series(side: Side, cap: int) -> TruncatedSeries:
-    """Exact truncation of a side.
+    """Exact truncation of a side, summed as integer numerators over one
+    running denominator.
 
-    A term ``x**power * F(...)`` is expanded only to ``x**(cap - power)``
-    and then shifted up to the cap, so each pFq factor is expanded only to
-    the degree in t that still reaches the cap; a term whose power is past
-    the cap contributes nothing. A spec that two factors of one term share
-    is expanded once; specs repeat only within a term, so no expansion is
-    kept past its term.
+    A term ``weight * x**power * F(...)`` is needed only up to
+    ``x**(cap - power)``, so each pFq factor is expanded only to the degree
+    in t that still reaches the cap; a term whose power is past the cap
+    contributes nothing. A term with one factor writes coefficient k of
+    its ``pfq_series`` straight onto degree ``power + stride*k``: stride 2
+    for an ``x**2/c`` argument, 1 for ``c*x``, with ``c**-k`` or ``c**k``
+    and the weight folded into the integers. A term with several factors
+    (left sides only) is the Cauchy product of its factors in x, a spec
+    that two of them share expanded once, placed at stride 1. Each term
+    joins the sum over the lcm of its denominator and the running one;
+    one gcd at the end makes the sum canonical, and an exponential
+    prefactor is one Cauchy product with ``exp_series``.
     """
-    total = None
+    den = 1
+    nums = [0] * (cap + 1)
     for term in side.terms:
         need = cap - term.power
         if need < 0:
             continue
-        expanded: dict[tuple[HypSpec, int], TruncatedSeries] = {}
-        block = None
-        for spec, arg in term.factors:
-            key = spec, arg.t_cap(need)
-            series = expanded.get(key)
-            if series is None:
-                series = expanded[key] = pfq_series(*key)
-            factor = arg.series(series, need)
-            block = factor if block is None else block * factor
-        if term.power:
-            block = block.shift(term.power, cap)
-        if term.weight != 1:
-            block = block.scale(term.weight)
-        total = block if total is None else total + block
-    if total is None:
-        total = TruncatedSeries.zero(cap)
+        if len(term.factors) == 1:
+            ((spec, arg),) = term.factors
+            block = pfq_series(spec, arg.t_cap(need))
+        else:
+            expanded: dict[tuple[HypSpec, int], TruncatedSeries] = {}
+            block = None
+            for spec, arg in term.factors:
+                key = spec, arg.t_cap(need)
+                series = expanded.get(key)
+                if series is None:
+                    series = expanded[key] = pfq_series(*key)
+                factor = arg.series(series, need)
+                block = factor if block is None else block * factor
+            arg = _X  # the product is already a series in x
+        block_den = block.den * term.weight.denominator
+        lift = arg.c
+        pairs = zip(range(term.power, cap + 1, 2 if arg.squared else 1), block.nums)
+        if arg.squared:
+            # c**-k over c**top: coefficient k gains c**(top - k), so walk
+            # down from the top
+            block_den *= lift**block.cap
+            pairs = reversed(list(pairs))
+        common = math.lcm(den, block_den)
+        if common != den:
+            up = common // den
+            nums = [n * up for n in nums]
+            den = common
+        scale = term.weight.numerator * (common // block_den)
+        if lift == 1:
+            for d, n in pairs:
+                nums[d] += scale * n
+        else:
+            for d, n in pairs:
+                nums[d] += scale * n
+                scale *= lift
+    total = TruncatedSeries.from_integers(cap, den, nums)
     if side.exp:
         total = exp_series(cap, 1 if side.exp > 0 else -1, half=abs(side.exp) == HALF) * total
     return total
@@ -302,19 +324,25 @@ def _expansion_terms(
     base, lower, weight_base, _ = _expansion_spelling(alpha, i, raised, names)
     k = names[2]
     sign = 1 if raised else -1
-    terms = []
-    for m in range(i + 1):
+    # weight m is sign**m (-i)_m (2*base - 1)_m / ((2*base + i)_m
+    # (base - 1/2)_m m! 4**m); with base = P/Q, step m multiplies it by
+    # sign (m-1-i) (2P + (m-2)Q) Q / (2m (2P + (i+m-1)Q) (2P + (2m-3)Q))
+    P, Q = base.numerator, base.denominator
+    num = den = 1
+    terms = [(Fraction(1), 0, base + HALF)]
+    for m in range(1, i + 1):
         # denominator guards run before the zero-numerator shortcut so that
         # a 0/0 weight raises instead of being silently dropped
-        den = (
-            _nonzero_poch(f"({lower})_{k}", 2 * base + i, m)
-            * _nonzero_poch(f"({weight_base})_{k}", base - HALF, m)
-            * factorial(m)
-            * 4**m
-        )
-        num = sign**m * pochhammer(Fraction(-i), m) * pochhammer(2 * base - 1, m)
-        if num != 0:
-            terms.append((num / den, m, base + m + HALF))
+        lower_factor = 2 * P + (i + m - 1) * Q
+        if lower_factor == 0:
+            raise DegenerateParameterError(f"({lower})_{k}", 2 * base + i, m)
+        base_factor = 2 * P + (2 * m - 3) * Q
+        if base_factor == 0:
+            raise DegenerateParameterError(f"({weight_base})_{k}", base - HALF, m)
+        num *= sign * (m - 1 - i) * (2 * P + (m - 2) * Q) * Q
+        den *= 2 * m * lower_factor * base_factor
+        if num:
+            terms.append((Fraction(num, den), m, base + m + HALF))
     return terms
 
 
@@ -358,13 +386,14 @@ def _product_rhs(variant: str, params: IdentityParams) -> Side:
     first = _expansion_terms(params.alpha, params.i, first_raised)
     second = _expansion_terms(params.beta, params.j, second_raised, _SECOND)
     printed = params.printed_form and variant == "PM"
-    minus_j = Fraction(-params.j)
+    if printed:
+        shift = [pochhammer(Fraction(-params.j), k) for k in range(max(params.i, params.j) + 1)]
     terms = []
     for w1, m, rho in first:
         for w2, n, sigma in second:
             weight = w1 * w2
             if printed:
-                weight = weight * pochhammer(minus_j, m) / pochhammer(minus_j, n)
+                weight = weight * shift[m] / shift[n]
             if weight != 0:
                 terms.append(Term(((bailey_product_spec(rho, sigma), _SQ4),), weight, m + n))
     return Side(tuple(terms), Fraction(1))
@@ -852,6 +881,10 @@ def _build_registry() -> dict[IdentityId, IdentityDef]:
     ]
 
     # ---- the shifted-product family and its equal-parameter forms
+    #
+    # Variant labels: the first letter says whether the first factor's lower
+    # parameter is raised (P) or lowered (M) by i, the second letter the
+    # same for j.
 
     for variant, prod_id, equal_id in (
         ("PP", IdentityId.PRODUCT_PP, IdentityId.EQUAL_PARAM_PP),

@@ -252,6 +252,17 @@ class TestEval:
         assert code == 2
         assert "needs --x" in err
 
+    @pytest.mark.parametrize("x", ["nan", "inf", "-inf"])
+    def test_non_finite_x_exits_2(self, capsys, x):
+        # JSON has no token for these values; json.dumps would print NaN/Infinity
+        code, out, err = invoke(
+            capsys, "eval", "--identity", "1.1", "--alpha", "1/2", "--beta", "1/3",
+            f"--x={x}", "--output", "json",
+        )
+        assert code == 2
+        assert out == ""
+        assert "--x must be a finite number" in err
+
 
 class TestBadRequests:
     @pytest.mark.parametrize(

@@ -9,19 +9,23 @@ from hypothesis import strategies as st
 
 from hypident.hyper import DegenerateParameterError, HypSpec, pfq_series
 from hypident.identities import (
+    Arg,
     IdentityId,
     IdentityParams,
-    VARIANTS,
+    Side,
+    Term,
     catalog,
     default_cap,
     gauss_second_sides_float,
     gauss_terminating_sides,
     get,
     watson_unit_sides_float,
+    _expansion_terms,
     _gamma_ratio,
+    _side_series,
 )
-from hypident.rationals import pochhammer
-from hypident.series import exp_series
+from hypident.rationals import factorial, pochhammer
+from hypident.series import TruncatedSeries, exp_series
 from hypident.verify import verify_identity
 
 A = Fraction(3, 7)
@@ -156,9 +160,51 @@ class TestExpansions:
         with pytest.raises(ValueError):
             expanded("1.17", A, -1, 10)
 
+    @pytest.mark.parametrize("raised", [True, False], ids=["raised", "lowered"])
+    def test_weights_match_pochhammer_form(self, raised):
+        # alpha = -1 (raised) gives zero weights from (2*alpha - 1)_m; 7/2
+        # (lowered) and 1/2 hit a vanishing denominator Pochhammer symbol
+        for alpha in (A, Fraction(-5, 11), Fraction(7, 2), Fraction(1, 2), Fraction(-1), Fraction(3)):
+            for i in range(7):
+                base = alpha if raised else alpha - i
+                sign = 1 if raised else -1
+                expected = []
+                for m in range(i + 1):
+                    den = pochhammer(2 * base + i, m) * pochhammer(base - Fraction(1, 2), m)
+                    if den == 0:
+                        with pytest.raises(DegenerateParameterError):
+                            _expansion_terms(alpha, i, raised)
+                        break
+                    weight = (
+                        sign**m * pochhammer(Fraction(-i), m) * pochhammer(2 * base - 1, m)
+                        / (den * factorial(m) * 4**m)
+                    )
+                    if weight:
+                        expected.append((weight, m, base + m + Fraction(1, 2)))
+                else:
+                    assert _expansion_terms(alpha, i, raised) == expected
+
+    @pytest.mark.parametrize(
+        "alpha, i, raised, expr, value, index",
+        [
+            # (2*alpha + i)_m vanishes at m = 2, (alpha - 1/2)_m at m = 4
+            (Fraction(-5, 2), 4, True, "(2*alpha + i)_m", Fraction(-1), 2),
+            # (alpha - 1/2)_m vanishes at m = 2, (2*alpha + i)_m never
+            (Fraction(-1, 2), 3, True, "(alpha - 1/2)_m", Fraction(-1), 2),
+            # (2*alpha + i)_m vanishes at m = 1, (alpha - 1/2)_m at m = 3
+            (Fraction(-3, 2), 3, True, "(2*alpha + i)_m", Fraction(0), 1),
+            # lowered: (2*alpha - i)_m vanishes at m = 3
+            (Fraction(1), 4, False, "(2*alpha - i)_m", Fraction(-2), 3),
+        ],
+    )
+    def test_weight_guards(self, alpha, i, raised, expr, value, index):
+        with pytest.raises(DegenerateParameterError) as err:
+            _expansion_terms(alpha, i, raised)
+        assert (err.value.expr, err.value.value, err.value.index) == (expr, value, index)
+
 
 class TestProductExpansion:
-    @pytest.mark.parametrize("variant", VARIANTS)
+    @pytest.mark.parametrize("variant", ("PP", "MM", "PM"))
     @pytest.mark.parametrize("point", [(0, 0), (1, 0), (0, 1), (2, 1), (3, 2)])
     def test_structured_side_matches_raw_product(self, variant, point):
         i, j = point
@@ -181,7 +227,7 @@ class TestProductExpansion:
         mixed = get("2.3")
         assert mixed.build_lhs(params) == mixed.build_rhs(params)
 
-    @pytest.mark.parametrize("variant", VARIANTS)
+    @pytest.mark.parametrize("variant", ("PP", "MM", "PM"))
     def test_equal_parameter_form_matches_two_parameter_form(self, variant):
         for i, j in [(0, 0), (1, 2), (3, 1)]:
             cap = default_cap(i, j)
@@ -196,9 +242,66 @@ class TestProductExpansion:
     def test_zero_shift_reduces_to_matched_product_form(self):
         # at i = j = 0 every variant collapses to the e^x 2F3 closed form
         base = get("1.10").build_rhs(IdentityParams(alpha=A, beta=B, cap=16))
-        for variant in VARIANTS:
+        for variant in ("PP", "MM", "PM"):
             got = get(PRODUCT_TAG[variant]).build_rhs(IdentityParams(alpha=A, beta=B, cap=16))
             assert got == base
+
+
+def reference_side_series(side, cap):
+    """The side built term by term from TruncatedSeries operations, each
+    block expanded, substituted, shifted, scaled and added on its own."""
+    total = TruncatedSeries.zero(cap)
+    for term in side.terms:
+        need = cap - term.power
+        if need < 0:
+            continue
+        block = None
+        for spec, arg in term.factors:
+            factor = arg.series(pfq_series(spec, arg.t_cap(need)), need)
+            block = factor if block is None else block * factor
+        total = total + block.shift(term.power, cap).scale(term.weight)
+    if side.exp:
+        sign = 1 if side.exp > 0 else -1
+        total = exp_series(cap, sign, half=abs(side.exp) == Fraction(1, 2)) * total
+    return total
+
+
+SQ4 = Arg(4, squared=True)
+SQ16 = Arg(16, squared=True)
+TERMINATING = HypSpec((Fraction(-3), A), (B, Fraction(1, 5)))
+ORACLE_TERMS = {
+    "sq4": Term(((HypSpec((A,), (B, Fraction(1, 3))), SQ4),)),
+    "sq16": Term(((HypSpec((), (Fraction(5, 2),)), SQ16),), Fraction(-3, 7), 1),
+    "x": Term(((HypSpec((A,), (B,)), Arg(1)),), Fraction(2, 9), 2),
+    "neg_x": Term(((HypSpec((B,), (A,)), Arg(-1)),), Fraction(-1), 3),
+    "2x": Term(((HypSpec((A, B), (Fraction(7, 3),)), Arg(2)),), Fraction(5, 4)),
+    "4x_terminating": Term(((TERMINATING, Arg(4)),), Fraction(-11, 6), 1),
+    "sq4_terminating": Term(((TERMINATING, SQ4),), Fraction(1, 2), 2),
+    "power_9": Term(((HypSpec((), (A,)), Arg(2)),), Fraction(3), 9),
+    "power_12": Term(((HypSpec((), (B,)), SQ4),), Fraction(7), 12),
+    "two_factors": Term((
+        (HypSpec((A,), (2 * A,)), Arg(1)),
+        (HypSpec((B,), (2 * B,)), Arg(-1)),
+    ), Fraction(-2, 3), 1),
+    "two_factors_mixed_args": Term((
+        (HypSpec((), (A,)), SQ16),
+        (HypSpec((A,), (B,)), Arg(4)),
+    ), Fraction(1, 5)),
+}
+ORACLE_SIDES = {name: (term,) for name, term in ORACLE_TERMS.items()}
+ORACLE_SIDES["all"] = tuple(ORACLE_TERMS.values())
+ORACLE_SIDES["empty"] = ()
+
+
+class TestSideSeries:
+    @pytest.mark.parametrize("exp", [0, 1, -1, Fraction(1, 2), Fraction(-1, 2)], ids=str)
+    @pytest.mark.parametrize("name", ORACLE_SIDES)
+    def test_matches_term_by_term_reference(self, name, exp):
+        # caps 0..9 put the powers 0, 1, 2, 3 and 9 below, at and past the
+        # cap; power 12 is past every cap
+        side = Side(ORACLE_SIDES[name], Fraction(exp))
+        for cap in range(10):
+            assert _side_series(side, cap) == reference_side_series(side, cap), cap
 
 
 class TestScalarSides:
