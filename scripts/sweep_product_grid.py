@@ -17,10 +17,9 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from hypident.identities import IdentityParams  # noqa: E402
 from hypident.rationals import parse_rational  # noqa: E402
 from hypident.reports import reports_to_csv  # noqa: E402
-from hypident.verify import verify_identity  # noqa: E402
+from hypident.verify import DEFAULT_FLOAT_POINTS, sweep  # noqa: E402
 
 PRODUCT_TAGS = ("2.1", "2.2", "2.3")
 
@@ -41,17 +40,14 @@ def main() -> int:
 
     alpha = parse_rational(args.alpha)
     beta = parse_rational(args.beta)
-    float_points = None if args.with_floats else ()
+    float_points = DEFAULT_FLOAT_POINTS if args.with_floats else ()
 
     reports = []
     for tag in PRODUCT_TAGS:
-        for i in range(args.i_max + 1):
-            for j in range(args.j_max + 1):
-                params = IdentityParams(alpha=alpha, beta=beta, i=i, j=j, cap=args.degree)
-                kwargs = {} if float_points is None else {"float_points": float_points}
-                report = verify_identity(tag, params, **kwargs)
-                reports.append(report)
-                print(report.summary_line())
+        grid = sweep(tag, [alpha], [beta], args.i_max, args.j_max, cap=args.degree, float_points=float_points)
+        for report in grid:
+            print(report.summary_line())
+        reports.extend(grid)
 
     args.out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = args.out_dir / "grid.csv"

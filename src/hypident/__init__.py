@@ -26,7 +26,6 @@ from .reports import (
     AdmissibilityFinding,
     CoefficientMismatch,
     FloatResidual,
-    ParameterRequirement,
     VerifyReport,
     compare_series,
     reports_to_csv,
@@ -55,7 +54,6 @@ __all__ = [
     "IdentityDef",
     "IdentityId",
     "IdentityParams",
-    "ParameterRequirement",
     "RationalParseError",
     "TruncatedSeries",
     "VerifyReport",

@@ -236,8 +236,14 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     if define.kind == "series":
         if args.x is None:
             raise ValueError(f"identity {define.tag} needs --x to evaluate")
-        lhs, lhs_ok = define.lhs_float(params, args.x)
-        rhs, rhs_ok = define.rhs_float(params, args.x)
+        try:
+            lhs, lhs_ok = define.lhs_float(params, args.x)
+            rhs, rhs_ok = define.rhs_float(params, args.x)
+        except OverflowError:
+            lhs = rhs = math.inf
+        # JSON has no token for a non-finite side, and no residual is meaningful
+        if not (math.isfinite(lhs) and math.isfinite(rhs)):
+            raise ValueError(f"a float side of identity {define.tag} overflows at --x {args.x:g}")
         x = args.x
         converged = lhs_ok and rhs_ok
     elif define.kind == "exact_sum":

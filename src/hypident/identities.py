@@ -28,7 +28,7 @@ from typing import Callable
 
 from .hyper import DegenerateParameterError, FloatSum, HypSpec, bailey_product_spec, pfq_eval_float, pfq_series
 from .rationals import factorial, format_rational, is_nonpositive_integer, pochhammer
-from .reports import ParameterRequirement
+from .reports import AdmissibilityFinding, check_lower, check_poch, check_pole, check_positive
 from .series import TruncatedSeries, exp_series
 
 __all__ = [
@@ -573,37 +573,32 @@ def watson_unit_sides_float(a: Fraction, b: Fraction, c: Fraction) -> tuple[floa
 
 
 # --------------------------------------------------------------------------
-# requirement enumerations (admissibility, checked before any building)
+# admissibility conditions, checked before any building: each is a finding
+# or None
 
-
-def _req_lower(expr: str, value: Fraction, where: str = "") -> ParameterRequirement:
-    return ParameterRequirement("lower", expr, value, where=where)
-
-
-def _req_poch(expr: str, value: Fraction, max_index: int) -> ParameterRequirement:
-    return ParameterRequirement("poch", expr, value, max_index=max_index)
+Findings = list[AdmissibilityFinding | None]
 
 
 def _expand_requirements(
     alpha: Fraction, i: int, raised: bool, names: tuple[str, str, str] = _FIRST
-) -> tuple[list[ParameterRequirement], list[ParameterRequirement]]:
+) -> tuple[Findings, Findings]:
     """Admissibility of one expansion: the conditions on its factor and
     weights, then the lower parameter of every block."""
     base, lower, weight_base, block = _expansion_spelling(alpha, i, raised, names)
     k = names[2]
     weights = [
-        _req_lower(lower, 2 * base + i),
-        _req_poch(f"({lower})_{k}", 2 * base + i, i),
-        _req_poch(f"({weight_base})_{k}", base - HALF, i),
+        check_lower(lower, 2 * base + i),
+        check_poch(f"({lower})_{k}", 2 * base + i, i),
+        check_poch(f"({weight_base})_{k}", base - HALF, i),
     ]
     blocks = [
-        _req_lower(block, base + m + HALF, where=f"summand {k}={m}")
+        check_lower(block, base + m + HALF, where=f"summand {k}={m}")
         for m in range(i + 1)
     ]
     return weights, blocks
 
 
-def _product_requirements(variant: str, params: IdentityParams, equal_param: bool = False) -> list[ParameterRequirement]:
+def _product_requirements(variant: str, params: IdentityParams, equal_param: bool = False) -> Findings:
     """Both expansions' requirements, then the third lower parameter
     ``rho + sigma - 1`` of every 1.11 block."""
     first_raised, second_raised = _variant_raised(variant)
@@ -620,23 +615,21 @@ def _product_requirements(variant: str, params: IdentityParams, equal_param: boo
     for shift in range(low, low + i + j + 1):
         sign = "+" if shift >= 0 else "-"
         expr = f"{s_name} {sign} {abs(shift)}" if shift != 0 else s_name
-        reqs.append(_req_lower(expr, alpha + beta + shift, where=f"summand shift {shift}"))
+        reqs.append(check_lower(expr, alpha + beta + shift, where=f"summand shift {shift}"))
     return reqs
 
 
-def _watson_requirements(params: IdentityParams) -> list[ParameterRequirement]:
+def _watson_requirements(params: IdentityParams) -> Findings:
     a, b, c = params.alpha, params.beta, params.gamma
     reqs = [
-        _req_lower("(alpha + beta + 1)/2", (a + b + 1) / 2),
-        _req_lower("2*gamma", 2 * c),
-        ParameterRequirement("gamma", "gamma + 1/2", c + HALF),
-        ParameterRequirement("gamma", "gamma - (alpha + beta)/2 + 1/2", c - (a + b) / 2 + HALF),
+        check_lower("(alpha + beta + 1)/2", (a + b + 1) / 2),
+        check_lower("2*gamma", 2 * c),
+        check_pole("gamma + 1/2", c + HALF),
+        check_pole("gamma - (alpha + beta)/2 + 1/2", c - (a + b) / 2 + HALF),
     ]
     terminating = any(is_nonpositive_integer(u) for u in (a, b, c))
     if not terminating:
-        reqs.append(
-            ParameterRequirement("positive", "2*gamma - alpha - beta + 1", 2 * c - a - b + 1)
-        )
+        reqs.append(check_positive("2*gamma - alpha - beta + 1", 2 * c - a - b + 1))
     return reqs
 
 
@@ -665,8 +658,8 @@ class IdentityDef:
     rhs_float: Callable[[IdentityParams, float], tuple[float, bool]] | None = None
     scalar_exact: Callable[[IdentityParams], tuple[Fraction, Fraction]] | None = None
     scalar_float: Callable[[IdentityParams], tuple[float, float, FloatSum]] | None = None
-    requirements: Callable[[IdentityParams], list[ParameterRequirement]] = lambda params: []
-    notes: Callable[[IdentityParams], tuple[str, ...]] | None = None
+    requirements: Callable[[IdentityParams], Findings] = lambda params: []
+    notes: Callable[[IdentityParams], tuple[str, ...]] = lambda params: ()
     fixed_argument: float | None = None
 
     @property
@@ -711,19 +704,19 @@ def _series_entry(lhs: SideOf, rhs: SideOf, **fields) -> IdentityDef:
 
 
 def _build_registry() -> dict[IdentityId, IdentityDef]:
-    def halved_reqs(p: IdentityParams) -> list[ParameterRequirement]:
+    def halved_reqs(p: IdentityParams) -> Findings:
         return [
-            _req_lower("2*alpha", 2 * p.alpha),
-            _req_lower("alpha + 1/2", p.alpha + HALF),
+            check_lower("2*alpha", 2 * p.alpha),
+            check_lower("alpha + 1/2", p.alpha + HALF),
         ]
 
-    def bailey_reqs(p: IdentityParams) -> list[ParameterRequirement]:
+    def bailey_reqs(p: IdentityParams) -> Findings:
         return [
-            _req_lower("2*alpha", 2 * p.alpha),
-            _req_lower("2*beta", 2 * p.beta),
-            _req_lower("alpha + 1/2", p.alpha + HALF),
-            _req_lower("beta + 1/2", p.beta + HALF),
-            _req_lower("alpha + beta", p.alpha + p.beta),
+            check_lower("2*alpha", 2 * p.alpha),
+            check_lower("2*beta", 2 * p.beta),
+            check_lower("alpha + 1/2", p.alpha + HALF),
+            check_lower("beta + 1/2", p.beta + HALF),
+            check_lower("alpha + beta", p.alpha + p.beta),
         ]
 
     def preece_block(p: IdentityParams) -> Factor:
@@ -759,7 +752,7 @@ def _build_registry() -> dict[IdentityId, IdentityDef]:
             uses=("alpha", "beta"),
             lhs=lambda p: _product(_f11(p.alpha, p.beta), exp=-1),
             rhs=lambda p: _product(_f11(p.beta - p.alpha, p.beta, _NEG_X)),
-            requirements=lambda p: [_req_lower("beta", p.beta)],
+            requirements=lambda p: [check_lower("beta", p.beta)],
         ),
         # ---- half-exponential square-argument transformations
         _series_entry(
@@ -826,9 +819,9 @@ def _build_registry() -> dict[IdentityId, IdentityDef]:
             lhs=lambda p: _product(_f01(p.alpha), _f01(p.beta)),
             rhs=lambda p: _product((bailey_product_spec(p.alpha, p.beta), Arg(4))),
             requirements=lambda p: [
-                _req_lower("alpha", p.alpha),
-                _req_lower("beta", p.beta),
-                _req_lower("alpha + beta - 1", p.alpha + p.beta - 1),
+                check_lower("alpha", p.alpha),
+                check_lower("beta", p.beta),
+                check_lower("alpha + beta - 1", p.alpha + p.beta - 1),
             ],
         ),
         # ---- contiguous products (lower parameter off by one)
@@ -840,10 +833,10 @@ def _build_registry() -> dict[IdentityId, IdentityDef]:
             lhs=lambda p: _product(_f11(p.alpha, 2 * p.alpha), _f11(p.alpha, 2 * p.alpha + 1)),
             rhs=contig_raised_rhs,
             requirements=lambda p: [
-                _req_lower("2*alpha", 2 * p.alpha),
-                _req_lower("2*alpha + 1", 2 * p.alpha + 1),
-                _req_lower("alpha + 1/2", p.alpha + HALF),
-                _req_lower("alpha + 3/2", p.alpha + Fraction(3, 2)),
+                check_lower("2*alpha", 2 * p.alpha),
+                check_lower("2*alpha + 1", 2 * p.alpha + 1),
+                check_lower("alpha + 1/2", p.alpha + HALF),
+                check_lower("alpha + 3/2", p.alpha + Fraction(3, 2)),
             ],
         ),
         _series_entry(
@@ -854,9 +847,9 @@ def _build_registry() -> dict[IdentityId, IdentityDef]:
             lhs=lambda p: _product(_f11(p.alpha, 2 * p.alpha), _f11(p.alpha, 2 * p.alpha - 1)),
             rhs=contig_lowered_rhs,
             requirements=lambda p: [
-                _req_lower("2*alpha", 2 * p.alpha),
-                _req_lower("2*alpha - 1", 2 * p.alpha - 1),
-                _req_lower("alpha + 1/2", p.alpha + HALF),
+                check_lower("2*alpha", 2 * p.alpha),
+                check_lower("2*alpha - 1", 2 * p.alpha - 1),
+                check_lower("alpha + 1/2", p.alpha + HALF),
             ],
         ),
         # ---- expansion of e^(-x/2) 1F1 with shifted lower parameter
@@ -893,7 +886,7 @@ def _build_registry() -> dict[IdentityId, IdentityDef]:
     ):
         first_desc = "2*alpha+i" if variant[0] == "P" else "2*alpha-i"
         second_desc = "2*beta+j" if variant[1] == "P" else "2*beta-j"
-        notes = _pm_notes if variant == "PM" else None
+        notes = _pm_notes if variant == "PM" else lambda p: ()
 
         defs.append(_series_entry(
             id=prod_id,
@@ -933,7 +926,7 @@ def _build_registry() -> dict[IdentityId, IdentityDef]:
         uses=("alpha", "beta", "i"),
         kind="exact_sum",
         scalar_exact=lambda p: gauss_terminating_sides(p.i, p.alpha, p.beta),
-        requirements=lambda p: [_req_poch("(beta)_k, k <= i", p.beta, p.i)],
+        requirements=lambda p: [check_poch("(beta)_k, k <= i", p.beta, p.i)],
     ))
 
     defs.append(IdentityDef(
@@ -943,7 +936,7 @@ def _build_registry() -> dict[IdentityId, IdentityDef]:
         uses=("alpha", "beta"),
         kind="float_sum",
         scalar_float=lambda p: gauss_second_sides_float(p.alpha, p.beta),
-        requirements=lambda p: [_req_lower("(alpha + beta + 1)/2", (p.alpha + p.beta + 1) / 2)],
+        requirements=lambda p: [check_lower("(alpha + beta + 1)/2", (p.alpha + p.beta + 1) / 2)],
         fixed_argument=0.5,
     ))
 
@@ -963,11 +956,6 @@ def _build_registry() -> dict[IdentityId, IdentityDef]:
 
 _REGISTRY = _build_registry()
 
-_ORDER = [
-    "1.1", "1.2", "1.3", "1.4", "1.5", "1.6", "1.7", "1.8", "1.9", "1.10",
-    "1.11", "1.12", "1.13", "1.17", "1.18", "2.1", "2.2", "2.3", "3.1", "3.2", "3.3",
-]
-
 
 def get(identity: IdentityId | str) -> IdentityDef:
     """Look up a catalog entry by enum member or tag string."""
@@ -975,11 +963,11 @@ def get(identity: IdentityId | str) -> IdentityDef:
         try:
             identity = IdentityId(identity)
         except ValueError:
-            known = ", ".join(_ORDER)
+            known = ", ".join(tag.value for tag in IdentityId)
             raise ValueError(f"unknown identity tag {identity!r} (known: {known})") from None
     return _REGISTRY[identity]
 
 
 def catalog() -> tuple[IdentityDef, ...]:
     """All entries in tag order."""
-    return tuple(get(tag) for tag in _ORDER)
+    return tuple(_REGISTRY[tag] for tag in IdentityId)

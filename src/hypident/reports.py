@@ -24,8 +24,11 @@ __all__ = [
     "AdmissibilityFinding",
     "CoefficientMismatch",
     "FloatResidual",
-    "ParameterRequirement",
     "VerifyReport",
+    "check_lower",
+    "check_poch",
+    "check_pole",
+    "check_positive",
     "compare_series",
     "csv_text",
     "relative_error",
@@ -79,82 +82,66 @@ class AdmissibilityFinding:
         }
 
 
-@dataclass(frozen=True)
-class ParameterRequirement:
-    """A single admissibility constraint, evaluable against concrete values.
+# The admissibility conditions. Each returns the finding when its condition
+# fails and None when it holds.
 
-    Kinds:
-      * ``lower``: value must not be a nonpositive integer (series lower
-        parameter, the term recurrence would divide by zero).
-      * ``poch``: the rising factorial ``(value)_m`` must be nonzero for all
-        ``m <= max_index`` (a denominator weight in a finite sum).
-      * ``gamma``: value must not be a nonpositive integer (argument of a
-        numerator Gamma factor in a closed form).
-      * ``positive``: value must be strictly positive (a convergence
-        condition for a unit-argument sum).
 
-    ``where`` optionally pins the summand, e.g. ``"summand m=2"``.
-    """
+def check_lower(expr: str, value: Fraction, where: str = "") -> AdmissibilityFinding | None:
+    """A series lower parameter must not be a nonpositive integer: the term
+    recurrence would divide by zero. ``where`` optionally pins the summand,
+    e.g. ``"summand m=2"``."""
+    if not is_nonpositive_integer(value):
+        return None
+    tag = f" ({where})" if where else ""
+    return AdmissibilityFinding(
+        parameter_expr=expr,
+        index=int(-value),
+        value=value,
+        detail=(
+            f"lower parameter {expr} = {format_rational(value)} is a "
+            f"nonpositive integer{tag}: zero factor at series index {int(-value)}"
+        ),
+    )
 
-    kind: str
-    expr: str
-    value: Fraction
-    max_index: int = 0
-    where: str = ""
 
-    def evaluate(self) -> AdmissibilityFinding | None:
-        val = Fraction(self.value)
-        tag = f" ({self.where})" if self.where else ""
-        if self.kind == "lower":
-            if is_nonpositive_integer(val):
-                return AdmissibilityFinding(
-                    parameter_expr=self.expr,
-                    index=int(-val),
-                    value=val,
-                    detail=(
-                        f"lower parameter {self.expr} = {format_rational(val)} is a "
-                        f"nonpositive integer{tag}: zero factor at series index {int(-val)}"
-                    ),
-                )
-            return None
-        if self.kind == "poch":
-            if is_nonpositive_integer(val) and -val <= self.max_index - 1:
-                first = int(-val) + 1
-                return AdmissibilityFinding(
-                    parameter_expr=self.expr,
-                    index=first,
-                    value=val,
-                    detail=(
-                        f"{self.expr} vanishes from m = {first} on "
-                        f"(base {format_rational(val)}){tag}"
-                    ),
-                )
-            return None
-        if self.kind == "gamma":
-            if is_nonpositive_integer(val):
-                return AdmissibilityFinding(
-                    parameter_expr=self.expr,
-                    index=int(-val),
-                    value=val,
-                    detail=(
-                        f"Gamma argument {self.expr} = {format_rational(val)} "
-                        f"is at a pole{tag}"
-                    ),
-                )
-            return None
-        if self.kind == "positive":
-            if val <= 0:
-                return AdmissibilityFinding(
-                    parameter_expr=self.expr,
-                    index=0,
-                    value=val,
-                    detail=(
-                        f"convergence condition {self.expr} > 0 fails "
-                        f"({self.expr} = {format_rational(val)}){tag}"
-                    ),
-                )
-            return None
-        raise ValueError(f"unknown requirement kind {self.kind!r}")
+def check_poch(expr: str, value: Fraction, max_index: int) -> AdmissibilityFinding | None:
+    """A denominator weight ``(value)_m`` must not vanish for any
+    ``m <= max_index``."""
+    if not (is_nonpositive_integer(value) and -value <= max_index - 1):
+        return None
+    first = int(-value) + 1
+    return AdmissibilityFinding(
+        parameter_expr=expr,
+        index=first,
+        value=value,
+        detail=f"{expr} vanishes from m = {first} on (base {format_rational(value)})",
+    )
+
+
+def check_pole(expr: str, value: Fraction) -> AdmissibilityFinding | None:
+    """The argument of a numerator Gamma factor must not be a nonpositive
+    integer."""
+    if not is_nonpositive_integer(value):
+        return None
+    return AdmissibilityFinding(
+        parameter_expr=expr,
+        index=int(-value),
+        value=value,
+        detail=f"Gamma argument {expr} = {format_rational(value)} is at a pole",
+    )
+
+
+def check_positive(expr: str, value: Fraction) -> AdmissibilityFinding | None:
+    """A convergence condition of a unit-argument sum: value must be
+    strictly positive."""
+    if value > 0:
+        return None
+    return AdmissibilityFinding(
+        parameter_expr=expr,
+        index=0,
+        value=value,
+        detail=f"convergence condition {expr} > 0 fails ({expr} = {format_rational(value)})",
+    )
 
 
 @dataclass(frozen=True)

@@ -46,7 +46,8 @@ DEFAULT_FLOAT_TOL = 1e-10
 
 
 def check_admissible(identity: IdentityId | str, params: IdentityParams) -> list[AdmissibilityFinding]:
-    """Evaluate every admissibility requirement; empty list means go ahead.
+    """The findings of every violated admissibility condition, in the
+    entry's order; an empty list means go ahead.
 
     Each finding pinpoints one concrete vanishing factor or violated
     condition, so an inadmissible point can be reported rather than
@@ -54,12 +55,7 @@ def check_admissible(identity: IdentityId | str, params: IdentityParams) -> list
     """
     define = identities.get(identity)
     define.validate_params(params)
-    findings = []
-    for req in define.requirements(params):
-        finding = req.evaluate()
-        if finding is not None:
-            findings.append(finding)
-    return findings
+    return [finding for finding in define.requirements(params) if finding is not None]
 
 
 def _float_residuals(
@@ -98,7 +94,7 @@ def _series_check(define: IdentityDef, params: IdentityParams, float_points: Seq
         define.build_lhs(params),
         define.build_rhs(params),
         float_residuals=_float_residuals(define, params, float_points),
-        notes=define.notes(params) if define.notes else (),
+        notes=define.notes(params),
     )
 
 
@@ -160,7 +156,7 @@ def verify_identity(
             cap=params.effective_cap if define.kind == "series" else None,
             status=STATUS_INADMISSIBLE,
             findings=tuple(findings),
-            notes=define.notes(params) if define.notes else (),
+            notes=define.notes(params),
         )
     elif define.kind == "series":
         report = _series_check(define, params, float_points)

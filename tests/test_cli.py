@@ -263,6 +263,24 @@ class TestEval:
         assert out == ""
         assert "--x must be a finite number" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            # both float sides come back NaN
+            ["--identity", "1.1", "--alpha", "1/2", "--beta", "1/3", "--x", "800", "--output", "json"],
+            # both float sides are inf, and rendered "converged": true
+            ["--identity", "2.1", "--alpha", "1/2", "--beta", "2/5", "--x", "400", "--output", "json"],
+            # e**(-x) raises OverflowError
+            ["--identity", "1.1", "--alpha", "1/2", "--beta", "1/3", "--x=-800"],
+        ],
+    )
+    def test_overflowing_side_exits_2(self, capsys, argv):
+        code, out, err = invoke(capsys, "eval", *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("hypident: error:")
+        assert "overflows at --x" in err
+
 
 class TestBadRequests:
     @pytest.mark.parametrize(

@@ -1,16 +1,33 @@
-"""Every exported name resolves, so a stale ``__all__`` entry fails here."""
+"""Every exported name resolves, so a stale ``__all__`` entry fails here,
+and every name the benchmark's tracer patches still exists."""
 
 import importlib
 import pkgutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 import hypident
 
 MODULES = ["hypident"] + [f"hypident.{info.name}" for info in pkgutil.iter_modules(hypident.__path__)]
+ROOT = Path(__file__).resolve().parent.parent
 
 
 @pytest.mark.parametrize("module_name", MODULES)
 def test_every_exported_name_resolves(module_name):
     module = importlib.import_module(module_name)
     assert [name for name in module.__all__ if not hasattr(module, name)] == []
+
+
+def test_benchmark_tracer_installs():
+    # perfbench/tracing.py looks each patched name up with getattr, so
+    # deleting one breaks `perfbench/run.py --trace 1`
+    code = (
+        "import sys; "
+        f"sys.path[:0] = [{str(ROOT / 'src')!r}, {str(ROOT / 'perfbench')!r}]; "
+        "import tracing; tracing.install(tracing.Tracer())"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr

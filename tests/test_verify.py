@@ -88,6 +88,60 @@ class TestCheckAdmissible:
         ]
 
 
+class TestFindingRecords:
+    """The whole record of one finding of each kind, as reports print it."""
+
+    @staticmethod
+    def finding(tag, params, expr):
+        return next(f for f in check_admissible(tag, params) if f.parameter_expr == expr).to_json_dict()
+
+    def test_lower_parameter_of_a_summand(self):
+        params = IdentityParams(alpha=Fraction(1, 2), beta=Fraction(1, 2), i=2, j=1)
+        assert self.finding("2.2", params, "alpha + beta - 3") == {
+            "parameter_expr": "alpha + beta - 3",
+            "index": 2,
+            "value": "-2",
+            "detail": (
+                "lower parameter alpha + beta - 3 = -2 is a nonpositive integer "
+                "(summand shift -3): zero factor at series index 2"
+            ),
+            "severity": "fatal",
+        }
+
+    def test_vanishing_rising_factorial(self):
+        params = IdentityParams(alpha=Fraction(1, 2), beta=Fraction(1, 2), i=2, j=1)
+        assert self.finding("2.2", params, "(2*alpha - i)_m") == {
+            "parameter_expr": "(2*alpha - i)_m",
+            "index": 2,
+            "value": "-1",
+            "detail": "(2*alpha - i)_m vanishes from m = 2 on (base -1)",
+            "severity": "fatal",
+        }
+
+    def test_gamma_pole(self):
+        params = IdentityParams(alpha=Fraction(3), beta=Fraction(2), gamma=Fraction(-3, 2))
+        assert self.finding("1.8", params, "gamma + 1/2") == {
+            "parameter_expr": "gamma + 1/2",
+            "index": 1,
+            "value": "-1",
+            "detail": "Gamma argument gamma + 1/2 = -1 is at a pole",
+            "severity": "fatal",
+        }
+
+    def test_convergence_condition(self):
+        params = IdentityParams(alpha=Fraction(3), beta=Fraction(2), gamma=Fraction(1, 4))
+        assert self.finding("1.8", params, "2*gamma - alpha - beta + 1") == {
+            "parameter_expr": "2*gamma - alpha - beta + 1",
+            "index": 0,
+            "value": "-7/2",
+            "detail": (
+                "convergence condition 2*gamma - alpha - beta + 1 > 0 fails "
+                "(2*gamma - alpha - beta + 1 = -7/2)"
+            ),
+            "severity": "fatal",
+        }
+
+
 class TestVerifyIdentity:
     def test_series_pass_with_residuals(self):
         report = verify_identity("2.1", IdentityParams(alpha=A, beta=B, i=1, j=1))
