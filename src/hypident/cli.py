@@ -18,7 +18,7 @@ from .hyper import DegenerateParameterError
 from .identities import IdentityParams, catalog, get
 from .rationals import RationalParseError, parse_rational
 from .reports import csv_text, relative_error, reports_to_csv
-from .verify import DEFAULT_FLOAT_TOL, sweep, verify_identity
+from .verify import DEFAULT_FLOAT_TOL, sweep, sweep_axes, verify_identity
 
 __all__ = ["MAX_DEGREE", "MAX_SHIFT", "MAX_SWEEP_POINTS", "build_parser", "main", "run"]
 
@@ -164,14 +164,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     alphas = _parse_rational_list(args.alpha)
     betas = _parse_rational_list(args.beta) if args.beta else []
     define = get(args.identity)
-    # the grid sweep() visits: distinct values of each parameter the entry uses
-    points = len(set(alphas))
-    if "beta" in define.uses:
-        points *= len(set(betas))
-    if "i" in define.uses:
-        points *= args.i + 1
-    if "j" in define.uses:
-        points *= args.j + 1
+    points = math.prod(len(axis) for axis in sweep_axes(args.identity, alphas, betas, args.i, args.j))
     if points == 0:
         uses = ", ".join(f"--{name}" for name in define.uses if name in ("alpha", "beta"))
         raise ValueError(f"sweep grid is empty: identity {define.tag} needs at least one value of {uses}")
@@ -236,11 +229,8 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     if define.kind == "series":
         if args.x is None:
             raise ValueError(f"identity {define.tag} needs --x to evaluate")
-        try:
-            lhs, lhs_ok = define.lhs_float(params, args.x)
-            rhs, rhs_ok = define.rhs_float(params, args.x)
-        except OverflowError:
-            lhs = rhs = math.inf
+        lhs, lhs_ok = define.lhs_float(params, args.x)
+        rhs, rhs_ok = define.rhs_float(params, args.x)
         # JSON has no token for a non-finite side, and no residual is meaningful
         if not (math.isfinite(lhs) and math.isfinite(rhs)):
             raise ValueError(f"a float side of identity {define.tag} overflows at --x {args.x:g}")

@@ -278,20 +278,25 @@ def _side_series(side: Side, cap: int) -> TruncatedSeries:
 
 
 def _side_float(side: Side, x: float) -> tuple[float, bool]:
-    """Float value of a side at x, and whether every factor's sum converged."""
+    """Float value of a side at x, and whether it is finite and every
+    factor's sum converged; ``(inf, False)`` when a weight, power or
+    exponential overflows a double."""
     sums: dict[Factor, FloatSum] = {}
     total = 0.0
-    for term in side.terms:
-        value = float(term.weight) * x**term.power
-        for factor in term.factors:
-            if factor not in sums:
-                spec, arg = factor
-                sums[factor] = pfq_eval_float(spec, arg.at(x), tol=_FLOAT_TOL, max_terms=_FLOAT_TERMS)
-            value *= sums[factor].value
-        total += value
-    if side.exp:
-        total *= math.exp(side.exp * x)
-    return total, all(s.converged for s in sums.values())
+    try:
+        for term in side.terms:
+            value = float(term.weight) * x**term.power
+            for factor in term.factors:
+                if factor not in sums:
+                    spec, arg = factor
+                    sums[factor] = pfq_eval_float(spec, arg.at(x), tol=_FLOAT_TOL, max_terms=_FLOAT_TERMS)
+                value *= sums[factor].value
+            total += value
+        if side.exp:
+            total *= math.exp(side.exp * x)
+    except OverflowError:
+        return math.inf, False
+    return total, math.isfinite(total) and all(s.converged for s in sums.values())
 
 
 # --------------------------------------------------------------------------
@@ -404,86 +409,46 @@ def _product_rhs(variant: str, params: IdentityParams) -> Side:
 # from their own single-parameter closed forms rather than by substitution
 
 
-def _equal_param_term(
-    variant: str,
-    alpha: Fraction,
-    i: int,
-    j: int,
-    m: int,
-    n: int,
-    printed_form: bool = False,
-) -> tuple[Fraction, HypSpec]:
-    if variant == "PP":
-        sign = Fraction(1)
-        num = (
-            pochhammer(Fraction(-i), m)
-            * pochhammer(Fraction(-j), n)
-            * pochhammer(2 * alpha - 1, m)
-            * pochhammer(2 * alpha - 1, n)
-        )
-        den = (
-            _nonzero_poch("(2*alpha + i)_m", 2 * alpha + i, m)
-            * _nonzero_poch("(2*alpha + j)_n", 2 * alpha + j, n)
-            * _nonzero_poch("(alpha - 1/2)_m", alpha - HALF, m)
-            * _nonzero_poch("(alpha - 1/2)_n", alpha - HALF, n)
-        )
-        shift_sum = m + n
-        first_lower = alpha + m + HALF
-        second_lower = alpha + n + HALF
-    elif variant == "MM":
-        sign = Fraction(-1) ** (m + n)
-        num = (
-            pochhammer(Fraction(-i), m)
-            * pochhammer(Fraction(-j), n)
-            * pochhammer(2 * alpha - 2 * i - 1, m)
-            * pochhammer(2 * alpha - 2 * j - 1, n)
-        )
-        den = (
-            _nonzero_poch("(2*alpha - i)_m", 2 * alpha - i, m)
-            * _nonzero_poch("(2*alpha - j)_n", 2 * alpha - j, n)
-            * _nonzero_poch("(alpha - i - 1/2)_m", alpha - i - HALF, m)
-            * _nonzero_poch("(alpha - j - 1/2)_n", alpha - j - HALF, n)
-        )
-        shift_sum = m + n - i - j
-        first_lower = alpha + m - i + HALF
-        second_lower = alpha + n - j + HALF
-    else:  # PM
-        sign = Fraction(-1) ** n
-        second_shift = pochhammer(Fraction(-j), m if printed_form else n)
-        num = (
-            pochhammer(Fraction(-i), m)
-            * second_shift
-            * pochhammer(2 * alpha - 1, m)
-            * pochhammer(2 * alpha - 2 * j - 1, n)
-        )
-        den = (
-            _nonzero_poch("(2*alpha + i)_m", 2 * alpha + i, m)
-            * _nonzero_poch("(2*alpha - j)_n", 2 * alpha - j, n)
-            * _nonzero_poch("(alpha - 1/2)_m", alpha - HALF, m)
-            * _nonzero_poch("(alpha - j - 1/2)_n", alpha - j - HALF, n)
-        )
-        shift_sum = m + n - j
-        first_lower = alpha + m + HALF
-        second_lower = alpha + n - j + HALF
-
-    weight = sign * num / (den * factorial(m) * factorial(n) * Fraction(4) ** (m + n))
-    s = 2 * alpha + shift_sum
-    spec = HypSpec(
-        upper=((s + 1) / 2, s / 2),
-        lower=(first_lower, second_lower, s),
-    )
-    return weight, spec
+def _equal_param_factor(
+    alpha: Fraction, shift: int, k: int, raised: bool, names: tuple[str, str]
+) -> tuple[Fraction, int]:
+    """Summand k of one factor of an equal-parameter closed form, without its
+    ``(-shift)_k``: with ``d = 0`` raised and ``d = shift`` lowered, the part
+    ``(+-1)**k (2*alpha - 2d - 1)_k / ((2*alpha +- shift)_k (alpha - d - 1/2)_k
+    k! 4**k)`` and its block offset ``k - d``. ``names`` spells (shift,
+    summation index) in messages."""
+    s, index = names
+    if raised:
+        d, lower, base = 0, f"(2*alpha + {s})_{index}", f"(alpha - 1/2)_{index}"
+    else:
+        d, lower, base = shift, f"(2*alpha - {s})_{index}", f"(alpha - {s} - 1/2)_{index}"
+    lower_poch = _nonzero_poch(lower, 2 * alpha + (shift if raised else -shift), k)
+    den = lower_poch * _nonzero_poch(base, alpha - d - HALF, k) * factorial(k) * 4**k
+    sign = 1 if raised or k % 2 == 0 else -1
+    return sign * pochhammer(2 * alpha - 2 * d - 1, k) / den, k - d
 
 
 def _equal_param_rhs(variant: str, params: IdentityParams) -> Side:
     """Single-parameter closed form at beta = alpha. Only alpha appears, so
-    comparing it with the composed two-parameter side is not a tautology."""
+    comparing it with the composed two-parameter side is not a tautology.
+
+    Term (m, n) is ``(-i)_m (-j)_n x**(m+n)`` times both factors' parts and
+    the 2F3 block with lower parameters ``alpha + a + 1/2, alpha + b + 1/2,
+    2*alpha + a + b`` for their offsets a, b. The printed-form mixed variant
+    reads ``(-j)_m`` for ``(-j)_n``."""
+    first_raised, second_raised = _variant_raised(variant)
+    alpha, i, j = params.alpha, params.i, params.j
+    printed = params.printed_form and variant == "PM"
     terms = []
-    for m in range(params.i + 1):
-        for n in range(params.j + 1):
-            weight, spec = _equal_param_term(
-                variant, params.alpha, params.i, params.j, m, n, params.printed_form
-            )
+    for m in range(i + 1):
+        first, a = _equal_param_factor(alpha, i, m, first_raised, ("i", "m"))
+        for n in range(j + 1):
+            second, b = _equal_param_factor(alpha, j, n, second_raised, ("j", "n"))
+            weight = pochhammer(Fraction(-i), m) * pochhammer(Fraction(-j), m if printed else n) * first * second
+            s = 2 * alpha + a + b
+            # built before the zero-weight test: a degenerate block raises
+            # even where its weight vanishes
+            spec = HypSpec(upper=((s + 1) / 2, s / 2), lower=(alpha + a + HALF, alpha + b + HALF, s))
             if weight != 0:
                 terms.append(Term(((spec, _SQ4),), weight, m + n))
     return Side(tuple(terms), Fraction(1))
@@ -498,7 +463,8 @@ def _gamma_ratio(numerators: list[Fraction], denominators: list[Fraction]) -> fl
 
     A pole in a denominator factor contributes a zero to the ratio, so the
     whole value is 0.0; a pole in a numerator factor leaves the ratio
-    undefined and raises.
+    undefined and raises. A factor or partial product beyond the double
+    range raises ValueError naming that factor.
     """
     for g in numerators:
         if is_nonpositive_integer(g):
@@ -507,10 +473,14 @@ def _gamma_ratio(numerators: list[Fraction], denominators: list[Fraction]) -> fl
         if is_nonpositive_integer(g):
             return 0.0
     value = 1.0
-    for g in numerators:
-        value *= math.gamma(float(g))
-    for g in denominators:
-        value /= math.gamma(float(g))
+    for g, up in [(g, True) for g in numerators] + [(g, False) for g in denominators]:
+        try:
+            factor = math.gamma(float(g))
+        except OverflowError:
+            raise ValueError(f"Gamma({format_rational(g)}) overflows a double") from None
+        value = value * factor if up else value / factor
+        if math.isinf(value):
+            raise ValueError(f"the Gamma ratio overflows a double at Gamma({format_rational(g)})")
     return value
 
 
@@ -533,43 +503,6 @@ def gauss_terminating_sides(n: int, b: Fraction, c: Fraction) -> tuple[Fraction,
         )
     rhs = pochhammer(c - b, n) / pochhammer(c, n)
     return lhs, rhs
-
-
-def gauss_second_sides_float(a: Fraction, b: Fraction) -> tuple[float, float, FloatSum]:
-    """Half-argument 2F1 sum against its Gamma-ratio closed form.
-
-    Returns the summed left side, the closed form, and the left side's
-    :class:`~hypident.hyper.FloatSum` (convergence, terms, ``abs_sum``).
-    """
-    a = Fraction(a)
-    b = Fraction(b)
-    spec = HypSpec((a, b), ((a + b + 1) / 2,))
-    lhs = pfq_eval_float(spec, 0.5, tol=_FLOAT_TOL, max_terms=600)
-    rhs = _gamma_ratio(
-        [HALF, (a + b + 1) / 2],
-        [(a + 1) / 2, (b + 1) / 2],
-    )
-    return lhs.value, rhs, lhs
-
-
-def watson_unit_sides_float(a: Fraction, b: Fraction, c: Fraction) -> tuple[float, float, FloatSum]:
-    """Unit-argument 3F2 sum against its Gamma-ratio closed form.
-
-    Returned as :func:`gauss_second_sides_float` returns its sides. The
-    sum converges only polynomially at the unit argument; its tail is
-    bounded by telescoping (:func:`~hypident.hyper.pfq_eval_float`), from
-    the series' own parameters, never from the closed form.
-    """
-    a = Fraction(a)
-    b = Fraction(b)
-    c = Fraction(c)
-    spec = HypSpec((a, b, c), ((a + b + 1) / 2, 2 * c))
-    lhs = pfq_eval_float(spec, 1.0, tol=_FLOAT_TOL, max_terms=400_000)
-    rhs = _gamma_ratio(
-        [HALF, c + HALF, (a + b + 1) / 2, c - (a + b) / 2 + HALF],
-        [(a + 1) / 2, (b + 1) / 2, c - a / 2 + HALF, c - b / 2 + HALF],
-    )
-    return lhs.value, rhs, lhs
 
 
 # --------------------------------------------------------------------------
@@ -701,6 +634,24 @@ def _series_entry(lhs: SideOf, rhs: SideOf, **fields) -> IdentityDef:
         rhs_float=lambda p, x: _side_float(rhs(p), x),
         **fields,
     )
+
+
+def _float_sum_entry(
+    spec: Callable[[IdentityParams], HypSpec],
+    x: float,
+    max_terms: int,
+    gammas: Callable[[IdentityParams], tuple[list[Fraction], list[Fraction]]],
+    **fields,
+) -> IdentityDef:
+    """A float-sum entry: ``pFq(spec; x)`` summed in floating point against
+    the Gamma ratio of the (numerator, denominator) arguments ``gammas``
+    gives. ``x`` is also the entry's ``fixed_argument``."""
+
+    def sides(p: IdentityParams) -> tuple[float, float, FloatSum]:
+        lhs = pfq_eval_float(spec(p), x, tol=_FLOAT_TOL, max_terms=max_terms)
+        return lhs.value, _gamma_ratio(*gammas(p)), lhs
+
+    return IdentityDef(kind="float_sum", scalar_float=sides, fixed_argument=x, **fields)
 
 
 def _build_registry() -> dict[IdentityId, IdentityDef]:
@@ -929,26 +880,36 @@ def _build_registry() -> dict[IdentityId, IdentityDef]:
         requirements=lambda p: [check_poch("(beta)_k, k <= i", p.beta, p.i)],
     ))
 
-    defs.append(IdentityDef(
+    defs.append(_float_sum_entry(
         id=IdentityId.GAUSS_SECOND,
         name="gauss-second",
         summary="2F1(a, b; (a+b+1)/2; 1/2) equals a Gamma ratio (float check), a = alpha, b = beta",
         uses=("alpha", "beta"),
-        kind="float_sum",
-        scalar_float=lambda p: gauss_second_sides_float(p.alpha, p.beta),
+        spec=lambda p: HypSpec((p.alpha, p.beta), ((p.alpha + p.beta + 1) / 2,)),
+        x=0.5,
+        max_terms=600,
+        gammas=lambda p: (
+            [HALF, (p.alpha + p.beta + 1) / 2],
+            [(p.alpha + 1) / 2, (p.beta + 1) / 2],
+        ),
         requirements=lambda p: [check_lower("(alpha + beta + 1)/2", (p.alpha + p.beta + 1) / 2)],
-        fixed_argument=0.5,
     ))
 
-    defs.append(IdentityDef(
+    # The unit-argument sum converges only polynomially; pfq_eval_float bounds
+    # its tail by telescoping, from the series' own parameters, never the closed form.
+    defs.append(_float_sum_entry(
         id=IdentityId.WATSON_UNIT,
         name="watson-unit",
         summary="3F2(a, b, c; (a+b+1)/2, 2c; 1) equals a Gamma ratio (float check), a = alpha, b = beta, c = gamma",
         uses=("alpha", "beta", "gamma"),
-        kind="float_sum",
-        scalar_float=lambda p: watson_unit_sides_float(p.alpha, p.beta, p.gamma),
+        spec=lambda p: HypSpec((p.alpha, p.beta, p.gamma), ((p.alpha + p.beta + 1) / 2, 2 * p.gamma)),
+        x=1.0,
+        max_terms=400_000,
+        gammas=lambda p: (
+            [HALF, p.gamma + HALF, (p.alpha + p.beta + 1) / 2, p.gamma - (p.alpha + p.beta) / 2 + HALF],
+            [(p.alpha + 1) / 2, (p.beta + 1) / 2, p.gamma - p.alpha / 2 + HALF, p.gamma - p.beta / 2 + HALF],
+        ),
         requirements=_watson_requirements,
-        fixed_argument=1.0,
     ))
 
     return {d.id: d for d in defs}

@@ -11,6 +11,7 @@ out first.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import math
 from fractions import Fraction
 from time import perf_counter
@@ -38,6 +39,7 @@ __all__ = [
     "check_admissible",
     "report_for_sides",
     "sweep",
+    "sweep_axes",
     "verify_identity",
 ]
 
@@ -185,6 +187,29 @@ def report_for_sides(
     return _compared(identities.get(identity), params, lhs, rhs)
 
 
+def sweep_axes(
+    identity: IdentityId | str,
+    alpha_set: Iterable[Fraction | int],
+    beta_set: Iterable[Fraction | int] = (),
+    i_max: int = 0,
+    j_max: int = 0,
+) -> tuple[Sequence, ...]:
+    """The axes of the grid :func:`sweep` visits, whose Cartesian product
+    is the grid: alpha always, beta when used (an empty beta_set then
+    means an empty grid), i and j from 0 up to the given maxima when used.
+    Values are in ascending order. Nothing is verified, so a caller can
+    size the grid before running it."""
+    define = identities.get(identity)
+    alphas = sorted(set(Fraction(a) for a in alpha_set))
+    if "beta" in define.uses:
+        betas: list[Fraction | None] = sorted(set(Fraction(b) for b in beta_set))
+    else:
+        betas = [None]
+    i_values = range(i_max + 1) if "i" in define.uses else (0,)
+    j_values = range(j_max + 1) if "j" in define.uses else (0,)
+    return alphas, betas, i_values, j_values
+
+
 def sweep(
     identity: IdentityId | str,
     alpha_set: Iterable[Fraction | int],
@@ -197,38 +222,16 @@ def sweep(
     gamma: Fraction | int | None = None,
     printed_form: bool = False,
 ) -> list[VerifyReport]:
-    """Verify one identity over a parameter grid, one report per point.
-
-    The grid is the Cartesian product of the parameter sets the identity
-    actually uses: alpha always, beta when used (an empty beta_set then
-    means an empty grid), i and j from 0 up to the given maxima when used.
-    Values are visited in ascending order, so the report list is
-    deterministic regardless of input order. Inadmissible points come back
-    as inadmissible reports, not errors. Float cross-checks are off by
+    """Verify one identity over the :func:`sweep_axes` grid, one report per
+    point, in the axes' order, so the report list is deterministic
+    regardless of input order. Inadmissible points come back as
+    inadmissible reports, not errors. Float cross-checks are off by
     default in sweeps; pass float_points explicitly to enable them.
     """
-    define = identities.get(identity)
-    alphas = sorted(set(Fraction(a) for a in alpha_set))
-    if "beta" in define.uses:
-        betas: list[Fraction | None] = sorted(set(Fraction(b) for b in beta_set))
-    else:
-        betas = [None]
-    i_values = range(i_max + 1) if "i" in define.uses else (0,)
-    j_values = range(j_max + 1) if "j" in define.uses else (0,)
-
+    axes = sweep_axes(identity, alpha_set, beta_set, i_max, j_max)
+    gamma = Fraction(gamma) if gamma is not None else None
     out = []
-    for alpha in alphas:
-        for beta in betas:
-            for i in i_values:
-                for j in j_values:
-                    params = IdentityParams(
-                        alpha=alpha,
-                        beta=beta,
-                        i=i,
-                        j=j,
-                        cap=cap,
-                        gamma=Fraction(gamma) if gamma is not None else None,
-                        printed_form=printed_form,
-                    )
-                    out.append(verify_identity(identity, params, float_points, tol))
+    for alpha, beta, i, j in itertools.product(*axes):
+        params = IdentityParams(alpha=alpha, beta=beta, i=i, j=j, cap=cap, gamma=gamma, printed_form=printed_form)
+        out.append(verify_identity(identity, params, float_points, tol))
     return out

@@ -292,6 +292,13 @@ class TestBadRequests:
             (["verify", "--identity", "1.1", "--alpha", "1/2"], "beta"),
             (["verify", "--identity", "1.8", "--alpha", "-2", "--beta", "1/3"], "gamma"),
             (["verify", "--identity", "1.1", "--alpha", "1/2", "--beta", "1/3", "--i", "-1"], "nonnegative"),
+            (["verify", "--identity", "1.4", "--alpha", "400", "--beta", "401"], "Gamma(401) overflows"),
+            (["eval", "--identity", "1.4", "--alpha", "400", "--beta", "401"], "Gamma(401) overflows"),
+            (["verify", "--identity", "1.8", "--alpha", "300", "--beta", "301", "--gamma", "400"],
+             "Gamma(801/2) overflows"),
+            # every Gamma factor is finite, the ratio's numerator is not
+            (["verify", "--identity", "1.8", "--alpha", "100", "--beta", "101", "--gamma", "150"],
+             "the Gamma ratio overflows a double at Gamma(101)"),
         ],
     )
     def test_exit_2_with_message(self, capsys, argv, needle):

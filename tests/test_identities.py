@@ -1,10 +1,11 @@
 """Tests for the identity catalog: builders, registry, and catalog checks."""
 
+import dataclasses
 import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hypident.hyper import DegenerateParameterError, HypSpec, pfq_series
@@ -16,17 +17,15 @@ from hypident.identities import (
     Term,
     catalog,
     default_cap,
-    gauss_second_sides_float,
     gauss_terminating_sides,
     get,
-    watson_unit_sides_float,
     _expansion_terms,
     _gamma_ratio,
     _side_series,
 )
 from hypident.rationals import factorial, pochhammer
 from hypident.series import TruncatedSeries, exp_series
-from hypident.verify import verify_identity
+from hypident.verify import check_admissible, verify_identity
 
 A = Fraction(3, 7)
 B = Fraction(2, 5)
@@ -247,6 +246,53 @@ class TestProductExpansion:
             assert got == base
 
 
+class TestEqualParameterForm:
+    @pytest.mark.parametrize(
+        "tag, alpha, i, j, printed_form, expr, value, index",
+        [
+            ("3.1", "-1/2", 0, 0, False, "lower[0]", "0", 0),
+            ("3.1", "-3/2", 2, 3, False, "lower[0]", "-1", 1),
+            ("3.1", "1/2", 1, 0, False, "(alpha - 1/2)_m", "0", 1),
+            # the second factor's weight fails at (m, n) = (0, 1), before the first's at m = 1
+            ("3.1", "1/2", 3, 2, False, "(alpha - 1/2)_n", "0", 1),
+            ("3.2", "5/2", 0, 2, False, "(alpha - j - 1/2)_n", "0", 1),
+            ("3.2", "5/2", 0, 3, False, "lower[1]", "0", 0),
+            ("3.2", "5/2", 2, 1, False, "(alpha - i - 1/2)_m", "0", 1),
+            ("3.2", "5/2", 3, 3, False, "lower[0]", "0", 0),
+            ("3.2", "-3/2", 3, 2, False, "lower[0]", "-4", 4),
+            ("3.2", "1", 1, 1, False, "lower[2]", "0", 0),
+            ("3.2", "1", 3, 3, False, "lower[2]", "-4", 4),
+            ("3.3", "5/2", 3, 2, False, "(alpha - j - 1/2)_n", "0", 1),
+            ("3.3", "5/2", 3, 2, True, "(alpha - j - 1/2)_n", "0", 1),
+            ("3.3", "5/2", 1, 3, True, "lower[1]", "0", 0),
+            ("3.3", "-1/2", 3, 3, True, "lower[0]", "0", 0),
+            ("3.3", "1", 2, 3, False, "lower[2]", "-1", 1),
+            ("3.3", "1", 2, 3, True, "lower[2]", "-1", 1),
+            ("3.3", "1/2", 2, 1, False, "lower[1]", "0", 0),
+            ("3.3", "1/2", 0, 2, True, "lower[1]", "-1", 1),
+        ],
+    )
+    def test_degenerate_alpha_raises(self, tag, alpha, i, j, printed_form, expr, value, index):
+        params = IdentityParams(alpha=Fraction(alpha), i=i, j=j, printed_form=printed_form)
+        with pytest.raises(DegenerateParameterError) as err:
+            get(tag).build_rhs(params)
+        assert (err.value.expr, err.value.value, err.value.index) == (expr, Fraction(value), index)
+
+    @given(
+        st.fractions(min_value=-4, max_value=4, max_denominator=12),
+        st.integers(0, 3),
+        st.integers(0, 3),
+        st.sampled_from(["PP", "MM", "PM"]),
+        st.booleans(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_two_parameter_form_at_beta_alpha(self, alpha, i, j, variant, printed_form):
+        params = IdentityParams(alpha=alpha, i=i, j=j, printed_form=printed_form)
+        assume(not check_admissible(EQUAL_PARAM_TAG[variant], params))
+        two_param = get(PRODUCT_TAG[variant]).build_rhs(dataclasses.replace(params, beta=alpha))
+        assert get(EQUAL_PARAM_TAG[variant]).build_rhs(params) == two_param
+
+
 def reference_side_series(side, cap):
     """The side built term by term from TruncatedSeries operations, each
     block expanded, substituted, shifted, scaled and added on its own."""
@@ -316,13 +362,13 @@ class TestScalarSides:
             gauss_terminating_sides(3, Fraction(1, 2), Fraction(-2))
 
     def test_gauss_second_close(self):
-        lhs, rhs, lhs_sum = gauss_second_sides_float(Fraction(1, 3), Fraction(2, 5))
+        lhs, rhs, lhs_sum = get("1.4").scalar_float(IdentityParams(alpha=Fraction(1, 3), beta=Fraction(2, 5)))
         assert lhs_sum.converged
         assert math.isclose(lhs, rhs, rel_tol=1e-12)
 
     def test_watson_terminating_close(self):
-        lhs, rhs, lhs_sum = watson_unit_sides_float(
-            Fraction(-4), Fraction(2, 5), Fraction(7, 3)
+        lhs, rhs, lhs_sum = get("1.8").scalar_float(
+            IdentityParams(alpha=Fraction(-4), beta=Fraction(2, 5), gamma=Fraction(7, 3))
         )
         assert lhs_sum.converged
         assert math.isclose(lhs, rhs, rel_tol=1e-10)
@@ -333,6 +379,20 @@ class TestScalarSides:
     def test_gamma_ratio_numerator_pole_raises(self):
         with pytest.raises(DegenerateParameterError):
             _gamma_ratio([Fraction(-2)], [Fraction(1, 2)])
+
+    @pytest.mark.parametrize(
+        "numerators, denominators, message",
+        [
+            ([Fraction(401)], [Fraction(1, 2)], "Gamma(401) overflows a double"),
+            ([Fraction(1, 2)], [Fraction(801, 2)], "Gamma(801/2) overflows a double"),
+            # each factor is finite, their product is not
+            ([Fraction(150), Fraction(101)], [Fraction(50)], "the Gamma ratio overflows a double at Gamma(101)"),
+        ],
+    )
+    def test_gamma_ratio_overflow_raises(self, numerators, denominators, message):
+        with pytest.raises(ValueError) as err:
+            _gamma_ratio(numerators, denominators)
+        assert str(err.value) == message
 
 
 class TestClassicalSumBatch:

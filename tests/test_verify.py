@@ -8,7 +8,6 @@ from fractions import Fraction
 import pytest
 
 from hypident.identities import IdentityParams, get
-from hypident.identities import gauss_second_sides_float
 from hypident.reports import (
     PASSING_STATUSES,
     VerifyReport,
@@ -169,6 +168,21 @@ class TestVerifyIdentity:
         assert report.mismatches
         assert report.notes and "printed-form" in report.notes[0]
 
+    @pytest.mark.parametrize(
+        "tag, params, x",
+        [
+            # e**800 raises OverflowError: the point is recorded, not raised
+            ("1.1", IdentityParams(alpha=Fraction(1, 2), beta=Fraction(1, 3)), -800.0),
+            # both sides come back inf without raising
+            ("2.1", IdentityParams(alpha=Fraction(1, 2), beta=B), 400.0),
+        ],
+    )
+    def test_overflowing_float_point_is_unconverged(self, tag, params, x):
+        report = verify_identity(tag, params, float_points=(x,))
+        assert report.status == "exact_match"
+        (residual,) = report.float_residuals
+        assert (residual.x, residual.converged, residual.relative_error) == (x, False, math.inf)
+
     def test_exact_sum_report(self):
         report = verify_identity("1.3", IdentityParams(alpha=Fraction(1, 2), beta=Fraction(5, 3), i=4))
         assert report.status == "exact_match"
@@ -179,7 +193,7 @@ class TestVerifyIdentity:
         assert report.float_residuals[0].x == 0.5
 
     def test_float_sum_fail_when_tolerance_unreachable(self):
-        lhs, rhs, _ = gauss_second_sides_float(Fraction(1, 3), B)
+        lhs, rhs, _ = get("1.4").scalar_float(IdentityParams(alpha=Fraction(1, 3), beta=B))
         rel = abs(lhs - rhs) / max(abs(lhs), abs(rhs))
         assert rel > 0  # sanity: this sample has a nonzero residual
         report = verify_identity(
