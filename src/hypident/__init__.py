@@ -16,7 +16,6 @@ from .identities import (
 )
 from .rationals import (
     RationalParseError,
-    factorial,
     format_rational,
     is_nonpositive_integer,
     parse_rational,
@@ -63,7 +62,6 @@ __all__ = [
     "compare_series",
     "default_cap",
     "exp_series",
-    "factorial",
     "format_rational",
     "get",
     "is_nonpositive_integer",

@@ -42,9 +42,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_point_args(p: argparse.ArgumentParser) -> None:
         p.add_argument("--identity", required=True, help="catalog tag, e.g. 2.1 (see: hypident list)")
-        p.add_argument("--alpha", required=True, help="rational as p or p/q")
-        p.add_argument("--beta", help="rational as p or p/q, for identities that use it")
-        p.add_argument("--gamma", help="rational as p or p/q, third parameter of the unit-argument sum")
+        p.add_argument("--alpha", required=True, help="rational as p or p/q; a negative one as --alpha=-3/2")
+        p.add_argument("--beta", help="rational as p or p/q, for identities that use it; a negative one as --beta=-3/2")
+        p.add_argument("--gamma", help="rational as p or p/q, third parameter of the unit-argument sum; a negative one as --gamma=-3/2")
         p.add_argument("--i", type=int, default=0, help="first shift (nonnegative, default 0)")
         p.add_argument("--j", type=int, default=0, help="second shift (nonnegative, default 0)")
         p.add_argument("--degree", type=int, default=None,
@@ -65,9 +65,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep = sub.add_parser("sweep", help="verify one identity over a parameter grid")
     p_sweep.add_argument("--identity", required=True, help="catalog tag")
     p_sweep.add_argument("--alpha", required=True,
-                         help="comma-separated rationals, e.g. 3/7,2/5")
-    p_sweep.add_argument("--beta", help="comma-separated rationals")
-    p_sweep.add_argument("--gamma", help="rational, fixed over the grid")
+                         help="comma-separated rationals, e.g. 3/7,2/5; with a negative first one as --alpha=-1/2,3/7")
+    p_sweep.add_argument("--beta", help="comma-separated rationals; with a negative first one as --beta=-1/2,3/7")
+    p_sweep.add_argument("--gamma", help="rational, fixed over the grid; a negative one as --gamma=-3/2")
     p_sweep.add_argument("--i", type=int, default=0, help="max first shift (grid runs 0..i)")
     p_sweep.add_argument("--j", type=int, default=0, help="max second shift (grid runs 0..j)")
     p_sweep.add_argument("--degree", type=int, default=None, help="truncation cap for every point")

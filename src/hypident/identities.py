@@ -15,7 +15,8 @@ checked as a single exact scalar equation.
 
 Entries are addressed by stable catalog tags ("1.1" through "3.3"). The
 tags are opaque identifiers used by the command line and in reports; the
-enum member names say what each identity does.
+enum member names, in kebab case, are the entry names and say what each
+identity does.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from fractions import Fraction
 from typing import Callable
 
 from .hyper import DegenerateParameterError, FloatSum, HypSpec, bailey_product_spec, pfq_eval_float, pfq_series
-from .rationals import factorial, format_rational, is_nonpositive_integer, pochhammer
+from .rationals import format_rational, is_nonpositive_integer, pochhammer
 from .reports import AdmissibilityFinding, check_lower, check_poch, check_pole, check_positive
 from .series import TruncatedSeries, exp_series
 
@@ -60,8 +61,8 @@ class IdentityId(str, Enum):
     PREECE_SQUARED = "1.9"
     BAILEY_MATCHED = "1.10"
     F01_PRODUCT = "1.11"
-    CONTIG_RAISED = "1.12"
-    CONTIG_LOWERED = "1.13"
+    CONTIGUOUS_RAISED = "1.12"
+    CONTIGUOUS_LOWERED = "1.13"
     EXPAND_RAISED = "1.17"
     EXPAND_LOWERED = "1.18"
     PRODUCT_PP = "2.1"
@@ -423,7 +424,7 @@ def _equal_param_factor(
     else:
         d, lower, base = shift, f"(2*alpha - {s})_{index}", f"(alpha - {s} - 1/2)_{index}"
     lower_poch = _nonzero_poch(lower, 2 * alpha + (shift if raised else -shift), k)
-    den = lower_poch * _nonzero_poch(base, alpha - d - HALF, k) * factorial(k) * 4**k
+    den = lower_poch * _nonzero_poch(base, alpha - d - HALF, k) * math.factorial(k) * 4**k
     sign = 1 if raised or k % 2 == 0 else -1
     return sign * pochhammer(2 * alpha - 2 * d - 1, k) / den, k - d
 
@@ -484,25 +485,19 @@ def _gamma_ratio(numerators: list[Fraction], denominators: list[Fraction]) -> fl
     return value
 
 
-def gauss_terminating_sides(n: int, b: Fraction, c: Fraction) -> tuple[Fraction, Fraction]:
+def _gauss_terminating(p: IdentityParams) -> tuple[Fraction, Fraction]:
     """Both sides of the terminating unit-argument sum, exactly.
 
     Left: sum_{k<=n} (-n)_k (b)_k / ((c)_k k!). Right: (c-b)_n / (c)_n.
+    No ``(c)_k`` with k <= n vanishes once ``(c)_n`` does not.
     """
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    b = Fraction(b)
-    c = Fraction(c)
-    _nonzero_poch("(c)_n", c, n)
-    lhs = Fraction(0)
-    for k in range(n + 1):
-        lhs += (
-            pochhammer(Fraction(-n), k)
-            * pochhammer(b, k)
-            / (_nonzero_poch("(c)_k", c, k) * factorial(k))
-        )
-    rhs = pochhammer(c - b, n) / pochhammer(c, n)
-    return lhs, rhs
+    n, b, c = p.i, p.alpha, p.beta
+    c_n = _nonzero_poch("(c)_n", c, n)
+    lhs = sum(
+        pochhammer(-n, k) * pochhammer(b, k) / (pochhammer(c, k) * math.factorial(k))
+        for k in range(n + 1)
+    )
+    return lhs, pochhammer(c - b, n) / c_n
 
 
 # --------------------------------------------------------------------------
@@ -581,7 +576,6 @@ class IdentityDef:
     """
 
     id: IdentityId
-    name: str
     summary: str
     uses: tuple[str, ...]
     kind: str
@@ -598,6 +592,11 @@ class IdentityDef:
     @property
     def tag(self) -> str:
         return self.id.value
+
+    @property
+    def name(self) -> str:
+        """The enum member name in kebab case, e.g. ``kummer-first``."""
+        return self.id.name.lower().replace("_", "-")
 
     def validate_params(self, params: IdentityParams) -> None:
         if "beta" in self.uses and params.beta is None:
@@ -698,7 +697,6 @@ def _build_registry() -> dict[IdentityId, IdentityDef]:
         # ---- two-parameter exponential-shift transformation
         _series_entry(
             id=IdentityId.KUMMER_FIRST,
-            name="kummer-first",
             summary="e^(-x) 1F1(alpha; beta; x) = 1F1(beta - alpha; beta; -x)",
             uses=("alpha", "beta"),
             lhs=lambda p: _product(_f11(p.alpha, p.beta), exp=-1),
@@ -708,7 +706,6 @@ def _build_registry() -> dict[IdentityId, IdentityDef]:
         # ---- half-exponential square-argument transformations
         _series_entry(
             id=IdentityId.KUMMER_SECOND,
-            name="kummer-second",
             summary="e^(-x/2) 1F1(alpha; 2*alpha; x) = 0F1(; alpha + 1/2; x^2/16)",
             uses=("alpha",),
             lhs=lambda p: _product(_f11(p.alpha, 2 * p.alpha), exp=-HALF),
@@ -717,7 +714,6 @@ def _build_registry() -> dict[IdentityId, IdentityDef]:
         ),
         _series_entry(
             id=IdentityId.KUMMER_SECOND_SCALED,
-            name="kummer-second-scaled",
             summary="1F1(alpha; 2*alpha; 2x) = e^x 0F1(; alpha + 1/2; x^2/4)",
             uses=("alpha",),
             lhs=lambda p: _product(_f11(p.alpha, 2 * p.alpha, Arg(2))),
@@ -727,7 +723,6 @@ def _build_registry() -> dict[IdentityId, IdentityDef]:
         # ---- alternating and matched products of two confluent factors
         _series_entry(
             id=IdentityId.PREECE_ALTERNATING,
-            name="preece-alternating",
             summary="1F1(alpha; 2*alpha; x) 1F1(alpha; 2*alpha; -x) = 1F2(alpha; alpha + 1/2, 2*alpha; x^2/4)",
             uses=("alpha",),
             lhs=lambda p: _product(_f11(p.alpha, 2 * p.alpha), _f11(p.alpha, 2 * p.alpha, _NEG_X)),
@@ -736,7 +731,6 @@ def _build_registry() -> dict[IdentityId, IdentityDef]:
         ),
         _series_entry(
             id=IdentityId.PREECE_SQUARED,
-            name="preece-squared",
             summary="[1F1(alpha; 2*alpha; x)]^2 = e^x 1F2(alpha; alpha + 1/2, 2*alpha; x^2/4)",
             uses=("alpha",),
             lhs=lambda p: _product(_f11(p.alpha, 2 * p.alpha), _f11(p.alpha, 2 * p.alpha)),
@@ -745,7 +739,6 @@ def _build_registry() -> dict[IdentityId, IdentityDef]:
         ),
         _series_entry(
             id=IdentityId.BAILEY_ALTERNATING,
-            name="bailey-alternating",
             summary="1F1(alpha; 2*alpha; x) 1F1(beta; 2*beta; -x) = 2F3((alpha+beta)/2, (alpha+beta+1)/2; alpha + 1/2, beta + 1/2, alpha + beta; x^2/4)",
             uses=("alpha", "beta"),
             lhs=lambda p: _product(_f11(p.alpha, 2 * p.alpha), _f11(p.beta, 2 * p.beta, _NEG_X)),
@@ -754,7 +747,6 @@ def _build_registry() -> dict[IdentityId, IdentityDef]:
         ),
         _series_entry(
             id=IdentityId.BAILEY_MATCHED,
-            name="bailey-matched",
             summary="1F1(alpha; 2*alpha; x) 1F1(beta; 2*beta; x) = e^x 2F3(...; x^2/4), same block as 1.7",
             uses=("alpha", "beta"),
             lhs=lambda p: _product(_f11(p.alpha, 2 * p.alpha), _f11(p.beta, 2 * p.beta)),
@@ -764,7 +756,6 @@ def _build_registry() -> dict[IdentityId, IdentityDef]:
         # ---- product of two 0F1 factors as one 2F3
         _series_entry(
             id=IdentityId.F01_PRODUCT,
-            name="f01-product",
             summary="0F1(; alpha; t) 0F1(; beta; t) = 2F3((alpha+beta)/2, (alpha+beta-1)/2; alpha, beta, alpha+beta-1; 4t)",
             uses=("alpha", "beta"),
             lhs=lambda p: _product(_f01(p.alpha), _f01(p.beta)),
@@ -777,8 +768,7 @@ def _build_registry() -> dict[IdentityId, IdentityDef]:
         ),
         # ---- contiguous products (lower parameter off by one)
         _series_entry(
-            id=IdentityId.CONTIG_RAISED,
-            name="contiguous-raised",
+            id=IdentityId.CONTIGUOUS_RAISED,
             summary="1F1(alpha; 2*alpha; x) 1F1(alpha; 2*alpha+1; x) = e^x (1F2 block - x/(2(2*alpha+1)) 1F2 block)",
             uses=("alpha",),
             lhs=lambda p: _product(_f11(p.alpha, 2 * p.alpha), _f11(p.alpha, 2 * p.alpha + 1)),
@@ -791,8 +781,7 @@ def _build_registry() -> dict[IdentityId, IdentityDef]:
             ],
         ),
         _series_entry(
-            id=IdentityId.CONTIG_LOWERED,
-            name="contiguous-lowered",
+            id=IdentityId.CONTIGUOUS_LOWERED,
             summary="1F1(alpha; 2*alpha; x) 1F1(alpha; 2*alpha-1; x) = e^x (1F2 block + x/(2(2*alpha-1)) 1F2 block)",
             uses=("alpha",),
             lhs=lambda p: _product(_f11(p.alpha, 2 * p.alpha), _f11(p.alpha, 2 * p.alpha - 1)),
@@ -806,7 +795,6 @@ def _build_registry() -> dict[IdentityId, IdentityDef]:
         # ---- expansion of e^(-x/2) 1F1 with shifted lower parameter
         _series_entry(
             id=IdentityId.EXPAND_RAISED,
-            name="expand-raised",
             summary="e^(-x/2) 1F1(alpha; 2*alpha+i; x) as a sum of i+1 weighted x^m 0F1(; alpha+m+1/2; x^2/16) blocks",
             uses=("alpha", "i"),
             lhs=lambda p: _product(_f11(p.alpha, 2 * p.alpha + p.i), exp=-HALF),
@@ -815,7 +803,6 @@ def _build_registry() -> dict[IdentityId, IdentityDef]:
         ),
         _series_entry(
             id=IdentityId.EXPAND_LOWERED,
-            name="expand-lowered",
             summary="e^(-x/2) 1F1(alpha; 2*alpha-i; x) as a sum of i+1 weighted x^m 0F1(; alpha+m-i+1/2; x^2/16) blocks",
             uses=("alpha", "i"),
             lhs=lambda p: _product(_f11(p.alpha, 2 * p.alpha - p.i), exp=-HALF),
@@ -841,7 +828,6 @@ def _build_registry() -> dict[IdentityId, IdentityDef]:
 
         defs.append(_series_entry(
             id=prod_id,
-            name=f"product-{variant.lower()}",
             summary=(
                 f"1F1(alpha; {first_desc}; x) 1F1(beta; {second_desc}; x) "
                 "= e^x times a double sum of weighted x^(m+n) 2F3(...; x^2/4) blocks"
@@ -856,7 +842,6 @@ def _build_registry() -> dict[IdentityId, IdentityDef]:
         second_desc_eq = second_desc.replace("beta", "alpha")
         defs.append(_series_entry(
             id=equal_id,
-            name=f"equal-param-{variant.lower()}",
             summary=(
                 f"beta = alpha form: 1F1(alpha; {first_desc}; x) 1F1(alpha; {second_desc_eq}; x) "
                 "as e^x times a double sum written with alpha only"
@@ -872,17 +857,15 @@ def _build_registry() -> dict[IdentityId, IdentityDef]:
 
     defs.append(IdentityDef(
         id=IdentityId.GAUSS_TERMINATING,
-        name="gauss-terminating",
         summary="2F1(-n, b; c; 1) = (c - b)_n / (c)_n, exact, with n = i, b = alpha, c = beta",
         uses=("alpha", "beta", "i"),
         kind="exact_sum",
-        scalar_exact=lambda p: gauss_terminating_sides(p.i, p.alpha, p.beta),
+        scalar_exact=_gauss_terminating,
         requirements=lambda p: [check_poch("(beta)_k, k <= i", p.beta, p.i)],
     ))
 
     defs.append(_float_sum_entry(
         id=IdentityId.GAUSS_SECOND,
-        name="gauss-second",
         summary="2F1(a, b; (a+b+1)/2; 1/2) equals a Gamma ratio (float check), a = alpha, b = beta",
         uses=("alpha", "beta"),
         spec=lambda p: HypSpec((p.alpha, p.beta), ((p.alpha + p.beta + 1) / 2,)),
@@ -899,7 +882,6 @@ def _build_registry() -> dict[IdentityId, IdentityDef]:
     # its tail by telescoping, from the series' own parameters, never the closed form.
     defs.append(_float_sum_entry(
         id=IdentityId.WATSON_UNIT,
-        name="watson-unit",
         summary="3F2(a, b, c; (a+b+1)/2, 2c; 1) equals a Gamma ratio (float check), a = alpha, b = beta, c = gamma",
         uses=("alpha", "beta", "gamma"),
         spec=lambda p: HypSpec((p.alpha, p.beta, p.gamma), ((p.alpha + p.beta + 1) / 2, 2 * p.gamma)),

@@ -1,4 +1,4 @@
-"""Exact rational scalars plus the factorial and rising-factorial primitives.
+"""Exact rational scalars plus the rising-factorial primitive.
 
 Every parameter, weight and reported coefficient in this package is a
 :class:`fractions.Fraction`. Construction reduces to lowest terms with a
@@ -12,21 +12,16 @@ combinatorial layer everything else is assembled from.
 
 from __future__ import annotations
 
-import math
 import re
 from fractions import Fraction
 
 __all__ = [
     "RationalParseError",
-    "factorial",
     "format_rational",
     "is_nonpositive_integer",
     "parse_rational",
     "pochhammer",
 ]
-
-# m! as an arbitrary-precision integer; the stdlib version is exact.
-factorial = math.factorial
 
 
 class RationalParseError(ValueError):

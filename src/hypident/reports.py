@@ -10,9 +10,10 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, ClassVar, Iterable, Sequence
 
 from .rationals import format_rational, is_nonpositive_integer
 from .series import TruncatedSeries
@@ -70,7 +71,7 @@ class AdmissibilityFinding:
     index: int
     value: Fraction
     detail: str
-    severity: str = "fatal"
+    severity: ClassVar[str] = "fatal"
 
     def to_json_dict(self) -> dict:
         return {
@@ -165,7 +166,8 @@ class FloatResidual:
     """Relative disagreement of the two float evaluations at one point.
 
     ``terms`` is the number of series terms a float-sum verdict summed;
-    it is None for the cross-checks of series identities.
+    it is None for the cross-checks of series identities. JSON has no
+    non-finite floats, so ``to_json_dict`` writes them as null.
     """
 
     x: float
@@ -178,14 +180,18 @@ class FloatResidual:
     def to_json_dict(self) -> dict:
         doc = {
             "x": self.x,
-            "relative_error": self.relative_error,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
+            "relative_error": _finite_or_none(self.relative_error),
+            "lhs": _finite_or_none(self.lhs),
+            "rhs": _finite_or_none(self.rhs),
             "converged": self.converged,
         }
         if self.terms is not None:
             doc["terms"] = self.terms
         return doc
+
+
+def _finite_or_none(value: float) -> float | None:
+    return value if math.isfinite(value) else None
 
 
 def relative_error(lhs: float, rhs: float, scale: float = 0.0) -> float:

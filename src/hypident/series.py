@@ -24,7 +24,7 @@ from functools import cached_property
 from operator import mul
 from typing import Iterable
 
-from .rationals import factorial, format_rational
+from .rationals import format_rational
 
 __all__ = ["TruncatedSeries", "exp_series"]
 
@@ -58,20 +58,6 @@ class TruncatedSeries:
         return tuple(Fraction(n, den) for n in self.nums)
 
     @staticmethod
-    def from_coeffs(values: Iterable[Fraction | int], cap: int | None = None) -> "TruncatedSeries":
-        """Build a series from leading coefficients, zero-padding to the cap."""
-        coeffs = [Fraction(v) for v in values]
-        if cap is None:
-            cap = len(coeffs) - 1
-        if cap < 0:
-            raise ValueError("series cap must be nonnegative")
-        if len(coeffs) > cap + 1:
-            coeffs = coeffs[: cap + 1]
-        else:
-            coeffs.extend([Fraction(0)] * (cap + 1 - len(coeffs)))
-        return TruncatedSeries(cap, coeffs)
-
-    @staticmethod
     def from_integers(cap: int, den: int, nums: Iterable[int]) -> "TruncatedSeries":
         """The series with coefficients ``nums[k] / den`` (den nonzero),
         brought to canonical form by one gcd."""
@@ -92,14 +78,6 @@ class TruncatedSeries:
         out = object.__new__(TruncatedSeries)
         _set(out, cap, den, nums)
         return out
-
-    @staticmethod
-    def zero(cap: int) -> "TruncatedSeries":
-        return TruncatedSeries.from_integers(cap, 1, (0,) * (cap + 1))
-
-    @staticmethod
-    def one(cap: int) -> "TruncatedSeries":
-        return TruncatedSeries.from_integers(cap, 1, (1,) + (0,) * cap)
 
     def coefficient(self, degree: int) -> Fraction:
         """Coefficient of ``x**degree``; degrees above the cap are unknown,
@@ -268,5 +246,5 @@ def exp_series(cap: int, sign: int = 1, half: bool = False) -> TruncatedSeries:
     for k in range(cap, -1, -1):
         nums[k] = acc if sign > 0 or k % 2 == 0 else -acc
         acc *= 2 * k if half else k
-    den = factorial(cap) * (2**cap if half else 1)
+    den = math.factorial(cap) * (2**cap if half else 1)
     return TruncatedSeries.from_integers(cap, den, nums)

@@ -16,7 +16,7 @@ import time
 from fractions import Fraction
 
 from hypident.hyper import HypSpec, pfq_series
-from hypident.identities import IdentityParams, gauss_terminating_sides, get
+from hypident.identities import IdentityParams, get
 from hypident.reports import compare_series
 from hypident.series import TruncatedSeries, exp_series
 from hypident.verify import check_admissible, report_for_sides, verify_identity
@@ -198,7 +198,7 @@ def criterion_07_classical_sums():
     """Terminating sums are exact; evaluation-point sums pass at 1e-10."""
     failures = []
     for n in range(31):
-        lhs, rhs = gauss_terminating_sides(n, Fraction(1, 2), Fraction(5, 3))
+        lhs, rhs = get("1.3").scalar_exact(IdentityParams(alpha=Fraction(1, 2), beta=Fraction(5, 3), i=n))
         if lhs != rhs:
             failures.append(f"terminating sum off at n={n}: {lhs} != {rhs}")
     for a, b in GAUSS_HALF_SAMPLES:

@@ -43,6 +43,35 @@ class TestList:
         assert [entry["identity"] for entry in doc] == ALL_TAGS
         assert all({"name", "kind", "uses", "summary"} <= set(e) for e in doc)
 
+    def test_json_pins_every_entry_name(self, capsys):
+        # names are derived from the IdentityId member names, so renaming a
+        # member must not silently change this output
+        code, out, _ = invoke(capsys, "list", "--output", "json")
+        assert code == 0
+        assert [(e["identity"], e["name"], e["kind"], e["uses"]) for e in json.loads(out)] == [
+            ("1.1", "kummer-first", "series", ["alpha", "beta"]),
+            ("1.2", "kummer-second", "series", ["alpha"]),
+            ("1.3", "gauss-terminating", "exact_sum", ["alpha", "beta", "i"]),
+            ("1.4", "gauss-second", "float_sum", ["alpha", "beta"]),
+            ("1.5", "kummer-second-scaled", "series", ["alpha"]),
+            ("1.6", "preece-alternating", "series", ["alpha"]),
+            ("1.7", "bailey-alternating", "series", ["alpha", "beta"]),
+            ("1.8", "watson-unit", "float_sum", ["alpha", "beta", "gamma"]),
+            ("1.9", "preece-squared", "series", ["alpha"]),
+            ("1.10", "bailey-matched", "series", ["alpha", "beta"]),
+            ("1.11", "f01-product", "series", ["alpha", "beta"]),
+            ("1.12", "contiguous-raised", "series", ["alpha"]),
+            ("1.13", "contiguous-lowered", "series", ["alpha"]),
+            ("1.17", "expand-raised", "series", ["alpha", "i"]),
+            ("1.18", "expand-lowered", "series", ["alpha", "i"]),
+            ("2.1", "product-pp", "series", ["alpha", "beta", "i", "j"]),
+            ("2.2", "product-mm", "series", ["alpha", "beta", "i", "j"]),
+            ("2.3", "product-pm", "series", ["alpha", "beta", "i", "j"]),
+            ("3.1", "equal-param-pp", "series", ["alpha", "i", "j"]),
+            ("3.2", "equal-param-mm", "series", ["alpha", "i", "j"]),
+            ("3.3", "equal-param-pm", "series", ["alpha", "i", "j"]),
+        ]
+
     def test_csv_has_header_and_21_rows(self, capsys):
         code, out, _ = invoke(capsys, "list", "--output", "csv")
         assert code == 0
@@ -101,6 +130,35 @@ class TestVerify:
         assert code == 1
         assert out.splitlines()[1].split(",")[7] == "float_inconclusive"
 
+    def test_non_finite_residuals_are_null_in_json(self, capsys):
+        # every float side overflows at this alpha; the exact verdict stands
+        code, out, _ = invoke(
+            capsys, "verify", "--identity", "1.1",
+            "--alpha", "1000000", "--beta", "1/3", "--output", "json",
+        )
+        assert code == 0
+
+        def reject(token):
+            raise ValueError(f"non-standard JSON token {token}")
+
+        doc = json.loads(out, parse_constant=reject)
+        assert doc["status"] == "exact_match"
+        assert len(doc["float_residuals"]) == 6
+        for residual in doc["float_residuals"]:
+            assert residual["relative_error"] is None
+            assert residual["lhs"] is None and residual["rhs"] is None
+            assert residual["converged"] is False
+
+    def test_negative_value_attached_with_equals(self, capsys):
+        code, out, _ = invoke(
+            capsys, "verify", "--identity", "1.4",
+            "--alpha", "1/2", "--beta=-3/2", "--output", "json",
+        )
+        assert code == 1
+        doc = json.loads(out)
+        assert doc["params"]["beta"] == "-3/2"
+        assert doc["status"] == "inadmissible"
+
     def test_csv_single_row(self, capsys):
         code, out, _ = invoke(
             capsys, "verify", "--identity", "1.1",
@@ -132,6 +190,14 @@ class TestSweep:
         )
         assert code == 1
         assert "4/6 points passed" in err
+
+    def test_negative_list_attached_with_equals(self, capsys):
+        code, out, _ = invoke(
+            capsys, "sweep", "--identity", "1.1",
+            "--alpha=-1/2,3/7", "--beta", "1/3", "--output", "json",
+        )
+        assert code == 0
+        assert [r["params"]["alpha"] for r in json.loads(out)] == ["-1/2", "3/7"]
 
     def test_json_mode(self, capsys):
         code, out, _ = invoke(

@@ -15,7 +15,7 @@ from hypident.hyper import (
     pfq_eval_float,
     pfq_series,
 )
-from hypident.rationals import factorial, is_nonpositive_integer, pochhammer
+from hypident.rationals import is_nonpositive_integer, pochhammer
 
 param_st = st.fractions(min_value=-6, max_value=6, max_denominator=8)
 admissible_lower_st = param_st.filter(lambda q: not is_nonpositive_integer(q))
@@ -47,7 +47,7 @@ class TestPfqSeries:
 
     def test_exp_is_0f0(self):
         s = pfq_series(HypSpec((), ()), 6)
-        assert s.coefficient(5) == Fraction(1, factorial(5))
+        assert s.coefficient(5) == Fraction(1, math.factorial(5))
 
     def test_terminating_upper(self):
         s = pfq_series(HypSpec((Fraction(-3), Fraction(1, 2)), (Fraction(5, 3),)), 10)
@@ -66,7 +66,7 @@ class TestPfqSeries:
             num = Fraction(1)
             for a in spec.upper:
                 num *= pochhammer(a, k)
-            den = Fraction(factorial(k))
+            den = Fraction(math.factorial(k))
             for b in spec.lower:
                 den *= pochhammer(b, k)
             assert s.coefficient(k) == num / den

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from hypident.rationals import (
     RationalParseError,
-    factorial,
     format_rational,
     is_nonpositive_integer,
     parse_rational,
@@ -83,11 +82,6 @@ class TestPochhammer:
     def test_negative_index_raises(self):
         with pytest.raises(ValueError):
             pochhammer(Fraction(1, 2), -1)
-
-
-def test_factorial_values():
-    assert factorial(0) == 1
-    assert factorial(10) == 3628800
 
 
 class TestIsNonpositiveInteger:

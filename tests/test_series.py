@@ -35,14 +35,8 @@ class TestConstruction:
         with pytest.raises(ValueError):
             TruncatedSeries(-1, ())
 
-    def test_from_coeffs_pads_and_truncates(self):
-        padded = TruncatedSeries.from_coeffs([1, 2], cap=4)
-        assert padded.coeffs == (1, 2, 0, 0, 0)
-        clipped = TruncatedSeries.from_coeffs([1, 2, 3, 4], cap=1)
-        assert clipped.coeffs == (1, 2)
-
     def test_coefficient_outside_cap_is_an_error(self):
-        s = TruncatedSeries.from_coeffs([1, 2, 3])
+        s = TruncatedSeries(2, (1, 2, 3))
         assert s.coefficient(2) == 3
         with pytest.raises(IndexError):
             s.coefficient(3)
@@ -52,13 +46,13 @@ class TestConstruction:
 
 class TestArithmetic:
     def test_mul_example(self):
-        one_plus = TruncatedSeries.from_coeffs([1, 1], cap=2)
-        one_minus = TruncatedSeries.from_coeffs([1, -1], cap=2)
+        one_plus = TruncatedSeries(2, (1, 1, 0))
+        one_minus = TruncatedSeries(2, (1, -1, 0))
         assert (one_plus * one_minus).coeffs == (1, 0, -1)
 
     def test_binary_ops_truncate_to_smaller_cap(self):
-        a = TruncatedSeries.from_coeffs([1, 1, 1, 1], cap=3)
-        b = TruncatedSeries.from_coeffs([1, 1], cap=1)
+        a = TruncatedSeries(3, (1, 1, 1, 1))
+        b = TruncatedSeries(1, (1, 1))
         assert (a + b).cap == 1
         assert (a * b).cap == 1
         assert (a - b).cap == 1
@@ -70,12 +64,12 @@ class TestArithmetic:
         assert f * g == g * f
         assert (f * g) * h == f * (g * h)
         assert f * (g + h) == f * g + f * h
-        assert f + (-f) == TruncatedSeries.zero(f.cap)
+        assert f + (-f) == TruncatedSeries.from_integers(f.cap, 1, [0] * (f.cap + 1))
 
     @given(same_cap_triples())
     def test_one_is_multiplicative_identity(self, triple):
         f, _, _ = triple
-        assert f * TruncatedSeries.one(f.cap) == f
+        assert f * TruncatedSeries.from_integers(f.cap, 1, [1] + [0] * f.cap) == f
 
 
 class TestTransforms:
@@ -88,12 +82,12 @@ class TestTransforms:
             assert shifted.coefficient(k) == expected
 
     def test_shift_example(self):
-        s = TruncatedSeries.from_coeffs([1, 1], cap=2)
+        s = TruncatedSeries(2, (1, 1, 0))
         assert s.shift(1).coeffs == (0, 1, 1)
 
     def test_shift_negative_raises(self):
         with pytest.raises(ValueError):
-            TruncatedSeries.one(2).shift(-1)
+            exp_series(2).shift(-1)
 
     @given(series_st(8))
     def test_scale_argument_minus_one_is_involution(self, s):
@@ -104,11 +98,11 @@ class TestTransforms:
             assert flipped.coefficient(k) == sign * s.coefficient(k)
 
     def test_scale_argument_two(self):
-        s = TruncatedSeries.from_coeffs([1, 1, 1], cap=2)
+        s = TruncatedSeries(2, (1, 1, 1))
         assert s.scale_argument(2).coeffs == (1, 2, 4)
 
     def test_scale(self):
-        s = TruncatedSeries.from_coeffs([1, 2], cap=1)
+        s = TruncatedSeries(1, (1, 2))
         assert s.scale(Fraction(1, 2)).coeffs == (Fraction(1, 2), 1)
 
     def test_substitute_even_example(self):
@@ -128,10 +122,10 @@ class TestTransforms:
 
     def test_substitute_even_zero_divisor(self):
         with pytest.raises(ValueError):
-            TruncatedSeries.one(2).substitute_even(0)
+            exp_series(2).substitute_even(0)
 
     def test_truncate(self):
-        s = TruncatedSeries.from_coeffs([1, 2, 3], cap=2)
+        s = TruncatedSeries(2, (1, 2, 3))
         assert s.truncate(1).coeffs == (1, 2)
         with pytest.raises(ValueError):
             s.truncate(5)
@@ -145,10 +139,10 @@ class TestFloatAndText:
         )
 
     def test_eval_float_zero_series(self):
-        assert TruncatedSeries.zero(5).eval_float(3.0) == 0.0
+        assert TruncatedSeries.from_integers(5, 1, [0] * 6).eval_float(3.0) == 0.0
 
     def test_to_text_examples(self):
-        assert TruncatedSeries.zero(3).to_text() == "0"
+        assert TruncatedSeries.from_integers(3, 1, [0] * 4).to_text() == "0"
         assert exp_series(2, sign=-1, half=True).to_text() == "1 - 1/2*x + 1/8*x^2"
 
     @given(series_st(6))
@@ -225,8 +219,8 @@ class TestIntegerRepresentation:
         assert (other.den, other.nums) == (s.den, s.nums)
 
     def test_unequal_series_differ(self):
-        assert TruncatedSeries.from_coeffs([1, 2]) != TruncatedSeries.from_coeffs([1, 3])
-        assert TruncatedSeries.from_coeffs([1, 2]) != TruncatedSeries.from_coeffs([1, 2], cap=2)
+        assert TruncatedSeries(1, (1, 2)) != TruncatedSeries(1, (1, 3))
+        assert TruncatedSeries(1, (1, 2)) != TruncatedSeries(2, (1, 2, 0))
 
     @given(coeff_lists(), coeff_lists())
     @few

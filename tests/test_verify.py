@@ -331,8 +331,8 @@ class TestFaultInjection:
         assert [m.degree for m in report.mismatches] == [7]
 
     def test_compare_series_uses_smaller_cap(self):
-        a = TruncatedSeries.from_coeffs([1, 2, 3], cap=2)
-        b = TruncatedSeries.from_coeffs([1, 5], cap=1)
+        a = TruncatedSeries(2, (1, 2, 3))
+        b = TruncatedSeries(1, (1, 5))
         mismatches = compare_series(a, b)
         assert [m.degree for m in mismatches] == [1]
 
