@@ -9,6 +9,7 @@ itself was bad.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -30,6 +31,11 @@ MAX_SWEEP_POINTS = 10_000
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """A fresh parser for the ``hypident`` command line, the caller's own.
+
+    ``run`` does not call this per request: it parses with one private
+    parser per process, built by this function on first use.
+    """
     parser = argparse.ArgumentParser(
         prog="hypident",
         description="Verify confluent hypergeometric product identities in exact arithmetic.",
@@ -238,7 +244,10 @@ def _cmd_eval(args: argparse.Namespace) -> int:
         converged = lhs_ok and rhs_ok
     elif define.kind == "exact_sum":
         exact_lhs, exact_rhs = define.scalar_exact(params)
-        lhs, rhs = float(exact_lhs), float(exact_rhs)
+        try:
+            lhs, rhs = float(exact_lhs), float(exact_rhs)
+        except OverflowError:
+            raise ValueError(f"a float side of identity {define.tag} overflows at x = 1") from None
         x = 1.0
         converged = True
     else:
@@ -279,9 +288,15 @@ _COMMANDS = {
 }
 
 
+@functools.cache
+def _shared_parser() -> argparse.ArgumentParser:
+    """The one parser ``run`` reuses. Parsing leaves no state on it: each
+    ``parse_args`` call fills a new ``Namespace``."""
+    return build_parser()
+
+
 def run(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _shared_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
     except (RationalParseError, ZeroDivisionError, DegenerateParameterError, ValueError) as exc:

@@ -488,16 +488,22 @@ def _gamma_ratio(numerators: list[Fraction], denominators: list[Fraction]) -> fl
 def _gauss_terminating(p: IdentityParams) -> tuple[Fraction, Fraction]:
     """Both sides of the terminating unit-argument sum, exactly.
 
-    Left: sum_{k<=n} (-n)_k (b)_k / ((c)_k k!). Right: (c-b)_n / (c)_n.
+    Left: sum_{k<=n} t_k with t_k = (-n)_k (b)_k / ((c)_k k!), summed by its
+    term ratio t_{k+1} = t_k (k-n)(b+k) / ((c+k)(k+1)). Right: (c-b)_n / (c)_n.
     No ``(c)_k`` with k <= n vanishes once ``(c)_n`` does not.
     """
     n, b, c = p.i, p.alpha, p.beta
     c_n = _nonzero_poch("(c)_n", c, n)
-    lhs = sum(
-        pochhammer(-n, k) * pochhammer(b, k) / (pochhammer(c, k) * math.factorial(k))
-        for k in range(n + 1)
-    )
-    return lhs, pochhammer(c - b, n) / c_n
+    # in integers: with b = P/Q and c = R/S, step k multiplies t_k by
+    # (k-n)(P+kQ)S / ((R+kS)Q(k+1)); the running sum is total/den
+    P, Q, R, S = b.numerator, b.denominator, c.numerator, c.denominator
+    total = num = den = 1
+    for k in range(n):
+        step = (R + k * S) * Q * (k + 1)
+        num *= (k - n) * (P + k * Q) * S
+        den *= step
+        total = total * step + num
+    return Fraction(total, den), pochhammer(c - b, n) / c_n
 
 
 # --------------------------------------------------------------------------

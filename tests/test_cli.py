@@ -16,6 +16,7 @@ from pathlib import Path
 
 import pytest
 
+from hypident import cli
 from hypident.cli import MAX_DEGREE, MAX_SHIFT, MAX_SWEEP_POINTS, build_parser, run
 from hypident.identities import catalog
 from hypident.rationals import parse_rational
@@ -365,6 +366,9 @@ class TestBadRequests:
             # every Gamma factor is finite, the ratio's numerator is not
             (["verify", "--identity", "1.8", "--alpha", "100", "--beta", "101", "--gamma", "150"],
              "the Gamma ratio overflows a double at Gamma(101)"),
+            # both exact sides are finite rationals far past the double range
+            (["eval", "--identity", "1.3", "--alpha=-100000000", "--beta", "1/3", "--i", "64",
+              "--output", "json"], "a float side of identity 1.3 overflows at x = 1"),
         ],
     )
     def test_exit_2_with_message(self, capsys, argv, needle):
@@ -417,6 +421,50 @@ class TestRequestLimits:
         code, _, err = invoke(capsys, "sweep", "--identity", "1.2", "--alpha", "1/3,1/3,2/7")
         assert code == 0
         assert "2/2 points passed" in err
+
+
+@pytest.fixture
+def parser_builds(monkeypatch):
+    """Count the calls of ``cli.build_parser``, from a cold shared parser."""
+    count = [0]
+
+    def counting_build_parser():
+        count[0] += 1
+        return build_parser()
+
+    monkeypatch.setattr(cli, "build_parser", counting_build_parser)
+    cli._shared_parser.cache_clear()
+    yield count
+    cli._shared_parser.cache_clear()
+
+
+class TestSharedParser:
+    def test_parser_is_built_once_across_requests(self, capsys, parser_builds):
+        for argv in (["list", "--output", "json"],
+                     ["verify", "--identity", "1.3", "--alpha", "1/2", "--beta", "5/3", "--i", "4"],
+                     ["eval", "--identity", "1.4", "--alpha", "1/3", "--beta", "2/5"],
+                     ["verify", "--identity", "9.9", "--alpha", "1/2"]):
+            invoke(capsys, *argv)
+        assert parser_builds[0] == 1
+
+    def test_rejected_request_leaves_no_state(self, capsys, parser_builds):
+        argv = ["verify", "--identity", "2.1", "--alpha", "3/7", "--beta", "2/5",
+                "--i", "2", "--j", "1", "--output", "json"]
+
+        def verify_once():
+            code, out, err = invoke(capsys, *argv)
+            doc = json.loads(out)
+            del doc["elapsed_seconds"]
+            return code, doc, err
+
+        first = verify_once()
+        # argparse has taken --degree and --printed-form when it rejects --i
+        with pytest.raises(SystemExit) as exc:
+            run(["verify", "--identity", "2.3", "--alpha", "1/2", "--degree", "5",
+                 "--printed-form", "--i", "x", "--output", "csv"])
+        assert exc.value.code == 2
+        capsys.readouterr()
+        assert verify_once() == first
 
 
 def test_parser_builds_and_documents_subcommands():

@@ -357,8 +357,29 @@ class TestScalarSides:
             assert lhs == rhs == pochhammer(c - b, n) / pochhammer(c, n)
 
     def test_gauss_terminating_degenerate_c(self):
-        with pytest.raises(DegenerateParameterError):
-            get("1.3").scalar_exact(IdentityParams(alpha=Fraction(1, 2), beta=Fraction(-2), i=3))
+        for n in (3, 4, 8, 12):
+            with pytest.raises(DegenerateParameterError) as exc:
+                get("1.3").scalar_exact(IdentityParams(alpha=Fraction(1, 2), beta=Fraction(-2), i=n))
+            assert (exc.value.expr, exc.value.value, exc.value.index) == ("(c)_n", -2, 3)
+
+    @pytest.mark.parametrize("c", [Fraction(1, 3), Fraction(-5), Fraction(7, 2), Fraction(-9, 4), Fraction(2, 5)], ids=str)
+    @pytest.mark.parametrize("b", [Fraction(0), Fraction(1, 2), Fraction(-3, 2), Fraction(5), Fraction(-7), Fraction(3, 7)], ids=str)
+    def test_gauss_terminating_matches_pochhammer_form(self, b, c):
+        # (-5)_n != 0 up to n = 5, so c = -5 is admissible there; from n = 6 it
+        # vanishes, its zero factor at index 6
+        for n in range(13):
+            c_n = pochhammer(c, n)
+            if c_n == 0:
+                with pytest.raises(DegenerateParameterError) as exc:
+                    get("1.3").scalar_exact(IdentityParams(alpha=b, beta=c, i=n))
+                assert (exc.value.expr, exc.value.value, exc.value.index) == ("(c)_n", c, 6)
+                continue
+            lhs = sum(
+                pochhammer(-n, k) * pochhammer(b, k) / (pochhammer(c, k) * math.factorial(k))
+                for k in range(n + 1)
+            )
+            got = get("1.3").scalar_exact(IdentityParams(alpha=b, beta=c, i=n))
+            assert got == (lhs, pochhammer(c - b, n) / c_n), n
 
     def test_gauss_second_close(self):
         lhs, rhs, lhs_sum = get("1.4").scalar_float(IdentityParams(alpha=Fraction(1, 3), beta=Fraction(2, 5)))
