@@ -7,7 +7,7 @@ Exact coefficients come from the term-ratio recurrence
 run over integers: with every parameter over one common denominator, each
 coefficient is a prefix product of the numerator factors times a suffix
 product of the denominator factors, all over one shared denominator, so
-no degree builds a fraction or takes a gcd (see :func:`pfq_series`). The
+no degree builds a fraction or takes a gcd (see :func:`_pfq_integers`). The
 float path runs the same recurrence in double precision with
 Neumaier-compensated accumulation, which keeps the digits of alternating
 series at moderate arguments. It stops only on a proven bound for the
@@ -82,7 +82,15 @@ class HypSpec:
 
 
 def pfq_series(spec: HypSpec, cap: int) -> TruncatedSeries:
-    """Exact truncation of pFq(upper; lower; x) to the given cap.
+    """Exact truncation of pFq(upper; lower; x) to the given cap: the
+    integers of :func:`_pfq_integers` brought to canonical form by one gcd."""
+    return TruncatedSeries.from_integers(cap, *_pfq_integers(spec, cap))
+
+
+def _pfq_integers(spec: HypSpec, cap: int) -> tuple[int, list[int]]:
+    """Coefficients ``nums[k] / den`` of pFq(upper; lower; x) up to the cap,
+    not reduced: ``den`` is nonzero but may share a factor with every
+    numerator and may be negative.
 
     With every parameter written over one common denominator L, step k of
     the recurrence multiplies by ``num_k / den_k`` where
@@ -127,7 +135,7 @@ def pfq_series(spec: HypSpec, cap: int) -> TruncatedSeries:
         nums[k] = prefix[k] * suffix
         if k:
             suffix *= dens[k - 1]
-    return TruncatedSeries.from_integers(cap, suffix, nums)
+    return suffix, nums
 
 
 @dataclass(frozen=True)

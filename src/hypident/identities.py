@@ -27,10 +27,10 @@ from enum import Enum
 from fractions import Fraction
 from typing import Callable
 
-from .hyper import DegenerateParameterError, FloatSum, HypSpec, bailey_product_spec, pfq_eval_float, pfq_series
+from .hyper import DegenerateParameterError, FloatSum, HypSpec, _pfq_integers, bailey_product_spec, pfq_eval_float, pfq_series
 from .rationals import format_rational, is_nonpositive_integer, pochhammer
 from .reports import AdmissibilityFinding, check_lower, check_poch, check_pole, check_positive
-from .series import TruncatedSeries, exp_series
+from .series import TruncatedSeries
 
 __all__ = [
     "IdentityDef",
@@ -221,15 +221,16 @@ def _side_series(side: Side, cap: int) -> TruncatedSeries:
     A term ``weight * x**power * F(...)`` is needed only up to
     ``x**(cap - power)``, so each pFq factor is expanded only to the degree
     in t that still reaches the cap; a term whose power is past the cap
-    contributes nothing. A term with one factor writes coefficient k of
-    its ``pfq_series`` straight onto degree ``power + stride*k``: stride 2
-    for an ``x**2/c`` argument, 1 for ``c*x``, with ``c**-k`` or ``c**k``
-    and the weight folded into the integers. A term with several factors
-    (left sides only) is the Cauchy product of its factors in x, a spec
-    that two of them share expanded once, placed at stride 1. Each term
-    joins the sum over the lcm of its denominator and the running one;
-    one gcd at the end makes the sum canonical, and an exponential
-    prefactor is one Cauchy product with ``exp_series``.
+    contributes nothing. A term with one factor writes the unreduced
+    integers of its pFq (``_pfq_integers``, no gcd) straight onto degree
+    ``power + stride*k``: stride 2 for an ``x**2/c`` argument, 1 for
+    ``c*x``, with ``c**-k`` or ``c**k`` and the weight folded into the
+    integers. A term with several factors (left sides only) is the Cauchy
+    product of its factors in x, a spec that two of them share expanded
+    once, placed at stride 1. Each term joins the sum over the lcm of its
+    denominator and the running one; one gcd at the end makes the sum
+    canonical, and an exponential prefactor is applied by
+    ``TruncatedSeries.times_exp``, a binomial transform of additions.
     """
     den = 1
     nums = [0] * (cap + 1)
@@ -239,7 +240,8 @@ def _side_series(side: Side, cap: int) -> TruncatedSeries:
             continue
         if len(term.factors) == 1:
             ((spec, arg),) = term.factors
-            block = pfq_series(spec, arg.t_cap(need))
+            block_cap = arg.t_cap(need)
+            block_den, block_nums = _pfq_integers(spec, block_cap)
         else:
             expanded: dict[tuple[HypSpec, int], TruncatedSeries] = {}
             block = None
@@ -251,13 +253,14 @@ def _side_series(side: Side, cap: int) -> TruncatedSeries:
                 factor = arg.series(series, need)
                 block = factor if block is None else block * factor
             arg = _X  # the product is already a series in x
-        block_den = block.den * term.weight.denominator
+            block_cap, block_den, block_nums = block.cap, block.den, block.nums
+        block_den *= term.weight.denominator
         lift = arg.c
-        pairs = zip(range(term.power, cap + 1, 2 if arg.squared else 1), block.nums)
+        pairs = zip(range(term.power, cap + 1, 2 if arg.squared else 1), block_nums)
         if arg.squared:
             # c**-k over c**top: coefficient k gains c**(top - k), so walk
             # down from the top
-            block_den *= lift**block.cap
+            block_den *= lift**block_cap
             pairs = reversed(list(pairs))
         common = math.lcm(den, block_den)
         if common != den:
@@ -274,7 +277,7 @@ def _side_series(side: Side, cap: int) -> TruncatedSeries:
                 scale *= lift
     total = TruncatedSeries.from_integers(cap, den, nums)
     if side.exp:
-        total = exp_series(cap, 1 if side.exp > 0 else -1, half=abs(side.exp) == HALF) * total
+        total = total.times_exp(1 if side.exp > 0 else -1, half=abs(side.exp) == HALF)
     return total
 
 

@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from operator import mul
+from operator import add, mul
 from typing import Iterable
 
 from .rationals import format_rational
@@ -115,6 +115,38 @@ class TruncatedSeries:
         a, b = self.nums, other.nums
         nums = [sum(map(mul, a[: k + 1], b[k::-1])) for k in range(cap + 1)]
         return TruncatedSeries.from_integers(cap, self.den * other.den, nums)
+
+    def times_exp(self, sign: int, half: bool = False) -> "TruncatedSeries":
+        """Multiply by ``e**(c*x)``, ``c = sign`` or ``sign/2`` when half is set.
+
+        With ``h = 1/|c|`` and ``a_j = j! (sign*h)**j f_j``, the product g
+        has ``k! (sign*h)**k g_k = sum_j C(k, j) a_j``: a binomial transform,
+        taken by repeated pairwise sums, so the only big multiplications
+        are O(cap) rescalings and not a Cauchy product. Over
+        ``den * h**cap * cap!``, numerator k is that sum times
+        ``sign**k h**(cap-k) cap!/k!``.
+        """
+        if sign not in (1, -1):
+            raise ValueError("sign must be +1 or -1")
+        h = 2 if half else 1
+        step = sign * h
+        cap = self.cap
+        # rows[j] = a_j over den
+        rows, weight = [], 1
+        for j, n in enumerate(self.nums):
+            rows.append(n * weight)
+            weight *= step * (j + 1)
+        # after k passes rows[0] is sum_j C(k, j) a_j
+        sums = [rows[0]]
+        for _ in range(cap):
+            rows = list(map(add, rows, rows[1:]))
+            sums.append(rows[0])
+        # sign**k h**(cap-k) cap!/k!, built from the top down
+        lift = sign**cap
+        for k in range(cap, -1, -1):
+            sums[k] *= lift
+            lift *= step * k
+        return TruncatedSeries.from_integers(cap, self.den * math.factorial(cap) * h**cap, sums)
 
     def scale(self, factor: Fraction | int) -> "TruncatedSeries":
         factor = Fraction(factor)
@@ -229,22 +261,8 @@ def _set(series: TruncatedSeries, cap: int, den: int, nums: tuple[int, ...]) -> 
 
 
 def exp_series(cap: int, sign: int = 1, half: bool = False) -> TruncatedSeries:
-    """Exact series of ``e**(sign*x)``, or of ``e**(sign*x/2)`` when half is set.
-
-    Coefficient k is ``sign**k / (k! * 2**k)`` with the ``2**k`` only in the
-    half case. Example: ``exp_series(2, -1, half=True)`` is
-    ``1 - 1/2*x + 1/8*x^2``.
+    """Exact series of ``e**(sign*x)``, or of ``e**(sign*x/2)`` when half is set:
+    the unit series times that exponential. Example:
+    ``exp_series(2, -1, half=True)`` is ``1 - 1/2*x + 1/8*x^2``.
     """
-    if sign not in (1, -1):
-        raise ValueError("sign must be +1 or -1")
-    if cap < 0:
-        raise ValueError("series cap must be nonnegative")
-    # over cap! (times 2**cap in the half case), numerator k is
-    # sign**k * cap!/k! (times 2**(cap - k)), built from the top down
-    nums = [0] * (cap + 1)
-    acc = 1
-    for k in range(cap, -1, -1):
-        nums[k] = acc if sign > 0 or k % 2 == 0 else -acc
-        acc *= 2 * k if half else k
-    den = math.factorial(cap) * (2**cap if half else 1)
-    return TruncatedSeries.from_integers(cap, den, nums)
+    return TruncatedSeries.from_integers(cap, 1, [1] + [0] * cap).times_exp(sign, half)

@@ -5,17 +5,19 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from hypident.hyper import (
     DegenerateParameterError,
     HypSpec,
+    _pfq_integers,
     bailey_product_series,
     pfq_eval_float,
     pfq_series,
 )
 from hypident.rationals import is_nonpositive_integer, pochhammer
+from hypident.series import TruncatedSeries
 
 param_st = st.fractions(min_value=-6, max_value=6, max_denominator=8)
 admissible_lower_st = param_st.filter(lambda q: not is_nonpositive_integer(q))
@@ -123,6 +125,24 @@ class TestPfqSeriesIntegerKernel:
     def test_parameter_shapes(self, upper, lower, cap):
         s = pfq_series(HypSpec(upper, lower), cap)
         assert s.coeffs == tuple(term_ratio_reference(upper, lower, cap))
+
+    @given(
+        st.lists(param_st, max_size=3),
+        st.lists(admissible_lower_st, max_size=3),
+        st.integers(min_value=0, max_value=30),
+        st.one_of(st.none(), st.integers(min_value=1, max_value=29)),
+    )
+    @example([Fraction(1, 3)], [Fraction(5, 7)], 0, None)
+    @example([Fraction(1, 3)], [Fraction(5, 7)], 12, 4)
+    @settings(max_examples=60)
+    def test_unreduced_integers(self, upper, lower, cap, n):
+        if n is not None and n < cap:
+            upper = [*upper, Fraction(-n)]  # terminating before the cap
+        spec = HypSpec(tuple(upper), tuple(lower))
+        den, nums = _pfq_integers(spec, cap)
+        assert den != 0
+        assert [Fraction(n, den) for n in nums] == term_ratio_reference(spec.upper, spec.lower, cap)
+        assert TruncatedSeries.from_integers(cap, den, nums) == pfq_series(spec, cap)
 
     def test_terminating_series_stops_at_n(self):
         s = pfq_series(HypSpec((Fraction(-4), Fraction(2, 3)), (Fraction(5, 6),)), 24)

@@ -348,6 +348,12 @@ class TestSideSeries:
         for cap in range(10):
             assert _side_series(side, cap) == reference_side_series(side, cap), cap
 
+    @pytest.mark.parametrize("exp", [1, -1, Fraction(1, 2), Fraction(-1, 2)], ids=str)
+    @pytest.mark.parametrize("cap", [24, 48, 96])
+    def test_exponential_at_benchmark_caps(self, cap, exp):
+        side = Side(ORACLE_SIDES["all"], Fraction(exp))
+        assert _side_series(side, cap) == reference_side_series(side, cap)
+
 
 class TestScalarSides:
     def test_gauss_terminating_known_value(self):

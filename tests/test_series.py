@@ -199,6 +199,15 @@ def assert_matches(result: TruncatedSeries, reference: list[Fraction]) -> None:
     assert hash(result) == hash(rebuilt)
 
 
+def times_exp_reference(a: list[Fraction], sign: int, half: bool) -> list[Fraction]:
+    """``e**(c*x) * f`` term by term: ``g_k = sum_j f_j c**(k-j) / (k-j)!``."""
+    c = Fraction(sign, 2 if half else 1)
+    return [
+        sum((a[j] * c ** (k - j) / math.factorial(k - j) for j in range(k + 1)), Fraction(0))
+        for k in range(len(a))
+    ]
+
+
 class TestIntegerRepresentation:
     @given(coeff_lists())
     @few
@@ -285,6 +294,28 @@ class TestIntegerRepresentation:
             Fraction(sign**k, math.factorial(k) * (2**k if half else 1)) for k in range(cap + 1)
         ]
         assert_matches(exp_series(cap, sign, half), reference)
+
+    @given(
+        st.one_of(coeff_lists(), st.integers(0, 40).map(lambda cap: [Fraction(0)] * (cap + 1))),
+        st.sampled_from([1, -1]),
+        st.booleans(),
+    )
+    @few
+    def test_times_exp(self, a, sign, half):
+        assert_matches(
+            TruncatedSeries(len(a) - 1, a).times_exp(sign, half), times_exp_reference(a, sign, half)
+        )
+
+    def test_times_exp_at_cap_96(self):
+        a = [Fraction((-1) ** k * (7 * k + 3), 11 * k + 2) for k in range(97)]
+        s = TruncatedSeries(96, a)
+        assert_matches(s.times_exp(-1, half=True), times_exp_reference(a, -1, True))
+        assert_matches(s.times_exp(1), times_exp_reference(a, 1, False))
+
+    def test_times_exp_bad_sign(self):
+        for sign in (0, 2, -2):
+            with pytest.raises(ValueError):
+                exp_series(3).times_exp(sign)
 
     @given(coeff_lists(max_cap=10), st.integers(min_value=0, max_value=12))
     @few
