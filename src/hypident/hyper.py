@@ -33,6 +33,7 @@ __all__ = [
     "HypSpec",
     "bailey_product_series",
     "bailey_product_spec",
+    "bailey_shared_parameters",
     "pfq_eval_float",
     "pfq_series",
 ]
@@ -87,18 +88,33 @@ def pfq_series(spec: HypSpec, cap: int) -> TruncatedSeries:
     return TruncatedSeries.from_integers(cap, *_pfq_integers(spec, cap))
 
 
-def _pfq_integers(spec: HypSpec, cap: int) -> tuple[int, list[int]]:
-    """Coefficients ``nums[k] / den`` of pFq(upper; lower; x) up to the cap,
-    not reduced: ``den`` is nonzero but may share a factor with every
-    numerator and may be negative.
+def _pfq_integers(
+    spec: HypSpec,
+    cap: int,
+    num_scale: int = 1,
+    den_scale: int = 1,
+    prefixes: dict | None = None,
+) -> tuple[int, list[int]]:
+    """Coefficients ``nums[k] / den`` of pFq(upper; lower; r*t) up to the
+    cap, with ``r = num_scale / den_scale`` (nonzero integers, 1 by
+    default), not reduced: ``den`` is nonzero but may share a factor with
+    every numerator and may be negative.
 
     With every parameter written over one common denominator L, step k of
     the recurrence multiplies by ``num_k / den_k`` where
-    ``num_k = prod(A_j + k*L) * L**(q-p)`` and
-    ``den_k = (k+1) * prod(B_j + k*L) * L**(p-q)`` (each power only when
-    positive) are integers. Coefficient k is then the prefix product of
-    the numerator factors times the suffix product of the denominator
-    factors over the product of all of them, with no gcd inside the loop.
+    ``num_k = num_scale * prod(A_j + k*L) * L**(q-p)`` and
+    ``den_k = den_scale * (k+1) * prod(B_j + k*L) * L**(p-q)`` (each power
+    only when positive) are integers. Coefficient k is then the prefix
+    product of the numerator factors times the suffix product of the
+    denominator factors over the product of all of them, with no gcd inside
+    the loop.
+
+    The prefix products depend only on the integer upper parameters, L, the
+    excess q - p, ``num_scale`` and the cap. A caller that expands many
+    series sharing those (the blocks of one anti-diagonal of a product
+    side) passes one ``prefixes`` dict to every call, and each prefix is
+    then formed once; the dict belongs to that caller and holds integers
+    only.
 
     Once a term hits zero (an upper parameter was a nonpositive integer)
     every later term is zero too, so the loop stops early and the series
@@ -106,35 +122,38 @@ def _pfq_integers(spec: HypSpec, cap: int) -> tuple[int, list[int]]:
     """
     if cap < 0:
         raise ValueError("series cap must be nonnegative")
-    scale = math.lcm(*(v.denominator for v in spec.upper + spec.lower))
-    upper = [a.numerator * (scale // a.denominator) for a in spec.upper]
+    scale = math.lcm(*[v.denominator for v in spec.upper + spec.lower])
+    upper = tuple([a.numerator * (scale // a.denominator) for a in spec.upper])
     lower = [b.numerator * (scale // b.denominator) for b in spec.lower]
     excess = len(spec.lower) - len(spec.upper)
-    num_extra = scale**excess if excess > 0 else 1
-    den_extra = scale**-excess if excess < 0 else 1
 
-    prefix = [1]  # prefix[k] = num_0 * ... * num_{k-1}
-    dens = []
-    for k in range(cap):
-        num = num_extra
-        for a in upper:
-            num *= a + k * scale
-        if num == 0:
-            break
+    key = upper, scale, excess, num_scale, cap
+    prefix = prefixes.get(key) if prefixes is not None else None
+    if prefix is None:
+        prefix = [1]  # prefix[k] = num_0 * ... * num_{k-1}
+        num_extra = num_scale * scale**excess if excess > 0 else num_scale
+        for k in range(cap):
+            num = num_extra
+            for a in upper:
+                num *= a + k * scale
+            if num == 0:
+                break
+            prefix.append(prefix[-1] * num)
+        if prefixes is not None:
+            prefixes[key] = prefix
+
+    # walking down from the last nonzero term, suffix = den_k * ... * den_{top-1}
+    den_extra = den_scale * scale**-excess if excess < 0 else den_scale
+    top = len(prefix) - 1
+    nums = [0] * (cap + 1)
+    nums[top] = prefix[top]
+    suffix = 1
+    for k in range(top - 1, -1, -1):
         den = (k + 1) * den_extra
         for b in lower:
             den *= b + k * scale
-        prefix.append(prefix[-1] * num)
-        dens.append(den)
-
-    # walking down, suffix = den_k * ... * den_{last - 1}
-    top = len(dens)
-    nums = [0] * (cap + 1)
-    suffix = 1
-    for k in range(top, -1, -1):
+        suffix *= den
         nums[k] = prefix[k] * suffix
-        if k:
-            suffix *= dens[k - 1]
     return suffix, nums
 
 
@@ -383,14 +402,30 @@ def _telescoped_tail(spec: HypSpec):
     return tail
 
 
-def bailey_product_spec(rho: Fraction | int, sigma: Fraction | int) -> HypSpec:
+def bailey_product_spec(
+    rho: Fraction | int,
+    sigma: Fraction | int,
+    shared: tuple[tuple[Fraction, Fraction], Fraction] | None = None,
+) -> HypSpec:
     """Parameters of the single series equal to 0F1(; rho; t) * 0F1(; sigma; t).
 
     The product is ``2F3((rho+sigma)/2, (rho+sigma-1)/2; rho, sigma,
     rho+sigma-1; 4t)``. Degenerate rho, sigma, or rho+sigma-1 raise here.
+    Only rho and sigma are not a function of ``rho + sigma``: a caller that
+    builds many blocks with one sum passes ``shared``, the
+    :func:`bailey_shared_parameters` of that sum, formed once.
     """
-    s = Fraction(rho) + Fraction(sigma)
-    return HypSpec(upper=(s / 2, (s - 1) / 2), lower=(rho, sigma, s - 1))
+    if shared is None:
+        shared = bailey_shared_parameters(Fraction(rho) + Fraction(sigma))
+    upper, third = shared
+    return HypSpec(upper=upper, lower=(rho, sigma, third))
+
+
+def bailey_shared_parameters(total: Fraction) -> tuple[tuple[Fraction, Fraction], Fraction]:
+    """The upper parameters and the third lower parameter of the
+    :func:`bailey_product_spec` block whose ``rho + sigma`` is ``total``."""
+    third = total - 1
+    return (total / 2, third / 2), third
 
 
 def bailey_product_series(rho: Fraction | int, sigma: Fraction | int, cap: int) -> TruncatedSeries:

@@ -27,7 +27,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Callable
 
-from .hyper import DegenerateParameterError, FloatSum, HypSpec, _pfq_integers, bailey_product_spec, pfq_eval_float, pfq_series
+from .hyper import DegenerateParameterError, FloatSum, HypSpec, _pfq_integers, bailey_product_spec, bailey_shared_parameters, pfq_eval_float, pfq_series
 from .rationals import format_rational, is_nonpositive_integer, pochhammer
 from .reports import AdmissibilityFinding, check_lower, check_poch, check_pole, check_positive
 from .series import TruncatedSeries
@@ -222,26 +222,34 @@ def _side_series(side: Side, cap: int) -> TruncatedSeries:
     ``x**(cap - power)``, so each pFq factor is expanded only to the degree
     in t that still reaches the cap; a term whose power is past the cap
     contributes nothing. A term with one factor writes the unreduced
-    integers of its pFq (``_pfq_integers``, no gcd) straight onto degree
-    ``power + stride*k``: stride 2 for an ``x**2/c`` argument, 1 for
-    ``c*x``, with ``c**-k`` or ``c**k`` and the weight folded into the
-    integers. A term with several factors (left sides only) is the Cauchy
-    product of its factors in x, a spec that two of them share expanded
-    once, placed at stride 1. Each term joins the sum over the lcm of its
-    denominator and the running one; one gcd at the end makes the sum
-    canonical, and an exponential prefactor is applied by
-    ``TruncatedSeries.times_exp``, a binomial transform of additions.
+    integers of its pFq straight onto degree ``power + stride*k``: stride 2
+    for an ``x**2/c`` argument, 1 for ``c*x``. The kernel
+    (``_pfq_integers``) applies the constant c in its term ratio, dividing
+    each step by c or multiplying it by c, so the block's integers are
+    placed as they come, times the weight. Single-factor terms of one call
+    share one dict of numerator prefix products: the blocks on one
+    anti-diagonal of a product side have the same upper parameters and
+    block cap, so their prefix is formed once. A term with several factors
+    (left sides only) is the Cauchy product of its factors in x, a spec
+    that two of them share expanded once, placed at stride 1. Each term
+    joins the sum over the lcm of its denominator and the running one; one
+    gcd at the end makes the sum canonical, and an exponential prefactor is
+    applied by ``TruncatedSeries.times_exp``, a binomial transform of
+    additions.
     """
     den = 1
     nums = [0] * (cap + 1)
+    prefixes: dict = {}
     for term in side.terms:
         need = cap - term.power
         if need < 0:
             continue
         if len(term.factors) == 1:
             ((spec, arg),) = term.factors
-            block_cap = arg.t_cap(need)
-            block_den, block_nums = _pfq_integers(spec, block_cap)
+            # x**2/c divides each step of the term ratio by c, c*x multiplies it
+            scales = (1, arg.c) if arg.squared else (arg.c, 1)
+            block_den, block_nums = _pfq_integers(spec, arg.t_cap(need), *scales, prefixes)
+            stride = 2 if arg.squared else 1
         else:
             expanded: dict[tuple[HypSpec, int], TruncatedSeries] = {}
             block = None
@@ -252,29 +260,17 @@ def _side_series(side: Side, cap: int) -> TruncatedSeries:
                     series = expanded[key] = pfq_series(*key)
                 factor = arg.series(series, need)
                 block = factor if block is None else block * factor
-            arg = _X  # the product is already a series in x
-            block_cap, block_den, block_nums = block.cap, block.den, block.nums
+            stride = 1  # the product is already a series in x
+            block_den, block_nums = block.den, block.nums
         block_den *= term.weight.denominator
-        lift = arg.c
-        pairs = zip(range(term.power, cap + 1, 2 if arg.squared else 1), block_nums)
-        if arg.squared:
-            # c**-k over c**top: coefficient k gains c**(top - k), so walk
-            # down from the top
-            block_den *= lift**block_cap
-            pairs = reversed(list(pairs))
         common = math.lcm(den, block_den)
         if common != den:
             up = common // den
             nums = [n * up for n in nums]
             den = common
         scale = term.weight.numerator * (common // block_den)
-        if lift == 1:
-            for d, n in pairs:
-                nums[d] += scale * n
-        else:
-            for d, n in pairs:
-                nums[d] += scale * n
-                scale *= lift
+        placed = slice(term.power, cap + 1, stride)
+        nums[placed] = [a + scale * b for a, b in zip(nums[placed], block_nums)]
     total = TruncatedSeries.from_integers(cap, den, nums)
     if side.exp:
         total = total.times_exp(1 if side.exp > 0 else -1, half=abs(side.exp) == HALF)
@@ -338,7 +334,8 @@ def _expansion_terms(
     # sign (m-1-i) (2P + (m-2)Q) Q / (2m (2P + (i+m-1)Q) (2P + (2m-3)Q))
     P, Q = base.numerator, base.denominator
     num = den = 1
-    terms = [(Fraction(1), 0, base + HALF)]
+    rho = base + HALF
+    terms = [(Fraction(1), 0, rho)]
     for m in range(1, i + 1):
         # denominator guards run before the zero-numerator shortcut so that
         # a 0/0 weight raises instead of being silently dropped
@@ -351,7 +348,7 @@ def _expansion_terms(
         num *= sign * (m - 1 - i) * (2 * P + (m - 2) * Q) * Q
         den *= 2 * m * lower_factor * base_factor
         if num:
-            terms.append((Fraction(num, den), m, base + m + HALF))
+            terms.append((Fraction(num, den), m, rho + m))
     return terms
 
 
@@ -397,6 +394,8 @@ def _product_rhs(variant: str, params: IdentityParams) -> Side:
     printed = params.printed_form and variant == "PM"
     if printed:
         shift = [pochhammer(Fraction(-params.j), k) for k in range(max(params.i, params.j) + 1)]
+    # rho + sigma depends on m + n only: one diagonal, one set of shared parameters
+    diagonals: dict[int, tuple] = {}
     terms = []
     for w1, m, rho in first:
         for w2, n, sigma in second:
@@ -404,7 +403,10 @@ def _product_rhs(variant: str, params: IdentityParams) -> Side:
             if printed:
                 weight = weight * shift[m] / shift[n]
             if weight != 0:
-                terms.append(Term(((bailey_product_spec(rho, sigma), _SQ4),), weight, m + n))
+                shared = diagonals.get(m + n)
+                if shared is None:
+                    shared = diagonals[m + n] = bailey_shared_parameters(rho + sigma)
+                terms.append(Term(((bailey_product_spec(rho, sigma, shared), _SQ4),), weight, m + n))
     return Side(tuple(terms), Fraction(1))
 
 
@@ -528,10 +530,8 @@ def _expand_requirements(
         check_poch(f"({lower})_{k}", 2 * base + i, i),
         check_poch(f"({weight_base})_{k}", base - HALF, i),
     ]
-    blocks = [
-        check_lower(block, base + m + HALF, where=f"summand {k}={m}")
-        for m in range(i + 1)
-    ]
+    rho = base + HALF
+    blocks = [check_lower(block, rho + m, where=f"summand {k}={m}") for m in range(i + 1)]
     return weights, blocks
 
 
@@ -549,10 +549,11 @@ def _product_requirements(variant: str, params: IdentityParams, equal_param: boo
     # offset by -i for a lowered first factor and -j for a lowered second
     s_name = "2*alpha" if equal_param else "alpha + beta"
     low = (0 if first_raised else -i) + (0 if second_raised else -j)
+    total = alpha + beta
     for shift in range(low, low + i + j + 1):
         sign = "+" if shift >= 0 else "-"
         expr = f"{s_name} {sign} {abs(shift)}" if shift != 0 else s_name
-        reqs.append(check_lower(expr, alpha + beta + shift, where=f"summand shift {shift}"))
+        reqs.append(check_lower(expr, total + shift, where=f"summand shift {shift}"))
     return reqs
 
 

@@ -61,7 +61,6 @@ def format_rational(value: Fraction | int) -> str:
 
 def is_nonpositive_integer(value: Fraction | int) -> bool:
     """True for 0, -1, -2, ... (the values that break lower parameters)."""
-    value = Fraction(value)
     return value.denominator == 1 and value.numerator <= 0
 
 

@@ -7,6 +7,7 @@ diagnostics, and exit codes.
 
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -506,13 +507,45 @@ def test_module_entry_point_runs_the_cli():
         assert f"{d.tag:>5}  {d.name}" in proc.stdout
 
 
+SWEEP_SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "sweep_product_grid.py"
+
+
 def test_sweep_script_runs_without_pythonpath(tmp_path):
-    script = Path(__file__).resolve().parent.parent / "scripts" / "sweep_product_grid.py"
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
     proc = subprocess.run(
-        [sys.executable, str(script), "--i-max", "0", "--j-max", "0", "--out-dir", str(tmp_path)],
+        [sys.executable, str(SWEEP_SCRIPT), "--i-max", "1", "--j-max", "0", "--out-dir", str(tmp_path)],
         capture_output=True, text=True, timeout=120, env=env, cwd=tmp_path,
     )
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "grid.csv").is_file()
     assert (tmp_path / "grid.json").is_file()
+    assert proc.stdout.splitlines()[-2:] == [
+        "6/6 grid points passed", f"wrote {tmp_path / 'grid.csv'} and {tmp_path / 'grid.json'}",
+    ]
+    # the timing summary goes to stderr, one line
+    (line,) = proc.stderr.splitlines()
+    assert re.fullmatch(r"timing: 6 points in [0-9.]+ s; per point p50 [0-9.]+ ms, p95 [0-9.]+ ms, max [0-9.]+ ms", line)
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--i-max", "-1"], "--i-max -1 must be nonnegative"),
+        (["--j-max", "-2"], "--j-max -2 must be nonnegative"),
+        (["--degree", "-3"], f"--degree -3 must be in 0..{MAX_DEGREE}"),
+        (["--degree", str(MAX_DEGREE + 1)], f"--degree {MAX_DEGREE + 1} must be in 0..{MAX_DEGREE}"),
+        (["--i-max", str(MAX_SHIFT + 1)], f"--i-max {MAX_SHIFT + 1} exceeds the limit of {MAX_SHIFT}"),
+        (["--j-max", str(MAX_SHIFT + 1)], f"--j-max {MAX_SHIFT + 1} exceeds the limit of {MAX_SHIFT}"),
+        (["--i-max", "60", "--j-max", "60"], f"sweep grid of {3 * 61 * 61} points exceeds the limit of {MAX_SWEEP_POINTS}"),
+        (["--alpha", "1/0"], "zero denominator in rational literal '1/0'"),
+    ],
+)
+def test_sweep_script_refuses_bad_grids(tmp_path, argv, message):
+    proc = subprocess.run(
+        [sys.executable, str(SWEEP_SCRIPT), *argv, "--out-dir", str(tmp_path / "out")],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.splitlines() == [f"sweep_product_grid: error: {message}"]
+    assert not (tmp_path / "out").exists()

@@ -144,6 +144,61 @@ class TestPfqSeriesIntegerKernel:
         assert [Fraction(n, den) for n in nums] == term_ratio_reference(spec.upper, spec.lower, cap)
         assert TruncatedSeries.from_integers(cap, den, nums) == pfq_series(spec, cap)
 
+    @given(
+        st.lists(param_st, max_size=3),
+        st.lists(admissible_lower_st, max_size=3),
+        st.integers(min_value=0, max_value=40),
+        st.one_of(st.none(), st.integers(min_value=1, max_value=39)),
+        st.sampled_from([("x", -1), ("x", 2), ("x", 4), ("x**2/c", 4), ("x**2/c", 16)]),
+    )
+    @example([Fraction(1, 3)], [Fraction(5, 7)], 0, None, ("x**2/c", 16))
+    @example([Fraction(1, 3)], [Fraction(5, 7)], 12, 4, ("x", -1))
+    @settings(max_examples=80, deadline=None)
+    def test_argument_constant_in_the_term_ratio(self, upper, lower, cap, n, arg):
+        # the kernel's num_scale / den_scale against reshaping the plain series
+        if n is not None and n < cap:
+            upper = [*upper, Fraction(-n)]
+        spec = HypSpec(tuple(upper), tuple(lower))
+        kind, c = arg
+        if kind == "x":
+            den, nums = _pfq_integers(spec, cap, num_scale=c)
+            expected = pfq_series(spec, cap).scale_argument(c).coeffs
+        else:
+            den, nums = _pfq_integers(spec, cap, den_scale=c)
+            expected = pfq_series(spec, cap).substitute_even(c, 2 * cap).coeffs[::2]
+        assert den != 0
+        assert tuple(Fraction(v, den) for v in nums) == expected
+
+    def test_shared_prefixes_match_fresh_calls(self):
+        # each pair below collides on all but one part of the prefix key,
+        # so a key that drops that part hands one of them the other's prefix
+        half, quarter = Fraction(1, 2), Fraction(1, 4)
+        specs = [
+            HypSpec((half, Fraction(-1, 2)), (Fraction(3, 2), Fraction(5, 2), Fraction(7, 3))),
+            # same upper parameters, other lower ones
+            HypSpec((half, Fraction(-1, 2)), (Fraction(1, 6), Fraction(9, 2), Fraction(2, 3))),
+            # upper integers 1 over L = 2 and over L = 4
+            HypSpec((half,), (Fraction(3, 2),)),
+            HypSpec((quarter,), (Fraction(3, 4),)),
+            # same upper and L, excess 0 and 1
+            HypSpec((half,), (Fraction(3, 2), Fraction(5, 2))),
+            # terminating: the shared prefix stops early
+            HypSpec((Fraction(-3), half), (Fraction(5, 2),)),
+            HypSpec((Fraction(-3), half), (Fraction(7, 2),)),
+        ]
+        calls = [
+            (spec, cap, scales)
+            for spec in specs
+            for cap in (0, 5, 8)
+            for scales in ({}, {"num_scale": -1}, {"num_scale": 2}, {"den_scale": 4}, {"den_scale": 16})
+        ]
+        prefixes: dict = {}
+        for order in (calls, calls[::-1]):
+            for spec, cap, scales in order:
+                fresh = _pfq_integers(spec, cap, **scales)
+                assert _pfq_integers(spec, cap, **scales, prefixes=prefixes) == fresh, (spec, cap, scales)
+        assert all(isinstance(v, int) for prefix in prefixes.values() for v in prefix)
+
     def test_terminating_series_stops_at_n(self):
         s = pfq_series(HypSpec((Fraction(-4), Fraction(2, 3)), (Fraction(5, 6),)), 24)
         assert s.coefficient(4) != 0

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from hypident.hyper import DegenerateParameterError, HypSpec, pfq_series
+from hypident.hyper import DegenerateParameterError, HypSpec, bailey_product_spec, pfq_series
 from hypident.identities import (
     Arg,
     IdentityId,
@@ -20,6 +20,7 @@ from hypident.identities import (
     get,
     _expansion_terms,
     _gamma_ratio,
+    _product_rhs,
     _side_series,
 )
 from hypident.rationals import pochhammer
@@ -245,6 +246,58 @@ class TestProductExpansion:
             assert got == base
 
 
+class TestProductDegenerateBlocks:
+    @pytest.mark.parametrize(
+        "tag, alpha, beta, i, j, printed_form, expr, value, index",
+        [
+            ("2.1", "-9/2", "-9/2", 0, 0, False, "lower[0]", "-4", 4),
+            ("2.1", "-4", "-9/2", 0, 0, False, "lower[1]", "-4", 4),
+            ("2.1", "-4", "-4", 0, 0, False, "lower[2]", "-8", 8),
+            ("2.1", "-1/2", "-1/2", 0, 0, False, "lower[0]", "0", 0),
+            # blocks on later diagonals exist, the one at (m, n) = (0, 0) fails
+            ("2.1", "-9/2", "2/5", 2, 3, False, "lower[0]", "-4", 4),
+            ("2.1", "3/7", "-7/2", 3, 2, False, "lower[1]", "-3", 3),
+            # these fail only at a nonzero shift
+            ("2.2", "-2", "3", 0, 1, False, "lower[2]", "0", 0),
+            ("2.2", "-2", "3", 2, 1, False, "lower[2]", "-2", 2),
+            ("2.2", "1", "-5/2", 0, 0, False, "lower[1]", "-2", 2),
+            ("2.3", "-2", "3", 0, 1, False, "lower[2]", "0", 0),
+            ("2.3", "-2", "3", 0, 1, True, "lower[2]", "0", 0),
+            ("2.3", "1", "-1", 2, 3, False, "lower[2]", "-3", 3),
+            ("2.3", "1", "-1", 2, 3, True, "lower[2]", "-3", 3),
+        ],
+    )
+    def test_degenerate_block_raises(self, tag, alpha, beta, i, j, printed_form, expr, value, index):
+        params = IdentityParams(alpha=Fraction(alpha), beta=Fraction(beta), i=i, j=j, printed_form=printed_form)
+        with pytest.raises(DegenerateParameterError) as err:
+            get(tag).build_rhs(params)
+        assert (err.value.expr, err.value.value, err.value.index) == (expr, Fraction(value), index)
+
+    @given(
+        st.integers(-12, 6).map(lambda k: Fraction(k, 2)),
+        st.integers(-12, 6).map(lambda k: Fraction(k, 2)),
+        st.integers(0, 3),
+        st.integers(0, 3),
+        st.sampled_from(["PP", "MM", "PM"]),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_a_degenerate_block_is_the_first_block(self, alpha, beta, i, j, variant):
+        # Block (m, n) has rho_0 + m, sigma_0 + n and rho_0 + sigma_0 - 1 + m + n,
+        # and block (0, 0) always has weight 1; so if any block is degenerate,
+        # the first one is, and no failing block comes after another block of
+        # its own diagonal.
+        params = IdentityParams(alpha=alpha, beta=beta, i=i, j=j)
+        try:
+            get(PRODUCT_TAG[variant]).build_rhs(params)
+        except DegenerateParameterError as err:
+            assume(err.expr.startswith("lower"))
+            rho = _expansion_terms(alpha, i, variant[0] == "P")[0][2]
+            sigma = _expansion_terms(beta, j, variant[1] == "P")[0][2]
+            with pytest.raises(DegenerateParameterError) as first:
+                bailey_product_spec(rho, sigma)
+            assert (err.expr, err.value, err.index) == (first.value.expr, first.value.value, first.value.index)
+
+
 class TestEqualParameterForm:
     @pytest.mark.parametrize(
         "tag, alpha, i, j, printed_form, expr, value, index",
@@ -353,6 +406,16 @@ class TestSideSeries:
     def test_exponential_at_benchmark_caps(self, cap, exp):
         side = Side(ORACLE_SIDES["all"], Fraction(exp))
         assert _side_series(side, cap) == reference_side_series(side, cap)
+
+    @pytest.mark.parametrize("variant, printed_form", [("PP", False), ("MM", False), ("PM", False), ("PM", True)])
+    def test_product_right_sides(self, variant, printed_form):
+        # the reference expands every block on its own, so it shares nothing
+        # along a diagonal
+        for i in range(7):
+            for j in range(7):
+                params = IdentityParams(alpha=A, beta=B, i=i, j=j, printed_form=printed_form)
+                side, cap = _product_rhs(variant, params), params.effective_cap
+                assert _side_series(side, cap) == reference_side_series(side, cap), (i, j)
 
 
 class TestScalarSides:
