@@ -18,8 +18,8 @@ from fractions import Fraction
 from .hyper import DegenerateParameterError
 from .identities import IdentityParams, catalog, get
 from .rationals import RationalParseError, parse_rational
-from .reports import csv_text, relative_error, reports_to_csv
-from .verify import DEFAULT_FLOAT_TOL, sweep, sweep_axes, verify_identity
+from .reports import FloatResidual, csv_text, reports_to_csv
+from .verify import DEFAULT_FLOAT_TOL, float_residual, sweep, sweep_axes, verify_identity
 
 __all__ = ["MAX_DEGREE", "MAX_SHIFT", "MAX_SWEEP_POINTS", "build_parser", "main", "run"]
 
@@ -231,51 +231,38 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     params = _parse_params(args)
     define = get(args.identity)
     define.validate_params(params)
-    scale = 0.0  # sum |t_k| of a float sum, see verify._scalar_float_check
-    if define.kind == "series":
-        if args.x is None:
-            raise ValueError(f"identity {define.tag} needs --x to evaluate")
-        lhs, lhs_ok = define.lhs_float(params, args.x)
-        rhs, rhs_ok = define.rhs_float(params, args.x)
-        # JSON has no token for a non-finite side, and no residual is meaningful
-        if not (math.isfinite(lhs) and math.isfinite(rhs)):
-            raise ValueError(f"a float side of identity {define.tag} overflows at --x {args.x:g}")
-        x = args.x
-        converged = lhs_ok and rhs_ok
-    elif define.kind == "exact_sum":
+    if define.kind == "exact_sum":
         exact_lhs, exact_rhs = define.scalar_exact(params)
         try:
             lhs, rhs = float(exact_lhs), float(exact_rhs)
         except OverflowError:
             raise ValueError(f"a float side of identity {define.tag} overflows at x = 1") from None
-        x = 1.0
-        converged = True
+        size = max(abs(exact_lhs), abs(exact_rhs))
+        residual = FloatResidual(1.0, float(abs(exact_lhs - exact_rhs) / size) if size else 0.0, lhs, rhs)
     else:
-        lhs, rhs, lhs_sum = define.scalar_float(params)
-        x = define.fixed_argument
-        converged = lhs_sum.converged
-        scale = lhs_sum.abs_sum
-    rel = relative_error(lhs, rhs, scale)
+        if define.kind == "series" and args.x is None:
+            raise ValueError(f"identity {define.tag} needs --x to evaluate")
+        residual = float_residual(define.id, params, args.x)
+        # JSON has no token for a non-finite side, and no residual is meaningful
+        if define.kind == "series" and not (math.isfinite(residual.lhs) and math.isfinite(residual.rhs)):
+            raise ValueError(f"a float side of identity {define.tag} overflows at --x {args.x:g}")
     if args.output == "json":
-        doc = {
-            "identity": define.tag,
-            "params": params.to_json_dict(),
-            "x": x,
-            "lhs": lhs,
-            "rhs": rhs,
-            "relative_error": rel,
-            "converged": converged,
-        }
+        fields = residual.to_json_dict()
+        doc = {"identity": define.tag, "params": params.to_json_dict()}
+        doc.update((key, fields[key]) for key in ("x", "lhs", "rhs", "relative_error", "converged"))
         print(json.dumps(doc, indent=2))
     elif args.output == "csv":
         header = ["identity", "x", "lhs", "rhs", "relative_error", "converged"]
-        row = [define.tag, x, repr(lhs), repr(rhs), repr(rel), converged]
+        row = [
+            define.tag, residual.x, repr(residual.lhs), repr(residual.rhs),
+            repr(residual.relative_error), residual.converged,
+        ]
         sys.stdout.write(csv_text(header, [row]))
     else:
-        print(f"{define.tag} at x = {x:g}, {params.describe()}:")
-        print(f"  lhs = {lhs!r}")
-        print(f"  rhs = {rhs!r}")
-        print(f"  rel = {rel:.3e}" + ("" if converged else "  [did not converge]"))
+        print(f"{define.tag} at x = {residual.x:g}, {params.describe()}:")
+        print(f"  lhs = {residual.lhs!r}")
+        print(f"  rhs = {residual.rhs!r}")
+        print(f"  rel = {residual.relative_error:.3e}" + ("" if residual.converged else "  [did not converge]"))
     return 0
 
 

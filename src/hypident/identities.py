@@ -27,7 +27,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Callable
 
-from .hyper import DegenerateParameterError, FloatSum, HypSpec, _pfq_integers, bailey_product_spec, bailey_shared_parameters, pfq_eval_float, pfq_series
+from .hyper import DegenerateParameterError, FloatSum, HypSpec, _pfq_integers, bailey_product_spec, bailey_shared_parameters, pfq_eval_float
 from .rationals import format_rational, is_nonpositive_integer, pochhammer
 from .reports import AdmissibilityFinding, check_lower, check_poch, check_pole, check_positive
 from .series import TruncatedSeries
@@ -165,13 +165,6 @@ class Arg:
         """Degree in t that a series in x needs up to ``x**cap``."""
         return cap // 2 if self.squared else cap
 
-    def series(self, s: TruncatedSeries, cap: int) -> TruncatedSeries:
-        """Substitute this argument into the series ``s`` of pFq(t), expanded
-        to ``t_cap(cap)``, giving a series in x up to ``x**cap``."""
-        if self.squared:
-            return s.substitute_even(self.c, cap)
-        return s if self.c == 1 else s.scale_argument(self.c)
-
     def at(self, x: float) -> float:
         return x * x / self.c if self.squared else self.c * x
 
@@ -221,17 +214,17 @@ def _side_series(side: Side, cap: int) -> TruncatedSeries:
     A term ``weight * x**power * F(...)`` is needed only up to
     ``x**(cap - power)``, so each pFq factor is expanded only to the degree
     in t that still reaches the cap; a term whose power is past the cap
-    contributes nothing. A term with one factor writes the unreduced
-    integers of its pFq straight onto degree ``power + stride*k``: stride 2
-    for an ``x**2/c`` argument, 1 for ``c*x``. The kernel
-    (``_pfq_integers``) applies the constant c in its term ratio, dividing
-    each step by c or multiplying it by c, so the block's integers are
-    placed as they come, times the weight. Single-factor terms of one call
-    share one dict of numerator prefix products: the blocks on one
-    anti-diagonal of a product side have the same upper parameters and
-    block cap, so their prefix is formed once. A term with several factors
-    (left sides only) is the Cauchy product of its factors in x, a spec
-    that two of them share expanded once, placed at stride 1. Each term
+    contributes nothing. Every factor comes from the kernel
+    (``_pfq_integers``), which applies the constant c of its argument in the
+    term ratio, dividing each step by c or multiplying it by c, so its
+    unreduced integers belong on degree ``stride*k`` as they come: stride 2
+    for an ``x**2/c`` argument, 1 for ``c*x``. A term with one factor writes
+    them straight onto degree ``power + stride*k``, times the weight. A term
+    with several factors (left sides only) spreads each onto its degrees in
+    x and multiplies them as series, a Cauchy product placed at stride 1.
+    The factors of one call share one dict of numerator prefix products:
+    the blocks on one anti-diagonal of a product side have the same upper
+    parameters and block cap, so their prefix is formed once. Each term
     joins the sum over the lcm of its denominator and the running one; one
     gcd at the end makes the sum canonical, and an exponential prefactor is
     applied by ``TruncatedSeries.times_exp``, a binomial transform of
@@ -244,24 +237,18 @@ def _side_series(side: Side, cap: int) -> TruncatedSeries:
         need = cap - term.power
         if need < 0:
             continue
-        if len(term.factors) == 1:
-            ((spec, arg),) = term.factors
-            # x**2/c divides each step of the term ratio by c, c*x multiplies it
+        product = None
+        for spec, arg in term.factors:
             scales = (1, arg.c) if arg.squared else (arg.c, 1)
             block_den, block_nums = _pfq_integers(spec, arg.t_cap(need), *scales, prefixes)
             stride = 2 if arg.squared else 1
-        else:
-            expanded: dict[tuple[HypSpec, int], TruncatedSeries] = {}
-            block = None
-            for spec, arg in term.factors:
-                key = spec, arg.t_cap(need)
-                series = expanded.get(key)
-                if series is None:
-                    series = expanded[key] = pfq_series(*key)
-                factor = arg.series(series, need)
-                block = factor if block is None else block * factor
-            stride = 1  # the product is already a series in x
-            block_den, block_nums = block.den, block.nums
+            if len(term.factors) > 1:
+                spread = [0] * (need + 1)
+                spread[::stride] = block_nums
+                factor = TruncatedSeries.from_integers(need, block_den, spread)
+                product = factor if product is None else product * factor
+        if product is not None:
+            block_den, block_nums, stride = product.den, product.nums, 1
         block_den *= term.weight.denominator
         common = math.lcm(den, block_den)
         if common != den:
@@ -470,7 +457,8 @@ def _gamma_ratio(numerators: list[Fraction], denominators: list[Fraction]) -> fl
     A pole in a denominator factor contributes a zero to the ratio, so the
     whole value is 0.0; a pole in a numerator factor leaves the ratio
     undefined and raises. A factor or partial product beyond the double
-    range raises ValueError naming that factor.
+    range, or a factor that underflows to 0.0 away from a pole, raises
+    ValueError naming that factor.
     """
     for g in numerators:
         if is_nonpositive_integer(g):
@@ -484,6 +472,8 @@ def _gamma_ratio(numerators: list[Fraction], denominators: list[Fraction]) -> fl
             factor = math.gamma(float(g))
         except OverflowError:
             raise ValueError(f"Gamma({format_rational(g)}) overflows a double") from None
+        if factor == 0.0:
+            raise ValueError(f"Gamma({format_rational(g)}) underflows a double")
         value = value * factor if up else value / factor
         if math.isinf(value):
             raise ValueError(f"the Gamma ratio overflows a double at Gamma({format_rational(g)})")

@@ -7,7 +7,8 @@ arithmetic followed by a single gcd that cancels the common factor, so the
 pair ``(den, nums)`` is canonical: two series with the same coefficients
 have the same fields and compare and hash equal. ``coeffs`` presents the
 coefficients as :class:`fractions.Fraction` values for rendering and
-callers outside the arithmetic; it is built on first use.
+callers outside the arithmetic; it is built on each access, and nothing
+in the arithmetic reads it.
 
 Operations never invent coefficients above the cap: binary operations
 truncate to the smaller of the two caps and the result records the cap
@@ -20,7 +21,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from operator import add, mul
 from typing import Iterable
 
@@ -49,11 +49,11 @@ class TruncatedSeries:
         den = math.lcm(*(c.denominator for c in coeffs))
         nums = tuple(c.numerator * (den // c.denominator) for c in coeffs)
         _set(self, cap, den, nums)
-        self.__dict__["coeffs"] = coeffs
 
-    @cached_property
+    @property
     def coeffs(self) -> tuple[Fraction, ...]:
-        """The coefficients as reduced fractions, index = degree."""
+        """The coefficients as reduced fractions, index = degree, built on
+        each access."""
         den = self.den
         return tuple(Fraction(n, den) for n in self.nums)
 
@@ -105,9 +105,6 @@ class TruncatedSeries:
     def __sub__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         cap, den, a, b = self._aligned(other)
         return TruncatedSeries.from_integers(cap, den, [x - y for x, y in zip(a, b)])
-
-    def __neg__(self) -> "TruncatedSeries":
-        return TruncatedSeries.from_integers(self.cap, self.den, [-n for n in self.nums])
 
     def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         """Cauchy product truncated to the smaller cap."""
@@ -213,24 +210,6 @@ class TruncatedSeries:
         for k in range(top + 1):
             nums[2 * k] = self.nums[k] * q**k * p ** (top - k)
         return TruncatedSeries.from_integers(cap, self.den * p**top, nums)
-
-    def truncate(self, cap: int) -> "TruncatedSeries":
-        """Drop to a smaller cap (a larger one would need unknown coefficients)."""
-        if cap > self.cap:
-            raise ValueError(f"cannot extend cap {self.cap} to {cap}")
-        return TruncatedSeries.from_integers(cap, self.den, self.nums[: cap + 1])
-
-    def eval_float(self, x: float) -> float:
-        """Horner evaluation of the truncated polynomial in double precision."""
-        acc = 0.0
-        for c in reversed(self.coeffs):
-            try:
-                acc = acc * x + float(c)
-            except OverflowError as exc:
-                raise OverflowError(
-                    f"coefficient {format_rational(c)} does not fit in a float"
-                ) from exc
-        return acc
 
     def coefficient_strings(self) -> list[str]:
         """Coefficients rendered as exact p/q strings, index = degree."""

@@ -37,6 +37,7 @@ __all__ = [
     "DEFAULT_FLOAT_POINTS",
     "DEFAULT_FLOAT_TOL",
     "check_admissible",
+    "float_residual",
     "report_for_sides",
     "sweep",
     "sweep_axes",
@@ -60,19 +61,29 @@ def check_admissible(identity: IdentityId | str, params: IdentityParams) -> list
     return [finding for finding in define.requirements(params) if finding is not None]
 
 
-def _float_residuals(
-    define: IdentityDef,
-    params: IdentityParams,
-    float_points: Sequence[float],
-) -> tuple[FloatResidual, ...]:
-    out = []
-    for x in float_points:
+def float_residual(identity: IdentityId | str, params: IdentityParams, x: float | None = None) -> FloatResidual:
+    """Both sides of a series entry evaluated in floating point at ``x``, or
+    the float sum of a float-sum entry at its fixed argument (``x`` is then
+    ignored), and their relative disagreement.
+
+    A series residual is infinite unless both sides converged. A float-sum
+    residual is scaled by ``sum |t_k|`` as well as by both sides, so that a
+    sum whose exact value is 0 is judged against the size of its terms
+    rather than against its own rounding error; it records the terms
+    summed. The parameters are taken as given: the entry's admissibility is
+    the caller's to check.
+    """
+    define = identities.get(identity)
+    if define.kind == "series":
         lhs, lhs_ok = define.lhs_float(params, x)
         rhs, rhs_ok = define.rhs_float(params, x)
         ok = lhs_ok and rhs_ok
-        rel = relative_error(lhs, rhs) if ok else math.inf
-        out.append(FloatResidual(x, rel, lhs, rhs, ok))
-    return tuple(out)
+        return FloatResidual(x, relative_error(lhs, rhs) if ok else math.inf, lhs, rhs, ok)
+    if define.kind == "float_sum":
+        lhs, rhs, lhs_sum = define.scalar_float(params)
+        rel = relative_error(lhs, rhs, lhs_sum.abs_sum)
+        return FloatResidual(define.fixed_argument, rel, lhs, rhs, lhs_sum.converged, lhs_sum.terms)
+    raise ValueError(f"identity {define.tag} is an exact sum, it has no float residual")
 
 
 def _compared(define: IdentityDef, params: IdentityParams, lhs, rhs, **fields) -> VerifyReport:
@@ -95,7 +106,7 @@ def _series_check(define: IdentityDef, params: IdentityParams, float_points: Seq
         params,
         define.build_lhs(params),
         define.build_rhs(params),
-        float_residuals=_float_residuals(define, params, float_points),
+        float_residuals=tuple(float_residual(define.id, params, x) for x in float_points),
         notes=define.notes(params),
     )
 
@@ -113,16 +124,11 @@ def _scalar_exact_check(define: IdentityDef, params: IdentityParams) -> VerifyRe
 
 
 def _scalar_float_check(define: IdentityDef, params: IdentityParams, tol: float) -> VerifyReport:
-    """The residual is scaled by ``sum |t_k|`` as well as by both sides, so
-    that a sum whose exact value is 0 is judged against the size of its
-    terms rather than against its own rounding error."""
-    lhs, rhs, lhs_sum = define.scalar_float(params)
-    rel = relative_error(lhs, rhs, lhs_sum.abs_sum)
-    if not lhs_sum.converged:
+    residual = float_residual(define.id, params)
+    if not residual.converged:
         status = STATUS_FLOAT_INCONCLUSIVE
     else:
-        status = STATUS_FLOAT_ONLY_PASS if rel <= tol else STATUS_FLOAT_ONLY_FAIL
-    residual = FloatResidual(define.fixed_argument, rel, lhs, rhs, lhs_sum.converged, lhs_sum.terms)
+        status = STATUS_FLOAT_ONLY_PASS if residual.relative_error <= tol else STATUS_FLOAT_ONLY_FAIL
     return VerifyReport(
         identity=define.tag,
         params=params,

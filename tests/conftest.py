@@ -17,3 +17,17 @@ def float_budget_of_ten(monkeypatch):
         return real(spec, x, tol=tol, max_terms=10)
 
     monkeypatch.setattr(identities, "pfq_eval_float", limited)
+
+
+@pytest.fixture
+def horner():
+    """Horner evaluation of a truncated series in double precision, from its
+    integer numerators: the float oracle the pFq sums are checked against."""
+
+    def evaluate(series, x):
+        acc = 0.0
+        for n in reversed(series.nums):
+            acc = acc * x + n / series.den
+        return acc
+
+    return evaluate

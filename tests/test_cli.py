@@ -19,8 +19,9 @@ import pytest
 
 from hypident import cli
 from hypident.cli import MAX_DEGREE, MAX_SHIFT, MAX_SWEEP_POINTS, build_parser, run
-from hypident.identities import catalog
+from hypident.identities import IdentityParams, catalog
 from hypident.rationals import parse_rational
+from hypident.verify import verify_identity
 
 ALL_TAGS = [d.tag for d in catalog()]
 
@@ -313,6 +314,31 @@ class TestEval:
         assert doc["x"] == 1.0
         assert doc["relative_error"] == 0.0
 
+    @pytest.mark.parametrize(
+        "tag, point, x",
+        [
+            # neither float side converges: no finite residual, as in verify
+            ("1.1", dict(alpha=Fraction(1, 2), beta=Fraction(1, 3)), 650.0),
+            ("2.1", dict(alpha=Fraction(3, 7), beta=Fraction(2, 5), i=1, j=1), 0.75),
+            ("1.4", dict(alpha=Fraction(1, 3), beta=Fraction(2, 5)), None),
+        ],
+        ids=["unconverged", "series", "float-sum"],
+    )
+    def test_reports_what_verify_reports(self, capsys, tag, point, x):
+        argv = [arg for key, value in point.items() for arg in (f"--{key}", str(value))]
+        if x is not None:
+            argv += ["--x", str(x)]
+        code, out, _ = invoke(capsys, "eval", "--identity", tag, *argv, "--output", "json")
+        assert code == 0
+        doc = json.loads(out)
+        report = verify_identity(tag, IdentityParams(**point), float_points=(x,) if x is not None else ())
+        (residual,) = report.float_residuals
+        expected = residual.to_json_dict()
+        fields = ("x", "lhs", "rhs", "relative_error", "converged")
+        assert [doc[key] for key in fields] == [expected[key] for key in fields]
+        if tag == "1.1":
+            assert (doc["relative_error"], doc["converged"]) == (None, False)
+
     def test_series_eval_without_x_is_an_error(self, capsys):
         code, _, err = invoke(
             capsys, "eval", "--identity", "1.1", "--alpha", "3/7", "--beta", "2/5",
@@ -370,6 +396,8 @@ class TestBadRequests:
             # both exact sides are finite rationals far past the double range
             (["eval", "--identity", "1.3", "--alpha=-100000000", "--beta", "1/3", "--i", "64",
               "--output", "json"], "a float side of identity 1.3 overflows at x = 1"),
+            # math.gamma of a factor returns 0.0 away from a pole
+            (["verify", "--identity", "1.4", "--alpha=-400", "--beta", "1/3"], "Gamma(-598/3) underflows a double"),
         ],
     )
     def test_exit_2_with_message(self, capsys, argv, needle):

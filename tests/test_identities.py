@@ -8,6 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from hypident import identities
 from hypident.hyper import DegenerateParameterError, HypSpec, bailey_product_spec, pfq_series
 from hypident.identities import (
     Arg,
@@ -346,8 +347,9 @@ class TestEqualParameterForm:
 
 
 def reference_side_series(side, cap):
-    """The side built term by term from TruncatedSeries operations, each
-    block expanded, substituted, shifted, scaled and added on its own."""
+    """The side built term by term from TruncatedSeries operations: each
+    factor expanded by pfq_series in its own variable and then substituted,
+    each block multiplied, shifted, scaled and added on its own."""
     total = TruncatedSeries.from_integers(cap, 1, [0] * (cap + 1))
     for term in side.terms:
         need = cap - term.power
@@ -355,7 +357,8 @@ def reference_side_series(side, cap):
             continue
         block = None
         for spec, arg in term.factors:
-            factor = arg.series(pfq_series(spec, arg.t_cap(need)), need)
+            series = pfq_series(spec, arg.t_cap(need))
+            factor = series.substitute_even(arg.c, need) if arg.squared else series.scale_argument(arg.c)
             block = factor if block is None else block * factor
         total = total + block.shift(term.power, cap).scale(term.weight)
     if side.exp:
@@ -483,6 +486,25 @@ class TestScalarSides:
             _gamma_ratio(numerators, denominators)
         assert str(err.value) == message
 
+    @pytest.mark.parametrize(
+        "numerators, denominators",
+        [
+            # math.gamma(-199.5) is 0.0: as a numerator it would zero the ratio
+            ([Fraction(-399, 2)], [Fraction(1, 2)]),
+            # and as a denominator divide by zero
+            ([Fraction(1, 2)], [Fraction(-399, 2)]),
+        ],
+    )
+    def test_gamma_ratio_underflow_raises(self, numerators, denominators):
+        with pytest.raises(ValueError) as err:
+            _gamma_ratio(numerators, denominators)
+        assert str(err.value) == "Gamma(-399/2) underflows a double"
+
+    def test_gauss_second_underflow_is_a_request_error(self):
+        # Gamma((alpha + beta + 1)/2) = Gamma(-598/3) underflows first
+        with pytest.raises(ValueError, match=r"Gamma\(-598/3\) underflows a double"):
+            verify_identity("1.4", IdentityParams(alpha=-400, beta=Fraction(1, 3)))
+
 
 class TestClassicalSumBatch:
     def test_full_batch(self):
@@ -547,4 +569,31 @@ def test_low_caps_are_truncations_of_deeper_builds(tag, point):
         shallow = IdentityParams(cap=cap, **point)
         deep = IdentityParams(cap=cap + 5, **point)
         for build in (define.build_lhs, define.build_rhs):
-            assert build(shallow) == build(deep).truncate(cap)
+            built = build(deep)
+            assert build(shallow) == TruncatedSeries.from_integers(cap, built.den, built.nums[: cap + 1])
+
+
+LEFT_SIDE_POINTS = [
+    (A, B, 0, 0),
+    (Fraction(7, 3), Fraction(9, 4), 2, 1),
+    (Fraction(-5, 11), Fraction(7, 13), 1, 3),
+]
+
+
+@pytest.mark.parametrize("tag", SERIES_TAGS)
+def test_left_sides_match_term_by_term_reference(tag, monkeypatch):
+    """Every catalog left side, products of two factors included, equals the
+    reference built from its own side declaration, at the default cap and
+    at the benchmark's cap 96."""
+    built_sides = []
+    real = identities._side_series
+
+    def recording(side, cap):
+        built_sides.append((side, cap))
+        return real(side, cap)
+
+    monkeypatch.setattr(identities, "_side_series", recording)
+    for alpha, beta, i, j in LEFT_SIDE_POINTS:
+        for cap in (None, 96):
+            built = get(tag).build_lhs(IdentityParams(alpha=alpha, beta=beta, i=i, j=j, cap=cap))
+            assert built == reference_side_series(*built_sides.pop()), (alpha, beta, i, j, cap)
