@@ -18,7 +18,7 @@ from fractions import Fraction
 from .hyper import DegenerateParameterError
 from .identities import IdentityParams, catalog, get
 from .rationals import RationalParseError, parse_rational
-from .reports import FloatResidual, csv_text, reports_to_csv
+from .reports import csv_text, reports_to_csv
 from .verify import DEFAULT_FLOAT_TOL, float_residual, sweep, sweep_axes, verify_identity
 
 __all__ = ["MAX_DEGREE", "MAX_SHIFT", "MAX_SWEEP_POINTS", "build_parser", "main", "run"]
@@ -231,21 +231,12 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     params = _parse_params(args)
     define = get(args.identity)
     define.validate_params(params)
-    if define.kind == "exact_sum":
-        exact_lhs, exact_rhs = define.scalar_exact(params)
-        try:
-            lhs, rhs = float(exact_lhs), float(exact_rhs)
-        except OverflowError:
-            raise ValueError(f"a float side of identity {define.tag} overflows at x = 1") from None
-        size = max(abs(exact_lhs), abs(exact_rhs))
-        residual = FloatResidual(1.0, float(abs(exact_lhs - exact_rhs) / size) if size else 0.0, lhs, rhs)
-    else:
-        if define.kind == "series" and args.x is None:
-            raise ValueError(f"identity {define.tag} needs --x to evaluate")
-        residual = float_residual(define.id, params, args.x)
-        # JSON has no token for a non-finite side, and no residual is meaningful
-        if define.kind == "series" and not (math.isfinite(residual.lhs) and math.isfinite(residual.rhs)):
-            raise ValueError(f"a float side of identity {define.tag} overflows at --x {args.x:g}")
+    if define.kind == "series" and args.x is None:
+        raise ValueError(f"identity {define.tag} needs --x to evaluate")
+    residual = float_residual(define.id, params, args.x)
+    # JSON has no token for a non-finite side, and no residual is meaningful
+    if define.kind == "series" and not (math.isfinite(residual.lhs) and math.isfinite(residual.rhs)):
+        raise ValueError(f"a float side of identity {define.tag} overflows at --x {args.x:g}")
     if args.output == "json":
         fields = residual.to_json_dict()
         doc = {"identity": define.tag, "params": params.to_json_dict()}

@@ -85,11 +85,12 @@ class HypSpec:
 def pfq_series(spec: HypSpec, cap: int) -> TruncatedSeries:
     """Exact truncation of pFq(upper; lower; x) to the given cap: the
     integers of :func:`_pfq_integers` brought to canonical form by one gcd."""
-    return TruncatedSeries.from_integers(cap, *_pfq_integers(spec, cap))
+    return TruncatedSeries.from_integers(cap, *_pfq_integers(spec.upper, spec.lower, cap))
 
 
 def _pfq_integers(
-    spec: HypSpec,
+    upper: tuple[Fraction, ...],
+    lower: tuple[Fraction, ...],
     cap: int,
     num_scale: int = 1,
     den_scale: int = 1,
@@ -118,14 +119,16 @@ def _pfq_integers(
 
     Once a term hits zero (an upper parameter was a nonpositive integer)
     every later term is zero too, so the loop stops early and the series
-    is genuinely polynomial.
+    is genuinely polynomial. The parameters are bare tuples, which unlike a
+    :class:`HypSpec` may hold a nonpositive integer lower parameter: the
+    caller must exclude a zero denominator factor before the series ends.
     """
     if cap < 0:
         raise ValueError("series cap must be nonnegative")
-    scale = math.lcm(*[v.denominator for v in spec.upper + spec.lower])
-    upper = tuple([a.numerator * (scale // a.denominator) for a in spec.upper])
-    lower = [b.numerator * (scale // b.denominator) for b in spec.lower]
-    excess = len(spec.lower) - len(spec.upper)
+    scale = math.lcm(*[v.denominator for v in upper + lower])
+    excess = len(lower) - len(upper)
+    upper = tuple([a.numerator * (scale // a.denominator) for a in upper])
+    lower = [b.numerator * (scale // b.denominator) for b in lower]
 
     key = upper, scale, excess, num_scale, cap
     prefix = prefixes.get(key) if prefixes is not None else None

@@ -22,6 +22,7 @@ identity does.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -240,7 +241,7 @@ def _side_series(side: Side, cap: int) -> TruncatedSeries:
         product = None
         for spec, arg in term.factors:
             scales = (1, arg.c) if arg.squared else (arg.c, 1)
-            block_den, block_nums = _pfq_integers(spec, arg.t_cap(need), *scales, prefixes)
+            block_den, block_nums = _pfq_integers(spec.upper, spec.lower, arg.t_cap(need), *scales, prefixes)
             stride = 2 if arg.squared else 1
             if len(term.factors) > 1:
                 spread = [0] * (need + 1)
@@ -268,22 +269,21 @@ def _side_float(side: Side, x: float) -> tuple[float, bool]:
     """Float value of a side at x, and whether it is finite and every
     factor's sum converged; ``(inf, False)`` when a weight, power or
     exponential overflows a double."""
-    sums: dict[Factor, FloatSum] = {}
     total = 0.0
+    converged = True
     try:
         for term in side.terms:
             value = float(term.weight) * x**term.power
-            for factor in term.factors:
-                if factor not in sums:
-                    spec, arg = factor
-                    sums[factor] = pfq_eval_float(spec, arg.at(x), tol=_FLOAT_TOL, max_terms=_FLOAT_TERMS)
-                value *= sums[factor].value
+            for spec, arg in term.factors:
+                factor = pfq_eval_float(spec, arg.at(x), tol=_FLOAT_TOL, max_terms=_FLOAT_TERMS)
+                value *= factor.value
+                converged = converged and factor.converged
             total += value
         if side.exp:
             total *= math.exp(side.exp * x)
     except OverflowError:
         return math.inf, False
-    return total, math.isfinite(total) and all(s.converged for s in sums.values())
+    return total, converged and math.isfinite(total)
 
 
 # --------------------------------------------------------------------------
@@ -457,8 +457,9 @@ def _gamma_ratio(numerators: list[Fraction], denominators: list[Fraction]) -> fl
     A pole in a denominator factor contributes a zero to the ratio, so the
     whole value is 0.0; a pole in a numerator factor leaves the ratio
     undefined and raises. A factor or partial product beyond the double
-    range, or a factor that underflows to 0.0 away from a pole, raises
-    ValueError naming that factor.
+    range, a partial product below the smallest normal double, or a factor
+    that underflows to 0.0 away from a pole raises ValueError naming that
+    factor.
     """
     for g in numerators:
         if is_nonpositive_integer(g):
@@ -477,28 +478,21 @@ def _gamma_ratio(numerators: list[Fraction], denominators: list[Fraction]) -> fl
         value = value * factor if up else value / factor
         if math.isinf(value):
             raise ValueError(f"the Gamma ratio overflows a double at Gamma({format_rational(g)})")
+        if abs(value) < sys.float_info.min:
+            raise ValueError(f"the Gamma ratio underflows a double at Gamma({format_rational(g)})")
     return value
 
 
 def _gauss_terminating(p: IdentityParams) -> tuple[Fraction, Fraction]:
-    """Both sides of the terminating unit-argument sum, exactly.
-
-    Left: sum_{k<=n} t_k with t_k = (-n)_k (b)_k / ((c)_k k!), summed by its
-    term ratio t_{k+1} = t_k (k-n)(b+k) / ((c+k)(k+1)). Right: (c-b)_n / (c)_n.
-    No ``(c)_k`` with k <= n vanishes once ``(c)_n`` does not.
+    """Both sides of the terminating unit-argument sum, exactly: the
+    kernel's ``2F1(-n, b; c; t)`` summed at t = 1, and (c-b)_n / (c)_n.
+    The kernel needs no ``(c)_k`` with k < n to vanish, which holds once
+    ``(c)_n`` does not; a ``HypSpec`` would refuse c = -5 even at n = 3.
     """
     n, b, c = p.i, p.alpha, p.beta
     c_n = _nonzero_poch("(c)_n", c, n)
-    # in integers: with b = P/Q and c = R/S, step k multiplies t_k by
-    # (k-n)(P+kQ)S / ((R+kS)Q(k+1)); the running sum is total/den
-    P, Q, R, S = b.numerator, b.denominator, c.numerator, c.denominator
-    total = num = den = 1
-    for k in range(n):
-        step = (R + k * S) * Q * (k + 1)
-        num *= (k - n) * (P + k * Q) * S
-        den *= step
-        total = total * step + num
-    return Fraction(total, den), pochhammer(c - b, n) / c_n
+    den, nums = _pfq_integers((Fraction(-n), b), (c,), n)
+    return Fraction(sum(nums), den), pochhammer(c - b, n) / c_n
 
 
 # --------------------------------------------------------------------------
@@ -571,8 +565,9 @@ class IdentityDef:
 
     ``kind`` is "series" (both sides are exact truncated series, float
     evaluation is advisory), "exact_sum" (one exact scalar equation), or
-    "float_sum" (scalar closed form checked in floating point at
-    ``fixed_argument``).
+    "float_sum" (scalar closed form checked in floating point).
+    ``fixed_argument`` is the argument of every scalar entry: the point at
+    which its sum is taken and its float residual reported.
     """
 
     id: IdentityId
@@ -861,6 +856,7 @@ def _build_registry() -> dict[IdentityId, IdentityDef]:
         uses=("alpha", "beta", "i"),
         kind="exact_sum",
         scalar_exact=_gauss_terminating,
+        fixed_argument=1.0,
         requirements=lambda p: [check_poch("(beta)_k, k <= i", p.beta, p.i)],
     ))
 

@@ -199,7 +199,8 @@ def relative_error(lhs: float, rhs: float, scale: float = 0.0) -> float:
 
     ``scale`` is the magnitude the values were computed from, such as
     ``sum |t_k|`` of a summed series; near a zero of the sum it keeps the
-    residual meaningful. The result is 0.0 when every scale is 0.
+    residual meaningful. The result is 0.0 when every scale is 0. Exact
+    (``Fraction``) values give an exact result.
     """
     scale = max(abs(lhs), abs(rhs), scale)
     if scale == 0.0:

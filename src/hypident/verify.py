@@ -63,15 +63,16 @@ def check_admissible(identity: IdentityId | str, params: IdentityParams) -> list
 
 def float_residual(identity: IdentityId | str, params: IdentityParams, x: float | None = None) -> FloatResidual:
     """Both sides of a series entry evaluated in floating point at ``x``, or
-    the float sum of a float-sum entry at its fixed argument (``x`` is then
+    both sides of a scalar entry at its fixed argument (``x`` is then
     ignored), and their relative disagreement.
 
     A series residual is infinite unless both sides converged. A float-sum
     residual is scaled by ``sum |t_k|`` as well as by both sides, so that a
     sum whose exact value is 0 is judged against the size of its terms
     rather than against its own rounding error; it records the terms
-    summed. The parameters are taken as given: the entry's admissibility is
-    the caller's to check.
+    summed. An exact sum reports the floats of its exact sides and their
+    exact relative error; a side past the double range raises ValueError.
+    The parameters are taken as given: admissibility is the caller's to check.
     """
     define = identities.get(identity)
     if define.kind == "series":
@@ -83,7 +84,11 @@ def float_residual(identity: IdentityId | str, params: IdentityParams, x: float 
         lhs, rhs, lhs_sum = define.scalar_float(params)
         rel = relative_error(lhs, rhs, lhs_sum.abs_sum)
         return FloatResidual(define.fixed_argument, rel, lhs, rhs, lhs_sum.converged, lhs_sum.terms)
-    raise ValueError(f"identity {define.tag} is an exact sum, it has no float residual")
+    lhs, rhs = define.scalar_exact(params)
+    try:
+        return FloatResidual(define.fixed_argument, float(relative_error(lhs, rhs)), float(lhs), float(rhs))
+    except OverflowError:
+        raise ValueError(f"a float side of identity {define.tag} overflows at x = {define.fixed_argument:g}") from None
 
 
 def _compared(define: IdentityDef, params: IdentityParams, lhs, rhs, **fields) -> VerifyReport:
@@ -150,9 +155,12 @@ def verify_identity(
     entries are then compared coefficient by coefficient up to the cap,
     with float cross-checks at ``float_points`` attached as evidence.
     Scalar entries compare one exact or one floating-point equation; for
-    the float ones, ``tol`` is the relative-error verdict threshold.
-    Degenerate parameters that admissibility does not catch raise.
+    the float ones, ``tol`` is the relative-error verdict threshold, in
+    (0, 1): any ``tol >= 1`` passes every two values of one sign. Degenerate
+    parameters that admissibility does not catch raise.
     """
+    if not 0 < tol < 1:
+        raise ValueError(f"tol must lie strictly between 0 and 1, got {tol}")
     define = identities.get(identity)
     start = perf_counter()
     findings = check_admissible(identity, params)

@@ -304,6 +304,36 @@ class TestEval:
         assert doc["rhs"] == 0.0
         assert doc["relative_error"] < 1e-15
 
+    # the floats of the exact sides, pinned byte for byte in every rendering
+    @pytest.mark.parametrize(
+        "point, json_tail, csv_row, text",
+        [
+            (["--alpha", "1/2", "--beta", "5/3", "--i", "0"],
+             '"x": 1.0,\n  "lhs": 1.0,\n  "rhs": 1.0,\n  "relative_error": 0.0,\n  "converged": true\n}\n',
+             "1.3,1.0,1.0,1.0,0.0,True\n",
+             "1.3 at x = 1, alpha=1/2 beta=5/3 i=0 j=0 cap=16:\n  lhs = 1.0\n  rhs = 1.0\n  rel = 0.000e+00\n"),
+            (["--alpha", "1/2", "--beta", "5/3", "--i", "7"],
+             '"x": 1.0,\n  "lhs": 0.34575577332124796,\n  "rhs": 0.34575577332124796,\n'
+             '  "relative_error": 0.0,\n  "converged": true\n}\n',
+             "1.3,1.0,0.34575577332124796,0.34575577332124796,0.0,True\n",
+             "1.3 at x = 1, alpha=1/2 beta=5/3 i=7 j=0 cap=30:\n  lhs = 0.34575577332124796\n"
+             "  rhs = 0.34575577332124796\n  rel = 0.000e+00\n"),
+            # (-5)_k vanishes only from k = 6, after the sum stops at n = 3
+            (["--alpha=-7", "--beta=-5", "--i", "3"],
+             '"x": 1.0,\n  "lhs": -0.4,\n  "rhs": -0.4,\n  "relative_error": 0.0,\n  "converged": true\n}\n',
+             "1.3,1.0,-0.4,-0.4,0.0,True\n",
+             "1.3 at x = 1, alpha=-7 beta=-5 i=3 j=0 cap=22:\n  lhs = -0.4\n  rhs = -0.4\n  rel = 0.000e+00\n"),
+        ],
+        ids=["n=0", "n=7", "c=-5,n=3"],
+    )
+    def test_terminating_sum_output_is_pinned(self, capsys, point, json_tail, csv_row, text):
+        argv = ["eval", "--identity", "1.3", *point, "--output"]
+        code, out, err = invoke(capsys, *argv, "json")
+        assert (code, err) == (0, "")
+        assert out.startswith('{\n  "identity": "1.3",\n  "params": {') and out.endswith("},\n  " + json_tail)
+        assert invoke(capsys, *argv, "csv") == (0, "identity,x,lhs,rhs,relative_error,converged\n" + csv_row, "")
+        assert invoke(capsys, *argv, "text") == (0, text, "")
+
     def test_terminating_sum_evaluates_exactly(self, capsys):
         code, out, _ = invoke(
             capsys, "eval", "--identity", "1.3",
@@ -398,6 +428,19 @@ class TestBadRequests:
               "--output", "json"], "a float side of identity 1.3 overflows at x = 1"),
             # math.gamma of a factor returns 0.0 away from a pole
             (["verify", "--identity", "1.4", "--alpha=-400", "--beta", "1/3"], "Gamma(-598/3) underflows a double"),
+            # every Gamma factor is finite, the ratio's numerator falls to 0.0
+            (["verify", "--identity", "1.8", "--alpha=-301/3", "--beta=-14", "--gamma=-1311/11"],
+             "the Gamma ratio underflows a double at Gamma(-2030/33)"),
+            # the 1.3 overflow above, in the other two renderings
+            *[(["eval", "--identity", "1.3", "--alpha=-100000000", "--beta", "1/3", "--i", "64",
+                "--output", output], "a float side of identity 1.3 overflows at x = 1")
+              for output in ("csv", "text")],
+            # a relative error is at most 2: tol must lie in (0, 1)
+            *[(["verify", "--identity", "1.8", "--alpha", "1/3", "--beta", "1/5", "--gamma", "1/7",
+                f"--tol={tol}"], "tol must lie strictly between 0 and 1")
+              for tol in ("nan", "-1", "0", "1", "inf")],
+            (["sweep", "--identity", "1.8", "--alpha", "1/3", "--beta", "1/5", "--gamma", "1/7",
+              "--tol=-1"], "tol must lie strictly between 0 and 1"),
         ],
     )
     def test_exit_2_with_message(self, capsys, argv, needle):

@@ -139,7 +139,7 @@ class TestPfqSeriesIntegerKernel:
         if n is not None and n < cap:
             upper = [*upper, Fraction(-n)]  # terminating before the cap
         spec = HypSpec(tuple(upper), tuple(lower))
-        den, nums = _pfq_integers(spec, cap)
+        den, nums = _pfq_integers(spec.upper, spec.lower, cap)
         assert den != 0
         assert [Fraction(n, den) for n in nums] == term_ratio_reference(spec.upper, spec.lower, cap)
         assert TruncatedSeries.from_integers(cap, den, nums) == pfq_series(spec, cap)
@@ -161,10 +161,10 @@ class TestPfqSeriesIntegerKernel:
         spec = HypSpec(tuple(upper), tuple(lower))
         kind, c = arg
         if kind == "x":
-            den, nums = _pfq_integers(spec, cap, num_scale=c)
+            den, nums = _pfq_integers(spec.upper, spec.lower, cap, num_scale=c)
             expected = pfq_series(spec, cap).scale_argument(c).coeffs
         else:
-            den, nums = _pfq_integers(spec, cap, den_scale=c)
+            den, nums = _pfq_integers(spec.upper, spec.lower, cap, den_scale=c)
             expected = pfq_series(spec, cap).substitute_even(c, 2 * cap).coeffs[::2]
         assert den != 0
         assert tuple(Fraction(v, den) for v in nums) == expected
@@ -195,9 +195,19 @@ class TestPfqSeriesIntegerKernel:
         prefixes: dict = {}
         for order in (calls, calls[::-1]):
             for spec, cap, scales in order:
-                fresh = _pfq_integers(spec, cap, **scales)
-                assert _pfq_integers(spec, cap, **scales, prefixes=prefixes) == fresh, (spec, cap, scales)
+                fresh = _pfq_integers(spec.upper, spec.lower, cap, **scales)
+                assert _pfq_integers(spec.upper, spec.lower, cap, **scales, prefixes=prefixes) == fresh, (spec, cap, scales)
         assert all(isinstance(v, int) for prefix in prefixes.values() for v in prefix)
+
+    def test_nonpositive_lower_parameter_past_the_last_term(self):
+        # 2F1(-3, -7; -5; t): (-5)_k vanishes only from k = 6, after the sum
+        # stops, so the bare parameters reach a series a HypSpec refuses
+        upper, lower = (Fraction(-3), Fraction(-7)), (Fraction(-5),)
+        with pytest.raises(DegenerateParameterError):
+            HypSpec(upper, lower)
+        for cap in (0, 3):
+            den, nums = _pfq_integers(upper, lower, cap)
+            assert [Fraction(v, den) for v in nums] == term_ratio_reference(upper, lower, cap)
 
     def test_terminating_series_stops_at_n(self):
         s = pfq_series(HypSpec((Fraction(-4), Fraction(2, 3)), (Fraction(5, 6),)), 24)

@@ -438,8 +438,10 @@ class TestScalarSides:
     @pytest.mark.parametrize("b", [Fraction(0), Fraction(1, 2), Fraction(-3, 2), Fraction(5), Fraction(-7), Fraction(3, 7)], ids=str)
     def test_gauss_terminating_matches_pochhammer_form(self, b, c):
         # (-5)_n != 0 up to n = 5, so c = -5 is admissible there; from n = 6 it
-        # vanishes, its zero factor at index 6
-        for n in range(13):
+        # vanishes, its zero factor at index 6. Two points also run at the
+        # command line's largest shifts.
+        large = (47, 64) if (b, c) in {(Fraction(3, 7), Fraction(2, 5)), (Fraction(-3, 2), Fraction(-9, 4))} else ()
+        for n in [*range(13), *large]:
             c_n = pochhammer(c, n)
             if c_n == 0:
                 with pytest.raises(DegenerateParameterError) as exc:
@@ -499,6 +501,25 @@ class TestScalarSides:
         with pytest.raises(ValueError) as err:
             _gamma_ratio(numerators, denominators)
         assert str(err.value) == "Gamma(-399/2) underflows a double"
+
+    @pytest.mark.parametrize(
+        "numerators, denominators, message",
+        [
+            # 1.8 at alpha = -301/3, beta = -14, gamma = -1311/11: the first three
+            # factors give about 1.9e-271, and the fourth takes the product to 0.0
+            ([Fraction(1, 2), Fraction(-2611, 22), Fraction(-170, 3), Fraction(-2030, 33)], [Fraction(1)],
+             "the Gamma ratio underflows a double at Gamma(-2030/33)"),
+            # 1/Gamma(171) is a normal double, 1/Gamma(171)**2 is not
+            ([Fraction(1)], [Fraction(171), Fraction(171)], "the Gamma ratio underflows a double at Gamma(171)"),
+        ],
+    )
+    def test_gamma_ratio_partial_underflow_raises(self, numerators, denominators, message):
+        with pytest.raises(ValueError) as err:
+            _gamma_ratio(numerators, denominators)
+        assert str(err.value) == message
+
+    def test_gamma_ratio_in_the_normal_range_is_kept(self):
+        assert _gamma_ratio([Fraction(1)], [Fraction(171)]) == 1 / math.gamma(171.0)
 
     def test_gauss_second_underflow_is_a_request_error(self):
         # Gamma((alpha + beta + 1)/2) = Gamma(-598/3) underflows first

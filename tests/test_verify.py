@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from hypident import verify
 from hypident.identities import IdentityParams, get
 from hypident.reports import (
     PASSING_STATUSES,
@@ -20,6 +21,7 @@ from hypident.series import TruncatedSeries
 from hypident.verify import (
     DEFAULT_FLOAT_POINTS,
     check_admissible,
+    float_residual,
     report_for_sides,
     sweep,
     verify_identity,
@@ -206,6 +208,23 @@ class TestVerifyIdentity:
         with pytest.raises(ValueError, match="unknown identity tag"):
             verify_identity("7.7", IdentityParams(alpha=A))
 
+    @pytest.mark.parametrize("tol", [math.nan, -1.0, 0.0, 1.0, 2.0, math.inf])
+    def test_malformed_tol_raises_before_any_work(self, monkeypatch, tol):
+        # a relative error never exceeds 2, and tol >= 1 passes any two values
+        # of one sign; tol <= 0 or nan refutes true sums
+        def no_work(*args):
+            raise AssertionError("verify_identity worked before checking tol")
+
+        monkeypatch.setattr(verify, "check_admissible", no_work)
+        params = IdentityParams(alpha=Fraction(1, 3), beta=Fraction(1, 5), gamma=Fraction(1, 7))
+        with pytest.raises(ValueError, match="tol must lie strictly between 0 and 1"):
+            verify_identity("1.8", params, tol=tol)
+
+    @pytest.mark.parametrize("tol", [1e-10, 0.5, 0.999])
+    def test_tol_inside_the_unit_interval_is_accepted(self, tol):
+        params = IdentityParams(alpha=Fraction(1, 3), beta=Fraction(1, 5), gamma=Fraction(1, 7))
+        assert verify_identity("1.8", params, tol=tol).status == "float_only_pass"
+
     def test_statuses_belong_to_the_contract(self):
         allowed = PASSING_STATUSES | {"mismatch", "inadmissible", "float_only_fail", "float_inconclusive"}
         for tag, params in [
@@ -303,6 +322,22 @@ class TestRelativeError:
     def test_scale_floors_the_denominator(self):
         assert relative_error(3e-16, 0.0, 2.0) == 1.5e-16
         assert relative_error(1.0, 0.5, 0.25) == 0.5
+
+    def test_exact_values_give_the_exact_error(self):
+        assert relative_error(Fraction(1, 3), Fraction(1, 4)) == Fraction(1, 4)
+        assert relative_error(Fraction(0), Fraction(0)) == 0.0
+
+    def test_exact_sum_residual_is_the_float_of_each_exact_side(self):
+        params = IdentityParams(alpha=Fraction(1, 2), beta=Fraction(5, 3), i=7)
+        lhs, rhs = get("1.3").scalar_exact(params)
+        residual = float_residual("1.3", params, x=3.0)  # x is ignored
+        assert (residual.x, residual.lhs, residual.rhs) == (1.0, float(lhs), float(rhs))
+        assert (residual.relative_error, residual.converged, residual.terms) == (0.0, True, None)
+
+    def test_exact_sum_past_the_double_range_raises(self):
+        params = IdentityParams(alpha=Fraction(-10**8), beta=Fraction(1, 3), i=64)
+        with pytest.raises(ValueError, match="a float side of identity 1.3 overflows at x = 1"):
+            float_residual("1.3", params)
 
     def test_unconverged_float_residual_is_infinite(self):
         # a budget that runs out makes the residual inf, whatever the values
