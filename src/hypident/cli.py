@@ -13,6 +13,7 @@ import functools
 import json
 import math
 import sys
+import time
 from fractions import Fraction
 
 from .hyper import DegenerateParameterError
@@ -68,8 +69,9 @@ def build_parser() -> argparse.ArgumentParser:
                           help="relative tolerance for float checks (default 1e-10)")
     add_output(p_verify)
 
-    p_sweep = sub.add_parser("sweep", help="verify one identity over a parameter grid")
-    p_sweep.add_argument("--identity", required=True, help="catalog tag")
+    p_sweep = sub.add_parser("sweep", help="verify identities over a parameter grid")
+    p_sweep.add_argument("--identity", required=True,
+                         help="comma-separated catalog tags, e.g. 2.1,2.2,2.3; reports come in tag order")
     p_sweep.add_argument("--alpha", required=True,
                          help="comma-separated rationals, e.g. 3/7,2/5; with a negative first one as --alpha=-1/2,3/7")
     p_sweep.add_argument("--beta", help="comma-separated rationals; with a negative first one as --beta=-1/2,3/7")
@@ -90,7 +92,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval = sub.add_parser("eval", help="evaluate both sides numerically")
     add_point_args(p_eval)
     p_eval.add_argument("--x", type=float, default=None,
-                        help="evaluation point (required for series identities)")
+                        help="evaluation point, required for series identities; a scalar one "
+                             "(1.3, 1.4, 1.8) has its fixed argument and refuses --x")
     add_output(p_eval)
 
     return parser
@@ -164,29 +167,32 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
+    import statistics  # only a sweep needs it, so `import hypident.cli` does not load it
+
     _check_size(args)
     if args.i < 0 or args.j < 0:
         raise ValueError("--i and --j must be nonnegative")
     alphas = _parse_rational_list(args.alpha)
     betas = _parse_rational_list(args.beta) if args.beta else []
-    define = get(args.identity)
-    points = math.prod(len(axis) for axis in sweep_axes(args.identity, alphas, betas, args.i, args.j))
-    if points == 0:
-        uses = ", ".join(f"--{name}" for name in define.uses if name in ("alpha", "beta"))
-        raise ValueError(f"sweep grid is empty: identity {define.tag} needs at least one value of {uses}")
+    defines = [get(tag) for tag in args.identity.split(",")]
+    points = 0
+    for define in defines:
+        size = math.prod(len(axis) for axis in sweep_axes(define.id, alphas, betas, args.i, args.j))
+        if size == 0:
+            uses = ", ".join(f"--{name}" for name in define.uses if name in ("alpha", "beta"))
+            raise ValueError(f"sweep grid is empty: identity {define.tag} needs at least one value of {uses}")
+        points += size
     if points > MAX_SWEEP_POINTS:
         raise ValueError(f"sweep grid of {points} points exceeds the limit of {MAX_SWEEP_POINTS}")
-    reports = sweep(
-        args.identity,
-        alpha_set=alphas,
-        beta_set=betas,
-        i_max=args.i,
-        j_max=args.j,
-        cap=args.degree,
-        tol=args.tol,
-        gamma=parse_rational(args.gamma) if args.gamma else None,
-        printed_form=args.printed_form,
-    )
+    gamma = parse_rational(args.gamma) if args.gamma else None
+    start = time.perf_counter()
+    reports = [
+        report
+        for define in defines
+        for report in sweep(define.id, alphas, betas, args.i, args.j, cap=args.degree, tol=args.tol,
+                            gamma=gamma, printed_form=args.printed_form)
+    ]
+    wall = time.perf_counter() - start
     if args.output == "json":
         print(json.dumps([r.to_json_dict() for r in reports], indent=2))
     elif args.output == "csv":
@@ -196,6 +202,11 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             print(report.summary_line())
     passed = sum(1 for r in reports if r.passed)
     print(f"hypident: {passed}/{len(reports)} points passed", file=sys.stderr)
+    per_point = [r.elapsed_seconds * 1000 for r in reports]
+    # inclusive, so p95 never exceeds max; before Python 3.13 quantiles needs two points
+    p95 = statistics.quantiles(per_point, n=20, method="inclusive")[18] if len(per_point) > 1 else per_point[0]
+    print(f"timing: {len(reports)} points in {wall:.3f} s; per point p50 {statistics.median(per_point):.3f} ms, "
+          f"p95 {p95:.3f} ms, max {max(per_point):.3f} ms", file=sys.stderr)
     return 0 if passed == len(reports) else 1
 
 
@@ -233,6 +244,9 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     define.validate_params(params)
     if define.kind == "series" and args.x is None:
         raise ValueError(f"identity {define.tag} needs --x to evaluate")
+    if define.kind != "series" and args.x is not None:
+        raise ValueError(f"identity {define.tag} is summed at its fixed argument x = {define.fixed_argument:g}, "
+                         "so it takes no --x")
     residual = float_residual(define.id, params, args.x)
     # JSON has no token for a non-finite side, and no residual is meaningful
     if define.kind == "series" and not (math.isfinite(residual.lhs) and math.isfinite(residual.rhs)):

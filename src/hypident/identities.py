@@ -454,12 +454,10 @@ def _equal_param_rhs(variant: str, params: IdentityParams) -> Side:
 def _gamma_ratio(numerators: list[Fraction], denominators: list[Fraction]) -> float:
     """Ratio of Gamma factors in double precision.
 
-    A pole in a denominator factor contributes a zero to the ratio, so the
-    whole value is 0.0; a pole in a numerator factor leaves the ratio
-    undefined and raises. A factor or partial product beyond the double
-    range, a partial product below the smallest normal double, or a factor
-    that underflows to 0.0 away from a pole raises ValueError naming that
-    factor.
+    A pole in a denominator factor makes the ratio 0.0; one in a numerator
+    raises. A factor beyond the double range, or 0.0 away from a pole,
+    raises ValueError naming it. Mantissas and exponents are combined
+    apart, so only the ratio itself must be a normal double, or ValueError.
     """
     for g in numerators:
         if is_nonpositive_integer(g):
@@ -467,19 +465,21 @@ def _gamma_ratio(numerators: list[Fraction], denominators: list[Fraction]) -> fl
     for g in denominators:
         if is_nonpositive_integer(g):
             return 0.0
-    value = 1.0
+    mantissa, exponent = 1.0, 0
     for g, up in [(g, True) for g in numerators] + [(g, False) for g in denominators]:
         try:
-            factor = math.gamma(float(g))
+            m, e = math.frexp(math.gamma(float(g)))
         except OverflowError:
             raise ValueError(f"Gamma({format_rational(g)}) overflows a double") from None
-        if factor == 0.0:
+        if m == 0.0:
             raise ValueError(f"Gamma({format_rational(g)}) underflows a double")
-        value = value * factor if up else value / factor
-        if math.isinf(value):
-            raise ValueError(f"the Gamma ratio overflows a double at Gamma({format_rational(g)})")
-        if abs(value) < sys.float_info.min:
-            raise ValueError(f"the Gamma ratio underflows a double at Gamma({format_rational(g)})")
+        mantissa, exponent = (mantissa * m, exponent + e) if up else (mantissa / m, exponent - e)
+    try:
+        value = math.ldexp(mantissa, exponent)
+    except OverflowError:
+        raise ValueError("the Gamma ratio overflows a double") from None
+    if abs(value) < sys.float_info.min:
+        raise ValueError("the Gamma ratio underflows a double")
     return value
 
 

@@ -6,6 +6,7 @@ diagnostics, and exit codes.
 """
 
 import json
+import math
 import os
 import re
 import shutil
@@ -20,7 +21,7 @@ import pytest
 from hypident import cli
 from hypident.cli import MAX_DEGREE, MAX_SHIFT, MAX_SWEEP_POINTS, build_parser, run
 from hypident.identities import IdentityParams, catalog
-from hypident.rationals import parse_rational
+from hypident.rationals import parse_rational, pochhammer
 from hypident.verify import verify_identity
 
 ALL_TAGS = [d.tag for d in catalog()]
@@ -30,6 +31,25 @@ def invoke(capsys, *argv):
     code = run(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def untimed_records(out, output):
+    """A sweep's stdout as records without their ``elapsed_seconds``: JSON
+    objects, or CSV lines (the header too), or text lines."""
+    if output == "json":
+        return [{key: value for key, value in record.items() if key != "elapsed_seconds"} for record in json.loads(out)]
+    if output == "csv":  # elapsed_seconds is the last column
+        return [line.rsplit(",", 1)[0] for line in out.splitlines()]
+    return out.splitlines()
+
+
+def timing_spread(line, points):
+    """The per-point p50, p95 and max in ms of a sweep's stderr timing line."""
+    match = re.fullmatch(
+        rf"timing: {points} points in [0-9.]+ s; per point p50 ([0-9.]+) ms, p95 ([0-9.]+) ms, max ([0-9.]+) ms", line
+    )
+    assert match, line
+    return tuple(float(value) for value in match.groups())
 
 
 class TestList:
@@ -162,6 +182,19 @@ class TestVerify:
         assert doc["params"]["beta"] == "-3/2"
         assert doc["status"] == "inadmissible"
 
+    def test_in_range_gamma_ratio_gets_a_verdict(self, capsys):
+        # the Gamma ratio's numerators alone overflow a double, the ratio does not
+        code, out, _ = invoke(
+            capsys, "verify", "--identity", "1.8", "--alpha", "100", "--beta", "101", "--gamma", "150",
+            "--output", "json",
+        )
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["status"] == "float_only_pass"
+        (residual,) = doc["float_residuals"]
+        assert math.isclose(residual["rhs"], 4.131672227880898948e41, rel_tol=1e-14)  # mpmath, 40 digits
+        assert residual["relative_error"] < 1e-14
+
     def test_csv_single_row(self, capsys):
         code, out, _ = invoke(
             capsys, "verify", "--identity", "1.1",
@@ -210,6 +243,50 @@ class TestSweep:
         assert code == 0
         doc = json.loads(out)
         assert [r["params"]["alpha"] for r in doc] == ["2/5", "3/7"]
+
+    @pytest.mark.parametrize("output", ["text", "csv", "json"])
+    def test_tag_list_is_the_single_tag_sweeps_in_tag_order(self, capsys, output):
+        point = ["--alpha", "3/7", "--beta", "2/5", "--i", "1", "--j", "0", "--output", output]
+        code, out, err = invoke(capsys, "sweep", "--identity", "2.1,2.2,2.3", *point)
+        singles = [invoke(capsys, "sweep", "--identity", tag, *point) for tag in ("2.1", "2.2", "2.3")]
+        assert [code] + [single[0] for single in singles] == [0, 0, 0, 0]
+        want = [record for _, single, _ in singles for record in untimed_records(single, output)]
+        if output == "csv":  # one header, then each tag's rows
+            want = want[:1] + [record for record in want if record != want[0]]
+        assert untimed_records(out, output) == want
+        passed, timing = err.splitlines()
+        assert passed == "hypident: 6/6 points passed"
+        p50, p95, largest = timing_spread(timing, points=6)
+        assert p50 <= p95 <= largest
+
+    def test_one_point_sweep_has_a_timing_line(self, capsys):
+        code, out, err = invoke(capsys, "sweep", "--identity", "1.2", "--alpha", "3/7")
+        assert (code, out) == (0, "1.2 alpha=3/7 i=0 j=0 cap=16: exact_match\n")
+        passed, timing = err.splitlines()
+        assert passed == "hypident: 1/1 points passed"
+        p50, p95, largest = timing_spread(timing, points=1)
+        assert p50 == p95 == largest
+
+    @pytest.mark.parametrize(
+        "extra, message",
+        [
+            (["--i", "-1"], "--i and --j must be nonnegative"),
+            (["--j", "-2"], "--i and --j must be nonnegative"),
+            (["--degree", "-3"], "cap must be nonnegative"),
+            (["--degree", str(MAX_DEGREE + 1)], f"--degree {MAX_DEGREE + 1} exceeds the limit of {MAX_DEGREE}"),
+            (["--i", str(MAX_SHIFT + 1)], f"--i {MAX_SHIFT + 1} exceeds the limit of {MAX_SHIFT}"),
+            (["--j", str(MAX_SHIFT + 1)], f"--j {MAX_SHIFT + 1} exceeds the limit of {MAX_SHIFT}"),
+            # every tag's grid is within the limit, their total is not
+            (["--i", "60", "--j", "60"], f"sweep grid of {3 * 61 * 61} points exceeds the limit of {MAX_SWEEP_POINTS}"),
+            (["--alpha", "1/0"], "zero denominator in rational literal '1/0'"),  # the later --alpha counts
+        ],
+        ids=["negative-i", "negative-j", "negative-degree", "degree-over", "i-over", "j-over", "points-over", "1/0"],
+    )
+    def test_product_grid_refusal_exits_2_at_once(self, capsys, extra, message):
+        start = time.perf_counter()
+        result = invoke(capsys, "sweep", "--identity", "2.1,2.2,2.3", "--alpha", "3/7", "--beta", "2/5", *extra)
+        assert time.perf_counter() - start < 1.0
+        assert result == (2, "", f"hypident: error: {message}\n")
 
     @pytest.mark.parametrize(
         "extra, needle",
@@ -369,6 +446,38 @@ class TestEval:
         if tag == "1.1":
             assert (doc["relative_error"], doc["converged"]) == (None, False)
 
+    def test_gamma_ratio_below_its_partial_products(self, capsys):
+        # the ratio's numerators alone underflow a double, the ratio does not;
+        # the float sum is off by 1.5% here, so only the rhs is checked, against
+        # the exact sum of the 15 terms
+        a, b, c = Fraction(-301, 3), Fraction(-14), Fraction(-1311, 11)
+        code, out, _ = invoke(capsys, "eval", "--identity", "1.8", f"--alpha={a}", f"--beta={b}", f"--gamma={c}",
+                              "--output", "json")
+        assert code == 0
+        exact = sum(
+            pochhammer(a, k) * pochhammer(b, k) * pochhammer(c, k)
+            / (pochhammer((a + b + 1) / 2, k) * pochhammer(2 * c, k) * math.factorial(k))
+            for k in range(15)
+        )
+        assert math.isclose(json.loads(out)["rhs"], float(exact), rel_tol=1e-14)
+
+    @pytest.mark.parametrize(
+        "tag, point, fixed",
+        [
+            ("1.3", ["--alpha", "1/2", "--beta", "5/3", "--i", "2"], "1"),
+            ("1.4", ["--alpha", "1/3", "--beta", "1/5"], "0.5"),
+            ("1.8", ["--alpha", "1/3", "--beta", "1/5", "--gamma", "1/7"], "1"),
+        ],
+        ids=["1.3", "1.4", "1.8"],
+    )
+    def test_scalar_entry_refuses_x(self, capsys, tag, point, fixed):
+        # even at the entry's own fixed argument: --x would read as honoured
+        for x in ("7", fixed):
+            assert invoke(capsys, "eval", "--identity", tag, *point, "--x", x) == (
+                2, "", f"hypident: error: identity {tag} is summed at its fixed argument x = {fixed}, "
+                       "so it takes no --x\n",
+            )
+
     def test_series_eval_without_x_is_an_error(self, capsys):
         code, _, err = invoke(
             capsys, "eval", "--identity", "1.1", "--alpha", "3/7", "--beta", "2/5",
@@ -420,17 +529,16 @@ class TestBadRequests:
             (["eval", "--identity", "1.4", "--alpha", "400", "--beta", "401"], "Gamma(401) overflows"),
             (["verify", "--identity", "1.8", "--alpha", "300", "--beta", "301", "--gamma", "400"],
              "Gamma(801/2) overflows"),
-            # every Gamma factor is finite, the ratio's numerator is not
-            (["verify", "--identity", "1.8", "--alpha", "100", "--beta", "101", "--gamma", "150"],
-             "the Gamma ratio overflows a double at Gamma(101)"),
+            # a bad tag anywhere in a sweep's list refuses the whole sweep
+            (["sweep", "--identity", "2.1,9.9,2.3", "--alpha", "3/7", "--beta", "2/5"], "unknown identity tag '9.9'"),
             # both exact sides are finite rationals far past the double range
             (["eval", "--identity", "1.3", "--alpha=-100000000", "--beta", "1/3", "--i", "64",
               "--output", "json"], "a float side of identity 1.3 overflows at x = 1"),
             # math.gamma of a factor returns 0.0 away from a pole
             (["verify", "--identity", "1.4", "--alpha=-400", "--beta", "1/3"], "Gamma(-598/3) underflows a double"),
-            # every Gamma factor is finite, the ratio's numerator falls to 0.0
-            (["verify", "--identity", "1.8", "--alpha=-301/3", "--beta=-14", "--gamma=-1311/11"],
-             "the Gamma ratio underflows a double at Gamma(-2030/33)"),
+            # so does one tag whose grid is empty, though another's is not
+            (["sweep", "--identity", "1.2,2.1", "--alpha", "3/7"],
+             "sweep grid is empty: identity 2.1 needs at least one value of --alpha, --beta"),
             # the 1.3 overflow above, in the other two renderings
             *[(["eval", "--identity", "1.3", "--alpha=-100000000", "--beta", "1/3", "--i", "64",
                 "--output", output], "a float side of identity 1.3 overflows at x = 1")
@@ -566,6 +674,15 @@ def test_fresh_interpreter_smoke():
     assert "2.3" in proc.stdout
 
 
+def test_import_does_not_load_statistics():
+    # only a sweep's timing line needs it, and it imports it itself
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, hypident.cli; print('statistics' in sys.modules)"],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert (proc.returncode, proc.stdout) == (0, "False\n"), proc.stderr
+
+
 def test_module_entry_point_runs_the_cli():
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
@@ -576,47 +693,3 @@ def test_module_entry_point_runs_the_cli():
     assert proc.returncode == 0
     for d in catalog():
         assert f"{d.tag:>5}  {d.name}" in proc.stdout
-
-
-SWEEP_SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "sweep_product_grid.py"
-
-
-def test_sweep_script_runs_without_pythonpath(tmp_path):
-    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
-    proc = subprocess.run(
-        [sys.executable, str(SWEEP_SCRIPT), "--i-max", "1", "--j-max", "0", "--out-dir", str(tmp_path)],
-        capture_output=True, text=True, timeout=120, env=env, cwd=tmp_path,
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert (tmp_path / "grid.csv").is_file()
-    assert (tmp_path / "grid.json").is_file()
-    assert proc.stdout.splitlines()[-2:] == [
-        "6/6 grid points passed", f"wrote {tmp_path / 'grid.csv'} and {tmp_path / 'grid.json'}",
-    ]
-    # the timing summary goes to stderr, one line
-    (line,) = proc.stderr.splitlines()
-    assert re.fullmatch(r"timing: 6 points in [0-9.]+ s; per point p50 [0-9.]+ ms, p95 [0-9.]+ ms, max [0-9.]+ ms", line)
-
-
-@pytest.mark.parametrize(
-    "argv, message",
-    [
-        (["--i-max", "-1"], "--i-max -1 must be nonnegative"),
-        (["--j-max", "-2"], "--j-max -2 must be nonnegative"),
-        (["--degree", "-3"], f"--degree -3 must be in 0..{MAX_DEGREE}"),
-        (["--degree", str(MAX_DEGREE + 1)], f"--degree {MAX_DEGREE + 1} must be in 0..{MAX_DEGREE}"),
-        (["--i-max", str(MAX_SHIFT + 1)], f"--i-max {MAX_SHIFT + 1} exceeds the limit of {MAX_SHIFT}"),
-        (["--j-max", str(MAX_SHIFT + 1)], f"--j-max {MAX_SHIFT + 1} exceeds the limit of {MAX_SHIFT}"),
-        (["--i-max", "60", "--j-max", "60"], f"sweep grid of {3 * 61 * 61} points exceeds the limit of {MAX_SWEEP_POINTS}"),
-        (["--alpha", "1/0"], "zero denominator in rational literal '1/0'"),
-    ],
-)
-def test_sweep_script_refuses_bad_grids(tmp_path, argv, message):
-    proc = subprocess.run(
-        [sys.executable, str(SWEEP_SCRIPT), *argv, "--out-dir", str(tmp_path / "out")],
-        capture_output=True, text=True, timeout=120,
-    )
-    assert proc.returncode == 2
-    assert proc.stdout == ""
-    assert proc.stderr.splitlines() == [f"sweep_product_grid: error: {message}"]
-    assert not (tmp_path / "out").exists()

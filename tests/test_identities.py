@@ -479,8 +479,8 @@ class TestScalarSides:
         [
             ([Fraction(401)], [Fraction(1, 2)], "Gamma(401) overflows a double"),
             ([Fraction(1, 2)], [Fraction(801, 2)], "Gamma(801/2) overflows a double"),
-            # each factor is finite, their product is not
-            ([Fraction(150), Fraction(101)], [Fraction(50)], "the Gamma ratio overflows a double at Gamma(101)"),
+            # each factor is finite, the ratio is not
+            ([Fraction(150), Fraction(101)], [Fraction(50)], "the Gamma ratio overflows a double"),
         ],
     )
     def test_gamma_ratio_overflow_raises(self, numerators, denominators, message):
@@ -505,12 +505,12 @@ class TestScalarSides:
     @pytest.mark.parametrize(
         "numerators, denominators, message",
         [
-            # 1.8 at alpha = -301/3, beta = -14, gamma = -1311/11: the first three
-            # factors give about 1.9e-271, and the fourth takes the product to 0.0
+            # the numerators of 1.8 at alpha = -301/3, beta = -14, gamma = -1311/11
+            # alone: about 1.9e-271 times 7.4e-85, with no denominator to lift them
             ([Fraction(1, 2), Fraction(-2611, 22), Fraction(-170, 3), Fraction(-2030, 33)], [Fraction(1)],
-             "the Gamma ratio underflows a double at Gamma(-2030/33)"),
+             "the Gamma ratio underflows a double"),
             # 1/Gamma(171) is a normal double, 1/Gamma(171)**2 is not
-            ([Fraction(1)], [Fraction(171), Fraction(171)], "the Gamma ratio underflows a double at Gamma(171)"),
+            ([Fraction(1)], [Fraction(171), Fraction(171)], "the Gamma ratio underflows a double"),
         ],
     )
     def test_gamma_ratio_partial_underflow_raises(self, numerators, denominators, message):
@@ -520,6 +520,23 @@ class TestScalarSides:
 
     def test_gamma_ratio_in_the_normal_range_is_kept(self):
         assert _gamma_ratio([Fraction(1)], [Fraction(171)]) == 1 / math.gamma(171.0)
+
+    @pytest.mark.parametrize(
+        "numerators, denominators, expected",
+        [
+            # 1.8 at alpha = 100, beta = 101, gamma = 150: the numerators alone
+            # overflow a double; the ratio from mpmath at 40 digits
+            ([Fraction(1, 2), Fraction(301, 2), Fraction(101), Fraction(50)],
+             [Fraction(101, 2), Fraction(51), Fraction(201, 2), Fraction(100)], 4.131672227880898948e41),
+            # 1.8 at alpha = -301/3, beta = -14, gamma = -1311/11: the numerators
+            # alone underflow, as in the partial-underflow case above
+            ([Fraction(1, 2), Fraction(-2611, 22), Fraction(-170, 3), Fraction(-2030, 33)],
+             [Fraction(-149, 3), Fraction(-13, 2), Fraction(-2261, 33), Fraction(-2457, 22)], 1.5428099832550290083e-11),
+        ],
+        ids=["overflow", "underflow"],
+    )
+    def test_gamma_ratio_kept_despite_partial_products(self, numerators, denominators, expected):
+        assert math.isclose(_gamma_ratio(numerators, denominators), expected, rel_tol=1e-14)
 
     def test_gauss_second_underflow_is_a_request_error(self):
         # Gamma((alpha + beta + 1)/2) = Gamma(-598/3) underflows first
