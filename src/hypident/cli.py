@@ -100,9 +100,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _check_size(args: argparse.Namespace) -> None:
-    """Refuse a cap or shift above its limit before any series work."""
+    """Refuse a cap outside 0..MAX_DEGREE or a shift above its limit before
+    any series work."""
     if args.degree is not None and args.degree > MAX_DEGREE:
         raise ValueError(f"--degree {args.degree} exceeds the limit of {MAX_DEGREE}")
+    if args.degree is not None and args.degree < 0:
+        raise ValueError(f"--degree {args.degree} is below the limit of 0")
     for name in ("i", "j"):
         value = getattr(args, name)
         if value > MAX_SHIFT:

@@ -23,6 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 from .rationals import format_rational, is_nonpositive_integer
 from .series import TruncatedSeries
@@ -405,22 +406,13 @@ def _telescoped_tail(spec: HypSpec):
     return tail
 
 
-def bailey_product_spec(
-    rho: Fraction | int,
-    sigma: Fraction | int,
-    shared: tuple[tuple[Fraction, Fraction], Fraction] | None = None,
-) -> HypSpec:
+def bailey_product_spec(rho: Fraction | int, sigma: Fraction | int) -> HypSpec:
     """Parameters of the single series equal to 0F1(; rho; t) * 0F1(; sigma; t).
 
     The product is ``2F3((rho+sigma)/2, (rho+sigma-1)/2; rho, sigma,
     rho+sigma-1; 4t)``. Degenerate rho, sigma, or rho+sigma-1 raise here.
-    Only rho and sigma are not a function of ``rho + sigma``: a caller that
-    builds many blocks with one sum passes ``shared``, the
-    :func:`bailey_shared_parameters` of that sum, formed once.
     """
-    if shared is None:
-        shared = bailey_shared_parameters(Fraction(rho) + Fraction(sigma))
-    upper, third = shared
+    upper, third = bailey_shared_parameters(Fraction(rho) + Fraction(sigma))
     return HypSpec(upper=upper, lower=(rho, sigma, third))
 
 
@@ -429,6 +421,87 @@ def bailey_shared_parameters(total: Fraction) -> tuple[tuple[Fraction, Fraction]
     :func:`bailey_product_spec` block whose ``rho + sigma`` is ``total``."""
     third = total - 1
     return (total / 2, third / 2), third
+
+
+def _bailey_double_sum(
+    rho: Fraction, first: list[Fraction], sigma: Fraction, second: list[Fraction], cap: int
+) -> tuple[int, list[int]]:
+    """Coefficients ``nums[d] / den``, up to ``x**cap`` and not reduced, of
+
+        sum over m, n of first[m] * second[n] * x**(m+n) * 2F3(B(rho+m, sigma+n); x**2/4),
+
+    with ``B`` the :func:`bailey_product_spec` block. The weight lists are
+    indexed by the shift and may hold zeros.
+
+    Coefficient k of block (m, n) splits into a part of the first factor,
+    ``first[m] / (rho+m)_k``, one of the second, ``second[n] / (sigma+n)_k``,
+    and ``(U1)_k (U2)_k / ((T)_k k! 4**k)``, whose parameters depend only on
+    the anti-diagonal ``s = m + n`` (:func:`bailey_shared_parameters` of
+    ``rho + sigma + s``). Each factor's part is one integer table
+    ``A[k][m]`` per call (:func:`_shift_table`), relative to
+    ``(rho + top)_k``, and one kernel call per diagonal gives the shared
+    part over those two Pochhammers, ``_pfq_integers((U1, U2), (T, rho +
+    top, sigma + top'), ...)``. Coefficient k of the diagonal is that times
+    ``sum_m A[k][m] B[k][s-m]``; the diagonals join over the lcm of their
+    denominators.
+    """
+    # every block's parameters are block (0, 0)'s plus nonnegative integers,
+    # so if any block is degenerate, block (0, 0) is: checking it raises as
+    # bailey_product_spec does
+    bailey_product_spec(rho, sigma)
+    depth = cap // 2
+    den_a, rows_a = _shift_table(rho, first, depth)
+    den_b, rows_b = _shift_table(sigma, second, depth)
+    top_a, top_b = len(first) - 1, len(second) - 1
+    total, tops = rho + sigma, (rho + top_a, sigma + top_b)
+    diagonals = []
+    for s in range(min(cap, top_a + top_b) + 1):
+        upper, third = bailey_shared_parameters(total + s)
+        diagonals.append((s, *_pfq_integers(upper, (third, *tops), (cap - s) // 2, 1, 4)))
+    common = math.lcm(*[den for _, den, _ in diagonals])
+    nums = [0] * (cap + 1)
+    for s, den, shared in diagonals:
+        up = common // den
+        lo, hi = max(0, s - top_b), min(s, top_a)
+        for k, c in enumerate(shared):
+            if c:
+                pairs = sum(map(mul, rows_a[k][lo : hi + 1], reversed(rows_b[k][s - hi : s - lo + 1])))
+                nums[s + 2 * k] += up * c * pairs
+    return common * den_a * den_b, nums
+
+
+def _shift_table(rho: Fraction, weights: list[Fraction], depth: int) -> tuple[int, list[list[int]]]:
+    """Integers ``rows[k][m]`` over one ``den`` with
+
+        rows[k][m] / den = weights[m] * (rho + top)_k / (rho + m)_k
+
+    for ``k <= depth`` and every shift m, ``top = len(weights) - 1``.
+
+    With ``rho = p/q`` and ``F(l) = p + l*q``, ``(rho + top)_k / (rho + m)_k``
+    is ``F(m+k) ... F(top+k-1)`` over ``F(m) ... F(top-1)``. Over ``den`` =
+    the weights' common denominator times ``F(0) ... F(top-1)``, entry
+    (k, m) is the weight's numerator times the prefix ``F(0) ... F(m-1)``
+    times that k-dependent suffix, which each row builds walking m down.
+    The caller guarantees no ``F(l)`` is 0.
+    """
+    p, q = rho.numerator, rho.denominator
+    top = len(weights) - 1
+    wden = math.lcm(*[w.denominator for w in weights])
+    lead = []  # numerator of weights[m] over wden, times F(0) ... F(m-1)
+    prefix = 1
+    for m, w in enumerate(weights):
+        lead.append(w.numerator * (wden // w.denominator) * prefix)
+        if m < top:
+            prefix *= p + m * q
+    rows = []
+    for k in range(depth + 1):
+        row = [0] * (top + 1)
+        suffix = 1  # F(m+k) ... F(top+k-1)
+        for m in range(top, -1, -1):
+            row[m] = lead[m] * suffix
+            suffix *= p + (m - 1 + k) * q
+        rows.append(row)
+    return wden * prefix, rows
 
 
 def bailey_product_series(rho: Fraction | int, sigma: Fraction | int, cap: int) -> TruncatedSeries:

@@ -26,9 +26,9 @@ import sys
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, Iterator
 
-from .hyper import DegenerateParameterError, FloatSum, HypSpec, _pfq_integers, bailey_product_spec, bailey_shared_parameters, pfq_eval_float
+from .hyper import DegenerateParameterError, FloatSum, HypSpec, _bailey_double_sum, _pfq_integers, bailey_product_spec, pfq_eval_float
 from .rationals import format_rational, is_nonpositive_integer, pochhammer
 from .reports import AdmissibilityFinding, check_lower, check_poch, check_pole, check_positive
 from .series import TruncatedSeries
@@ -208,9 +208,57 @@ def _product(*factors: Factor, exp: Fraction | int = 0) -> Side:
     return Side((Term(factors),), Fraction(exp))
 
 
-def _side_series(side: Side, cap: int) -> TruncatedSeries:
-    """Exact truncation of a side, summed as integer numerators over one
-    running denominator.
+Expansion = tuple[tuple[Fraction, int, Fraction], ...]
+
+
+@dataclass(frozen=True)
+class ProductSide:
+    """``e**x`` times the product of two 1.17/1.18 expansions, each the sum
+    of ``weight * x**m * 0F1(; rho; x**2/16)`` over its ``(weight, m, rho)``
+    triples (shifts 0, 1, 2, ..., zero weights dropped). Block (m, n) of
+    the product is the 1.11 block ``2F3(...; x**2/4)`` of ``(rho, sigma)``,
+    weighted ``w_m * w_n`` at power ``m + n``.
+
+    ``_side_series`` sums it one anti-diagonal at a time; ``terms`` lists
+    the blocks one by one, in m-major order without zero weights, for
+    ``_side_float``.
+    """
+
+    first: Expansion
+    second: Expansion
+    exp = Fraction(1)
+
+    @property
+    def terms(self) -> Iterator[Term]:
+        for w1, m, rho in self.first:
+            for w2, n, sigma in self.second:
+                weight = w1 * w2
+                if weight != 0:
+                    yield Term(((bailey_product_spec(rho, sigma), _SQ4),), weight, m + n)
+
+
+def _side_series(side: Side | ProductSide, cap: int) -> TruncatedSeries:
+    """Exact truncation of a side: its terms summed as integer numerators
+    over one denominator, a :class:`ProductSide` by ``_bailey_double_sum``
+    one anti-diagonal at a time and any other side by
+    :func:`_terms_integers`; one gcd makes the sum canonical, and an
+    exponential prefactor is applied by ``TruncatedSeries.times_exp``, a
+    binomial transform of additions.
+    """
+    if isinstance(side, ProductSide):
+        rho, sigma = side.first[0][2], side.second[0][2]
+        den, nums = _bailey_double_sum(rho, [w for w, _, _ in side.first], sigma, [w for w, _, _ in side.second], cap)
+    else:
+        den, nums = _terms_integers(side.terms, cap)
+    total = TruncatedSeries.from_integers(cap, den, nums)
+    if side.exp:
+        total = total.times_exp(1 if side.exp > 0 else -1, half=abs(side.exp) == HALF)
+    return total
+
+
+def _terms_integers(terms: tuple[Term, ...], cap: int) -> tuple[int, list[int]]:
+    """The sum of the terms up to ``x**cap`` as ``nums[d] / den``, not
+    reduced, over one running denominator.
 
     A term ``weight * x**power * F(...)`` is needed only up to
     ``x**(cap - power)``, so each pFq factor is expanded only to the degree
@@ -224,17 +272,15 @@ def _side_series(side: Side, cap: int) -> TruncatedSeries:
     with several factors (left sides only) spreads each onto its degrees in
     x and multiplies them as series, a Cauchy product placed at stride 1.
     The factors of one call share one dict of numerator prefix products:
-    the blocks on one anti-diagonal of a product side have the same upper
-    parameters and block cap, so their prefix is formed once. Each term
-    joins the sum over the lcm of its denominator and the running one; one
-    gcd at the end makes the sum canonical, and an exponential prefactor is
-    applied by ``TruncatedSeries.times_exp``, a binomial transform of
-    additions.
+    the blocks on one anti-diagonal of an equal-parameter side (3.x) have
+    the same upper parameters and block cap, so their prefix is formed
+    once. Each term joins the sum over the lcm of its denominator and the
+    running one.
     """
     den = 1
     nums = [0] * (cap + 1)
     prefixes: dict = {}
-    for term in side.terms:
+    for term in terms:
         need = cap - term.power
         if need < 0:
             continue
@@ -259,13 +305,10 @@ def _side_series(side: Side, cap: int) -> TruncatedSeries:
         scale = term.weight.numerator * (common // block_den)
         placed = slice(term.power, cap + 1, stride)
         nums[placed] = [a + scale * b for a, b in zip(nums[placed], block_nums)]
-    total = TruncatedSeries.from_integers(cap, den, nums)
-    if side.exp:
-        total = total.times_exp(1 if side.exp > 0 else -1, half=abs(side.exp) == HALF)
-    return total
+    return den, nums
 
 
-def _side_float(side: Side, x: float) -> tuple[float, bool]:
+def _side_float(side: Side | ProductSide, x: float) -> tuple[float, bool]:
     """Float value of a side at x, and whether it is finite and every
     factor's sum converged; ``(inf, False)`` when a weight, power or
     exponential overflows a double."""
@@ -365,36 +408,23 @@ def _product_lhs(variant: str, params: IdentityParams, beta: Fraction) -> Side:
     )
 
 
-def _product_rhs(variant: str, params: IdentityParams) -> Side:
+def _product_rhs(variant: str, params: IdentityParams) -> ProductSide:
     """Composed closed form: e**x times the product of the two factors'
     1.17/1.18 expansions, each pair of 0F1 blocks merged by the 1.11 block.
 
-    Multiplying the two expansions gives ``e**x`` times a double sum of
-    ``w1 * w2 * x**(m+n) * 0F1(; rho; t) 0F1(; sigma; t)`` with
-    ``t = x**2/16``, and 1.11 turns each 0F1 pair into one 2F3 at ``4t``.
     The printed-form mixed variant indexes the second shift factor by m:
-    its weight is overridden by ``(-j)_m / (-j)_n``.
+    it weights block (m, n) by ``(-j)_m / (-j)_n`` more, which splits into
+    ``(-j)_m`` on the first expansion and ``1 / (-j)_n`` on the second.
     """
     first_raised, second_raised = _variant_raised(variant)
     first = _expansion_terms(params.alpha, params.i, first_raised)
     second = _expansion_terms(params.beta, params.j, second_raised, _SECOND)
-    printed = params.printed_form and variant == "PM"
-    if printed:
-        shift = [pochhammer(Fraction(-params.j), k) for k in range(max(params.i, params.j) + 1)]
-    # rho + sigma depends on m + n only: one diagonal, one set of shared parameters
-    diagonals: dict[int, tuple] = {}
-    terms = []
-    for w1, m, rho in first:
-        for w2, n, sigma in second:
-            weight = w1 * w2
-            if printed:
-                weight = weight * shift[m] / shift[n]
-            if weight != 0:
-                shared = diagonals.get(m + n)
-                if shared is None:
-                    shared = diagonals[m + n] = bailey_shared_parameters(rho + sigma)
-                terms.append(Term(((bailey_product_spec(rho, sigma, shared), _SQ4),), weight, m + n))
-    return Side(tuple(terms), Fraction(1))
+    if params.printed_form and variant == "PM":
+        j = Fraction(-params.j)
+        # (-j)_m vanishes for m > j: those weights drop like any zero weight
+        first = [(w * pochhammer(j, m), m, rho) for w, m, rho in first if m <= params.j]
+        second = [(w / pochhammer(j, n), n, sigma) for w, n, sigma in second]
+    return ProductSide(tuple(first), tuple(second))
 
 
 # --------------------------------------------------------------------------
@@ -455,7 +485,8 @@ def _gamma_ratio(numerators: list[Fraction], denominators: list[Fraction]) -> fl
     """Ratio of Gamma factors in double precision.
 
     A pole in a denominator factor makes the ratio 0.0; one in a numerator
-    raises. A factor beyond the double range, or 0.0 away from a pole,
+    raises. A factor beyond the double range, or below the normal range
+    away from a pole (0.0, or a subnormal with too few significant bits),
     raises ValueError naming it. Mantissas and exponents are combined
     apart, so only the ratio itself must be a normal double, or ValueError.
     """
@@ -468,11 +499,12 @@ def _gamma_ratio(numerators: list[Fraction], denominators: list[Fraction]) -> fl
     mantissa, exponent = 1.0, 0
     for g, up in [(g, True) for g in numerators] + [(g, False) for g in denominators]:
         try:
-            m, e = math.frexp(math.gamma(float(g)))
+            factor = math.gamma(float(g))
         except OverflowError:
             raise ValueError(f"Gamma({format_rational(g)}) overflows a double") from None
-        if m == 0.0:
+        if abs(factor) < sys.float_info.min:
             raise ValueError(f"Gamma({format_rational(g)}) underflows a double")
+        m, e = math.frexp(factor)
         mantissa, exponent = (mantissa * m, exponent + e) if up else (mantissa / m, exponent - e)
     try:
         value = math.ldexp(mantissa, exponent)
@@ -614,7 +646,7 @@ def _pm_notes(params: IdentityParams) -> tuple[str, ...]:
     return (_PM_NOTE_PRINTED if params.printed_form else _PM_NOTE_DEFAULT,)
 
 
-SideOf = Callable[[IdentityParams], Side]
+SideOf = Callable[[IdentityParams], Side | ProductSide]
 
 
 def _series_entry(lhs: SideOf, rhs: SideOf, **fields) -> IdentityDef:

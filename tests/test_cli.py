@@ -272,7 +272,7 @@ class TestSweep:
         [
             (["--i", "-1"], "--i and --j must be nonnegative"),
             (["--j", "-2"], "--i and --j must be nonnegative"),
-            (["--degree", "-3"], "cap must be nonnegative"),
+            (["--degree", "-3"], "--degree -3 is below the limit of 0"),
             (["--degree", str(MAX_DEGREE + 1)], f"--degree {MAX_DEGREE + 1} exceeds the limit of {MAX_DEGREE}"),
             (["--i", str(MAX_SHIFT + 1)], f"--i {MAX_SHIFT + 1} exceeds the limit of {MAX_SHIFT}"),
             (["--j", str(MAX_SHIFT + 1)], f"--j {MAX_SHIFT + 1} exceeds the limit of {MAX_SHIFT}"),
@@ -580,6 +580,9 @@ class TestRequestLimits:
             (["sweep", "--identity", "2.1", "--alpha", "1/3,1/7,1/11",
               "--beta", "1/5,1/9,1/13", "--i", "40", "--j", "40"],
              f"sweep grid of 15129 points exceeds the limit of {MAX_SWEEP_POINTS}"),
+            # the option, not the library field IdentityParams.cap
+            (["verify", "--identity", "2.1", "--alpha", "1/3", "--beta", "1/5",
+              "--degree", "-3"], "--degree -3 is below the limit of 0"),
         ],
     )
     def test_oversized_request_exits_2_at_once(self, capsys, argv, needle):

@@ -11,8 +11,10 @@ from hypothesis import strategies as st
 from hypident.hyper import (
     DegenerateParameterError,
     HypSpec,
+    _bailey_double_sum,
     _pfq_integers,
     bailey_product_series,
+    bailey_product_spec,
     pfq_eval_float,
     pfq_series,
 )
@@ -438,3 +440,33 @@ class TestBaileyProduct:
     def test_degenerate_combination(self):
         with pytest.raises(DegenerateParameterError):
             bailey_product_series(Fraction(1, 2), Fraction(1, 2), 6)
+
+
+weights_st = st.lists(st.fractions(min_value=-3, max_value=3, max_denominator=6), min_size=1, max_size=4)
+
+
+class TestBaileyDoubleSum:
+    @given(admissible_lower_st, admissible_lower_st, weights_st, weights_st, st.integers(0, 12))
+    @settings(max_examples=80, deadline=None)
+    def test_matches_block_by_block_sum(self, rho, sigma, first, second, cap):
+        # the weights may vanish anywhere, leading and trailing ones included
+        assume(not is_nonpositive_integer(rho + sigma - 1))
+        expected = [Fraction(0)] * (cap + 1)
+        for m, w1 in enumerate(first):
+            for n, w2 in enumerate(second):
+                if m + n > cap:
+                    continue
+                block = pfq_series(bailey_product_spec(rho + m, sigma + n), (cap - m - n) // 2)
+                for k, c in enumerate(block.coeffs):
+                    expected[m + n + 2 * k] += w1 * w2 * c / 4**k
+        den, nums = _bailey_double_sum(rho, first, sigma, second, cap)
+        assert [Fraction(v, den) for v in nums] == expected
+
+    @pytest.mark.parametrize("rho, sigma", [("-2", "5/2"), ("5/2", "0"), ("-1/2", "1/2")])
+    def test_degenerate_block_raises_as_the_first_block(self, rho, sigma):
+        rho, sigma = Fraction(rho), Fraction(sigma)
+        with pytest.raises(DegenerateParameterError) as first:
+            bailey_product_spec(rho, sigma)
+        with pytest.raises(DegenerateParameterError) as err:
+            _bailey_double_sum(rho, [Fraction(1), Fraction(2)], sigma, [Fraction(1)], 6)
+        assert (err.value.expr, err.value.value, err.value.index) == (first.value.expr, first.value.value, first.value.index)

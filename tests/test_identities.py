@@ -22,11 +22,12 @@ from hypident.identities import (
     _expansion_terms,
     _gamma_ratio,
     _product_rhs,
+    _side_float,
     _side_series,
 )
 from hypident.rationals import pochhammer
 from hypident.series import TruncatedSeries, exp_series
-from hypident.verify import check_admissible, verify_identity
+from hypident.verify import DEFAULT_FLOAT_POINTS, check_admissible, verify_identity
 
 A = Fraction(3, 7)
 B = Fraction(2, 5)
@@ -369,6 +370,25 @@ def reference_side_series(side, cap):
 
 SQ4 = Arg(4, squared=True)
 SQ16 = Arg(16, squared=True)
+
+
+def per_block_product_side(variant, params):
+    """The 2.x right side as a plain Side, one 1.11 block per nonzero
+    weight: ``w1 * w2`` (times ``(-j)_m / (-j)_n`` in the printed form) at
+    power ``m + n``, each block built by ``bailey_product_spec`` on its own."""
+    first = _expansion_terms(params.alpha, params.i, variant[0] == "P")
+    second = _expansion_terms(params.beta, params.j, variant[1] == "P", ("beta", "j", "n"))
+    printed = params.printed_form and variant == "PM"
+    terms = []
+    for w1, m, rho in first:
+        for w2, n, sigma in second:
+            weight = w1 * w2
+            if printed:
+                weight = weight * pochhammer(Fraction(-params.j), m) / pochhammer(Fraction(-params.j), n)
+            if weight != 0:
+                terms.append(Term(((bailey_product_spec(rho, sigma), SQ4),), weight, m + n))
+    return Side(tuple(terms), Fraction(1))
+
 TERMINATING = HypSpec((Fraction(-3), A), (B, Fraction(1, 5)))
 ORACLE_TERMS = {
     "sq4": Term(((HypSpec((A,), (B, Fraction(1, 3))), SQ4),)),
@@ -413,12 +433,27 @@ class TestSideSeries:
     @pytest.mark.parametrize("variant, printed_form", [("PP", False), ("MM", False), ("PM", False), ("PM", True)])
     def test_product_right_sides(self, variant, printed_form):
         # the reference expands every block on its own, so it shares nothing
-        # along a diagonal
-        for i in range(7):
-            for j in range(7):
-                params = IdentityParams(alpha=A, beta=B, i=i, j=j, printed_form=printed_form)
-                side, cap = _product_rhs(variant, params), params.effective_cap
-                assert _side_series(side, cap) == reference_side_series(side, cap), (i, j)
+        # along a diagonal; caps below i + j cut whole diagonals off. At
+        # alpha = 0 a raised first expansion drops its weights from m = 2 on,
+        # as (2*alpha - 1)_m = (-1)_m vanishes there
+        for alpha in (A, Fraction(0)):
+            for i in range(7):
+                for j in range(7):
+                    params = IdentityParams(alpha=alpha, beta=B, i=i, j=j, printed_form=printed_form)
+                    side, reference = _product_rhs(variant, params), per_block_product_side(variant, params)
+                    for cap in [*range(i + j + 1), params.effective_cap]:
+                        assert _side_series(side, cap) == reference_side_series(reference, cap), (alpha, i, j, cap)
+
+    @pytest.mark.parametrize("variant, printed_form", [("PP", False), ("MM", False), ("PM", False), ("PM", True)])
+    def test_product_right_side_floats(self, variant, printed_form):
+        rhs_float = get(PRODUCT_TAG[variant]).rhs_float
+        for i, j in [(0, 0), (2, 1), (3, 4), (6, 6)]:
+            params = IdentityParams(alpha=A, beta=B, i=i, j=j, printed_form=printed_form)
+            reference = per_block_product_side(variant, params)
+            for x in DEFAULT_FLOAT_POINTS:
+                assert rhs_float(params, x) == _side_float(reference, x), (i, j, x)
+            # e**x overflows a double
+            assert rhs_float(params, 1e6) == (math.inf, False)
 
 
 class TestScalarSides:
@@ -517,6 +552,13 @@ class TestScalarSides:
         with pytest.raises(ValueError) as err:
             _gamma_ratio(numerators, denominators)
         assert str(err.value) == message
+
+    def test_gamma_ratio_subnormal_factor_raises(self):
+        # math.gamma(-355/2) is 5e-324, one significant bit: the ratio would
+        # come back 7.65e103, against 1.04e104 from lgamma
+        with pytest.raises(ValueError) as err:
+            _gamma_ratio([Fraction(329, 2), Fraction(-355, 2), Fraction(143, 7)], [Fraction(-223, 2), Fraction(101, 2)])
+        assert str(err.value) == "Gamma(-355/2) underflows a double"
 
     def test_gamma_ratio_in_the_normal_range_is_kept(self):
         assert _gamma_ratio([Fraction(1)], [Fraction(171)]) == 1 / math.gamma(171.0)
