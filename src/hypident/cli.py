@@ -20,7 +20,7 @@ from .hyper import DegenerateParameterError
 from .identities import IdentityParams, catalog, get
 from .rationals import RationalParseError, parse_rational
 from .reports import csv_text, reports_to_csv
-from .verify import DEFAULT_FLOAT_TOL, float_residual, sweep, sweep_axes, verify_identity
+from .verify import DEFAULT_FLOAT_TOL, float_residuals, sweep, sweep_axes, verify_identity
 
 __all__ = ["MAX_DEGREE", "MAX_SHIFT", "MAX_SWEEP_POINTS", "build_parser", "main", "run"]
 
@@ -250,7 +250,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     if define.kind != "series" and args.x is not None:
         raise ValueError(f"identity {define.tag} is summed at its fixed argument x = {define.fixed_argument:g}, "
                          "so it takes no --x")
-    residual = float_residual(define.id, params, args.x)
+    (residual,) = float_residuals(define.id, params, () if args.x is None else (args.x,))
     # JSON has no token for a non-finite side, and no residual is meaningful
     if define.kind == "series" and not (math.isfinite(residual.lhs) and math.isfinite(residual.rhs)):
         raise ValueError(f"a float side of identity {define.tag} overflows at --x {args.x:g}")

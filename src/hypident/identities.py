@@ -26,7 +26,7 @@ import sys
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Callable, Iterator
+from typing import Callable, Iterator, Sequence
 
 from .hyper import DegenerateParameterError, FloatSum, HypSpec, _bailey_double_sum, _pfq_integers, bailey_product_spec, pfq_eval_float
 from .rationals import format_rational, is_nonpositive_integer, pochhammer
@@ -221,7 +221,7 @@ class ProductSide:
 
     ``_side_series`` sums it one anti-diagonal at a time; ``terms`` lists
     the blocks one by one, in m-major order without zero weights, for
-    ``_side_float``.
+    ``_side_floats``.
     """
 
     first: Expansion
@@ -308,25 +308,30 @@ def _terms_integers(terms: tuple[Term, ...], cap: int) -> tuple[int, list[int]]:
     return den, nums
 
 
-def _side_float(side: Side | ProductSide, x: float) -> tuple[float, bool]:
-    """Float value of a side at x, and whether it is finite and every
-    factor's sum converged; ``(inf, False)`` when a weight, power or
-    exponential overflows a double."""
-    total = 0.0
-    converged = True
-    try:
-        for term in side.terms:
-            value = float(term.weight) * x**term.power
-            for spec, arg in term.factors:
-                factor = pfq_eval_float(spec, arg.at(x), tol=_FLOAT_TOL, max_terms=_FLOAT_TERMS)
-                value *= factor.value
-                converged = converged and factor.converged
-            total += value
-        if side.exp:
-            total *= math.exp(side.exp * x)
-    except OverflowError:
-        return math.inf, False
-    return total, converged and math.isfinite(total)
+def _side_floats(side: Side | ProductSide, xs: Sequence[float]) -> list[tuple[float, bool]]:
+    """Float value of a side at each x, and whether it is finite and every
+    factor's sum converged; ``(inf, False)`` at an x where a weight, power
+    or exponential overflows a double. The terms are listed once, then
+    summed at each x in the same order."""
+    terms = tuple(side.terms)
+    values = []
+    for x in xs:
+        total = 0.0
+        converged = True
+        try:
+            for term in terms:
+                value = float(term.weight) * x**term.power
+                for spec, arg in term.factors:
+                    factor = pfq_eval_float(spec, arg.at(x), tol=_FLOAT_TOL, max_terms=_FLOAT_TERMS)
+                    value *= factor.value
+                    converged = converged and factor.converged
+                total += value
+            if side.exp:
+                total *= math.exp(side.exp * x)
+        except OverflowError:
+            total, converged = math.inf, False
+        values.append((total, converged and math.isfinite(total)))
+    return values
 
 
 # --------------------------------------------------------------------------
@@ -608,8 +613,8 @@ class IdentityDef:
     kind: str
     build_lhs: Callable[[IdentityParams], TruncatedSeries] | None = None
     build_rhs: Callable[[IdentityParams], TruncatedSeries] | None = None
-    lhs_float: Callable[[IdentityParams, float], tuple[float, bool]] | None = None
-    rhs_float: Callable[[IdentityParams, float], tuple[float, bool]] | None = None
+    lhs_float: Callable[[IdentityParams, Sequence[float]], list[tuple[float, bool]]] | None = None
+    rhs_float: Callable[[IdentityParams, Sequence[float]], list[tuple[float, bool]]] | None = None
     scalar_exact: Callable[[IdentityParams], tuple[Fraction, Fraction]] | None = None
     scalar_float: Callable[[IdentityParams], tuple[float, float, FloatSum]] | None = None
     requirements: Callable[[IdentityParams], Findings] = lambda params: []
@@ -656,8 +661,8 @@ def _series_entry(lhs: SideOf, rhs: SideOf, **fields) -> IdentityDef:
         kind="series",
         build_lhs=lambda p: _side_series(lhs(p), p.effective_cap),
         build_rhs=lambda p: _side_series(rhs(p), p.effective_cap),
-        lhs_float=lambda p, x: _side_float(lhs(p), x),
-        rhs_float=lambda p, x: _side_float(rhs(p), x),
+        lhs_float=lambda p, xs: _side_floats(lhs(p), xs),
+        rhs_float=lambda p, xs: _side_floats(rhs(p), xs),
         **fields,
     )
 

@@ -37,7 +37,7 @@ __all__ = [
     "DEFAULT_FLOAT_POINTS",
     "DEFAULT_FLOAT_TOL",
     "check_admissible",
-    "float_residual",
+    "float_residuals",
     "report_for_sides",
     "sweep",
     "sweep_axes",
@@ -61,10 +61,11 @@ def check_admissible(identity: IdentityId | str, params: IdentityParams) -> list
     return [finding for finding in define.requirements(params) if finding is not None]
 
 
-def float_residual(identity: IdentityId | str, params: IdentityParams, x: float | None = None) -> FloatResidual:
-    """Both sides of a series entry evaluated in floating point at ``x``, or
-    both sides of a scalar entry at its fixed argument (``x`` is then
-    ignored), and their relative disagreement.
+def float_residuals(identity: IdentityId | str, params: IdentityParams, xs: Sequence[float] = ()) -> tuple[FloatResidual, ...]:
+    """Both sides of a series entry evaluated in floating point at each of
+    ``xs``, each side declared once for all of them, or both sides of a
+    scalar entry at its fixed argument (it refuses any ``xs``), and their
+    relative disagreement: one residual per point.
 
     A series residual is infinite unless both sides converged. A float-sum
     residual is scaled by ``sum |t_k|`` as well as by both sides, so that a
@@ -76,17 +77,18 @@ def float_residual(identity: IdentityId | str, params: IdentityParams, x: float 
     """
     define = identities.get(identity)
     if define.kind == "series":
-        lhs, lhs_ok = define.lhs_float(params, x)
-        rhs, rhs_ok = define.rhs_float(params, x)
-        ok = lhs_ok and rhs_ok
-        return FloatResidual(x, relative_error(lhs, rhs) if ok else math.inf, lhs, rhs, ok)
+        sides = zip(xs, define.lhs_float(params, xs), define.rhs_float(params, xs)) if xs else ()
+        return tuple(FloatResidual(x, relative_error(lhs, rhs) if l_ok and r_ok else math.inf, lhs, rhs, l_ok and r_ok)
+                     for x, (lhs, l_ok), (rhs, r_ok) in sides)
+    if xs:
+        raise ValueError(f"identity {define.tag} is summed at its fixed argument x = {define.fixed_argument:g}, so it takes no x")
     if define.kind == "float_sum":
         lhs, rhs, lhs_sum = define.scalar_float(params)
         rel = relative_error(lhs, rhs, lhs_sum.abs_sum)
-        return FloatResidual(define.fixed_argument, rel, lhs, rhs, lhs_sum.converged, lhs_sum.terms)
+        return (FloatResidual(define.fixed_argument, rel, lhs, rhs, lhs_sum.converged, lhs_sum.terms),)
     lhs, rhs = define.scalar_exact(params)
     try:
-        return FloatResidual(define.fixed_argument, float(relative_error(lhs, rhs)), float(lhs), float(rhs))
+        return (FloatResidual(define.fixed_argument, float(relative_error(lhs, rhs)), float(lhs), float(rhs)),)
     except OverflowError:
         raise ValueError(f"a float side of identity {define.tag} overflows at x = {define.fixed_argument:g}") from None
 
@@ -111,7 +113,7 @@ def _series_check(define: IdentityDef, params: IdentityParams, float_points: Seq
         params,
         define.build_lhs(params),
         define.build_rhs(params),
-        float_residuals=tuple(float_residual(define.id, params, x) for x in float_points),
+        float_residuals=float_residuals(define.id, params, float_points),
         notes=define.notes(params),
     )
 
@@ -129,7 +131,7 @@ def _scalar_exact_check(define: IdentityDef, params: IdentityParams) -> VerifyRe
 
 
 def _scalar_float_check(define: IdentityDef, params: IdentityParams, tol: float) -> VerifyReport:
-    residual = float_residual(define.id, params)
+    (residual,) = float_residuals(define.id, params)
     if not residual.converged:
         status = STATUS_FLOAT_INCONCLUSIVE
     else:

@@ -1,6 +1,7 @@
 """Every exported name resolves, so a stale ``__all__`` entry fails here,
 and every name the benchmark's tracer patches still exists."""
 
+import ast
 import importlib
 import pkgutil
 import subprocess
@@ -23,11 +24,20 @@ def test_every_exported_name_resolves(module_name):
 
 def test_benchmark_tracer_installs():
     # perfbench/tracing.py looks each patched name up with getattr, so
-    # deleting one breaks `perfbench/run.py --trace 1`
+    # deleting one breaks `perfbench/run.py --trace 1`; it wraps the
+    # catalog's float fields as they are called, so a wrapper that no
+    # longer fits them breaks a traced verify of a series or a float sum
     code = (
         "import sys; "
         f"sys.path[:0] = [{str(ROOT / 'src')!r}, {str(ROOT / 'perfbench')!r}]; "
-        "import tracing; tracing.install(tracing.Tracer())"
+        "import tracing; tracer = tracing.Tracer(); tracing.install(tracer); "
+        "from hypident import verify; from hypident.identities import IdentityParams; "
+        "verify.verify_identity('2.1', IdentityParams(alpha='3/7', beta='2/5', i=2, j=1)); "
+        "verify.verify_identity('1.4', IdentityParams(alpha='1/3', beta='2/5')); "
+        "print([tracer.calls[layer] for layer in "
+        "('identities.float_sides', 'identities.build_rhs', 'hyper.pfq_eval_float')])"
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+    calls = ast.literal_eval(proc.stdout.strip())
+    assert len(calls) == 3 and all(calls), calls

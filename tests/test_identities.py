@@ -22,7 +22,7 @@ from hypident.identities import (
     _expansion_terms,
     _gamma_ratio,
     _product_rhs,
-    _side_float,
+    _side_floats,
     _side_series,
 )
 from hypident.rationals import pochhammer
@@ -450,10 +450,23 @@ class TestSideSeries:
         for i, j in [(0, 0), (2, 1), (3, 4), (6, 6)]:
             params = IdentityParams(alpha=A, beta=B, i=i, j=j, printed_form=printed_form)
             reference = per_block_product_side(variant, params)
-            for x in DEFAULT_FLOAT_POINTS:
-                assert rhs_float(params, x) == _side_float(reference, x), (i, j, x)
-            # e**x overflows a double
-            assert rhs_float(params, 1e6) == (math.inf, False)
+            assert rhs_float(params, DEFAULT_FLOAT_POINTS) == _side_floats(reference, DEFAULT_FLOAT_POINTS), (i, j)
+            # e**x overflows a double at 1e6 only; the points beside it are
+            # what a one-point call gives
+            batch = rhs_float(params, (0.5, 1e6, -0.5))
+            assert batch == [*rhs_float(params, (0.5,)), (math.inf, False), *rhs_float(params, (-0.5,))], (i, j)
+            assert batch == _side_floats(reference, (0.5, 1e6, -0.5)), (i, j)
+        near, far = verify_identity(PRODUCT_TAG[variant], params, float_points=(0.5, 1e6)).float_residuals
+        assert near.converged and math.isfinite(near.relative_error)
+        assert (far.converged, far.relative_error) == (False, math.inf)
+        # a plain side: at 1e6 the 1.9 product's sums run out of terms into
+        # nan and its right side's e**x overflows
+        params = IdentityParams(alpha=A)
+        for side_float in (get("1.9").lhs_float, get("1.9").rhs_float):
+            [(value, ok)] = side_float(params, (1e6,))
+            assert not ok and not math.isfinite(value)
+            assert side_float(params, (0.5, 1e6, -0.5))[::2] == [*side_float(params, (0.5,)), *side_float(params, (-0.5,))]
+        assert get("1.9").rhs_float(params, (1e6,)) == [(math.inf, False)]
 
 
 class TestScalarSides:

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from hypident import verify
+from hypident import identities, verify
 from hypident.identities import IdentityParams, get
 from hypident.reports import (
     PASSING_STATUSES,
@@ -21,7 +21,7 @@ from hypident.series import TruncatedSeries
 from hypident.verify import (
     DEFAULT_FLOAT_POINTS,
     check_admissible,
-    float_residual,
+    float_residuals,
     report_for_sides,
     sweep,
     verify_identity,
@@ -151,6 +151,31 @@ class TestVerifyIdentity:
         assert len(report.float_residuals) == len(DEFAULT_FLOAT_POINTS)
         assert all(r.converged for r in report.float_residuals)
         assert report.max_float_residual < 1e-9
+
+    @pytest.mark.parametrize(
+        "tag, params, declarations",
+        [
+            ("2.1", IdentityParams(alpha=A, beta=B, i=2, j=1), ("_product_lhs", "_product_rhs")),
+            ("2.3", IdentityParams(alpha=A, beta=B, i=2, j=1, printed_form=True), ("_product_lhs", "_product_rhs")),
+            ("1.17", IdentityParams(alpha=A, i=3), ("_expansion_side",)),
+        ],
+        ids=["2.1", "2.3-printed", "1.17"],
+    )
+    def test_each_side_is_declared_once_for_all_float_points(self, monkeypatch, tag, params, declarations):
+        # once for the exact series and once for every float point
+        calls = dict.fromkeys(declarations, 0)
+
+        def counter(name, declare):
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return declare(*args, **kwargs)
+            return counted
+
+        for name in declarations:
+            monkeypatch.setattr(identities, name, counter(name, getattr(identities, name)))
+        report = verify_identity(tag, params)
+        assert len(report.float_residuals) == len(DEFAULT_FLOAT_POINTS)
+        assert calls == dict.fromkeys(declarations, 2)
 
     def test_inadmissible_short_circuits(self):
         report = verify_identity("2.1", IdentityParams(alpha=Fraction(1, 2), beta=B, i=2))
@@ -330,14 +355,24 @@ class TestRelativeError:
     def test_exact_sum_residual_is_the_float_of_each_exact_side(self):
         params = IdentityParams(alpha=Fraction(1, 2), beta=Fraction(5, 3), i=7)
         lhs, rhs = get("1.3").scalar_exact(params)
-        residual = float_residual("1.3", params, x=3.0)  # x is ignored
+        with pytest.raises(ValueError, match="identity 1.3 is summed at its fixed argument x = 1, "):
+            float_residuals("1.3", params, (3.0,))
+        (residual,) = float_residuals("1.3", params)
         assert (residual.x, residual.lhs, residual.rhs) == (1.0, float(lhs), float(rhs))
         assert (residual.relative_error, residual.converged, residual.terms) == (0.0, True, None)
 
     def test_exact_sum_past_the_double_range_raises(self):
         params = IdentityParams(alpha=Fraction(-10**8), beta=Fraction(1, 3), i=64)
         with pytest.raises(ValueError, match="a float side of identity 1.3 overflows at x = 1"):
-            float_residual("1.3", params)
+            float_residuals("1.3", params)
+
+    @pytest.mark.parametrize("tag, fixed", [("1.3", "1"), ("1.4", "0.5"), ("1.8", "1")])
+    def test_scalar_entry_refuses_points(self, tag, fixed):
+        # even its own fixed argument: the point would read as honoured
+        params = IdentityParams(alpha=Fraction(1, 2), beta=Fraction(5, 3), gamma=Fraction(1, 7), i=7)
+        for x in (3.0, float(fixed)):
+            with pytest.raises(ValueError, match=f"identity {tag} is summed at its fixed argument x = {fixed}, "):
+                float_residuals(tag, params, (x,))
 
     def test_unconverged_float_residual_is_infinite(self):
         # a budget that runs out makes the residual inf, whatever the values
