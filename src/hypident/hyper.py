@@ -205,6 +205,8 @@ def pfq_eval_float(
 
     * A term that is exactly 0 (an upper parameter ``-n``) ends the sum
       with tail 0.
+    * A term that overflows ends the sum: the value is that term's signed
+      infinity, not converged, with infinite ``abs_sum`` and error bound.
     * At ``x = 1`` with ``p = q + 1`` (log-convergent) the tail is
       telescoped, see :func:`_telescoped_tail`; it needs the excess
       ``sum(lower) - sum(upper)`` to be positive.
@@ -242,11 +244,15 @@ def pfq_eval_float(
         total = fresh
         abs_sum += abs(term)
 
-        # terms t_0 .. t_{k+1} are in the sum
+        # terms t_0 .. t_{k+1} are in the sum. A term that is not finite
+        # never continues here, as its compensation makes the sum nan, so
+        # the check below costs the hot loop nothing
+        if telescoped is None and abs(term) > tol * abs(total + comp):
+            continue
+        if not math.isfinite(term):
+            return FloatSum(term, False, k + 2, math.inf, math.inf)
         if telescoped is not None:
             found = telescoped(k + 1, term)
-        elif abs(term) > tol * abs(total + comp):
-            continue
         elif term == 0.0:  # an upper parameter -n: every later term is 0
             found = 0.0, 0.0, 0.0
         else:

@@ -107,7 +107,12 @@ class TruncatedSeries:
         return TruncatedSeries.from_integers(cap, den, [x - y for x, y in zip(a, b)])
 
     def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        """Cauchy product truncated to the smaller cap."""
+        """Cauchy product truncated to the smaller cap.
+
+        The package does not call it; it is kept only as the tests' oracle
+        for left-side products and as the layer the benchmark's tracer
+        wraps.
+        """
         cap = min(self.cap, other.cap)
         a, b = self.nums, other.nums
         nums = [sum(map(mul, a[: k + 1], b[k::-1])) for k in range(cap + 1)]

@@ -250,6 +250,20 @@ class TestPfqEvalFloat:
         assert not result.converged
         assert result.terms == 4
 
+    def test_overflowing_term_ends_the_sum(self):
+        # the terms of 1F1(3/7; 6/7; +-1e6) overflow long before the budget,
+        # and summing on would end in inf - inf = nan
+        spec = HypSpec((Fraction(3, 7),), (Fraction(6, 7),))
+        up, down = (pfq_eval_float(spec, x, tol=1e-16, max_terms=800) for x in (1e6, -1e6))
+        assert up.terms == down.terms < 800
+        assert (up.value, up.converged, up.abs_sum, up.error_bound) == (math.inf, False, math.inf, math.inf)
+        # the last term summed is t_(terms - 1), of sign (-1)**(terms - 1) at -1e6
+        assert down.value == (-1) ** (down.terms - 1) * math.inf and not down.converged
+        assert pfq_eval_float(spec, math.inf).value == math.inf
+        # at the unit argument, where the telescoped tail is tried at every term
+        unit = pfq_eval_float(HypSpec((Fraction(300), Fraction(300), Fraction(1, 2)), (Fraction(1, 3), Fraction(1, 5))), 1.0, max_terms=2000)
+        assert (unit.value, unit.converged, unit.error_bound) == (math.inf, False, math.inf) and unit.terms < 2000
+
     def test_validation(self):
         spec = HypSpec((), ())
         with pytest.raises(ValueError):

@@ -412,6 +412,29 @@ ORACLE_TERMS = {
 ORACLE_SIDES = {name: (term,) for name, term in ORACLE_TERMS.items()}
 ORACLE_SIDES["all"] = tuple(ORACLE_TERMS.values())
 ORACLE_SIDES["empty"] = ()
+# left-side products, taken as binomial convolutions of exponential
+# generating functions: arguments c*x at c = 1, -1, 2, -3 and x**2/4,
+# terminating factors, weights other than 1 and powers above 0
+PRODUCT_TERMS = {
+    "two_factors": Term((
+        (HypSpec((A,), (2 * A,)), Arg(2)),
+        (HypSpec((B,), (A + 1,)), Arg(-3)),
+    ), Fraction(-5, 3), 2),
+    "three_factors": Term((
+        (HypSpec((A,), (B,)), Arg(1)),
+        (HypSpec((), (2 * B,)), Arg(-1)),
+        (HypSpec((A, B), (Fraction(7, 3),)), Arg(-3)),
+    ), Fraction(4, 9), 1),
+    "squared_factor": Term((
+        (HypSpec((A,), (B, Fraction(1, 3))), SQ4),
+        (HypSpec((B,), (2 * B,)), Arg(2)),
+    ), Fraction(3)),
+    "terminating_factors": Term((
+        (TERMINATING, Arg(-3)),
+        (HypSpec((), (A,)), Arg(1)),
+        (HypSpec((Fraction(-2),), (B,)), SQ4),
+    ), Fraction(-7, 2), 5),
+}
 
 
 class TestSideSeries:
@@ -422,6 +445,13 @@ class TestSideSeries:
         # cap; power 12 is past every cap
         side = Side(ORACLE_SIDES[name], Fraction(exp))
         for cap in range(10):
+            assert _side_series(side, cap) == reference_side_series(side, cap), cap
+
+    @pytest.mark.parametrize("name", [*PRODUCT_TERMS, "all"])
+    def test_products_match_cauchy_product_reference(self, name):
+        # the reference multiplies the factors with TruncatedSeries.__mul__
+        side = Side(tuple(PRODUCT_TERMS.values()) if name == "all" else (PRODUCT_TERMS[name],))
+        for cap in [*range(41), 96]:
             assert _side_series(side, cap) == reference_side_series(side, cap), cap
 
     @pytest.mark.parametrize("exp", [1, -1, Fraction(1, 2), Fraction(-1, 2)], ids=str)
@@ -459,14 +489,12 @@ class TestSideSeries:
         near, far = verify_identity(PRODUCT_TAG[variant], params, float_points=(0.5, 1e6)).float_residuals
         assert near.converged and math.isfinite(near.relative_error)
         assert (far.converged, far.relative_error) == (False, math.inf)
-        # a plain side: at 1e6 the 1.9 product's sums run out of terms into
-        # nan and its right side's e**x overflows
+        # a plain side: at 1e6 the 1.9 product's sums overflow and its right
+        # side's e**x overflows, both to inf
         params = IdentityParams(alpha=A)
         for side_float in (get("1.9").lhs_float, get("1.9").rhs_float):
-            [(value, ok)] = side_float(params, (1e6,))
-            assert not ok and not math.isfinite(value)
+            assert side_float(params, (1e6,)) == [(math.inf, False)]
             assert side_float(params, (0.5, 1e6, -0.5))[::2] == [*side_float(params, (0.5,)), *side_float(params, (-0.5,))]
-        assert get("1.9").rhs_float(params, (1e6,)) == [(math.inf, False)]
 
 
 class TestScalarSides:
