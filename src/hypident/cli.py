@@ -247,9 +247,6 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     define.validate_params(params)
     if define.kind == "series" and args.x is None:
         raise ValueError(f"identity {define.tag} needs --x to evaluate")
-    if define.kind != "series" and args.x is not None:
-        raise ValueError(f"identity {define.tag} is summed at its fixed argument x = {define.fixed_argument:g}, "
-                         "so it takes no --x")
     (residual,) = float_residuals(define.id, params, () if args.x is None else (args.x,))
     # JSON has no token for a non-finite side, and no residual is meaningful
     if define.kind == "series" and not (math.isfinite(residual.lhs) and math.isfinite(residual.rhs)):

@@ -21,6 +21,7 @@ rather than a wrong value.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
@@ -95,7 +96,6 @@ def _pfq_integers(
     cap: int,
     num_scale: int = 1,
     den_scale: int = 1,
-    prefixes: dict | None = None,
 ) -> tuple[int, list[int]]:
     """Coefficients ``nums[k] / den`` of pFq(upper; lower; r*t) up to the
     cap, with ``r = num_scale / den_scale`` (nonzero integers, 1 by
@@ -109,14 +109,7 @@ def _pfq_integers(
     only when positive) are integers. Coefficient k is then the prefix
     product of the numerator factors times the suffix product of the
     denominator factors over the product of all of them, with no gcd inside
-    the loop.
-
-    The prefix products depend only on the integer upper parameters, L, the
-    excess q - p, ``num_scale`` and the cap. A caller that expands many
-    series sharing those (the blocks of one anti-diagonal of a product
-    side) passes one ``prefixes`` dict to every call, and each prefix is
-    then formed once; the dict belongs to that caller and holds integers
-    only.
+    the loop. The kernel keeps no state between calls.
 
     Once a term hits zero (an upper parameter was a nonpositive integer)
     every later term is zero too, so the loop stops early and the series
@@ -128,23 +121,18 @@ def _pfq_integers(
         raise ValueError("series cap must be nonnegative")
     scale = math.lcm(*[v.denominator for v in upper + lower])
     excess = len(lower) - len(upper)
-    upper = tuple([a.numerator * (scale // a.denominator) for a in upper])
+    upper = [a.numerator * (scale // a.denominator) for a in upper]
     lower = [b.numerator * (scale // b.denominator) for b in lower]
 
-    key = upper, scale, excess, num_scale, cap
-    prefix = prefixes.get(key) if prefixes is not None else None
-    if prefix is None:
-        prefix = [1]  # prefix[k] = num_0 * ... * num_{k-1}
-        num_extra = num_scale * scale**excess if excess > 0 else num_scale
-        for k in range(cap):
-            num = num_extra
-            for a in upper:
-                num *= a + k * scale
-            if num == 0:
-                break
-            prefix.append(prefix[-1] * num)
-        if prefixes is not None:
-            prefixes[key] = prefix
+    prefix = [1]  # prefix[k] = num_0 * ... * num_{k-1}
+    num_extra = num_scale * scale**excess if excess > 0 else num_scale
+    for k in range(cap):
+        num = num_extra
+        for a in upper:
+            num *= a + k * scale
+        if num == 0:
+            break
+        prefix.append(prefix[-1] * num)
 
     # walking down from the last nonzero term, suffix = den_k * ... * den_{top-1}
     den_extra = den_scale * scale**-excess if excess < 0 else den_scale
@@ -430,7 +418,7 @@ def bailey_shared_parameters(total: Fraction) -> tuple[tuple[Fraction, Fraction]
 
 
 def _bailey_double_sum(
-    rho: Fraction, first: list[Fraction], sigma: Fraction, second: list[Fraction], cap: int
+    rho: Fraction, first: Sequence[Fraction], sigma: Fraction, second: Sequence[Fraction], cap: int
 ) -> tuple[int, list[int]]:
     """Coefficients ``nums[d] / den``, up to ``x**cap`` and not reduced, of
 
@@ -476,7 +464,7 @@ def _bailey_double_sum(
     return common * den_a * den_b, nums
 
 
-def _shift_table(rho: Fraction, weights: list[Fraction], depth: int) -> tuple[int, list[list[int]]]:
+def _shift_table(rho: Fraction, weights: Sequence[Fraction], depth: int) -> tuple[int, list[list[int]]]:
     """Integers ``rows[k][m]`` over one ``den`` with
 
         rows[k][m] / den = weights[m] * (rho + top)_k / (rho + m)_k

@@ -211,16 +211,17 @@ def _product(*factors: Factor, exp: Fraction | int = 0) -> Side:
     return Side((Term(factors),), Fraction(exp))
 
 
-Expansion = tuple[tuple[Fraction, int, Fraction], ...]
+#: ``(rho, weights)``: the sum over shifts m of
+#: ``weights[m] * x**m * 0F1(; rho + m; x**2/16)``.
+Expansion = tuple[Fraction, tuple[Fraction, ...]]
 
 
 @dataclass(frozen=True)
 class ProductSide:
-    """``e**x`` times the product of two 1.17/1.18 expansions, each the sum
-    of ``weight * x**m * 0F1(; rho; x**2/16)`` over its ``(weight, m, rho)``
-    triples (shifts 0, 1, 2, ..., zero weights dropped). Block (m, n) of
-    the product is the 1.11 block ``2F3(...; x**2/4)`` of ``(rho, sigma)``,
-    weighted ``w_m * w_n`` at power ``m + n``.
+    """``e**x`` times the product of two 1.17/1.18 expansions, ``first =
+    (rho, v)`` and ``second = (sigma, w)``. Block (m, n) of the product is
+    the 1.11 block ``2F3(...; x**2/4)`` of ``(rho + m, sigma + n)``,
+    weighted ``v[m] * w[n]`` at power ``m + n``.
 
     ``_side_series`` sums it one anti-diagonal at a time; ``terms`` lists
     the blocks one by one, in m-major order without zero weights, for
@@ -233,11 +234,12 @@ class ProductSide:
 
     @property
     def terms(self) -> Iterator[Term]:
-        for w1, m, rho in self.first:
-            for w2, n, sigma in self.second:
+        (rho, first), (sigma, second) = self.first, self.second
+        for m, w1 in enumerate(first):
+            for n, w2 in enumerate(second):
                 weight = w1 * w2
                 if weight != 0:
-                    yield Term(((bailey_product_spec(rho, sigma), _SQ4),), weight, m + n)
+                    yield Term(((bailey_product_spec(rho + m, sigma + n), _SQ4),), weight, m + n)
 
 
 def _side_series(side: Side | ProductSide, cap: int) -> TruncatedSeries:
@@ -249,8 +251,7 @@ def _side_series(side: Side | ProductSide, cap: int) -> TruncatedSeries:
     binomial transform of additions.
     """
     if isinstance(side, ProductSide):
-        rho, sigma = side.first[0][2], side.second[0][2]
-        den, nums = _bailey_double_sum(rho, [w for w, _, _ in side.first], sigma, [w for w, _, _ in side.second], cap)
+        den, nums = _bailey_double_sum(*side.first, *side.second, cap)
     else:
         den, nums = _terms_integers(side.terms, cap)
     total = TruncatedSeries.from_integers(cap, den, nums)
@@ -272,27 +273,22 @@ def _terms_integers(terms: tuple[Term, ...], cap: int) -> tuple[int, list[int]]:
     its unreduced integers belong on degree ``power + stride*k`` as they
     come, times the weight: stride 2 for an ``x**2/c`` argument, 1 for
     ``c*x``. A term with several factors (left sides only) is their product
-    taken by :func:`_egf_product`, placed at stride 1. The factors of one
-    call share one dict of numerator prefix products: the blocks on one
-    anti-diagonal of an equal-parameter side (3.x) have the same upper
-    parameters and block cap, and so do the two factors of the 1.9, 1.12
-    and 1.13 left sides, so their prefix is formed once. Each term
-    joins the sum over the lcm of its denominator and the running one.
+    taken by :func:`_egf_product`, placed at stride 1. Each term joins the
+    sum over the lcm of its denominator and the running one.
     """
     den = 1
     nums = [0] * (cap + 1)
-    prefixes: dict = {}
     for term in terms:
         need = cap - term.power
         if need < 0:
             continue
         if len(term.factors) > 1:
-            block_den, block_nums = _egf_product(term.factors, need, prefixes)
+            block_den, block_nums = _egf_product(term.factors, need)
             stride = 1
         else:
             [(spec, arg)] = term.factors
             scales = (1, arg.c) if arg.squared else (arg.c, 1)
-            block_den, block_nums = _pfq_integers(spec.upper, spec.lower, arg.t_cap(need), *scales, prefixes)
+            block_den, block_nums = _pfq_integers(spec.upper, spec.lower, arg.t_cap(need), *scales)
             stride = 2 if arg.squared else 1
         block_den *= term.weight.denominator
         common = math.lcm(den, block_den)
@@ -306,7 +302,7 @@ def _terms_integers(terms: tuple[Term, ...], cap: int) -> tuple[int, list[int]]:
     return den, nums
 
 
-def _egf_product(factors: tuple[Factor, ...], need: int, prefixes: dict) -> tuple[int, list[int]]:
+def _egf_product(factors: tuple[Factor, ...], need: int) -> tuple[int, list[int]]:
     """The product of the factors up to ``x**need`` as ``nums[d] / den``,
     not reduced: a binomial convolution of their exponential generating
     functions (EGFs).
@@ -323,11 +319,11 @@ def _egf_product(factors: tuple[Factor, ...], need: int, prefixes: dict) -> tupl
     product = None
     for spec, arg in factors:
         if arg.squared:
-            block_den, block_nums = _pfq_integers(spec.upper + (HALF, 1), spec.lower, need // 2, 4, arg.c, prefixes)
+            block_den, block_nums = _pfq_integers(spec.upper + (HALF, 1), spec.lower, need // 2, 4, arg.c)
             egf = [0] * (need + 1)
             egf[::2] = block_nums
         else:
-            block_den, egf = _pfq_integers(spec.upper + (1,), spec.lower, need, arg.c, 1, prefixes)
+            block_den, egf = _pfq_integers(spec.upper + (1,), spec.lower, need, arg.c, 1)
         g = math.gcd(block_den, *egf)
         block_den //= g
         egf = [n // g for n in egf]
@@ -355,8 +351,9 @@ def _binomials(d: int) -> tuple[int, ...]:
 def _side_floats(side: Side | ProductSide, xs: Sequence[float]) -> list[tuple[float, bool]]:
     """Float value of a side at each x, and whether it is finite and every
     factor's sum converged; ``(inf, False)`` at an x where a weight, power
-    or exponential overflows a double. The terms are listed once, then
-    summed at each x in the same order."""
+    or exponential overflows a double, or where an overflowed sum would
+    read nan. The terms are listed once, then summed at each x in the same
+    order."""
     terms = tuple(side.terms)
     values = []
     for x in xs:
@@ -374,6 +371,9 @@ def _side_floats(side: Side | ProductSide, xs: Sequence[float]) -> list[tuple[fl
                 total *= math.exp(side.exp * x)
         except OverflowError:
             total, converged = math.inf, False
+        if math.isnan(total) and not math.isnan(x):
+            # inf * 0.0 from an e**(exp*x) that underflowed, or inf - inf
+            total = math.inf
         values.append((total, converged and math.isfinite(total)))
     return values
 
@@ -402,9 +402,10 @@ def _expansion_spelling(
 
 def _expansion_terms(
     alpha: Fraction, i: int, raised: bool, names: tuple[str, str, str] = _FIRST
-) -> list[tuple[Fraction, int, Fraction]]:
-    """``(weight, m, rho)`` triples: the expansion is the sum of
-    ``weight * x**m * 0F1(; rho; x**2/16)``. Zero weights are dropped."""
+) -> Expansion:
+    """The expansion as ``(rho, weights)``, the sum of ``weights[m] * x**m *
+    0F1(; rho + m; x**2/16)``. A zero weight makes every later one zero, and
+    the weights stop before the first of them."""
     base, lower, weight_base, _ = _expansion_spelling(alpha, i, raised, names)
     k = names[2]
     sign = 1 if raised else -1
@@ -413,8 +414,7 @@ def _expansion_terms(
     # sign (m-1-i) (2P + (m-2)Q) Q / (2m (2P + (i+m-1)Q) (2P + (2m-3)Q))
     P, Q = base.numerator, base.denominator
     num = den = 1
-    rho = base + HALF
-    terms = [(Fraction(1), 0, rho)]
+    weights = [Fraction(1)]
     for m in range(1, i + 1):
         # denominator guards run before the zero-numerator shortcut so that
         # a 0/0 weight raises instead of being silently dropped
@@ -427,15 +427,13 @@ def _expansion_terms(
         num *= sign * (m - 1 - i) * (2 * P + (m - 2) * Q) * Q
         den *= 2 * m * lower_factor * base_factor
         if num:
-            terms.append((Fraction(num, den), m, rho + m))
-    return terms
+            weights.append(Fraction(num, den))
+    return base + HALF, tuple(weights)
 
 
 def _expansion_side(alpha: Fraction, i: int, raised: bool) -> Side:
-    return Side(tuple(
-        Term((_f01(rho, _SQ16),), weight, m)
-        for weight, m, rho in _expansion_terms(alpha, i, raised)
-    ))
+    rho, weights = _expansion_terms(alpha, i, raised)
+    return Side(tuple(Term((_f01(rho + m, _SQ16),), weight, m) for m, weight in enumerate(weights)))
 
 
 # --------------------------------------------------------------------------
@@ -470,10 +468,11 @@ def _product_rhs(variant: str, params: IdentityParams) -> ProductSide:
     second = _expansion_terms(params.beta, params.j, second_raised, _SECOND)
     if params.printed_form and variant == "PM":
         j = Fraction(-params.j)
+        (rho, v), (sigma, w) = first, second
         # (-j)_m vanishes for m > j: those weights drop like any zero weight
-        first = [(w * pochhammer(j, m), m, rho) for w, m, rho in first if m <= params.j]
-        second = [(w / pochhammer(j, n), n, sigma) for w, n, sigma in second]
-    return ProductSide(tuple(first), tuple(second))
+        first = rho, tuple([c * pochhammer(j, m) for m, c in enumerate(v[: params.j + 1])])
+        second = sigma, tuple([c / pochhammer(j, n) for n, c in enumerate(w)])
+    return ProductSide(first, second)
 
 
 # --------------------------------------------------------------------------

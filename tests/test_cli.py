@@ -475,7 +475,7 @@ class TestEval:
         for x in ("7", fixed):
             assert invoke(capsys, "eval", "--identity", tag, *point, "--x", x) == (
                 2, "", f"hypident: error: identity {tag} is summed at its fixed argument x = {fixed}, "
-                       "so it takes no --x\n",
+                       "so it takes no x\n",
             )
 
     def test_series_eval_without_x_is_an_error(self, capsys):

@@ -171,36 +171,6 @@ class TestPfqSeriesIntegerKernel:
         assert den != 0
         assert tuple(Fraction(v, den) for v in nums) == expected
 
-    def test_shared_prefixes_match_fresh_calls(self):
-        # each pair below collides on all but one part of the prefix key,
-        # so a key that drops that part hands one of them the other's prefix
-        half, quarter = Fraction(1, 2), Fraction(1, 4)
-        specs = [
-            HypSpec((half, Fraction(-1, 2)), (Fraction(3, 2), Fraction(5, 2), Fraction(7, 3))),
-            # same upper parameters, other lower ones
-            HypSpec((half, Fraction(-1, 2)), (Fraction(1, 6), Fraction(9, 2), Fraction(2, 3))),
-            # upper integers 1 over L = 2 and over L = 4
-            HypSpec((half,), (Fraction(3, 2),)),
-            HypSpec((quarter,), (Fraction(3, 4),)),
-            # same upper and L, excess 0 and 1
-            HypSpec((half,), (Fraction(3, 2), Fraction(5, 2))),
-            # terminating: the shared prefix stops early
-            HypSpec((Fraction(-3), half), (Fraction(5, 2),)),
-            HypSpec((Fraction(-3), half), (Fraction(7, 2),)),
-        ]
-        calls = [
-            (spec, cap, scales)
-            for spec in specs
-            for cap in (0, 5, 8)
-            for scales in ({}, {"num_scale": -1}, {"num_scale": 2}, {"den_scale": 4}, {"den_scale": 16})
-        ]
-        prefixes: dict = {}
-        for order in (calls, calls[::-1]):
-            for spec, cap, scales in order:
-                fresh = _pfq_integers(spec.upper, spec.lower, cap, **scales)
-                assert _pfq_integers(spec.upper, spec.lower, cap, **scales, prefixes=prefixes) == fresh, (spec, cap, scales)
-        assert all(isinstance(v, int) for prefix in prefixes.values() for v in prefix)
-
     def test_nonpositive_lower_parameter_past_the_last_term(self):
         # 2F1(-3, -7; -5; t): (-5)_k vanishes only from k = 6, after the sum
         # stops, so the bare parameters reach a series a HypSpec refuses

@@ -183,7 +183,8 @@ class TestExpansions:
                     if weight:
                         expected.append((weight, m, base + m + Fraction(1, 2)))
                 else:
-                    assert _expansion_terms(alpha, i, raised) == expected
+                    rho, weights = _expansion_terms(alpha, i, raised)
+                    assert [(w, m, rho + m) for m, w in enumerate(weights)] == expected
 
     @pytest.mark.parametrize(
         "alpha, i, raised, expr, value, index",
@@ -293,8 +294,8 @@ class TestProductDegenerateBlocks:
             get(PRODUCT_TAG[variant]).build_rhs(params)
         except DegenerateParameterError as err:
             assume(err.expr.startswith("lower"))
-            rho = _expansion_terms(alpha, i, variant[0] == "P")[0][2]
-            sigma = _expansion_terms(beta, j, variant[1] == "P")[0][2]
+            rho, _ = _expansion_terms(alpha, i, variant[0] == "P")
+            sigma, _ = _expansion_terms(beta, j, variant[1] == "P")
             with pytest.raises(DegenerateParameterError) as first:
                 bailey_product_spec(rho, sigma)
             assert (err.expr, err.value, err.index) == (first.value.expr, first.value.value, first.value.index)
@@ -376,17 +377,17 @@ def per_block_product_side(variant, params):
     """The 2.x right side as a plain Side, one 1.11 block per nonzero
     weight: ``w1 * w2`` (times ``(-j)_m / (-j)_n`` in the printed form) at
     power ``m + n``, each block built by ``bailey_product_spec`` on its own."""
-    first = _expansion_terms(params.alpha, params.i, variant[0] == "P")
-    second = _expansion_terms(params.beta, params.j, variant[1] == "P", ("beta", "j", "n"))
+    rho, first = _expansion_terms(params.alpha, params.i, variant[0] == "P")
+    sigma, second = _expansion_terms(params.beta, params.j, variant[1] == "P", ("beta", "j", "n"))
     printed = params.printed_form and variant == "PM"
     terms = []
-    for w1, m, rho in first:
-        for w2, n, sigma in second:
+    for m, w1 in enumerate(first):
+        for n, w2 in enumerate(second):
             weight = w1 * w2
             if printed:
                 weight = weight * pochhammer(Fraction(-params.j), m) / pochhammer(Fraction(-params.j), n)
             if weight != 0:
-                terms.append(Term(((bailey_product_spec(rho, sigma), SQ4),), weight, m + n))
+                terms.append(Term(((bailey_product_spec(rho + m, sigma + n), SQ4),), weight, m + n))
     return Side(tuple(terms), Fraction(1))
 
 TERMINATING = HypSpec((Fraction(-3), A), (B, Fraction(1, 5)))
@@ -481,11 +482,13 @@ class TestSideSeries:
             params = IdentityParams(alpha=A, beta=B, i=i, j=j, printed_form=printed_form)
             reference = per_block_product_side(variant, params)
             assert rhs_float(params, DEFAULT_FLOAT_POINTS) == _side_floats(reference, DEFAULT_FLOAT_POINTS), (i, j)
-            # e**x overflows a double at 1e6 only; the points beside it are
-            # what a one-point call gives
-            batch = rhs_float(params, (0.5, 1e6, -0.5))
-            assert batch == [*rhs_float(params, (0.5,)), (math.inf, False), *rhs_float(params, (-0.5,))], (i, j)
-            assert batch == _side_floats(reference, (0.5, 1e6, -0.5)), (i, j)
+            # e**x overflows a double at 1e6; at -800 it underflows to 0.0
+            # while the blocks' sums overflow, and inf * 0.0 must not read
+            # nan. The points beside them are what a one-point call gives
+            batch = rhs_float(params, (0.5, 1e6, -0.5, -800.0))
+            overflow = (math.inf, False)
+            assert batch == [*rhs_float(params, (0.5,)), overflow, *rhs_float(params, (-0.5,)), overflow], (i, j)
+            assert batch == _side_floats(reference, (0.5, 1e6, -0.5, -800.0)), (i, j)
         near, far = verify_identity(PRODUCT_TAG[variant], params, float_points=(0.5, 1e6)).float_residuals
         assert near.converged and math.isfinite(near.relative_error)
         assert (far.converged, far.relative_error) == (False, math.inf)
@@ -495,6 +498,16 @@ class TestSideSeries:
         for side_float in (get("1.9").lhs_float, get("1.9").rhs_float):
             assert side_float(params, (1e6,)) == [(math.inf, False)]
             assert side_float(params, (0.5, 1e6, -0.5))[::2] == [*side_float(params, (0.5,)), *side_float(params, (-0.5,))]
+        # an overflowed sum times an e**(exp*x) that underflowed to 0.0, or
+        # overflows of both signs, read as an overflow too
+        params = IdentityParams(alpha=A, beta=B, i=2)
+        overflowing = [("1.1", "lhs", 800.0), ("1.1", "lhs", 1e6), ("1.2", "lhs", 1e6), ("1.5", "rhs", -800.0),
+                       ("1.9", "rhs", -800.0), ("1.17", "rhs", 1e6)]
+        for tag, side, x in overflowing:
+            assert getattr(get(tag), f"{side}_float")(params, (x,)) == [(math.inf, False)], (tag, side, x)
+        # a nan point is no overflow: it stays nan
+        [(value, ok)] = get("1.1").lhs_float(params, (math.nan,))
+        assert math.isnan(value) and not ok
 
 
 class TestScalarSides:
@@ -701,11 +714,16 @@ LEFT_SIDE_POINTS = [
 ]
 
 
-@pytest.mark.parametrize("tag", SERIES_TAGS)
-def test_left_sides_match_term_by_term_reference(tag, monkeypatch):
-    """Every catalog left side, products of two factors included, equals the
-    reference built from its own side declaration, at the default cap and
-    at the benchmark's cap 96."""
+@pytest.mark.parametrize(
+    "tag, side",
+    [pytest.param(tag, "lhs", id=tag) for tag in SERIES_TAGS]
+    + [pytest.param(tag, "rhs", id=f"{tag}-rhs") for tag in SERIES_TAGS],
+)
+def test_left_sides_match_term_by_term_reference(tag, side, monkeypatch):
+    """Every catalog left side, products of two factors included, and every
+    right side equal the reference built from their own side declaration,
+    at the default cap and at the benchmark's cap 96. A 2.x right side's
+    reference takes its blocks from ``ProductSide.terms``."""
     built_sides = []
     real = identities._side_series
 
@@ -716,5 +734,5 @@ def test_left_sides_match_term_by_term_reference(tag, monkeypatch):
     monkeypatch.setattr(identities, "_side_series", recording)
     for alpha, beta, i, j in LEFT_SIDE_POINTS:
         for cap in (None, 96):
-            built = get(tag).build_lhs(IdentityParams(alpha=alpha, beta=beta, i=i, j=j, cap=cap))
+            built = getattr(get(tag), f"build_{side}")(IdentityParams(alpha=alpha, beta=beta, i=i, j=j, cap=cap))
             assert built == reference_side_series(*built_sides.pop()), (alpha, beta, i, j, cap)
