@@ -12,14 +12,16 @@ import argparse
 import functools
 import json
 import math
+import os
 import sys
 import time
 from fractions import Fraction
+from typing import Callable
 
 from .hyper import DegenerateParameterError
 from .identities import IdentityParams, catalog, get
 from .rationals import RationalParseError, parse_rational
-from .reports import csv_text, reports_to_csv
+from .reports import CSV_HEADER, csv_text
 from .verify import DEFAULT_FLOAT_TOL, float_residuals, sweep, sweep_axes, verify_identity
 
 __all__ = ["MAX_DEGREE", "MAX_SHIFT", "MAX_SWEEP_POINTS", "build_parser", "main", "run"]
@@ -129,41 +131,46 @@ def _parse_rational_list(text: str) -> list[Fraction]:
     return [parse_rational(part) for part in text.split(",") if part.strip()]
 
 
+def _write(output: str, doc: Callable[[], object], table: Callable[[], tuple], text: Callable[[], str]) -> None:
+    """Write the requested rendering, and only build that one: ``doc()`` as
+    JSON, ``table()`` as a ``(header, rows)`` CSV table, or ``text()``. If
+    the reader closes stdout early, the rest goes to the null device and the
+    command keeps its exit status."""
+    if output == "json":
+        payload = json.dumps(doc(), indent=2) + "\n"
+    elif output == "csv":
+        payload = csv_text(*table())
+    else:
+        payload = text() + "\n"
+    try:
+        sys.stdout.write(payload)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the interpreter flushes stdout again at exit; let that flush succeed
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+
+
 def _cmd_list(args: argparse.Namespace) -> int:
     entries = catalog()
-    if args.output == "json":
-        doc = [
-            {
-                "identity": d.tag,
-                "name": d.name,
-                "kind": d.kind,
-                "uses": list(d.uses),
-                "summary": d.summary,
-            }
-            for d in entries
-        ]
-        print(json.dumps(doc, indent=2))
-    elif args.output == "csv":
-        rows = [[d.tag, d.name, d.kind, " ".join(d.uses), d.summary] for d in entries]
-        sys.stdout.write(csv_text(["identity", "name", "kind", "uses", "summary"], rows))
-    else:
-        width = max(len(d.name) for d in entries)
-        for d in entries:
-            uses = ",".join(d.uses)
-            print(f"{d.tag:>5}  {d.name:<{width}}  [{d.kind}; uses {uses}]")
-            print(f"       {d.summary}")
+    header = ["identity", "name", "kind", "uses", "summary"]
+    width = max(len(d.name) for d in entries)
+    _write(
+        args.output,
+        lambda: [dict(zip(header, (d.tag, d.name, d.kind, list(d.uses), d.summary))) for d in entries],
+        lambda: (header, [[d.tag, d.name, d.kind, " ".join(d.uses), d.summary] for d in entries]),
+        lambda: "\n".join(
+            f"{d.tag:>5}  {d.name:<{width}}  [{d.kind}; uses {','.join(d.uses)}]\n       {d.summary}" for d in entries
+        ),
+    )
     return 0
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     params = _parse_params(args)
     report = verify_identity(args.identity, params, tol=args.tol)
-    if args.output == "json":
-        print(json.dumps(report.to_json_dict(), indent=2))
-    elif args.output == "csv":
-        sys.stdout.write(reports_to_csv([report]))
-    else:
-        print(report.render_text())
+    _write(args.output, report.to_json_dict, lambda: (CSV_HEADER, [report.csv_row()]), report.render_text)
     if report.findings:
         print(f"hypident: inadmissible: {report.findings[0].detail}", file=sys.stderr)
     return 0 if report.passed else 1
@@ -196,13 +203,12 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                             gamma=gamma, printed_form=args.printed_form)
     ]
     wall = time.perf_counter() - start
-    if args.output == "json":
-        print(json.dumps([r.to_json_dict() for r in reports], indent=2))
-    elif args.output == "csv":
-        sys.stdout.write(reports_to_csv(reports))
-    else:
-        for report in reports:
-            print(report.summary_line())
+    _write(
+        args.output,
+        lambda: [r.to_json_dict() for r in reports],
+        lambda: (CSV_HEADER, [r.csv_row() for r in reports]),
+        lambda: "\n".join(r.summary_line() for r in reports),
+    )
     passed = sum(1 for r in reports if r.passed)
     print(f"hypident: {passed}/{len(reports)} points passed", file=sys.stderr)
     per_point = [r.elapsed_seconds * 1000 for r in reports]
@@ -221,21 +227,18 @@ def _cmd_expand(args: argparse.Namespace) -> int:
     define.validate_params(params)
     builder = define.build_lhs if args.side == "lhs" else define.build_rhs
     series = builder(params)
-    if args.output == "json":
-        doc = {
+    _write(
+        args.output,
+        lambda: {
             "identity": define.tag,
             "side": args.side,
             "params": params.to_json_dict(),
             "cap": series.cap,
             "coefficients": series.coefficient_strings(),
-        }
-        print(json.dumps(doc, indent=2))
-    elif args.output == "csv":
-        rows = enumerate(series.coefficient_strings())
-        sys.stdout.write(csv_text(["degree", "coefficient"], rows))
-    else:
-        print(f"{define.tag} {args.side} at {params.describe()}:")
-        print(series.to_text())
+        },
+        lambda: (["degree", "coefficient"], enumerate(series.coefficient_strings())),
+        lambda: f"{define.tag} {args.side} at {params.describe()}:\n{series.to_text()}",
+    )
     return 0
 
 
@@ -251,23 +254,23 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     # JSON has no token for a non-finite side, and no residual is meaningful
     if define.kind == "series" and not (math.isfinite(residual.lhs) and math.isfinite(residual.rhs)):
         raise ValueError(f"a float side of identity {define.tag} overflows at --x {args.x:g}")
-    if args.output == "json":
-        fields = residual.to_json_dict()
-        doc = {"identity": define.tag, "params": params.to_json_dict()}
-        doc.update((key, fields[key]) for key in ("x", "lhs", "rhs", "relative_error", "converged"))
-        print(json.dumps(doc, indent=2))
-    elif args.output == "csv":
-        header = ["identity", "x", "lhs", "rhs", "relative_error", "converged"]
-        row = [
-            define.tag, residual.x, repr(residual.lhs), repr(residual.rhs),
-            repr(residual.relative_error), residual.converged,
-        ]
-        sys.stdout.write(csv_text(header, [row]))
-    else:
-        print(f"{define.tag} at x = {residual.x:g}, {params.describe()}:")
-        print(f"  lhs = {residual.lhs!r}")
-        print(f"  rhs = {residual.rhs!r}")
-        print(f"  rel = {residual.relative_error:.3e}" + ("" if residual.converged else "  [did not converge]"))
+    fields = ("x", "lhs", "rhs", "relative_error", "converged")
+
+    def doc() -> dict:
+        values = residual.to_json_dict()
+        return {"identity": define.tag, "params": params.to_json_dict(), **{key: values[key] for key in fields}}
+
+    # the csv module writes each float as its repr, as the table always showed
+    _write(
+        args.output,
+        doc,
+        lambda: (["identity", *fields], [[define.tag, *(getattr(residual, key) for key in fields)]]),
+        lambda: (
+            f"{define.tag} at x = {residual.x:g}, {params.describe()}:\n  lhs = {residual.lhs!r}\n"
+            f"  rhs = {residual.rhs!r}\n  rel = {residual.relative_error:.3e}"
+            + ("" if residual.converged else "  [did not converge]")
+        ),
+    )
     return 0
 
 

@@ -119,28 +119,19 @@ class IdentityParams:
         return self.cap if self.cap is not None else default_cap(self.i, self.j)
 
     def describe(self) -> str:
-        bits = [f"alpha={format_rational(self.alpha)}"]
-        if self.beta is not None:
-            bits.append(f"beta={format_rational(self.beta)}")
-        if self.gamma is not None:
-            bits.append(f"gamma={format_rational(self.gamma)}")
-        bits.append(f"i={self.i}")
-        bits.append(f"j={self.j}")
-        bits.append(f"cap={self.effective_cap}")
-        if self.printed_form:
-            bits.append("printed_form")
-        return " ".join(bits)
+        """The :meth:`to_json_dict` fields as ``key=value`` words; an absent
+        one is left out and a set flag is its bare name."""
+        doc = self.to_json_dict()
+        return " ".join(key if value is True else f"{key}={value}" for key, value in doc.items() if value is not None)
 
     def to_json_dict(self) -> dict:
-        doc = {
-            "alpha": format_rational(self.alpha),
-            "beta": format_rational(self.beta) if self.beta is not None else None,
-            "i": self.i,
-            "j": self.j,
-            "cap": self.effective_cap,
-        }
+        """The one statement of a point, in order: ``beta`` is always present
+        (null when unset), ``gamma`` and ``printed_form`` only when set, and
+        ``cap`` is the effective cap."""
+        doc = {"alpha": format_rational(self.alpha), "beta": None if self.beta is None else format_rational(self.beta)}
         if self.gamma is not None:
             doc["gamma"] = format_rational(self.gamma)
+        doc.update(i=self.i, j=self.j, cap=self.effective_cap)
         if self.printed_form:
             doc["printed_form"] = True
         return doc
@@ -591,8 +582,8 @@ def _expand_requirements(
     k = names[2]
     weights = [
         check_lower(lower, 2 * base + i),
-        check_poch(f"({lower})_{k}", 2 * base + i, i),
-        check_poch(f"({weight_base})_{k}", base - HALF, i),
+        check_poch(f"({lower})_{k}", 2 * base + i, i, k),
+        check_poch(f"({weight_base})_{k}", base - HALF, i, k),
     ]
     rho = base + HALF
     blocks = [check_lower(block, rho + m, where=f"summand {k}={m}") for m in range(i + 1)]
@@ -937,7 +928,7 @@ def _build_registry() -> dict[IdentityId, IdentityDef]:
         kind="exact_sum",
         scalar_exact=_gauss_terminating,
         fixed_argument=1.0,
-        requirements=lambda p: [check_poch("(beta)_k, k <= i", p.beta, p.i)],
+        requirements=lambda p: [check_poch("(beta)_k, k <= i", p.beta, p.i, "k")],
     ))
 
     defs.append(_float_sum_entry(

@@ -62,9 +62,10 @@ class AdmissibilityFinding:
     ``parameter_expr`` names the offending quantity in the caller's
     parameters (for example ``"(alpha - 1/2)_m"`` or ``"2*alpha - i"``).
     ``index`` locates the zero: for a vanishing Pochhammer factor it is the
-    first index m at which the product vanishes, for a degenerate lower or
-    Gamma argument it is the series index of the zero factor, and it is 0
-    for violated inequalities. ``detail`` is the human-readable sentence.
+    first index (m, n or k) at which the product vanishes, for a degenerate
+    lower or Gamma argument it is the series index of the zero factor, and
+    it is 0 for violated inequalities. ``detail`` is the human-readable
+    sentence.
     """
 
     parameter_expr: str
@@ -105,9 +106,10 @@ def check_lower(expr: str, value: Fraction, where: str = "") -> AdmissibilityFin
     )
 
 
-def check_poch(expr: str, value: Fraction, max_index: int) -> AdmissibilityFinding | None:
+def check_poch(expr: str, value: Fraction, max_index: int, symbol: str) -> AdmissibilityFinding | None:
     """A denominator weight ``(value)_m`` must not vanish for any
-    ``m <= max_index``."""
+    ``m <= max_index``; ``symbol`` is the index the weight runs over (m, n
+    or k), as the finding's sentence names it."""
     if not (is_nonpositive_integer(value) and -value <= max_index - 1):
         return None
     first = int(-value) + 1
@@ -115,7 +117,7 @@ def check_poch(expr: str, value: Fraction, max_index: int) -> AdmissibilityFindi
         parameter_expr=expr,
         index=first,
         value=value,
-        detail=f"{expr} vanishes from m = {first} on (base {format_rational(value)})",
+        detail=f"{expr} vanishes from {symbol} = {first} on (base {format_rational(value)})",
     )
 
 
@@ -225,13 +227,12 @@ def compare_series(lhs: TruncatedSeries, rhs: TruncatedSeries) -> tuple[Coeffici
     )
 
 
+# the point's fields a CSV row carries, from IdentityParams.to_json_dict
+_PARAM_COLUMNS = ("alpha", "beta", "gamma", "i", "j")
+
 CSV_HEADER = (
     "identity",
-    "alpha",
-    "beta",
-    "gamma",
-    "i",
-    "j",
+    *_PARAM_COLUMNS,
     "cap",
     "status",
     "mismatch_count",
@@ -279,14 +280,10 @@ class VerifyReport:
         }
 
     def csv_row(self) -> list[str]:
-        p = self.params
+        params = self.params.to_json_dict()
         return [
             self.identity,
-            format_rational(p.alpha),
-            format_rational(p.beta) if p.beta is not None else "",
-            format_rational(p.gamma) if p.gamma is not None else "",
-            str(p.i),
-            str(p.j),
+            *("" if params.get(name) is None else str(params[name]) for name in _PARAM_COLUMNS),
             str(self.cap) if self.cap is not None else "",
             self.status,
             str(len(self.mismatches)),

@@ -230,7 +230,6 @@ def sweep(
     i_max: int = 0,
     j_max: int = 0,
     cap: int | None = None,
-    float_points: Sequence[float] = (),
     tol: float = DEFAULT_FLOAT_TOL,
     gamma: Fraction | int | None = None,
     printed_form: bool = False,
@@ -238,13 +237,13 @@ def sweep(
     """Verify one identity over the :func:`sweep_axes` grid, one report per
     point, in the axes' order, so the report list is deterministic
     regardless of input order. Inadmissible points come back as
-    inadmissible reports, not errors. Float cross-checks are off by
-    default in sweeps; pass float_points explicitly to enable them.
+    inadmissible reports, not errors. A sweep runs no float cross-checks;
+    ``tol`` applies to the float sums of the scalar entries.
     """
     axes = sweep_axes(identity, alpha_set, beta_set, i_max, j_max)
     gamma = Fraction(gamma) if gamma is not None else None
     out = []
     for alpha, beta, i, j in itertools.product(*axes):
         params = IdentityParams(alpha=alpha, beta=beta, i=i, j=j, cap=cap, gamma=gamma, printed_form=printed_form)
-        out.append(verify_identity(identity, params, float_points, tol))
+        out.append(verify_identity(identity, params, (), tol))
     return out

@@ -43,6 +43,13 @@ def untimed_records(out, output):
     return out.splitlines()
 
 
+def src_env():
+    """The environment with this checkout's ``src`` first on PYTHONPATH, for
+    a ``python -m hypident.cli`` subprocess."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
 def timing_spread(line, points):
     """The per-point p50, p95 and max in ms of a sweep's stderr timing line."""
     match = re.fullmatch(
@@ -58,6 +65,14 @@ class TestList:
         assert code == 0
         for tag in ALL_TAGS:
             assert f"{tag:>5}  " in out
+
+    def test_text_first_entry(self, capsys):
+        code, out, _ = invoke(capsys, "list")
+        assert code == 0
+        assert out.startswith(
+            "  1.1  kummer-first          [series; uses alpha,beta]\n"
+            "       e^(-x) 1F1(alpha; beta; x) = 1F1(beta - alpha; beta; -x)\n  1.2  "
+        )
 
     def test_json_is_a_full_catalog(self, capsys):
         code, out, _ = invoke(capsys, "list", "--output", "json")
@@ -194,6 +209,18 @@ class TestVerify:
         (residual,) = doc["float_residuals"]
         assert math.isclose(residual["rhs"], 4.131672227880898948e41, rel_tol=1e-14)  # mpmath, 40 digits
         assert residual["relative_error"] < 1e-14
+
+    def test_params_come_in_point_order(self, capsys):
+        argv = ["verify", "--identity", "1.8", "--alpha", "1/3", "--beta", "2/5", "--gamma", "7/3", "--output"]
+        code, out, _ = invoke(capsys, *argv, "json")
+        assert code == 0
+        assert list(json.loads(out)["params"]) == ["alpha", "beta", "gamma", "i", "j", "cap"]
+        code, out, _ = invoke(capsys, *argv, "text")
+        assert code == 0
+        assert out.splitlines()[1] == "params:   alpha=1/3 beta=2/5 gamma=7/3 i=0 j=0 cap=16"
+        code, out, _ = invoke(capsys, *argv, "csv")
+        assert code == 0
+        assert out.splitlines()[1].startswith("1.8,1/3,2/5,7/3,0,0,,float_only_pass,0,,")
 
     def test_csv_single_row(self, capsys):
         code, out, _ = invoke(
@@ -339,6 +366,17 @@ class TestExpand:
         assert code == 0
         assert out.splitlines()[1].startswith("1 + ")
 
+    @pytest.mark.parametrize(
+        "output, want",
+        [
+            ("csv", "degree,coefficient\n0,1\n1,0\n2,1/16\n3,0\n4,1/1024\n"),
+            ("text", "1.2 rhs at alpha=1/2 i=0 j=0 cap=4:\n1 + 1/16*x^2 + 1/1024*x^4\n"),
+        ],
+    )
+    def test_output_is_pinned(self, capsys, output, want):
+        argv = ["expand", "--identity", "1.2", "--alpha", "1/2", "--degree", "4", "--output", output]
+        assert invoke(capsys, *argv) == (0, want, "")
+
     def test_scalar_kind_is_an_error(self, capsys):
         code, _, err = invoke(
             capsys, "expand", "--identity", "1.4", "--alpha", "1/3", "--beta", "2/5",
@@ -410,6 +448,19 @@ class TestEval:
         assert out.startswith('{\n  "identity": "1.3",\n  "params": {') and out.endswith("},\n  " + json_tail)
         assert invoke(capsys, *argv, "csv") == (0, "identity,x,lhs,rhs,relative_error,converged\n" + csv_row, "")
         assert invoke(capsys, *argv, "text") == (0, text, "")
+
+    @pytest.mark.parametrize(
+        "output, want",
+        [
+            ("csv", "identity,x,lhs,rhs,relative_error,converged\n"
+                    "1.1,0.5,1.2155539976890404,1.2155539976890404,0.0,True\n"),
+            ("text", "1.1 at x = 0.5, alpha=1/2 beta=1/3 i=0 j=0 cap=16:\n  lhs = 1.2155539976890404\n"
+                     "  rhs = 1.2155539976890404\n  rel = 0.000e+00\n"),
+        ],
+    )
+    def test_series_output_is_pinned(self, capsys, output, want):
+        argv = ["eval", "--identity", "1.1", "--alpha", "1/2", "--beta", "1/3", "--x", "0.5", "--output", output]
+        assert invoke(capsys, *argv) == (0, want, "")
 
     def test_terminating_sum_evaluates_exactly(self, capsys):
         code, out, _ = invoke(
@@ -687,12 +738,24 @@ def test_import_does_not_load_statistics():
 
 
 def test_module_entry_point_runs_the_cli():
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
         [sys.executable, "-m", "hypident.cli", "list"],
-        capture_output=True, text=True, timeout=120, env=env,
+        capture_output=True, text=True, timeout=120, env=src_env(),
     )
     assert proc.returncode == 0
     for d in catalog():
         assert f"{d.tag:>5}  {d.name}" in proc.stdout
+
+
+def test_closed_stdout_ends_the_output_quietly():
+    # 625 KB of JSON, far more than a pipe holds: the reader closes after one line
+    argv = ["expand", "--identity", "1.10", "--alpha", "3/7", "--beta", "2/5", "--degree", "512", "--output", "json"]
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "hypident.cli", *argv],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=src_env(),
+    )
+    assert proc.stdout.readline() == "{\n"
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=120)
+    assert proc.returncode == 0, err
+    assert "Traceback" not in err

@@ -119,6 +119,27 @@ class TestFindingRecords:
             "severity": "fatal",
         }
 
+    # each finding names the index its product runs over: n for the second
+    # factor, k for the terminating sum
+    @pytest.mark.parametrize(
+        "tag, params, expr, index, value, detail",
+        [
+            ("2.2", IdentityParams(alpha=Fraction(1, 2), beta=Fraction(3, 2), i=2, j=2), "(beta - j - 1/2)_n", 2, "-1",
+             "(beta - j - 1/2)_n vanishes from n = 2 on (base -1)"),
+            ("1.3", IdentityParams(alpha=Fraction(1, 2), beta=Fraction(-5), i=6), "(beta)_k, k <= i", 6, "-5",
+             "(beta)_k, k <= i vanishes from k = 6 on (base -5)"),
+        ],
+        ids=["second-factor-n", "terminating-sum-k"],
+    )
+    def test_vanishing_rising_factorial_names_its_index(self, tag, params, expr, index, value, detail):
+        assert self.finding(tag, params, expr) == {
+            "parameter_expr": expr,
+            "index": index,
+            "value": value,
+            "detail": detail,
+            "severity": "fatal",
+        }
+
     def test_gamma_pole(self):
         params = IdentityParams(alpha=Fraction(3), beta=Fraction(2), gamma=Fraction(-3, 2))
         assert self.finding("1.8", params, "gamma + 1/2") == {
