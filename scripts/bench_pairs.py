@@ -1,0 +1,109 @@
+#!/usr/bin/env python3
+"""Alternating A/B runs of one benchmark workload on two checkouts.
+
+    python3 scripts/bench_pairs.py PARENT CHANGE --workload product_grid \\
+        --seed 1 --pairs 10 --seconds 20 --out BENCH.json
+
+Each pair runs ``perfbench/run.py --workload W --seed N --seconds S
+--trace 0`` once in each tree, from that tree's root; even pairs run the
+parent first and odd pairs the change first. Before the first pair both
+trees are byte-compiled, so that neither run pays for writing its bytecode
+cache. Every run's end-to-end metrics are kept with its ``correct`` and
+``failed`` fields. For each metric the output holds the per-run values, the
+medians, the quartiles (inclusive method) and ``change_better_pairs``, the
+number of pairs in which the change was strictly better, in the direction
+that the change tree's ``BENCHMARK.json`` gives.
+
+The result goes under ``workloads["<W>_seed_<N>"]`` of ``--out``. An
+existing file is updated, not replaced, so one file can collect several
+workloads and seeds, and keys written by hand beside them are kept. Only
+the standard library is used.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+ORDER = "alternating: pairs numbered from 0, even pairs parent first, odd pairs change first"
+
+
+def run_once(tree: Path, workload: str, seed: int, seconds: int) -> dict:
+    """One untraced benchmark run in ``tree``: its last stdout line, parsed."""
+    command = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+               "--seconds", str(seconds), "--trace", "0"]
+    done = subprocess.run(command, cwd=tree, capture_output=True, text=True, timeout=600)
+    if done.returncode != 0:
+        sys.exit(f"bench_pairs: {tree}: run.py exited {done.returncode}\n{done.stderr}")
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+def summarize(parent: list[float], change: list[float], better: str) -> dict:
+    """Per-run values, medians, quartiles and pairs won by the change."""
+    def quartiles(values: list[float]) -> list[float]:
+        return [round(v, 4) for v in statistics.quantiles(values, n=4, method="inclusive")]
+
+    sign = 1 if better == "higher" else -1
+    return {
+        "parent": parent,
+        "change": change,
+        "median": {"parent": round(statistics.median(parent), 4), "change": round(statistics.median(change), 4)},
+        "quartiles": {"parent": quartiles(parent), "change": quartiles(change)},
+        "change_better_pairs": sum(sign * (c - p) > 0 for p, c in zip(parent, change)),
+    }
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("parent", type=Path, help="root of the parent checkout")
+    parser.add_argument("change", type=Path, help="root of the changed checkout")
+    parser.add_argument("--workload", required=True)
+    parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--seconds", type=int, default=20)
+    parser.add_argument("--out", type=Path, required=True, help="JSON file to create or update")
+    args = parser.parse_args()
+    if args.pairs < 2:
+        parser.error("--pairs must be at least 2, for quartiles")
+
+    trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    for tree in trees.values():
+        subprocess.run([sys.executable, "-m", "compileall", "-q", "src", "perfbench"], cwd=tree, check=True)
+    directions = {m["name"]: m["better"] for m in json.loads((trees["change"] / "BENCHMARK.json").read_text())["end_to_end"]}
+
+    runs: dict[str, list[dict]] = {"parent": [], "change": []}
+    for pair in range(args.pairs):
+        for name in ("parent", "change") if pair % 2 == 0 else ("change", "parent"):
+            result = run_once(trees[name], args.workload, args.seed, args.seconds)
+            runs[name].append(result)
+            values = {m: round(v["value"], 4) for m, v in result["metrics"].items() if m in directions}
+            print(f"pair {pair} {name}: correct={result['correct']} failed={result['failed']} {values}", flush=True)
+
+    entry = {"seconds": args.seconds, "pairs": args.pairs}
+    for metric, better in directions.items():
+        values = {name: [round(r["metrics"][metric]["value"], 4) for r in rs] for name, rs in runs.items()}
+        entry[metric] = summarize(values["parent"], values["change"], better)
+    for field in ("correct", "failed"):
+        entry[field] = {name: [r[field] for r in rs] for name, rs in runs.items()}
+
+    doc = json.loads(args.out.read_text()) if args.out.exists() else {}
+    doc.setdefault("command", "python3 perfbench/run.py --workload W --seed N --seconds S --trace 0")
+    doc["python"] = platform.python_version()
+    doc.setdefault("machine", f"{platform.machine()}, {os.cpu_count()} CPUs; parent and change each run from its own copy")
+    doc["order"] = ORDER
+    doc.setdefault("workloads", {})[f"{args.workload}_seed_{args.seed}"] = entry
+    doc["every_run_correct_with_0_failed"] = all(
+        all(w["correct"][name]) and not any(w["failed"][name]) for w in doc["workloads"].values() for name in runs
+    )
+    args.out.write_text(json.dumps(doc, indent=1) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -35,7 +35,6 @@ __all__ = [
     "HypSpec",
     "bailey_product_series",
     "bailey_product_spec",
-    "bailey_shared_parameters",
     "pfq_eval_float",
     "pfq_series",
 ]
@@ -406,15 +405,8 @@ def bailey_product_spec(rho: Fraction | int, sigma: Fraction | int) -> HypSpec:
     The product is ``2F3((rho+sigma)/2, (rho+sigma-1)/2; rho, sigma,
     rho+sigma-1; 4t)``. Degenerate rho, sigma, or rho+sigma-1 raise here.
     """
-    upper, third = bailey_shared_parameters(Fraction(rho) + Fraction(sigma))
-    return HypSpec(upper=upper, lower=(rho, sigma, third))
-
-
-def bailey_shared_parameters(total: Fraction) -> tuple[tuple[Fraction, Fraction], Fraction]:
-    """The upper parameters and the third lower parameter of the
-    :func:`bailey_product_spec` block whose ``rho + sigma`` is ``total``."""
-    third = total - 1
-    return (total / 2, third / 2), third
+    total = Fraction(rho) + Fraction(sigma)
+    return HypSpec(upper=(total / 2, (total - 1) / 2), lower=(rho, sigma, total - 1))
 
 
 def _bailey_double_sum(
@@ -427,41 +419,51 @@ def _bailey_double_sum(
     with ``B`` the :func:`bailey_product_spec` block. The weight lists are
     indexed by the shift and may hold zeros.
 
-    Coefficient k of block (m, n) splits into a part of the first factor,
-    ``first[m] / (rho+m)_k``, one of the second, ``second[n] / (sigma+n)_k``,
-    and ``(U1)_k (U2)_k / ((T)_k k! 4**k)``, whose parameters depend only on
-    the anti-diagonal ``s = m + n`` (:func:`bailey_shared_parameters` of
-    ``rho + sigma + s``). Each factor's part is one integer table
-    ``A[k][m]`` per call (:func:`_shift_table`), relative to
-    ``(rho + top)_k``, and one kernel call per diagonal gives the shared
-    part over those two Pochhammers, ``_pfq_integers((U1, U2), (T, rho +
-    top, sigma + top'), ...)``. Coefficient k of the diagonal is that times
-    ``sum_m A[k][m] B[k][s-m]``; the diagonals join over the lcm of their
-    denominators.
+    On the anti-diagonal ``s = m + n`` the block's third lower parameter is
+    ``T = rho + sigma + s - 1`` and its upper ones are ``T/2`` and
+    ``(T+1)/2``. Legendre's duplication formula (DLMF 5.5.5) gives
+    ``(T/2)_k ((T+1)/2)_k = (T)_{2k} / 4**k``, and ``(T)_{2k} / (T)_k =
+    (T+k)_k``, so coefficient k of block (m, n) is
+
+        [first[m] / (rho+m)_k] [second[n] / (sigma+n)_k] (T+k)_k / (16**k k!).
+
+    Each factor's part is one integer table ``A[k][m]`` relative to
+    ``(rho + top)_k`` (:func:`_shift_table`). With ``rho + top = pa/qa``,
+    ``sigma + top' = pb/qb``, ``rho + sigma = P/Q`` and ``F(u) = P + u*Q``,
+    the rest of coefficient k is ``(qa qb)**k F(s+k-1) ... F(s+2k-2)`` over
+    ``16**k Q**k k! prod_{l<k} (pa + l qa)(pb + l qb)``. Only the span of F
+    depends on the diagonal. Every other denominator divides the one of the
+    deepest k, so one k-table ``shared[k]`` over that denominator serves
+    every diagonal, and coefficient k of diagonal s is ``shared[k] * span *
+    sum_m A[k][m] B[k][s-m]``. The span stays in the numerator: on each
+    diagonal it goes from one k to the next by two multiplications and one
+    exact division by a small integer, so no prefix of F widens the common
+    denominator.
     """
     # every block's parameters are block (0, 0)'s plus nonnegative integers,
     # so if any block is degenerate, block (0, 0) is: checking it raises as
-    # bailey_product_spec does
+    # bailey_product_spec does, and leaves F(u) != 0 for every u >= -1
     bailey_product_spec(rho, sigma)
     depth = cap // 2
     den_a, rows_a = _shift_table(rho, first, depth)
     den_b, rows_b = _shift_table(sigma, second, depth)
     top_a, top_b = len(first) - 1, len(second) - 1
-    total, tops = rho + sigma, (rho + top_a, sigma + top_b)
-    diagonals = []
-    for s in range(min(cap, top_a + top_b) + 1):
-        upper, third = bailey_shared_parameters(total + s)
-        diagonals.append((s, *_pfq_integers(upper, (third, *tops), (cap - s) // 2, 1, 4)))
-    common = math.lcm(*[den for _, den, _ in diagonals])
+    (pa, qa), (pb, qb) = (rho + top_a).as_integer_ratio(), (sigma + top_b).as_integer_ratio()
+    P, Q = (rho + sigma).as_integer_ratio()
+    shared = [0] * (depth + 1)  # over shared[0], the common denominator
+    suffix = 1
+    for k in range(depth, -1, -1):
+        shared[k] = suffix * (qa * qb) ** k
+        suffix *= 16 * Q * k * (pa + (k - 1) * qa) * (pb + (k - 1) * qb)
     nums = [0] * (cap + 1)
-    for s, den, shared in diagonals:
-        up = common // den
+    for s in range(min(cap, top_a + top_b) + 1):
         lo, hi = max(0, s - top_b), min(s, top_a)
-        for k, c in enumerate(shared):
-            if c:
-                pairs = sum(map(mul, rows_a[k][lo : hi + 1], reversed(rows_b[k][s - hi : s - lo + 1])))
-                nums[s + 2 * k] += up * c * pairs
-    return common * den_a * den_b, nums
+        span = 1  # F(s+k-1) ... F(s+2k-2)
+        for k in range((cap - s) // 2 + 1):
+            pairs = sum(map(mul, rows_a[k][lo : hi + 1], reversed(rows_b[k][s - hi : s - lo + 1])))
+            nums[s + 2 * k] += shared[k] * span * pairs
+            span = span * (P + (s + 2 * k - 1) * Q) * (P + (s + 2 * k) * Q) // (P + (s + k - 1) * Q)
+    return shared[0] * den_a * den_b, nums
 
 
 def _shift_table(rho: Fraction, weights: Sequence[Fraction], depth: int) -> tuple[int, list[list[int]]]:

@@ -585,8 +585,8 @@ def _expand_requirements(
         check_poch(f"({lower})_{k}", 2 * base + i, i, k),
         check_poch(f"({weight_base})_{k}", base - HALF, i, k),
     ]
-    rho = base + HALF
-    blocks = [check_lower(block, rho + m, where=f"summand {k}={m}") for m in range(i + 1)]
+    rho = base + HALF  # every rho + m has rho's denominator, so only an integer rho can fail
+    blocks = [check_lower(block, rho + m, where=f"summand {k}={m}") for m in range(i + 1)] if rho.denominator == 1 else []
     return weights, blocks
 
 
@@ -601,11 +601,12 @@ def _product_requirements(variant: str, params: IdentityParams, equal_param: boo
     reqs = first_weights + second_weights + first_blocks + second_blocks
 
     # rho + sigma - 1 is alpha + beta plus a shift running over m + n,
-    # offset by -i for a lowered first factor and -j for a lowered second
+    # offset by -i for a lowered first factor and -j for a lowered second;
+    # it can be a nonpositive integer only when alpha + beta is an integer
     s_name = "2*alpha" if equal_param else "alpha + beta"
     low = (0 if first_raised else -i) + (0 if second_raised else -j)
     total = alpha + beta
-    for shift in range(low, low + i + j + 1):
+    for shift in range(low, low + i + j + 1) if total.denominator == 1 else ():
         sign = "+" if shift >= 0 else "-"
         expr = f"{s_name} {sign} {abs(shift)}" if shift != 0 else s_name
         reqs.append(check_lower(expr, total + shift, where=f"summand shift {shift}"))

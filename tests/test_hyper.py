@@ -426,14 +426,21 @@ class TestBaileyProduct:
             bailey_product_series(Fraction(1, 2), Fraction(1, 2), 6)
 
 
-weights_st = st.lists(st.fractions(min_value=-3, max_value=3, max_denominator=6), min_size=1, max_size=4)
+weights_st = st.lists(st.fractions(min_value=-3, max_value=3, max_denominator=6), min_size=1, max_size=9)
+NINE_WEIGHTS = [Fraction(w, 3) for w in (3, -1, 2, 0, 5, -4, 1, 7, -2)]
 
 
 class TestBaileyDoubleSum:
-    @given(admissible_lower_st, admissible_lower_st, weights_st, weights_st, st.integers(0, 12))
+    @given(admissible_lower_st, admissible_lower_st, weights_st, weights_st, st.integers(0, 48))
+    # rho + sigma = P/Q a negative non-integer: F(u) = P + u*Q, whose spans
+    # make the shared part, is negative for every u up to the cap in the
+    # first example and changes sign inside a span in the second
+    @example(Fraction(-77, 4), Fraction(-45, 4), NINE_WEIGHTS, NINE_WEIGHTS[::-1], 24)
+    @example(Fraction(-7, 4), Fraction(-3, 4), NINE_WEIGHTS, NINE_WEIGHTS, 24)
     @settings(max_examples=80, deadline=None)
     def test_matches_block_by_block_sum(self, rho, sigma, first, second, cap):
-        # the weights may vanish anywhere, leading and trailing ones included
+        # the weights may vanish anywhere, leading and trailing ones included;
+        # nine weights and cap 48 are what an i, j <= 8 grid reaches
         assume(not is_nonpositive_integer(rho + sigma - 1))
         expected = [Fraction(0)] * (cap + 1)
         for m, w1 in enumerate(first):
