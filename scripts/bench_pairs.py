@@ -10,9 +10,11 @@ parent first and odd pairs the change first. Before the first pair both
 trees are byte-compiled, so that neither run pays for writing its bytecode
 cache. Every run's end-to-end metrics are kept with its ``correct`` and
 ``failed`` fields. For each metric the output holds the per-run values, the
-medians, the quartiles (inclusive method) and ``change_better_pairs``, the
-number of pairs in which the change was strictly better, in the direction
-that the change tree's ``BENCHMARK.json`` gives.
+medians, the quartiles (inclusive method), ``change_better_pairs``, the
+number of pairs in which the change was strictly better, and a verdict, in
+the direction and against the bound that the change tree's
+``BENCHMARK.json`` gives (see :func:`summarize`). The verdicts are printed
+after the last pair.
 
 The result goes under ``workloads["<W>_seed_<N>"]`` of ``--out``. An
 existing file is updated, not replaced, so one file can collect several
@@ -44,18 +46,41 @@ def run_once(tree: Path, workload: str, seed: int, seconds: int) -> dict:
     return json.loads(done.stdout.splitlines()[-1])
 
 
-def summarize(parent: list[float], change: list[float], better: str) -> dict:
-    """Per-run values, medians, quartiles and pairs won by the change."""
-    def quartiles(values: list[float]) -> list[float]:
-        return [round(v, 4) for v in statistics.quantiles(values, n=4, method="inclusive")]
+def summarize(parent: list[float], change: list[float], better: str, bound: float) -> dict:
+    """Per-run values, medians, quartiles, pairs won by the change, and a
+    verdict, checked in this order:
 
+    * ``better``: the change wins at least 9 in 10 of the pairs, ties
+      counting for neither, and its median beats the parent's by more than
+      the parent's interquartile range (IQR);
+    * ``worse``: the change's median is past the parent's by more than
+      ``bound`` times the parent's median;
+    * ``unresolved``: the parent's own IQR is wider than that bound, so the
+      runs cannot tell a change within it from none;
+    * ``within_bound``: any other case.
+    """
+    runs = {"parent": parent, "change": change}
+    median = {name: statistics.median(values) for name, values in runs.items()}
+    quartiles = {name: statistics.quantiles(values, n=4, method="inclusive") for name, values in runs.items()}
     sign = 1 if better == "higher" else -1
+    wins = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
+    gain = sign * (median["change"] - median["parent"])
+    spread = quartiles["parent"][2] - quartiles["parent"][0]
+    limit = bound * abs(median["parent"])
+    if 10 * wins >= 9 * len(parent) and gain > spread:
+        verdict = "better"
+    elif -gain > limit:
+        verdict = "worse"
+    elif spread > limit:
+        verdict = "unresolved"
+    else:
+        verdict = "within_bound"
     return {
-        "parent": parent,
-        "change": change,
-        "median": {"parent": round(statistics.median(parent), 4), "change": round(statistics.median(change), 4)},
-        "quartiles": {"parent": quartiles(parent), "change": quartiles(change)},
-        "change_better_pairs": sum(sign * (c - p) > 0 for p, c in zip(parent, change)),
+        **runs,
+        "median": {name: round(value, 4) for name, value in median.items()},
+        "quartiles": {name: [round(v, 4) for v in values] for name, values in quartiles.items()},
+        "change_better_pairs": wins,
+        "verdict": verdict,
     }
 
 
@@ -75,20 +100,23 @@ def main() -> int:
     trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     for tree in trees.values():
         subprocess.run([sys.executable, "-m", "compileall", "-q", "src", "perfbench"], cwd=tree, check=True)
-    directions = {m["name"]: m["better"] for m in json.loads((trees["change"] / "BENCHMARK.json").read_text())["end_to_end"]}
+    metrics = {m["name"]: m for m in json.loads((trees["change"] / "BENCHMARK.json").read_text())["end_to_end"]}
 
     runs: dict[str, list[dict]] = {"parent": [], "change": []}
     for pair in range(args.pairs):
         for name in ("parent", "change") if pair % 2 == 0 else ("change", "parent"):
             result = run_once(trees[name], args.workload, args.seed, args.seconds)
             runs[name].append(result)
-            values = {m: round(v["value"], 4) for m, v in result["metrics"].items() if m in directions}
+            values = {m: round(v["value"], 4) for m, v in result["metrics"].items() if m in metrics}
             print(f"pair {pair} {name}: correct={result['correct']} failed={result['failed']} {values}", flush=True)
 
     entry = {"seconds": args.seconds, "pairs": args.pairs}
-    for metric, better in directions.items():
+    for metric, spec in metrics.items():
         values = {name: [round(r["metrics"][metric]["value"], 4) for r in rs] for name, rs in runs.items()}
-        entry[metric] = summarize(values["parent"], values["change"], better)
+        entry[metric] = summarize(values["parent"], values["change"], spec["better"], spec["bound"])
+        median = entry[metric]["median"]
+        print(f"{metric}: {entry[metric]['verdict']} (median {median['parent']} -> {median['change']}, "
+              f"{entry[metric]['change_better_pairs']}/{args.pairs} pairs won)")
     for field in ("correct", "failed"):
         entry[field] = {name: [r[field] for r in rs] for name, rs in runs.items()}
 

@@ -232,12 +232,12 @@ def _cmd_expand(args: argparse.Namespace) -> int:
         lambda: {
             "identity": define.tag,
             "side": args.side,
-            "params": params.to_json_dict(),
+            "params": params.to_json_dict(define.tag),
             "cap": series.cap,
             "coefficients": series.coefficient_strings(),
         },
         lambda: (["degree", "coefficient"], enumerate(series.coefficient_strings())),
-        lambda: f"{define.tag} {args.side} at {params.describe()}:\n{series.to_text()}",
+        lambda: f"{define.tag} {args.side} at {params.describe(define.tag)}:\n{series.to_text()}",
     )
     return 0
 
@@ -258,7 +258,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 
     def doc() -> dict:
         values = residual.to_json_dict()
-        return {"identity": define.tag, "params": params.to_json_dict(), **{key: values[key] for key in fields}}
+        return {"identity": define.tag, "params": params.to_json_dict(define.tag), **{key: values[key] for key in fields}}
 
     # the csv module writes each float as its repr, as the table always showed
     _write(
@@ -266,7 +266,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
         doc,
         lambda: (["identity", *fields], [[define.tag, *(getattr(residual, key) for key in fields)]]),
         lambda: (
-            f"{define.tag} at x = {residual.x:g}, {params.describe()}:\n  lhs = {residual.lhs!r}\n"
+            f"{define.tag} at x = {residual.x:g}, {params.describe(define.tag)}:\n  lhs = {residual.lhs!r}\n"
             f"  rhs = {residual.rhs!r}\n  rel = {residual.relative_error:.3e}"
             + ("" if residual.converged else "  [did not converge]")
         ),

@@ -24,7 +24,8 @@ import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import mul
+from itertools import accumulate
+from operator import add, floordiv, mul
 
 from .rationals import format_rational, is_nonpositive_integer
 from .series import TruncatedSeries
@@ -279,21 +280,16 @@ def _geometric_tail(upper: list[float], lower: list[float], x: float, n: int, te
     return 0.0, abs(term) * q / (1.0 - q), 0.0
 
 
-def _poly_mul(a: list[int], b: list[int]) -> list[int]:
-    """Product of two integer polynomials, coefficients in ascending order."""
-    out = [0] * (len(a) + len(b) - 1)
-    for i, u in enumerate(a):
-        for j, v in enumerate(b):
-            out[i + j] += u * v
-    return out
+def _times_linear(poly: Sequence[int], s: int) -> list[int]:
+    """``poly * (K + s)``, coefficients in ascending order."""
+    return [a * s + b for a, b in zip([*poly, 0], [0, *poly])]
 
 
-def _poly_from_roots(shifts: list[int]) -> list[int]:
-    """``prod (K + s)`` in ascending coefficients."""
-    out = [1]
+def _poly_from_roots(shifts: list[int], poly: Sequence[int] = (1,)) -> list[int]:
+    """``poly * prod (K + s)`` in ascending coefficients."""
     for s in shifts:
-        out = _poly_mul(out, [s, 1])
-    return out
+        poly = _times_linear(poly, s)
+    return list(poly)
 
 
 def _telescoped_tail(spec: HypSpec):
@@ -337,10 +333,8 @@ def _telescoped_tail(spec: HypSpec):
         return None
     p_poly = _poly_from_roots(ups)  # scale**(q+1) P(K / scale)
     q_poly = _poly_from_roots(lows + [scale])
-    shifted = [[1]]  # (K + scale)**m
-    for _ in range(order):
-        shifted.append(_poly_mul(shifted[-1], [scale, 1]))
-    q_shifted = _poly_mul(q_poly, shifted[order - 1])
+    p_shifted = list(accumulate([scale] * order, _times_linear, initial=p_poly))  # P(K) (K + scale)**m
+    q_shifted = _poly_from_roots([scale] * (order - 1), q_poly)
 
     # The numerator of eps_k is acc / den: it starts as the part free of
     # the c_j, and c_j * scale**j = nums[j] / den adds c_j times
@@ -350,7 +344,7 @@ def _telescoped_tail(spec: HypSpec):
     nums: list[int] = []
     den = 1
     for n in range(order + 1):
-        basis = [0] * (order - 1) + _poly_mul(p_poly, shifted[order - n]) + [0] * n
+        basis = [0] * (order - 1) + p_shifted[order - n] + [0] * n
         for i, v in enumerate(q_shifted):
             basis[i + order - n] -= v
         # basis has size + 1 entries, the top one 0 (both products are monic)
@@ -427,57 +421,62 @@ def _bailey_double_sum(
 
         [first[m] / (rho+m)_k] [second[n] / (sigma+n)_k] (T+k)_k / (16**k k!).
 
-    Each factor's part is one integer table ``A[k][m]`` relative to
-    ``(rho + top)_k`` (:func:`_shift_table`). With ``rho + top = pa/qa``,
+    Each factor's part is one integer column ``A[m][k]`` per shift, relative
+    to ``(rho + top)_k`` (:func:`_shift_table`). With ``rho + top = pa/qa``,
     ``sigma + top' = pb/qb``, ``rho + sigma = P/Q`` and ``F(u) = P + u*Q``,
     the rest of coefficient k is ``(qa qb)**k F(s+k-1) ... F(s+2k-2)`` over
     ``16**k Q**k k! prod_{l<k} (pa + l qa)(pb + l qb)``. Only the span of F
     depends on the diagonal. Every other denominator divides the one of the
     deepest k, so one k-table ``shared[k]`` over that denominator serves
-    every diagonal, and coefficient k of diagonal s is ``shared[k] * span *
-    sum_m A[k][m] B[k][s-m]``. The span stays in the numerator: on each
-    diagonal it goes from one k to the next by two multiplications and one
-    exact division by a small integer, so no prefix of F widens the common
-    denominator.
+    every diagonal. The spans stay in the numerator, as exact quotients
+    ``G[s+2k] // G[s+k]`` of one prefix table ``G[t] = F(-1) ... F(t-2)``,
+    so no prefix of F widens the common denominator. Coefficient k of
+    diagonal s is then ``shared[k] * span * sum_m A[m][k] B[s-m][k]``: each
+    diagonal sums its pairs as one vector over k, column by column, and
+    writes its coefficients ``nums[s::2]`` at once.
     """
     # every block's parameters are block (0, 0)'s plus nonnegative integers,
-    # so if any block is degenerate, block (0, 0) is: checking it raises as
-    # bailey_product_spec does, and leaves F(u) != 0 for every u >= -1
-    bailey_product_spec(rho, sigma)
+    # so if any block is degenerate, block (0, 0) is: one of rho, sigma and
+    # rho + sigma - 1 = (P - Q)/Q is a nonpositive integer, and building the
+    # block raises as bailey_product_spec does. Otherwise F(u) != 0 for every
+    # u >= -1
+    P, Q = (rho + sigma).as_integer_ratio()
+    if is_nonpositive_integer(rho) or is_nonpositive_integer(sigma) or (Q == 1 and P <= 1):
+        bailey_product_spec(rho, sigma)
     depth = cap // 2
-    den_a, rows_a = _shift_table(rho, first, depth)
-    den_b, rows_b = _shift_table(sigma, second, depth)
+    den_a, cols_a = _shift_table(rho, first, depth)
+    den_b, cols_b = _shift_table(sigma, second, depth)
     top_a, top_b = len(first) - 1, len(second) - 1
     (pa, qa), (pb, qb) = (rho + top_a).as_integer_ratio(), (sigma + top_b).as_integer_ratio()
-    P, Q = (rho + sigma).as_integer_ratio()
     shared = [0] * (depth + 1)  # over shared[0], the common denominator
     suffix = 1
     for k in range(depth, -1, -1):
         shared[k] = suffix * (qa * qb) ** k
         suffix *= 16 * Q * k * (pa + (k - 1) * qa) * (pb + (k - 1) * qb)
+    spans = list(accumulate(range(P - Q, P + (cap - 2) * Q + 1, Q), mul, initial=1))  # G[t]
     nums = [0] * (cap + 1)
     for s in range(min(cap, top_a + top_b) + 1):
-        lo, hi = max(0, s - top_b), min(s, top_a)
-        span = 1  # F(s+k-1) ... F(s+2k-2)
-        for k in range((cap - s) // 2 + 1):
-            pairs = sum(map(mul, rows_a[k][lo : hi + 1], reversed(rows_b[k][s - hi : s - lo + 1])))
-            nums[s + 2 * k] += shared[k] * span * pairs
-            span = span * (P + (s + 2 * k - 1) * Q) * (P + (s + 2 * k) * Q) // (P + (s + k - 1) * Q)
+        pairs = [0] * ((cap - s) // 2 + 1)
+        for m in range(max(0, s - top_b), min(s, top_a) + 1):
+            pairs = list(map(add, pairs, map(mul, cols_a[m], cols_b[s - m])))
+        scales = map(mul, shared, map(floordiv, spans[s::2], spans[s:]))
+        nums[s::2] = map(add, nums[s::2], map(mul, scales, pairs))
     return shared[0] * den_a * den_b, nums
 
 
 def _shift_table(rho: Fraction, weights: Sequence[Fraction], depth: int) -> tuple[int, list[list[int]]]:
-    """Integers ``rows[k][m]`` over one ``den`` with
+    """Integer columns ``cols[m][k]`` over one ``den`` with
 
-        rows[k][m] / den = weights[m] * (rho + top)_k / (rho + m)_k
+        cols[m][k] / den = weights[m] * (rho + top)_k / (rho + m)_k
 
     for ``k <= depth`` and every shift m, ``top = len(weights) - 1``.
 
     With ``rho = p/q`` and ``F(l) = p + l*q``, ``(rho + top)_k / (rho + m)_k``
     is ``F(m+k) ... F(top+k-1)`` over ``F(m) ... F(top-1)``. Over ``den`` =
     the weights' common denominator times ``F(0) ... F(top-1)``, entry
-    (k, m) is the weight's numerator times the prefix ``F(0) ... F(m-1)``
-    times that k-dependent suffix, which each row builds walking m down.
+    (m, k) is the weight's numerator times the prefix ``F(0) ... F(m-1)``
+    times that k-dependent suffix. Walking m down, each suffix column is the
+    one above it times the column ``F(m+k)`` over k.
     The caller guarantees no ``F(l)`` is 0.
     """
     p, q = rho.numerator, rho.denominator
@@ -489,15 +488,13 @@ def _shift_table(rho: Fraction, weights: Sequence[Fraction], depth: int) -> tupl
         lead.append(w.numerator * (wden // w.denominator) * prefix)
         if m < top:
             prefix *= p + m * q
-    rows = []
-    for k in range(depth + 1):
-        row = [0] * (top + 1)
-        suffix = 1  # F(m+k) ... F(top+k-1)
-        for m in range(top, -1, -1):
-            row[m] = lead[m] * suffix
-            suffix *= p + (m - 1 + k) * q
-        rows.append(row)
-    return wden * prefix, rows
+    cols = []
+    suffix = [1] * (depth + 1)  # F(m+k) ... F(top+k-1) over k
+    for m in range(top, -1, -1):
+        cols.append([lead[m] * v for v in suffix])
+        suffix = list(map(mul, suffix, range(p + (m - 1) * q, p + (m - 1 + depth) * q + 1, q)))
+    cols.reverse()
+    return wden * prefix, cols
 
 
 def bailey_product_series(rho: Fraction | int, sigma: Fraction | int, cap: int) -> TruncatedSeries:

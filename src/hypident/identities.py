@@ -118,20 +118,28 @@ class IdentityParams:
     def effective_cap(self) -> int:
         return self.cap if self.cap is not None else default_cap(self.i, self.j)
 
-    def describe(self) -> str:
-        """The :meth:`to_json_dict` fields as ``key=value`` words; an absent
-        one is left out and a set flag is its bare name."""
-        doc = self.to_json_dict()
+    def describe(self, identity: IdentityId | str) -> str:
+        """The :meth:`to_json_dict` fields as ``key=value`` words; a null one
+        is left out and a set flag is its bare name."""
+        doc = self.to_json_dict(identity)
         return " ".join(key if value is True else f"{key}={value}" for key, value in doc.items() if value is not None)
 
-    def to_json_dict(self) -> dict:
-        """The one statement of a point, in order: ``beta`` is always present
-        (null when unset), ``gamma`` and ``printed_form`` only when set, and
-        ``cap`` is the effective cap."""
-        doc = {"alpha": format_rational(self.alpha), "beta": None if self.beta is None else format_rational(self.beta)}
-        if self.gamma is not None:
-            doc["gamma"] = format_rational(self.gamma)
-        doc.update(i=self.i, j=self.j, cap=self.effective_cap)
+    def to_json_dict(self, identity: IdentityId | str) -> dict:
+        """The one statement of a point, as catalog entry ``identity`` reads
+        it: the fields the entry ``uses``, in the order alpha, beta, gamma,
+        i, j, then ``cap`` (the effective cap) for a series entry and
+        ``printed_form`` when set. An unset ``beta`` or ``gamma`` is null."""
+        define = get(identity)
+        doc = {
+            "alpha": format_rational(self.alpha),
+            "beta": None if self.beta is None else format_rational(self.beta),
+            "gamma": None if self.gamma is None else format_rational(self.gamma),
+            "i": self.i,
+            "j": self.j,
+        }
+        doc = {key: value for key, value in doc.items() if key in define.uses}
+        if define.kind == "series":
+            doc["cap"] = self.effective_cap
         if self.printed_form:
             doc["printed_form"] = True
         return doc

@@ -227,7 +227,8 @@ def compare_series(lhs: TruncatedSeries, rhs: TruncatedSeries) -> tuple[Coeffici
     )
 
 
-# the point's fields a CSV row carries, from IdentityParams.to_json_dict
+# the point's fields a CSV row carries, from IdentityParams.to_json_dict; a
+# field the entry does not use stays empty
 _PARAM_COLUMNS = ("alpha", "beta", "gamma", "i", "j")
 
 CSV_HEADER = (
@@ -269,7 +270,7 @@ class VerifyReport:
     def to_json_dict(self) -> dict:
         return {
             "identity": self.identity,
-            "params": self.params.to_json_dict(),
+            "params": self.params.to_json_dict(self.identity),
             "cap": self.cap,
             "status": self.status,
             "mismatches": [m.to_json_dict() for m in self.mismatches],
@@ -280,7 +281,7 @@ class VerifyReport:
         }
 
     def csv_row(self) -> list[str]:
-        params = self.params.to_json_dict()
+        params = self.params.to_json_dict(self.identity)
         return [
             self.identity,
             *("" if params.get(name) is None else str(params[name]) for name in _PARAM_COLUMNS),
@@ -301,12 +302,12 @@ class VerifyReport:
         if self.findings:
             extras.append(self.findings[0].detail)
         suffix = f" ({'; '.join(extras)})" if extras else ""
-        return f"{self.identity} {self.params.describe()}: {self.status}{suffix}"
+        return f"{self.identity} {self.params.describe(self.identity)}: {self.status}{suffix}"
 
     def render_text(self) -> str:
         lines = [
             f"identity: {self.identity}",
-            f"params:   {self.params.describe()}",
+            f"params:   {self.params.describe(self.identity)}",
             f"cap:      {self.cap if self.cap is not None else '-'}",
             f"status:   {self.status}",
         ]

@@ -33,7 +33,7 @@ GRID_BUDGET_SECONDS = 60.0
 
 
 def _mismatch_text(tag, params, report):
-    return f"{tag} at {params.describe()}: status {report.status}"
+    return f"{tag} at {params.describe(tag)}: status {report.status}"
 
 
 # -- criterion 1 ------------------------------------------------------------

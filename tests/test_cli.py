@@ -214,13 +214,44 @@ class TestVerify:
         argv = ["verify", "--identity", "1.8", "--alpha", "1/3", "--beta", "2/5", "--gamma", "7/3", "--output"]
         code, out, _ = invoke(capsys, *argv, "json")
         assert code == 0
-        assert list(json.loads(out)["params"]) == ["alpha", "beta", "gamma", "i", "j", "cap"]
+        assert list(json.loads(out)["params"]) == ["alpha", "beta", "gamma"]
         code, out, _ = invoke(capsys, *argv, "text")
         assert code == 0
-        assert out.splitlines()[1] == "params:   alpha=1/3 beta=2/5 gamma=7/3 i=0 j=0 cap=16"
+        assert out.splitlines()[1] == "params:   alpha=1/3 beta=2/5 gamma=7/3"
         code, out, _ = invoke(capsys, *argv, "csv")
         assert code == 0
-        assert out.splitlines()[1].startswith("1.8,1/3,2/5,7/3,0,0,,float_only_pass,0,,")
+        assert out.splitlines()[1].startswith("1.8,1/3,2/5,7/3,,,,float_only_pass,0,,")
+
+    # a report states only the fields its entry uses, plus the cap of a series
+    # entry: an unused CSV column stays empty
+    @pytest.mark.parametrize(
+        "point, params, csv_prefix",
+        [
+            (["--identity", "1.3", "--alpha", "1/2", "--beta", "5/3", "--i", "2", "--j", "3"],
+             {"alpha": "1/2", "beta": "5/3", "i": 2}, "1.3,1/2,5/3,,2,,2,exact_match,"),
+            (["--identity", "1.4", "--alpha", "1/3", "--beta", "2/5", "--i", "2", "--j", "1"],
+             {"alpha": "1/3", "beta": "2/5"}, "1.4,1/3,2/5,,,,,float_only_pass,"),
+            (["--identity", "1.8", "--alpha", "1/3", "--beta", "2/5", "--gamma", "7/3", "--degree", "4"],
+             {"alpha": "1/3", "beta": "2/5", "gamma": "7/3"}, "1.8,1/3,2/5,7/3,,,,float_only_pass,"),
+            (["--identity", "1.2", "--alpha", "1/2", "--beta", "2/5", "--gamma", "7/3", "--degree", "6"],
+             {"alpha": "1/2", "cap": 6}, "1.2,1/2,,,,,6,exact_match,"),
+        ],
+        ids=["1.3", "1.4", "1.8", "1.2"],
+    )
+    def test_report_states_only_the_fields_its_entry_uses(self, capsys, point, params, csv_prefix):
+        code, out, _ = invoke(capsys, "verify", *point, "--output", "json")
+        assert code == 0
+        assert json.loads(out)["params"] == params
+        code, out, _ = invoke(capsys, "verify", *point, "--output", "text")
+        assert code == 0
+        assert out.splitlines()[1] == "params:   " + " ".join(f"{key}={value}" for key, value in params.items())
+        code, out, _ = invoke(capsys, "verify", *point, "--output", "csv")
+        assert code == 0
+        assert out.splitlines()[1].startswith(csv_prefix)
+        code, out, _ = invoke(capsys, "sweep", *point)
+        assert code == 0
+        # the sweep's last point is the requested one
+        assert out.splitlines()[-1].startswith(f"{point[1]} " + " ".join(f"{k}={v}" for k, v in params.items()) + ": ")
 
     def test_csv_single_row(self, capsys):
         code, out, _ = invoke(
@@ -288,7 +319,7 @@ class TestSweep:
 
     def test_one_point_sweep_has_a_timing_line(self, capsys):
         code, out, err = invoke(capsys, "sweep", "--identity", "1.2", "--alpha", "3/7")
-        assert (code, out) == (0, "1.2 alpha=3/7 i=0 j=0 cap=16: exact_match\n")
+        assert (code, out) == (0, "1.2 alpha=3/7 cap=16: exact_match\n")
         passed, timing = err.splitlines()
         assert passed == "hypident: 1/1 points passed"
         p50, p95, largest = timing_spread(timing, points=1)
@@ -370,7 +401,7 @@ class TestExpand:
         "output, want",
         [
             ("csv", "degree,coefficient\n0,1\n1,0\n2,1/16\n3,0\n4,1/1024\n"),
-            ("text", "1.2 rhs at alpha=1/2 i=0 j=0 cap=4:\n1 + 1/16*x^2 + 1/1024*x^4\n"),
+            ("text", "1.2 rhs at alpha=1/2 cap=4:\n1 + 1/16*x^2 + 1/1024*x^4\n"),
         ],
     )
     def test_output_is_pinned(self, capsys, output, want):
@@ -426,18 +457,18 @@ class TestEval:
             (["--alpha", "1/2", "--beta", "5/3", "--i", "0"],
              '"x": 1.0,\n  "lhs": 1.0,\n  "rhs": 1.0,\n  "relative_error": 0.0,\n  "converged": true\n}\n',
              "1.3,1.0,1.0,1.0,0.0,True\n",
-             "1.3 at x = 1, alpha=1/2 beta=5/3 i=0 j=0 cap=16:\n  lhs = 1.0\n  rhs = 1.0\n  rel = 0.000e+00\n"),
+             "1.3 at x = 1, alpha=1/2 beta=5/3 i=0:\n  lhs = 1.0\n  rhs = 1.0\n  rel = 0.000e+00\n"),
             (["--alpha", "1/2", "--beta", "5/3", "--i", "7"],
              '"x": 1.0,\n  "lhs": 0.34575577332124796,\n  "rhs": 0.34575577332124796,\n'
              '  "relative_error": 0.0,\n  "converged": true\n}\n',
              "1.3,1.0,0.34575577332124796,0.34575577332124796,0.0,True\n",
-             "1.3 at x = 1, alpha=1/2 beta=5/3 i=7 j=0 cap=30:\n  lhs = 0.34575577332124796\n"
+             "1.3 at x = 1, alpha=1/2 beta=5/3 i=7:\n  lhs = 0.34575577332124796\n"
              "  rhs = 0.34575577332124796\n  rel = 0.000e+00\n"),
             # (-5)_k vanishes only from k = 6, after the sum stops at n = 3
             (["--alpha=-7", "--beta=-5", "--i", "3"],
              '"x": 1.0,\n  "lhs": -0.4,\n  "rhs": -0.4,\n  "relative_error": 0.0,\n  "converged": true\n}\n',
              "1.3,1.0,-0.4,-0.4,0.0,True\n",
-             "1.3 at x = 1, alpha=-7 beta=-5 i=3 j=0 cap=22:\n  lhs = -0.4\n  rhs = -0.4\n  rel = 0.000e+00\n"),
+             "1.3 at x = 1, alpha=-7 beta=-5 i=3:\n  lhs = -0.4\n  rhs = -0.4\n  rel = 0.000e+00\n"),
         ],
         ids=["n=0", "n=7", "c=-5,n=3"],
     )
@@ -454,7 +485,7 @@ class TestEval:
         [
             ("csv", "identity,x,lhs,rhs,relative_error,converged\n"
                     "1.1,0.5,1.2155539976890404,1.2155539976890404,0.0,True\n"),
-            ("text", "1.1 at x = 0.5, alpha=1/2 beta=1/3 i=0 j=0 cap=16:\n  lhs = 1.2155539976890404\n"
+            ("text", "1.1 at x = 0.5, alpha=1/2 beta=1/3 cap=16:\n  lhs = 1.2155539976890404\n"
                      "  rhs = 1.2155539976890404\n  rel = 0.000e+00\n"),
         ],
     )

@@ -428,6 +428,20 @@ class TestBaileyProduct:
 
 weights_st = st.lists(st.fractions(min_value=-3, max_value=3, max_denominator=6), min_size=1, max_size=9)
 NINE_WEIGHTS = [Fraction(w, 3) for w in (3, -1, 2, 0, 5, -4, 1, 7, -2)]
+TWENTY_ONE_WEIGHTS = [Fraction(w, 5) for w in (5, -2, 3, 0, 7, -4, 1, 0, 0, 6, -3, 2, 0, 8, -1, 4, -6, 0, 3, 9, -2)]
+
+
+def block_by_block_sum(rho, first, sigma, second, cap):
+    """The coefficients of a weighted double sum of 1.11 blocks, one block at a time."""
+    expected = [Fraction(0)] * (cap + 1)
+    for m, w1 in enumerate(first):
+        for n, w2 in enumerate(second):
+            if m + n > cap:
+                continue
+            block = pfq_series(bailey_product_spec(rho + m, sigma + n), (cap - m - n) // 2)
+            for k, c in enumerate(block.coeffs):
+                expected[m + n + 2 * k] += w1 * w2 * c / 4**k
+    return expected
 
 
 class TestBaileyDoubleSum:
@@ -442,16 +456,30 @@ class TestBaileyDoubleSum:
         # the weights may vanish anywhere, leading and trailing ones included;
         # nine weights and cap 48 are what an i, j <= 8 grid reaches
         assume(not is_nonpositive_integer(rho + sigma - 1))
-        expected = [Fraction(0)] * (cap + 1)
-        for m, w1 in enumerate(first):
-            for n, w2 in enumerate(second):
-                if m + n > cap:
-                    continue
-                block = pfq_series(bailey_product_spec(rho + m, sigma + n), (cap - m - n) // 2)
-                for k, c in enumerate(block.coeffs):
-                    expected[m + n + 2 * k] += w1 * w2 * c / 4**k
         den, nums = _bailey_double_sum(rho, first, sigma, second, cap)
-        assert [Fraction(v, den) for v in nums] == expected
+        assert [Fraction(v, den) for v in nums] == block_by_block_sum(rho, first, sigma, second, cap)
+
+    @given(
+        admissible_lower_st,
+        admissible_lower_st,
+        st.lists(st.fractions(min_value=-3, max_value=3, max_denominator=6), min_size=1, max_size=21),
+        st.lists(st.fractions(min_value=-3, max_value=3, max_denominator=6), min_size=1, max_size=21),
+        st.integers(0, 96),
+    )
+    # 21 weights a side and cap 96 are what an i, j <= 20 grid reaches. With
+    # rho + sigma = P/Q the spans are products of F(u) = P + u*Q, u <= 94: at
+    # -193/2 every F(u) is negative, at -61/2 F(u) is negative up to u = 30,
+    # and at -5/2 F changes sign inside a span. TWENTY_ONE_WEIGHTS and its
+    # every other entry both hold zeros in the middle
+    @example(Fraction(-381, 4), Fraction(-5, 4), TWENTY_ONE_WEIGHTS, TWENTY_ONE_WEIGHTS[::-1], 96)
+    @example(Fraction(-121, 4), Fraction(-1, 4), TWENTY_ONE_WEIGHTS, TWENTY_ONE_WEIGHTS[::-1], 96)
+    @example(Fraction(-7, 4), Fraction(-3, 4), TWENTY_ONE_WEIGHTS, TWENTY_ONE_WEIGHTS, 96)
+    @example(Fraction(5, 3), Fraction(3, 7), TWENTY_ONE_WEIGHTS, TWENTY_ONE_WEIGHTS[::2], 96)
+    @settings(max_examples=10, deadline=None)
+    def test_long_columns_match_block_by_block_sum(self, rho, sigma, first, second, cap):
+        assume(not is_nonpositive_integer(rho + sigma - 1))
+        den, nums = _bailey_double_sum(rho, first, sigma, second, cap)
+        assert [Fraction(v, den) for v in nums] == block_by_block_sum(rho, first, sigma, second, cap)
 
     @pytest.mark.parametrize("rho, sigma", [("-2", "5/2"), ("5/2", "0"), ("-1/2", "1/2")])
     def test_degenerate_block_raises_as_the_first_block(self, rho, sigma):

@@ -91,9 +91,26 @@ class TestParams:
 
     def test_json_dict(self):
         p = IdentityParams(alpha=A, beta=B, i=2, j=1)
-        assert p.to_json_dict() == {
+        assert p.to_json_dict("2.1") == {
             "alpha": "3/7", "beta": "2/5", "i": 2, "j": 1, "cap": 22,
         }
+
+    # only the fields the entry uses, plus the cap of a series entry
+    @pytest.mark.parametrize(
+        "tag, want",
+        [
+            ("1.2", {"alpha": "3/7", "cap": 22}),
+            ("1.17", {"alpha": "3/7", "i": 2, "cap": 22}),
+            ("1.3", {"alpha": "3/7", "beta": "2/5", "i": 2}),
+            ("1.4", {"alpha": "3/7", "beta": "2/5"}),
+            ("1.8", {"alpha": "3/7", "beta": "2/5", "gamma": "1/3"}),
+            ("2.3", {"alpha": "3/7", "beta": "2/5", "i": 2, "j": 1, "cap": 22, "printed_form": True}),
+        ],
+    )
+    def test_json_dict_states_the_fields_the_entry_uses(self, tag, want):
+        p = IdentityParams(alpha=A, beta=B, i=2, j=1, gamma=Fraction(1, 3), printed_form=tag == "2.3")
+        assert p.to_json_dict(tag) == want
+        assert p.describe(tag) == " ".join(k if v is True else f"{k}={v}" for k, v in want.items())
 
 
 class TestClassicalChainChecks:
