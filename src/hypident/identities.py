@@ -34,7 +34,7 @@ from typing import Callable, Iterator, Sequence
 from .hyper import DegenerateParameterError, FloatSum, HypSpec, _bailey_double_sum, _pfq_integers, bailey_product_spec, pfq_eval_float
 from .rationals import format_rational, is_nonpositive_integer, pochhammer
 from .reports import AdmissibilityFinding, check_lower, check_poch, check_pole, check_positive
-from .series import TruncatedSeries
+from .series import TruncatedSeries, _exp_transform
 
 __all__ = [
     "IdentityDef",
@@ -245,18 +245,39 @@ def _side_series(side: Side | ProductSide, cap: int) -> TruncatedSeries:
     """Exact truncation of a side: its terms summed as integer numerators
     over one denominator, a :class:`ProductSide` by ``_bailey_double_sum``
     one anti-diagonal at a time and any other side by
-    :func:`_terms_integers`; one gcd makes the sum canonical, and an
-    exponential prefactor is applied by ``TruncatedSeries.times_exp``, a
-    binomial transform of additions.
+    :func:`_terms_integers`; one gcd makes the sum canonical.
+
+    An exponential prefactor ``e**(sign*x/h)`` is a binomial transform of
+    additions (``series._exp_transform``) of ``a_j = j! (sign*h)**j f_j``.
+    ``TruncatedSeries.times_exp`` takes it on the summed series, lifting
+    its ordinary integers by ``j!``. A side that is the exponential times
+    one unweighted ``F(c*x)`` at power 0 (see :func:`_lone_factor`) needs
+    no lift: the ``a_j`` are the EGF integers of ``F(sign*h*c*x)``, and the
+    transform runs on them as one gcd left them.
     """
+    sign, h = (1 if side.exp > 0 else -1), (2 if abs(side.exp) == HALF else 1)
     if isinstance(side, ProductSide):
         den, nums = _bailey_double_sum(*side.first, *side.second, cap)
+    elif side.exp and (factor := _lone_factor(side)):
+        spec, arg = factor
+        den, egf = _egf_integers(spec, Arg(sign * h * arg.c), cap)
+        return TruncatedSeries.from_integers(cap, *_exp_transform(den, egf, sign, h))
     else:
         den, nums = _terms_integers(side.terms, cap)
     total = TruncatedSeries.from_integers(cap, den, nums)
     if side.exp:
-        total = total.times_exp(1 if side.exp > 0 else -1, half=abs(side.exp) == HALF)
+        total = total.times_exp(sign, half=h == 2)
     return total
+
+
+def _lone_factor(side: Side) -> Factor | None:
+    """The factor of a side that is one unweighted ``F(c*x)`` at power 0,
+    as are the left sides of 1.1, 1.2, 1.17 and 1.18; None for any other."""
+    if len(side.terms) == 1:
+        [term] = side.terms
+        if len(term.factors) == 1 and term.weight == 1 and term.power == 0 and not term.factors[0][1].squared:
+            return term.factors[0]
+    return None
 
 
 def _terms_integers(terms: tuple[Term, ...], cap: int) -> tuple[int, list[int]]:
@@ -304,38 +325,76 @@ def _terms_integers(terms: tuple[Term, ...], cap: int) -> tuple[int, list[int]]:
 def _egf_product(factors: tuple[Factor, ...], need: int) -> tuple[int, list[int]]:
     """The product of the factors up to ``x**need`` as ``nums[d] / den``,
     not reduced: a binomial convolution of their exponential generating
-    functions (EGFs).
+    functions (EGFs, see :func:`_egf_integers`), multiplied as
+    ``d! (fg)_d = sum_k C(d, k) (k! f_k) ((d-k)! g_{d-k})``.
 
-    Factor f enters as its EGF integers ``d! f_d``, which the kernel gives
-    directly: one more upper parameter 1 multiplies coefficient k by
-    ``(1)_k = k!``, and for an ``x**2/c`` argument the pair ``(1/2, 1)`` at
-    ratio ``4/c`` gives ``(2k)! = 4**k (1/2)_k k!``. Most of the bits those
-    factorials cancel go with one gcd per factor, and the factors are then
-    multiplied as ``d! (fg)_d = sum_k C(d, k) (k! f_k) ((d-k)! g_{d-k})``.
-    Over ``den * need!``, numerator d is the product's EGF integer times
-    ``need!/d!``.
+    Two factors that are the same ``F(arg)``, or ``F(arg)`` and its mirror
+    ``F(-arg)`` (``c`` and ``-c``, the same ``squared``), are one factor's
+    EGF taken once and paired with itself by :func:`_paired`, which sums
+    each unordered pair ``(k, d-k)`` once. Over ``den * need!``, numerator d
+    is the product's EGF integer times ``need!/d!``.
     """
-    product = None
-    for spec, arg in factors:
-        if arg.squared:
-            block_den, block_nums = _pfq_integers(spec.upper + (HALF, 1), spec.lower, need // 2, 4, arg.c)
-            egf = [0] * (need + 1)
-            egf[::2] = block_nums
-        else:
-            block_den, egf = _pfq_integers(spec.upper + (1,), spec.lower, need, arg.c, 1)
-        g = math.gcd(block_den, *egf)
-        block_den //= g
-        egf = [n // g for n in egf]
-        if product is None:
-            den, product = block_den, egf
-            continue
-        den *= block_den
-        product = [sum(map(mul, map(mul, _binomials(d), product), egf[d::-1])) for d in range(need + 1)]
+    (spec, arg), *others = factors
+    den, product = _egf_integers(spec, arg, need)
+    if others in ([(spec, arg)], [(spec, Arg(-arg.c, arg.squared))]):
+        den *= den
+        product = _paired(product, others[0][1] != arg, arg.squared)
+    else:
+        for spec, arg in others:
+            block_den, egf = _egf_integers(spec, arg, need)
+            den *= block_den
+            product = [sum(map(mul, map(mul, _binomials(d), product), egf[d::-1])) for d in range(need + 1)]
     lift = 1
     for d in range(need, -1, -1):
         product[d] *= lift
         lift *= d
     return den * math.factorial(need), product
+
+
+def _egf_integers(spec: HypSpec, arg: Arg, need: int) -> tuple[int, list[int]]:
+    """EGF integers ``d! f_d`` of ``F(arg)`` up to ``x**need`` over one
+    denominator, reduced by one gcd.
+
+    The kernel gives them directly: with ``egf`` set it leaves the
+    ``(k+1)`` out of each step's denominator, which multiplies coefficient
+    k by ``k!``, and for an ``x**2/c`` argument one more upper parameter
+    1/2 at ratio ``4/c`` gives ``(2k)! = 4**k (1/2)_k k!``. The gcd cancels
+    the common factor that is left.
+    """
+    if arg.squared:
+        den, nums = _pfq_integers(spec.upper + (HALF,), spec.lower, need // 2, 4, arg.c, egf=True)
+        egf = [0] * (need + 1)
+        egf[::2] = nums
+    else:
+        den, egf = _pfq_integers(spec.upper, spec.lower, need, arg.c, 1, egf=True)
+    g = math.gcd(den, *egf)
+    return den // g, [n // g for n in egf]
+
+
+def _paired(egf: list[int], mirror: bool, squared: bool) -> list[int]:
+    """EGF integers of ``f * f`` from those of f, or of ``f(x) * f(-x)``
+    (``f(x**2/c) * f(-x**2/c)`` when squared) when mirror is set.
+
+    The mirror's EGF is ``s_k e_k``, with ``s_k = (-1)**k``, or
+    ``(-1)**(k/2)`` at the even k of a squared factor, and ``s_k s_{d-k} =
+    s_d``. So terms k and ``d-k`` of the convolution are equal when
+    ``s_d = 1`` and cancel when ``s_d = -1``: degree d is twice the sum over
+    ``k < d/2`` plus the middle term at ``k = d/2``, or 0. A square is the
+    case ``s = 1``.
+    """
+    stride = 2 if squared else 1
+    signed = [-e if k // stride % 2 else e for k, e in enumerate(egf)] if mirror else egf
+    product = []
+    for d in range(len(egf)):
+        if mirror and d // stride % 2:
+            product.append(0)
+            continue
+        half = (d + 1) // 2
+        total = 2 * sum(map(mul, map(mul, _binomials(d), signed), egf[d:d - half:-1]))
+        if d % 2 == 0:
+            total += _binomials(d)[half] * signed[half] * egf[half]
+        product.append(total)
+    return product
 
 
 @functools.cache
@@ -678,6 +737,10 @@ class IdentityDef:
             raise ValueError(f"identity {self.tag} needs beta")
         if "gamma" in self.uses and params.gamma is None:
             raise ValueError(f"identity {self.tag} needs gamma")
+        for shift in ("i", "j"):
+            value = getattr(params, shift)
+            if value and shift not in self.uses:
+                raise ValueError(f"identity {self.tag} takes no shift {shift}, got {shift} = {value}")
 
 
 _PM_NOTE_DEFAULT = (

@@ -121,34 +121,19 @@ class TruncatedSeries:
     def times_exp(self, sign: int, half: bool = False) -> "TruncatedSeries":
         """Multiply by ``e**(c*x)``, ``c = sign`` or ``sign/2`` when half is set.
 
-        With ``h = 1/|c|`` and ``a_j = j! (sign*h)**j f_j``, the product g
-        has ``k! (sign*h)**k g_k = sum_j C(k, j) a_j``: a binomial transform,
-        taken by repeated pairwise sums, so the only big multiplications
-        are O(cap) rescalings and not a Cauchy product. Over
-        ``den * h**cap * cap!``, numerator k is that sum times
-        ``sign**k h**(cap-k) cap!/k!``.
+        With ``h = 1/|c|``, the ordinary integers are lifted to
+        ``a_j = j! (sign*h)**j f_j`` over the same denominator and handed to
+        :func:`_exp_transform`.
         """
         if sign not in (1, -1):
             raise ValueError("sign must be +1 or -1")
         h = 2 if half else 1
         step = sign * h
-        cap = self.cap
-        # rows[j] = a_j over den
         rows, weight = [], 1
         for j, n in enumerate(self.nums):
             rows.append(n * weight)
             weight *= step * (j + 1)
-        # after k passes rows[0] is sum_j C(k, j) a_j
-        sums = [rows[0]]
-        for _ in range(cap):
-            rows = list(map(add, rows, rows[1:]))
-            sums.append(rows[0])
-        # sign**k h**(cap-k) cap!/k!, built from the top down
-        lift = sign**cap
-        for k in range(cap, -1, -1):
-            sums[k] *= lift
-            lift *= step * k
-        return TruncatedSeries.from_integers(cap, self.den * math.factorial(cap) * h**cap, sums)
+        return TruncatedSeries.from_integers(self.cap, *_exp_transform(self.den, rows, sign, h))
 
     def scale(self, factor: Fraction | int) -> "TruncatedSeries":
         factor = Fraction(factor)
@@ -236,6 +221,31 @@ class TruncatedSeries:
             else:
                 parts.append(f"+ {term}" if c > 0 else f"- {term}")
         return " ".join(parts) if parts else "0"
+
+
+def _exp_transform(den: int, rows: list[int], sign: int, h: int) -> tuple[int, list[int]]:
+    """``e**(sign*x/h)`` times the series f given by ``rows[j] / den``, where
+    ``rows[j] = a_j = j! (sign*h)**j f_j``, as ``(den', nums)``, not reduced.
+
+    The product g has ``k! (sign*h)**k g_k = sum_j C(k, j) a_j``: a binomial
+    transform, taken by repeated pairwise sums, so the only big
+    multiplications are O(cap) rescalings and not a Cauchy product. Over
+    ``den' = den * h**cap * cap!``, numerator k is that sum times
+    ``sign**k h**(cap-k) cap!/k!``.
+    """
+    cap = len(rows) - 1
+    # after k passes rows[0] is sum_j C(k, j) a_j
+    sums = [rows[0]]
+    for _ in range(cap):
+        rows = list(map(add, rows, rows[1:]))
+        sums.append(rows[0])
+    # sign**k h**(cap-k) cap!/k!, built from the top down
+    step = sign * h
+    lift = sign**cap
+    for k in range(cap, -1, -1):
+        sums[k] *= lift
+        lift *= step * k
+    return den * math.factorial(cap) * h**cap, sums
 
 
 def _set(series: TruncatedSeries, cap: int, den: int, nums: tuple[int, ...]) -> None:

@@ -223,13 +223,15 @@ class TestVerify:
         assert out.splitlines()[1].startswith("1.8,1/3,2/5,7/3,,,,float_only_pass,0,,")
 
     # a report states only the fields its entry uses, plus the cap of a series
-    # entry: an unused CSV column stays empty
+    # entry: an unused CSV column stays empty. A shift the entry does not use
+    # is refused (see TestBadRequests), so only an unused beta or gamma is
+    # given here
     @pytest.mark.parametrize(
         "point, params, csv_prefix",
         [
-            (["--identity", "1.3", "--alpha", "1/2", "--beta", "5/3", "--i", "2", "--j", "3"],
+            (["--identity", "1.3", "--alpha", "1/2", "--beta", "5/3", "--gamma", "7/3", "--i", "2"],
              {"alpha": "1/2", "beta": "5/3", "i": 2}, "1.3,1/2,5/3,,2,,2,exact_match,"),
-            (["--identity", "1.4", "--alpha", "1/3", "--beta", "2/5", "--i", "2", "--j", "1"],
+            (["--identity", "1.4", "--alpha", "1/3", "--beta", "2/5", "--gamma", "7/3"],
              {"alpha": "1/3", "beta": "2/5"}, "1.4,1/3,2/5,,,,,float_only_pass,"),
             (["--identity", "1.8", "--alpha", "1/3", "--beta", "2/5", "--gamma", "7/3", "--degree", "4"],
              {"alpha": "1/3", "beta": "2/5", "gamma": "7/3"}, "1.8,1/3,2/5,7/3,,,,float_only_pass,"),
@@ -631,6 +633,13 @@ class TestBadRequests:
               for tol in ("nan", "-1", "0", "1", "inf")],
             (["sweep", "--identity", "1.8", "--alpha", "1/3", "--beta", "1/5", "--gamma", "1/7",
               "--tol=-1"], "tol must lie strictly between 0 and 1"),
+            # a shift the entry does not use is refused, not dropped
+            (["verify", "--identity", "1.2", "--alpha", "1/2", "--i", "1"], "identity 1.2 takes no shift i, got i = 1"),
+            (["verify", "--identity", "1.17", "--alpha", "1/2", "--i", "1", "--j", "2"],
+             "identity 1.17 takes no shift j, got j = 2"),
+            (["expand", "--identity", "1.9", "--alpha", "1/2", "--j", "1"], "identity 1.9 takes no shift j, got j = 1"),
+            (["eval", "--identity", "1.4", "--alpha", "1/2", "--beta", "1/3", "--i", "3"],
+             "identity 1.4 takes no shift i, got i = 3"),
         ],
     )
     def test_exit_2_with_message(self, capsys, argv, needle):

@@ -146,6 +146,24 @@ class TestClassicalChainChecks:
         with pytest.raises(DegenerateParameterError):
             get("1.2").build_lhs(IdentityParams(alpha=0, cap=8))
 
+    @pytest.mark.parametrize(
+        "tag, params, value",
+        [
+            # a square and a mirror of 1F1(alpha; 2*alpha; x), 2*alpha = -1
+            ("1.9", IdentityParams(alpha=Fraction(-1, 2)), -1),
+            ("1.6", IdentityParams(alpha=Fraction(-1, 2)), -1),
+            # a square at i = j: 2*alpha + i = -2
+            ("3.1", IdentityParams(alpha=Fraction(-3, 2), i=1, j=1), -2),
+            ("2.1", IdentityParams(alpha=Fraction(-3, 2), beta=Fraction(-3, 2), i=1, j=1), -2),
+        ],
+    )
+    def test_degenerate_square_raises(self, tag, params, value):
+        # the factor is refused as it was before squares were paired: by
+        # its HypSpec, naming its first lower parameter
+        with pytest.raises(DegenerateParameterError) as raised:
+            get(tag).build_lhs(params)
+        assert (raised.value.expr, raised.value.value, raised.value.index) == ("lower[0]", value, -value)
+
 class TestExpansions:
     @pytest.mark.parametrize("i", range(5))
     def test_raised_matches_oracle(self, i):
@@ -427,6 +445,12 @@ ORACLE_TERMS = {
         (HypSpec((), (A,)), SQ16),
         (HypSpec((A,), (B,)), Arg(4)),
     ), Fraction(1, 5)),
+    # one unweighted F(c*x) at power 0: with an exponential, the transform
+    # runs on F's own EGF integers
+    "lone_x": Term(((HypSpec((A,), (2 * A,)), Arg(1)),)),
+    "lone_neg_3x": Term(((HypSpec((A, B), (Fraction(7, 3),)), Arg(-3)),)),
+    "lone_0f1_2x": Term(((HypSpec((), (B,)), Arg(2)),)),
+    "lone_terminating": Term(((TERMINATING, Arg(-1)),)),
 }
 ORACLE_SIDES = {name: (term,) for name, term in ORACLE_TERMS.items()}
 ORACLE_SIDES["all"] = tuple(ORACLE_TERMS.values())
@@ -453,6 +477,20 @@ PRODUCT_TERMS = {
         (HypSpec((), (A,)), Arg(1)),
         (HypSpec((Fraction(-2),), (B,)), SQ4),
     ), Fraction(-7, 2), 5),
+    # two equal factors, or a factor and its mirror, are one factor's EGF
+    # paired with itself
+    "square": Term(((HypSpec((A, B), (Fraction(7, 3),)), Arg(-3)),) * 2),
+    "mirror": Term((
+        (HypSpec((A,), (2 * A,)), Arg(2)),
+        (HypSpec((A,), (2 * A,)), Arg(-2)),
+    )),
+    "squared_square": Term(((HypSpec((A,), (B, Fraction(1, 3))), SQ4),) * 2),
+    "squared_mirror": Term((
+        (HypSpec((A,), (B, Fraction(1, 3))), SQ4),
+        (HypSpec((A,), (B, Fraction(1, 3))), Arg(-4, squared=True)),
+    )),
+    "terminating_square": Term(((TERMINATING, Arg(4)),) * 2),
+    "weighted_square": Term(((HypSpec((B,), (A + 1,)), Arg(1)),) * 2, Fraction(-7, 4), 3),
 }
 
 
@@ -715,6 +753,8 @@ def test_low_caps_are_truncations_of_deeper_builds(tag, point):
     would show.
     """
     define = get(tag)
+    # a shift the entry does not use is refused
+    point = {**point, **{shift: 0 for shift in ("i", "j") if shift not in define.uses}}
     assert verify_identity(tag, IdentityParams(**point), float_points=()).findings == ()
     for cap in range(8):
         shallow = IdentityParams(cap=cap, **point)
@@ -728,6 +768,10 @@ LEFT_SIDE_POINTS = [
     (A, B, 0, 0),
     (Fraction(7, 3), Fraction(9, 4), 2, 1),
     (Fraction(-5, 11), Fraction(7, 13), 1, 3),
+    # beta = alpha and i = j: the left sides of 1.10, 1.11, 2.1, 2.2, 3.1
+    # and 3.2 are squares, and 1.7's a mirror
+    (A, A, 2, 2),
+    (Fraction(-5, 11), Fraction(-5, 11), 3, 3),
 ]
 
 

@@ -254,6 +254,26 @@ class TestVerifyIdentity:
         with pytest.raises(ValueError, match="unknown identity tag"):
             verify_identity("7.7", IdentityParams(alpha=A))
 
+    @pytest.mark.parametrize(
+        "tag, shifts, message",
+        [
+            ("1.2", dict(i=1), "identity 1.2 takes no shift i, got i = 1"),
+            ("1.1", dict(j=3), "identity 1.1 takes no shift j, got j = 3"),
+            # 1.3 and 1.17 use i, not j
+            ("1.3", dict(i=2, j=1), "identity 1.3 takes no shift j, got j = 1"),
+            ("1.17", dict(i=2, j=2), "identity 1.17 takes no shift j, got j = 2"),
+            ("1.8", dict(i=4), "identity 1.8 takes no shift i, got i = 4"),
+        ],
+    )
+    def test_a_shift_the_entry_does_not_use_is_refused(self, tag, shifts, message):
+        # it used to be dropped, though the default cap still read it
+        params = IdentityParams(alpha=Fraction(1, 2), beta=Fraction(5, 3), gamma=Fraction(1, 7), **shifts)
+        with pytest.raises(ValueError, match=message):
+            verify_identity(tag, params)
+        # a zero shift is no shift: the point is checked, not refused
+        zero = dataclasses.replace(params, i=shifts["i"] if "i" in get(tag).uses else 0, j=0)
+        assert verify_identity(tag, zero, float_points=()).identity == tag
+
     @pytest.mark.parametrize("tol", [math.nan, -1.0, 0.0, 1.0, 2.0, math.inf])
     def test_malformed_tol_raises_before_any_work(self, monkeypatch, tol):
         # a relative error never exceeds 2, and tol >= 1 passes any two values
