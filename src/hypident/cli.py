@@ -102,16 +102,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _check_size(args: argparse.Namespace) -> None:
-    """Refuse a cap outside 0..MAX_DEGREE or a shift above its limit before
-    any series work."""
-    if args.degree is not None and args.degree > MAX_DEGREE:
-        raise ValueError(f"--degree {args.degree} exceeds the limit of {MAX_DEGREE}")
-    if args.degree is not None and args.degree < 0:
-        raise ValueError(f"--degree {args.degree} is below the limit of 0")
-    for name in ("i", "j"):
+    """Refuse a cap outside 0..MAX_DEGREE or a shift outside 0..MAX_SHIFT
+    before any series work."""
+    for name, limit in (("degree", MAX_DEGREE), ("i", MAX_SHIFT), ("j", MAX_SHIFT)):
         value = getattr(args, name)
-        if value > MAX_SHIFT:
-            raise ValueError(f"--{name} {value} exceeds the limit of {MAX_SHIFT}")
+        if value is not None and value > limit:
+            raise ValueError(f"--{name} {value} exceeds the limit of {limit}")
+        if value is not None and value < 0:
+            raise ValueError(f"--{name} {value} is below the limit of 0")
 
 
 def _parse_params(args: argparse.Namespace) -> IdentityParams:
@@ -180,21 +178,23 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     import statistics  # only a sweep needs it, so `import hypident.cli` does not load it
 
     _check_size(args)
-    if args.i < 0 or args.j < 0:
-        raise ValueError("--i and --j must be nonnegative")
     alphas = _parse_rational_list(args.alpha)
     betas = _parse_rational_list(args.beta) if args.beta else []
+    gamma = parse_rational(args.gamma) if args.gamma else None
     defines = [get(tag) for tag in args.identity.split(",")]
     points = 0
     for define in defines:
-        size = math.prod(len(axis) for axis in sweep_axes(define.id, alphas, betas, args.i, args.j))
+        axes = sweep_axes(define.id, alphas, betas, args.i, args.j)
+        size = math.prod(len(axis) for axis in axes)
         if size == 0:
             uses = ", ".join(f"--{name}" for name in define.uses if name in ("alpha", "beta"))
             raise ValueError(f"sweep grid is empty: identity {define.tag} needs at least one value of {uses}")
         points += size
+        # every tag's request errors come before the first point runs
+        alpha, beta, i, j = (axis[0] for axis in axes)
+        define.validate_params(IdentityParams(alpha, beta, i, j, gamma=gamma, printed_form=args.printed_form))
     if points > MAX_SWEEP_POINTS:
         raise ValueError(f"sweep grid of {points} points exceeds the limit of {MAX_SWEEP_POINTS}")
-    gamma = parse_rational(args.gamma) if args.gamma else None
     start = time.perf_counter()
     reports = [
         report

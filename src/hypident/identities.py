@@ -1,18 +1,17 @@
 """The identity catalog: every checkable equation this package knows about.
 
 Each catalog entry pairs two independent constructions of the same object.
-For the series identities each side is declared once, as a :class:`Side`:
-an optional exponential prefactor times a sum of weighted products of
-``pFq`` factors. The left side of every entry names only raw factors, so
-its series is a product of raw factors, taken as a binomial convolution of
-their exponential generating functions; the right side is its structured
-closed form. Two interpreters turn one declaration into an exact
-:class:`~hypident.series.TruncatedSeries` and into a float, so a single
-coefficient comparison settles the claim up to the cap and the float
-cross-check evaluates exactly the sides that were compared. Two entries are
-fixed-argument summation theorems whose closed form is a Gamma-function
-ratio; those are checked in floating point. One entry is a terminating sum
-checked as a single exact scalar equation.
+For the series identities each side is declared once. Every left side is a
+:class:`RawProduct` of raw ``pFq(spec; c*x)`` factors and an exponential,
+taken as a binomial convolution of their exponential generating functions;
+the right side is its closed form, a :class:`Side` of weighted one-factor
+terms or a :class:`ProductSide` of two expansions. Two interpreters turn
+one declaration into an exact :class:`~hypident.series.TruncatedSeries`
+and into a float, so a single coefficient comparison settles the claim up
+to the cap and the float cross-check evaluates exactly the sides that were
+compared. Two entries are fixed-argument summation theorems whose closed
+form is a Gamma-function ratio; those are checked in floating point. One
+entry is a terminating sum checked as a single exact scalar equation.
 
 Entries are addressed by stable catalog tags ("1.1" through "3.3"). The
 tags are opaque identifiers used by the command line and in reports; the
@@ -191,7 +190,8 @@ class Term:
 
 @dataclass(frozen=True)
 class Side:
-    """A sum of terms times ``e**(exp*x)``; ``exp`` is 0, +-1/2 or +-1."""
+    """A right side: a sum of one-factor terms times ``e**(exp*x)``;
+    ``exp`` is 0, +-1/2 or +-1."""
 
     terms: tuple[Term, ...]
     exp: Fraction = Fraction(0)
@@ -205,9 +205,27 @@ def _f01(b: Fraction, arg: Arg = _X) -> Factor:
     return HypSpec((), (b,)), arg
 
 
-def _product(*factors: Factor, exp: Fraction | int = 0) -> Side:
-    """One unweighted term: the plain product of its factors."""
-    return Side((Term(factors),), Fraction(exp))
+def _block(factor: Factor, exp: Fraction | int = 0) -> Side:
+    """A right side of one unweighted factor, times ``e**(exp*x)``."""
+    return Side((Term((factor,)),), Fraction(exp))
+
+
+@dataclass(frozen=True)
+class RawProduct:
+    """A left side: the plain product of ``pFq(spec; c*x)`` factors times
+    ``e**(exp*x)``, with ``exp`` 0, +-1/2 or +-1. It has no weight, no
+    power and one term, and refuses an ``x**2/c`` argument."""
+
+    factors: tuple[Factor, ...]
+    exp: Fraction | int = 0
+
+    def __post_init__(self) -> None:
+        if any(arg.squared for _, arg in self.factors):
+            raise ValueError("a raw product takes c*x arguments only")
+
+    @property
+    def terms(self) -> tuple[Term]:
+        return (Term(self.factors),)
 
 
 #: ``(rho, weights)``: the sum over shifts m of
@@ -241,60 +259,38 @@ class ProductSide:
                     yield Term(((bailey_product_spec(rho + m, sigma + n), _SQ4),), weight, m + n)
 
 
-def _side_series(side: Side | ProductSide, cap: int) -> TruncatedSeries:
-    """Exact truncation of a side: its terms summed as integer numerators
-    over one denominator, a :class:`ProductSide` by ``_bailey_double_sum``
-    one anti-diagonal at a time and any other side by
-    :func:`_terms_integers`; one gcd makes the sum canonical.
-
-    An exponential prefactor ``e**(sign*x/h)`` is a binomial transform of
-    additions (``series._exp_transform``) of ``a_j = j! (sign*h)**j f_j``.
-    ``TruncatedSeries.times_exp`` takes it on the summed series, lifting
-    its ordinary integers by ``j!``. A side that is the exponential times
-    one unweighted ``F(c*x)`` at power 0 (see :func:`_lone_factor`) needs
-    no lift: the ``a_j`` are the EGF integers of ``F(sign*h*c*x)``, and the
-    transform runs on them as one gcd left them.
-    """
-    sign, h = (1 if side.exp > 0 else -1), (2 if abs(side.exp) == HALF else 1)
+def _side_series(side: RawProduct | Side | ProductSide, cap: int) -> TruncatedSeries:
+    """Exact truncation of a side: a :class:`RawProduct` by
+    :func:`_raw_product_series`; the terms of a :class:`ProductSide` by
+    ``_bailey_double_sum`` one anti-diagonal at a time, and those of a
+    :class:`Side` by :func:`_terms_integers`, canonical after one gcd and
+    times their exponential by ``TruncatedSeries.times_exp``."""
+    if isinstance(side, RawProduct):
+        return _raw_product_series(side, cap)
     if isinstance(side, ProductSide):
         den, nums = _bailey_double_sum(*side.first, *side.second, cap)
-    elif side.exp and (factor := _lone_factor(side)):
-        spec, arg = factor
-        den, egf = _egf_integers(spec, Arg(sign * h * arg.c), cap)
-        return TruncatedSeries.from_integers(cap, *_exp_transform(den, egf, sign, h))
     else:
         den, nums = _terms_integers(side.terms, cap)
     total = TruncatedSeries.from_integers(cap, den, nums)
     if side.exp:
-        total = total.times_exp(sign, half=h == 2)
+        total = total.times_exp(1 if side.exp > 0 else -1, half=abs(side.exp) == HALF)
     return total
 
 
-def _lone_factor(side: Side) -> Factor | None:
-    """The factor of a side that is one unweighted ``F(c*x)`` at power 0,
-    as are the left sides of 1.1, 1.2, 1.17 and 1.18; None for any other."""
-    if len(side.terms) == 1:
-        [term] = side.terms
-        if len(term.factors) == 1 and term.weight == 1 and term.power == 0 and not term.factors[0][1].squared:
-            return term.factors[0]
-    return None
-
-
 def _terms_integers(terms: tuple[Term, ...], cap: int) -> tuple[int, list[int]]:
-    """The sum of the terms up to ``x**cap`` as ``nums[d] / den``, not
-    reduced, over one running denominator.
+    """The sum of one-factor terms up to ``x**cap`` as ``nums[d] / den``,
+    not reduced, over one running denominator.
 
     A term ``weight * x**power * F(...)`` is needed only up to
-    ``x**(cap - power)``, so each pFq factor is expanded only to the degree
+    ``x**(cap - power)``, so its pFq factor is expanded only to the degree
     in t that still reaches the cap; a term whose power is past the cap
-    contributes nothing. A term with one factor comes straight from the
-    kernel (``_pfq_integers``), which applies the constant c of its argument
-    in the term ratio, dividing each step by c or multiplying it by c, so
-    its unreduced integers belong on degree ``power + stride*k`` as they
-    come, times the weight: stride 2 for an ``x**2/c`` argument, 1 for
-    ``c*x``. A term with several factors (left sides only) is their product
-    taken by :func:`_egf_product`, placed at stride 1. Each term joins the
-    sum over the lcm of its denominator and the running one.
+    contributes nothing. The factor comes straight from the kernel
+    (``_pfq_integers``), which applies the constant c of its argument in
+    the term ratio, dividing each step by c or multiplying it by c, so its
+    unreduced integers belong on degree ``power + stride*k`` as they come,
+    times the weight: stride 2 for an ``x**2/c`` argument, 1 for ``c*x``.
+    Each term joins the sum over the lcm of its denominator and the running
+    one.
     """
     den = 1
     nums = [0] * (cap + 1)
@@ -302,14 +298,9 @@ def _terms_integers(terms: tuple[Term, ...], cap: int) -> tuple[int, list[int]]:
         need = cap - term.power
         if need < 0:
             continue
-        if len(term.factors) > 1:
-            block_den, block_nums = _egf_product(term.factors, need)
-            stride = 1
-        else:
-            [(spec, arg)] = term.factors
-            scales = (1, arg.c) if arg.squared else (arg.c, 1)
-            block_den, block_nums = _pfq_integers(spec.upper, spec.lower, arg.t_cap(need), *scales)
-            stride = 2 if arg.squared else 1
+        [(spec, arg)] = term.factors
+        scales = (1, arg.c) if arg.squared else (arg.c, 1)
+        block_den, block_nums = _pfq_integers(spec.upper, spec.lower, arg.t_cap(need), *scales)
         block_den *= term.weight.denominator
         common = math.lcm(den, block_den)
         if common != den:
@@ -317,76 +308,72 @@ def _terms_integers(terms: tuple[Term, ...], cap: int) -> tuple[int, list[int]]:
             nums = [n * up for n in nums]
             den = common
         scale = term.weight.numerator * (common // block_den)
-        placed = slice(term.power, cap + 1, stride)
+        placed = slice(term.power, cap + 1, 2 if arg.squared else 1)
         nums[placed] = [a + scale * b for a, b in zip(nums[placed], block_nums)]
     return den, nums
 
 
-def _egf_product(factors: tuple[Factor, ...], need: int) -> tuple[int, list[int]]:
-    """The product of the factors up to ``x**need`` as ``nums[d] / den``,
-    not reduced: a binomial convolution of their exponential generating
-    functions (EGFs, see :func:`_egf_integers`), multiplied as
-    ``d! (fg)_d = sum_k C(d, k) (k! f_k) ((d-k)! g_{d-k})``.
+def _raw_product_series(side: RawProduct, cap: int) -> TruncatedSeries:
+    """A raw product up to ``x**cap``: a binomial convolution of its
+    factors' exponential generating functions (EGFs, see
+    :func:`_egf_integers`), ``d! (fg)_d = sum_k C(d, k) (k! f_k) ((d-k)!
+    g_{d-k})``. A square or a mirror pair is one factor's EGF paired with
+    itself by :func:`_paired`.
 
-    Two factors that are the same ``F(arg)``, or ``F(arg)`` and its mirror
-    ``F(-arg)`` (``c`` and ``-c``, the same ``squared``), are one factor's
-    EGF taken once and paired with itself by :func:`_paired`, which sums
-    each unordered pair ``(k, d-k)`` once. Over ``den * need!``, numerator d
-    is the product's EGF integer times ``need!/d!``.
+    An exponential ``e**(sign*x/h)`` is a binomial transform
+    (``series._exp_transform``) of ``a_j = j! (sign*h)**j P_j``, the EGF
+    integers of the product P at ``sign*h*x``. So every factor is taken at
+    ``F(sign*h*c*x)`` and the transform runs on the convolution as it is.
+    Without one the product is lifted to ordinary coefficients: over
+    ``den * cap!``, numerator d is its EGF integer times ``cap!/d!``.
     """
-    (spec, arg), *others = factors
-    den, product = _egf_integers(spec, arg, need)
-    if others in ([(spec, arg)], [(spec, Arg(-arg.c, arg.squared))]):
+    sign, h = (1 if side.exp > 0 else -1), (2 if abs(side.exp) == HALF else 1)
+    scale = sign * h if side.exp else 1
+    (spec, arg), *others = side.factors
+    den, product = _egf_integers(spec, scale * arg.c, cap)
+    if others in ([(spec, arg)], [(spec, Arg(-arg.c))]):
         den *= den
-        product = _paired(product, others[0][1] != arg, arg.squared)
+        product = _paired(product, others[0][1] != arg)
     else:
         for spec, arg in others:
-            block_den, egf = _egf_integers(spec, arg, need)
-            den *= block_den
-            product = [sum(map(mul, map(mul, _binomials(d), product), egf[d::-1])) for d in range(need + 1)]
+            factor_den, egf = _egf_integers(spec, scale * arg.c, cap)
+            den *= factor_den
+            product = [sum(map(mul, map(mul, _binomials(d), product), egf[d::-1])) for d in range(cap + 1)]
+    if side.exp:
+        return TruncatedSeries.from_integers(cap, *_exp_transform(den, product, sign, h))
     lift = 1
-    for d in range(need, -1, -1):
+    for d in range(cap, -1, -1):
         product[d] *= lift
         lift *= d
-    return den * math.factorial(need), product
+    return TruncatedSeries.from_integers(cap, den * math.factorial(cap), product)
 
 
-def _egf_integers(spec: HypSpec, arg: Arg, need: int) -> tuple[int, list[int]]:
-    """EGF integers ``d! f_d`` of ``F(arg)`` up to ``x**need`` over one
+def _egf_integers(spec: HypSpec, c: int, need: int) -> tuple[int, list[int]]:
+    """EGF integers ``d! f_d`` of ``F(c*x)`` up to ``x**need`` over one
     denominator, reduced by one gcd.
 
     The kernel gives them directly: with ``egf`` set it leaves the
     ``(k+1)`` out of each step's denominator, which multiplies coefficient
-    k by ``k!``, and for an ``x**2/c`` argument one more upper parameter
-    1/2 at ratio ``4/c`` gives ``(2k)! = 4**k (1/2)_k k!``. The gcd cancels
-    the common factor that is left.
+    k by ``k!``. The gcd cancels the common factor that is left.
     """
-    if arg.squared:
-        den, nums = _pfq_integers(spec.upper + (HALF,), spec.lower, need // 2, 4, arg.c, egf=True)
-        egf = [0] * (need + 1)
-        egf[::2] = nums
-    else:
-        den, egf = _pfq_integers(spec.upper, spec.lower, need, arg.c, 1, egf=True)
+    den, egf = _pfq_integers(spec.upper, spec.lower, need, c, 1, egf=True)
     g = math.gcd(den, *egf)
     return den // g, [n // g for n in egf]
 
 
-def _paired(egf: list[int], mirror: bool, squared: bool) -> list[int]:
+def _paired(egf: list[int], mirror: bool) -> list[int]:
     """EGF integers of ``f * f`` from those of f, or of ``f(x) * f(-x)``
-    (``f(x**2/c) * f(-x**2/c)`` when squared) when mirror is set.
+    when mirror is set.
 
-    The mirror's EGF is ``s_k e_k``, with ``s_k = (-1)**k``, or
-    ``(-1)**(k/2)`` at the even k of a squared factor, and ``s_k s_{d-k} =
-    s_d``. So terms k and ``d-k`` of the convolution are equal when
-    ``s_d = 1`` and cancel when ``s_d = -1``: degree d is twice the sum over
-    ``k < d/2`` plus the middle term at ``k = d/2``, or 0. A square is the
-    case ``s = 1``.
+    The mirror's EGF is ``(-1)**k e_k``. So terms k and ``d-k`` of the
+    convolution are equal at even d and cancel at odd d: degree d is twice
+    the sum over ``k < d/2`` plus the middle term at ``k = d/2``, or 0. A
+    square has every degree of the first kind.
     """
-    stride = 2 if squared else 1
-    signed = [-e if k // stride % 2 else e for k, e in enumerate(egf)] if mirror else egf
+    signed = [-e if k % 2 else e for k, e in enumerate(egf)] if mirror else egf
     product = []
     for d in range(len(egf)):
-        if mirror and d // stride % 2:
+        if mirror and d % 2:
             product.append(0)
             continue
         half = (d + 1) // 2
@@ -406,7 +393,7 @@ def _binomials(d: int) -> tuple[int, ...]:
     return tuple([math.comb(d, k) for k in range(d + 1)])
 
 
-def _side_floats(side: Side | ProductSide, xs: Sequence[float]) -> list[tuple[float, bool]]:
+def _side_floats(side: RawProduct | Side | ProductSide, xs: Sequence[float]) -> list[tuple[float, bool]]:
     """Float value of a side at each x, and whether it is finite and every
     factor's sum converged; ``(inf, False)`` at an x where a weight, power
     or exponential overflows a double, or where an overflowed sum would
@@ -503,14 +490,14 @@ def _variant_raised(variant: str) -> tuple[bool, bool]:
     return variant[0] == "P", variant[1] == "P"
 
 
-def _product_lhs(variant: str, params: IdentityParams, beta: Fraction) -> Side:
+def _product_lhs(variant: str, params: IdentityParams, beta: Fraction) -> RawProduct:
     """The raw product of the two confluent factors, nothing else."""
     first_raised, second_raised = _variant_raised(variant)
     alpha, i, j = params.alpha, params.i, params.j
-    return _product(
+    return RawProduct((
         _f11(alpha, 2 * alpha + (i if first_raised else -i)),
         _f11(beta, 2 * beta + (j if second_raised else -j)),
-    )
+    ))
 
 
 def _product_rhs(variant: str, params: IdentityParams) -> ProductSide:
@@ -741,6 +728,8 @@ class IdentityDef:
             value = getattr(params, shift)
             if value and shift not in self.uses:
                 raise ValueError(f"identity {self.tag} takes no shift {shift}, got {shift} = {value}")
+        if params.printed_form and self.id not in (IdentityId.PRODUCT_PM, IdentityId.EQUAL_PARAM_PM):
+            raise ValueError(f"identity {self.tag} takes no printed_form: only 2.3 and 3.3 have a printed-form reading")
 
 
 _PM_NOTE_DEFAULT = (
@@ -757,7 +746,7 @@ def _pm_notes(params: IdentityParams) -> tuple[str, ...]:
     return (_PM_NOTE_PRINTED if params.printed_form else _PM_NOTE_DEFAULT,)
 
 
-SideOf = Callable[[IdentityParams], Side | ProductSide]
+SideOf = Callable[[IdentityParams], RawProduct | Side | ProductSide]
 
 
 def _series_entry(lhs: SideOf, rhs: SideOf, **fields) -> IdentityDef:
@@ -837,8 +826,8 @@ def _build_registry() -> dict[IdentityId, IdentityDef]:
             id=IdentityId.KUMMER_FIRST,
             summary="e^(-x) 1F1(alpha; beta; x) = 1F1(beta - alpha; beta; -x)",
             uses=("alpha", "beta"),
-            lhs=lambda p: _product(_f11(p.alpha, p.beta), exp=-1),
-            rhs=lambda p: _product(_f11(p.beta - p.alpha, p.beta, _NEG_X)),
+            lhs=lambda p: RawProduct((_f11(p.alpha, p.beta),), exp=-1),
+            rhs=lambda p: _block(_f11(p.beta - p.alpha, p.beta, _NEG_X)),
             requirements=lambda p: [check_lower("beta", p.beta)],
         ),
         # ---- half-exponential square-argument transformations
@@ -846,16 +835,16 @@ def _build_registry() -> dict[IdentityId, IdentityDef]:
             id=IdentityId.KUMMER_SECOND,
             summary="e^(-x/2) 1F1(alpha; 2*alpha; x) = 0F1(; alpha + 1/2; x^2/16)",
             uses=("alpha",),
-            lhs=lambda p: _product(_f11(p.alpha, 2 * p.alpha), exp=-HALF),
-            rhs=lambda p: _product(_f01(p.alpha + HALF, _SQ16)),
+            lhs=lambda p: RawProduct((_f11(p.alpha, 2 * p.alpha),), exp=-HALF),
+            rhs=lambda p: _block(_f01(p.alpha + HALF, _SQ16)),
             requirements=halved_reqs,
         ),
         _series_entry(
             id=IdentityId.KUMMER_SECOND_SCALED,
             summary="1F1(alpha; 2*alpha; 2x) = e^x 0F1(; alpha + 1/2; x^2/4)",
             uses=("alpha",),
-            lhs=lambda p: _product(_f11(p.alpha, 2 * p.alpha, Arg(2))),
-            rhs=lambda p: _product(_f01(p.alpha + HALF, _SQ4), exp=1),
+            lhs=lambda p: RawProduct((_f11(p.alpha, 2 * p.alpha, Arg(2)),)),
+            rhs=lambda p: _block(_f01(p.alpha + HALF, _SQ4), exp=1),
             requirements=halved_reqs,
         ),
         # ---- alternating and matched products of two confluent factors
@@ -863,32 +852,32 @@ def _build_registry() -> dict[IdentityId, IdentityDef]:
             id=IdentityId.PREECE_ALTERNATING,
             summary="1F1(alpha; 2*alpha; x) 1F1(alpha; 2*alpha; -x) = 1F2(alpha; alpha + 1/2, 2*alpha; x^2/4)",
             uses=("alpha",),
-            lhs=lambda p: _product(_f11(p.alpha, 2 * p.alpha), _f11(p.alpha, 2 * p.alpha, _NEG_X)),
-            rhs=lambda p: _product(preece_block(p)),
+            lhs=lambda p: RawProduct((_f11(p.alpha, 2 * p.alpha), _f11(p.alpha, 2 * p.alpha, _NEG_X))),
+            rhs=lambda p: _block(preece_block(p)),
             requirements=halved_reqs,
         ),
         _series_entry(
             id=IdentityId.PREECE_SQUARED,
             summary="[1F1(alpha; 2*alpha; x)]^2 = e^x 1F2(alpha; alpha + 1/2, 2*alpha; x^2/4)",
             uses=("alpha",),
-            lhs=lambda p: _product(_f11(p.alpha, 2 * p.alpha), _f11(p.alpha, 2 * p.alpha)),
-            rhs=lambda p: _product(preece_block(p), exp=1),
+            lhs=lambda p: RawProduct((_f11(p.alpha, 2 * p.alpha), _f11(p.alpha, 2 * p.alpha))),
+            rhs=lambda p: _block(preece_block(p), exp=1),
             requirements=halved_reqs,
         ),
         _series_entry(
             id=IdentityId.BAILEY_ALTERNATING,
             summary="1F1(alpha; 2*alpha; x) 1F1(beta; 2*beta; -x) = 2F3((alpha+beta)/2, (alpha+beta+1)/2; alpha + 1/2, beta + 1/2, alpha + beta; x^2/4)",
             uses=("alpha", "beta"),
-            lhs=lambda p: _product(_f11(p.alpha, 2 * p.alpha), _f11(p.beta, 2 * p.beta, _NEG_X)),
-            rhs=lambda p: _product(bailey_block(p)),
+            lhs=lambda p: RawProduct((_f11(p.alpha, 2 * p.alpha), _f11(p.beta, 2 * p.beta, _NEG_X))),
+            rhs=lambda p: _block(bailey_block(p)),
             requirements=bailey_reqs,
         ),
         _series_entry(
             id=IdentityId.BAILEY_MATCHED,
             summary="1F1(alpha; 2*alpha; x) 1F1(beta; 2*beta; x) = e^x 2F3(...; x^2/4), same block as 1.7",
             uses=("alpha", "beta"),
-            lhs=lambda p: _product(_f11(p.alpha, 2 * p.alpha), _f11(p.beta, 2 * p.beta)),
-            rhs=lambda p: _product(bailey_block(p), exp=1),
+            lhs=lambda p: RawProduct((_f11(p.alpha, 2 * p.alpha), _f11(p.beta, 2 * p.beta))),
+            rhs=lambda p: _block(bailey_block(p), exp=1),
             requirements=bailey_reqs,
         ),
         # ---- product of two 0F1 factors as one 2F3
@@ -896,8 +885,8 @@ def _build_registry() -> dict[IdentityId, IdentityDef]:
             id=IdentityId.F01_PRODUCT,
             summary="0F1(; alpha; t) 0F1(; beta; t) = 2F3((alpha+beta)/2, (alpha+beta-1)/2; alpha, beta, alpha+beta-1; 4t)",
             uses=("alpha", "beta"),
-            lhs=lambda p: _product(_f01(p.alpha), _f01(p.beta)),
-            rhs=lambda p: _product((bailey_product_spec(p.alpha, p.beta), Arg(4))),
+            lhs=lambda p: RawProduct((_f01(p.alpha), _f01(p.beta))),
+            rhs=lambda p: _block((bailey_product_spec(p.alpha, p.beta), Arg(4))),
             requirements=lambda p: [
                 check_lower("alpha", p.alpha),
                 check_lower("beta", p.beta),
@@ -909,7 +898,7 @@ def _build_registry() -> dict[IdentityId, IdentityDef]:
             id=IdentityId.CONTIGUOUS_RAISED,
             summary="1F1(alpha; 2*alpha; x) 1F1(alpha; 2*alpha+1; x) = e^x (1F2 block - x/(2(2*alpha+1)) 1F2 block)",
             uses=("alpha",),
-            lhs=lambda p: _product(_f11(p.alpha, 2 * p.alpha), _f11(p.alpha, 2 * p.alpha + 1)),
+            lhs=lambda p: RawProduct((_f11(p.alpha, 2 * p.alpha), _f11(p.alpha, 2 * p.alpha + 1))),
             rhs=contig_raised_rhs,
             requirements=lambda p: [
                 check_lower("2*alpha", 2 * p.alpha),
@@ -922,7 +911,7 @@ def _build_registry() -> dict[IdentityId, IdentityDef]:
             id=IdentityId.CONTIGUOUS_LOWERED,
             summary="1F1(alpha; 2*alpha; x) 1F1(alpha; 2*alpha-1; x) = e^x (1F2 block + x/(2(2*alpha-1)) 1F2 block)",
             uses=("alpha",),
-            lhs=lambda p: _product(_f11(p.alpha, 2 * p.alpha), _f11(p.alpha, 2 * p.alpha - 1)),
+            lhs=lambda p: RawProduct((_f11(p.alpha, 2 * p.alpha), _f11(p.alpha, 2 * p.alpha - 1))),
             rhs=contig_lowered_rhs,
             requirements=lambda p: [
                 check_lower("2*alpha", 2 * p.alpha),
@@ -935,7 +924,7 @@ def _build_registry() -> dict[IdentityId, IdentityDef]:
             id=IdentityId.EXPAND_RAISED,
             summary="e^(-x/2) 1F1(alpha; 2*alpha+i; x) as a sum of i+1 weighted x^m 0F1(; alpha+m+1/2; x^2/16) blocks",
             uses=("alpha", "i"),
-            lhs=lambda p: _product(_f11(p.alpha, 2 * p.alpha + p.i), exp=-HALF),
+            lhs=lambda p: RawProduct((_f11(p.alpha, 2 * p.alpha + p.i),), exp=-HALF),
             rhs=lambda p: _expansion_side(p.alpha, p.i, raised=True),
             requirements=lambda p: sum(_expand_requirements(p.alpha, p.i, raised=True), []),
         ),
@@ -943,7 +932,7 @@ def _build_registry() -> dict[IdentityId, IdentityDef]:
             id=IdentityId.EXPAND_LOWERED,
             summary="e^(-x/2) 1F1(alpha; 2*alpha-i; x) as a sum of i+1 weighted x^m 0F1(; alpha+m-i+1/2; x^2/16) blocks",
             uses=("alpha", "i"),
-            lhs=lambda p: _product(_f11(p.alpha, 2 * p.alpha - p.i), exp=-HALF),
+            lhs=lambda p: RawProduct((_f11(p.alpha, 2 * p.alpha - p.i),), exp=-HALF),
             rhs=lambda p: _expansion_side(p.alpha, p.i, raised=False),
             requirements=lambda p: sum(_expand_requirements(p.alpha, p.i, raised=False), []),
         ),

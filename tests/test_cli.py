@@ -330,8 +330,8 @@ class TestSweep:
     @pytest.mark.parametrize(
         "extra, message",
         [
-            (["--i", "-1"], "--i and --j must be nonnegative"),
-            (["--j", "-2"], "--i and --j must be nonnegative"),
+            (["--i", "-1"], "--i -1 is below the limit of 0"),
+            (["--j", "-2"], "--j -2 is below the limit of 0"),
             (["--degree", "-3"], "--degree -3 is below the limit of 0"),
             (["--degree", str(MAX_DEGREE + 1)], f"--degree {MAX_DEGREE + 1} exceeds the limit of {MAX_DEGREE}"),
             (["--i", str(MAX_SHIFT + 1)], f"--i {MAX_SHIFT + 1} exceeds the limit of {MAX_SHIFT}"),
@@ -353,7 +353,7 @@ class TestSweep:
         [
             (["--alpha", "3/7"], "sweep grid is empty"),  # --beta forgotten
             (["--alpha", ",", "--beta", "2/5"], "sweep grid is empty"),
-            (["--alpha", "3/7", "--beta", "2/5", "--i", "-1"], "nonnegative"),
+            (["--alpha", "3/7", "--beta", "2/5", "--i", "-1"], "--i -1 is below the limit of 0"),
         ],
         ids=["no-beta", "no-alpha", "negative-i"],
     )
@@ -608,7 +608,8 @@ class TestBadRequests:
             (["verify", "--identity", "1.1", "--alpha", "1/0", "--beta", "1/3"], "zero"),
             (["verify", "--identity", "1.1", "--alpha", "1/2"], "beta"),
             (["verify", "--identity", "1.8", "--alpha", "-2", "--beta", "1/3"], "gamma"),
-            (["verify", "--identity", "1.1", "--alpha", "1/2", "--beta", "1/3", "--i", "-1"], "nonnegative"),
+            (["verify", "--identity", "1.1", "--alpha", "1/2", "--beta", "1/3", "--i", "-1"],
+             "--i -1 is below the limit of 0"),
             (["verify", "--identity", "1.4", "--alpha", "400", "--beta", "401"], "Gamma(401) overflows"),
             (["eval", "--identity", "1.4", "--alpha", "400", "--beta", "401"], "Gamma(401) overflows"),
             (["verify", "--identity", "1.8", "--alpha", "300", "--beta", "301", "--gamma", "400"],
@@ -640,6 +641,15 @@ class TestBadRequests:
             (["expand", "--identity", "1.9", "--alpha", "1/2", "--j", "1"], "identity 1.9 takes no shift j, got j = 1"),
             (["eval", "--identity", "1.4", "--alpha", "1/2", "--beta", "1/3", "--i", "3"],
              "identity 1.4 takes no shift i, got i = 3"),
+            # a printed form is refused by every entry that has no reading of it,
+            # in a sweep before any point of any tag runs
+            (["verify", "--identity", "2.1", "--alpha", "1/2", "--beta", "1/3", "--printed-form"],
+             "identity 2.1 takes no printed_form: only 2.3 and 3.3 have a printed-form reading"),
+            (["expand", "--identity", "3.1", "--alpha", "1/2", "--printed-form"], "identity 3.1 takes no printed_form"),
+            (["sweep", "--identity", "2.1,2.3", "--alpha", "1/2", "--beta", "1/3", "--printed-form"],
+             "identity 2.1 takes no printed_form"),
+            (["sweep", "--identity", "2.3,2.1", "--alpha", "1/2", "--beta", "1/3", "--i", "2", "--printed-form"],
+             "identity 2.1 takes no printed_form"),
         ],
     )
     def test_exit_2_with_message(self, capsys, argv, needle):
@@ -674,6 +684,12 @@ class TestRequestLimits:
             # the option, not the library field IdentityParams.cap
             (["verify", "--identity", "2.1", "--alpha", "1/3", "--beta", "1/5",
               "--degree", "-3"], "--degree -3 is below the limit of 0"),
+            # a negative shift names its option in every command, as in a sweep
+            (["verify", "--identity", "2.1", "--alpha", "1/3", "--beta", "1/5",
+              "--i", "-1"], "--i -1 is below the limit of 0"),
+            (["expand", "--identity", "1.17", "--alpha", "1/3", "--i", "-2"], "--i -2 is below the limit of 0"),
+            (["eval", "--identity", "2.2", "--alpha", "1/3", "--beta", "1/5", "--j", "-1",
+              "--x", "1"], "--j -1 is below the limit of 0"),
         ],
     )
     def test_oversized_request_exits_2_at_once(self, capsys, argv, needle):

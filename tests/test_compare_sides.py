@@ -1,0 +1,36 @@
+"""Smoke test of ``scripts/compare_sides.py`` on its small grid."""
+
+import shutil
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SCRIPT = ROOT / "scripts" / "compare_sides.py"
+
+
+def compare(other: Path) -> subprocess.CompletedProcess:
+    return subprocess.run([sys.executable, str(SCRIPT), str(other), "--quick"],
+                          capture_output=True, text=True, timeout=60)
+
+
+def test_a_checkout_matches_itself():
+    done = compare(ROOT)
+    assert done.returncode == 0, done.stderr
+    [summary] = done.stdout.splitlines()
+    assert summary.startswith("compared ") and summary.endswith(" cases: 0 differ")
+
+
+def test_a_changed_default_cap_is_reported(tmp_path):
+    shutil.copytree(ROOT / "src", tmp_path / "src", ignore=shutil.ignore_patterns("__pycache__"))
+    identities = tmp_path / "src" / "hypident" / "identities.py"
+    text = identities.read_text()
+    assert "return 2 * (i + j) + 16" in text
+    identities.write_text(text.replace("return 2 * (i + j) + 16", "return 2 * (i + j) + 17"))
+    done = compare(tmp_path)
+    assert done.returncode == 1, done.stderr
+    summary, first, this, other, *_ = done.stdout.splitlines()
+    assert " differ" in summary and " 0 differ" not in summary
+    assert first.strip().endswith("build_lhs")
+    assert this.split()[:3] == ["this:", "('series',", "16,"]
+    assert other.split()[:3] == ["other:", "('series',", "17,"]

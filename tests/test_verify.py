@@ -3,12 +3,13 @@
 import dataclasses
 import json
 import math
+import re
 from fractions import Fraction
 
 import pytest
 
 from hypident import identities, verify
-from hypident.identities import IdentityParams, get
+from hypident.identities import IdentityParams, catalog, get
 from hypident.reports import (
     PASSING_STATUSES,
     VerifyReport,
@@ -273,6 +274,16 @@ class TestVerifyIdentity:
         # a zero shift is no shift: the point is checked, not refused
         zero = dataclasses.replace(params, i=shifts["i"] if "i" in get(tag).uses else 0, j=0)
         assert verify_identity(tag, zero, float_points=()).identity == tag
+
+    @pytest.mark.parametrize("tag", [d.tag for d in catalog() if d.tag not in ("2.3", "3.3")])
+    def test_a_printed_form_the_entry_does_not_read_is_refused(self, tag):
+        # it used to be reported, though only the mixed variants read it
+        params = IdentityParams(alpha=Fraction(1, 2), beta=Fraction(5, 3), gamma=Fraction(1, 7), printed_form=True)
+        message = f"identity {tag} takes no printed_form: only 2.3 and 3.3 have a printed-form reading"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            verify_identity(tag, params)
+        for reader in ("2.3", "3.3"):
+            assert verify_identity(reader, params, float_points=()).params.printed_form
 
     @pytest.mark.parametrize("tol", [math.nan, -1.0, 0.0, 1.0, 2.0, math.inf])
     def test_malformed_tol_raises_before_any_work(self, monkeypatch, tol):
