@@ -485,33 +485,26 @@ def _expansion_side(alpha: Fraction, i: int, raised: bool) -> Side:
 # the shifted-product family: 1F1(alpha; 2*alpha +/- i; x) * 1F1(beta; 2*beta +/- j; x)
 
 
-def _variant_raised(variant: str) -> tuple[bool, bool]:
-    """Whether each factor's lower parameter is raised (P) or lowered (M)."""
-    return variant[0] == "P", variant[1] == "P"
-
-
-def _product_lhs(variant: str, params: IdentityParams, beta: Fraction) -> RawProduct:
+def _product_lhs(raised: tuple[bool, bool], params: IdentityParams, beta: Fraction) -> RawProduct:
     """The raw product of the two confluent factors, nothing else."""
-    first_raised, second_raised = _variant_raised(variant)
     alpha, i, j = params.alpha, params.i, params.j
     return RawProduct((
-        _f11(alpha, 2 * alpha + (i if first_raised else -i)),
-        _f11(beta, 2 * beta + (j if second_raised else -j)),
+        _f11(alpha, 2 * alpha + (i if raised[0] else -i)),
+        _f11(beta, 2 * beta + (j if raised[1] else -j)),
     ))
 
 
-def _product_rhs(variant: str, params: IdentityParams) -> ProductSide:
+def _product_rhs(raised: tuple[bool, bool], params: IdentityParams, printed: bool) -> ProductSide:
     """Composed closed form: e**x times the product of the two factors'
     1.17/1.18 expansions, each pair of 0F1 blocks merged by the 1.11 block.
 
-    The printed-form mixed variant indexes the second shift factor by m:
-    it weights block (m, n) by ``(-j)_m / (-j)_n`` more, which splits into
-    ``(-j)_m`` on the first expansion and ``1 / (-j)_n`` on the second.
+    The printed form indexes the second shift factor by m: it weights
+    block (m, n) by ``(-j)_m / (-j)_n`` more, which splits into ``(-j)_m``
+    on the first expansion and ``1 / (-j)_n`` on the second.
     """
-    first_raised, second_raised = _variant_raised(variant)
-    first = _expansion_terms(params.alpha, params.i, first_raised)
-    second = _expansion_terms(params.beta, params.j, second_raised, _SECOND)
-    if params.printed_form and variant == "PM":
+    first = _expansion_terms(params.alpha, params.i, raised[0])
+    second = _expansion_terms(params.beta, params.j, raised[1], _SECOND)
+    if printed:
         j = Fraction(-params.j)
         (rho, v), (sigma, w) = first, second
         # (-j)_m vanishes for m > j: those weights drop like any zero weight
@@ -544,23 +537,28 @@ def _equal_param_factor(
     return sign * pochhammer(2 * alpha - 2 * d - 1, k) / den, k - d
 
 
-def _equal_param_rhs(variant: str, params: IdentityParams) -> Side:
+def _equal_param_rhs(raised: tuple[bool, bool], params: IdentityParams, printed: bool) -> Side:
     """Single-parameter closed form at beta = alpha. Only alpha appears, so
     comparing it with the composed two-parameter side is not a tautology.
 
     Term (m, n) is ``(-i)_m (-j)_n x**(m+n)`` times both factors' parts and
     the 2F3 block with lower parameters ``alpha + a + 1/2, alpha + b + 1/2,
-    2*alpha + a + b`` for their offsets a, b. The printed-form mixed variant
-    reads ``(-j)_m`` for ``(-j)_n``."""
-    first_raised, second_raised = _variant_raised(variant)
+    2*alpha + a + b`` for their offsets a, b. The printed form reads
+    ``(-j)_m`` for ``(-j)_n``. Each summand is formed once with its shift
+    factor, the first factor's at the head of row m and the second's in row
+    0 just before its first block, so a build raises where a per-pair one does."""
     alpha, i, j = params.alpha, params.i, params.j
-    printed = params.printed_form and variant == "PM"
+    columns = []
     terms = []
     for m in range(i + 1):
-        first, a = _equal_param_factor(alpha, i, m, first_raised, ("i", "m"))
+        first, a = _equal_param_factor(alpha, i, m, raised[0], ("i", "m"))
+        row = pochhammer(Fraction(-i), m) * first * (pochhammer(Fraction(-j), m) if printed else 1)
         for n in range(j + 1):
-            second, b = _equal_param_factor(alpha, j, n, second_raised, ("j", "n"))
-            weight = pochhammer(Fraction(-i), m) * pochhammer(Fraction(-j), m if printed else n) * first * second
+            if m == 0:
+                second, b = _equal_param_factor(alpha, j, n, raised[1], ("j", "n"))
+                columns.append((second if printed else pochhammer(Fraction(-j), n) * second, b))
+            column, b = columns[n]
+            weight = row * column
             s = 2 * alpha + a + b
             # built before the zero-weight test: a degenerate block raises
             # even where its weight vanishes
@@ -644,10 +642,10 @@ def _expand_requirements(
     return weights, blocks
 
 
-def _product_requirements(variant: str, params: IdentityParams, equal_param: bool = False) -> Findings:
+def _product_requirements(raised: tuple[bool, bool], params: IdentityParams, equal_param: bool = False) -> Findings:
     """Both expansions' requirements, then the third lower parameter
     ``rho + sigma - 1`` of every 1.11 block."""
-    first_raised, second_raised = _variant_raised(variant)
+    first_raised, second_raised = raised
     alpha, i, j = params.alpha, params.i, params.j
     beta, b_name = (alpha, "alpha") if equal_param else (params.beta, "beta")
     first_weights, first_blocks = _expand_requirements(alpha, i, first_raised)
@@ -693,7 +691,10 @@ class IdentityDef:
     evaluation is advisory), "exact_sum" (one exact scalar equation), or
     "float_sum" (scalar closed form checked in floating point).
     ``fixed_argument`` is the argument of every scalar entry: the point at
-    which its sum is taken and its float residual reported.
+    which its sum is taken and its float residual reported. The builders,
+    float sides and scalar sides take their parameters as given; the gate is
+    :meth:`validate_params`, then ``verify.check_admissible``. An entry reads
+    ``printed_form`` exactly when its notes are ``_reading_notes``.
     """
 
     id: IdentityId
@@ -728,22 +729,23 @@ class IdentityDef:
             value = getattr(params, shift)
             if value and shift not in self.uses:
                 raise ValueError(f"identity {self.tag} takes no shift {shift}, got {shift} = {value}")
-        if params.printed_form and self.id not in (IdentityId.PRODUCT_PM, IdentityId.EQUAL_PARAM_PM):
-            raise ValueError(f"identity {self.tag} takes no printed_form: only 2.3 and 3.3 have a printed-form reading")
+        if params.printed_form and self.notes is not _reading_notes:
+            readers = " and ".join(d.tag for d in catalog() if d.notes is _reading_notes)
+            raise ValueError(f"identity {self.tag} takes no printed_form: only {readers} have a printed-form reading")
 
 
-_PM_NOTE_DEFAULT = (
+_NOTE_DEFAULT = (
     "mixed variant built with the second shift factor indexed by n "
     "(the reading the raw-product comparison confirms)"
 )
-_PM_NOTE_PRINTED = (
+_NOTE_PRINTED = (
     "printed-form run: second shift factor indexed by m instead of n; "
     "disagrees with the raw product at every shift except i = j = 0"
 )
 
 
-def _pm_notes(params: IdentityParams) -> tuple[str, ...]:
-    return (_PM_NOTE_PRINTED if params.printed_form else _PM_NOTE_DEFAULT,)
+def _reading_notes(params: IdentityParams) -> tuple[str, ...]:
+    return (_NOTE_PRINTED if params.printed_form else _NOTE_DEFAULT,)
 
 
 SideOf = Callable[[IdentityParams], RawProduct | Side | ProductSide]
@@ -778,6 +780,34 @@ def _float_sum_entry(
         return lhs.value, _gamma_ratio(*gammas(p)), lhs
 
     return IdentityDef(kind="float_sum", scalar_float=sides, fixed_argument=x, **fields)
+
+
+def _product_entries(prod_id: IdentityId, equal_id: IdentityId, raised: tuple[bool, bool], reading: bool) -> list[IdentityDef]:
+    """A shifted-product variant and its beta = alpha form, both read from
+    the variant's one statement: which factors are raised, and whether it
+    has a printed-form reading."""
+    first, second = (("+" if up else "-") + shift for up, shift in zip(raised, "ij"))
+    notes = _reading_notes if reading else lambda p: ()
+    return [
+        _series_entry(
+            id=prod_id,
+            summary=f"1F1(alpha; 2*alpha{first}; x) 1F1(beta; 2*beta{second}; x) = e^x times a double sum of weighted x^(m+n) 2F3(...; x^2/4) blocks",
+            uses=("alpha", "beta", "i", "j"),
+            notes=notes,
+            lhs=lambda p: _product_lhs(raised, p, p.beta),
+            rhs=lambda p: _product_rhs(raised, p, reading and p.printed_form),
+            requirements=lambda p: _product_requirements(raised, p),
+        ),
+        _series_entry(
+            id=equal_id,
+            summary=f"beta = alpha form: 1F1(alpha; 2*alpha{first}; x) 1F1(alpha; 2*alpha{second}; x) as e^x times a double sum written with alpha only",
+            uses=("alpha", "i", "j"),
+            notes=notes,
+            lhs=lambda p: _product_lhs(raised, p, p.alpha),
+            rhs=lambda p: _equal_param_rhs(raised, p, reading and p.printed_form),
+            requirements=lambda p: _product_requirements(raised, p, equal_param=True),
+        ),
+    ]
 
 
 def _build_registry() -> dict[IdentityId, IdentityDef]:
@@ -940,45 +970,15 @@ def _build_registry() -> dict[IdentityId, IdentityDef]:
 
     # ---- the shifted-product family and its equal-parameter forms
     #
-    # Variant labels: the first letter says whether the first factor's lower
-    # parameter is raised (P) or lowered (M) by i, the second letter the
-    # same for j.
-
-    for variant, prod_id, equal_id in (
-        ("PP", IdentityId.PRODUCT_PP, IdentityId.EQUAL_PARAM_PP),
-        ("MM", IdentityId.PRODUCT_MM, IdentityId.EQUAL_PARAM_MM),
-        ("PM", IdentityId.PRODUCT_PM, IdentityId.EQUAL_PARAM_PM),
+    # Each variant is stated here once: whether each factor's lower
+    # parameter is raised (by i, then j) or lowered, and whether the variant
+    # has a printed-form reading (only the mixed one does).
+    for prod_id, equal_id, raised, reading in (
+        (IdentityId.PRODUCT_PP, IdentityId.EQUAL_PARAM_PP, (True, True), False),
+        (IdentityId.PRODUCT_MM, IdentityId.EQUAL_PARAM_MM, (False, False), False),
+        (IdentityId.PRODUCT_PM, IdentityId.EQUAL_PARAM_PM, (True, False), True),
     ):
-        first_desc = "2*alpha+i" if variant[0] == "P" else "2*alpha-i"
-        second_desc = "2*beta+j" if variant[1] == "P" else "2*beta-j"
-        notes = _pm_notes if variant == "PM" else lambda p: ()
-
-        defs.append(_series_entry(
-            id=prod_id,
-            summary=(
-                f"1F1(alpha; {first_desc}; x) 1F1(beta; {second_desc}; x) "
-                "= e^x times a double sum of weighted x^(m+n) 2F3(...; x^2/4) blocks"
-            ),
-            uses=("alpha", "beta", "i", "j"),
-            notes=notes,
-            lhs=lambda p, v=variant: _product_lhs(v, p, p.beta),
-            rhs=lambda p, v=variant: _product_rhs(v, p),
-            requirements=lambda p, v=variant: _product_requirements(v, p),
-        ))
-
-        second_desc_eq = second_desc.replace("beta", "alpha")
-        defs.append(_series_entry(
-            id=equal_id,
-            summary=(
-                f"beta = alpha form: 1F1(alpha; {first_desc}; x) 1F1(alpha; {second_desc_eq}; x) "
-                "as e^x times a double sum written with alpha only"
-            ),
-            uses=("alpha", "i", "j"),
-            notes=notes,
-            lhs=lambda p, v=variant: _product_lhs(v, p, p.alpha),
-            rhs=lambda p, v=variant: _equal_param_rhs(v, p),
-            requirements=lambda p, v=variant: _product_requirements(v, p, equal_param=True),
-        ))
+        defs += _product_entries(prod_id, equal_id, raised, reading)
 
     # ---- scalar closed forms
 

@@ -21,6 +21,7 @@ from hypident.identities import (
     catalog,
     default_cap,
     get,
+    _equal_param_factor,
     _expansion_terms,
     _gamma_ratio,
     _product_rhs,
@@ -34,9 +35,11 @@ from hypident.verify import DEFAULT_FLOAT_POINTS, check_admissible, verify_ident
 A = Fraction(3, 7)
 B = Fraction(2, 5)
 
-# catalog tags of each shifted-product variant and of its equal-parameter form
+# catalog tags of each shifted-product variant and of its equal-parameter
+# form, and whether each factor's lower parameter is raised by its shift
 PRODUCT_TAG = {"PP": "2.1", "MM": "2.2", "PM": "2.3"}
 EQUAL_PARAM_TAG = {"PP": "3.1", "MM": "3.2", "PM": "3.3"}
+RAISED = {"PP": (True, True), "MM": (False, False), "PM": (True, False)}
 
 
 def expanded(tag, alpha, i, cap):
@@ -70,6 +73,22 @@ class TestCatalog:
                 assert d.scalar_float and d.fixed_argument is not None
             else:
                 pytest.fail(f"unexpected kind {d.kind}")
+
+    def test_only_the_mixed_variants_have_a_printed_form_reading(self):
+        # read from the catalog: the entries whose notes name the reading a
+        # run used are the ones whose validate_params accepts the flag
+        readers = [d.tag for d in catalog() if d.notes is identities._reading_notes]
+        assert readers == ["2.3", "3.3"]
+        params = IdentityParams(alpha=A, beta=B, gamma=Fraction(1, 7), printed_form=True)
+        accepted = []
+        for d in catalog():
+            try:
+                d.validate_params(params)
+            except ValueError as error:
+                assert str(error).endswith("only 2.3 and 3.3 have a printed-form reading"), d.tag
+            else:
+                accepted.append(d.tag)
+        assert accepted == readers
 
 
 class TestParams:
@@ -331,8 +350,8 @@ class TestProductDegenerateBlocks:
             get(PRODUCT_TAG[variant]).build_rhs(params)
         except DegenerateParameterError as err:
             assume(err.expr.startswith("lower"))
-            rho, _ = _expansion_terms(alpha, i, variant[0] == "P")
-            sigma, _ = _expansion_terms(beta, j, variant[1] == "P")
+            rho, _ = _expansion_terms(alpha, i, RAISED[variant][0])
+            sigma, _ = _expansion_terms(beta, j, RAISED[variant][1])
             with pytest.raises(DegenerateParameterError) as first:
                 bailey_product_spec(rho, sigma)
             assert (err.expr, err.value, err.index) == (first.value.expr, first.value.value, first.value.index)
@@ -362,6 +381,9 @@ class TestEqualParameterForm:
             ("3.3", "1", 2, 3, True, "lower[2]", "-1", 1),
             ("3.3", "1/2", 2, 1, False, "lower[1]", "0", 0),
             ("3.3", "1/2", 0, 2, True, "lower[1]", "-1", 1),
+            # block (0, 0) fails before (2*alpha - j)_n = (-2)_n vanishes at n = 3
+            ("3.3", "1", 1, 4, False, "lower[2]", "-2", 2),
+            ("3.3", "1", 1, 4, True, "lower[2]", "-2", 2),
         ],
     )
     def test_degenerate_alpha_raises(self, tag, alpha, i, j, printed_form, expr, value, index):
@@ -369,6 +391,21 @@ class TestEqualParameterForm:
         with pytest.raises(DegenerateParameterError) as err:
             get(tag).build_rhs(params)
         assert (err.value.expr, err.value.value, err.value.index) == (expr, Fraction(value), index)
+
+    @pytest.mark.parametrize("tag, printed_form", [("3.1", False), ("3.2", False), ("3.3", False), ("3.3", True)])
+    def test_each_summand_is_formed_once(self, monkeypatch, tag, printed_form):
+        # (i+1) + (j+1) summands, not one per pair: the first factor's at the
+        # head of each row, the second's in row 0
+        formed = []
+        real = identities._equal_param_factor
+
+        def counted(alpha, shift, k, raised, names):
+            formed.append(f"{names[1]}{k}")
+            return real(alpha, shift, k, raised, names)
+
+        monkeypatch.setattr(identities, "_equal_param_factor", counted)
+        get(tag).build_rhs(IdentityParams(alpha=A, i=4, j=6, printed_form=printed_form))
+        assert formed == ["m0", "n0", "n1", "n2", "n3", "n4", "n5", "n6", "m1", "m2", "m3", "m4"]
 
     @given(
         st.fractions(min_value=-4, max_value=4, max_denominator=12),
@@ -415,18 +452,48 @@ def per_block_product_side(variant, params):
     """The 2.x right side as a plain Side, one 1.11 block per nonzero
     weight: ``w1 * w2`` (times ``(-j)_m / (-j)_n`` in the printed form) at
     power ``m + n``, each block built by ``bailey_product_spec`` on its own."""
-    rho, first = _expansion_terms(params.alpha, params.i, variant[0] == "P")
-    sigma, second = _expansion_terms(params.beta, params.j, variant[1] == "P", ("beta", "j", "n"))
-    printed = params.printed_form and variant == "PM"
+    rho, first = _expansion_terms(params.alpha, params.i, RAISED[variant][0])
+    sigma, second = _expansion_terms(params.beta, params.j, RAISED[variant][1], ("beta", "j", "n"))
     terms = []
     for m, w1 in enumerate(first):
         for n, w2 in enumerate(second):
             weight = w1 * w2
-            if printed:
+            if params.printed_form:
                 weight = weight * pochhammer(Fraction(-params.j), m) / pochhammer(Fraction(-params.j), n)
             if weight != 0:
                 terms.append(Term(((bailey_product_spec(rho + m, sigma + n), SQ4),), weight, m + n))
     return Side(tuple(terms), Fraction(1))
+
+
+def per_pair_equal_param_side(variant, params):
+    """The 3.x right side with both factors' summands formed again for every
+    pair (m, n), in m-major order: the weight ``(-i)_m (-j)_n`` (``(-j)_m``
+    in the printed form) times both parts, and the block built before its
+    weight is tested, so a degenerate block raises even where it vanishes."""
+    first_raised, second_raised = RAISED[variant]
+    alpha, i, j = params.alpha, params.i, params.j
+    terms = []
+    for m in range(i + 1):
+        first, a = _equal_param_factor(alpha, i, m, first_raised, ("i", "m"))
+        for n in range(j + 1):
+            second, b = _equal_param_factor(alpha, j, n, second_raised, ("j", "n"))
+            weight = pochhammer(Fraction(-i), m) * pochhammer(Fraction(-j), m if params.printed_form else n) * first * second
+            s = 2 * alpha + a + b
+            spec = HypSpec(upper=((s + 1) / 2, s / 2), lower=(alpha + a + Fraction(1, 2), alpha + b + Fraction(1, 2), s))
+            if weight != 0:
+                terms.append(Term(((spec, SQ4),), weight, m + n))
+    return Side(tuple(terms), Fraction(1))
+
+
+def build_outcome(build):
+    """A build's ``(cap, den, nums)``, or the exception it raises as its type
+    name, message, ``expr``, ``value`` and ``index``."""
+    try:
+        series = build()
+    except Exception as error:  # noqa: BLE001 - the exception is the outcome
+        return (type(error).__name__, str(error), *(getattr(error, key, None) for key in ("expr", "value", "index")))
+    return series.cap, series.den, series.nums
+
 
 TERMINATING = HypSpec((Fraction(-3), A), (B, Fraction(1, 5)))
 EXPS = [0, 1, -1, Fraction(1, 2), Fraction(-1, 2)]
@@ -532,9 +599,22 @@ class TestSideSeries:
         for alpha in (A, Fraction(0)):
             for i, j in [*itertools.product(range(7), repeat=2), (12, 12)]:
                 params = IdentityParams(alpha=alpha, beta=B, i=i, j=j, printed_form=printed_form)
-                side, reference = _product_rhs(variant, params), per_block_product_side(variant, params)
+                side, reference = _product_rhs(RAISED[variant], params, printed_form), per_block_product_side(variant, params)
                 for cap in [*range(i + j + 1), params.effective_cap]:
                     assert _side_series(side, cap) == reference_side_series(reference, cap), (alpha, i, j, cap)
+
+    @pytest.mark.parametrize("variant, printed_form", [("PP", False), ("MM", False), ("PM", False), ("PM", True)])
+    def test_equal_param_right_sides(self, variant, printed_form):
+        # each factor's summands are listed once per build; the per-pair
+        # reference forms them again for every pair, and must give the same
+        # series, or raise the same exception at the same point
+        define = get(EQUAL_PARAM_TAG[variant])
+        for alpha in map(Fraction, ("3/7", "1", "0", "-1/2", "-1", "1/2", "3/2", "-7/4")):
+            for i, j in [*itertools.product(range(5), repeat=2), (6, 6)]:
+                for cap in (0, None):
+                    params = IdentityParams(alpha=alpha, i=i, j=j, cap=cap, printed_form=printed_form)
+                    want = build_outcome(lambda: _side_series(per_pair_equal_param_side(variant, params), params.effective_cap))
+                    assert build_outcome(lambda: define.build_rhs(params)) == want, (alpha, i, j, cap)
 
     @pytest.mark.parametrize("variant, printed_form", [("PP", False), ("MM", False), ("PM", False), ("PM", True)])
     def test_product_right_side_floats(self, variant, printed_form):
