@@ -373,7 +373,7 @@ def _telescoped_tail(spec: HypSpec):
         big = scale * n
         return gap[-1] * big ** (len(gap) - 1) > sum(abs(v) * big**i for i, v in enumerate(gap[:-1]))
 
-    next_check = max(1, 1 - min(math.ceil(v) for v in spec.upper + spec.lower))
+    next_check = max(1, 1 + -min(ups + lows) // scale)
     while not gap_positive(next_check):
         next_check += 1
 

@@ -103,11 +103,11 @@ class IdentityParams:
     printed_form: bool = False
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "alpha", Fraction(self.alpha))
-        if self.beta is not None:
-            object.__setattr__(self, "beta", Fraction(self.beta))
-        if self.gamma is not None:
-            object.__setattr__(self, "gamma", Fraction(self.gamma))
+        # alpha is required; a Fraction is kept as it is, not copied
+        for name in ("alpha", "beta", "gamma"):
+            value = getattr(self, name)
+            if not isinstance(value, Fraction) and (value is not None or name == "alpha"):
+                object.__setattr__(self, name, Fraction(value))
         if self.i < 0 or self.j < 0:
             raise ValueError("shifts i and j must be nonnegative")
         if self.cap is not None and self.cap < 0:
@@ -606,6 +606,51 @@ def _gamma_ratio(numerators: list[Fraction], denominators: list[Fraction]) -> fl
     return value
 
 
+def _over_common(*values: Fraction) -> tuple[int, list[int]]:
+    """``(L, [v*L, ...])``: the values as integers over their common denominator L."""
+    scale = math.lcm(*[v.denominator for v in values])
+    return scale, [v.numerator * (scale // v.denominator) for v in values]
+
+
+def _gauss_second_values(p: IdentityParams) -> dict[str, Fraction]:
+    """Every value 1.4 names, by name: with a = alpha and b = beta over
+    their common denominator L, each half-sum is one ``Fraction`` over 2L."""
+    scale, (a, b) = _over_common(p.alpha, p.beta)
+    half = 2 * scale
+    return {
+        "alpha": p.alpha,
+        "beta": p.beta,
+        "1/2": HALF,
+        "(alpha + beta + 1)/2": Fraction(a + b + scale, half),
+        "(alpha + 1)/2": Fraction(a + scale, half),
+        "(beta + 1)/2": Fraction(b + scale, half),
+    }
+
+
+def _watson_values(p: IdentityParams) -> dict[str, Fraction]:
+    """Every value 1.8 names, by name: with a = alpha, b = beta and
+    c = gamma over their common denominator L, each derived value is one
+    ``Fraction`` over L or 2L."""
+    scale, (a, b, c) = _over_common(p.alpha, p.beta, p.gamma)
+    half = 2 * scale
+    excess = 2 * c - a - b + scale  # 2*gamma - alpha - beta + 1, over L
+    return {
+        "alpha": p.alpha,
+        "beta": p.beta,
+        "gamma": p.gamma,
+        "1/2": HALF,
+        "2*gamma": Fraction(2 * c, scale),
+        "2*gamma - alpha - beta + 1": Fraction(excess, scale),
+        "(alpha + beta + 1)/2": Fraction(a + b + scale, half),
+        "gamma + 1/2": Fraction(2 * c + scale, half),
+        "gamma - (alpha + beta)/2 + 1/2": Fraction(excess, half),
+        "(alpha + 1)/2": Fraction(a + scale, half),
+        "(beta + 1)/2": Fraction(b + scale, half),
+        "gamma - alpha/2 + 1/2": Fraction(2 * c - a + scale, half),
+        "gamma - beta/2 + 1/2": Fraction(2 * c - b + scale, half),
+    }
+
+
 def _gauss_terminating(p: IdentityParams) -> tuple[Fraction, Fraction]:
     """Both sides of the terminating unit-argument sum, exactly: the
     kernel's ``2F1(-n, b; c; t)`` summed at t = 1, and (c-b)_n / (c)_n.
@@ -665,17 +710,14 @@ def _product_requirements(raised: tuple[bool, bool], params: IdentityParams, equ
     return reqs
 
 
-def _watson_requirements(params: IdentityParams) -> Findings:
-    a, b, c = params.alpha, params.beta, params.gamma
-    reqs = [
-        check_lower("(alpha + beta + 1)/2", (a + b + 1) / 2),
-        check_lower("2*gamma", 2 * c),
-        check_pole("gamma + 1/2", c + HALF),
-        check_pole("gamma - (alpha + beta)/2 + 1/2", c - (a + b) / 2 + HALF),
-    ]
-    terminating = any(is_nonpositive_integer(u) for u in (a, b, c))
-    if not terminating:
-        reqs.append(check_positive("2*gamma - alpha - beta + 1", 2 * c - a - b + 1))
+def _watson_requirements(values: dict[str, Fraction]) -> Findings:
+    """1.8's conditions on the values of :func:`_watson_values`: the two
+    lower parameters, the two Gamma numerators that can reach a pole, and
+    convergence unless an upper parameter terminates the sum."""
+    reqs = [check_lower(e, values[e]) for e in ("(alpha + beta + 1)/2", "2*gamma")]
+    reqs += [check_pole(e, values[e]) for e in ("gamma + 1/2", "gamma - (alpha + beta)/2 + 1/2")]
+    if not any(is_nonpositive_integer(values[u]) for u in ("alpha", "beta", "gamma")):
+        reqs.append(check_positive("2*gamma - alpha - beta + 1", values["2*gamma - alpha - beta + 1"]))
     return reqs
 
 
@@ -764,22 +806,46 @@ def _series_entry(lhs: SideOf, rhs: SideOf, **fields) -> IdentityDef:
     )
 
 
+Names = tuple[str, ...]
+
+
 def _float_sum_entry(
-    spec: Callable[[IdentityParams], HypSpec],
+    values: Callable[[IdentityParams], dict[str, Fraction]],
+    spec: tuple[Names, Names],
+    gammas: tuple[Names, Names],
+    requirements: Callable[[dict[str, Fraction]], Findings],
     x: float,
     max_terms: int,
-    gammas: Callable[[IdentityParams], tuple[list[Fraction], list[Fraction]]],
     **fields,
 ) -> IdentityDef:
     """A float-sum entry: ``pFq(spec; x)`` summed in floating point against
-    the Gamma ratio of the (numerator, denominator) arguments ``gammas``
-    gives. ``x`` is also the entry's ``fixed_argument``."""
+    the Gamma ratio of the (numerator, denominator) arguments ``gammas``.
+    ``values`` works out every value the entry names from a point, in exact
+    rationals, once for the admissibility check and the sum that follows it
+    at the same point; ``spec`` (upper, lower) and ``gammas`` name the
+    values they take, and ``requirements`` tests them. ``x`` is also the
+    entry's ``fixed_argument``."""
+    upper, lower = spec
+    numerators, denominators = gammas
+    last = (None, None)
+
+    def values_at(p: IdentityParams) -> dict[str, Fraction]:
+        # verify_identity checks, then sums, the one params object it was
+        # given; keyed by identity, the second call costs no hashing
+        nonlocal last
+        point, found = last
+        if point is not p:
+            found = values(p)
+            last = p, found
+        return found
 
     def sides(p: IdentityParams) -> tuple[float, float, FloatSum]:
-        lhs = pfq_eval_float(spec(p), x, tol=_FLOAT_TOL, max_terms=max_terms)
-        return lhs.value, _gamma_ratio(*gammas(p)), lhs
+        v = values_at(p)
+        lhs = pfq_eval_float(HypSpec([v[e] for e in upper], [v[e] for e in lower]), x, tol=_FLOAT_TOL, max_terms=max_terms)
+        return lhs.value, _gamma_ratio([v[e] for e in numerators], [v[e] for e in denominators]), lhs
 
-    return IdentityDef(kind="float_sum", scalar_float=sides, fixed_argument=x, **fields)
+    return IdentityDef(kind="float_sum", scalar_float=sides, requirements=lambda p: requirements(values_at(p)),
+                       fixed_argument=x, **fields)
 
 
 def _product_entries(prod_id: IdentityId, equal_id: IdentityId, raised: tuple[bool, bool], reading: bool) -> list[IdentityDef]:
@@ -996,14 +1062,12 @@ def _build_registry() -> dict[IdentityId, IdentityDef]:
         id=IdentityId.GAUSS_SECOND,
         summary="2F1(a, b; (a+b+1)/2; 1/2) equals a Gamma ratio (float check), a = alpha, b = beta",
         uses=("alpha", "beta"),
-        spec=lambda p: HypSpec((p.alpha, p.beta), ((p.alpha + p.beta + 1) / 2,)),
+        values=_gauss_second_values,
+        spec=(("alpha", "beta"), ("(alpha + beta + 1)/2",)),
+        gammas=(("1/2", "(alpha + beta + 1)/2"), ("(alpha + 1)/2", "(beta + 1)/2")),
+        requirements=lambda v: [check_lower("(alpha + beta + 1)/2", v["(alpha + beta + 1)/2"])],
         x=0.5,
         max_terms=600,
-        gammas=lambda p: (
-            [HALF, (p.alpha + p.beta + 1) / 2],
-            [(p.alpha + 1) / 2, (p.beta + 1) / 2],
-        ),
-        requirements=lambda p: [check_lower("(alpha + beta + 1)/2", (p.alpha + p.beta + 1) / 2)],
     ))
 
     # The unit-argument sum converges only polynomially; pfq_eval_float bounds
@@ -1012,14 +1076,15 @@ def _build_registry() -> dict[IdentityId, IdentityDef]:
         id=IdentityId.WATSON_UNIT,
         summary="3F2(a, b, c; (a+b+1)/2, 2c; 1) equals a Gamma ratio (float check), a = alpha, b = beta, c = gamma",
         uses=("alpha", "beta", "gamma"),
-        spec=lambda p: HypSpec((p.alpha, p.beta, p.gamma), ((p.alpha + p.beta + 1) / 2, 2 * p.gamma)),
-        x=1.0,
-        max_terms=400_000,
-        gammas=lambda p: (
-            [HALF, p.gamma + HALF, (p.alpha + p.beta + 1) / 2, p.gamma - (p.alpha + p.beta) / 2 + HALF],
-            [(p.alpha + 1) / 2, (p.beta + 1) / 2, p.gamma - p.alpha / 2 + HALF, p.gamma - p.beta / 2 + HALF],
+        values=_watson_values,
+        spec=(("alpha", "beta", "gamma"), ("(alpha + beta + 1)/2", "2*gamma")),
+        gammas=(
+            ("1/2", "gamma + 1/2", "(alpha + beta + 1)/2", "gamma - (alpha + beta)/2 + 1/2"),
+            ("(alpha + 1)/2", "(beta + 1)/2", "gamma - alpha/2 + 1/2", "gamma - beta/2 + 1/2"),
         ),
         requirements=_watson_requirements,
+        x=1.0,
+        max_terms=400_000,
     ))
 
     return {d.id: d for d in defs}

@@ -7,11 +7,13 @@ so two routes to the same value compare equal by ``==``. Truncated series
 are the exception inside the arithmetic: :mod:`hypident.series` keeps their
 coefficients as integer numerators over one shared denominator and turns
 them into fractions only at the boundaries. The helpers here are the small
-combinatorial layer everything else is assembled from.
+combinatorial layer everything else is assembled from; the rising factorial
+is one of those boundaries, an integer product turned into one fraction.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from fractions import Fraction
 
@@ -53,7 +55,8 @@ def parse_rational(text: str) -> Fraction:
 
 def format_rational(value: Fraction | int) -> str:
     """Render a rational as ``"p"`` or ``"p/q"``, the inverse of parsing."""
-    value = Fraction(value)
+    if not isinstance(value, Fraction):
+        value = Fraction(value)
     if value.denominator == 1:
         return str(value.numerator)
     return f"{value.numerator}/{value.denominator}"
@@ -71,13 +74,13 @@ def pochhammer(base: Fraction | int, count: int) -> Fraction:
     base is a nonpositive integer with ``-base < count``; that vanishing is
     what terminates every finite sum in the identity catalog, so callers
     must treat a zero result as meaningful rather than degenerate.
+
+    With ``base = p/q`` it is one integer product over ``q**count``,
+    ``p (p+q) ... (p+(count-1)q) / q**count``, reduced once at the end.
     """
     if count < 0:
         raise ValueError("pochhammer index must be nonnegative")
-    base = Fraction(base)
-    out = Fraction(1)
-    for k in range(count):
-        out *= base + k
-        if out == 0:
-            break
-    return out
+    p, q = base.numerator, base.denominator
+    if q == 1 and -count < p <= 0:  # the factor at index -p is 0
+        return Fraction(0)
+    return Fraction(math.prod(range(p, p + count * q, q)), q**count)

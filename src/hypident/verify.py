@@ -10,7 +10,6 @@ out first.
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
 import math
 from fractions import Fraction
@@ -93,56 +92,37 @@ def float_residuals(identity: IdentityId | str, params: IdentityParams, xs: Sequ
         raise ValueError(f"a float side of identity {define.tag} overflows at x = {define.fixed_argument:g}") from None
 
 
-def _compared(define: IdentityDef, params: IdentityParams, lhs, rhs, **fields) -> VerifyReport:
-    """Compare two exact series sides coefficient by coefficient and report."""
+# Each check gives the fields of its report beside identity, params and
+# elapsed_seconds, so that verify_identity builds the report once.
+
+
+def _compared(lhs, rhs) -> dict:
+    """Compare two exact series sides coefficient by coefficient."""
     # through the module, so that perfbench's tracing wrapper sees the call
     mismatches = reports.compare_series(lhs, rhs)
-    return VerifyReport(
-        identity=define.tag,
-        params=params,
-        cap=min(lhs.cap, rhs.cap),
-        status=STATUS_MISMATCH if mismatches else STATUS_EXACT_MATCH,
-        mismatches=mismatches,
-        **fields,
-    )
+    return dict(cap=min(lhs.cap, rhs.cap), status=STATUS_MISMATCH if mismatches else STATUS_EXACT_MATCH,
+                mismatches=mismatches)
 
 
-def _series_check(define: IdentityDef, params: IdentityParams, float_points: Sequence[float]) -> VerifyReport:
-    return _compared(
-        define,
-        params,
-        define.build_lhs(params),
-        define.build_rhs(params),
-        float_residuals=float_residuals(define.id, params, float_points),
-        notes=define.notes(params),
-    )
+def _series_check(define: IdentityDef, params: IdentityParams, float_points: Sequence[float]) -> dict:
+    lhs, rhs = define.build_lhs(params), define.build_rhs(params)
+    residuals = float_residuals(define.id, params, float_points)
+    return dict(_compared(lhs, rhs), float_residuals=residuals, notes=define.notes(params))
 
 
-def _scalar_exact_check(define: IdentityDef, params: IdentityParams) -> VerifyReport:
+def _scalar_exact_check(define: IdentityDef, params: IdentityParams) -> dict:
     lhs, rhs = define.scalar_exact(params)
     mismatches = () if lhs == rhs else (CoefficientMismatch(0, lhs, rhs),)
-    return VerifyReport(
-        identity=define.tag,
-        params=params,
-        cap=params.i,
-        status=STATUS_MISMATCH if mismatches else STATUS_EXACT_MATCH,
-        mismatches=mismatches,
-    )
+    return dict(cap=params.i, status=STATUS_MISMATCH if mismatches else STATUS_EXACT_MATCH, mismatches=mismatches)
 
 
-def _scalar_float_check(define: IdentityDef, params: IdentityParams, tol: float) -> VerifyReport:
+def _scalar_float_check(define: IdentityDef, params: IdentityParams, tol: float) -> dict:
     (residual,) = float_residuals(define.id, params)
     if not residual.converged:
         status = STATUS_FLOAT_INCONCLUSIVE
     else:
         status = STATUS_FLOAT_ONLY_PASS if residual.relative_error <= tol else STATUS_FLOAT_ONLY_FAIL
-    return VerifyReport(
-        identity=define.tag,
-        params=params,
-        cap=None,
-        status=status,
-        float_residuals=(residual,),
-    )
+    return dict(cap=None, status=status, float_residuals=(residual,))
 
 
 def verify_identity(
@@ -167,21 +147,19 @@ def verify_identity(
     start = perf_counter()
     findings = check_admissible(identity, params)
     if findings:
-        report = VerifyReport(
-            identity=define.tag,
-            params=params,
+        fields = dict(
             cap=params.effective_cap if define.kind == "series" else None,
             status=STATUS_INADMISSIBLE,
             findings=tuple(findings),
             notes=define.notes(params),
         )
     elif define.kind == "series":
-        report = _series_check(define, params, float_points)
+        fields = _series_check(define, params, float_points)
     elif define.kind == "exact_sum":
-        report = _scalar_exact_check(define, params)
+        fields = _scalar_exact_check(define, params)
     else:
-        report = _scalar_float_check(define, params, tol)
-    return dataclasses.replace(report, elapsed_seconds=perf_counter() - start)
+        fields = _scalar_float_check(define, params, tol)
+    return VerifyReport(identity=define.tag, params=params, **fields, elapsed_seconds=perf_counter() - start)
 
 
 def report_for_sides(
@@ -197,7 +175,7 @@ def report_for_sides(
     comparison is the one :func:`verify_identity` uses; the report is
     untimed.
     """
-    return _compared(identities.get(identity), params, lhs, rhs)
+    return VerifyReport(identity=identities.get(identity).tag, params=params, **_compared(lhs, rhs))
 
 
 def sweep_axes(

@@ -34,3 +34,21 @@ def test_a_changed_default_cap_is_reported(tmp_path):
     assert first.strip().endswith("build_lhs")
     assert this.split()[:3] == ["this:", "('series',", "16,"]
     assert other.split()[:3] == ["other:", "('series',", "17,"]
+
+
+def test_a_shifted_gamma_argument_of_the_watson_sum_is_reported(tmp_path):
+    shutil.copytree(ROOT / "src", tmp_path / "src", ignore=shutil.ignore_patterns("__pycache__"))
+    identities = tmp_path / "src" / "hypident" / "identities.py"
+    text = identities.read_text()
+    numerator = '"gamma - beta/2 + 1/2": Fraction(2 * c - b + scale, half),'
+    assert text.count(numerator) == 1
+    identities.write_text(text.replace(numerator, '"gamma - beta/2 + 1/2": Fraction(2 * c - b + 3 * scale, half),'))
+    done = compare(tmp_path)
+    assert done.returncode == 1, done.stderr
+    summary, first, this, other, *_ = done.stdout.splitlines()
+    assert " differ" in summary and " 0 differ" not in summary
+    assert first.split()[0] == "1.8" and first.strip().endswith("scalar_float")
+    # the sum is the same; the Gamma ratio, the second float, is not
+    this_lhs, this_rhs = this.split()[2:4]
+    other_lhs, other_rhs = other.split()[2:4]
+    assert this_lhs == other_lhs and this_rhs != other_rhs

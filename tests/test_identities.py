@@ -3,6 +3,7 @@
 import dataclasses
 import itertools
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -10,7 +11,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hypident import identities
-from hypident.hyper import DegenerateParameterError, HypSpec, bailey_product_spec, pfq_series
+from hypident.hyper import DegenerateParameterError, FloatSum, HypSpec, bailey_product_spec, pfq_series
 from hypident.identities import (
     Arg,
     IdentityId,
@@ -183,6 +184,38 @@ class TestClassicalChainChecks:
         with pytest.raises(DegenerateParameterError) as raised:
             get(tag).build_lhs(params)
         assert (raised.value.expr, raised.value.value, raised.value.index) == ("lower[0]", value, -value)
+
+class TestF01ProductReducesToChuVandermonde:
+    """Coefficient k of ``0F1(; rho; t) 0F1(; sigma; t)``, the left side of
+    1.11, in four forms that must be equal:
+
+    * the Cauchy sum ``sum_l 1/((rho)_l (sigma)_{k-l} l! (k-l)!)``;
+    * with ``(sigma)_{k-l} = (-1)**l (sigma)_k / (1-sigma-k)_l`` that is
+      ``2F1(-k, 1-sigma-k; rho; 1) / ((sigma)_k k!)``, the sum of 1.3 at
+      n = k, b = 1 - sigma - k, c = rho;
+    * Chu-Vandermonde (1.3's closed form) turns it into
+      ``(rho+sigma+k-1)_k / ((rho)_k (sigma)_k k!)``, the Legendre form of
+      the 2F3 coefficient that the 2.x right side sums;
+    * the coefficient of 1.11's ``build_lhs``.
+    """
+
+    CAP = 40
+
+    @pytest.mark.parametrize("rho, sigma", [(A, B), (Fraction(5, 2), Fraction(-7, 3)), (Fraction(-11, 4), Fraction(1, 3))],
+                             ids=str)
+    def test_four_forms_agree(self, rho, sigma):
+        built = get("1.11").build_lhs(IdentityParams(alpha=rho, beta=sigma, cap=self.CAP)).coeffs
+        for k in range(self.CAP + 1):
+            k_fact = math.factorial(k)
+            cauchy = sum(
+                1 / (pochhammer(rho, l) * pochhammer(sigma, k - l) * math.factorial(l) * math.factorial(k - l))
+                for l in range(k + 1)
+            )
+            chu_sum, chu_closed = get("1.3").scalar_exact(IdentityParams(alpha=1 - sigma - k, beta=rho, i=k))
+            legendre = pochhammer(rho + sigma + k - 1, k) / (pochhammer(rho, k) * pochhammer(sigma, k) * k_fact)
+            assert chu_sum == chu_closed, k
+            assert cauchy == chu_sum / (pochhammer(sigma, k) * k_fact) == legendre == built[k], k
+
 
 class TestExpansions:
     @pytest.mark.parametrize("i", range(5))
@@ -779,6 +812,104 @@ class TestScalarSides:
         # Gamma((alpha + beta + 1)/2) = Gamma(-598/3) underflows first
         with pytest.raises(ValueError, match=r"Gamma\(-598/3\) underflows a double"):
             verify_identity("1.4", IdentityParams(alpha=-400, beta=Fraction(1, 3)))
+
+
+def float_sum_points(seed: int, count: int) -> list[tuple[Fraction, Fraction, Fraction]]:
+    """Seeded (alpha, beta, gamma): integers, half-integers and other
+    denominators, so that terminating, pole and generic points all occur."""
+    rng = random.Random(seed)
+    return [tuple(Fraction(rng.randint(-40, 40), rng.choice((1, 1, 2, 3, 4, 7, 12, 35))) for _ in range(3))
+            for _ in range(count)]
+
+
+class TestFloatSumDerivation:
+    """Each float-sum entry's spec, Gamma lists and requirement values
+    against the textbook formulas, written out here in Fraction arithmetic.
+
+    The entry's own collaborators are replaced by recorders: the sum and the
+    Gamma ratio record their arguments, the admissibility conditions their
+    expression and value."""
+
+    @pytest.fixture
+    def seen(self, monkeypatch):
+        seen = {"spec": [], "gammas": [], "checks": []}
+
+        def pfq_eval_float(spec, x, tol, max_terms):
+            seen["spec"].append((spec.upper, spec.lower))
+            return FloatSum(1.0, True, 1, 1.0, 0.0)
+
+        def gamma_ratio(numerators, denominators):
+            seen["gammas"].append((list(numerators), list(denominators)))
+            return 1.0
+
+        def recorder(kind):
+            return lambda expr, value: seen["checks"].append((kind, expr, value))
+
+        monkeypatch.setattr(identities, "pfq_eval_float", pfq_eval_float)
+        monkeypatch.setattr(identities, "_gamma_ratio", gamma_ratio)
+        for kind in ("lower", "pole", "positive"):
+            monkeypatch.setattr(identities, f"check_{kind}", recorder(kind))
+        return seen
+
+    @staticmethod
+    def derived(tag, params, seen):
+        """The entry's spec (or the refusal of a lower parameter), its Gamma
+        lists (None after a refusal) and its conditions, each value exact."""
+        define = get(tag)
+        define.requirements(params)
+        try:
+            define.scalar_float(params)
+        except DegenerateParameterError as error:
+            return ("raises", error.expr, error.value, error.index), None, seen["checks"]
+        [spec], [gammas], checks = seen["spec"], seen["gammas"], seen["checks"]
+        for value in [*spec[0], *spec[1], *gammas[0], *gammas[1], *(value for _, _, value in checks)]:
+            assert type(value) is Fraction, value
+        return spec, gammas, checks
+
+    @staticmethod
+    def textbook_spec(upper, lower):
+        try:
+            spec = HypSpec(upper, lower)
+        except DegenerateParameterError as error:
+            return ("raises", error.expr, error.value, error.index)
+        return spec.upper, spec.lower
+
+    @pytest.mark.parametrize("a, b, c", float_sum_points(seed=14, count=60), ids=str)
+    def test_gauss_second(self, a, b, c, seen):
+        spec, gammas, checks = self.derived("1.4", IdentityParams(alpha=a, beta=b), seen)
+        s = (a + b + 1) / 2
+        assert spec == self.textbook_spec((a, b), (s,))
+        assert gammas == (None if spec[0] == "raises" else ([Fraction(1, 2), s], [(a + 1) / 2, (b + 1) / 2]))
+        assert checks == [("lower", "(alpha + beta + 1)/2", s)]
+
+    @pytest.mark.parametrize("a, b, c", float_sum_points(seed=18, count=120), ids=str)
+    def test_watson(self, a, b, c, seen):
+        spec, gammas, checks = self.derived("1.8", IdentityParams(alpha=a, beta=b, gamma=c), seen)
+        s = (a + b + 1) / 2
+        half = Fraction(1, 2)
+        assert spec == self.textbook_spec((a, b, c), (s, 2 * c))
+        assert gammas == (None if spec[0] == "raises" else (
+            [half, c + half, s, c - (a + b) / 2 + half],
+            [(a + 1) / 2, (b + 1) / 2, c - a / 2 + half, c - b / 2 + half],
+        ))
+        expected = [
+            ("lower", "(alpha + beta + 1)/2", s),
+            ("lower", "2*gamma", 2 * c),
+            ("pole", "gamma + 1/2", c + half),
+            ("pole", "gamma - (alpha + beta)/2 + 1/2", c - (a + b) / 2 + half),
+        ]
+        if not any(u.denominator == 1 and u <= 0 for u in (a, b, c)):
+            expected.append(("positive", "2*gamma - alpha - beta + 1", 2 * c - a - b + 1))
+        assert checks == expected
+
+    def test_points_cover_every_kind(self):
+        points = float_sum_points(seed=18, count=120)
+        refused = [self.textbook_spec((a, b, c), ((a + b + 1) / 2, 2 * c))[0] == "raises" for a, b, c in points]
+        assert any(refused) and not all(refused)  # a lower parameter at 0 or below
+        assert any(a.denominator == 1 and a <= 0 for a, _, _ in points)  # terminating
+        assert any((2 * c).denominator == 1 and c <= 0 for _, _, c in points)  # 2*gamma at 0 or below
+        assert any((c + Fraction(1, 2)).denominator == 1 and c < 0 for _, _, c in points)  # Gamma(gamma + 1/2) pole
+        assert any(2 * c - a - b + 1 <= 0 for a, b, c in points)  # no convergence
 
 
 class TestClassicalSumBatch:

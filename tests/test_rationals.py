@@ -83,6 +83,20 @@ class TestPochhammer:
         with pytest.raises(ValueError):
             pochhammer(Fraction(1, 2), -1)
 
+    @pytest.mark.parametrize(
+        "base",
+        [0, 1, -1, 7, -7, -60, -61, 59, Fraction(0), Fraction(-12), Fraction(5), Fraction(1, 2), Fraction(-1, 2),
+         Fraction(-121, 2), Fraction(2, 5), Fraction(-37, 3), Fraction(355, 113), Fraction(-1001, 1000)],
+        ids=repr,
+    )
+    def test_matches_the_step_by_step_product(self, base):
+        # the product one Fraction factor at a time, as (base)_count is defined
+        expected = Fraction(1)
+        for count in range(61):
+            got = pochhammer(base, count)
+            assert type(got) is Fraction and got == expected, count
+            expected *= base + count
+
 
 class TestIsNonpositiveInteger:
     def test_examples(self):
