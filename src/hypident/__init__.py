@@ -34,7 +34,6 @@ from .verify import (
     DEFAULT_FLOAT_POINTS,
     DEFAULT_FLOAT_TOL,
     check_admissible,
-    report_for_sides,
     sweep,
     verify_identity,
 )
@@ -69,7 +68,6 @@ __all__ = [
     "pfq_eval_float",
     "pfq_series",
     "pochhammer",
-    "report_for_sides",
     "reports_to_csv",
     "sweep",
     "verify_identity",

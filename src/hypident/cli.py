@@ -18,11 +18,10 @@ import time
 from fractions import Fraction
 from typing import Callable
 
-from .hyper import DegenerateParameterError
 from .identities import IdentityParams, catalog, get
-from .rationals import RationalParseError, parse_rational
+from .rationals import parse_rational
 from .reports import CSV_HEADER, csv_text
-from .verify import DEFAULT_FLOAT_TOL, float_residuals, sweep, sweep_axes, verify_identity
+from .verify import DEFAULT_FLOAT_TOL, check_admissible, float_residuals, sweep, sweep_axes, verify_identity
 
 __all__ = ["MAX_DEGREE", "MAX_SHIFT", "MAX_SWEEP_POINTS", "build_parser", "main", "run"]
 
@@ -247,7 +246,10 @@ def _cmd_eval(args: argparse.Namespace) -> int:
         raise ValueError(f"--x must be a finite number, got {args.x}")
     params = _parse_params(args)
     define = get(args.identity)
-    define.validate_params(params)
+    # the gate verify asks: no float work at a point where the identity is not claimed
+    findings = check_admissible(define.id, params)
+    if findings:
+        raise ValueError(f"inadmissible: {findings[0].detail}")
     if define.kind == "series" and args.x is None:
         raise ValueError(f"identity {define.tag} needs --x to evaluate")
     (residual,) = float_residuals(define.id, params, () if args.x is None else (args.x,))
@@ -294,7 +296,7 @@ def run(argv: list[str] | None = None) -> int:
     args = _shared_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (RationalParseError, ZeroDivisionError, DegenerateParameterError, ValueError) as exc:
+    except (ZeroDivisionError, ValueError) as exc:
         print(f"hypident: error: {exc}", file=sys.stderr)
         return 2
 

@@ -734,9 +734,11 @@ class IdentityDef:
     "float_sum" (scalar closed form checked in floating point).
     ``fixed_argument`` is the argument of every scalar entry: the point at
     which its sum is taken and its float residual reported. The builders,
-    float sides and scalar sides take their parameters as given; the gate is
-    :meth:`validate_params`, then ``verify.check_admissible``. An entry reads
-    ``printed_form`` exactly when its notes are ``_reading_notes``.
+    float sides and scalar sides take their parameters as given; the gate
+    that ``verify``, ``sweep`` and ``eval`` ask is ``verify.check_admissible``,
+    which runs :meth:`validate_params` first (``expand`` prints one side and
+    asks only :meth:`validate_params`). ``reading`` marks the entries that
+    read ``printed_form``.
     """
 
     id: IdentityId
@@ -750,8 +752,8 @@ class IdentityDef:
     scalar_exact: Callable[[IdentityParams], tuple[Fraction, Fraction]] | None = None
     scalar_float: Callable[[IdentityParams], tuple[float, float, FloatSum]] | None = None
     requirements: Callable[[IdentityParams], Findings] = lambda params: []
-    notes: Callable[[IdentityParams], tuple[str, ...]] = lambda params: ()
     fixed_argument: float | None = None
+    reading: bool = False
 
     @property
     def tag(self) -> str:
@@ -771,9 +773,13 @@ class IdentityDef:
             value = getattr(params, shift)
             if value and shift not in self.uses:
                 raise ValueError(f"identity {self.tag} takes no shift {shift}, got {shift} = {value}")
-        if params.printed_form and self.notes is not _reading_notes:
-            readers = " and ".join(d.tag for d in catalog() if d.notes is _reading_notes)
+        if params.printed_form and not self.reading:
+            readers = " and ".join(d.tag for d in catalog() if d.reading)
             raise ValueError(f"identity {self.tag} takes no printed_form: only {readers} have a printed-form reading")
+
+    def notes(self, params: IdentityParams) -> tuple[str, ...]:
+        """The reading a run used, for an entry that has one."""
+        return (_NOTE_PRINTED if params.printed_form else _NOTE_DEFAULT,) if self.reading else ()
 
 
 _NOTE_DEFAULT = (
@@ -784,10 +790,6 @@ _NOTE_PRINTED = (
     "printed-form run: second shift factor indexed by m instead of n; "
     "disagrees with the raw product at every shift except i = j = 0"
 )
-
-
-def _reading_notes(params: IdentityParams) -> tuple[str, ...]:
-    return (_NOTE_PRINTED if params.printed_form else _NOTE_DEFAULT,)
 
 
 SideOf = Callable[[IdentityParams], RawProduct | Side | ProductSide]
@@ -853,13 +855,12 @@ def _product_entries(prod_id: IdentityId, equal_id: IdentityId, raised: tuple[bo
     the variant's one statement: which factors are raised, and whether it
     has a printed-form reading."""
     first, second = (("+" if up else "-") + shift for up, shift in zip(raised, "ij"))
-    notes = _reading_notes if reading else lambda p: ()
     return [
         _series_entry(
             id=prod_id,
             summary=f"1F1(alpha; 2*alpha{first}; x) 1F1(beta; 2*beta{second}; x) = e^x times a double sum of weighted x^(m+n) 2F3(...; x^2/4) blocks",
             uses=("alpha", "beta", "i", "j"),
-            notes=notes,
+            reading=reading,
             lhs=lambda p: _product_lhs(raised, p, p.beta),
             rhs=lambda p: _product_rhs(raised, p, reading and p.printed_form),
             requirements=lambda p: _product_requirements(raised, p),
@@ -868,7 +869,7 @@ def _product_entries(prod_id: IdentityId, equal_id: IdentityId, raised: tuple[bo
             id=equal_id,
             summary=f"beta = alpha form: 1F1(alpha; 2*alpha{first}; x) 1F1(alpha; 2*alpha{second}; x) as e^x times a double sum written with alpha only",
             uses=("alpha", "i", "j"),
-            notes=notes,
+            reading=reading,
             lhs=lambda p: _product_lhs(raised, p, p.alpha),
             rhs=lambda p: _equal_param_rhs(raised, p, reading and p.printed_form),
             requirements=lambda p: _product_requirements(raised, p, equal_param=True),

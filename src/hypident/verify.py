@@ -37,7 +37,6 @@ __all__ = [
     "DEFAULT_FLOAT_TOL",
     "check_admissible",
     "float_residuals",
-    "report_for_sides",
     "sweep",
     "sweep_axes",
     "verify_identity",
@@ -96,18 +95,13 @@ def float_residuals(identity: IdentityId | str, params: IdentityParams, xs: Sequ
 # elapsed_seconds, so that verify_identity builds the report once.
 
 
-def _compared(lhs, rhs) -> dict:
-    """Compare two exact series sides coefficient by coefficient."""
+def _series_check(define: IdentityDef, params: IdentityParams, float_points: Sequence[float]) -> dict:
+    lhs, rhs = define.build_lhs(params), define.build_rhs(params)
     # through the module, so that perfbench's tracing wrapper sees the call
     mismatches = reports.compare_series(lhs, rhs)
     return dict(cap=min(lhs.cap, rhs.cap), status=STATUS_MISMATCH if mismatches else STATUS_EXACT_MATCH,
-                mismatches=mismatches)
-
-
-def _series_check(define: IdentityDef, params: IdentityParams, float_points: Sequence[float]) -> dict:
-    lhs, rhs = define.build_lhs(params), define.build_rhs(params)
-    residuals = float_residuals(define.id, params, float_points)
-    return dict(_compared(lhs, rhs), float_residuals=residuals, notes=define.notes(params))
+                mismatches=mismatches, float_residuals=float_residuals(define.id, params, float_points),
+                notes=define.notes(params))
 
 
 def _scalar_exact_check(define: IdentityDef, params: IdentityParams) -> dict:
@@ -160,22 +154,6 @@ def verify_identity(
     else:
         fields = _scalar_float_check(define, params, tol)
     return VerifyReport(identity=define.tag, params=params, **fields, elapsed_seconds=perf_counter() - start)
-
-
-def report_for_sides(
-    identity: IdentityId | str,
-    params: IdentityParams,
-    lhs,
-    rhs,
-) -> VerifyReport:
-    """Build a report from externally supplied series sides.
-
-    This is the hook fault-injection tests use: perturb one side, feed
-    both in, and the comparison machinery must flag the damage. The
-    comparison is the one :func:`verify_identity` uses; the report is
-    untimed.
-    """
-    return VerifyReport(identity=identities.get(identity).tag, params=params, **_compared(lhs, rhs))
 
 
 def sweep_axes(

@@ -18,11 +18,11 @@ from pathlib import Path
 
 import pytest
 
-from hypident import cli
+from hypident import cli, identities
 from hypident.cli import MAX_DEGREE, MAX_SHIFT, MAX_SWEEP_POINTS, build_parser, run
 from hypident.identities import IdentityParams, catalog
 from hypident.rationals import parse_rational, pochhammer
-from hypident.verify import verify_identity
+from hypident.verify import check_admissible, verify_identity
 
 ALL_TAGS = [d.tag for d in catalog()]
 
@@ -529,6 +529,29 @@ class TestEval:
         assert [doc[key] for key in fields] == [expected[key] for key in fields]
         if tag == "1.1":
             assert (doc["relative_error"], doc["converged"]) == (None, False)
+
+    @pytest.mark.parametrize(
+        "tag, point, x, expr",
+        [
+            # the sum diverges: ungated, it spent its whole term budget and exited 0
+            ("1.8", dict(alpha=Fraction(1, 3), beta=Fraction(2, 5), gamma=Fraction(-1, 7)), None,
+             "2*gamma - alpha - beta + 1"),
+            ("2.1", dict(alpha=Fraction(0), beta=Fraction(2, 5)), 1.0, "2*alpha + i"),
+            ("1.4", dict(alpha=Fraction(-1), beta=Fraction(-2)), None, "(alpha + beta + 1)/2"),
+        ],
+        ids=["1.8-divergent", "2.1-zero-lower", "1.4-zero-lower"],
+    )
+    def test_inadmissible_point_is_refused_before_float_work(self, capsys, monkeypatch, tag, point, x, expr):
+        # the gate verify asks, with its first finding on stderr
+        calls = []
+        real = identities.pfq_eval_float
+        monkeypatch.setattr(identities, "pfq_eval_float", lambda *args, **kwargs: calls.append(args) or real(*args, **kwargs))
+        argv = [f"--{key}={value}" for key, value in point.items()] + ([] if x is None else ["--x", str(x)])
+        code, out, err = invoke(capsys, "eval", "--identity", tag, *argv, "--output", "json")
+        first = check_admissible(tag, IdentityParams(**point))[0]
+        assert (code, out, calls) == (2, "", [])
+        assert first.parameter_expr == expr
+        assert err == f"hypident: error: inadmissible: {first.detail}\n"
 
     def test_gamma_ratio_below_its_partial_products(self, capsys):
         # the ratio's numerators alone underflow a double, the ratio does not;

@@ -76,9 +76,9 @@ class TestCatalog:
                 pytest.fail(f"unexpected kind {d.kind}")
 
     def test_only_the_mixed_variants_have_a_printed_form_reading(self):
-        # read from the catalog: the entries whose notes name the reading a
-        # run used are the ones whose validate_params accepts the flag
-        readers = [d.tag for d in catalog() if d.notes is identities._reading_notes]
+        # read from the catalog: the entries flagged as having a reading are
+        # the ones whose validate_params accepts the flag
+        readers = [d.tag for d in catalog() if d.reading]
         assert readers == ["2.3", "3.3"]
         params = IdentityParams(alpha=A, beta=B, gamma=Fraction(1, 7), printed_form=True)
         accepted = []

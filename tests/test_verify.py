@@ -3,12 +3,14 @@
 import dataclasses
 import json
 import math
+import random
 import re
 from fractions import Fraction
 
 import pytest
 
 from hypident import identities, verify
+from hypident.hyper import DegenerateParameterError
 from hypident.identities import IdentityParams, catalog, get
 from hypident.reports import (
     PASSING_STATUSES,
@@ -23,7 +25,6 @@ from hypident.verify import (
     DEFAULT_FLOAT_POINTS,
     check_admissible,
     float_residuals,
-    report_for_sides,
     sweep,
     verify_identity,
 )
@@ -88,6 +89,44 @@ class TestCheckAdmissible:
             "alpha + m - i + 1/2", "alpha + m - i + 1/2", "alpha + n - j + 1/2",
             "2*alpha - 3", "2*alpha - 2", "2*alpha - 1",
         ]
+
+    def test_a_point_is_refused_exactly_where_a_builder_raises(self):
+        # the ground for gating eval: an admitted point never reaches a
+        # builder's raise, and its float sides evaluate
+        rng = random.Random(20261019)
+        entries = [d for d in catalog() if d.kind == "series"]
+
+        def rational():
+            return Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+
+        def raises(build, params):
+            try:
+                build(params)
+            except DegenerateParameterError:
+                return True
+            return False
+
+        admitted, disagreements = 0, []
+        for _ in range(2000):
+            d = rng.choice(entries)
+            params = IdentityParams(
+                alpha=rational(),
+                beta=rational() if "beta" in d.uses else None,
+                i=rng.randint(0, 4) if "i" in d.uses else 0,
+                j=rng.randint(0, 4) if "j" in d.uses else 0,
+                cap=0,
+                printed_form=d.reading and rng.random() < 0.5,
+            )
+            refused = bool(check_admissible(d.id, params))
+            if refused != (raises(d.build_lhs, params) | raises(d.build_rhs, params)):
+                disagreements.append((d.tag, params.describe(d.tag), refused))
+            if not refused:
+                admitted += 1
+                d.lhs_float(params, (0.5,))
+                d.rhs_float(params, (0.5,))
+        assert disagreements == []
+        # both outcomes are well represented in the draw
+        assert 500 < admitted < 1500
 
 
 class TestFindingRecords:
@@ -440,15 +479,17 @@ def test_csv_text_writes_header_then_rows():
 
 
 class TestFaultInjection:
-    def test_perturbed_coefficient_is_flagged(self):
+    def test_perturbed_coefficient_is_flagged(self, monkeypatch):
+        # the damaged side goes into the catalog entry, so the production
+        # comparison and status judge it
         params = IdentityParams(alpha=A, beta=B, i=1, j=1)
         define = get("2.1")
-        lhs = define.build_lhs(params)
         rhs = define.build_rhs(params)
         bumped = list(rhs.coeffs)
         bumped[7] += Fraction(1, 10**6)
         damaged = TruncatedSeries(rhs.cap, tuple(bumped))
-        report = report_for_sides("2.1", params, lhs, damaged)
+        monkeypatch.setitem(identities._REGISTRY, define.id, dataclasses.replace(define, build_rhs=lambda p: damaged))
+        report = verify_identity("2.1", params, float_points=())
         assert report.status == "mismatch"
         assert [m.degree for m in report.mismatches] == [7]
 
