@@ -96,7 +96,6 @@ def _pfq_integers(
     cap: int,
     num_scale: int = 1,
     den_scale: int = 1,
-    egf: bool = False,
 ) -> tuple[int, list[int]]:
     """Coefficients ``nums[k] / den`` of pFq(upper; lower; r*t) up to the
     cap, with ``r = num_scale / den_scale`` (nonzero integers, 1 by
@@ -111,11 +110,6 @@ def _pfq_integers(
     product of the numerator factors times the suffix product of the
     denominator factors over the product of all of them, with no gcd inside
     the loop. The kernel keeps no state between calls.
-
-    With ``egf`` set, ``den_k`` leaves out its ``(k+1)``, so the integers
-    are those of the exponential generating function, coefficient k times
-    ``k!``: the same as one more upper parameter 1, without its factor
-    ``(k+1) L`` in every numerator and denominator step.
 
     Once a term hits zero (an upper parameter was a nonpositive integer)
     every later term is zero too, so the loop stops early and the series
@@ -147,7 +141,7 @@ def _pfq_integers(
     nums[top] = prefix[top]
     suffix = 1
     for k in range(top - 1, -1, -1):
-        den = den_extra if egf else (k + 1) * den_extra
+        den = (k + 1) * den_extra
         for b in lower:
             den *= b + k * scale
         suffix *= den

@@ -4,6 +4,7 @@ import dataclasses
 import itertools
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -542,8 +543,9 @@ ORACLE_TERMS = {
     "power_9": Term(((HypSpec((), (A,)), Arg(2)),), Fraction(3), 9),
     "power_12": Term(((HypSpec((), (B,)), SQ4),), Fraction(7), 12),
 }
-# left sides: raw products of c*x factors, the lone ones among them. With an
-# exponential, every factor is taken at the exponential's scaled argument
+# a terminating factor inside the raw-product domain, for the left sides
+TERMINATING_1F1 = HypSpec((Fraction(-3),), (Fraction(1, 5),))
+# left sides: raw products of c*x factors, the lone ones among them
 RAW_FACTORS = {
     "two_factors": (
         (HypSpec((A,), (2 * A,)), Arg(1)),
@@ -554,42 +556,45 @@ RAW_FACTORS = {
         (HypSpec((A,), (B,)), Arg(4)),
     ),
     "lone_x": ((HypSpec((A,), (2 * A,)), Arg(1)),),
-    "lone_neg_3x": ((HypSpec((A, B), (Fraction(7, 3),)), Arg(-3)),),
+    "lone_neg_3x": ((HypSpec((A,), (Fraction(7, 3),)), Arg(-3)),),
     "lone_0f1_2x": ((HypSpec((), (B,)), Arg(2)),),
-    "lone_terminating": ((TERMINATING, Arg(-1)),),
+    "lone_terminating": ((TERMINATING_1F1, Arg(-1)),),
 }
 ORACLE_SIDES = {name: lambda exp, term=term: Side((term,), Fraction(exp)) for name, term in ORACLE_TERMS.items()}
 ORACLE_SIDES["all"] = lambda exp: Side(tuple(ORACLE_TERMS.values()), Fraction(exp))
 ORACLE_SIDES["empty"] = lambda exp: Side((), Fraction(exp))
 ORACLE_SIDES.update({name: lambda exp, f=factors: RawProduct(f, exp) for name, factors in RAW_FACTORS.items()})
-# raw products taken as binomial convolutions of exponential generating
-# functions: arguments c*x at c = 1, -1, 2, -3 and 4, and terminating factors
+# pairs taken from their differential system: arguments c*x at c = 1, -1,
+# 2, -3 and 4, and terminating factors
 PRODUCT_FACTORS = {
     "two_factors": (
         (HypSpec((A,), (2 * A,)), Arg(2)),
         (HypSpec((B,), (A + 1,)), Arg(-3)),
     ),
-    "three_factors": (
+    "mixed_types": (
         (HypSpec((A,), (B,)), Arg(1)),
         (HypSpec((), (2 * B,)), Arg(-1)),
-        (HypSpec((A, B), (Fraction(7, 3),)), Arg(-3)),
     ),
     "terminating_factors": (
-        (TERMINATING, Arg(-3)),
-        (HypSpec((), (A,)), Arg(1)),
+        (TERMINATING_1F1, Arg(-3)),
         (HypSpec((Fraction(-2),), (B,)), Arg(2)),
     ),
-    # two equal factors, or a factor and its mirror, are one factor's EGF
-    # paired with itself
-    "square": ((HypSpec((A, B), (Fraction(7, 3),)), Arg(-3)),) * 2,
+    "square": ((HypSpec((A,), (Fraction(7, 3),)), Arg(-3)),) * 2,
     "mirror": (
         (HypSpec((A,), (2 * A,)), Arg(2)),
         (HypSpec((A,), (2 * A,)), Arg(-2)),
     ),
-    "terminating_square": ((TERMINATING, Arg(4)),) * 2,
+    "terminating_square": ((TERMINATING_1F1, Arg(4)),) * 2,
+    # lower parameters that sum to a nonpositive integer -n: the pivot
+    # d + b + b' of the pair's fourth equation vanishes at d = n
+    "resonant_sum_0": ((HypSpec((A,), (Fraction(1, 3),)), Arg(1)), (HypSpec((B,), (Fraction(-1, 3),)), Arg(-2))),
+    "resonant_sum_-1": ((HypSpec((A,), (Fraction(-1, 2),)), Arg(2)), (HypSpec((), (Fraction(-1, 2),)), Arg(-1))),
+    "resonant_sum_-2": (
+        (HypSpec((Fraction(-3, 4),), (Fraction(-3, 2),)), Arg(1)),
+        (HypSpec((Fraction(-3, 4),), (Fraction(-1, 2),)), Arg(1)),
+    ),
+    "resonant_sum_-7": ((HypSpec((A,), (Fraction(-7, 2),)), Arg(-3)), (HypSpec((), (Fraction(-7, 2),)), Arg(3))),
 }
-# every factor above in one product of fourteen
-PRODUCT_FACTORS["all"] = sum(PRODUCT_FACTORS.values(), ())
 
 
 class TestSideSeries:
@@ -616,6 +621,20 @@ class TestSideSeries:
         with pytest.raises(ValueError, match="c\\*x arguments only"):
             RawProduct(((factor, Arg(1)), (factor, SQ4)))
         assert RawProduct(((factor, Arg(1)),), Fraction(-1, 2)).terms == (Term(((factor, Arg(1)),)),)
+
+    @pytest.mark.parametrize(
+        "factors, message",
+        [
+            ((), "one or two factors, got 0"),
+            (((HypSpec((A,), (B,)), Arg(1)),) * 3, "one or two factors, got 3"),
+            (((HypSpec((A, B), (Fraction(7, 3),)), Arg(-3)),), "0F1 and 1F1 factors only"),
+            (((HypSpec((A,), (B,)), Arg(1)), (TERMINATING, Arg(4))), "0F1 and 1F1 factors only"),
+        ],
+        ids=["none", "three", "2F1", "2F2"],
+    )
+    def test_raw_product_refuses_what_has_no_second_order_equation(self, factors, message):
+        with pytest.raises(ValueError, match=message):
+            RawProduct(factors, -1)
 
     @pytest.mark.parametrize("exp", [1, -1, Fraction(1, 2), Fraction(-1, 2)], ids=str)
     @pytest.mark.parametrize("cap", [24, 48, 96])
@@ -952,6 +971,17 @@ def test_matched_product_identity_property(alpha, beta):
     assert report.status == "exact_match"
 
 
+@pytest.mark.parametrize(
+    "tag, alpha, beta",
+    [("1.6", "-1/4", None), ("1.9", "-1/4", None), ("1.12", "-3/4", None), ("1.10", "-3/4", "-3/4")],
+)
+def test_resonant_left_sides_at_cap_96(tag, alpha, beta):
+    """Admissible points whose two lower parameters sum to -1, -1, -2 and -3:
+    each left side takes one degree of ``E phi' psi'`` from its definition."""
+    params = IdentityParams(alpha=Fraction(alpha), beta=beta and Fraction(beta), cap=96)
+    assert verify_identity(tag, params).status == "exact_match"
+
+
 SERIES_TAGS = [d.tag for d in catalog() if d.kind == "series"]
 TRUNCATION_POINTS = [
     dict(alpha=A, beta=B, i=3, j=2),
@@ -1016,3 +1046,97 @@ def test_left_sides_match_term_by_term_reference(tag, side, monkeypatch):
         for cap in (None, 96):
             built = getattr(get(tag), f"build_{side}")(IdentityParams(alpha=alpha, beta=beta, i=i, j=j, cap=cap))
             assert built == reference_side_series(*built_sides.pop()), (alpha, beta, i, j, cap)
+
+
+# --------------------------------------------------------------------------
+# route audit: what each side's build reaches in the package
+
+
+def package_functions():
+    """Every function and method written in the package's modules, keyed by
+    its code object, as ``module.qualname``. Lambdas, nested functions,
+    comprehensions and the methods a dataclass generates are left out."""
+    from hypident import cli, hyper, rationals, reports, series, verify
+
+    names = {}
+    for module in (cli, hyper, identities, rationals, reports, series, verify):
+        prefix = module.__name__.rsplit(".", 1)[-1]
+        found = list(vars(module).values())
+        found += [attr for value in found if isinstance(value, type) for attr in vars(value).values()]
+        for value in found:
+            value = value.fget if isinstance(value, property) else getattr(value, "__func__", value)
+            code = getattr(value, "__code__", None)
+            if code is not None and code.co_filename == module.__file__:
+                names[code] = f"{prefix}.{value.__qualname__}"
+    return names
+
+
+PACKAGE_FUNCTIONS = package_functions()
+
+
+def reached(build, params):
+    """The package functions that ``build(params)`` calls, recorded with
+    ``sys.setprofile``."""
+    seen = set()
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code in PACKAGE_FUNCTIONS:
+            seen.add(PACKAGE_FUNCTIONS[frame.f_code])
+
+    sys.setprofile(profile)
+    try:
+        build(params)
+    finally:
+        sys.setprofile(None)
+    return seen
+
+
+# the right sides' machinery: no left side may reach any of it
+RIGHT_SIDE_ONLY = {
+    "hyper._pfq_integers",
+    "identities._terms_integers",
+    "hyper._bailey_double_sum",
+    "hyper._shift_table",
+    "identities._expansion_terms",
+    "identities._equal_param_factor",
+    "hyper.bailey_product_spec",
+    "series.TruncatedSeries.times_exp",
+}
+# all that a left side and a right side may share: the canonicaliser, the
+# side dispatch, the cap helpers and the factor declarations
+SHARED = {
+    "series.TruncatedSeries.from_integers",
+    "series._set",
+    "identities._side_series",
+    "identities.IdentityParams.effective_cap",
+    "identities.default_cap",
+    "hyper.HypSpec.__post_init__",
+    "identities._f11",
+    "identities._f01",
+}
+AUDIT_POINTS = [
+    dict(alpha=A, beta=B, i=2, j=3),
+    # 1.10's lower parameters sum to -3: a resonant left side
+    dict(alpha=Fraction(-3, 4), beta=Fraction(-3, 4), i=0, j=0),
+]
+
+
+@pytest.mark.parametrize("point", AUDIT_POINTS, ids=["generic", "resonant"])
+@pytest.mark.parametrize("tag", SERIES_TAGS)
+def test_the_two_routes_stay_two(tag, point):
+    """A left side reaches none of the right sides' machinery, the two
+    sides share only the functions in ``SHARED``, and a 3.x right side is
+    written with alpha only, not composed from the 2.x expansions."""
+    define = get(tag)
+    point = {**point, **{shift: 0 for shift in ("i", "j") if shift not in define.uses}}
+    params = IdentityParams(**point)
+    if check_admissible(tag, params):
+        pytest.skip(f"{tag} is inadmissible at {point}")
+    lhs, rhs = reached(define.build_lhs, params), reached(define.build_rhs, params)
+    assert "identities._raw_product_series" in lhs and "identities._side_series" in rhs
+    assert lhs & RIGHT_SIDE_ONLY == set()
+    if tag == "1.10" and params.alpha < 0:
+        assert "identities._resonant_u4" in lhs
+    assert lhs & rhs <= SHARED, (lhs & rhs) - SHARED
+    if tag.startswith("3."):
+        assert rhs & {"identities._expansion_terms", "hyper._bailey_double_sum"} == set()
