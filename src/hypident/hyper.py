@@ -4,18 +4,18 @@ Exact coefficients come from the term-ratio recurrence
 
     c_{k+1} = c_k * prod(a_j + k) / (prod(b_j + k) * (k + 1))
 
-run over integers: with every parameter over one common denominator, each
-coefficient is a prefix product of the numerator factors times a suffix
-product of the denominator factors, all over one shared denominator, so
-no degree builds a fraction or takes a gcd (see :func:`_pfq_integers`). The
-float path runs the same recurrence in double precision with
-Neumaier-compensated accumulation, which keeps the digits of alternating
-series at moderate arguments. It stops only on a proven bound for the
-omitted tail and returns that bound with the value: a geometric bound
-from the term ratio wherever the ratio tends below 1, and a telescoped
-tail at the unit argument, where ``p = q + 1`` series converge only like
-``k**-(1+s)``. A sum that exhausts its term budget reports no bound
-rather than a wrong value.
+run over integers, each parameter over its own denominator. The running
+numerator is divided by its common factor with each step's small
+denominator, one big-by-small gcd a step, so the integers stay near lowest
+terms as they go and no degree builds a fraction (see
+:func:`_pfq_integers`). The float path runs the same recurrence in double
+precision with Neumaier-compensated accumulation, which keeps the digits of
+alternating series at moderate arguments. It stops only on a proven bound
+for the omitted tail and returns that bound with the value: a geometric
+bound from the term ratio wherever the ratio tends below 1, and a
+telescoped tail at the unit argument, where ``p = q + 1`` series converge
+only like ``k**-(1+s)``. A sum that exhausts its term budget reports no
+bound rather than a wrong value.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from itertools import accumulate
 from operator import add, floordiv, mul
 
 from .rationals import format_rational, is_nonpositive_integer
-from .series import TruncatedSeries
+from .series import TruncatedSeries, _over_last
 
 __all__ = [
     "DegenerateParameterError",
@@ -102,14 +102,19 @@ def _pfq_integers(
     default), not reduced: ``den`` is nonzero but may share a factor with
     every numerator and may be negative.
 
-    With every parameter written over one common denominator L, step k of
-    the recurrence multiplies by ``num_k / den_k`` where
-    ``num_k = num_scale * prod(A_j + k*L) * L**(q-p)`` and
-    ``den_k = den_scale * (k+1) * prod(B_j + k*L) * L**(p-q)`` (each power
-    only when positive) are integers. Coefficient k is then the prefix
-    product of the numerator factors times the suffix product of the
-    denominator factors over the product of all of them, with no gcd inside
-    the loop. The kernel keeps no state between calls.
+    With each parameter ``p/q`` over its own denominator q, step k of the
+    recurrence multiplies by ``num_k / den_k``, where
+    ``num_k = num_scale * prod(q of each lower) * prod(p + k*q over the
+    upper)`` and ``den_k = den_scale * prod(q of each upper) * (k+1) *
+    prod(p + k*q over the lower)`` are integers, their constant parts
+    divided by their common factor once. The running numerator is
+    multiplied by ``num_k`` and then divided, with ``den_k``, by their
+    common factor: one gcd of a big integer with a small one a step, as the
+    left sides' recurrence does. The reduced ``den_k`` are the steps'
+    denominators; their product, the last denominator, is the canonical one
+    at every catalog term checked, and coefficient k is brought to it by
+    suffix products (:func:`~hypident.series._over_last`). The kernel keeps
+    no state between calls.
 
     Once a term hits zero (an upper parameter was a nonpositive integer)
     every later term is zero too, so the loop stops early and the series
@@ -119,34 +124,34 @@ def _pfq_integers(
     """
     if cap < 0:
         raise ValueError("series cap must be nonnegative")
-    scale = math.lcm(*[v.denominator for v in upper + lower])
-    excess = len(lower) - len(upper)
-    upper = [a.numerator * (scale // a.denominator) for a in upper]
-    lower = [b.numerator * (scale // b.denominator) for b in lower]
-
-    prefix = [1]  # prefix[k] = num_0 * ... * num_{k-1}
-    num_extra = num_scale * scale**excess if excess > 0 else num_scale
-    for k in range(cap):
-        num = num_extra
-        for a in upper:
-            num *= a + k * scale
-        if num == 0:
+    ups = [a.as_integer_ratio() for a in upper]
+    lows = [b.as_integer_ratio() for b in lower]
+    # step k multiplies coefficient k by nums[k] / dens[k]; their constant
+    # parts share a factor that would otherwise cost a division every step
+    num = num_scale * math.prod([q for _, q in lows])
+    den = den_scale * math.prod([q for _, q in ups])
+    g = math.gcd(num, den)
+    nums = [num // g] * cap
+    extra = den // g
+    dens = list(range(extra, extra * (cap + 1), extra))
+    for p, q in ups:
+        nums = list(map(mul, nums, range(p, p + cap * q, q)))
+    for p, q in lows:
+        dens = list(map(mul, dens, range(p, p + cap * q, q)))
+    steps, heads = [1], [1]
+    head = 1
+    for num, den in zip(nums, dens):
+        if not num:
             break
-        prefix.append(prefix[-1] * num)
-
-    # walking down from the last nonzero term, suffix = den_k * ... * den_{top-1}
-    den_extra = den_scale * scale**-excess if excess < 0 else den_scale
-    top = len(prefix) - 1
-    nums = [0] * (cap + 1)
-    nums[top] = prefix[top]
-    suffix = 1
-    for k in range(top - 1, -1, -1):
-        den = (k + 1) * den_extra
-        for b in lower:
-            den *= b + k * scale
-        suffix *= den
-        nums[k] = prefix[k] * suffix
-    return suffix, nums
+        head *= num
+        g = math.gcd(head, den)
+        if g > 1:
+            head //= g
+            den //= g
+        steps.append(den)
+        heads.append(head)
+    den, nums = _over_last(1, steps, heads)
+    return den, nums + [0] * (cap + 1 - len(nums))
 
 
 @dataclass(frozen=True)

@@ -32,7 +32,7 @@ from typing import Callable, Iterator, Sequence
 from .hyper import DegenerateParameterError, FloatSum, HypSpec, _bailey_double_sum, _pfq_integers, bailey_product_spec, pfq_eval_float
 from .rationals import format_rational, is_nonpositive_integer, pochhammer
 from .reports import AdmissibilityFinding, check_lower, check_poch, check_pole, check_positive
-from .series import TruncatedSeries
+from .series import TruncatedSeries, _over_last
 
 __all__ = [
     "IdentityDef",
@@ -190,10 +190,15 @@ class Term:
 @dataclass(frozen=True)
 class Side:
     """A right side: a sum of one-factor terms times ``e**(exp*x)``;
-    ``exp`` is 0, +-1/2 or +-1."""
+    ``exp`` is 0, +-1/2 or +-1, the exponentials ``times_exp`` builds, and
+    any other is refused here."""
 
     terms: tuple[Term, ...]
     exp: Fraction = Fraction(0)
+
+    def __post_init__(self) -> None:
+        if self.exp not in (0, HALF, -HALF, 1, -1):
+            raise ValueError(f"a right side takes exp 0, +-1/2 or +-1, got {format_rational(self.exp)}")
 
 
 def _f11(a: Fraction, b: Fraction, arg: Arg = _X) -> Factor:
@@ -213,10 +218,11 @@ def _block(factor: Factor, exp: Fraction | int = 0) -> Side:
 class RawProduct:
     """A left side: the plain product of one or two factors ``F(c*x)``,
     each ``F`` a ``1F1`` or a ``0F1``, times ``e**(exp*x)``, with ``exp``
-    0, +-1/2 or +-1. It has no weight, no power and one term. Its series
-    comes from the factors' differential equations
-    (:func:`_raw_product_series`), so any other declaration (three factors,
-    another pFq, an ``x**2/c`` argument) is refused here."""
+    any rational: the recurrence builds every one exactly. It has no
+    weight, no power and one term. Its series comes from the factors'
+    differential equations (:func:`_raw_product_series`), so any other
+    declaration (three factors, another pFq, an ``x**2/c`` argument) is
+    refused here."""
 
     factors: tuple[Factor, ...]
     exp: Fraction | int = 0
@@ -451,18 +457,6 @@ def _resonant_u4(first: Ode, second: Ode, eps: Fraction, d: int) -> Fraction:
     return Fraction(sum(map(mul, a, reversed(b))), den_a * den_b)
 
 
-def _over_last(den: int, steps: list[int], rows: list[int]) -> tuple[int, list[int]]:
-    """``rows[d] / (den * steps[1] * ... * steps[d])`` over the last of
-    those denominators: row d times the suffix ``steps[d+1] * ... ``, with
-    no big division."""
-    nums = rows[:]
-    suffix = 1
-    for d in range(len(rows) - 1, 0, -1):
-        suffix *= steps[d]
-        nums[d - 1] *= suffix
-    return den * suffix, nums
-
-
 def _side_floats(side: RawProduct | Side | ProductSide, xs: Sequence[float]) -> list[tuple[float, bool]]:
     """Float value of a side at each x, and whether it is finite and every
     factor's sum converged; ``(inf, False)`` at an x where a weight, power
@@ -623,16 +617,18 @@ def _equal_param_rhs(raised: tuple[bool, bool], params: IdentityParams, printed:
     for m in range(i + 1):
         first, a = _equal_param_factor(alpha, i, m, raised[0], ("i", "m"))
         row = pochhammer(Fraction(-i), m) * first * (pochhammer(Fraction(-j), m) if printed else 1)
+        lower_a = alpha + a + HALF
         for n in range(j + 1):
             if m == 0:
                 second, b = _equal_param_factor(alpha, j, n, raised[1], ("j", "n"))
-                columns.append((second if printed else pochhammer(Fraction(-j), n) * second, b))
-            column, b = columns[n]
+                columns.append((second if printed else pochhammer(Fraction(-j), n) * second, alpha + b + HALF))
+            column, lower_b = columns[n]
             weight = row * column
-            s = 2 * alpha + a + b
+            # s = 2*alpha + a + b is the sum of the two lower parameters less 1
+            s = lower_a + lower_b - 1
             # built before the zero-weight test: a degenerate block raises
             # even where its weight vanishes
-            spec = HypSpec(upper=((s + 1) / 2, s / 2), lower=(alpha + a + HALF, alpha + b + HALF, s))
+            spec = HypSpec(upper=((s + 1) / 2, s / 2), lower=(lower_a, lower_b, s))
             if weight != 0:
                 terms.append(Term(((spec, _SQ4),), weight, m + n))
     return Side(tuple(terms), Fraction(1))

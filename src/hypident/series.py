@@ -223,6 +223,20 @@ class TruncatedSeries:
         return " ".join(parts) if parts else "0"
 
 
+def _over_last(den: int, steps: list[int], rows: list[int]) -> tuple[int, list[int]]:
+    """``rows[d] / (den * steps[1] * ... * steps[d])`` over the last of
+    those denominators: row d times the suffix ``steps[d+1] * ... ``, with
+    no big division. The integers a recurrence leaves when it divides each
+    step by its common factor with the state, ready for
+    :meth:`TruncatedSeries.from_integers`."""
+    nums = rows[:]
+    suffix = 1
+    for d in range(len(rows) - 1, 0, -1):
+        suffix *= steps[d]
+        nums[d - 1] *= suffix
+    return den * suffix, nums
+
+
 def _exp_transform(den: int, rows: list[int], sign: int, h: int) -> tuple[int, list[int]]:
     """``e**(sign*x/h)`` times the series f given by ``rows[j] / den``, where
     ``rows[j] = a_j = j! (sign*h)**j f_j``, as ``(den', nums)``, not reduced.

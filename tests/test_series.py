@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hypident.rationals import parse_rational
-from hypident.series import TruncatedSeries, exp_series
+from hypident.series import TruncatedSeries, _over_last, exp_series
 
 coeff_st = st.fractions(min_value=-9, max_value=9, max_denominator=12)
 
@@ -218,6 +218,18 @@ class TestIntegerRepresentation:
         assert other == s
         assert hash(other) == hash(s)
         assert (other.den, other.nums) == (s.den, s.nums)
+
+    @given(
+        st.integers(min_value=-9, max_value=9).filter(bool),
+        st.lists(st.tuples(st.integers(min_value=-99, max_value=99).filter(bool), st.integers(-99, 99)), max_size=8),
+    )
+    @few
+    def test_over_last(self, den, tail):
+        # rows[d] / (den * steps[1] * ... * steps[d]), brought to the last denominator
+        steps, rows = [1, *[step for step, _ in tail]], [5, *[row for _, row in tail]]
+        last, nums = _over_last(den, steps, rows)
+        assert last == den * math.prod(steps)
+        assert [Fraction(n, last) for n in nums] == [Fraction(r, den * math.prod(steps[1 : d + 1])) for d, r in enumerate(rows)]
 
     def test_unequal_series_differ(self):
         assert TruncatedSeries(1, (1, 2)) != TruncatedSeries(1, (1, 3))
