@@ -1,0 +1,148 @@
+#!/usr/bin/env python3
+"""Time the side builders of this checkout against those of another one,
+call by call in one process.
+
+    python3 scripts/bench_layers.py OTHER_CHECKOUT [--rounds N] [--quick] [--out BENCH.json]
+
+Both ``src/hypident`` trees are loaded as packages of their own with
+``compare_sides.py``'s loader. Every case is one builder, ``build_lhs`` or
+``build_rhs``, of one catalog entry at one point; it runs in both trees,
+interleaved, the other tree first in even rounds and this one first in odd
+rounds. A round times a batch of calls in each tree, sized once so that a
+batch takes about a millisecond in the other tree. For each case the output
+gives both trees' minimum over the rounds (seconds a call), the median over
+the rounds of the ratio ``other / this`` (above 1: this checkout is faster),
+and the number of rounds this checkout was faster. A case that a tree cannot
+build is reported as missing.
+
+The ladder: ``build_rhs`` of every single-series entry with an exponential
+(1.5, 1.9, 1.10, 1.12, 1.13) and ``build_lhs`` of 1.10 at caps 16, 96 and
+512; ``build_rhs`` of 1.7 at the same caps; ``build_rhs`` of 3.1 at
+i = j in 2, 8 and 20, at the default cap, and of 2.1 at i = j = 2. The
+point is alpha 3/7, beta 2/5. ``--quick`` takes two cases at cap 16, for a
+smoke test.
+
+The result is printed as a table and, with ``--out``, written under the
+``layers`` key of that JSON file; an existing file is updated, not
+replaced. Only the standard library is used.
+"""
+
+from __future__ import annotations
+
+import argparse
+import gc
+import json
+import statistics
+import sys
+import time
+from fractions import Fraction
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent))
+from compare_sides import ROOT, load  # noqa: E402
+
+POINT = dict(alpha=Fraction(3, 7), beta=Fraction(2, 5))
+EXPONENTIAL_RIGHT_SIDES = ("1.5", "1.9", "1.10", "1.12", "1.13")
+BATCH_SECONDS = 1e-3
+
+
+def ladder(quick: bool) -> list[tuple[str, str, dict]]:
+    """``(tag, builder, point)`` of every case."""
+    if quick:
+        return [("1.10", "build_rhs", dict(cap=16)), ("1.10", "build_lhs", dict(cap=16))]
+    cases = []
+    for cap in (16, 96, 512):
+        cases += [(tag, "build_rhs", dict(cap=cap)) for tag in (*EXPONENTIAL_RIGHT_SIDES, "1.7")]
+        cases.append(("1.10", "build_lhs", dict(cap=cap)))
+    cases += [("3.1", "build_rhs", dict(i=n, j=n)) for n in (2, 8, 20)]
+    cases.append(("2.1", "build_rhs", dict(i=2, j=2)))
+    return cases
+
+
+def label(tag: str, builder: str, point: dict) -> str:
+    return " ".join([tag, builder, *(f"{key}={value}" for key, value in point.items())])
+
+
+def call_of(tree, tag: str, builder: str, point: dict):
+    """A no-argument call of the builder in one tree, or None if the tree
+    cannot build the case."""
+    identities = sys.modules[f"{tree.__name__}.identities"]
+    try:
+        build = getattr(identities.get(tag), builder)
+        params = identities.IdentityParams(**POINT, **point)
+        build(params)
+    except Exception:  # noqa: BLE001 - a case a tree cannot run is missing
+        return None
+    return lambda: build(params)
+
+
+def batch_time(call, number: int) -> float:
+    """Seconds a call, over one batch of ``number`` calls."""
+    start = time.perf_counter()
+    for _ in range(number):
+        call()
+    return (time.perf_counter() - start) / number
+
+
+def measure(this, other, rounds: int) -> dict:
+    """Both trees' minimum, the median ratio other / this, and the rounds
+    this tree won."""
+    number = max(1, round(BATCH_SECONDS / batch_time(other, 1)))
+    times = {"this": [], "other": []}
+    for round_ in range(rounds):
+        for name in ("other", "this") if round_ % 2 == 0 else ("this", "other"):
+            times[name].append(batch_time(this if name == "this" else other, number))
+    ratios = [o / t for o, t in zip(times["other"], times["this"])]
+    return {
+        "other_min_s": min(times["other"]),
+        "this_min_s": min(times["this"]),
+        "median_ratio": round(statistics.median(ratios), 3),
+        "this_won": sum(ratio > 1 for ratio in ratios),
+        "rounds": rounds,
+        "calls_a_batch": number,
+    }
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("other", type=Path, help="root of the checkout to compare with")
+    parser.add_argument("--rounds", type=int, default=15)
+    parser.add_argument("--quick", action="store_true", help="two cases at cap 16, for a smoke test")
+    parser.add_argument("--out", type=Path, help="JSON file whose 'layers' key to create or update")
+    args = parser.parse_args(argv)
+    if not (args.other / "src" / "hypident" / "__init__.py").is_file():
+        parser.error(f"no src/hypident package under {args.other}")
+    if args.rounds < 1:
+        parser.error("--rounds must be at least 1")
+    this, other = load(ROOT / "src", "hypident_this"), load(args.other / "src", "hypident_other")
+    cases = {}
+    gc.disable()
+    try:
+        for tag, builder, point in ladder(args.quick):
+            name = label(tag, builder, point)
+            calls = [call_of(tree, tag, builder, point) for tree in (this, other)]
+            if None in calls:
+                cases[name] = {"missing": [tree for tree, call in zip(("this", "other"), calls) if call is None]}
+            else:
+                cases[name] = measure(*calls, args.rounds)
+                gc.collect()
+            row = cases[name]
+            print(name, "missing in " + ", ".join(row["missing"]) if "missing" in row else
+                  f"other {row['other_min_s'] * 1e3:.3f} ms, this {row['this_min_s'] * 1e3:.3f} ms, "
+                  f"ratio {row['median_ratio']}, this won {row['this_won']}/{row['rounds']}", flush=True)
+    finally:
+        gc.enable()
+    if args.out:
+        doc = json.loads(args.out.read_text()) if args.out.exists() else {}
+        doc["layers"] = {
+            "command": "python3 scripts/bench_layers.py OTHER_CHECKOUT",
+            "how": __doc__.split("\n\n")[2].replace("\n", " "),
+            "python": sys.version.split()[0],
+            "cases": cases,
+        }
+        args.out.write_text(json.dumps(doc, indent=1) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

@@ -116,33 +116,37 @@ def _pfq_integers(
     suffix products (:func:`~hypident.series._over_last`). The kernel keeps
     no state between calls.
 
-    Once a term hits zero (an upper parameter was a nonpositive integer)
-    every later term is zero too, so the loop stops early and the series
-    is genuinely polynomial. The parameters are bare tuples, which unlike a
-    :class:`HypSpec` may hold a nonpositive integer lower parameter: the
-    caller must exclude a zero denominator factor before the series ends.
+    An upper parameter ``-n``, a nonpositive integer, makes step n's
+    factor ``p + n q`` zero and every term past degree n zero: the series
+    is genuinely polynomial. So the step factors are formed only up to the
+    first such step, and the terms past it are padded with zeros. The
+    parameters are bare tuples, which unlike a :class:`HypSpec` may hold a
+    nonpositive integer lower parameter: the caller must exclude a zero
+    denominator factor before the series ends.
     """
     if cap < 0:
         raise ValueError("series cap must be nonnegative")
     ups = [a.as_integer_ratio() for a in upper]
     lows = [b.as_integer_ratio() for b in lower]
+    count = cap  # steps to form: an upper parameter -n < cap ends the series at n
+    for p, q in ups:
+        if p <= 0 and q == 1 and -p < count:
+            count = -p
     # step k multiplies coefficient k by nums[k] / dens[k]; their constant
     # parts share a factor that would otherwise cost a division every step
     num = num_scale * math.prod([q for _, q in lows])
     den = den_scale * math.prod([q for _, q in ups])
     g = math.gcd(num, den)
-    nums = [num // g] * cap
+    nums = [num // g] * count
     extra = den // g
-    dens = list(range(extra, extra * (cap + 1), extra))
+    dens = list(range(extra, extra * (count + 1), extra))
     for p, q in ups:
-        nums = list(map(mul, nums, range(p, p + cap * q, q)))
+        nums = list(map(mul, nums, range(p, p + count * q, q)))
     for p, q in lows:
-        dens = list(map(mul, dens, range(p, p + cap * q, q)))
+        dens = list(map(mul, dens, range(p, p + count * q, q)))
     steps, heads = [1], [1]
     head = 1
     for num, den in zip(nums, dens):
-        if not num:
-            break
         head *= num
         g = math.gcd(head, den)
         if g > 1:

@@ -181,10 +181,26 @@ class TestPfqSeriesIntegerKernel:
             den, nums = _pfq_integers(upper, lower, cap)
             assert [Fraction(v, den) for v in nums] == term_ratio_reference(upper, lower, cap)
 
+    def test_a_lower_parameter_that_vanishes_just_past_the_last_term(self):
+        # 2F1(-3, 2/3; -3; t) ends at degree 3, and (-3)_k first vanishes
+        # at k = 4: the kernel forms no step past the end, so every cap works
+        upper, lower = (Fraction(-3), Fraction(2, 3)), (Fraction(-3),)
+        for cap in (3, 4, 9):
+            den, nums = _pfq_integers(upper, lower, cap)
+            assert [Fraction(v, den) for v in nums] == term_ratio_reference(upper, lower, 3) + [0] * (cap - 3)
+
     def test_terminating_series_stops_at_n(self):
         s = pfq_series(HypSpec((Fraction(-4), Fraction(2, 3)), (Fraction(5, 6),)), 24)
         assert s.coefficient(4) != 0
         assert set(s.nums[5:]) == {0}
+
+    def test_a_terminating_series_is_its_last_term_padded_with_zeros(self):
+        # 2F1(-4, 2/3; 5/6; t) ends at degree 4: the kernel forms its steps
+        # only that far, and cap 24 gives cap 4's integers and 20 zeros
+        upper, lower = (Fraction(-4), Fraction(2, 3)), (Fraction(5, 6),)
+        den, nums = _pfq_integers(upper, lower, 4)
+        assert nums[4] != 0
+        assert _pfq_integers(upper, lower, 24) == (den, nums + [0] * 20)
 
 
 class TestPfqEvalFloat:

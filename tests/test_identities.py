@@ -1086,31 +1086,115 @@ def test_left_sides_match_term_by_term_reference(tag, side, monkeypatch):
 KERNEL_POINTS = [(A, B), (Fraction(-11, 7), Fraction(-13, 5)), (Fraction(4, 11), Fraction(6, 13))]
 
 
-@pytest.mark.parametrize("alpha, beta", KERNEL_POINTS, ids=str)
-def test_the_kernel_reduces_as_it_goes(alpha, beta, monkeypatch):
-    """Every right-side term the pFq kernel builds, at i = 2, j = 3 and caps
-    16 and 96, comes with a denominator at most 5% longer in bits than the
-    canonical one: the kernel keeps its integers near lowest terms step by
-    step, not only after its last step."""
+def recorded_right_side_terms(name, alpha, beta, caps, monkeypatch):
+    """``(call, den, canonical den)`` of every call of ``identities.<name>``
+    that the catalog's right sides make at i = 2, j = 3 and the given caps."""
     built = []
-    real = identities._pfq_integers
+    real = getattr(identities, name)
 
-    def recording(upper, lower, cap, *scales):
-        den, nums = real(upper, lower, cap, *scales)
-        built.append(((upper, lower, cap, *scales), den, TruncatedSeries.from_integers(cap, den, nums).den))
+    def recording(*args):
+        den, nums = real(*args)
+        built.append((args, den, TruncatedSeries.from_integers(len(nums) - 1, den, nums).den))
         return den, nums
 
-    monkeypatch.setattr(identities, "_pfq_integers", recording)
+    monkeypatch.setattr(identities, name, recording)
     for tag in SERIES_TAGS:
         define = get(tag)
         point = {shift: value for shift, value in (("i", 2), ("j", 3)) if shift in define.uses}
-        for cap in (16, 96):
+        for cap in caps:
             params = IdentityParams(alpha=alpha, beta=beta, cap=cap, **point)
             if not check_admissible(tag, params):
                 define.build_rhs(params)
+    return built
+
+
+@pytest.mark.parametrize("alpha, beta", KERNEL_POINTS, ids=str)
+def test_the_kernel_reduces_as_it_goes(alpha, beta, monkeypatch):
+    """Every right-side term the pFq kernel builds, at i = 2, j = 3 and caps
+    16, 48 and 96, comes over exactly the canonical denominator: the kernel
+    keeps its integers in lowest terms step by step, not only after its
+    last step."""
+    built = recorded_right_side_terms("_pfq_integers", alpha, beta, (16, 48, 96), monkeypatch)
     assert len(built) > 100
     for call, den, canonical in built:
-        assert abs(den).bit_length() <= 1.05 * canonical.bit_length(), (call, abs(den).bit_length(), canonical.bit_length())
+        assert abs(den) == canonical, (call, abs(den).bit_length(), canonical.bit_length())
+
+
+@pytest.mark.parametrize("alpha, beta", KERNEL_POINTS, ids=str)
+def test_the_exponential_recurrence_reduces_as_it_goes(alpha, beta, monkeypatch):
+    """Every exponential right-side term built by its own recurrence (1.5,
+    1.9 and 1.10 at caps 48 and 96, 1.12 and 1.13 at 96) comes over exactly
+    the canonical denominator."""
+    built = recorded_right_side_terms("_exp_term_integers", alpha, beta, (16, 48, 96), monkeypatch)
+    assert len(built) == 10
+    for call, den, canonical in built:
+        assert abs(den) == canonical, (call, abs(den).bit_length(), canonical.bit_length())
+
+
+# one-factor specs for the exponential terms' recurrence: 0F1 to 2F3, two
+# terminating ones, and lower parameters 1/2, -1/2, -3/2 and -7/2, whose
+# pivots vanish at an x**2/c argument (degrees 1, 3, 5 and 9). At x**2/4
+# and eps = 1 the terminating 1F2's last coefficient C_2 of the shortened
+# recurrence vanishes at its first degree but not at the others
+EXP_TERM_SPECS = {
+    "0F1": HypSpec((), (B,)),
+    "1F1": HypSpec((A,), (Fraction(7, 3),)),
+    "1F2": HypSpec((A,), (B, Fraction(-5, 4))),
+    "2F3": HypSpec((A, Fraction(5, 3)), (B, Fraction(1, 3), Fraction(9, 4))),
+    "terminating_1F2": HypSpec((Fraction(-4),), (Fraction(1), Fraction(-7, 2))),
+    "terminating_2F3": HypSpec((Fraction(-3), A), (B, Fraction(1, 5), Fraction(7, 2))),
+    "resonant_1F2": HypSpec((A,), (Fraction(-1, 2), Fraction(1, 2))),
+    "resonant_0F1": HypSpec((), (Fraction(-3, 2),)),
+    "doubly_resonant_2F3": HypSpec((Fraction(-7, 2), A), (Fraction(-1, 2), Fraction(-3, 2), B)),
+}
+EXP_TERM_ARGS = [Arg(1), Arg(-1), Arg(2), Arg(-3), SQ16, Arg(-4, squared=True), Arg(9, squared=True)]
+
+
+@pytest.mark.parametrize("eps", [1, -1, Fraction(1, 2), Fraction(-1, 2)], ids=str)
+@pytest.mark.parametrize("name", EXP_TERM_SPECS)
+def test_exponential_terms_match_the_transform_of_their_sum(name, eps):
+    """Terms summed with the exponential inside each one, by its own
+    recurrence, equal their plain sum times the exponential by
+    ``times_exp``, at caps 0 to 60 (every cap to 20, past every resonant
+    degree, then every sixth): one term at powers 0, 1 and 2,
+    and two terms with a second spec drawn from a seeded stream, at a c*x
+    argument, at x**2/4 and at one more x**2/c."""
+    rng = random.Random(f"{name} {eps}")
+    sign, half = (1 if eps > 0 else -1), abs(eps) == Fraction(1, 2)
+    spec = EXP_TERM_SPECS[name]
+    for arg in (rng.choice(EXP_TERM_ARGS[:4]), SQ4, rng.choice(EXP_TERM_ARGS[4:])):
+        weight = Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 9))
+        sides = [(Term(((spec, arg),), weight, power),) for power in range(3)]
+        other = (rng.choice(list(EXP_TERM_SPECS.values())), rng.choice([*EXP_TERM_ARGS, SQ4]))
+        sides.append((Term(((spec, arg),), weight, rng.randint(0, 2)), Term((other,), -weight / 3, rng.randint(0, 2))))
+        for terms in sides:
+            after = TruncatedSeries.from_integers(60, *identities._terms_integers(terms, 60)).times_exp(sign, half)
+            for cap in [*range(21), *range(24, 61, 6)]:
+                inside = TruncatedSeries.from_integers(cap, *identities._terms_integers(terms, cap, Fraction(eps)))
+                assert inside == TruncatedSeries.from_integers(cap, after.den, after.nums[: cap + 1]), (arg, terms, cap)
+
+
+@pytest.mark.parametrize("count", [1, 2, 9])
+def test_an_exponential_side_takes_its_recurrence_from_cap_40_a_term(count, monkeypatch):
+    """Below 40 degrees a term a Side's exponential multiplies its sum, by
+    ``times_exp``; from there on each term takes it by its own recurrence,
+    with the same series either way. A ProductSide always takes
+    ``times_exp``."""
+    transforms = []
+    real = TruncatedSeries.times_exp
+
+    def recording(series, *args, **kwargs):
+        transforms.append(series.cap)
+        return real(series, *args, **kwargs)
+
+    monkeypatch.setattr(TruncatedSeries, "times_exp", recording)
+    side = Side(tuple(Term(((HypSpec((A,), (B, Fraction(m + 1, 3))), SQ4),), Fraction(1, m + 1), m) for m in range(count)), Fraction(-1, 2))
+    for cap in (40 * count - 1, 40 * count):
+        after = real(TruncatedSeries.from_integers(cap, *identities._terms_integers(side.terms, cap)), -1, True)
+        assert _side_series(side, cap) == after
+    assert transforms == [40 * count - 1]
+    _side_series(_product_rhs(RAISED["PP"], IdentityParams(alpha=A, beta=B), False), 96)
+    assert transforms == [40 * count - 1, 96]
 
 
 # --------------------------------------------------------------------------
@@ -1166,6 +1250,8 @@ RIGHT_SIDE_ONLY = {
     "identities._equal_param_factor",
     "hyper.bailey_product_spec",
     "series.TruncatedSeries.times_exp",
+    "identities._exp_term_integers",
+    "identities._resonant_exp_term",
 }
 # all that a left side and a right side may share: the canonicaliser and
 # the suffix products that bring a reduced recurrence to its last
@@ -1183,12 +1269,17 @@ SHARED = {
 }
 AUDIT_POINTS = [
     dict(alpha=A, beta=B, i=2, j=3),
-    # 1.10's lower parameters sum to -3: a resonant left side
-    dict(alpha=Fraction(-3, 4), beta=Fraction(-3, 4), i=0, j=0),
+    # at cap 96 the one- and two-term exponential right sides run their own
+    # recurrences
+    dict(alpha=A, beta=B, i=2, j=3, cap=96),
+    # 1.10's lower parameters sum to -3: a resonant left side, and at cap 96
+    # a right side whose block's lower parameter alpha + beta = -3/2 makes
+    # degree 5 resonant
+    dict(alpha=Fraction(-3, 4), beta=Fraction(-3, 4), i=0, j=0, cap=96),
 ]
 
 
-@pytest.mark.parametrize("point", AUDIT_POINTS, ids=["generic", "resonant"])
+@pytest.mark.parametrize("point", AUDIT_POINTS, ids=["generic", "cap_96", "resonant"])
 @pytest.mark.parametrize("tag", SERIES_TAGS)
 def test_the_two_routes_stay_two(tag, point):
     """A left side reaches none of the right sides' machinery, the two
@@ -1204,6 +1295,9 @@ def test_the_two_routes_stay_two(tag, point):
     assert lhs & RIGHT_SIDE_ONLY == set()
     if tag == "1.10" and params.alpha < 0:
         assert "identities._resonant_u4" in lhs
+        assert "identities._resonant_exp_term" in rhs
+    if params.cap == 96 and tag in ("1.5", "1.9", "1.10", "1.12", "1.13"):
+        assert "identities._exp_term_integers" in rhs and "series.TruncatedSeries.times_exp" not in rhs
     assert lhs & rhs <= SHARED, (lhs & rhs) - SHARED
     if tag.startswith("3."):
         assert rhs & {"identities._expansion_terms", "hyper._bailey_double_sum"} == set()
