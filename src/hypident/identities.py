@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from itertools import accumulate, repeat
-from operator import add, mul, sub
+from operator import mul, sub
 from typing import Callable, Iterator, Sequence
 
 from .hyper import DegenerateParameterError, FloatSum, HypSpec, _bailey_double_sum, _pfq_integers, bailey_product_spec, pfq_eval_float
@@ -48,6 +48,10 @@ HALF = Fraction(1, 2)
 
 _FLOAT_TOL = 1e-16
 _FLOAT_TERMS = 800
+
+# a Side of T terms takes its exponential term by term from cap
+# _EXP_INSIDE_PER_TERM * T on; see _side_series for where it comes from
+_EXP_INSIDE_PER_TERM = 40
 
 
 class IdentityId(str, Enum):
@@ -190,12 +194,10 @@ class Term:
 
 @dataclass(frozen=True)
 class Side:
-    """A right side: a sum of one-factor terms times ``e**(exp*x)``.
-    From cap 40 a term on, each term takes the exponential by its own
-    recurrence; below that, and so for 3.x at its default caps, the sum
-    takes it once by ``times_exp`` (the measured crossover is in
-    :func:`_side_series`). ``exp`` is 0, +-1/2 or +-1, the exponentials
-    ``times_exp`` builds, and any other is refused here."""
+    """A right side: a sum of one-factor terms times ``e**(exp*x)``;
+    :func:`_side_series` says how the exponential is taken. ``exp`` is 0,
+    +-1/2 or +-1, the exponentials ``times_exp`` builds, and any other is
+    refused here."""
 
     terms: tuple[Term, ...]
     exp: Fraction = Fraction(0)
@@ -286,15 +288,20 @@ def _side_series(side: RawProduct | Side | ProductSide, cap: int) -> TruncatedSe
     term's own recurrence (:func:`_exp_term_integers`), costs O(cap) steps
     a term; once, on the sum, by ``TruncatedSeries.times_exp``, costs
     O(cap**2) whatever the number of terms T. A :class:`Side` takes the
-    recurrence from cap ``40 T`` on, and the transform below that; a
-    :class:`ProductSide` (2.x) always takes the transform. That crossover
-    is measured, in process, against the kernel and ``times_exp``: the
-    recurrence breaks even at caps 24-40 on one term (0F1 to 2F3 blocks),
-    about 60 on two, 135 on four and 250 on nine (3.1 at i = j = 1 and
-    2), and was x0.5-0.8 at cap 16, the default. So 1.5, 1.9 and 1.10 take
-    it from cap 40, 1.12 and 1.13 from cap 80, and a 3.x sum only toward
-    the request limit; at cap 512 it was x7-16 on 1.5-1.13 and x2 on nine
-    terms.
+    recurrence from cap ``_EXP_INSIDE_PER_TERM * T`` (40 T) on, and the
+    transform below that; a :class:`ProductSide` (2.x) always takes the
+    transform. So 1.5, 1.9 and 1.10 take the recurrence from cap 40, 1.12
+    and 1.13 from cap 80, and a 3.x sum only toward the request limit.
+
+    The threshold rests on layer timings alone, in process, of the kernel
+    plus ``times_exp`` against the per-term recurrences on the same side:
+    the recurrence broke even at caps 24-40 on one term (0F1 to 2F3
+    blocks), about 60 on two, 135 on four and 250 on nine (3.1 at i = j =
+    1 and 2); it ran at x0.5-0.8 of the transform at cap 16, the default
+    cap of 1.x, and at x7-16 at cap 512 on 1.5-1.13. No benchmark workload
+    yet runs a side below the threshold (``deep_series`` builds 1.5-1.13
+    at cap 96 only, and none builds 3.x), so the lower route and the
+    threshold itself are unverified end to end.
     """
     if isinstance(side, RawProduct):
         return _raw_product_series(side, cap)
@@ -302,7 +309,7 @@ def _side_series(side: RawProduct | Side | ProductSide, cap: int) -> TruncatedSe
         den, nums = _bailey_double_sum(*side.first, *side.second, cap)
         inside = False
     else:
-        inside = cap >= 40 * len(side.terms)
+        inside = cap >= _EXP_INSIDE_PER_TERM * len(side.terms)
         den, nums = _terms_integers(side.terms, cap, side.exp if inside else 0)
     total = TruncatedSeries.from_integers(cap, den, nums)
     if side.exp and not inside:

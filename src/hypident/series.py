@@ -124,11 +124,6 @@ class TruncatedSeries:
         With ``h = 1/|c|``, the ordinary integers are lifted to
         ``a_j = j! (sign*h)**j f_j`` over the same denominator and handed to
         :func:`_exp_transform`: O(cap**2) additions, whatever the series.
-        Right sides take their exponential here when they are a product of
-        expansions (2.x) or a sum below cap 40 a term; from there on each
-        term of a sum runs its own O(cap) recurrence, which was measured to
-        break even at caps 24-40 on one term and about 250 on nine
-        (``identities._side_series``).
         """
         if sign not in (1, -1):
             raise ValueError("sign must be +1 or -1")

@@ -1272,14 +1272,15 @@ AUDIT_POINTS = [
     # at cap 96 the one- and two-term exponential right sides run their own
     # recurrences
     dict(alpha=A, beta=B, i=2, j=3, cap=96),
-    # 1.10's lower parameters sum to -3: a resonant left side, and at cap 96
-    # a right side whose block's lower parameter alpha + beta = -3/2 makes
-    # degree 5 resonant
+    # 1.10's lower parameters sum to -3: a resonant left side
+    dict(alpha=Fraction(-3, 4), beta=Fraction(-3, 4), i=0, j=0),
+    # and at cap 96 a right side whose block's lower parameter
+    # alpha + beta = -3/2 makes degree 5 resonant
     dict(alpha=Fraction(-3, 4), beta=Fraction(-3, 4), i=0, j=0, cap=96),
 ]
 
 
-@pytest.mark.parametrize("point", AUDIT_POINTS, ids=["generic", "cap_96", "resonant"])
+@pytest.mark.parametrize("point", AUDIT_POINTS, ids=["generic", "cap_96", "resonant", "resonant_cap_96"])
 @pytest.mark.parametrize("tag", SERIES_TAGS)
 def test_the_two_routes_stay_two(tag, point):
     """A left side reaches none of the right sides' machinery, the two
@@ -1295,7 +1296,7 @@ def test_the_two_routes_stay_two(tag, point):
     assert lhs & RIGHT_SIDE_ONLY == set()
     if tag == "1.10" and params.alpha < 0:
         assert "identities._resonant_u4" in lhs
-        assert "identities._resonant_exp_term" in rhs
+        assert ("identities._resonant_exp_term" in rhs) == (params.cap == 96)
     if params.cap == 96 and tag in ("1.5", "1.9", "1.10", "1.12", "1.13"):
         assert "identities._exp_term_integers" in rhs and "series.TruncatedSeries.times_exp" not in rhs
     assert lhs & rhs <= SHARED, (lhs & rhs) - SHARED
