@@ -5,7 +5,7 @@ power series over exact rationals, by two independent routes, and compares
 coefficients. See ``hypident list`` on the command line for the catalog.
 """
 
-from .hyper import DegenerateParameterError, FloatSum, HypSpec, bailey_product_series, pfq_eval_float, pfq_series
+from .hyper import DegenerateParameterError, FloatSum, HypSpec, pfq_eval_float
 from .identities import (
     IdentityDef,
     IdentityId,
@@ -29,7 +29,7 @@ from .reports import (
     compare_series,
     reports_to_csv,
 )
-from .series import TruncatedSeries, exp_series
+from .series import TruncatedSeries
 from .verify import (
     DEFAULT_FLOAT_POINTS,
     DEFAULT_FLOAT_TOL,
@@ -55,18 +55,15 @@ __all__ = [
     "RationalParseError",
     "TruncatedSeries",
     "VerifyReport",
-    "bailey_product_series",
     "catalog",
     "check_admissible",
     "compare_series",
     "default_cap",
-    "exp_series",
     "format_rational",
     "get",
     "is_nonpositive_integer",
     "parse_rational",
     "pfq_eval_float",
-    "pfq_series",
     "pochhammer",
     "reports_to_csv",
     "sweep",

@@ -34,10 +34,8 @@ __all__ = [
     "DegenerateParameterError",
     "FloatSum",
     "HypSpec",
-    "bailey_product_series",
     "bailey_product_spec",
     "pfq_eval_float",
-    "pfq_series",
 ]
 
 
@@ -86,7 +84,9 @@ class HypSpec:
 
 def pfq_series(spec: HypSpec, cap: int) -> TruncatedSeries:
     """Exact truncation of pFq(upper; lower; x) to the given cap: the
-    integers of :func:`_pfq_integers` brought to canonical form by one gcd."""
+    integers of :func:`_pfq_integers` brought to canonical form by one gcd.
+    Unused by the package: perfbench's tracer patches it, and tests use it as an oracle.
+    """
     return TruncatedSeries.from_integers(cap, *_pfq_integers(spec.upper, spec.lower, cap))
 
 
@@ -512,5 +512,6 @@ def bailey_product_series(rho: Fraction | int, sigma: Fraction | int, cap: int) 
     Returns the exact truncation of the :func:`bailey_product_spec` series
     at ``4t``, as a series in t, the variable the two factors share.
     Degenerate parameters raise before any work happens.
+    Unused by the package: perfbench's tracer patches it, and tests use it as an oracle.
     """
     return pfq_series(bailey_product_spec(rho, sigma), cap).scale_argument(4)

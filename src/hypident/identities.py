@@ -194,17 +194,12 @@ class Term:
 
 @dataclass(frozen=True)
 class Side:
-    """A right side: a sum of one-factor terms times ``e**(exp*x)``;
-    :func:`_side_series` says how the exponential is taken. ``exp`` is 0,
-    +-1/2 or +-1, the exponentials ``times_exp`` builds, and any other is
-    refused here."""
+    """A right side: a sum of one-factor terms times ``e**(exp*x)``, with
+    ``exp`` any rational; :func:`_side_series` says how the exponential is
+    taken."""
 
     terms: tuple[Term, ...]
     exp: Fraction = Fraction(0)
-
-    def __post_init__(self) -> None:
-        if self.exp not in (0, HALF, -HALF, 1, -1):
-            raise ValueError(f"a right side takes exp 0, +-1/2 or +-1, got {format_rational(self.exp)}")
 
 
 def _f11(a: Fraction, b: Fraction, arg: Arg = _X) -> Factor:
@@ -298,10 +293,12 @@ def _side_series(side: RawProduct | Side | ProductSide, cap: int) -> TruncatedSe
     the recurrence broke even at caps 24-40 on one term (0F1 to 2F3
     blocks), about 60 on two, 135 on four and 250 on nine (3.1 at i = j =
     1 and 2); it ran at x0.5-0.8 of the transform at cap 16, the default
-    cap of 1.x, and at x7-16 at cap 512 on 1.5-1.13. No benchmark workload
-    yet runs a side below the threshold (``deep_series`` builds 1.5-1.13
-    at cap 96 only, and none builds 3.x), so the lower route and the
-    threshold itself are unverified end to end.
+    cap of 1.x, and at x7-16 at cap 512 on 1.5-1.13. The lower route pays
+    in process too: with every exponential taken term by term, a
+    ``verify.sweep`` of 3.1, 3.2 or 3.3 at i, j <= 8 ran x2.1-2.5 slower
+    and ``build_rhs`` of 1.5-1.13 at cap 16 x1.0-1.6 (``BENCH_32.json``).
+    No benchmark workload yet runs a side below the threshold
+    (``deep_series`` builds 1.5-1.13 at cap 96 only, and none builds 3.x).
     """
     if isinstance(side, RawProduct):
         return _raw_product_series(side, cap)
@@ -313,7 +310,7 @@ def _side_series(side: RawProduct | Side | ProductSide, cap: int) -> TruncatedSe
         den, nums = _terms_integers(side.terms, cap, side.exp if inside else 0)
     total = TruncatedSeries.from_integers(cap, den, nums)
     if side.exp and not inside:
-        total = total.times_exp(1 if side.exp > 0 else -1, half=abs(side.exp) == HALF)
+        total = total.times_exp(side.exp)
     return total
 
 

@@ -26,7 +26,7 @@ from typing import Iterable
 
 from .rationals import format_rational
 
-__all__ = ["TruncatedSeries", "exp_series"]
+__all__ = ["TruncatedSeries"]
 
 
 @dataclass(frozen=True, init=False)
@@ -118,22 +118,22 @@ class TruncatedSeries:
         nums = [sum(map(mul, a[: k + 1], b[k::-1])) for k in range(cap + 1)]
         return TruncatedSeries.from_integers(cap, self.den * other.den, nums)
 
-    def times_exp(self, sign: int, half: bool = False) -> "TruncatedSeries":
-        """Multiply by ``e**(c*x)``, ``c = sign`` or ``sign/2`` when half is set.
+    def times_exp(self, eps: Fraction | int) -> "TruncatedSeries":
+        """Multiply by ``e**(eps*x)``, ``eps = p/q`` any nonzero rational.
 
-        With ``h = 1/|c|``, the ordinary integers are lifted to
-        ``a_j = j! (sign*h)**j f_j`` over the same denominator and handed to
-        :func:`_exp_transform`: O(cap**2) additions, whatever the series.
+        The integers are lifted to ``a_j = j! q**j p**(cap-j) f_j`` over the
+        same denominator and handed to :func:`_exp_transform`: O(cap**2)
+        additions, whatever the series.
         """
-        if sign not in (1, -1):
-            raise ValueError("sign must be +1 or -1")
-        h = 2 if half else 1
-        step = sign * h
-        rows, weight = [], 1
-        for j, n in enumerate(self.nums):
+        p, q, cap = eps.numerator, eps.denominator, self.cap
+        if p == 0:
+            raise ValueError("times_exp takes a nonzero rational")
+        rows, weight = [], p**cap
+        for j, n in enumerate(self.nums, 1):
             rows.append(n * weight)
-            weight *= step * (j + 1)
-        return TruncatedSeries.from_integers(self.cap, *_exp_transform(self.den, rows, sign, h))
+            # the next j! q**j p**(cap-j): exact but at the last step, whose weight is unused
+            weight = weight * (q * j) // p
+        return TruncatedSeries.from_integers(cap, *_exp_transform(self.den, rows, p, q))
 
     def scale(self, factor: Fraction | int) -> "TruncatedSeries":
         factor = Fraction(factor)
@@ -237,15 +237,15 @@ def _over_last(den: int, steps: list[int], rows: list[int]) -> tuple[int, list[i
     return den * suffix, nums
 
 
-def _exp_transform(den: int, rows: list[int], sign: int, h: int) -> tuple[int, list[int]]:
-    """``e**(sign*x/h)`` times the series f given by ``rows[j] / den``, where
-    ``rows[j] = a_j = j! (sign*h)**j f_j``, as ``(den', nums)``, not reduced.
+def _exp_transform(den: int, rows: list[int], p: int, q: int) -> tuple[int, list[int]]:
+    """``e**(p*x/q)`` times the series f given by ``rows[j] / den``, with
+    ``rows[j] = a_j = j! q**j p**(cap-j) f_j``, as unreduced ``(den', nums)``.
 
-    The product g has ``k! (sign*h)**k g_k = sum_j C(k, j) a_j``: a binomial
-    transform, taken by repeated pairwise sums, so the only big
+    The product g has ``k! q**k p**(cap-k) g_k = sum_j C(k, j) a_j``: a
+    binomial transform, taken by repeated pairwise sums, so the only big
     multiplications are O(cap) rescalings and not a Cauchy product. Over
-    ``den' = den * h**cap * cap!``, numerator k is that sum times
-    ``sign**k h**(cap-k) cap!/k!``.
+    ``den' = den * cap! * q**cap * p**cap``, numerator k is that sum times
+    ``p**k q**(cap-k) cap!/k!``.
     """
     cap = len(rows) - 1
     # after k passes rows[0] is sum_j C(k, j) a_j
@@ -253,13 +253,12 @@ def _exp_transform(den: int, rows: list[int], sign: int, h: int) -> tuple[int, l
     for _ in range(cap):
         rows = list(map(add, rows, rows[1:]))
         sums.append(rows[0])
-    # sign**k h**(cap-k) cap!/k!, built from the top down
-    step = sign * h
-    lift = sign**cap
+    # p**k q**(cap-k) cap!/k!, built from the top down
+    lift = p**cap
     for k in range(cap, -1, -1):
         sums[k] *= lift
-        lift *= step * k
-    return den * math.factorial(cap) * h**cap, sums
+        lift = lift * (q * k) // p
+    return den * math.factorial(cap) * (q * p) ** cap, sums
 
 
 def _set(series: TruncatedSeries, cap: int, den: int, nums: tuple[int, ...]) -> None:
@@ -268,9 +267,10 @@ def _set(series: TruncatedSeries, cap: int, den: int, nums: tuple[int, ...]) -> 
     object.__setattr__(series, "nums", nums)
 
 
-def exp_series(cap: int, sign: int = 1, half: bool = False) -> TruncatedSeries:
-    """Exact series of ``e**(sign*x)``, or of ``e**(sign*x/2)`` when half is set:
-    the unit series times that exponential. Example:
-    ``exp_series(2, -1, half=True)`` is ``1 - 1/2*x + 1/8*x^2``.
+def exp_series(cap: int, eps: Fraction | int = 1) -> TruncatedSeries:
+    """Exact series of ``e**(eps*x)``, eps any nonzero rational: the unit
+    series times that exponential. Example: ``exp_series(2, Fraction(-1, 2))``
+    is ``1 - 1/2*x + 1/8*x^2``.
+    Unused by the package: perfbench's tracer patches it, and tests use it as an oracle.
     """
-    return TruncatedSeries.from_integers(cap, 1, [1] + [0] * cap).times_exp(sign, half)
+    return TruncatedSeries.from_integers(cap, 1, [1] + [0] * cap).times_exp(eps)

@@ -123,7 +123,7 @@ def criterion_05_expansion_lemmas():
         return get(tag).build_rhs(IdentityParams(alpha=alpha, i=i, cap=cap))
 
     for alpha in (GRID_ALPHA, Fraction(2, 5), Fraction(7, 3)):
-        damping = exp_series(cap, sign=-1, half=True)
+        damping = exp_series(cap, Fraction(-1, 2))
         for i in range(5):
             for name, tag, lower in (
                 ("raised", "1.17", 2 * alpha + i),

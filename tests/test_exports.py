@@ -22,6 +22,15 @@ def test_every_exported_name_resolves(module_name):
     assert [name for name in module.__all__ if not hasattr(module, name)] == []
 
 
+@pytest.mark.parametrize("home, name", [("hyper", "pfq_series"), ("hyper", "bailey_product_series"), ("series", "exp_series")])
+def test_oracle_only_names_are_not_exported(home, name):
+    # the package calls none of them; they stay defined for the tracer to
+    # patch and for the tests to use as oracles
+    module = importlib.import_module(f"hypident.{home}")
+    assert name not in hypident.__all__ and name not in module.__all__
+    assert callable(getattr(module, name))
+
+
 def test_benchmark_tracer_installs():
     # perfbench/tracing.py looks each patched name up with getattr, so
     # deleting one breaks `perfbench/run.py --trace 1`; it wraps the

@@ -30,7 +30,7 @@ from hypident.identities import (
     _side_floats,
     _side_series,
 )
-from hypident.rationals import format_rational, pochhammer
+from hypident.rationals import pochhammer
 from hypident.series import TruncatedSeries, exp_series
 from hypident.verify import DEFAULT_FLOAT_POINTS, check_admissible, verify_identity
 
@@ -222,7 +222,7 @@ class TestExpansions:
     @pytest.mark.parametrize("i", range(5))
     def test_raised_matches_oracle(self, i):
         cap = 20
-        lhs = exp_series(cap, -1, half=True) * pfq_series(
+        lhs = exp_series(cap, Fraction(-1, 2)) * pfq_series(
             HypSpec((A,), (2 * A + i,)), cap
         )
         assert expanded("1.17", A, i, cap) == lhs
@@ -230,7 +230,7 @@ class TestExpansions:
     @pytest.mark.parametrize("i", range(5))
     def test_lowered_matches_oracle(self, i):
         cap = 20
-        lhs = exp_series(cap, -1, half=True) * pfq_series(
+        lhs = exp_series(cap, Fraction(-1, 2)) * pfq_series(
             HypSpec((A,), (2 * A - i,)), cap
         )
         assert expanded("1.18", A, i, cap) == lhs
@@ -657,12 +657,14 @@ class TestSideSeries:
         with pytest.raises(ValueError, match=message):
             RawProduct(factors, -1)
 
-    def test_side_refuses_an_exponential_it_cannot_build(self):
-        term = ORACLE_TERMS["x"]
-        for exp in (Fraction(2, 3), Fraction(-5, 4), 2):
-            with pytest.raises(ValueError, match=f"exp 0, \\+-1/2 or \\+-1, got {format_rational(exp)}$"):
-                Side((term,), exp)
-        assert Side((term,), Fraction(-1, 2)).exp == Fraction(-1, 2)
+    @pytest.mark.parametrize("exp", [Fraction(2, 3), Fraction(-5, 4), 3], ids=str)
+    @pytest.mark.parametrize("names", [("x",), ("x", "sq4")], ids=["one_term", "two_terms"])
+    def test_side_at_any_rational_exponential(self, names, exp):
+        # cap 40 T - 1 takes times_exp on the sum, cap 40 T the per-term
+        # recurrences (_side_series)
+        side = Side(tuple(ORACLE_TERMS[name] for name in names), Fraction(exp))
+        for cap in (40 * len(names) - 1, 40 * len(names)):
+            assert _side_series(side, cap) == reference_side_series(side, cap), cap
 
     @pytest.mark.parametrize("exp", [Fraction(2, 3), Fraction(-5, 4)], ids=str)
     @pytest.mark.parametrize("factors", [*RAW_FACTORS.values(), *PRODUCT_FACTORS.values()], ids=[*RAW_FACTORS, *PRODUCT_FACTORS])
@@ -1150,7 +1152,7 @@ EXP_TERM_SPECS = {
 EXP_TERM_ARGS = [Arg(1), Arg(-1), Arg(2), Arg(-3), SQ16, Arg(-4, squared=True), Arg(9, squared=True)]
 
 
-@pytest.mark.parametrize("eps", [1, -1, Fraction(1, 2), Fraction(-1, 2)], ids=str)
+@pytest.mark.parametrize("eps", [1, -1, Fraction(1, 2), Fraction(-1, 2), Fraction(2, 3), Fraction(-5, 4)], ids=str)
 @pytest.mark.parametrize("name", EXP_TERM_SPECS)
 def test_exponential_terms_match_the_transform_of_their_sum(name, eps):
     """Terms summed with the exponential inside each one, by its own
@@ -1160,7 +1162,6 @@ def test_exponential_terms_match_the_transform_of_their_sum(name, eps):
     and two terms with a second spec drawn from a seeded stream, at a c*x
     argument, at x**2/4 and at one more x**2/c."""
     rng = random.Random(f"{name} {eps}")
-    sign, half = (1 if eps > 0 else -1), abs(eps) == Fraction(1, 2)
     spec = EXP_TERM_SPECS[name]
     for arg in (rng.choice(EXP_TERM_ARGS[:4]), SQ4, rng.choice(EXP_TERM_ARGS[4:])):
         weight = Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 9))
@@ -1168,9 +1169,9 @@ def test_exponential_terms_match_the_transform_of_their_sum(name, eps):
         other = (rng.choice(list(EXP_TERM_SPECS.values())), rng.choice([*EXP_TERM_ARGS, SQ4]))
         sides.append((Term(((spec, arg),), weight, rng.randint(0, 2)), Term((other,), -weight / 3, rng.randint(0, 2))))
         for terms in sides:
-            after = TruncatedSeries.from_integers(60, *identities._terms_integers(terms, 60)).times_exp(sign, half)
+            after = TruncatedSeries.from_integers(60, *identities._terms_integers(terms, 60)).times_exp(eps)
             for cap in [*range(21), *range(24, 61, 6)]:
-                inside = TruncatedSeries.from_integers(cap, *identities._terms_integers(terms, cap, Fraction(eps)))
+                inside = TruncatedSeries.from_integers(cap, *identities._terms_integers(terms, cap, eps))
                 assert inside == TruncatedSeries.from_integers(cap, after.den, after.nums[: cap + 1]), (arg, terms, cap)
 
 
@@ -1190,7 +1191,7 @@ def test_an_exponential_side_takes_its_recurrence_from_cap_40_a_term(count, monk
     monkeypatch.setattr(TruncatedSeries, "times_exp", recording)
     side = Side(tuple(Term(((HypSpec((A,), (B, Fraction(m + 1, 3))), SQ4),), Fraction(1, m + 1), m) for m in range(count)), Fraction(-1, 2))
     for cap in (40 * count - 1, 40 * count):
-        after = real(TruncatedSeries.from_integers(cap, *identities._terms_integers(side.terms, cap)), -1, True)
+        after = real(TruncatedSeries.from_integers(cap, *identities._terms_integers(side.terms, cap)), Fraction(-1, 2))
         assert _side_series(side, cap) == after
     assert transforms == [40 * count - 1]
     _side_series(_product_rhs(RAISED["PP"], IdentityParams(alpha=A, beta=B), False), 96)

@@ -128,14 +128,14 @@ class TestTransforms:
 class TestFloatAndText:
     def test_eval_float_exp(self, horner):
         assert math.isclose(horner(exp_series(30), 1.0), math.e, rel_tol=1e-12)
-        assert math.isclose(horner(exp_series(40, sign=-1), 2.0), math.exp(-2.0), rel_tol=1e-12)
+        assert math.isclose(horner(exp_series(40, -1), 2.0), math.exp(-2.0), rel_tol=1e-12)
 
     def test_eval_float_zero_series(self, horner):
         assert horner(TruncatedSeries.from_integers(5, 1, [0] * 6), 3.0) == 0.0
 
     def test_to_text_examples(self):
         assert TruncatedSeries.from_integers(3, 1, [0] * 4).to_text() == "0"
-        assert exp_series(2, sign=-1, half=True).to_text() == "1 - 1/2*x + 1/8*x^2"
+        assert exp_series(2, Fraction(-1, 2)).to_text() == "1 - 1/2*x + 1/8*x^2"
 
     @given(series_st(6))
     def test_coefficient_strings_round_trip(self, s):
@@ -149,17 +149,17 @@ class TestExpSeries:
         assert s.coeffs == (1, 1, Fraction(1, 2), Fraction(1, 6), Fraction(1, 24))
 
     def test_negative_half(self):
-        s = exp_series(2, sign=-1, half=True)
+        s = exp_series(2, Fraction(-1, 2))
         assert s.coeffs == (1, Fraction(-1, 2), Fraction(1, 8))
 
     def test_half_squares_to_plain(self):
         # e^(x/2) * e^(x/2) = e^x, checked on truncations
-        half = exp_series(12, half=True)
+        half = exp_series(12, Fraction(1, 2))
         assert half * half == exp_series(12)
 
     def test_bad_sign(self):
         with pytest.raises(ValueError):
-            exp_series(3, sign=2)
+            exp_series(3, 0)
 
 
 # -- the integer representation against plain-Fraction references ----------
@@ -191,11 +191,14 @@ def assert_matches(result: TruncatedSeries, reference: list[Fraction]) -> None:
     assert hash(result) == hash(rebuilt)
 
 
-def times_exp_reference(a: list[Fraction], sign: int, half: bool) -> list[Fraction]:
-    """``e**(c*x) * f`` term by term: ``g_k = sum_j f_j c**(k-j) / (k-j)!``."""
-    c = Fraction(sign, 2 if half else 1)
+# the catalog's exponents, and three that no catalog side uses
+EXPONENTS = [1, -1, Fraction(1, 2), Fraction(-1, 2), Fraction(2, 3), Fraction(-5, 4), 3]
+
+
+def times_exp_reference(a: list[Fraction], eps: Fraction | int) -> list[Fraction]:
+    """``e**(eps*x) * f`` term by term: ``g_k = sum_j f_j eps**(k-j) / (k-j)!``."""
     return [
-        sum((a[j] * c ** (k - j) / math.factorial(k - j) for j in range(k + 1)), Fraction(0))
+        sum((a[j] * Fraction(eps) ** (k - j) / math.factorial(k - j) for j in range(k + 1)), Fraction(0))
         for k in range(len(a))
     ]
 
@@ -283,35 +286,30 @@ class TestIntegerRepresentation:
         ]
         assert_matches(s.substitute_even(divisor, cap), reference)
 
-    @given(st.integers(min_value=0, max_value=40), st.sampled_from([1, -1]), st.booleans())
+    @given(st.integers(min_value=0, max_value=40), st.sampled_from(EXPONENTS))
     @few
-    def test_exp_series(self, cap, sign, half):
-        reference = [
-            Fraction(sign**k, math.factorial(k) * (2**k if half else 1)) for k in range(cap + 1)
-        ]
-        assert_matches(exp_series(cap, sign, half), reference)
+    def test_exp_series(self, cap, eps):
+        reference = [Fraction(eps) ** k / math.factorial(k) for k in range(cap + 1)]
+        assert_matches(exp_series(cap, eps), reference)
 
     @given(
         st.one_of(coeff_lists(), st.integers(0, 40).map(lambda cap: [Fraction(0)] * (cap + 1))),
-        st.sampled_from([1, -1]),
-        st.booleans(),
+        st.sampled_from(EXPONENTS),
     )
     @few
-    def test_times_exp(self, a, sign, half):
-        assert_matches(
-            TruncatedSeries(len(a) - 1, a).times_exp(sign, half), times_exp_reference(a, sign, half)
-        )
+    def test_times_exp(self, a, eps):
+        assert_matches(TruncatedSeries(len(a) - 1, a).times_exp(eps), times_exp_reference(a, eps))
 
     def test_times_exp_at_cap_96(self):
         a = [Fraction((-1) ** k * (7 * k + 3), 11 * k + 2) for k in range(97)]
         s = TruncatedSeries(96, a)
-        assert_matches(s.times_exp(-1, half=True), times_exp_reference(a, -1, True))
-        assert_matches(s.times_exp(1), times_exp_reference(a, 1, False))
+        for eps in EXPONENTS:
+            assert_matches(s.times_exp(eps), times_exp_reference(a, eps))
 
     def test_times_exp_bad_sign(self):
-        for sign in (0, 2, -2):
-            with pytest.raises(ValueError):
-                exp_series(3).times_exp(sign)
+        # e**(0*x) is no exponential; every other rational is built
+        with pytest.raises(ValueError, match="nonzero rational"):
+            exp_series(3).times_exp(0)
 
     @given(coeff_lists(max_cap=10), st.integers(min_value=0, max_value=12))
     @few
