@@ -19,8 +19,13 @@ The ladder: ``build_rhs`` of every single-series entry with an exponential
 (1.5, 1.9, 1.10, 1.12, 1.13) and ``build_lhs`` of 1.10 at caps 16, 96 and
 512; ``build_rhs`` of 1.7 at the same caps; ``build_rhs`` of 3.1 at
 i = j in 2, 8 and 20, at the default cap, and of 2.1 at i = j = 2. The
-point is alpha 3/7, beta 2/5. ``--quick`` takes two cases at cap 16, for a
-smoke test.
+point is alpha 3/7, beta 2/5. Last comes the import case, ``python3 -c
+"import hypident.cli"`` with only the tree's ``src`` on ``PYTHONPATH``: the
+wall time of one fresh process a batch, as the benchmark's ``setup_s``
+takes it. Both trees are byte-compiled first, as ``bench_pairs.py`` does,
+since a fresh process may not write its own cache; a tree that cannot
+import it is reported as missing. ``--quick`` takes two cases
+at cap 16 and the import case, for a smoke test.
 
 The result is printed as a table and, with ``--out``, written under the
 ``layers`` key of that JSON file; an existing file is updated, not
@@ -30,9 +35,12 @@ replaced. Only the standard library is used.
 from __future__ import annotations
 
 import argparse
+import compileall
 import gc
 import json
+import os
 import statistics
+import subprocess
 import sys
 import time
 from fractions import Fraction
@@ -44,6 +52,7 @@ from compare_sides import ROOT, load  # noqa: E402
 POINT = dict(alpha=Fraction(3, 7), beta=Fraction(2, 5))
 EXPONENTIAL_RIGHT_SIDES = ("1.5", "1.9", "1.10", "1.12", "1.13")
 BATCH_SECONDS = 1e-3
+IMPORT_CASE = "import hypident.cli"
 
 
 def ladder(quick: bool) -> list[tuple[str, str, dict]]:
@@ -74,6 +83,32 @@ def call_of(tree, tag: str, builder: str, point: dict):
     except Exception:  # noqa: BLE001 - a case a tree cannot run is missing
         return None
     return lambda: build(params)
+
+
+def import_call(src: Path):
+    """A no-argument run of ``python3 -c "import hypident.cli"`` in a fresh
+    process with only ``src`` on the path, or None if the tree cannot import
+    it. The tree is byte-compiled first: with ``PYTHONDONTWRITEBYTECODE``
+    set, every import would otherwise compile the sources again."""
+    compileall.compile_dir(src / "hypident", quiet=1)
+    command, env = [sys.executable, "-c", IMPORT_CASE], {**os.environ, "PYTHONPATH": str(src)}
+
+    def call():
+        subprocess.run(command, cwd=src.parent, env=env, capture_output=True, check=True, timeout=120)
+
+    try:
+        call()
+    except subprocess.CalledProcessError:
+        return None
+    return call
+
+
+def cases_of(quick: bool, trees, srcs):
+    """``(name, [this call, other call])`` of every case, each built as it
+    is reached."""
+    for case in ladder(quick):
+        yield label(*case), [call_of(tree, *case) for tree in trees]
+    yield IMPORT_CASE, [import_call(src) for src in srcs]
 
 
 def batch_time(call, number: int) -> float:
@@ -107,20 +142,19 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("other", type=Path, help="root of the checkout to compare with")
     parser.add_argument("--rounds", type=int, default=15)
-    parser.add_argument("--quick", action="store_true", help="two cases at cap 16, for a smoke test")
+    parser.add_argument("--quick", action="store_true", help="two cases at cap 16 and the import case, for a smoke test")
     parser.add_argument("--out", type=Path, help="JSON file whose 'layers' key to create or update")
     args = parser.parse_args(argv)
     if not (args.other / "src" / "hypident" / "__init__.py").is_file():
         parser.error(f"no src/hypident package under {args.other}")
     if args.rounds < 1:
         parser.error("--rounds must be at least 1")
-    this, other = load(ROOT / "src", "hypident_this"), load(args.other / "src", "hypident_other")
+    srcs = ROOT / "src", args.other.resolve() / "src"
+    trees = load(srcs[0], "hypident_this"), load(srcs[1], "hypident_other")
     cases = {}
     gc.disable()
     try:
-        for tag, builder, point in ladder(args.quick):
-            name = label(tag, builder, point)
-            calls = [call_of(tree, tag, builder, point) for tree in (this, other)]
+        for name, calls in cases_of(args.quick, trees, srcs):
             if None in calls:
                 cases[name] = {"missing": [tree for tree, call in zip(("this", "other"), calls) if call is None]}
             else:
@@ -136,7 +170,7 @@ def main(argv: list[str] | None = None) -> int:
         doc = json.loads(args.out.read_text()) if args.out.exists() else {}
         doc["layers"] = {
             "command": "python3 scripts/bench_layers.py OTHER_CHECKOUT",
-            "how": __doc__.split("\n\n")[2].replace("\n", " "),
+            "how": " ".join(__doc__.split("\n\n")[2:4]).replace("\n", " "),
             "python": sys.version.split()[0],
             "cases": cases,
         }

@@ -181,6 +181,10 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     betas = _parse_rational_list(args.beta) if args.beta else []
     gamma = parse_rational(args.gamma) if args.gamma else None
     defines = [get(tag) for tag in args.identity.split(",")]
+    for shift in ("i", "j"):
+        value = getattr(args, shift)
+        if value and not any(shift in define.uses for define in defines):
+            raise ValueError(f"--{shift} {value}: none of the identities {args.identity} takes shift {shift}")
     points = 0
     for define in defines:
         axes = sweep_axes(define.id, alphas, betas, args.i, args.j)

@@ -25,7 +25,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
-from operator import add, floordiv, mul
+from operator import mul
 
 from .rationals import format_rational, is_nonpositive_integer
 from .series import TruncatedSeries, _over_last
@@ -410,100 +410,6 @@ def bailey_product_spec(rho: Fraction | int, sigma: Fraction | int) -> HypSpec:
     """
     total = Fraction(rho) + Fraction(sigma)
     return HypSpec(upper=(total / 2, (total - 1) / 2), lower=(rho, sigma, total - 1))
-
-
-def _bailey_double_sum(
-    rho: Fraction, first: Sequence[Fraction], sigma: Fraction, second: Sequence[Fraction], cap: int
-) -> tuple[int, list[int]]:
-    """Coefficients ``nums[d] / den``, up to ``x**cap`` and not reduced, of
-
-        sum over m, n of first[m] * second[n] * x**(m+n) * 2F3(B(rho+m, sigma+n); x**2/4),
-
-    with ``B`` the :func:`bailey_product_spec` block. The weight lists are
-    indexed by the shift and may hold zeros.
-
-    On the anti-diagonal ``s = m + n`` the block's third lower parameter is
-    ``T = rho + sigma + s - 1`` and its upper ones are ``T/2`` and
-    ``(T+1)/2``. Legendre's duplication formula (DLMF 5.5.5) gives
-    ``(T/2)_k ((T+1)/2)_k = (T)_{2k} / 4**k``, and ``(T)_{2k} / (T)_k =
-    (T+k)_k``, so coefficient k of block (m, n) is
-
-        [first[m] / (rho+m)_k] [second[n] / (sigma+n)_k] (T+k)_k / (16**k k!).
-
-    Each factor's part is one integer column ``A[m][k]`` per shift, relative
-    to ``(rho + top)_k`` (:func:`_shift_table`). With ``rho + top = pa/qa``,
-    ``sigma + top' = pb/qb``, ``rho + sigma = P/Q`` and ``F(u) = P + u*Q``,
-    the rest of coefficient k is ``(qa qb)**k F(s+k-1) ... F(s+2k-2)`` over
-    ``16**k Q**k k! prod_{l<k} (pa + l qa)(pb + l qb)``. Only the span of F
-    depends on the diagonal. Every other denominator divides the one of the
-    deepest k, so one k-table ``shared[k]`` over that denominator serves
-    every diagonal. The spans stay in the numerator, as exact quotients
-    ``G[s+2k] // G[s+k]`` of one prefix table ``G[t] = F(-1) ... F(t-2)``,
-    so no prefix of F widens the common denominator. Coefficient k of
-    diagonal s is then ``shared[k] * span * sum_m A[m][k] B[s-m][k]``: each
-    diagonal sums its pairs as one vector over k, column by column, and
-    writes its coefficients ``nums[s::2]`` at once.
-    """
-    # every block's parameters are block (0, 0)'s plus nonnegative integers,
-    # so if any block is degenerate, block (0, 0) is: one of rho, sigma and
-    # rho + sigma - 1 = (P - Q)/Q is a nonpositive integer, and building the
-    # block raises as bailey_product_spec does. Otherwise F(u) != 0 for every
-    # u >= -1
-    P, Q = (rho + sigma).as_integer_ratio()
-    if is_nonpositive_integer(rho) or is_nonpositive_integer(sigma) or (Q == 1 and P <= 1):
-        bailey_product_spec(rho, sigma)
-    depth = cap // 2
-    den_a, cols_a = _shift_table(rho, first, depth)
-    den_b, cols_b = _shift_table(sigma, second, depth)
-    top_a, top_b = len(first) - 1, len(second) - 1
-    (pa, qa), (pb, qb) = (rho + top_a).as_integer_ratio(), (sigma + top_b).as_integer_ratio()
-    shared = [0] * (depth + 1)  # over shared[0], the common denominator
-    suffix = 1
-    for k in range(depth, -1, -1):
-        shared[k] = suffix * (qa * qb) ** k
-        suffix *= 16 * Q * k * (pa + (k - 1) * qa) * (pb + (k - 1) * qb)
-    spans = list(accumulate(range(P - Q, P + (cap - 2) * Q + 1, Q), mul, initial=1))  # G[t]
-    nums = [0] * (cap + 1)
-    for s in range(min(cap, top_a + top_b) + 1):
-        pairs = [0] * ((cap - s) // 2 + 1)
-        for m in range(max(0, s - top_b), min(s, top_a) + 1):
-            pairs = list(map(add, pairs, map(mul, cols_a[m], cols_b[s - m])))
-        scales = map(mul, shared, map(floordiv, spans[s::2], spans[s:]))
-        nums[s::2] = map(add, nums[s::2], map(mul, scales, pairs))
-    return shared[0] * den_a * den_b, nums
-
-
-def _shift_table(rho: Fraction, weights: Sequence[Fraction], depth: int) -> tuple[int, list[list[int]]]:
-    """Integer columns ``cols[m][k]`` over one ``den`` with
-
-        cols[m][k] / den = weights[m] * (rho + top)_k / (rho + m)_k
-
-    for ``k <= depth`` and every shift m, ``top = len(weights) - 1``.
-
-    With ``rho = p/q`` and ``F(l) = p + l*q``, ``(rho + top)_k / (rho + m)_k``
-    is ``F(m+k) ... F(top+k-1)`` over ``F(m) ... F(top-1)``. Over ``den`` =
-    the weights' common denominator times ``F(0) ... F(top-1)``, entry
-    (m, k) is the weight's numerator times the prefix ``F(0) ... F(m-1)``
-    times that k-dependent suffix. Walking m down, each suffix column is the
-    one above it times the column ``F(m+k)`` over k.
-    The caller guarantees no ``F(l)`` is 0.
-    """
-    p, q = rho.numerator, rho.denominator
-    top = len(weights) - 1
-    wden = math.lcm(*[w.denominator for w in weights])
-    lead = []  # numerator of weights[m] over wden, times F(0) ... F(m-1)
-    prefix = 1
-    for m, w in enumerate(weights):
-        lead.append(w.numerator * (wden // w.denominator) * prefix)
-        if m < top:
-            prefix *= p + m * q
-    cols = []
-    suffix = [1] * (depth + 1)  # F(m+k) ... F(top+k-1) over k
-    for m in range(top, -1, -1):
-        cols.append([lead[m] * v for v in suffix])
-        suffix = list(map(mul, suffix, range(p + (m - 1) * q, p + (m - 1 + depth) * q + 1, q)))
-    cols.reverse()
-    return wden * prefix, cols
 
 
 def bailey_product_series(rho: Fraction | int, sigma: Fraction | int, cap: int) -> TruncatedSeries:

@@ -5,13 +5,13 @@ For the series identities each side is declared once. Every left side is a
 :class:`RawProduct` of one or two ``1F1``/``0F1`` factors at ``c*x`` and an
 exponential, its coefficients run from the factors' differential equations;
 the right side is its closed form, a :class:`Side` of weighted one-factor
-terms or a :class:`ProductSide` of two expansions. Two interpreters turn
-one declaration into an exact :class:`~hypident.series.TruncatedSeries`
-and into a float, so a single coefficient comparison settles the claim up
-to the cap and the float cross-check evaluates exactly the sides that were
-compared. Two entries are fixed-argument summation theorems whose closed
-form is a Gamma-function ratio; those are checked in floating point. One
-entry is a terminating sum checked as a single exact scalar equation.
+terms or a :class:`ProductSide` of two expansions. The route modules
+:mod:`~hypident.left` and :mod:`~hypident.right` build its exact series,
+one interpreter here its floats, so one coefficient comparison settles the
+claim up to the cap and the float cross-check evaluates exactly the sides
+that were compared. Two entries are fixed-argument summation theorems whose
+closed form is a Gamma-function ratio; those are checked in floating point.
+One entry is a terminating sum checked as a single exact scalar equation.
 
 Entries are addressed by stable catalog tags ("1.1" through "3.3"). The
 tags are opaque identifiers used by the command line and in reports; the
@@ -26,14 +26,14 @@ import sys
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from itertools import accumulate, repeat
-from operator import mul, sub
 from typing import Callable, Iterator, Sequence
 
-from .hyper import DegenerateParameterError, FloatSum, HypSpec, _bailey_double_sum, _pfq_integers, bailey_product_spec, pfq_eval_float
-from .rationals import format_rational, is_nonpositive_integer, pochhammer
+from .hyper import DegenerateParameterError, FloatSum, HypSpec, _pfq_integers, bailey_product_spec, pfq_eval_float
+from .left import _raw_product_series
+from .rationals import _over_common, format_rational, is_nonpositive_integer, pochhammer
 from .reports import AdmissibilityFinding, check_lower, check_poch, check_pole, check_positive
-from .series import TruncatedSeries, _over_last
+from .right import _double_sum_series, _sum_series
+from .series import TruncatedSeries
 
 __all__ = [
     "IdentityDef",
@@ -48,11 +48,6 @@ HALF = Fraction(1, 2)
 
 _FLOAT_TOL = 1e-16
 _FLOAT_TERMS = 800
-
-# a Side of T terms takes its exponential term by term from cap
-# _EXP_INSIDE_PER_TERM * T on; see _side_series for where it comes from
-_EXP_INSIDE_PER_TERM = 40
-
 
 class IdentityId(str, Enum):
     """Catalog tags. The value is the stable tag used in CLI and reports."""
@@ -195,7 +190,7 @@ class Term:
 @dataclass(frozen=True)
 class Side:
     """A right side: a sum of one-factor terms times ``e**(exp*x)``, with
-    ``exp`` any rational; :func:`_side_series` says how the exponential is
+    ``exp`` any rational; :func:`~hypident.right._sum_series` says how it is
     taken."""
 
     terms: tuple[Term, ...]
@@ -221,9 +216,8 @@ class RawProduct:
     each ``F`` a ``1F1`` or a ``0F1``, times ``e**(exp*x)``, with ``exp``
     any rational: the recurrence builds every one exactly. It has no
     weight, no power and one term. Its series comes from the factors'
-    differential equations (:func:`_raw_product_series`), so any other
-    declaration (three factors, another pFq, an ``x**2/c`` argument) is
-    refused here."""
+    differential equations (:mod:`~hypident.left`), so any other declaration
+    (three factors, another pFq, an ``x**2/c`` argument) is refused here."""
 
     factors: tuple[Factor, ...]
     exp: Fraction | int = 0
@@ -253,8 +247,8 @@ class ProductSide:
     the 1.11 block ``2F3(...; x**2/4)`` of ``(rho + m, sigma + n)``,
     weighted ``v[m] * w[n]`` at power ``m + n``.
 
-    ``_side_series`` sums it one anti-diagonal at a time; ``terms`` lists
-    the blocks one by one, in m-major order without zero weights, for
+    The right route sums it one anti-diagonal at a time; ``terms`` lists the
+    blocks one by one, in m-major order without zero weights, for
     ``_side_floats``.
     """
 
@@ -273,327 +267,14 @@ class ProductSide:
 
 
 def _side_series(side: RawProduct | Side | ProductSide, cap: int) -> TruncatedSeries:
-    """Exact truncation of a side: a :class:`RawProduct` by
-    :func:`_raw_product_series`, from its factors' differential equations
-    and never through the pFq kernel; the terms of a :class:`ProductSide` by
-    ``_bailey_double_sum`` one anti-diagonal at a time, and those of a
-    :class:`Side` by :func:`_terms_integers`, canonical after one gcd.
-
-    A side's exponential is taken one of two ways. Inside each term, by the
-    term's own recurrence (:func:`_exp_term_integers`), costs O(cap) steps
-    a term; once, on the sum, by ``TruncatedSeries.times_exp``, costs
-    O(cap**2) whatever the number of terms T. A :class:`Side` takes the
-    recurrence from cap ``_EXP_INSIDE_PER_TERM * T`` (40 T) on, and the
-    transform below that; a :class:`ProductSide` (2.x) always takes the
-    transform. So 1.5, 1.9 and 1.10 take the recurrence from cap 40, 1.12
-    and 1.13 from cap 80, and a 3.x sum only toward the request limit.
-
-    The threshold rests on layer timings alone, in process, of the kernel
-    plus ``times_exp`` against the per-term recurrences on the same side:
-    the recurrence broke even at caps 24-40 on one term (0F1 to 2F3
-    blocks), about 60 on two, 135 on four and 250 on nine (3.1 at i = j =
-    1 and 2); it ran at x0.5-0.8 of the transform at cap 16, the default
-    cap of 1.x, and at x7-16 at cap 512 on 1.5-1.13. The lower route pays
-    in process too: with every exponential taken term by term, a
-    ``verify.sweep`` of 3.1, 3.2 or 3.3 at i, j <= 8 ran x2.1-2.5 slower
-    and ``build_rhs`` of 1.5-1.13 at cap 16 x1.0-1.6 (``BENCH_32.json``).
-    No benchmark workload yet runs a side below the threshold
-    (``deep_series`` builds 1.5-1.13 at cap 96 only, and none builds 3.x).
-    """
+    """Exact truncation of a side by its own route: a :class:`RawProduct`
+    by :mod:`~hypident.left`, never through the pFq kernel, and a
+    :class:`Side` or :class:`ProductSide` by :mod:`~hypident.right`."""
     if isinstance(side, RawProduct):
         return _raw_product_series(side, cap)
     if isinstance(side, ProductSide):
-        den, nums = _bailey_double_sum(*side.first, *side.second, cap)
-        inside = False
-    else:
-        inside = cap >= _EXP_INSIDE_PER_TERM * len(side.terms)
-        den, nums = _terms_integers(side.terms, cap, side.exp if inside else 0)
-    total = TruncatedSeries.from_integers(cap, den, nums)
-    if side.exp and not inside:
-        total = total.times_exp(side.exp)
-    return total
-
-
-def _terms_integers(terms: tuple[Term, ...], cap: int, eps: Fraction | int = 0) -> tuple[int, list[int]]:
-    """The sum of one-factor terms up to ``x**cap``, each times
-    ``e**(eps*x)``, as ``nums[d] / den``, not reduced, over one running
-    denominator.
-
-    A term ``weight * x**power * F(...)`` is needed only up to
-    ``x**(cap - power)``, so its pFq factor is expanded only that far; a
-    term whose power is past the cap contributes nothing. Without an
-    exponential the factor comes straight from the kernel
-    (``_pfq_integers``), which applies the constant c of its argument in
-    the term ratio, dividing each step by c or multiplying it by c, so its
-    unreduced integers belong on degree ``power + stride*k`` as they come,
-    times the weight: stride 2 for an ``x**2/c`` argument, 1 for ``c*x``.
-    With one, the factor times ``e**(eps*x)`` comes from its own recurrence
-    (:func:`_exp_term_integers`), every degree in turn. Each term joins the
-    sum over the lcm of its denominator and the running one.
-    """
-    den = 1
-    nums = [0] * (cap + 1)
-    for term in terms:
-        need = cap - term.power
-        if need < 0:
-            continue
-        [(spec, arg)] = term.factors
-        if eps:
-            block_den, block_nums = _exp_term_integers(spec, arg, eps, need)
-            stride = 1
-        else:
-            scales = (1, arg.c) if arg.squared else (arg.c, 1)
-            block_den, block_nums = _pfq_integers(spec.upper, spec.lower, arg.t_cap(need), *scales)
-            stride = 2 if arg.squared else 1
-        block_den *= term.weight.denominator
-        common = math.lcm(den, block_den)
-        if common != den:
-            up = common // den
-            nums = [n * up for n in nums]
-            den = common
-        scale = term.weight.numerator * (common // block_den)
-        placed = slice(term.power, cap + 1, stride)
-        nums[placed] = [a + scale * b for a, b in zip(nums[placed], block_nums)]
-    return den, nums
-
-
-def _exp_term_integers(spec: HypSpec, arg: Arg, eps: Fraction, cap: int) -> tuple[int, list[int]]:
-    """``y = e**(eps*x) F(r x**k)`` up to ``x**cap``, for ``F =
-    pFq(spec)`` at the argument ``c*x`` (``k = 1``, ``r = c``) or ``x**2/c``
-    (``k = 2``, ``r = 1/c``), as ``nums[n] / den``, not reduced.
-
-    F solves ``theta_t prod(theta_t + b - 1) F = t prod(theta_t + a) F``
-    (DLMF 16.8.3). With ``t = r x**k`` and ``theta = x d/dx``, ``G = F(r
-    x**k)`` solves ``P(theta) G = R x**k Q(theta) G`` with ``P(m) = m
-    prod(m + k(b-1))``, ``Q(m) = prod(m + k a)`` and ``R = r k**(q+1-p)``,
-    and ``y = E G``, ``E = e**(eps*x)``, solves the same with ``theta``
-    replaced by ``E theta E**-1 = theta - eps*x``. That operator takes
-    ``x**m`` to ``E P(theta) E**-1 x**m``, whose coefficient of
-    ``x**(m+j)`` is ``(-eps)**j / j!`` times the forward difference
-    ``Delta**j P(m)``. So ``sum_j C_j(n-j) y_(n-j) = 0`` with
-
-        C_j(m) = (-eps)**j / j! Delta**j P(m) - R (-eps)**(j-k) / (j-k)! Delta**(j-k) Q(m),
-
-    which gives degree n from the last few in O(1) big-by-small integer
-    steps. Every factor of P and Q is scaled to integers over its own
-    denominator, and the C_j to integers once, from one small table of
-    forward differences of P and of Q; each C_j is then a polynomial in n
-    whose values are running sums of its differences. Top C_j that vanish
-    shorten the recurrence. The last few y are kept over one running
-    denominator, the one before times the pivot ``C_0(n)``; the new head and
-    its step are divided by their common factor, one gcd with the small
-    step, as the left sides' recurrence does. The heads are brought to the
-    last denominator by :func:`~hypident.series._over_last`.
-
-    The pivot vanishes where ``k(1-b) = n`` (never for ``k = 1``: a
-    ``HypSpec`` refuses a nonpositive integer lower parameter). That degree
-    is left free by its equation and is taken from its definition
-    (:func:`_resonant_exp_term`).
-    """
-    k = 2 if arg.squared else 1
-    e, s = eps.as_integer_ratio()
-    lower = [b.as_integer_ratio() for b in spec.lower]
-    upper = [a.as_integer_ratio() for a in spec.upper]
-    degree, order = len(lower) + 1, max(len(lower) + 1, len(upper) + k)
-    # P and Q, each factor times its denominator, at m = 1 - order .. 1 + order,
-    # and their forward differences: table[t][i] is Delta**t at m = 1 - order + i
-    first, last = 1 - order, 2 + order
-    p_table, q_table = [list(range(first, last))], [[1] * (last - first)]
-    for p, q in lower:
-        p_table[0] = list(map(mul, p_table[0], range(k * (p - q) + first * q, k * (p - q) + last * q, q)))
-    for p, q in upper:
-        q_table[0] = list(map(mul, q_table[0], range(k * p + first * q, k * p + last * q, q)))
-    for table, top in ((p_table, degree), (q_table, len(upper))):
-        for _ in range(top):
-            table.append(list(map(sub, table[-1][1:], table[-1])))
-    # P - R x**k Q over those denominators is v P - u x**k Q; times s**order
-    # order!, Delta**j P comes with p_scales[j] and Delta**i Q with q_scales[i]
-    power = len(lower) + 1 - len(upper)
-    u = math.prod([q for _, q in lower]) * k ** max(power, 0) * (1 if arg.squared else arg.c)
-    v = math.prod([q for _, q in upper]) * k ** max(-power, 0) * (arg.c if arg.squared else 1)
-    p_scales = [v * (-e) ** j * s ** (order - j) * math.perm(order, order - j) for j in range(degree + 1)]
-    q_scales = [-u * (-e) ** i * s ** (order - i) * math.perm(order, order - i) for i in range(len(upper) + 1)]
-    # the pivot C_0(n), then -C_j(n - j), are polynomials in n, each given by
-    # its forward differences at n = 1
-    columns = []
-    for j in range(order + 1):
-        registers = []
-        for i in range(order - j + 1):
-            r = p_scales[j] * p_table[i + j][order - j] if i + j <= degree else 0
-            if j >= k and i + j - k <= len(upper):
-                r += q_scales[j - k] * q_table[i + j - k][order - j]
-            registers.append(r if j == 0 else -r)
-        columns.append(registers)
-    # the top C_j can vanish, and the recurrence is then shorter: the last
-    # does for every catalog block, a pF(p+1) at x**2/4 with eps = +-1
-    while len(columns) > 2 and not any(columns[-1]):
-        columns.pop()
-    order = len(columns) - 1
-    g = math.gcd(*[r for registers in columns for r in registers])
-    columns = [[r // g for r in registers] for registers in columns]
-    # each column's values at n = 1, 2, ..., summed up from its differences
-    lanes = []
-    for registers in columns:
-        lane = repeat(registers[-1])
-        for r in registers[-2::-1]:
-            lane = accumulate(lane, initial=r)
-        lanes.append(lane)
-    window = [1] + [0] * (order - 1)  # y_(n-1), ..., y_(n-order) over the last denominator
-    steps, heads = [1], [1]
-    for n, step, stencil in zip(range(1, cap + 1), lanes[0], zip(*lanes[1:])):
-        head = sum(map(mul, stencil, window))
-        if not step:
-            full = math.prod(steps)
-            value = _resonant_exp_term(spec, arg, eps, n)
-            step = value.denominator // math.gcd(full, value.denominator)
-            head = value.numerator * (full * step // value.denominator)
-        g = math.gcd(head, step)
-        if g > 1:
-            head //= g
-            step //= g
-        steps.append(step)
-        heads.append(head)
-        del window[-1]
-        window = [head, *map(step.__mul__, window)]
-    return _over_last(1, steps, heads)
-
-
-def _resonant_exp_term(spec: HypSpec, arg: Arg, eps: Fraction, n: int) -> Fraction:
-    """Coefficient n of ``e**(eps*x) F``, F the factor at ``x**2/c``: the
-    sum over i of ``f_i / c**i`` times ``eps**(n-2i) / (n-2i)!``."""
-    den, nums = _pfq_integers(spec.upper, spec.lower, n // 2, 1, arg.c)
-    return sum(Fraction(f * eps ** (n - 2 * i), den * math.factorial(n - 2 * i)) for i, f in enumerate(nums))
-
-
-def _raw_product_series(side: RawProduct, cap: int) -> TruncatedSeries:
-    """A raw product up to ``x**cap``, from its own differential system.
-
-    A factor ``phi = F(c*x)`` solves ``x phi'' = (alpha x - b) phi' + beta
-    phi`` (:func:`_factor_ode`). With the exponential ``E = e**(eps*x)``,
-    the vector ``u = E (phi, phi')``, or ``u = E (phi psi, phi' psi, phi
-    psi', phi' psi')`` for two factors, then solves ``x u' = (A0 + x A1) u``
-    with ``A0`` lower triangular. So ``(d I - A0) u_d = A1 u_(d-1)`` gives
-    degree d from degree d-1 in O(1) big-by-small integer steps
-    (:func:`_lone_rows`, :func:`_pair_rows`), and the side is the first
-    component. The only other input is ``u_0``, from ``phi_0 = 1`` and
-    ``phi_1 = beta / b``. The first components are brought to one
-    denominator by :func:`_over_last` and canonicalised once. (D.
-    Zeilberger, *A holonomic systems approach to special function
-    identities*, J. Comput. Appl. Math. 32, 1990, for such systems.)
-    """
-    eps = Fraction(side.exp)
-    odes = [_factor_ode(spec, arg.c) for spec, arg in side.factors]
-    if len(odes) == 1:
-        den, steps, heads, _ = _lone_rows(*odes, eps, cap)
-    else:
-        den, steps, heads = _pair_rows(*odes, eps, cap)
-    return TruncatedSeries.from_integers(cap, *_over_last(den, steps, heads))
-
-
-#: ``(alpha, beta, b)`` of a factor's equation ``x phi'' = (alpha x - b) phi' + beta phi``
-Ode = tuple[Fraction, Fraction, Fraction]
-
-
-def _factor_ode(spec: HypSpec, c: int) -> Ode:
-    """The equation of ``phi = F(c*x)``: Kummer's (DLMF 13.2.1) for
-    ``F = 1F1(a; b; .)``, with ``(alpha, beta) = (c, a*c)``, and DLMF 16.8.3
-    for ``F = 0F1(; b; .)``, with ``(alpha, beta) = (0, c)``. Either way
-    ``phi_(k+1) / phi_k = (beta + k alpha) / ((k + 1)(b + k))``."""
-    (b,) = spec.lower
-    if spec.upper:
-        return Fraction(c), spec.upper[0] * c, b
-    return Fraction(0), Fraction(c), b
-
-
-def _lone_rows(ode: Ode, eps: Fraction, cap: int) -> tuple[int, list[int], list[int], list[int]]:
-    """``h = E phi`` and ``v = E phi'`` up to ``x**cap`` by
-
-        d h_d = eps h + v,    (d + b) v_d = (eps + alpha) v + beta h_d,
-
-    with degree d-1 on the right unless marked d. Returns ``(den, steps,
-    hs, vs)``: ``h_d = hs[d] / (den * steps[1] * ... * steps[d])``, and
-    likewise ``v_d``. Each equation is scaled to integer coefficients on its
-    own. Step d multiplies its pivots ``d`` and ``d + b``, so scaled, into
-    the running denominator, and then divides the state and the step by
-    their common factor, one gcd with the small step. That keeps the
-    running denominator near the reduced one. ``d + b`` never vanishes: a
-    ``HypSpec`` refuses a nonpositive integer lower parameter."""
-    alpha, beta, b = ode
-    e1, s1 = eps.as_integer_ratio()
-    l2, (lb, a2, b2) = _over_common(b, eps + alpha, beta)
-    den, (h, v) = _over_common(Fraction(1), beta / b)
-    steps, hs, vs = [1], [h], [v]
-    for d in range(1, cap + 1):
-        p1, p2 = s1 * d, l2 * d + lb
-        n1 = e1 * h + s1 * v
-        h, v = n1 * p2, p1 * a2 * v + b2 * n1
-        step = p1 * p2
-        g = math.gcd(step, h, v)
-        if g > 1:
-            step, h, v = step // g, h // g, v // g
-        steps.append(step)
-        hs.append(h)
-        vs.append(v)
-    return den, steps, hs, vs
-
-
-def _pair_rows(first: Ode, second: Ode, eps: Fraction, cap: int) -> tuple[int, list[int], list[int]]:
-    """``u1 = E phi psi``, as :func:`_lone_rows` gives ``h``, through
-    ``u2 = E phi' psi``, ``u3 = E phi psi'`` and ``u4 = E phi' psi'``:
-
-        d u1_d = eps u1 + u2 + u3
-        (d + b) u2_d = (eps + alpha) u2 + u4 + beta u1_d
-        (d + b') u3_d = (eps + alpha') u3 + u4 + beta' u1_d
-        (d + b + b') u4_d = (eps + alpha + alpha') u4 + beta' u2_d + beta u3_d
-
-    The state is kept and reduced as there: for 1.10 at alpha 3/7, beta
-    2/5 and cap 96 the last denominator has 870 bits, against 3,002
-    without the reduction and 868 canonical. ``d + b + b'`` vanishes at
-    ``d = -(b + b')`` when the lower parameters sum to a nonpositive
-    integer. That degree of ``u4`` is left free by its equation, so it is
-    taken from its definition (:func:`_resonant_u4`)."""
-    (alpha, beta, b), (alpha2, beta2, b2) = first, second
-    e1, s1 = eps.as_integer_ratio()
-    l2, (lb2, a2, c2) = _over_common(b, eps + alpha, beta)
-    l3, (lb3, a3, c3) = _over_common(b2, eps + alpha2, beta2)
-    l4, (lb4, a4, c42, c43) = _over_common(b + b2, eps + alpha + alpha2, beta2, beta)
-    den, (u1, u2, u3, u4) = _over_common(Fraction(1), beta / b, beta2 / b2, beta * beta2 / (b * b2))
-    steps, heads = [1], [u1]
-    for d in range(1, cap + 1):
-        p1, p2, p3, p4 = s1 * d, l2 * d + lb2, l3 * d + lb3, l4 * d + lb4
-        n1 = e1 * u1 + s1 * (u2 + u3)
-        n2 = p1 * (a2 * u2 + l2 * u4) + c2 * n1
-        n3 = p1 * (a3 * u3 + l3 * u4) + c3 * n1
-        if p4:
-            u4 = p1 * p2 * p3 * a4 * u4 + c42 * p3 * n2 + c43 * p2 * n3
-            u1, u2, u3 = n1 * (p2 * p3 * p4), n2 * (p3 * p4), n3 * (p2 * p4)
-            step = p1 * p2 * p3 * p4
-        else:
-            u1, u2, u3 = n1 * (p2 * p3), n2 * p3, n3 * p2
-            step = p1 * p2 * p3
-            # u4_d over the running denominator, widened by what it lacks
-            full = den * math.prod(steps) * step
-            value = _resonant_u4(first, second, eps, d)
-            wider = value.denominator // math.gcd(full, value.denominator)
-            u1, u2, u3 = u1 * wider, u2 * wider, u3 * wider
-            u4 = value.numerator * (full * wider // value.denominator)
-            step *= wider
-        g = math.gcd(step, u1, u2, u3, u4)
-        if g > 1:
-            step, u1, u2, u3, u4 = step // g, u1 // g, u2 // g, u3 // g, u4 // g
-        steps.append(step)
-        heads.append(u1)
-    return den, steps, heads
-
-
-def _resonant_u4(first: Ode, second: Ode, eps: Fraction, d: int) -> Fraction:
-    """Coefficient d of ``E phi' psi'``: the sum over k of ``(E phi')_k
-    (psi')_(d-k)``, each factor by :func:`_lone_rows`."""
-    den, steps, _, vs = _lone_rows(first, eps, d)
-    den_a, a = _over_last(den, steps, vs)
-    den, steps, _, vs = _lone_rows(second, Fraction(0), d)
-    den_b, b = _over_last(den, steps, vs)
-    return Fraction(sum(map(mul, a, reversed(b))), den_a * den_b)
+        return _double_sum_series(side, cap)
+    return _sum_series(side, cap)
 
 
 def _side_floats(side: RawProduct | Side | ProductSide, xs: Sequence[float]) -> list[tuple[float, bool]]:
@@ -809,12 +490,6 @@ def _gamma_ratio(numerators: list[Fraction], denominators: list[Fraction]) -> fl
     if abs(value) < sys.float_info.min:
         raise ValueError("the Gamma ratio underflows a double")
     return value
-
-
-def _over_common(*values: Fraction) -> tuple[int, list[int]]:
-    """``(L, [v*L, ...])``: the values as integers over their common denominator L."""
-    scale = math.lcm(*[v.denominator for v in values])
-    return scale, [v.numerator * (scale // v.denominator) for v in values]
 
 
 def _gauss_second_values(p: IdentityParams) -> dict[str, Fraction]:

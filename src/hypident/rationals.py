@@ -67,6 +67,12 @@ def is_nonpositive_integer(value: Fraction | int) -> bool:
     return value.denominator == 1 and value.numerator <= 0
 
 
+def _over_common(*values: Fraction) -> tuple[int, list[int]]:
+    """``(L, [v*L, ...])``: the values as integers over their common denominator L."""
+    scale = math.lcm(*[v.denominator for v in values])
+    return scale, [v.numerator * (scale // v.denominator) for v in values]
+
+
 def pochhammer(base: Fraction | int, count: int) -> Fraction:
     """Rising factorial ``(base)_count = base (base+1) ... (base+count-1)``.
 

@@ -9,7 +9,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SCRIPT = ROOT / "scripts" / "bench_layers.py"
-QUICK_CASES = {"1.10 build_rhs cap=16", "1.10 build_lhs cap=16"}
+IMPORT_CASE = "import hypident.cli"
+QUICK_CASES = {"1.10 build_rhs cap=16", "1.10 build_lhs cap=16", IMPORT_CASE}
 
 
 def bench(other: Path, out: Path) -> dict:
@@ -30,6 +31,8 @@ def test_a_checkout_runs_even_with_itself(tmp_path):
         assert case["rounds"] == 5 and 0 <= case["this_won"] <= 5
         # timings on a shared machine are noisy: ask only for a real ratio
         assert math.isfinite(case["median_ratio"]) and case["median_ratio"] > 0, case
+    # the import case is one fresh process a batch
+    assert cases[IMPORT_CASE]["calls_a_batch"] == 1
 
 
 def test_a_case_the_other_tree_cannot_build_is_missing(tmp_path):
@@ -39,6 +42,10 @@ def test_a_case_the_other_tree_cannot_build_is_missing(tmp_path):
     build = "build_rhs=lambda p: _side_series(rhs(p), p.effective_cap),"
     assert text.count(build) == 1
     identities.write_text(text.replace(build, "build_rhs=lambda p: 1 / 0,"))
+    # the package does not import its command line, so only the import case breaks
+    cli = tmp_path / "src" / "hypident" / "cli.py"
+    cli.write_text(cli.read_text() + "\nraise ImportError('no command line')\n")
     cases = bench(tmp_path, tmp_path / "bench.json")
     assert cases["1.10 build_rhs cap=16"] == {"missing": ["other"]}
+    assert cases[IMPORT_CASE] == {"missing": ["other"]}
     assert "median_ratio" in cases["1.10 build_lhs cap=16"]

@@ -319,6 +319,13 @@ class TestSweep:
         p50, p95, largest = timing_spread(timing, points=6)
         assert p50 <= p95 <= largest
 
+    def test_a_shift_some_listed_tag_uses_is_kept(self, capsys):
+        # 2.1 runs i = 0 and 1; 1.2 takes no shift and runs its one point
+        code, out, err = invoke(capsys, "sweep", "--identity", "2.1,1.2", "--alpha", "3/7", "--beta", "2/5", "--i", "1",
+                                "--output", "json")
+        assert code == 0 and "hypident: 3/3 points passed" in err
+        assert [(r["identity"], r["params"].get("i")) for r in json.loads(out)] == [("2.1", 0), ("2.1", 1), ("1.2", None)]
+
     def test_one_point_sweep_has_a_timing_line(self, capsys):
         code, out, err = invoke(capsys, "sweep", "--identity", "1.2", "--alpha", "3/7")
         assert (code, out) == (0, "1.2 alpha=3/7 cap=16: exact_match\n")
@@ -673,6 +680,11 @@ class TestBadRequests:
              "identity 2.1 takes no printed_form"),
             (["sweep", "--identity", "2.3,2.1", "--alpha", "1/2", "--beta", "1/3", "--i", "2", "--printed-form"],
              "identity 2.1 takes no printed_form"),
+            # in a sweep, a shift that none of the listed tags uses
+            (["sweep", "--identity", "1.4", "--alpha", "1/3", "--beta", "2/5", "--i", "3"],
+             "--i 3: none of the identities 1.4 takes shift i"),
+            (["sweep", "--identity", "1.17,1.2", "--alpha", "1/2", "--i", "1", "--j", "2"],
+             "--j 2: none of the identities 1.17,1.2 takes shift j"),
         ],
     )
     def test_exit_2_with_message(self, capsys, argv, needle):

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from hypident.hyper import (
     DegenerateParameterError,
     HypSpec,
-    _bailey_double_sum,
     _pfq_integers,
     bailey_product_series,
     bailey_product_spec,
@@ -19,6 +18,7 @@ from hypident.hyper import (
     pfq_series,
 )
 from hypident.rationals import is_nonpositive_integer, pochhammer
+from hypident.right import _bailey_double_sum
 from hypident.series import TruncatedSeries
 
 param_st = st.fractions(min_value=-6, max_value=6, max_denominator=8)

@@ -1,17 +1,22 @@
 """Tests for the identity catalog: builders, registry, and catalog checks."""
 
+import ast
 import dataclasses
+import importlib
 import itertools
 import math
+import pkgutil
 import random
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from hypident import identities
+import hypident
+from hypident import identities, right
 from hypident.hyper import DegenerateParameterError, FloatSum, HypSpec, bailey_product_spec, pfq_series
 from hypident.identities import (
     Arg,
@@ -1089,17 +1094,17 @@ KERNEL_POINTS = [(A, B), (Fraction(-11, 7), Fraction(-13, 5)), (Fraction(4, 11),
 
 
 def recorded_right_side_terms(name, alpha, beta, caps, monkeypatch):
-    """``(call, den, canonical den)`` of every call of ``identities.<name>``
+    """``(call, den, canonical den)`` of every call of ``right.<name>``
     that the catalog's right sides make at i = 2, j = 3 and the given caps."""
     built = []
-    real = getattr(identities, name)
+    real = getattr(right, name)
 
     def recording(*args):
         den, nums = real(*args)
         built.append((args, den, TruncatedSeries.from_integers(len(nums) - 1, den, nums).den))
         return den, nums
 
-    monkeypatch.setattr(identities, name, recording)
+    monkeypatch.setattr(right, name, recording)
     for tag in SERIES_TAGS:
         define = get(tag)
         point = {shift: value for shift, value in (("i", 2), ("j", 3)) if shift in define.uses}
@@ -1169,9 +1174,9 @@ def test_exponential_terms_match_the_transform_of_their_sum(name, eps):
         other = (rng.choice(list(EXP_TERM_SPECS.values())), rng.choice([*EXP_TERM_ARGS, SQ4]))
         sides.append((Term(((spec, arg),), weight, rng.randint(0, 2)), Term((other,), -weight / 3, rng.randint(0, 2))))
         for terms in sides:
-            after = TruncatedSeries.from_integers(60, *identities._terms_integers(terms, 60)).times_exp(eps)
+            after = TruncatedSeries.from_integers(60, *right._terms_integers(terms, 60)).times_exp(eps)
             for cap in [*range(21), *range(24, 61, 6)]:
-                inside = TruncatedSeries.from_integers(cap, *identities._terms_integers(terms, cap, eps))
+                inside = TruncatedSeries.from_integers(cap, *right._terms_integers(terms, cap, eps))
                 assert inside == TruncatedSeries.from_integers(cap, after.den, after.nums[: cap + 1]), (arg, terms, cap)
 
 
@@ -1191,7 +1196,7 @@ def test_an_exponential_side_takes_its_recurrence_from_cap_40_a_term(count, monk
     monkeypatch.setattr(TruncatedSeries, "times_exp", recording)
     side = Side(tuple(Term(((HypSpec((A,), (B, Fraction(m + 1, 3))), SQ4),), Fraction(1, m + 1), m) for m in range(count)), Fraction(-1, 2))
     for cap in (40 * count - 1, 40 * count):
-        after = real(TruncatedSeries.from_integers(cap, *identities._terms_integers(side.terms, cap)), Fraction(-1, 2))
+        after = real(TruncatedSeries.from_integers(cap, *right._terms_integers(side.terms, cap)), Fraction(-1, 2))
         assert _side_series(side, cap) == after
     assert transforms == [40 * count - 1]
     _side_series(_product_rhs(RAISED["PP"], IdentityParams(alpha=A, beta=B), False), 96)
@@ -1203,14 +1208,14 @@ def test_an_exponential_side_takes_its_recurrence_from_cap_40_a_term(count, monk
 
 
 def package_functions():
-    """Every function and method written in the package's modules, keyed by
-    its code object, as ``module.qualname``. Lambdas, nested functions,
-    comprehensions and the methods a dataclass generates are left out."""
-    from hypident import cli, hyper, rationals, reports, series, verify
-
+    """Every function and method written in the package's modules, every
+    module that ``pkgutil`` finds in it, keyed by its code object, as
+    ``module.qualname``. Lambdas, nested functions, comprehensions and the
+    methods a dataclass generates are left out."""
     names = {}
-    for module in (cli, hyper, identities, rationals, reports, series, verify):
-        prefix = module.__name__.rsplit(".", 1)[-1]
+    for info in pkgutil.iter_modules(hypident.__path__):
+        module = importlib.import_module(f"hypident.{info.name}")
+        prefix = info.name
         found = list(vars(module).values())
         found += [attr for value in found if isinstance(value, type) for attr in vars(value).values()]
         for value in found:
@@ -1241,18 +1246,14 @@ def reached(build, params):
     return seen
 
 
-# the right sides' machinery: no left side may reach any of it
-RIGHT_SIDE_ONLY = {
+# the right sides' machinery, every function of the right route's module
+# and the few it reaches elsewhere: no left side may reach any of it
+RIGHT_SIDE_ONLY = {name for name in PACKAGE_FUNCTIONS.values() if name.startswith("right.")} | {
     "hyper._pfq_integers",
-    "identities._terms_integers",
-    "hyper._bailey_double_sum",
-    "hyper._shift_table",
-    "identities._expansion_terms",
-    "identities._equal_param_factor",
     "hyper.bailey_product_spec",
     "series.TruncatedSeries.times_exp",
-    "identities._exp_term_integers",
-    "identities._resonant_exp_term",
+    "identities._expansion_terms",
+    "identities._equal_param_factor",
 }
 # all that a left side and a right side may share: the canonicaliser and
 # the suffix products that bring a reduced recurrence to its last
@@ -1293,13 +1294,42 @@ def test_the_two_routes_stay_two(tag, point):
     if check_admissible(tag, params):
         pytest.skip(f"{tag} is inadmissible at {point}")
     lhs, rhs = reached(define.build_lhs, params), reached(define.build_rhs, params)
-    assert "identities._raw_product_series" in lhs and "identities._side_series" in rhs
-    assert lhs & RIGHT_SIDE_ONLY == set()
+    assert "left._raw_product_series" in lhs and "identities._side_series" in rhs
+    assert lhs & RIGHT_SIDE_ONLY == set() and rhs & RIGHT_SIDE_ONLY
     if tag == "1.10" and params.alpha < 0:
-        assert "identities._resonant_u4" in lhs
-        assert ("identities._resonant_exp_term" in rhs) == (params.cap == 96)
+        assert "left._resonant_u4" in lhs
+        assert ("right._resonant_exp_term" in rhs) == (params.cap == 96)
     if params.cap == 96 and tag in ("1.5", "1.9", "1.10", "1.12", "1.13"):
-        assert "identities._exp_term_integers" in rhs and "series.TruncatedSeries.times_exp" not in rhs
+        assert "right._exp_term_integers" in rhs and "series.TruncatedSeries.times_exp" not in rhs
     assert lhs & rhs <= SHARED, (lhs & rhs) - SHARED
     if tag.startswith("3."):
-        assert rhs & {"identities._expansion_terms", "hyper._bailey_double_sum"} == set()
+        assert rhs & {"identities._expansion_terms", "right._bailey_double_sum"} == set()
+
+
+def package_imports(name):
+    """The package modules that module ``name`` imports, read from its
+    source, wherever in the file the import stands."""
+    tree = ast.parse(Path(importlib.import_module(f"hypident.{name}").__file__).read_text())
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            base = node.module or ""
+            if node.level == 0:
+                if base.split(".")[0] != "hypident":
+                    continue
+                base = base.partition(".")[2]
+            found |= {base.split(".")[0]} if base else {alias.name for alias in node.names}
+        elif isinstance(node, ast.Import):
+            found |= {alias.name.split(".")[1] for alias in node.names if alias.name.startswith("hypident.")}
+    return found
+
+
+def test_the_two_routes_are_two_modules():
+    """The two-route rule as an import rule: the left route imports from the
+    package only ``series`` and ``rationals``, so neither the pFq kernel nor
+    any right-side code; the right route imports neither the left one nor
+    the catalog; and only the catalog imports both."""
+    imports = {info.name: package_imports(info.name) for info in pkgutil.iter_modules(hypident.__path__)}
+    assert imports["left"] <= {"series", "rationals"}, imports["left"]
+    assert imports["right"] & {"left", "identities"} == set(), imports["right"]
+    assert [name for name, found in imports.items() if {"left", "right"} <= found] == ["identities"]
