@@ -6,9 +6,10 @@ call by call in one process.
 
 Both ``src/hypident`` trees are loaded as packages of their own with
 ``compare_sides.py``'s loader. Every case is one builder, ``build_lhs`` or
-``build_rhs``, of one catalog entry at one point; it runs in both trees,
-interleaved, the other tree first in even rounds and this one first in odd
-rounds. A round times a batch of calls in each tree, sized once so that a
+``build_rhs``, or one float side, ``lhs_float`` or ``rhs_float`` at the
+default float points, of one catalog entry at one point; it runs in both
+trees, interleaved, the other tree first in even rounds and this one first
+in odd rounds. A round times a batch of calls in each tree, sized once so that a
 batch takes about a millisecond in the other tree. For each case the output
 gives both trees' minimum over the rounds (seconds a call), the median over
 the rounds of the ratio ``other / this`` (above 1: this checkout is faster),
@@ -18,14 +19,16 @@ build is reported as missing.
 The ladder: ``build_rhs`` of every single-series entry with an exponential
 (1.5, 1.9, 1.10, 1.12, 1.13) and ``build_lhs`` of 1.10 at caps 16, 96 and
 512; ``build_rhs`` of 1.7 at the same caps; ``build_rhs`` of 3.1 at
-i = j in 2, 8 and 20, at the default cap, and of 2.1 at i = j = 2. The
-point is alpha 3/7, beta 2/5. Last comes the import case, ``python3 -c
+i = j in 2, 8 and 20, at the default cap, and of 2.1 at i = j = 2;
+``build_lhs`` of 1.6 at cap 512; ``lhs_float`` and ``rhs_float`` of 1.10,
+of 1.17 at i = 8, and of 2.1 and 3.1 at i = j = 8. The point is alpha 3/7,
+beta 2/5. Last comes the import case, ``python3 -c
 "import hypident.cli"`` with only the tree's ``src`` on ``PYTHONPATH``: the
 wall time of one fresh process a batch, as the benchmark's ``setup_s``
 takes it. Both trees are byte-compiled first, as ``bench_pairs.py`` does,
 since a fresh process may not write its own cache; a tree that cannot
-import it is reported as missing. ``--quick`` takes two cases
-at cap 16 and the import case, for a smoke test.
+import it is reported as missing. ``--quick`` takes two builders
+at cap 16, one float side and the import case, for a smoke test.
 
 The result is printed as a table and, with ``--out``, written under the
 ``layers`` key of that JSON file; an existing file is updated, not
@@ -51,6 +54,7 @@ from compare_sides import ROOT, load  # noqa: E402
 
 POINT = dict(alpha=Fraction(3, 7), beta=Fraction(2, 5))
 EXPONENTIAL_RIGHT_SIDES = ("1.5", "1.9", "1.10", "1.12", "1.13")
+FLOAT_SIDES = (("1.10", {}), ("1.17", dict(i=8)), ("2.1", dict(i=8, j=8)), ("3.1", dict(i=8, j=8)))
 BATCH_SECONDS = 1e-3
 IMPORT_CASE = "import hypident.cli"
 
@@ -58,13 +62,15 @@ IMPORT_CASE = "import hypident.cli"
 def ladder(quick: bool) -> list[tuple[str, str, dict]]:
     """``(tag, builder, point)`` of every case."""
     if quick:
-        return [("1.10", "build_rhs", dict(cap=16)), ("1.10", "build_lhs", dict(cap=16))]
+        return [("1.10", "build_rhs", dict(cap=16)), ("1.10", "build_lhs", dict(cap=16)), ("1.10", "rhs_float", {})]
     cases = []
     for cap in (16, 96, 512):
         cases += [(tag, "build_rhs", dict(cap=cap)) for tag in (*EXPONENTIAL_RIGHT_SIDES, "1.7")]
         cases.append(("1.10", "build_lhs", dict(cap=cap)))
     cases += [("3.1", "build_rhs", dict(i=n, j=n)) for n in (2, 8, 20)]
     cases.append(("2.1", "build_rhs", dict(i=2, j=2)))
+    cases.append(("1.6", "build_lhs", dict(cap=512)))
+    cases += [(tag, side, point) for tag, point in FLOAT_SIDES for side in ("lhs_float", "rhs_float")]
     return cases
 
 
@@ -73,16 +79,18 @@ def label(tag: str, builder: str, point: dict) -> str:
 
 
 def call_of(tree, tag: str, builder: str, point: dict):
-    """A no-argument call of the builder in one tree, or None if the tree
-    cannot build the case."""
+    """A no-argument call of the builder in one tree, a float side at the
+    tree's default float points, or None if the tree cannot build the case."""
     identities = sys.modules[f"{tree.__name__}.identities"]
     try:
         build = getattr(identities.get(tag), builder)
-        params = identities.IdentityParams(**POINT, **point)
-        build(params)
+        args = [identities.IdentityParams(**POINT, **point)]
+        if builder.endswith("_float"):
+            args.append(sys.modules[f"{tree.__name__}.verify"].DEFAULT_FLOAT_POINTS)
+        build(*args)
     except Exception:  # noqa: BLE001 - a case a tree cannot run is missing
         return None
-    return lambda: build(params)
+    return lambda: build(*args)
 
 
 def import_call(src: Path):
@@ -142,7 +150,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("other", type=Path, help="root of the checkout to compare with")
     parser.add_argument("--rounds", type=int, default=15)
-    parser.add_argument("--quick", action="store_true", help="two cases at cap 16 and the import case, for a smoke test")
+    parser.add_argument("--quick", action="store_true",
+                        help="two builders at cap 16, one float side and the import case, for a smoke test")
     parser.add_argument("--out", type=Path, help="JSON file whose 'layers' key to create or update")
     args = parser.parse_args(argv)
     if not (args.other / "src" / "hypident" / "__init__.py").is_file():

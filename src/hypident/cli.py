@@ -185,6 +185,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         value = getattr(args, shift)
         if value and not any(shift in define.uses for define in defines):
             raise ValueError(f"--{shift} {value}: none of the identities {args.identity} takes shift {shift}")
+    if args.degree is not None and not any(define.kind == "series" for define in defines):
+        raise ValueError(f"--degree {args.degree}: none of the identities {args.identity} is a series entry")
     points = 0
     for define in defines:
         axes = sweep_axes(define.id, alphas, betas, args.i, args.j)
@@ -202,8 +204,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     reports = [
         report
         for define in defines
-        for report in sweep(define.id, alphas, betas, args.i, args.j, cap=args.degree, tol=args.tol,
-                            gamma=gamma, printed_form=args.printed_form)
+        for report in sweep(define.id, alphas, betas, args.i, args.j, tol=args.tol, gamma=gamma,
+                            cap=args.degree if define.kind == "series" else None, printed_form=args.printed_form)
     ]
     wall = time.perf_counter() - start
     _write(
@@ -225,9 +227,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 def _cmd_expand(args: argparse.Namespace) -> int:
     params = _parse_params(args)
     define = get(args.identity)
+    define.validate_params(params)
     if define.kind != "series":
         raise ValueError(f"identity {define.tag} is a scalar check, it has no series side")
-    define.validate_params(params)
     builder = define.build_lhs if args.side == "lhs" else define.build_rhs
     series = builder(params)
     _write(

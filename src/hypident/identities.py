@@ -282,8 +282,15 @@ def _side_floats(side: RawProduct | Side | ProductSide, xs: Sequence[float]) -> 
     factor's sum converged; ``(inf, False)`` at an x where a weight, power
     or exponential overflows a double, or where an overflowed sum would
     read nan. The terms are listed once, then summed at each x in the same
-    order."""
+    order.
+
+    Each distinct factor is summed once per call: the sums are kept by
+    ``(id(spec), argument)``, which is safe because ``terms`` holds every
+    spec for the whole call. An ``x**2/c`` factor takes the same argument
+    at ``x`` and ``-x``, so at symmetric points it is summed half as often.
+    """
     terms = tuple(side.terms)
+    sums: dict[tuple[int, float], FloatSum] = {}
     values = []
     for x in xs:
         total = 0.0
@@ -292,7 +299,10 @@ def _side_floats(side: RawProduct | Side | ProductSide, xs: Sequence[float]) -> 
             for term in terms:
                 value = float(term.weight) * x**term.power
                 for spec, arg in term.factors:
-                    factor = pfq_eval_float(spec, arg.at(x), tol=_FLOAT_TOL, max_terms=_FLOAT_TERMS)
+                    key = id(spec), arg.at(x)
+                    factor = sums.get(key)
+                    if factor is None:
+                        factor = sums[key] = pfq_eval_float(spec, key[1], tol=_FLOAT_TOL, max_terms=_FLOAT_TERMS)
                     value *= factor.value
                     converged = converged and factor.converged
                 total += value
@@ -653,6 +663,8 @@ class IdentityDef:
             value = getattr(params, shift)
             if value and shift not in self.uses:
                 raise ValueError(f"identity {self.tag} takes no shift {shift}, got {shift} = {value}")
+        if params.cap is not None and self.kind != "series":
+            raise ValueError(f"identity {self.tag} takes no cap (--degree): it is a scalar check, got cap = {params.cap}")
         if params.printed_form and not self.reading:
             readers = " and ".join(d.tag for d in catalog() if d.reading)
             raise ValueError(f"identity {self.tag} takes no printed_form: only {readers} have a printed-form reading")

@@ -5,10 +5,14 @@ in one indeterminate as integer numerators over one shared positive
 denominator, ``c_k = nums[k] / den``. Every operation is plain integer
 arithmetic followed by a single gcd that cancels the common factor, so the
 pair ``(den, nums)`` is canonical: two series with the same coefficients
-have the same fields and compare and hash equal. ``coeffs`` presents the
-coefficients as :class:`fractions.Fraction` values for rendering and
-callers outside the arithmetic; it is built on each access, and nothing
-in the arithmetic reads it.
+have the same fields and compare and hash equal. Every route hands
+:meth:`~TruncatedSeries.from_integers` numerators over its last step's
+denominator, so numerator d carries every step after d and the top one the
+fewest; the canonicalising gcd therefore runs from the top degree down,
+which takes one full-size gcd where the other order takes one a degree.
+``coeffs`` presents the coefficients as :class:`fractions.Fraction` values
+for rendering and callers outside the arithmetic; it is built on each
+access, and nothing in the arithmetic reads it.
 
 Operations never invent coefficients above the cap: binary operations
 truncate to the smaller of the two caps and the result records the cap
@@ -60,13 +64,22 @@ class TruncatedSeries:
     @staticmethod
     def from_integers(cap: int, den: int, nums: Iterable[int]) -> "TruncatedSeries":
         """The series with coefficients ``nums[k] / den`` (den nonzero),
-        brought to canonical form by one gcd."""
+        brought to canonical form by one gcd.
+
+        The gcd chain starts at the top degree. A recurrence's numerator d
+        is lifted by every step after d, so the top one is the least lifted:
+        ``gcd(den, nums[-1])`` is the one full-size gcd, and each later one
+        reduces a big numerator by the small running gcd it left. From
+        degree 0 up, the running gcd would stay nearly as large as ``den``
+        and every gcd would be full size. The result does not depend on the
+        order, since the gcd of several integers does not.
+        """
         nums = tuple(nums)
         if cap < 0:
             raise ValueError("series cap must be nonnegative")
         if len(nums) != cap + 1:
             raise ValueError(f"expected {cap + 1} numerators for cap {cap}, got {len(nums)}")
-        g = math.gcd(den, *nums)
+        g = math.gcd(den, *reversed(nums))
         if den < 0:
             g = -g
         if g != 1:

@@ -1,5 +1,6 @@
 """Smoke test of ``scripts/bench_layers.py`` on its small ladder."""
 
+import importlib.util
 import json
 import math
 import shutil
@@ -10,7 +11,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SCRIPT = ROOT / "scripts" / "bench_layers.py"
 IMPORT_CASE = "import hypident.cli"
-QUICK_CASES = {"1.10 build_rhs cap=16", "1.10 build_lhs cap=16", IMPORT_CASE}
+QUICK_CASES = {"1.10 build_rhs cap=16", "1.10 build_lhs cap=16", "1.10 rhs_float", IMPORT_CASE}
 
 
 def bench(other: Path, out: Path) -> dict:
@@ -40,12 +41,28 @@ def test_a_case_the_other_tree_cannot_build_is_missing(tmp_path):
     identities = tmp_path / "src" / "hypident" / "identities.py"
     text = identities.read_text()
     build = "build_rhs=lambda p: _side_series(rhs(p), p.effective_cap),"
-    assert text.count(build) == 1
-    identities.write_text(text.replace(build, "build_rhs=lambda p: 1 / 0,"))
+    floats = "rhs_float=lambda p, xs: _side_floats(rhs(p), xs),"
+    assert text.count(build) == text.count(floats) == 1
+    identities.write_text(text.replace(build, "build_rhs=lambda p: 1 / 0,").replace(floats, "rhs_float=lambda p, xs: 1 / 0,"))
     # the package does not import its command line, so only the import case breaks
     cli = tmp_path / "src" / "hypident" / "cli.py"
     cli.write_text(cli.read_text() + "\nraise ImportError('no command line')\n")
     cases = bench(tmp_path, tmp_path / "bench.json")
     assert cases["1.10 build_rhs cap=16"] == {"missing": ["other"]}
+    assert cases["1.10 rhs_float"] == {"missing": ["other"]}
     assert cases[IMPORT_CASE] == {"missing": ["other"]}
     assert "median_ratio" in cases["1.10 build_lhs cap=16"]
+
+
+def test_the_full_ladder_times_float_sides_and_a_deep_left_side():
+    # the cases' structure only: the full ladder is too slow for tier-1
+    spec = importlib.util.spec_from_file_location("bench_layers", SCRIPT)
+    bench_layers = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench_layers)
+    labels = [bench_layers.label(*case) for case in bench_layers.ladder(quick=False)]
+    assert len(labels) == len(set(labels))
+    assert "1.6 build_lhs cap=512" in labels
+    floats = [label for label in labels if "_float" in label]
+    assert floats == [f"{tag} {side}{point}" for tag, point in
+                      (("1.10", ""), ("1.17", " i=8"), ("2.1", " i=8 j=8"), ("3.1", " i=8 j=8"))
+                      for side in ("lhs_float", "rhs_float")]

@@ -223,9 +223,9 @@ class TestVerify:
         assert out.splitlines()[1].startswith("1.8,1/3,2/5,7/3,,,,float_only_pass,0,,")
 
     # a report states only the fields its entry uses, plus the cap of a series
-    # entry: an unused CSV column stays empty. A shift the entry does not use
-    # is refused (see TestBadRequests), so only an unused beta or gamma is
-    # given here
+    # entry: an unused CSV column stays empty. A shift, or a degree, the entry
+    # does not use is refused (see TestBadRequests), so only an unused beta or
+    # gamma is given here
     @pytest.mark.parametrize(
         "point, params, csv_prefix",
         [
@@ -233,7 +233,7 @@ class TestVerify:
              {"alpha": "1/2", "beta": "5/3", "i": 2}, "1.3,1/2,5/3,,2,,2,exact_match,"),
             (["--identity", "1.4", "--alpha", "1/3", "--beta", "2/5", "--gamma", "7/3"],
              {"alpha": "1/3", "beta": "2/5"}, "1.4,1/3,2/5,,,,,float_only_pass,"),
-            (["--identity", "1.8", "--alpha", "1/3", "--beta", "2/5", "--gamma", "7/3", "--degree", "4"],
+            (["--identity", "1.8", "--alpha", "1/3", "--beta", "2/5", "--gamma", "7/3"],
              {"alpha": "1/3", "beta": "2/5", "gamma": "7/3"}, "1.8,1/3,2/5,7/3,,,,float_only_pass,"),
             (["--identity", "1.2", "--alpha", "1/2", "--beta", "2/5", "--gamma", "7/3", "--degree", "6"],
              {"alpha": "1/2", "cap": 6}, "1.2,1/2,,,,,6,exact_match,"),
@@ -325,6 +325,14 @@ class TestSweep:
                                 "--output", "json")
         assert code == 0 and "hypident: 3/3 points passed" in err
         assert [(r["identity"], r["params"].get("i")) for r in json.loads(out)] == [("2.1", 0), ("2.1", 1), ("1.2", None)]
+
+    def test_a_degree_some_listed_tag_uses_is_kept(self, capsys):
+        # 1.10 runs at cap 20; 1.4 is a scalar check and runs without one
+        code, out, err = invoke(capsys, "sweep", "--identity", "1.4,1.10", "--alpha", "3/7", "--beta", "2/5",
+                                "--degree", "20", "--output", "json")
+        assert code == 0 and "hypident: 2/2 points passed" in err
+        assert [(r["identity"], r["params"].get("cap"), r["cap"]) for r in json.loads(out)] == [("1.4", None, None),
+                                                                                                ("1.10", 20, 20)]
 
     def test_one_point_sweep_has_a_timing_line(self, capsys):
         code, out, err = invoke(capsys, "sweep", "--identity", "1.2", "--alpha", "3/7")
@@ -685,6 +693,18 @@ class TestBadRequests:
              "--i 3: none of the identities 1.4 takes shift i"),
             (["sweep", "--identity", "1.17,1.2", "--alpha", "1/2", "--i", "1", "--j", "2"],
              "--j 2: none of the identities 1.17,1.2 takes shift j"),
+            # a degree is refused by every scalar entry, in a sweep only when
+            # none of the listed tags is a series entry
+            (["verify", "--identity", "1.4", "--alpha", "1/3", "--beta", "2/5", "--degree", "20"],
+             "identity 1.4 takes no cap (--degree): it is a scalar check, got cap = 20"),
+            (["sweep", "--identity", "1.4", "--alpha", "1/3", "--beta", "2/5", "--degree", "20"],
+             "--degree 20: none of the identities 1.4 is a series entry"),
+            (["verify", "--identity", "1.3", "--alpha", "1/3", "--beta", "2/5", "--i", "3", "--degree", "20"],
+             "identity 1.3 takes no cap (--degree)"),
+            (["expand", "--identity", "1.4", "--alpha", "1/3", "--beta", "2/5", "--degree", "0"],
+             "identity 1.4 takes no cap (--degree)"),
+            (["eval", "--identity", "1.8", "--alpha", "1/3", "--beta", "2/5", "--gamma", "5", "--degree", "20"],
+             "identity 1.8 takes no cap (--degree)"),
         ],
     )
     def test_exit_2_with_message(self, capsys, argv, needle):

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 import hypident
 from hypident import identities, right
-from hypident.hyper import DegenerateParameterError, FloatSum, HypSpec, bailey_product_spec, pfq_series
+from hypident.hyper import DegenerateParameterError, FloatSum, HypSpec, bailey_product_spec, pfq_eval_float, pfq_series
 from hypident.identities import (
     Arg,
     IdentityId,
@@ -1333,3 +1333,65 @@ def test_the_two_routes_are_two_modules():
     assert imports["left"] <= {"series", "rationals"}, imports["left"]
     assert imports["right"] & {"left", "identities"} == set(), imports["right"]
     assert [name for name, found in imports.items() if {"left", "right"} <= found] == ["identities"]
+
+
+def per_term_side_floats(side, xs):
+    """The float interpreter with no kept sums: every factor of every term
+    summed afresh at every x, weight, power, product and exponential in the
+    order ``_side_floats`` takes them."""
+    terms = tuple(side.terms)
+    values = []
+    for x in xs:
+        total = 0.0
+        converged = True
+        try:
+            for term in terms:
+                value = float(term.weight) * x**term.power
+                for spec, arg in term.factors:
+                    factor = pfq_eval_float(spec, arg.at(x), tol=identities._FLOAT_TOL, max_terms=identities._FLOAT_TERMS)
+                    value *= factor.value
+                    converged = converged and factor.converged
+                total += value
+            if side.exp:
+                total *= math.exp(side.exp * x)
+        except OverflowError:
+            total, converged = math.inf, False
+        if math.isnan(total) and not math.isnan(x):
+            total = math.inf
+        values.append((total, converged and math.isfinite(total)))
+    return values
+
+
+# zeros of both signs, a nan and a point where a factor overflows
+EDGE_FLOAT_POINTS = (0.0, -0.0, math.nan, -800.0, 0.5, -0.0)
+
+
+@pytest.mark.parametrize("tag", SERIES_TAGS)
+def test_side_floats_match_the_per_term_loop_bit_for_bit(tag, monkeypatch):
+    """Keeping each distinct factor's sum changes no float: both sides of
+    every series entry, by ``repr``, which round-trips a double."""
+    define = get(tag)
+    point = {name: value for name, value in (("beta", B), ("i", 2), ("j", 3)) if name in define.uses}
+    params = IdentityParams(alpha=A, **point)
+    for xs in (DEFAULT_FLOAT_POINTS, EDGE_FLOAT_POINTS):
+        got = [define.lhs_float(params, xs), define.rhs_float(params, xs)]
+        monkeypatch.setattr(identities, "_side_floats", per_term_side_floats)
+        want = [define.lhs_float(params, xs), define.rhs_float(params, xs)]
+        monkeypatch.undo()
+        assert repr(got) == repr(want), xs
+
+
+def test_a_product_side_sums_each_block_once_per_distinct_argument(monkeypatch):
+    """Every block of 2.1 is a factor at ``x**2/4``, so the six symmetric
+    default points give it three distinct arguments."""
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return pfq_eval_float(*args, **kwargs)
+
+    monkeypatch.setattr(identities, "pfq_eval_float", counting)
+    i, j = 3, 3
+    get("2.1").rhs_float(IdentityParams(alpha=A, beta=B, i=i, j=j), DEFAULT_FLOAT_POINTS)
+    assert len(calls) == (i + 1) * (j + 1) * 3
+    assert {x for _, x in calls} == {x * x / 4 for x in DEFAULT_FLOAT_POINTS}

@@ -1,12 +1,14 @@
 """Tests for truncated exact power series."""
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hypident import series
 from hypident.rationals import parse_rational
 from hypident.series import TruncatedSeries, _over_last, exp_series
 
@@ -322,3 +324,56 @@ class TestIntegerRepresentation:
             s.shift(power, s.cap + power + 1)
         with pytest.raises(ValueError):
             s.substitute_even(3, 2 * s.cap + 2)
+
+
+# -- canonical form: the gcd chain runs from the top degree down -----------
+
+
+def canonical_cases(seed: int, count: int):
+    """``(cap, den, nums)``: random numerators, some zero or all zero, and
+    numerators lifted the way a recurrence lifts them (``_over_last``), over
+    a denominator of either sign; caps from 0."""
+    rng = random.Random(seed)
+    for n in range(count):
+        cap = rng.randrange(0, 13) if n % 5 else 0
+        den = rng.choice((-1, 1)) * rng.randrange(1, 10**6)
+        if n % 7 == 3:
+            nums = [0] * (cap + 1)
+        elif n % 2:
+            nums = [rng.choice((0, rng.randrange(-10**9, 10**9))) for _ in range(cap + 1)]
+        else:
+            steps = [1, *(rng.randrange(1, 500) for _ in range(cap))]
+            den, nums = _over_last(den, steps, [rng.randrange(-99, 99) for _ in range(cap + 1)])
+        yield cap, den, nums
+
+
+def test_a_common_factor_leaves_the_canonical_form():
+    rng = random.Random(34)
+    for cap, den, nums in canonical_cases(seed=34, count=400):
+        u = rng.choice((-1, 1)) * rng.randrange(1, 10**12)
+        want = TruncatedSeries.from_integers(cap, den, nums)
+        assert TruncatedSeries.from_integers(cap, u * den, [u * n for n in nums]) == want, (cap, den, nums, u)
+        assert want.coeffs == tuple(Fraction(n, den) for n in nums)
+        assert want.den > 0 and math.gcd(want.den, *want.nums) == 1
+
+
+def test_the_gcd_chain_starts_at_the_top_degree(monkeypatch):
+    # numerator d of a recurrence carries every step after d, so only a
+    # chain from the top makes the first gcd the one full-size gcd
+    seen = []
+
+    class RecordingMath:
+        def __getattr__(self, name):
+            return getattr(math, name)
+
+        @staticmethod
+        def gcd(*args):
+            seen.append(args)
+            return math.gcd(*args)
+
+    monkeypatch.setattr(series, "math", RecordingMath())
+    den, nums = _over_last(3, [1, 5, 7, 11, 13], [2, 4, 6, 8, 10])
+    out = TruncatedSeries.from_integers(4, den, nums)
+    [args] = seen
+    assert args[:2] == (den, nums[-1]) and sorted(args[1:]) == sorted(nums)
+    assert out.coeffs == tuple(Fraction(n, den) for n in nums)
