@@ -27,7 +27,7 @@ from fractions import Fraction
 from itertools import accumulate
 from operator import mul
 
-from .rationals import format_rational, is_nonpositive_integer
+from .rationals import _over_common, format_rational, is_nonpositive_integer
 from .series import TruncatedSeries, _over_last
 
 __all__ = [
@@ -335,9 +335,8 @@ def _telescoped_tail(spec: HypSpec):
     arXiv:1606.06977, bounds tails in the same spirit.)
     """
     order = _TAIL_ORDER
-    scale = math.lcm(*(v.denominator for v in spec.upper + spec.lower))
-    ups = [a.numerator * (scale // a.denominator) for a in spec.upper]
-    lows = [b.numerator * (scale // b.denominator) for b in spec.lower]
+    scale, values = _over_common(*spec.upper, *spec.lower)
+    ups, lows = values[: len(spec.upper)], values[len(spec.upper) :]
     if sum(lows) <= sum(ups):
         return None
     p_poly = _poly_from_roots(ups)  # scale**(q+1) P(K / scale)

@@ -162,10 +162,6 @@ class Arg:
     c: int = 1
     squared: bool = False
 
-    def t_cap(self, cap: int) -> int:
-        """Degree in t that a series in x needs up to ``x**cap``."""
-        return cap // 2 if self.squared else cap
-
     def at(self, x: float) -> float:
         return x * x / self.c if self.squared else self.c * x
 
@@ -725,7 +721,9 @@ def _float_sum_entry(
 
     def values_at(p: IdentityParams) -> dict[str, Fraction]:
         # verify_identity checks, then sums, the one params object it was
-        # given; keyed by identity, the second call costs no hashing
+        # given; keyed by identity, the second call costs no hashing. It
+        # saves one values(p) a request: 15 us of a 540 us cli.run verify
+        # of 1.8, 5 us of 273 us for 1.4 (Python 3.11.7, BENCH_35.json memo)
         nonlocal last
         point, found = last
         if point is not p:

@@ -41,11 +41,14 @@ def _sum_series(side, cap: int) -> TruncatedSeries:
     blocks), about 60 on two, 135 on four and 250 on nine (3.1 at i = j =
     1 and 2); it ran at x0.5-0.8 of the transform at cap 16, the default
     cap of 1.x, and at x7-16 at cap 512 on 1.5-1.13. The lower route pays
-    in process too: with every exponential taken term by term, a
-    ``verify.sweep`` of 3.1, 3.2 or 3.3 at i, j <= 8 ran x2.1-2.5 slower
-    and ``build_rhs`` of 1.5-1.13 at cap 16 x1.0-1.6 (``BENCH_32.json``).
-    No benchmark workload yet runs a side below the threshold
-    (``deep_series`` builds 1.5-1.13 at cap 96 only, and none builds 3.x).
+    for itself: with every exponential taken term by term, interleaved in
+    process (Python 3.11.7, ``BENCH_35.json`` ``fork``), ``build_rhs`` of
+    1.5, 1.9, 1.10, 1.12 and 1.13 at cap 16 ran x1.08-1.74 slower, their
+    default ``verify`` x0.95-1.10, and a ``verify.sweep`` of 3.1, 3.2 or
+    3.3 at i, j <= 8 x2.2-2.3 (x2.1-2.5 in ``BENCH_32.json``). Of the
+    benchmark's workloads, ``product_grid`` runs the transform on 2.x and
+    ``deep_series`` the recurrence on 1.5-1.13 at cap 96; a ``Side`` below
+    the threshold is timed in process only.
     """
     inside = cap >= _EXP_INSIDE_PER_TERM * len(side.terms)
     total = TruncatedSeries.from_integers(cap, *_terms_integers(side.terms, cap, side.exp if inside else 0))
@@ -86,8 +89,8 @@ def _terms_integers(terms, cap: int, eps: Fraction | int = 0) -> tuple[int, list
             stride = 1
         else:
             scales = (1, arg.c) if arg.squared else (arg.c, 1)
-            block_den, block_nums = _pfq_integers(spec.upper, spec.lower, arg.t_cap(need), *scales)
             stride = 2 if arg.squared else 1
+            block_den, block_nums = _pfq_integers(spec.upper, spec.lower, need // stride, *scales)
         block_den *= term.weight.denominator
         common = math.lcm(den, block_den)
         if common != den:

@@ -2,17 +2,25 @@
 
 A :class:`TruncatedSeries` stores coefficients ``c_0 .. c_cap`` of a series
 in one indeterminate as integer numerators over one shared positive
-denominator, ``c_k = nums[k] / den``. Every operation is plain integer
-arithmetic followed by a single gcd that cancels the common factor, so the
-pair ``(den, nums)`` is canonical: two series with the same coefficients
-have the same fields and compare and hash equal. Every route hands
+denominator, ``c_k = nums[k] / den``. Every series is brought to canonical
+form by one gcd that cancels the common factor, so the pair ``(den, nums)``
+is canonical: two series with the same coefficients have the same fields
+and compare and hash equal. Every route hands
 :meth:`~TruncatedSeries.from_integers` numerators over its last step's
 denominator, so numerator d carries every step after d and the top one the
 fewest; the canonicalising gcd therefore runs from the top degree down,
 which takes one full-size gcd where the other order takes one a degree.
-``coeffs`` presents the coefficients as :class:`fractions.Fraction` values
-for rendering and callers outside the arithmetic; it is built on each
-access, and nothing in the arithmetic reads it.
+``coeffs`` presents the coefficients as :class:`fractions.Fraction` values;
+it is built on each access.
+
+An operation stays integer arithmetic where measured traffic pays for it:
+``times_exp``, which the right route calls, and ``+``, ``-``, ``*``,
+``scale`` and ``shift``, on which the tests' reference builders lean
+(with ``+``, ``-``, ``scale`` and ``shift`` written over ``coeffs``,
+``tests/test_identities.py`` took 38-41 s against 22-24 s, Python 3.11.7
+on a two-core x86 VM).
+``scale_argument``, ``substitute_even`` and :func:`exp_series`, which no
+route calls, are their definitions over ``coeffs``.
 
 Operations never invent coefficients above the cap: binary operations
 truncate to the smaller of the two caps and the result records the cap
@@ -28,7 +36,7 @@ from fractions import Fraction
 from operator import add, mul
 from typing import Iterable
 
-from .rationals import format_rational
+from .rationals import _over_common, format_rational
 
 __all__ = ["TruncatedSeries"]
 
@@ -42,17 +50,13 @@ class TruncatedSeries:
     nums: tuple[int, ...]
 
     def __init__(self, cap: int, coeffs: Iterable[Fraction | int]) -> None:
-        coeffs = tuple(Fraction(c) for c in coeffs)
         if cap < 0:
             raise ValueError("series cap must be nonnegative")
-        if len(coeffs) != cap + 1:
-            raise ValueError(
-                f"expected {cap + 1} coefficients for cap {cap}, got {len(coeffs)}"
-            )
         # over the lcm of reduced denominators no common factor is left
-        den = math.lcm(*(c.denominator for c in coeffs))
-        nums = tuple(c.numerator * (den // c.denominator) for c in coeffs)
-        _set(self, cap, den, nums)
+        den, nums = _over_common(*map(Fraction, coeffs))
+        if len(nums) != cap + 1:
+            raise ValueError(f"expected {cap + 1} coefficients for cap {cap}, got {len(nums)}")
+        _set(self, cap, den, tuple(nums))
 
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
@@ -134,9 +138,13 @@ class TruncatedSeries:
     def times_exp(self, eps: Fraction | int) -> "TruncatedSeries":
         """Multiply by ``e**(eps*x)``, ``eps = p/q`` any nonzero rational.
 
-        The integers are lifted to ``a_j = j! q**j p**(cap-j) f_j`` over the
-        same denominator and handed to :func:`_exp_transform`: O(cap**2)
-        additions, whatever the series.
+        With the integers lifted to ``a_j = j! q**j p**(cap-j) f_j`` over the
+        same denominator, the product g has ``k! q**k p**(cap-k) g_k = sum_j
+        C(k, j) a_j``: a binomial transform, taken by repeated pairwise sums,
+        so it costs O(cap**2) additions whatever the series, and its only big
+        multiplications are O(cap) rescalings, not a Cauchy product. Over
+        ``den * cap! * q**cap * p**cap``, numerator k is that sum times
+        ``p**k q**(cap-k) cap!/k!``.
         """
         p, q, cap = eps.numerator, eps.denominator, self.cap
         if p == 0:
@@ -146,7 +154,17 @@ class TruncatedSeries:
             rows.append(n * weight)
             # the next j! q**j p**(cap-j): exact but at the last step, whose weight is unused
             weight = weight * (q * j) // p
-        return TruncatedSeries.from_integers(cap, *_exp_transform(self.den, rows, p, q))
+        # after k passes rows[0] is sum_j C(k, j) a_j
+        sums = [rows[0]]
+        for _ in range(cap):
+            rows = list(map(add, rows, rows[1:]))
+            sums.append(rows[0])
+        # p**k q**(cap-k) cap!/k!, built from the top down
+        lift = p**cap
+        for k in range(cap, -1, -1):
+            sums[k] *= lift
+            lift = lift * (q * k) // p
+        return TruncatedSeries.from_integers(cap, self.den * math.factorial(cap) * (q * p) ** cap, sums)
 
     def scale(self, factor: Fraction | int) -> "TruncatedSeries":
         factor = Fraction(factor)
@@ -162,13 +180,7 @@ class TruncatedSeries:
         is how every ``f(-x)`` in the catalog is built.
         """
         factor = Fraction(factor)
-        # over q**cap, coefficient k gains p**k * q**(cap - k)
-        p, q = factor.numerator, factor.denominator
-        return TruncatedSeries.from_integers(
-            self.cap,
-            self.den * q**self.cap,
-            [n * p**k * q ** (self.cap - k) for k, n in enumerate(self.nums)],
-        )
+        return TruncatedSeries(self.cap, [c * factor**k for k, c in enumerate(self.coeffs)])
 
     def shift(self, power: int, cap: int | None = None) -> "TruncatedSeries":
         """Multiply by ``x**power``; the result has the given cap, by default
@@ -203,16 +215,9 @@ class TruncatedSeries:
             raise ValueError(
                 f"substitute_even cannot reach cap {cap} from cap {self.cap}"
             )
-        # divisor**-k = (q/p)**k; over |p|**top, coefficient k gains
-        # (sign(p)*q)**k * |p|**(top - k)
-        p, q = abs(divisor.numerator), divisor.denominator
-        if divisor < 0:
-            q = -q
-        top = cap // 2
-        nums = [0] * (cap + 1)
-        for k in range(top + 1):
-            nums[2 * k] = self.nums[k] * q**k * p ** (top - k)
-        return TruncatedSeries.from_integers(cap, self.den * p**top, nums)
+        coeffs = [0] * (cap + 1)
+        coeffs[::2] = [c * divisor**-k for k, c in enumerate(self.coeffs[: cap // 2 + 1])]
+        return TruncatedSeries(cap, coeffs)
 
     def coefficient_strings(self) -> list[str]:
         """Coefficients rendered as exact p/q strings, index = degree."""
@@ -250,30 +255,6 @@ def _over_last(den: int, steps: list[int], rows: list[int]) -> tuple[int, list[i
     return den * suffix, nums
 
 
-def _exp_transform(den: int, rows: list[int], p: int, q: int) -> tuple[int, list[int]]:
-    """``e**(p*x/q)`` times the series f given by ``rows[j] / den``, with
-    ``rows[j] = a_j = j! q**j p**(cap-j) f_j``, as unreduced ``(den', nums)``.
-
-    The product g has ``k! q**k p**(cap-k) g_k = sum_j C(k, j) a_j``: a
-    binomial transform, taken by repeated pairwise sums, so the only big
-    multiplications are O(cap) rescalings and not a Cauchy product. Over
-    ``den' = den * cap! * q**cap * p**cap``, numerator k is that sum times
-    ``p**k q**(cap-k) cap!/k!``.
-    """
-    cap = len(rows) - 1
-    # after k passes rows[0] is sum_j C(k, j) a_j
-    sums = [rows[0]]
-    for _ in range(cap):
-        rows = list(map(add, rows, rows[1:]))
-        sums.append(rows[0])
-    # p**k q**(cap-k) cap!/k!, built from the top down
-    lift = p**cap
-    for k in range(cap, -1, -1):
-        sums[k] *= lift
-        lift = lift * (q * k) // p
-    return den * math.factorial(cap) * (q * p) ** cap, sums
-
-
 def _set(series: TruncatedSeries, cap: int, den: int, nums: tuple[int, ...]) -> None:
     object.__setattr__(series, "cap", cap)
     object.__setattr__(series, "den", den)
@@ -281,9 +262,13 @@ def _set(series: TruncatedSeries, cap: int, den: int, nums: tuple[int, ...]) -> 
 
 
 def exp_series(cap: int, eps: Fraction | int = 1) -> TruncatedSeries:
-    """Exact series of ``e**(eps*x)``, eps any nonzero rational: the unit
-    series times that exponential. Example: ``exp_series(2, Fraction(-1, 2))``
-    is ``1 - 1/2*x + 1/8*x^2``.
-    Unused by the package: perfbench's tracer patches it, and tests use it as an oracle.
+    """Exact series of ``e**(eps*x)``, eps any nonzero rational: coefficient k
+    is ``eps**k / k!``. Example: ``exp_series(2, Fraction(-1, 2))`` is
+    ``1 - 1/2*x + 1/8*x^2``.
+    Unused by the package: perfbench's tracer patches it, and tests use it as
+    an oracle independent of ``times_exp``.
     """
-    return TruncatedSeries.from_integers(cap, 1, [1] + [0] * cap).times_exp(eps)
+    eps = Fraction(eps)
+    if eps == 0:
+        raise ValueError("exp_series takes a nonzero rational")
+    return TruncatedSeries(cap, [eps**k / math.factorial(k) for k in range(cap + 1)])
