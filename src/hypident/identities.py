@@ -102,9 +102,13 @@ class IdentityParams:
     printed_form: bool = False
 
     def __post_init__(self) -> None:
-        # alpha is required; a Fraction is kept as it is, not copied
+        # alpha is required; a Fraction is kept as it is, not copied. A float
+        # is refused, as the CLI refuses a decimal: Fraction(0.1) would
+        # silently check the identity at the nearest double, not at 1/10
         for name in ("alpha", "beta", "gamma"):
             value = getattr(self, name)
+            if isinstance(value, float):
+                raise ValueError(f"{name} must be an exact rational (a Fraction, an int or a 'p/q' string), not the float {value!r}")
             if not isinstance(value, Fraction) and (value is not None or name == "alpha"):
                 object.__setattr__(self, name, Fraction(value))
         if self.i < 0 or self.j < 0:

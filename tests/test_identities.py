@@ -108,6 +108,17 @@ class TestParams:
         with pytest.raises(ValueError):
             IdentityParams(alpha=A, i=-1)
 
+    @pytest.mark.parametrize("name", ["alpha", "beta", "gamma"])
+    def test_a_float_parameter_is_refused(self, name):
+        # Fraction(0.1) is 3602879701896397/36028797018963968, not 1/10
+        point = {"alpha": A, "beta": B, "gamma": Fraction(1, 7)}
+        with pytest.raises(ValueError, match=f"^{name} must be an exact rational.*not the float 0.1$"):
+            IdentityParams(**{**point, name: 0.1}, i=4, j=4)
+        exact = IdentityParams(**{**point, name: "1/10"})
+        assert getattr(exact, name) == Fraction(1, 10)
+        assert getattr(IdentityParams(**{**point, name: Fraction(1, 10)}), name) == Fraction(1, 10)
+        assert getattr(IdentityParams(**{**point, name: -3}), name) == Fraction(-3)
+
     def test_missing_beta_detected(self):
         with pytest.raises(ValueError, match="needs beta"):
             get("1.7").validate_params(IdentityParams(alpha=A))
