@@ -108,7 +108,7 @@ class IdentityParams:
         for name in ("alpha", "beta", "gamma"):
             value = getattr(self, name)
             if isinstance(value, float):
-                raise ValueError(f"{name} must be an exact rational (a Fraction, an int or a 'p/q' string), not the float {value!r}")
+                raise ValueError(f"{name} must be an exact rational, not the float {value!r}")
             if not isinstance(value, Fraction) and (value is not None or name == "alpha"):
                 object.__setattr__(self, name, Fraction(value))
         if self.i < 0 or self.j < 0:
