@@ -27,7 +27,7 @@ from fractions import Fraction
 from itertools import accumulate
 from operator import mul
 
-from .rationals import _over_common, format_rational, is_nonpositive_integer
+from .rationals import _exact_rational, _over_common, format_rational, is_nonpositive_integer
 from .series import TruncatedSeries, _over_last
 
 __all__ = [
@@ -72,9 +72,10 @@ class HypSpec:
 
     def __post_init__(self) -> None:
         # tuple() of a list, not of a generator: see TruncatedSeries.from_integers
-        # (and a Fraction is kept as it is, not copied)
-        upper = tuple([a if isinstance(a, Fraction) else Fraction(a) for a in self.upper])
-        lower = tuple([b if isinstance(b, Fraction) else Fraction(b) for b in self.lower])
+        # (a Fraction is kept as it is, with no call, so a side built from
+        # Fractions reaches nothing past HypSpec; a float is refused)
+        upper = tuple([a if isinstance(a, Fraction) else _exact_rational(a, f"upper[{pos}]") for pos, a in enumerate(self.upper)])
+        lower = tuple([b if isinstance(b, Fraction) else _exact_rational(b, f"lower[{pos}]") for pos, b in enumerate(self.lower)])
         object.__setattr__(self, "upper", upper)
         object.__setattr__(self, "lower", lower)
         for pos, b in enumerate(lower):

@@ -30,7 +30,7 @@ from typing import Callable, Iterator, Sequence
 
 from .hyper import DegenerateParameterError, FloatSum, HypSpec, _pfq_integers, bailey_product_spec, pfq_eval_float
 from .left import _raw_product_series
-from .rationals import _over_common, format_rational, is_nonpositive_integer, pochhammer
+from .rationals import _exact_rational, _over_common, format_rational, is_nonpositive_integer, pochhammer
 from .reports import AdmissibilityFinding, check_lower, check_poch, check_pole, check_positive
 from .right import _double_sum_series, _sum_series
 from .series import TruncatedSeries
@@ -102,15 +102,11 @@ class IdentityParams:
     printed_form: bool = False
 
     def __post_init__(self) -> None:
-        # alpha is required; a Fraction is kept as it is, not copied. A float
-        # is refused, as the CLI refuses a decimal: Fraction(0.1) would
-        # silently check the identity at the nearest double, not at 1/10
+        # alpha is required, and a float is refused
         for name in ("alpha", "beta", "gamma"):
             value = getattr(self, name)
-            if isinstance(value, float):
-                raise ValueError(f"{name} must be an exact rational, not the float {value!r}")
-            if not isinstance(value, Fraction) and (value is not None or name == "alpha"):
-                object.__setattr__(self, name, Fraction(value))
+            if value is not None or name == "alpha":
+                object.__setattr__(self, name, _exact_rational(value, name))
         if self.i < 0 or self.j < 0:
             raise ValueError("shifts i and j must be nonnegative")
         if self.cap is not None and self.cap < 0:
@@ -242,10 +238,11 @@ Expansion = tuple[Fraction, tuple[Fraction, ...]]
 
 @dataclass(frozen=True)
 class ProductSide:
-    """``e**x`` times the product of two 1.17/1.18 expansions, ``first =
-    (rho, v)`` and ``second = (sigma, w)``. Block (m, n) of the product is
-    the 1.11 block ``2F3(...; x**2/4)`` of ``(rho + m, sigma + n)``,
-    weighted ``v[m] * w[n]`` at power ``m + n``.
+    """``e**x`` times the product of two expansions, ``first = (rho, v)``
+    and ``second = (sigma, w)``: 1.17/1.18's for 2.x, or the summands of
+    :func:`_equal_param_factor` in alpha alone for 3.x. Block (m, n) of the
+    product is the 1.11 block ``2F3(...; x**2/4)`` of ``(rho + m, sigma +
+    n)``, weighted ``v[m] * w[n]`` at power ``m + n``.
 
     The right route sums it one anti-diagonal at a time; ``terms`` lists the
     blocks one by one, in m-major order without zero weights, for
@@ -431,37 +428,30 @@ def _equal_param_factor(
     return sign * pochhammer(2 * alpha - 2 * d - 1, k) / den, k - d
 
 
-def _equal_param_rhs(raised: tuple[bool, bool], params: IdentityParams, printed: bool) -> Side:
+def _equal_param_rhs(raised: tuple[bool, bool], params: IdentityParams, printed: bool) -> ProductSide:
     """Single-parameter closed form at beta = alpha. Only alpha appears, so
     comparing it with the composed two-parameter side is not a tautology.
 
-    Term (m, n) is ``(-i)_m (-j)_n x**(m+n)`` times both factors' parts and
-    the 2F3 block with lower parameters ``alpha + a + 1/2, alpha + b + 1/2,
-    2*alpha + a + b`` for their offsets a, b. The printed form reads
-    ``(-j)_m`` for ``(-j)_n``. Each summand is formed once with its shift
-    factor, the first factor's at the head of row m and the second's in row
-    0 just before its first block, so a build raises where a per-pair one does."""
+    It is the :class:`ProductSide` of the two factors' parts times ``(-i)_m``
+    and ``(-j)_n``; the printed form reads ``(-j)_m`` for ``(-j)_n``. Each
+    summand is formed once, in the order a block-by-block build in m-major
+    order reaches it, so a build raises where a per-pair one does."""
     alpha, i, j = params.alpha, params.i, params.j
-    columns = []
-    terms = []
-    for m in range(i + 1):
-        first, a = _equal_param_factor(alpha, i, m, raised[0], ("i", "m"))
-        row = pochhammer(Fraction(-i), m) * first * (pochhammer(Fraction(-j), m) if printed else 1)
-        lower_a = alpha + a + HALF
-        for n in range(j + 1):
-            if m == 0:
-                second, b = _equal_param_factor(alpha, j, n, raised[1], ("j", "n"))
-                columns.append((second if printed else pochhammer(Fraction(-j), n) * second, alpha + b + HALF))
-            column, lower_b = columns[n]
-            weight = row * column
-            # s = 2*alpha + a + b is the sum of the two lower parameters less 1
-            s = lower_a + lower_b - 1
-            # built before the zero-weight test: a degenerate block raises
-            # even where its weight vanishes
-            spec = HypSpec(upper=((s + 1) / 2, s / 2), lower=(lower_a, lower_b, s))
-            if weight != 0:
-                terms.append(Term(((spec, _SQ4),), weight, m + n))
-    return Side(tuple(terms), Fraction(1))
+    head, a = _equal_param_factor(alpha, i, 0, raised[0], ("i", "m"))
+    column, b = _equal_param_factor(alpha, j, 0, raised[1], ("j", "n"))
+    rho, sigma = alpha + a + HALF, alpha + b + HALF
+    # block (m, n)'s lower parameters are block (0, 0)'s plus m, n and m + n:
+    # if any block is degenerate, this one is, and it is the first one reached
+    bailey_product_spec(rho, sigma)
+    second = [column] + [_equal_param_factor(alpha, j, n, raised[1], ("j", "n"))[0] for n in range(1, j + 1)]
+    first = [head] + [_equal_param_factor(alpha, i, m, raised[0], ("i", "m"))[0] for m in range(1, i + 1)]
+    first = [pochhammer(Fraction(-i), m) * part for m, part in enumerate(first)]
+    if printed:
+        # (-j)_m vanishes for m > j: those weights drop like any zero weight
+        first = [pochhammer(Fraction(-j), m) * weight for m, weight in enumerate(first[: j + 1])]
+    else:
+        second = [pochhammer(Fraction(-j), n) * part for n, part in enumerate(second)]
+    return ProductSide((rho, tuple(first)), (sigma, tuple(second)))
 
 
 # --------------------------------------------------------------------------

@@ -67,6 +67,14 @@ def is_nonpositive_integer(value: Fraction | int) -> bool:
     return value.denominator == 1 and value.numerator <= 0
 
 
+def _exact_rational(value: Fraction | int, name: str) -> Fraction:
+    """``value`` as a fraction, a ``Fraction`` kept as it is. A float is refused:
+    ``Fraction(0.1)`` is the nearest double, not 1/10. ``name`` names the value."""
+    if isinstance(value, float):
+        raise ValueError(f"{name} must be an exact rational, not the float {value!r}")
+    return value if isinstance(value, Fraction) else Fraction(value)
+
+
 def _over_common(*values: Fraction) -> tuple[int, list[int]]:
     """``(L, [v*L, ...])``: the values as integers over their common denominator L."""
     scale = math.lcm(*[v.denominator for v in values])

@@ -18,8 +18,8 @@ from .series import TruncatedSeries, _over_last
 
 __all__: list[str] = []
 
-# a Side of T terms takes its exponential term by term from cap
-# _EXP_INSIDE_PER_TERM * T on; see _sum_series for where it comes from
+# a Side of T terms takes its exponential term by term from cap 40 T on, and
+# on the sum below, as 1.5-1.13 do at their default caps: see _sum_series
 _EXP_INSIDE_PER_TERM = 40
 
 
@@ -31,24 +31,24 @@ def _sum_series(side, cap: int) -> TruncatedSeries:
     a term; once, on the sum, by ``TruncatedSeries.times_exp``, costs
     O(cap**2) whatever the number of terms T. A :class:`Side` takes the
     recurrence from cap ``_EXP_INSIDE_PER_TERM * T`` (40 T) on, and the
-    transform below that; a :class:`ProductSide` (2.x) always takes the
-    transform. So 1.5, 1.9 and 1.10 take the recurrence from cap 40, 1.12
-    and 1.13 from cap 80, and a 3.x sum only toward the request limit.
+    transform below that; a :class:`ProductSide` (2.x and 3.x) always takes
+    the transform. So 1.5, 1.9 and 1.10 take the recurrence from cap 40,
+    and 1.12 and 1.13 from cap 80.
 
     The threshold rests on layer timings alone, in process, of the kernel
     plus ``times_exp`` against the per-term recurrences on the same side:
     the recurrence broke even at caps 24-40 on one term (0F1 to 2F3
-    blocks), about 60 on two, 135 on four and 250 on nine (3.1 at i = j =
-    1 and 2); it ran at x0.5-0.8 of the transform at cap 16, the default
-    cap of 1.x, and at x7-16 at cap 512 on 1.5-1.13. The lower route pays
-    for itself: with every exponential taken term by term, interleaved in
-    process (Python 3.11.7, ``BENCH_35.json`` ``fork``), ``build_rhs`` of
-    1.5, 1.9, 1.10, 1.12 and 1.13 at cap 16 ran x1.08-1.74 slower, their
-    default ``verify`` x0.95-1.10, and a ``verify.sweep`` of 3.1, 3.2 or
-    3.3 at i, j <= 8 x2.2-2.3 (x2.1-2.5 in ``BENCH_32.json``). Of the
-    benchmark's workloads, ``product_grid`` runs the transform on 2.x and
-    ``deep_series`` the recurrence on 1.5-1.13 at cap 96; a ``Side`` below
-    the threshold is timed in process only.
+    blocks), about 60 on two, 135 on four and 250 on nine (2F3 blocks); it
+    ran at x0.5-0.8 of the transform at cap 16, the default cap of 1.x, and
+    at x7-16 at cap 512 on 1.5-1.13. The lower route pays for itself on the
+    sides that take it, 1.5-1.13 at their default caps: with every
+    exponential taken term by term, interleaved in process (Python 3.11.7,
+    ``BENCH_36.json`` ``fork``), ``build_rhs`` at cap 16 ran x1.03 slower
+    on 1.5, x1.28 on 1.9 and x1.37-1.72 on 1.10, 1.12 and 1.13, and their
+    default ``verify`` x1.01-1.10. Of the benchmark's workloads,
+    ``product_grid`` runs the transform on 2.x and ``deep_series`` the
+    recurrence on 1.5-1.13 at cap 96; a ``Side`` below the threshold is
+    timed in process only.
     """
     inside = cap >= _EXP_INSIDE_PER_TERM * len(side.terms)
     total = TruncatedSeries.from_integers(cap, *_terms_integers(side.terms, cap, side.exp if inside else 0))

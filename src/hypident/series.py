@@ -36,7 +36,7 @@ from fractions import Fraction
 from operator import add, mul
 from typing import Iterable
 
-from .rationals import _over_common, format_rational
+from .rationals import _exact_rational, _over_common, format_rational
 
 __all__ = ["TruncatedSeries"]
 
@@ -53,7 +53,7 @@ class TruncatedSeries:
         if cap < 0:
             raise ValueError("series cap must be nonnegative")
         # over the lcm of reduced denominators no common factor is left
-        den, nums = _over_common(*map(Fraction, coeffs))
+        den, nums = _over_common(*[_exact_rational(c, f"coeffs[{k}]") for k, c in enumerate(coeffs)])
         if len(nums) != cap + 1:
             raise ValueError(f"expected {cap + 1} coefficients for cap {cap}, got {len(nums)}")
         _set(self, cap, den, tuple(nums))

@@ -41,6 +41,14 @@ class TestHypSpec:
     def test_upper_unrestricted(self):
         HypSpec((Fraction(-3),), (Fraction(1, 2),))  # fine: terminating series
 
+    def test_a_float_parameter_is_refused(self):
+        # Fraction(0.1) is 3602879701896397/36028797018963968, not 1/10
+        with pytest.raises(ValueError, match=r"^upper\[1\] must be an exact rational, not the float 0.1$"):
+            HypSpec((1, 0.1), (Fraction(3, 2),))
+        with pytest.raises(ValueError, match=r"^lower\[0\] must be an exact rational, not the float 1.5$"):
+            HypSpec((1,), (1.5, 2))
+        assert HypSpec((1, Fraction(1, 10)), (2,)).upper == (1, Fraction(1, 10))
+
 
 class TestPfqSeries:
     def test_frozen_f01_values(self):

@@ -29,6 +29,7 @@ from hypident.identities import (
     default_cap,
     get,
     _equal_param_factor,
+    _equal_param_rhs,
     _expansion_terms,
     _gamma_ratio,
     _product_rhs,
@@ -1104,9 +1105,9 @@ def test_left_sides_match_term_by_term_reference(tag, side, monkeypatch):
 KERNEL_POINTS = [(A, B), (Fraction(-11, 7), Fraction(-13, 5)), (Fraction(4, 11), Fraction(6, 13))]
 
 
-def recorded_right_side_terms(name, alpha, beta, caps, monkeypatch):
+def recorded_right_side_terms(name, alpha, beta, caps, monkeypatch, i=2):
     """``(call, den, canonical den)`` of every call of ``right.<name>``
-    that the catalog's right sides make at i = 2, j = 3 and the given caps."""
+    that the catalog's right sides make at shift i, j = 3 and the given caps."""
     built = []
     real = getattr(right, name)
 
@@ -1118,7 +1119,7 @@ def recorded_right_side_terms(name, alpha, beta, caps, monkeypatch):
     monkeypatch.setattr(right, name, recording)
     for tag in SERIES_TAGS:
         define = get(tag)
-        point = {shift: value for shift, value in (("i", 2), ("j", 3)) if shift in define.uses}
+        point = {shift: value for shift, value in (("i", i), ("j", 3)) if shift in define.uses}
         for cap in caps:
             params = IdentityParams(alpha=alpha, beta=beta, cap=cap, **point)
             if not check_admissible(tag, params):
@@ -1128,11 +1129,12 @@ def recorded_right_side_terms(name, alpha, beta, caps, monkeypatch):
 
 @pytest.mark.parametrize("alpha, beta", KERNEL_POINTS, ids=str)
 def test_the_kernel_reduces_as_it_goes(alpha, beta, monkeypatch):
-    """Every right-side term the pFq kernel builds, at i = 2, j = 3 and caps
+    """Every right-side term the pFq kernel builds, at i = 12, j = 3 and caps
     16, 48 and 96, comes over exactly the canonical denominator: the kernel
     keeps its integers in lowest terms step by step, not only after its
-    last step."""
-    built = recorded_right_side_terms("_pfq_integers", alpha, beta, (16, 48, 96), monkeypatch)
+    last step. Most of the terms are the 13 0F1 blocks of 1.17 and of 1.18
+    at each cap; the 2.x and 3.x sides take the double sum instead."""
+    built = recorded_right_side_terms("_pfq_integers", alpha, beta, (16, 48, 96), monkeypatch, i=12)
     assert len(built) > 100
     for call, den, canonical in built:
         assert abs(den) == canonical, (call, abs(den).bit_length(), canonical.bit_length())
@@ -1195,8 +1197,8 @@ def test_exponential_terms_match_the_transform_of_their_sum(name, eps):
 def test_an_exponential_side_takes_its_recurrence_from_cap_40_a_term(count, monkeypatch):
     """Below 40 degrees a term a Side's exponential multiplies its sum, by
     ``times_exp``; from there on each term takes it by its own recurrence,
-    with the same series either way. A ProductSide always takes
-    ``times_exp``."""
+    with the same series either way. A ProductSide, 2.x or 3.x, always
+    takes ``times_exp``, even at a cap past 40 degrees a block."""
     transforms = []
     real = TruncatedSeries.times_exp
 
@@ -1211,7 +1213,8 @@ def test_an_exponential_side_takes_its_recurrence_from_cap_40_a_term(count, monk
         assert _side_series(side, cap) == after
     assert transforms == [40 * count - 1]
     _side_series(_product_rhs(RAISED["PP"], IdentityParams(alpha=A, beta=B), False), 96)
-    assert transforms == [40 * count - 1, 96]
+    _side_series(_equal_param_rhs(RAISED["PP"], IdentityParams(alpha=A), False), 96)
+    assert transforms == [40 * count - 1, 96, 96]
 
 
 # --------------------------------------------------------------------------
@@ -1298,7 +1301,8 @@ AUDIT_POINTS = [
 def test_the_two_routes_stay_two(tag, point):
     """A left side reaches none of the right sides' machinery, the two
     sides share only the functions in ``SHARED``, and a 3.x right side is
-    written with alpha only, not composed from the 2.x expansions."""
+    written with alpha only, not composed from the 2.x expansions: only its
+    summation, the double sum of 2F3 blocks, is shared with 2.x."""
     define = get(tag)
     point = {**point, **{shift: 0 for shift in ("i", "j") if shift not in define.uses}}
     params = IdentityParams(**point)
@@ -1314,7 +1318,8 @@ def test_the_two_routes_stay_two(tag, point):
         assert "right._exp_term_integers" in rhs and "series.TruncatedSeries.times_exp" not in rhs
     assert lhs & rhs <= SHARED, (lhs & rhs) - SHARED
     if tag.startswith("3."):
-        assert rhs & {"identities._expansion_terms", "right._bailey_double_sum"} == set()
+        assert "identities._expansion_terms" not in rhs
+        assert {"identities._equal_param_factor", "right._bailey_double_sum"} <= rhs
 
 
 def package_imports(name):

@@ -37,6 +37,14 @@ class TestConstruction:
         with pytest.raises(ValueError):
             TruncatedSeries(-1, ())
 
+    def test_a_float_coefficient_is_refused(self):
+        # Fraction(0.1) is 3602879701896397/36028797018963968, not 1/10
+        with pytest.raises(ValueError, match=r"^coeffs\[0\] must be an exact rational, not the float 0.1$"):
+            TruncatedSeries(0, [0.1])
+        with pytest.raises(ValueError, match=r"^coeffs\[2\] must be an exact rational, not the float 2.0$"):
+            TruncatedSeries(2, [1, Fraction(1, 2), 2.0])
+        assert TruncatedSeries(1, [1, Fraction(1, 10)]).coeffs == (1, Fraction(1, 10))
+
     def test_coefficient_outside_cap_is_an_error(self):
         s = TruncatedSeries(2, (1, 2, 3))
         assert s.coefficient(2) == 3
