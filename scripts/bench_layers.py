@@ -6,8 +6,9 @@ call by call in one process.
 
 Both ``src/hypident`` trees are loaded as packages of their own with
 ``compare_sides.py``'s loader. Every case is one builder, ``build_lhs`` or
-``build_rhs``, or one float side, ``lhs_float`` or ``rhs_float`` at the
-default float points, of one catalog entry at one point; it runs in both
+``build_rhs``, one float side, ``lhs_float`` or ``rhs_float`` at the
+default float points, or one ``verify_identity`` with its default cap and
+float points, of one catalog entry at one point; it runs in both
 trees, interleaved, the other tree first in even rounds and this one first
 in odd rounds. A round times a batch of calls in each tree, sized once so that a
 batch takes about a millisecond in the other tree. For each case the output
@@ -18,7 +19,8 @@ build is reported as missing.
 
 The ladder: ``build_rhs`` of every single-series entry with an exponential
 (1.5, 1.9, 1.10, 1.12, 1.13) and ``build_lhs`` of 1.10 at caps 16, 96 and
-512; ``build_rhs`` of 1.7 at the same caps; ``build_rhs`` of 3.1 at
+512; ``build_rhs`` of 1.7 at the same caps; ``verify_identity`` of the
+five exponential entries at their defaults; ``build_rhs`` of 3.1 at
 i = j in 2, 8 and 20, at the default cap, and of 2.1 at i = j = 2;
 ``build_lhs`` of 1.6 at cap 512; ``lhs_float`` and ``rhs_float`` of 1.10,
 of 1.17 at i = 8, and of 2.1 and 3.1 at i = j = 8. The point is alpha 3/7,
@@ -67,6 +69,7 @@ def ladder(quick: bool) -> list[tuple[str, str, dict]]:
     for cap in (16, 96, 512):
         cases += [(tag, "build_rhs", dict(cap=cap)) for tag in (*EXPONENTIAL_RIGHT_SIDES, "1.7")]
         cases.append(("1.10", "build_lhs", dict(cap=cap)))
+    cases += [(tag, "verify_identity", {}) for tag in EXPONENTIAL_RIGHT_SIDES]
     cases += [("3.1", "build_rhs", dict(i=n, j=n)) for n in (2, 8, 20)]
     cases.append(("2.1", "build_rhs", dict(i=2, j=2)))
     cases.append(("1.6", "build_lhs", dict(cap=512)))
@@ -80,11 +83,16 @@ def label(tag: str, builder: str, point: dict) -> str:
 
 def call_of(tree, tag: str, builder: str, point: dict):
     """A no-argument call of the builder in one tree, a float side at the
-    tree's default float points, or None if the tree cannot build the case."""
+    tree's default float points, ``verify_identity`` of the entry, or None
+    if the tree cannot build the case."""
     identities = sys.modules[f"{tree.__name__}.identities"]
     try:
-        build = getattr(identities.get(tag), builder)
         args = [identities.IdentityParams(**POINT, **point)]
+        if builder == "verify_identity":
+            build = sys.modules[f"{tree.__name__}.verify"].verify_identity
+            args.insert(0, tag)
+        else:
+            build = getattr(identities.get(tag), builder)
         if builder.endswith("_float"):
             args.append(sys.modules[f"{tree.__name__}.verify"].DEFAULT_FLOAT_POINTS)
         build(*args)

@@ -44,9 +44,9 @@ _P = "--alpha 3/7 --beta 2/5"
 # the command lines, each run once per output format
 COMMANDS = [
     "list",
-    # series entries: a product grid point, exponential sides on both sides
-    # of the per-term threshold, an expansion, both readings of 3.3, an
-    # inadmissible point; then the scalar sums
+    # series entries: a product grid point, exponential sides at the default
+    # cap and at cap 40, an expansion, both readings of 3.3, an inadmissible
+    # point; then the scalar sums
     f"verify --identity 2.1 {_P} --i 2 --j 1",
     f"verify --identity 2.3 {_P} --i 1 --j 1 --printed-form",
     f"verify --identity 1.10 {_P}",

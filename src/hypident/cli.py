@@ -181,6 +181,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     betas = _parse_rational_list(args.beta) if args.beta else []
     gamma = parse_rational(args.gamma) if args.gamma else None
     defines = [get(tag) for tag in args.identity.split(",")]
+    for n, define in enumerate(defines):
+        if define in defines[:n]:
+            raise ValueError(f"--identity {args.identity} names identity {define.tag} more than once")
     for shift in ("i", "j"):
         value = getattr(args, shift)
         if value and not any(shift in define.uses for define in defines):

@@ -785,20 +785,20 @@ def _build_registry() -> dict[IdentityId, IdentityDef]:
 
     def contig_raised_rhs(p: IdentityParams) -> Side:
         a = p.alpha
-        head = HypSpec((a,), (a + HALF, 2 * a))
+        head = preece_block(p)
         tail = HypSpec((a + 1,), (a + Fraction(3, 2), 2 * a + 1))
         return Side((
-            Term(((head, _SQ4),)),
+            Term((head,)),
             Term(((tail, _SQ4),), Fraction(-1) / (2 * (2 * a + 1)), 1),
         ), Fraction(1))
 
     def contig_lowered_rhs(p: IdentityParams) -> Side:
         a = p.alpha
         head = HypSpec((a,), (a + HALF, 2 * a - 1))
-        tail = HypSpec((a,), (a + HALF, 2 * a))
+        tail = preece_block(p)
         return Side((
             Term(((head, _SQ4),)),
-            Term(((tail, _SQ4),), Fraction(1) / (2 * (2 * a - 1)), 1),
+            Term((tail,), Fraction(1) / (2 * (2 * a - 1)), 1),
         ), Fraction(1))
 
     defs = [

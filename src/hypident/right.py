@@ -1,6 +1,9 @@
 """The right route: each right side summed from its closed form, a
 ``Side``'s one-factor terms or a ``ProductSide``'s double sum of ``2F3``
-blocks. A side is read by its fields, so this module imports nothing from
+blocks. The exponential depends on the side type alone: a ``Side`` takes
+it inside each term, by the term's own recurrence, and a ``ProductSide``
+once, on its double sum, by ``TruncatedSeries.times_exp``. A side is read
+by its fields, so this module imports nothing from
 :mod:`~hypident.identities` and, as a tier-1 test checks, nothing from the
 left route, :mod:`~hypident.left`."""
 
@@ -18,41 +21,12 @@ from .series import TruncatedSeries, _over_last
 
 __all__: list[str] = []
 
-# a Side of T terms takes its exponential term by term from cap 40 T on, and
-# on the sum below, as 1.5-1.13 do at their default caps: see _sum_series
-_EXP_INSIDE_PER_TERM = 40
-
 
 def _sum_series(side, cap: int) -> TruncatedSeries:
-    """A ``Side`` by :func:`_terms_integers`, canonical after one gcd.
-
-    A side's exponential is taken one of two ways. Inside each term, by the
-    term's own recurrence (:func:`_exp_term_integers`), costs O(cap) steps
-    a term; once, on the sum, by ``TruncatedSeries.times_exp``, costs
-    O(cap**2) whatever the number of terms T. A :class:`Side` takes the
-    recurrence from cap ``_EXP_INSIDE_PER_TERM * T`` (40 T) on, and the
-    transform below that; a :class:`ProductSide` (2.x and 3.x) always takes
-    the transform. So 1.5, 1.9 and 1.10 take the recurrence from cap 40,
-    and 1.12 and 1.13 from cap 80.
-
-    The threshold rests on layer timings alone, in process, of the kernel
-    plus ``times_exp`` against the per-term recurrences on the same side:
-    the recurrence broke even at caps 24-40 on one term (0F1 to 2F3
-    blocks), about 60 on two, 135 on four and 250 on nine (2F3 blocks); it
-    ran at x0.5-0.8 of the transform at cap 16, the default cap of 1.x, and
-    at x7-16 at cap 512 on 1.5-1.13. The lower route pays for itself on the
-    sides that take it, 1.5-1.13 at their default caps: with every
-    exponential taken term by term, interleaved in process (Python 3.11.7,
-    ``BENCH_36.json`` ``fork``), ``build_rhs`` at cap 16 ran x1.03 slower
-    on 1.5, x1.28 on 1.9 and x1.37-1.72 on 1.10, 1.12 and 1.13, and their
-    default ``verify`` x1.01-1.10. Of the benchmark's workloads,
-    ``product_grid`` runs the transform on 2.x and ``deep_series`` the
-    recurrence on 1.5-1.13 at cap 96; a ``Side`` below the threshold is
-    timed in process only.
-    """
-    inside = cap >= _EXP_INSIDE_PER_TERM * len(side.terms)
-    total = TruncatedSeries.from_integers(cap, *_terms_integers(side.terms, cap, side.exp if inside else 0))
-    return total.times_exp(side.exp) if side.exp and not inside else total
+    """A ``Side`` by :func:`_terms_integers`, canonical after one gcd; a
+    side with an exponential takes it inside each term, by the term's own
+    recurrence (:func:`_exp_term_integers`), at every cap."""
+    return TruncatedSeries.from_integers(cap, *_terms_integers(side.terms, cap, side.exp))
 
 
 def _double_sum_series(side, cap: int) -> TruncatedSeries:

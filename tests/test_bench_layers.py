@@ -62,6 +62,8 @@ def test_the_full_ladder_times_float_sides_and_a_deep_left_side():
     labels = [bench_layers.label(*case) for case in bench_layers.ladder(quick=False)]
     assert len(labels) == len(set(labels))
     assert "1.6 build_lhs cap=512" in labels
+    assert [label for label in labels if "verify" in label] == [
+        f"{tag} verify_identity" for tag in ("1.5", "1.9", "1.10", "1.12", "1.13")]
     floats = [label for label in labels if "_float" in label]
     assert floats == [f"{tag} {side}{point}" for tag, point in
                       (("1.10", ""), ("1.17", " i=8"), ("2.1", " i=8 j=8"), ("3.1", " i=8 j=8"))

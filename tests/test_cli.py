@@ -334,6 +334,14 @@ class TestSweep:
         assert [(r["identity"], r["params"].get("cap"), r["cap"]) for r in json.loads(out)] == [("1.4", None, None),
                                                                                                 ("1.10", 20, 20)]
 
+    @pytest.mark.parametrize("tags", ["2.1,2.1", "2.1,2.2,2.1"])
+    def test_a_repeated_tag_exits_2_before_any_point(self, capsys, monkeypatch, tags):
+        # repeated alphas and betas are merged; a repeated tag would print
+        # every report twice and count its grid twice against the limit
+        monkeypatch.setattr(cli, "sweep", lambda *args, **kwargs: pytest.fail("a point ran"))
+        result = invoke(capsys, "sweep", "--identity", tags, "--alpha", "3/7", "--beta", "2/5")
+        assert result == (2, "", f"hypident: error: --identity {tags} names identity 2.1 more than once\n")
+
     def test_one_point_sweep_has_a_timing_line(self, capsys):
         code, out, err = invoke(capsys, "sweep", "--identity", "1.2", "--alpha", "3/7")
         assert (code, out) == (0, "1.2 alpha=3/7 cap=16: exact_match\n")

@@ -677,8 +677,8 @@ class TestSideSeries:
     @pytest.mark.parametrize("exp", [Fraction(2, 3), Fraction(-5, 4), 3], ids=str)
     @pytest.mark.parametrize("names", [("x",), ("x", "sq4")], ids=["one_term", "two_terms"])
     def test_side_at_any_rational_exponential(self, names, exp):
-        # cap 40 T - 1 takes times_exp on the sum, cap 40 T the per-term
-        # recurrences (_side_series)
+        # each term takes the exponential by its own recurrence
+        # (_side_series), at any cap
         side = Side(tuple(ORACLE_TERMS[name] for name in names), Fraction(exp))
         for cap in (40 * len(names) - 1, 40 * len(names)):
             assert _side_series(side, cap) == reference_side_series(side, cap), cap
@@ -1129,12 +1129,13 @@ def recorded_right_side_terms(name, alpha, beta, caps, monkeypatch, i=2):
 
 @pytest.mark.parametrize("alpha, beta", KERNEL_POINTS, ids=str)
 def test_the_kernel_reduces_as_it_goes(alpha, beta, monkeypatch):
-    """Every right-side term the pFq kernel builds, at i = 12, j = 3 and caps
+    """Every right-side term the pFq kernel builds, at i = 20, j = 3 and caps
     16, 48 and 96, comes over exactly the canonical denominator: the kernel
     keeps its integers in lowest terms step by step, not only after its
-    last step. Most of the terms are the 13 0F1 blocks of 1.17 and of 1.18
-    at each cap; the 2.x and 3.x sides take the double sum instead."""
-    built = recorded_right_side_terms("_pfq_integers", alpha, beta, (16, 48, 96), monkeypatch, i=12)
+    last step. Most of the terms are the 0F1 blocks of 1.17 and of 1.18,
+    more than 100 of them; the exponential sides take their own recurrence
+    and the 2.x and 3.x sides the double sum instead."""
+    built = recorded_right_side_terms("_pfq_integers", alpha, beta, (16, 48, 96), monkeypatch, i=20)
     assert len(built) > 100
     for call, den, canonical in built:
         assert abs(den) == canonical, (call, abs(den).bit_length(), canonical.bit_length())
@@ -1142,11 +1143,11 @@ def test_the_kernel_reduces_as_it_goes(alpha, beta, monkeypatch):
 
 @pytest.mark.parametrize("alpha, beta", KERNEL_POINTS, ids=str)
 def test_the_exponential_recurrence_reduces_as_it_goes(alpha, beta, monkeypatch):
-    """Every exponential right-side term built by its own recurrence (1.5,
-    1.9 and 1.10 at caps 48 and 96, 1.12 and 1.13 at 96) comes over exactly
-    the canonical denominator."""
+    """Every exponential right-side term built by its own recurrence, the
+    one term of 1.5, 1.9 and 1.10 and the two of 1.12 and 1.13 at each of
+    caps 16, 48 and 96, comes over exactly the canonical denominator."""
     built = recorded_right_side_terms("_exp_term_integers", alpha, beta, (16, 48, 96), monkeypatch)
-    assert len(built) == 10
+    assert len(built) == 21
     for call, den, canonical in built:
         assert abs(den) == canonical, (call, abs(den).bit_length(), canonical.bit_length())
 
@@ -1194,11 +1195,11 @@ def test_exponential_terms_match_the_transform_of_their_sum(name, eps):
 
 
 @pytest.mark.parametrize("count", [1, 2, 9])
-def test_an_exponential_side_takes_its_recurrence_from_cap_40_a_term(count, monkeypatch):
-    """Below 40 degrees a term a Side's exponential multiplies its sum, by
-    ``times_exp``; from there on each term takes it by its own recurrence,
-    with the same series either way. A ProductSide, 2.x or 3.x, always
-    takes ``times_exp``, even at a cap past 40 degrees a block."""
+def test_a_side_takes_its_exponential_by_recurrence_at_every_cap(count, monkeypatch):
+    """A Side of T terms never calls ``times_exp``: each term takes the
+    exponential by its own recurrence, at each cap here from 0 to 96, and
+    the sum is the plain sum times the exponential. Every ProductSide, 2.x
+    and 3.x, takes ``times_exp`` on its double sum."""
     transforms = []
     real = TruncatedSeries.times_exp
 
@@ -1208,13 +1209,15 @@ def test_an_exponential_side_takes_its_recurrence_from_cap_40_a_term(count, monk
 
     monkeypatch.setattr(TruncatedSeries, "times_exp", recording)
     side = Side(tuple(Term(((HypSpec((A,), (B, Fraction(m + 1, 3))), SQ4),), Fraction(1, m + 1), m) for m in range(count)), Fraction(-1, 2))
-    for cap in (40 * count - 1, 40 * count):
+    for cap in (0, 1, 16, 40 * count - 1, 40 * count, 96):
         after = real(TruncatedSeries.from_integers(cap, *right._terms_integers(side.terms, cap)), Fraction(-1, 2))
         assert _side_series(side, cap) == after
-    assert transforms == [40 * count - 1]
-    _side_series(_product_rhs(RAISED["PP"], IdentityParams(alpha=A, beta=B), False), 96)
-    _side_series(_equal_param_rhs(RAISED["PP"], IdentityParams(alpha=A), False), 96)
-    assert transforms == [40 * count - 1, 96, 96]
+    assert transforms == []
+    for tag in ("2.1", "2.2", "2.3", "3.1", "3.2", "3.3"):
+        define = get(tag)
+        define.build_rhs(IdentityParams(alpha=A, beta=B if "beta" in define.uses else None, i=1, j=2, cap=96))
+        assert transforms == [96], tag
+        transforms.clear()
 
 
 # --------------------------------------------------------------------------
@@ -1284,14 +1287,14 @@ SHARED = {
     "identities._f01",
 }
 AUDIT_POINTS = [
+    # at the default cap and at cap 96 the one- and two-term exponential
+    # right sides run their own recurrences
     dict(alpha=A, beta=B, i=2, j=3),
-    # at cap 96 the one- and two-term exponential right sides run their own
-    # recurrences
     dict(alpha=A, beta=B, i=2, j=3, cap=96),
-    # 1.10's lower parameters sum to -3: a resonant left side
+    # 1.10's lower parameters sum to -3: a resonant left side, and a right
+    # side whose block's lower parameter alpha + beta = -3/2 makes degree 5
+    # resonant, at both caps
     dict(alpha=Fraction(-3, 4), beta=Fraction(-3, 4), i=0, j=0),
-    # and at cap 96 a right side whose block's lower parameter
-    # alpha + beta = -3/2 makes degree 5 resonant
     dict(alpha=Fraction(-3, 4), beta=Fraction(-3, 4), i=0, j=0, cap=96),
 ]
 
@@ -1312,9 +1315,8 @@ def test_the_two_routes_stay_two(tag, point):
     assert "left._raw_product_series" in lhs and "identities._side_series" in rhs
     assert lhs & RIGHT_SIDE_ONLY == set() and rhs & RIGHT_SIDE_ONLY
     if tag == "1.10" and params.alpha < 0:
-        assert "left._resonant_u4" in lhs
-        assert ("right._resonant_exp_term" in rhs) == (params.cap == 96)
-    if params.cap == 96 and tag in ("1.5", "1.9", "1.10", "1.12", "1.13"):
+        assert "left._resonant_u4" in lhs and "right._resonant_exp_term" in rhs
+    if tag in ("1.5", "1.9", "1.10", "1.12", "1.13"):
         assert "right._exp_term_integers" in rhs and "series.TruncatedSeries.times_exp" not in rhs
     assert lhs & rhs <= SHARED, (lhs & rhs) - SHARED
     if tag.startswith("3."):
