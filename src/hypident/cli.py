@@ -21,13 +21,15 @@ from typing import Callable
 from .identities import IdentityParams, catalog, get
 from .rationals import parse_rational
 from .reports import CSV_HEADER, csv_text
-from .verify import DEFAULT_FLOAT_TOL, check_admissible, float_residuals, sweep, sweep_axes, verify_identity
+from .verify import check_admissible, float_residuals, sweep, sweep_axes, verify_identity
 
-__all__ = ["MAX_DEGREE", "MAX_SHIFT", "MAX_SWEEP_POINTS", "build_parser", "main", "run"]
+__all__ = ["MAX_DEGREE", "MAX_RATIONAL_BITS", "MAX_SHIFT", "MAX_SWEEP_POINTS", "build_parser", "main", "run"]
 
-#: Request size limits. Exact work grows steeply with the cap and the
-#: shifts, so larger requests are refused up front rather than run unbounded.
+#: Request size limits. Exact work grows steeply with the cap, the shifts
+#: and the bits of each parameter's reduced numerator and denominator, so
+#: larger requests are refused up front rather than run unbounded.
 MAX_DEGREE = 512
+MAX_RATIONAL_BITS = 64
 MAX_SHIFT = 64
 MAX_SWEEP_POINTS = 10_000
 
@@ -66,8 +68,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="verify one identity at one parameter point")
     add_point_args(p_verify)
-    p_verify.add_argument("--tol", type=float, default=DEFAULT_FLOAT_TOL,
-                          help="relative tolerance for float checks (default 1e-10)")
     add_output(p_verify)
 
     p_sweep = sub.add_parser("sweep", help="verify identities over a parameter grid")
@@ -80,7 +80,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--i", type=int, default=0, help="max first shift (grid runs 0..i)")
     p_sweep.add_argument("--j", type=int, default=0, help="max second shift (grid runs 0..j)")
     p_sweep.add_argument("--degree", type=int, default=None, help="truncation cap for every point")
-    p_sweep.add_argument("--tol", type=float, default=DEFAULT_FLOAT_TOL)
     p_sweep.add_argument("--printed-form", action="store_true")
     add_output(p_sweep)
 
@@ -111,12 +110,19 @@ def _check_size(args: argparse.Namespace) -> None:
             raise ValueError(f"--{name} {value} is below the limit of 0")
 
 
+def _parse_bounded(text: str, option: str) -> Fraction:
+    value = parse_rational(text)
+    if max(abs(value.numerator), value.denominator).bit_length() > MAX_RATIONAL_BITS:
+        raise ValueError(f"--{option}: a numerator or denominator exceeds the limit of {MAX_RATIONAL_BITS} bits")
+    return value
+
+
 def _parse_params(args: argparse.Namespace) -> IdentityParams:
     _check_size(args)
     return IdentityParams(
-        alpha=parse_rational(args.alpha),
-        beta=parse_rational(args.beta) if args.beta else None,
-        gamma=parse_rational(args.gamma) if args.gamma else None,
+        alpha=_parse_bounded(args.alpha, "alpha"),
+        beta=_parse_bounded(args.beta, "beta") if args.beta else None,
+        gamma=_parse_bounded(args.gamma, "gamma") if args.gamma else None,
         i=args.i,
         j=args.j,
         cap=args.degree,
@@ -124,8 +130,8 @@ def _parse_params(args: argparse.Namespace) -> IdentityParams:
     )
 
 
-def _parse_rational_list(text: str) -> list[Fraction]:
-    return [parse_rational(part) for part in text.split(",") if part.strip()]
+def _parse_rational_list(text: str, option: str) -> list[Fraction]:
+    return [_parse_bounded(part, option) for part in text.split(",") if part.strip()]
 
 
 def _write(output: str, doc: Callable[[], object], table: Callable[[], tuple], text: Callable[[], str]) -> None:
@@ -166,7 +172,7 @@ def _cmd_list(args: argparse.Namespace) -> int:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     params = _parse_params(args)
-    report = verify_identity(args.identity, params, tol=args.tol)
+    report = verify_identity(args.identity, params)
     _write(args.output, report.to_json_dict, lambda: (CSV_HEADER, [report.csv_row()]), report.render_text)
     if report.findings:
         print(f"hypident: inadmissible: {report.findings[0].detail}", file=sys.stderr)
@@ -177,9 +183,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     import statistics  # only a sweep needs it, so `import hypident.cli` does not load it
 
     _check_size(args)
-    alphas = _parse_rational_list(args.alpha)
-    betas = _parse_rational_list(args.beta) if args.beta else []
-    gamma = parse_rational(args.gamma) if args.gamma else None
+    alphas = _parse_rational_list(args.alpha, "alpha")
+    betas = _parse_rational_list(args.beta, "beta") if args.beta else []
+    gamma = _parse_bounded(args.gamma, "gamma") if args.gamma else None
     defines = [get(tag) for tag in args.identity.split(",")]
     for n, define in enumerate(defines):
         if define in defines[:n]:
@@ -207,7 +213,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     reports = [
         report
         for define in defines
-        for report in sweep(define.id, alphas, betas, args.i, args.j, tol=args.tol, gamma=gamma,
+        for report in sweep(define.id, alphas, betas, args.i, args.j, gamma=gamma,
                             cap=args.degree if define.kind == "series" else None, printed_form=args.printed_form)
     ]
     wall = time.perf_counter() - start

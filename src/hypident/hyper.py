@@ -205,6 +205,8 @@ def pfq_eval_float(
       with tail 0.
     * A term that overflows ends the sum: the value is that term's signed
       infinity, not converged, with infinite ``abs_sum`` and error bound.
+      So does a parameter past the double range, or a lower one that
+      rounds to ``-n`` when the sum reaches step ``n``: the value is ``inf``.
     * At ``x = 1`` with ``p = q + 1`` (log-convergent) the tail is
       telescoped, see :func:`_telescoped_tail`; it needs the excess
       ``sum(lower) - sum(upper)`` to be positive.
@@ -216,53 +218,57 @@ def pfq_eval_float(
         raise ValueError("tol must be positive")
     if max_terms < 1:
         raise ValueError("max_terms must be at least 1")
-    upper = [float(a) for a in spec.upper]
-    lower = [float(b) for b in spec.lower]
-    telescoped = None
-    if x == 1.0 and len(upper) == len(lower) + 1:
-        if not any(is_nonpositive_integer(a) for a in spec.upper):
-            telescoped = _telescoped_tail(spec)
-
     total = 1.0  # k = 0 term
     comp = 0.0
     term = 1.0
     abs_sum = 1.0
-    for k in range(max_terms):
-        ratio = x / (k + 1.0)
-        for a in upper:
-            ratio *= a + k
-        for b in lower:
-            ratio /= b + k
-        term *= ratio
-        fresh = total + term
-        if abs(total) >= abs(term):
-            comp += (total - fresh) + term
-        else:
-            comp += (term - fresh) + total
-        total = fresh
-        abs_sum += abs(term)
+    k = -1  # no step yet, should a parameter overflow
+    try:
+        upper = [float(a) for a in spec.upper]
+        lower = [float(b) for b in spec.lower]
+        telescoped = None
+        if x == 1.0 and len(upper) == len(lower) + 1:
+            if not any(is_nonpositive_integer(a) for a in spec.upper):
+                telescoped = _telescoped_tail(spec)
 
-        # terms t_0 .. t_{k+1} are in the sum. A term that is not finite
-        # never continues here, as its compensation makes the sum nan, so
-        # the check below costs the hot loop nothing
-        if telescoped is None and abs(term) > tol * abs(total + comp):
-            continue
-        if not math.isfinite(term):
-            return FloatSum(term, False, k + 2, math.inf, math.inf)
-        if telescoped is not None:
-            found = telescoped(k + 1, term)
-        elif term == 0.0:  # an upper parameter -n: every later term is 0
-            found = 0.0, 0.0, 0.0
-        else:
-            found = _geometric_tail(upper, lower, x, k + 1, term)
-        if found is None:
-            continue
-        correction, tail, magnitude = found
-        value = total + comp + correction
-        if tail <= tol * abs(value):
-            steps = 2 * (len(upper) + len(lower)) + 4
-            rounding = steps * (k + 2) * _ROUNDOFF * (abs_sum + magnitude)
-            return FloatSum(value, True, k + 2, abs_sum + abs(correction), tail + rounding)
+        for k in range(max_terms):
+            ratio = x / (k + 1.0)
+            for a in upper:
+                ratio *= a + k
+            for b in lower:
+                ratio /= b + k
+            term *= ratio
+            fresh = total + term
+            if abs(total) >= abs(term):
+                comp += (total - fresh) + term
+            else:
+                comp += (term - fresh) + total
+            total = fresh
+            abs_sum += abs(term)
+
+            # terms t_0 .. t_{k+1} are in the sum. A term that is not finite
+            # never continues here, as its compensation makes the sum nan, so
+            # the check below costs the hot loop nothing
+            if telescoped is None and abs(term) > tol * abs(total + comp):
+                continue
+            if not math.isfinite(term):
+                return FloatSum(term, False, k + 2, math.inf, math.inf)
+            if telescoped is not None:
+                found = telescoped(k + 1, term)
+            elif term == 0.0:  # an upper parameter -n: every later term is 0
+                found = 0.0, 0.0, 0.0
+            else:
+                found = _geometric_tail(upper, lower, x, k + 1, term)
+            if found is None:
+                continue
+            correction, tail, magnitude = found
+            value = total + comp + correction
+            if tail <= tol * abs(value):
+                steps = 2 * (len(upper) + len(lower)) + 4
+                rounding = steps * (k + 2) * _ROUNDOFF * (abs_sum + magnitude)
+                return FloatSum(value, True, k + 2, abs_sum + abs(correction), tail + rounding)
+    except (OverflowError, ZeroDivisionError):
+        return FloatSum(math.inf, False, k + 2, math.inf, math.inf)
     return FloatSum(total + comp, False, max_terms + 1, abs_sum, math.inf)
 
 

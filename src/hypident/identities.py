@@ -508,24 +508,20 @@ def _gauss_second_values(p: IdentityParams) -> dict[str, Fraction]:
 
 
 def _watson_values(p: IdentityParams) -> dict[str, Fraction]:
-    """Every value 1.8 names, by name: with a = alpha, b = beta and
-    c = gamma over their common denominator L, each derived value is one
-    ``Fraction`` over L or 2L."""
+    """Every value 1.8 names, by name: those 1.4 names, as Watson's Gamma
+    ratio is Gauss's second theorem's times four factors, and those gamma
+    enters, each one ``Fraction`` over L or 2L, with a = alpha, b = beta
+    and c = gamma over their common denominator L."""
     scale, (a, b, c) = _over_common(p.alpha, p.beta, p.gamma)
     half = 2 * scale
     excess = 2 * c - a - b + scale  # 2*gamma - alpha - beta + 1, over L
     return {
-        "alpha": p.alpha,
-        "beta": p.beta,
+        **_gauss_second_values(p),
         "gamma": p.gamma,
-        "1/2": HALF,
         "2*gamma": Fraction(2 * c, scale),
         "2*gamma - alpha - beta + 1": Fraction(excess, scale),
-        "(alpha + beta + 1)/2": Fraction(a + b + scale, half),
         "gamma + 1/2": Fraction(2 * c + scale, half),
         "gamma - (alpha + beta)/2 + 1/2": Fraction(excess, half),
-        "(alpha + 1)/2": Fraction(a + scale, half),
-        "(beta + 1)/2": Fraction(b + scale, half),
         "gamma - alpha/2 + 1/2": Fraction(2 * c - a + scale, half),
         "gamma - beta/2 + 1/2": Fraction(2 * c - b + scale, half),
     }

@@ -230,11 +230,8 @@ def _bailey_double_sum(
     den_b, cols_b = _shift_table(sigma, second, depth)
     top_a, top_b = len(first) - 1, len(second) - 1
     (pa, qa), (pb, qb) = (rho + top_a).as_integer_ratio(), (sigma + top_b).as_integer_ratio()
-    shared = [0] * (depth + 1)  # over shared[0], the common denominator
-    suffix = 1
-    for k in range(depth, -1, -1):
-        shared[k] = suffix * (qa * qb) ** k
-        suffix *= 16 * Q * k * (pa + (k - 1) * qa) * (pb + (k - 1) * qb)
+    steps = [16 * Q * k * (pa + (k - 1) * qa) * (pb + (k - 1) * qb) for k in range(depth + 1)]
+    common, shared = _over_last(1, steps, list(accumulate(repeat(qa * qb, depth), mul, initial=1)))
     spans = list(accumulate(range(P - Q, P + (cap - 2) * Q + 1, Q), mul, initial=1))  # G[t]
     nums = [0] * (cap + 1)
     for s in range(min(cap, top_a + top_b) + 1):
@@ -243,7 +240,7 @@ def _bailey_double_sum(
             pairs = list(map(add, pairs, map(mul, cols_a[m], cols_b[s - m])))
         scales = map(mul, shared, map(floordiv, spans[s::2], spans[s:]))
         nums[s::2] = map(add, nums[s::2], map(mul, scales, pairs))
-    return shared[0] * den_a * den_b, nums
+    return common * den_a * den_b, nums
 
 
 def _shift_table(rho: Fraction, weights: Sequence[Fraction], depth: int) -> tuple[int, list[list[int]]]:

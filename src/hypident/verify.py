@@ -110,12 +110,12 @@ def _scalar_exact_check(define: IdentityDef, params: IdentityParams) -> dict:
     return dict(cap=params.i, status=STATUS_MISMATCH if mismatches else STATUS_EXACT_MATCH, mismatches=mismatches)
 
 
-def _scalar_float_check(define: IdentityDef, params: IdentityParams, tol: float) -> dict:
+def _scalar_float_check(define: IdentityDef, params: IdentityParams) -> dict:
     (residual,) = float_residuals(define.id, params)
     if not residual.converged:
         status = STATUS_FLOAT_INCONCLUSIVE
     else:
-        status = STATUS_FLOAT_ONLY_PASS if residual.relative_error <= tol else STATUS_FLOAT_ONLY_FAIL
+        status = STATUS_FLOAT_ONLY_PASS if residual.relative_error <= DEFAULT_FLOAT_TOL else STATUS_FLOAT_ONLY_FAIL
     return dict(cap=None, status=status, float_residuals=(residual,))
 
 
@@ -123,20 +123,16 @@ def verify_identity(
     identity: IdentityId | str,
     params: IdentityParams,
     float_points: Sequence[float] = DEFAULT_FLOAT_POINTS,
-    tol: float = DEFAULT_FLOAT_TOL,
 ) -> VerifyReport:
     """Full verification of one catalog entry at one parameter point.
 
     Admissibility findings short-circuit to an inadmissible report. Series
     entries are then compared coefficient by coefficient up to the cap,
     with float cross-checks at ``float_points`` attached as evidence.
-    Scalar entries compare one exact or one floating-point equation; for
-    the float ones, ``tol`` is the relative-error verdict threshold, in
-    (0, 1): any ``tol >= 1`` passes every two values of one sign. Degenerate
-    parameters that admissibility does not catch raise.
+    Scalar entries compare one exact or one floating-point equation, a
+    float one at the relative-error threshold ``DEFAULT_FLOAT_TOL``.
+    Degenerate parameters that admissibility does not catch raise.
     """
-    if not 0 < tol < 1:
-        raise ValueError(f"tol must lie strictly between 0 and 1, got {tol}")
     define = identities.get(identity)
     start = perf_counter()
     findings = check_admissible(identity, params)
@@ -152,7 +148,7 @@ def verify_identity(
     elif define.kind == "exact_sum":
         fields = _scalar_exact_check(define, params)
     else:
-        fields = _scalar_float_check(define, params, tol)
+        fields = _scalar_float_check(define, params)
     return VerifyReport(identity=define.tag, params=params, **fields, elapsed_seconds=perf_counter() - start)
 
 
@@ -186,20 +182,18 @@ def sweep(
     i_max: int = 0,
     j_max: int = 0,
     cap: int | None = None,
-    tol: float = DEFAULT_FLOAT_TOL,
     gamma: Fraction | int | None = None,
     printed_form: bool = False,
 ) -> list[VerifyReport]:
     """Verify one identity over the :func:`sweep_axes` grid, one report per
     point, in the axes' order, so the report list is deterministic
     regardless of input order. Inadmissible points come back as
-    inadmissible reports, not errors. A sweep runs no float cross-checks;
-    ``tol`` applies to the float sums of the scalar entries.
+    inadmissible reports, not errors. A sweep runs no float cross-checks.
     """
     axes = sweep_axes(identity, alpha_set, beta_set, i_max, j_max)
     gamma = Fraction(gamma) if gamma is not None else None
     out = []
     for alpha, beta, i, j in itertools.product(*axes):
         params = IdentityParams(alpha=alpha, beta=beta, i=i, j=j, cap=cap, gamma=gamma, printed_form=printed_form)
-        out.append(verify_identity(identity, params, (), tol))
+        out.append(verify_identity(identity, params, ()))
     return out

@@ -21,7 +21,7 @@ from hypident.hyper import HypSpec, pfq_series
 from hypident.identities import IdentityParams, get
 from hypident.reports import compare_series
 from hypident.series import TruncatedSeries, exp_series
-from hypident.verify import check_admissible, verify_identity
+from hypident.verify import DEFAULT_FLOAT_TOL, check_admissible, verify_identity
 
 GRID_ALPHA = Fraction(3, 7)
 GRID_BETA = Fraction(2, 5)
@@ -198,21 +198,17 @@ UNIT_SUM_SAMPLES = (
 
 def criterion_07_classical_sums():
     """Terminating sums are exact; evaluation-point sums pass at 1e-10."""
-    failures = []
+    failures = [] if DEFAULT_FLOAT_TOL == FLOAT_SUM_TOL else [f"float sums are judged at {DEFAULT_FLOAT_TOL}"]
     for n in range(31):
         lhs, rhs = get("1.3").scalar_exact(IdentityParams(alpha=Fraction(1, 2), beta=Fraction(5, 3), i=n))
         if lhs != rhs:
             failures.append(f"terminating sum off at n={n}: {lhs} != {rhs}")
     for a, b in GAUSS_HALF_SAMPLES:
-        report = verify_identity(
-            "1.4", IdentityParams(alpha=a, beta=b), tol=FLOAT_SUM_TOL
-        )
+        report = verify_identity("1.4", IdentityParams(alpha=a, beta=b))
         if report.status != "float_only_pass":
             failures.append(f"half-argument sum failed at a={a}, b={b}")
     for a, b, c in UNIT_SUM_SAMPLES:
-        report = verify_identity(
-            "1.8", IdentityParams(alpha=a, beta=b, gamma=c), tol=FLOAT_SUM_TOL
-        )
+        report = verify_identity("1.8", IdentityParams(alpha=a, beta=b, gamma=c))
         if report.status != "float_only_pass":
             failures.append(f"unit-argument sum failed at a={a}, b={b}, c={c}")
     return failures

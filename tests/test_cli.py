@@ -19,7 +19,7 @@ from pathlib import Path
 import pytest
 
 from hypident import cli, identities
-from hypident.cli import MAX_DEGREE, MAX_SHIFT, MAX_SWEEP_POINTS, build_parser, run
+from hypident.cli import MAX_DEGREE, MAX_RATIONAL_BITS, MAX_SHIFT, MAX_SWEEP_POINTS, build_parser, run
 from hypident.identities import IdentityParams, catalog
 from hypident.rationals import parse_rational, pochhammer
 from hypident.verify import check_admissible, verify_identity
@@ -186,6 +186,18 @@ class TestVerify:
             assert residual["relative_error"] is None
             assert residual["lhs"] is None and residual["rhs"] is None
             assert residual["converged"] is False
+
+    @pytest.mark.parametrize("point", [[], ["--beta", "1/3"]])
+    def test_a_parameter_a_double_cannot_hold_keeps_the_exact_verdict(self, capsys, point):
+        # alpha = -3/2 + 2**-60: a float term divides by 2*alpha + 3, which
+        # rounds to 0.0, so no float side converges
+        tag = "2.1" if point else "1.2"
+        code, out, _ = invoke(capsys, "verify", "--identity", tag, "--alpha=-1729382256910270463/1152921504606846976",
+                              *point, "--output", "json")
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["status"] == "exact_match"
+        assert [residual["converged"] for residual in doc["float_residuals"]] == [False] * 6
 
     def test_negative_value_attached_with_equals(self, capsys):
         code, out, _ = invoke(
@@ -674,12 +686,20 @@ class TestBadRequests:
             *[(["eval", "--identity", "1.3", "--alpha=-100000000", "--beta", "1/3", "--i", "64",
                 "--output", output], "a float side of identity 1.3 overflows at x = 1")
               for output in ("csv", "text")],
-            # a relative error is at most 2: tol must lie in (0, 1)
-            *[(["verify", "--identity", "1.8", "--alpha", "1/3", "--beta", "1/5", "--gamma", "1/7",
-                f"--tol={tol}"], "tol must lie strictly between 0 and 1")
-              for tol in ("nan", "-1", "0", "1", "inf")],
-            (["sweep", "--identity", "1.8", "--alpha", "1/3", "--beta", "1/5", "--gamma", "1/7",
-              "--tol=-1"], "tol must lie strictly between 0 and 1"),
+            # a reduced numerator or denominator past the bit limit, in each
+            # rational option of each command; 10**400 used to overflow a float
+            (["verify", "--identity", "1.4", "--alpha", str(10**400), "--beta", "1/3"],
+             f"--alpha: a numerator or denominator exceeds the limit of {MAX_RATIONAL_BITS} bits"),
+            (["verify", "--identity", "2.1", "--alpha", "3/7", "--beta", f"1/{2**MAX_RATIONAL_BITS}"],
+             f"--beta: a numerator or denominator exceeds the limit of {MAX_RATIONAL_BITS} bits"),
+            (["eval", "--identity", "1.8", "--alpha", "1/3", "--beta", "2/5", "--gamma", f"{2**MAX_RATIONAL_BITS}/3"],
+             f"--gamma: a numerator or denominator exceeds the limit of {MAX_RATIONAL_BITS} bits"),
+            (["expand", "--identity", "1.2", f"--alpha=-{2**70}/3"],
+             f"--alpha: a numerator or denominator exceeds the limit of {MAX_RATIONAL_BITS} bits"),
+            (["sweep", "--identity", "2.1", "--alpha", f"3/7,1/{2**MAX_RATIONAL_BITS + 1}", "--beta", "2/5"],
+             f"--alpha: a numerator or denominator exceeds the limit of {MAX_RATIONAL_BITS} bits"),
+            (["sweep", "--identity", "1.8", "--alpha", "1/3", "--beta", f"2/5,{2**MAX_RATIONAL_BITS}", "--gamma", "1/7"],
+             f"--beta: a numerator or denominator exceeds the limit of {MAX_RATIONAL_BITS} bits"),
             # a shift the entry does not use is refused, not dropped
             (["verify", "--identity", "1.2", "--alpha", "1/2", "--i", "1"], "identity 1.2 takes no shift i, got i = 1"),
             (["verify", "--identity", "1.17", "--alpha", "1/2", "--i", "1", "--j", "2"],
@@ -727,6 +747,14 @@ class TestBadRequests:
             run(["frobnicate"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("command", ["verify", "sweep"])
+    def test_tol_is_not_an_option(self, capsys, command):
+        # every float verdict is judged at the one threshold DEFAULT_FLOAT_TOL
+        with pytest.raises(SystemExit) as exc:
+            run([command, "--identity", "1.8", "--alpha", "1/3", "--beta", "1/5", "--gamma", "1/7", "--tol", "0.5"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --tol 0.5" in capsys.readouterr().err
+
 
 class TestRequestLimits:
     @pytest.mark.parametrize(
@@ -753,6 +781,9 @@ class TestRequestLimits:
             (["expand", "--identity", "1.17", "--alpha", "1/3", "--i", "-2"], "--i -2 is below the limit of 0"),
             (["eval", "--identity", "2.2", "--alpha", "1/3", "--beta", "1/5", "--j", "-1",
               "--x", "1"], "--j -1 is below the limit of 0"),
+            # the slowest request the limits admit, with alpha one bit past its limit
+            (["verify", "--identity", "2.1", "--alpha", f"3/{2**MAX_RATIONAL_BITS}", "--beta", "2/5",
+              "--i", "64", "--j", "64", "--degree", "512"], f"exceeds the limit of {MAX_RATIONAL_BITS} bits"),
         ],
     )
     def test_oversized_request_exits_2_at_once(self, capsys, argv, needle):
@@ -768,6 +799,10 @@ class TestRequestLimits:
                               "--i", str(MAX_SHIFT), "--degree", "0", "--output", "json")
         assert code == 0
         assert json.loads(out)["coefficients"] == ["1"]
+        # reduced, the numerator and denominator have MAX_RATIONAL_BITS bits each
+        code, _, _ = invoke(capsys, "expand", "--identity", "1.2", "--degree", "2",
+                            "--alpha", f"{2**(MAX_RATIONAL_BITS + 1) - 2}/{2**MAX_RATIONAL_BITS}")
+        assert code == 0
 
     def test_sweep_grid_counts_distinct_values(self, capsys):
         # a repeated alpha is visited once, so this 2-point grid is allowed

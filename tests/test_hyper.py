@@ -258,6 +258,23 @@ class TestPfqEvalFloat:
         unit = pfq_eval_float(HypSpec((Fraction(300), Fraction(300), Fraction(1, 2)), (Fraction(1, 3), Fraction(1, 5))), 1.0, max_terms=2000)
         assert (unit.value, unit.converged, unit.error_bound) == (math.inf, False, math.inf) and unit.terms < 2000
 
+    def test_a_parameter_a_double_cannot_hold_ends_the_sum(self):
+        unbounded = (math.inf, False, math.inf, math.inf)
+        # -3 + 2**-59 rounds to -3.0, so the float term at k = 3 divides by zero
+        near_pole = Fraction(-3) + Fraction(1, 2**59)
+        for spec, x in [
+            (HypSpec((Fraction(1, 3),), (near_pole,)), 0.5),
+            (HypSpec((Fraction(10**400),), (Fraction(1, 3),)), 0.5),
+            (HypSpec((Fraction(10**400),), ()), 0.5),
+            # 2*gamma = 2**-1079 rounds to 0.0, at the telescoped unit argument
+            (watson_spec(Fraction(1, 3), Fraction(2, 5), Fraction(1, 2**1080)), 1.0),
+        ]:
+            result = pfq_eval_float(spec, x)
+            assert (result.value, result.converged, result.abs_sum, result.error_bound) == unbounded
+        # a sum that ends before the pole is still bounded
+        result = pfq_eval_float(HypSpec((Fraction(-2), Fraction(1, 3)), (near_pole,)), 0.5)
+        assert result.converged and math.isclose(result.value, 1 + 1 / 9 + 1 / 54, rel_tol=1e-15)
+
     def test_validation(self):
         spec = HypSpec((), ())
         with pytest.raises(ValueError):
