@@ -24,13 +24,17 @@ five exponential entries at their defaults; ``build_rhs`` of 3.1 at
 i = j in 2, 8 and 20, at the default cap, and of 2.1 at i = j = 2;
 ``build_lhs`` of 1.6 at cap 512; ``lhs_float`` and ``rhs_float`` of 1.10,
 of 1.17 at i = 8, and of 2.1 and 3.1 at i = j = 8. The point is alpha 3/7,
-beta 2/5. Last comes the import case, ``python3 -c
-"import hypident.cli"`` with only the tree's ``src`` on ``PYTHONPATH``: the
-wall time of one fresh process a batch, as the benchmark's ``setup_s``
-takes it. Both trees are byte-compiled first, as ``bench_pairs.py`` does,
+beta 2/5. Then come the record constructors that the hot paths call per
+point: a ``FloatSum``, a ``1F1`` ``HypSpec``, an ``IdentityParams``, and
+``tuple(ProductSide.terms)`` of 3.1's right side at i = j = 8, which
+builds its 81 ``Term`` and ``HypSpec`` records. Last comes the import
+case, ``python3 -c "import hypident.cli"`` with only the tree's ``src``
+on ``PYTHONPATH``: the wall time of one fresh process a batch, as the
+benchmark's ``setup_s`` takes it. Both trees are byte-compiled first, as ``bench_pairs.py`` does,
 since a fresh process may not write its own cache; a tree that cannot
 import it is reported as missing. ``--quick`` takes two builders
-at cap 16, one float side and the import case, for a smoke test.
+at cap 16, one float side, the constructors and the import case, for a
+smoke test.
 
 The result is printed as a table and, with ``--out``, written under the
 ``layers`` key of that JSON file; an existing file is updated, not
@@ -58,6 +62,7 @@ POINT = dict(alpha=Fraction(3, 7), beta=Fraction(2, 5))
 EXPONENTIAL_RIGHT_SIDES = ("1.5", "1.9", "1.10", "1.12", "1.13")
 FLOAT_SIDES = (("1.10", {}), ("1.17", dict(i=8)), ("2.1", dict(i=8, j=8)), ("3.1", dict(i=8, j=8)))
 BATCH_SECONDS = 1e-3
+CONSTRUCTORS = ("FloatSum", "HypSpec 1F1", "IdentityParams", "3.1 tuple(ProductSide.terms) i=8 j=8")
 IMPORT_CASE = "import hypident.cli"
 
 
@@ -101,6 +106,26 @@ def call_of(tree, tag: str, builder: str, point: dict):
     return lambda: build(*args)
 
 
+def constructor_call(tree, name: str):
+    """A no-argument call of one of ``CONSTRUCTORS`` in one tree, at the
+    ladder's point, or None if the tree cannot make it."""
+    hyper, identities = (sys.modules[f"{tree.__name__}.{module}"] for module in ("hyper", "identities"))
+    alpha, beta = POINT["alpha"], POINT["beta"]
+    lower = 2 * alpha
+    try:
+        side = identities._equal_param_rhs((True, True), identities.IdentityParams(**POINT, i=8, j=8), False)
+        call = {
+            "FloatSum": lambda: hyper.FloatSum(0.5, True, 40, 1.5, 1e-16),
+            "HypSpec 1F1": lambda: hyper.HypSpec((alpha,), (lower,)),
+            "IdentityParams": lambda: identities.IdentityParams(alpha=alpha, beta=beta, i=8, j=8),
+            "3.1 tuple(ProductSide.terms) i=8 j=8": lambda: tuple(side.terms),
+        }[name]
+        call()
+    except Exception:  # noqa: BLE001 - a case a tree cannot run is missing
+        return None
+    return call
+
+
 def import_call(src: Path):
     """A no-argument run of ``python3 -c "import hypident.cli"`` in a fresh
     process with only ``src`` on the path, or None if the tree cannot import
@@ -124,6 +149,8 @@ def cases_of(quick: bool, trees, srcs):
     is reached."""
     for case in ladder(quick):
         yield label(*case), [call_of(tree, *case) for tree in trees]
+    for name in CONSTRUCTORS:
+        yield name, [constructor_call(tree, name) for tree in trees]
     yield IMPORT_CASE, [import_call(src) for src in srcs]
 
 
@@ -159,7 +186,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("other", type=Path, help="root of the checkout to compare with")
     parser.add_argument("--rounds", type=int, default=15)
     parser.add_argument("--quick", action="store_true",
-                        help="two builders at cap 16, one float side and the import case, for a smoke test")
+                        help="two builders at cap 16, one float side, the constructors and the import case, "
+                             "for a smoke test")
     parser.add_argument("--out", type=Path, help="JSON file whose 'layers' key to create or update")
     args = parser.parse_args(argv)
     if not (args.other / "src" / "hypident" / "__init__.py").is_file():

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import math
 import os
 import sys
@@ -140,6 +139,8 @@ def _write(output: str, doc: Callable[[], object], table: Callable[[], tuple], t
     the reader closes stdout early, the rest goes to the null device and the
     command keeps its exit status."""
     if output == "json":
+        import json  # only JSON output needs it, so `import hypident.cli` does not load it
+
         payload = json.dumps(doc(), indent=2) + "\n"
     elif output == "csv":
         payload = csv_text(*table())

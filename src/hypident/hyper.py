@@ -21,11 +21,12 @@ bound rather than a wrong value.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from collections.abc import Sequence
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 from operator import mul
+from typing import NamedTuple
 
 from .rationals import _exact_rational, _over_common, format_rational, is_nonpositive_integer
 from .series import TruncatedSeries, _over_last
@@ -57,30 +58,30 @@ class DegenerateParameterError(ValueError):
         )
 
 
-@dataclass(frozen=True)
-class HypSpec:
+class HypSpec(namedtuple("HypSpec", "upper lower")):
     """Parameter block of a pFq series: upper (numerator) and lower
-    (denominator) parameter tuples.
+    (denominator) parameter tuples of Fractions.
 
     Lower parameters that are nonpositive integers are rejected at
     construction, because the term recurrence would divide by zero before
-    reaching the cap.
+    reaching the cap. Every way to a spec goes through ``__new__``:
+    ``_make``, and so ``_replace``, call it.
     """
 
-    upper: tuple[Fraction, ...]
-    lower: tuple[Fraction, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, upper: Sequence[Fraction | int], lower: Sequence[Fraction | int]) -> HypSpec:
         # tuple() of a list, not of a generator: see TruncatedSeries.from_integers
         # (a Fraction is kept as it is, with no call, so a side built from
         # Fractions reaches nothing past HypSpec; a float is refused)
-        upper = tuple([a if isinstance(a, Fraction) else _exact_rational(a, f"upper[{pos}]") for pos, a in enumerate(self.upper)])
-        lower = tuple([b if isinstance(b, Fraction) else _exact_rational(b, f"lower[{pos}]") for pos, b in enumerate(self.lower)])
-        object.__setattr__(self, "upper", upper)
-        object.__setattr__(self, "lower", lower)
+        upper = tuple([a if isinstance(a, Fraction) else _exact_rational(a, f"upper[{pos}]") for pos, a in enumerate(upper)])
+        lower = tuple([b if isinstance(b, Fraction) else _exact_rational(b, f"lower[{pos}]") for pos, b in enumerate(lower)])
         for pos, b in enumerate(lower):
             if b.denominator == 1 and b.numerator <= 0:
                 raise DegenerateParameterError(f"lower[{pos}]", b, -b.numerator)
+        return tuple.__new__(cls, (upper, lower))
+
+    _make = classmethod(lambda cls, iterable: cls(*iterable))
 
 
 def pfq_series(spec: HypSpec, cap: int) -> TruncatedSeries:
@@ -159,8 +160,7 @@ def _pfq_integers(
     return den, nums + [0] * (cap + 1 - len(nums))
 
 
-@dataclass(frozen=True)
-class FloatSum:
+class FloatSum(NamedTuple):
     """Outcome of a floating-point series summation.
 
     ``converged`` says the truncation was bounded: a proven bound on the

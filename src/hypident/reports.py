@@ -8,12 +8,10 @@ The renderers here are what the command-line front end prints.
 
 from __future__ import annotations
 
-import csv
 import io
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING, ClassVar, Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
 from .rationals import format_rational, is_nonpositive_integer
 from .series import TruncatedSeries
@@ -55,8 +53,7 @@ STATUS_FLOAT_INCONCLUSIVE = "float_inconclusive"
 PASSING_STATUSES = frozenset({STATUS_EXACT_MATCH, STATUS_FLOAT_ONLY_PASS})
 
 
-@dataclass(frozen=True)
-class AdmissibilityFinding:
+class AdmissibilityFinding(NamedTuple):
     """One concrete reason a parameter point is outside an identity's domain.
 
     ``parameter_expr`` names the offending quantity in the caller's
@@ -72,7 +69,8 @@ class AdmissibilityFinding:
     index: int
     value: Fraction
     detail: str
-    severity: ClassVar[str] = "fatal"
+    # not annotated, so a class attribute rather than a field
+    severity = "fatal"
 
     def to_json_dict(self) -> dict:
         return {
@@ -147,8 +145,7 @@ def check_positive(expr: str, value: Fraction) -> AdmissibilityFinding | None:
     )
 
 
-@dataclass(frozen=True)
-class CoefficientMismatch:
+class CoefficientMismatch(NamedTuple):
     """Two exact constructions disagree at one degree."""
 
     degree: int
@@ -163,8 +160,7 @@ class CoefficientMismatch:
         }
 
 
-@dataclass(frozen=True)
-class FloatResidual:
+class FloatResidual(NamedTuple):
     """Relative disagreement of the two float evaluations at one point.
 
     ``terms`` is the number of series terms a float-sum verdict summed;
@@ -243,8 +239,7 @@ CSV_HEADER = (
 )
 
 
-@dataclass(frozen=True)
-class VerifyReport:
+class VerifyReport(NamedTuple):
     """Outcome of one identity check at one parameter point."""
 
     identity: str
@@ -335,6 +330,8 @@ class VerifyReport:
 
 def csv_text(header: Sequence[str], rows: Iterable[Sequence]) -> str:
     """Render a header row and data rows as one CSV document."""
+    import csv  # only CSV output needs it, so `import hypident.cli` does not load it
+
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)

@@ -31,7 +31,6 @@ bookkeeping at call sites.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import add, mul
 from typing import Iterable
@@ -41,13 +40,15 @@ from .rationals import _exact_rational, _over_common, format_rational
 __all__ = ["TruncatedSeries"]
 
 
-@dataclass(frozen=True, init=False)
 class TruncatedSeries:
-    """Coefficients ``c_k = nums[k] / den`` for ``k = 0 .. cap``, exact and immutable."""
+    """Coefficients ``c_k = nums[k] / den`` for ``k = 0 .. cap``, exact and immutable.
 
-    cap: int
-    den: int
-    nums: tuple[int, ...]
+    A ``__slots__`` class, not a tuple, so it has no tuple ``+``, ``*`` or
+    indexing to confuse with the series operations. Its fields are set
+    once, by :func:`_set`; assigning one afterwards raises AttributeError.
+    """
+
+    __slots__ = ("cap", "den", "nums")
 
     def __init__(self, cap: int, coeffs: Iterable[Fraction | int]) -> None:
         if cap < 0:
@@ -57,6 +58,25 @@ class TruncatedSeries:
         if len(nums) != cap + 1:
             raise ValueError(f"expected {cap + 1} coefficients for cap {cap}, got {len(nums)}")
         _set(self, cap, den, tuple(nums))
+
+    def __setattr__(self, name: str, value: object = None) -> None:
+        raise AttributeError(f"cannot assign or delete {name!r}: a TruncatedSeries is immutable")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not TruncatedSeries:
+            return NotImplemented
+        return self.cap == other.cap and self.den == other.den and self.nums == other.nums
+
+    def __hash__(self) -> int:
+        return hash((self.cap, self.den, self.nums))
+
+    def __repr__(self) -> str:
+        return f"TruncatedSeries(cap={self.cap!r}, den={self.den!r}, nums={self.nums!r})"
+
+    def __reduce__(self):
+        return TruncatedSeries.from_integers, (self.cap, self.den, self.nums)
 
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
@@ -92,6 +112,7 @@ class TruncatedSeries:
             # resizes a guessed-size tuple, and the resized tuples pile up
             # on the interpreter's per-size free lists (peak RSS grew ~10%)
             nums = tuple([n // g for n in nums])
+        # already canonical: skip __init__'s Fractions and lcm
         out = object.__new__(TruncatedSeries)
         _set(out, cap, den, nums)
         return out
@@ -256,6 +277,8 @@ def _over_last(den: int, steps: list[int], rows: list[int]) -> tuple[int, list[i
 
 
 def _set(series: TruncatedSeries, cap: int, den: int, nums: tuple[int, ...]) -> None:
+    """The one place a series' fields are written: past the class's
+    ``__setattr__``, which refuses every assignment."""
     object.__setattr__(series, "cap", cap)
     object.__setattr__(series, "den", den)
     object.__setattr__(series, "nums", nums)

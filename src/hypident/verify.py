@@ -69,8 +69,10 @@ def float_residuals(identity: IdentityId | str, params: IdentityParams, xs: Sequ
     residual is scaled by ``sum |t_k|`` as well as by both sides, so that a
     sum whose exact value is 0 is judged against the size of its terms
     rather than against its own rounding error; it records the terms
-    summed. An exact sum reports the floats of its exact sides and their
-    exact relative error; a side past the double range raises ValueError.
+    summed, and it is infinite when the sum ended unbounded (an infinite
+    value or ``sum |t_k|``). An exact sum reports the floats of its exact
+    sides and their exact relative error; a side past the double range
+    raises ValueError.
     The parameters are taken as given: admissibility is the caller's to check.
     """
     define = identities.get(identity)
@@ -82,7 +84,9 @@ def float_residuals(identity: IdentityId | str, params: IdentityParams, xs: Sequ
         raise ValueError(f"identity {define.tag} is summed at its fixed argument x = {define.fixed_argument:g}, so it takes no x")
     if define.kind == "float_sum":
         lhs, rhs, lhs_sum = define.scalar_float(params)
-        rel = relative_error(lhs, rhs, lhs_sum.abs_sum)
+        # a sum that ended unbounded reads inf, as a series residual does, not inf / inf
+        unbounded = not (math.isfinite(lhs) and math.isfinite(lhs_sum.abs_sum))
+        rel = math.inf if unbounded else relative_error(lhs, rhs, lhs_sum.abs_sum)
         return (FloatResidual(define.fixed_argument, rel, lhs, rhs, lhs_sum.converged, lhs_sum.terms),)
     lhs, rhs = define.scalar_exact(params)
     try:

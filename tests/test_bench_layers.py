@@ -11,7 +11,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SCRIPT = ROOT / "scripts" / "bench_layers.py"
 IMPORT_CASE = "import hypident.cli"
-QUICK_CASES = {"1.10 build_rhs cap=16", "1.10 build_lhs cap=16", "1.10 rhs_float", IMPORT_CASE}
+CONSTRUCTORS = {"FloatSum", "HypSpec 1F1", "IdentityParams", "3.1 tuple(ProductSide.terms) i=8 j=8"}
+QUICK_CASES = {"1.10 build_rhs cap=16", "1.10 build_lhs cap=16", "1.10 rhs_float", *CONSTRUCTORS, IMPORT_CASE}
 
 
 def bench(other: Path, out: Path) -> dict:
@@ -52,6 +53,8 @@ def test_a_case_the_other_tree_cannot_build_is_missing(tmp_path):
     assert cases["1.10 rhs_float"] == {"missing": ["other"]}
     assert cases[IMPORT_CASE] == {"missing": ["other"]}
     assert "median_ratio" in cases["1.10 build_lhs cap=16"]
+    # the records are still made in the broken tree
+    assert all("median_ratio" in cases[name] for name in CONSTRUCTORS)
 
 
 def test_the_full_ladder_times_float_sides_and_a_deep_left_side():

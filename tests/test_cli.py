@@ -891,6 +891,15 @@ def test_import_does_not_load_statistics():
     assert (proc.returncode, proc.stdout) == (0, "False\n"), proc.stderr
 
 
+def test_import_does_not_load_the_output_formats():
+    # a cold process loads json or csv only when it writes that output
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, hypident.cli; print('json' in sys.modules, 'csv' in sys.modules)"],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert (proc.returncode, proc.stdout) == (0, "False False\n"), proc.stderr
+
+
 def test_module_entry_point_runs_the_cli():
     proc = subprocess.run(
         [sys.executable, "-m", "hypident.cli", "list"],
