@@ -20,21 +20,23 @@ build is reported as missing.
 The ladder: ``build_rhs`` of every single-series entry with an exponential
 (1.5, 1.9, 1.10, 1.12, 1.13) and ``build_lhs`` of 1.10 at caps 16, 96 and
 512; ``build_rhs`` of 1.7 at the same caps; ``verify_identity`` of the
-five exponential entries at their defaults; ``build_rhs`` of 3.1 at
+five exponential entries at their defaults and of 1.8 at gamma 5, a
+non-terminating unit-argument sum; ``build_rhs`` of 3.1 at
 i = j in 2, 8 and 20, at the default cap, and of 2.1 at i = j = 2;
 ``build_lhs`` of 1.6 at cap 512; ``lhs_float`` and ``rhs_float`` of 1.10,
 of 1.17 at i = 8, and of 2.1 and 3.1 at i = j = 8. The point is alpha 3/7,
 beta 2/5. Then come the record constructors that the hot paths call per
 point: a ``FloatSum``, a ``1F1`` ``HypSpec``, an ``IdentityParams``, and
 ``tuple(ProductSide.terms)`` of 3.1's right side at i = j = 8, which
-builds its 81 ``Term`` and ``HypSpec`` records. Last comes the import
-case, ``python3 -c "import hypident.cli"`` with only the tree's ``src``
+builds its 81 ``Term`` and ``HypSpec`` records. Then comes one whole
+request, ``cli.run`` of ``verify`` at that 1.8 point with ``--output=json``,
+its stdout kept in memory. Last comes the import case, ``python3 -c "import hypident.cli"`` with only the tree's ``src``
 on ``PYTHONPATH``: the wall time of one fresh process a batch, as the
 benchmark's ``setup_s`` takes it. Both trees are byte-compiled first, as ``bench_pairs.py`` does,
 since a fresh process may not write its own cache; a tree that cannot
 import it is reported as missing. ``--quick`` takes two builders
-at cap 16, one float side, the constructors and the import case, for a
-smoke test.
+at cap 16, one float side, the constructors, the request and the import
+case, for a smoke test.
 
 The result is printed as a table and, with ``--out``, written under the
 ``layers`` key of that JSON file; an existing file is updated, not
@@ -45,7 +47,10 @@ from __future__ import annotations
 
 import argparse
 import compileall
+import contextlib
 import gc
+import importlib
+import io
 import json
 import os
 import statistics
@@ -64,6 +69,9 @@ FLOAT_SIDES = (("1.10", {}), ("1.17", dict(i=8)), ("2.1", dict(i=8, j=8)), ("3.1
 BATCH_SECONDS = 1e-3
 CONSTRUCTORS = ("FloatSum", "HypSpec 1F1", "IdentityParams", "3.1 tuple(ProductSide.terms) i=8 j=8")
 IMPORT_CASE = "import hypident.cli"
+WATSON_POINT = dict(gamma=Fraction(5))
+REQUEST = ["verify", "--identity=1.8", "--alpha=3/7", "--beta=2/5", "--gamma=5", "--output=json"]
+REQUEST_CASE = "cli.run verify 1.8 --output=json"
 
 
 def ladder(quick: bool) -> list[tuple[str, str, dict]]:
@@ -75,6 +83,7 @@ def ladder(quick: bool) -> list[tuple[str, str, dict]]:
         cases += [(tag, "build_rhs", dict(cap=cap)) for tag in (*EXPONENTIAL_RIGHT_SIDES, "1.7")]
         cases.append(("1.10", "build_lhs", dict(cap=cap)))
     cases += [(tag, "verify_identity", {}) for tag in EXPONENTIAL_RIGHT_SIDES]
+    cases.append(("1.8", "verify_identity", WATSON_POINT))
     cases += [("3.1", "build_rhs", dict(i=n, j=n)) for n in (2, 8, 20)]
     cases.append(("2.1", "build_rhs", dict(i=2, j=2)))
     cases.append(("1.6", "build_lhs", dict(cap=512)))
@@ -126,6 +135,21 @@ def constructor_call(tree, name: str):
     return call
 
 
+def request_call(tree):
+    """A no-argument ``cli.run`` of ``REQUEST`` in one tree, its stdout kept
+    in memory, or None if the tree's request does not exit 0."""
+
+    def call():
+        with contextlib.redirect_stdout(io.StringIO()):
+            return run(REQUEST)
+
+    try:
+        run = importlib.import_module(f"{tree.__name__}.cli").run
+        return call if call() == 0 else None
+    except (Exception, SystemExit):  # noqa: BLE001 - a case a tree cannot run is missing
+        return None
+
+
 def import_call(src: Path):
     """A no-argument run of ``python3 -c "import hypident.cli"`` in a fresh
     process with only ``src`` on the path, or None if the tree cannot import
@@ -151,6 +175,7 @@ def cases_of(quick: bool, trees, srcs):
         yield label(*case), [call_of(tree, *case) for tree in trees]
     for name in CONSTRUCTORS:
         yield name, [constructor_call(tree, name) for tree in trees]
+    yield REQUEST_CASE, [request_call(tree) for tree in trees]
     yield IMPORT_CASE, [import_call(src) for src in srcs]
 
 
@@ -186,8 +211,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("other", type=Path, help="root of the checkout to compare with")
     parser.add_argument("--rounds", type=int, default=15)
     parser.add_argument("--quick", action="store_true",
-                        help="two builders at cap 16, one float side, the constructors and the import case, "
-                             "for a smoke test")
+                        help="two builders at cap 16, one float side, the constructors, the request and "
+                             "the import case, for a smoke test")
     parser.add_argument("--out", type=Path, help="JSON file whose 'layers' key to create or update")
     args = parser.parse_args(argv)
     if not (args.other / "src" / "hypident" / "__init__.py").is_file():

@@ -36,6 +36,7 @@ MAX_SWEEP_POINTS = 10_000
 def build_parser() -> argparse.ArgumentParser:
     """A fresh parser for the ``hypident`` command line, the caller's own.
 
+    Its ``commands`` maps each command name to that command's parser.
     ``run`` does not call this per request: it parses with one private
     parser per process, built by this function on first use.
     """
@@ -44,6 +45,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Verify confluent hypergeometric product identities in exact arithmetic.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.commands = sub.choices
 
     def add_output(p: argparse.ArgumentParser) -> None:
         p.add_argument("--output", choices=("text", "json", "csv"), default="text",
@@ -303,13 +305,24 @@ _COMMANDS = {
 
 @functools.cache
 def _shared_parser() -> argparse.ArgumentParser:
-    """The one parser ``run`` reuses. Parsing leaves no state on it: each
-    ``parse_args`` call fills a new ``Namespace``."""
+    """The one parser ``run`` reuses; each parse fills a new ``Namespace``."""
     return build_parser()
 
 
 def run(argv: list[str] | None = None) -> int:
-    args = _shared_parser().parse_args(argv)
+    """Run one command line (default ``sys.argv[1:]``) and return its exit
+    status. One that starts with a command name is parsed by that command's
+    parser alone, its leftover arguments refused as the top-level parser
+    refuses them; any other goes through the top-level ``parse_args``."""
+    parser = _shared_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    if argv and argv[0] in parser.commands:
+        args, rest = parser.commands[argv[0]].parse_known_args(argv[1:])
+        if rest:
+            parser.error(f"unrecognized arguments: {' '.join(rest)}")
+        args.command = argv[0]
+    else:
+        args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
     except (ZeroDivisionError, ValueError) as exc:

@@ -229,7 +229,7 @@ def pfq_eval_float(
         telescoped = None
         if x == 1.0 and len(upper) == len(lower) + 1:
             if not any(is_nonpositive_integer(a) for a in spec.upper):
-                telescoped = _telescoped_tail(spec)
+                telescoped = _telescoped_tail(spec, tol)
 
         for k in range(max_terms):
             ratio = x / (k + 1.0)
@@ -254,7 +254,7 @@ def pfq_eval_float(
             if not math.isfinite(term):
                 return FloatSum(term, False, k + 2, math.inf, math.inf)
             if telescoped is not None:
-                found = telescoped(k + 1, term)
+                found = telescoped(k + 1, term, total, comp)
             elif term == 0.0:  # an upper parameter -n: every later term is 0
                 found = 0.0, 0.0, 0.0
             else:
@@ -308,7 +308,7 @@ def _poly_from_roots(shifts: list[int], poly: Sequence[int] = (1,)) -> list[int]
     return list(poly)
 
 
-def _telescoped_tail(spec: HypSpec):
+def _telescoped_tail(spec: HypSpec, tol: float):
     """Tail rule for a ``q+1Fq`` sum at ``x = 1``, or None without one.
 
     With ``t_{k+1} = t_k * P(k)/Q(k)``, ``P(k) = prod(k + a)`` and
@@ -332,14 +332,26 @@ def _telescoped_tail(spec: HypSpec):
 
         |sum_{k >= N} t_k eps_k| <= |t_N| E_N (N**(-M-1) + N**-M / M).
 
-    The returned function maps ``(N, t_N)`` to ``(t_N (R(N) - 1), bound,
-    magnitude)``, the correction to the partial sum ``S_N + t_N``, the
-    remainder bound, and ``|t_N| (1 + sum |c_j| N**(1-j))`` for the
-    rounding allowance. It evaluates the rule on a schedule (each check
-    lets ``N`` grow by an eighth) and answers None in between and before
-    the first valid ``N``. The bound uses the series' own parameters only.
-    (F. Johansson, *Computing hypergeometric functions rigorously*,
-    arXiv:1606.06977, bounds tails in the same spirit.)
+    The returned function maps ``(N, t_N, total, comp)``, the partial sum
+    ``S_N + t_N`` being ``total + comp``, to ``(t_N (R(N) - 1), bound,
+    magnitude)``: the correction to that sum, the remainder bound, and
+    ``|t_N| (1 + sum |c_j| N**(1-j))`` for the rounding allowance. It
+    evaluates the rule on a schedule (each check lets ``N`` grow by an
+    eighth) and answers None in between and before the first valid ``N``.
+    The bound uses the series' own parameters only. (F. Johansson,
+    *Computing hypergeometric functions rigorously*, arXiv:1606.06977,
+    bounds tails in the same spirit.)
+
+    Most checks fail; :func:`_tail_cannot_stop` skips one cheaply. E has
+    nonnegative coefficients and each ``min(1, 1 + b/N)`` is in ``(0, 1]``,
+    so the bound is at least ``|t_N| e_0 N**-M / M``, ``e_0`` being E's
+    constant coefficient, while ``|R(N)| <= C N`` with ``C = sum |c_j|``. If
+
+        |t_N| (e_0 / 2) N**-M / M > tol (|total| + |comp| + |t_N| (2C + 1) N),
+
+    the bound exceeds ``tol |value|`` twice over (the 2s cover rounding) and
+    the check fails. The test is used only for ``N >= -2b``, every lower
+    ``b``, so that ``1 + b/N`` is positive in floating point too.
     """
     order = _TAIL_ORDER
     scale, values = _over_common(*spec.upper, *spec.lower)
@@ -374,6 +386,8 @@ def _telescoped_tail(spec: HypSpec):
     e_coeffs = [abs(v) * scale**i / norm for i, v in enumerate(acc[: top + 1])]
     r_coeffs = [v / (den * scale**j) for j, v in enumerate(nums)]
     lower = [float(b) for b in spec.lower]
+    floor, span = e_coeffs[-1] / (2 * order), 2 * sum(map(abs, r_coeffs)) + 1  # e_0 / 2M, 2C + 1
+    skip_from = -2 * min([0.0, *lower])  # so 1 + b/N >= 1/2
 
     # first N past the last sign change: N + a > 0, N + b > 0, Q - P > 0 on [N, oo)
     gap = [u - v for u, v in zip(q_poly, p_poly)][:-1]  # Q - P, degree q
@@ -386,11 +400,13 @@ def _telescoped_tail(spec: HypSpec):
     while not gap_positive(next_check):
         next_check += 1
 
-    def tail(n: int, term: float):
+    def tail(n: int, term: float, total: float, comp: float):
         nonlocal next_check
         if n < next_check:
             return None
         next_check = n + 1 + n // 8
+        if n >= skip_from and _tail_cannot_stop(term, total, comp, n, floor, span, tol):
+            return None
         w = 1.0 / n
         r = r_abs = 0.0
         for c in reversed(r_coeffs):
@@ -406,6 +422,11 @@ def _telescoped_tail(spec: HypSpec):
         return term * (r * n - 1.0), bound, abs(term) * (r_abs * n + 1.0)
 
     return tail
+
+
+def _tail_cannot_stop(term: float, total: float, comp: float, n: int, floor: float, span: float, tol: float) -> bool:
+    """The test of :func:`_telescoped_tail`, with ``floor = e_0 / 2M`` and ``span = 2C + 1``."""
+    return abs(term) * floor * n**-_TAIL_ORDER > tol * (abs(total) + abs(comp) + abs(term) * span * n)
 
 
 def bailey_product_spec(rho: Fraction | int, sigma: Fraction | int) -> HypSpec:

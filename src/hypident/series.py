@@ -137,10 +137,14 @@ class TruncatedSeries:
         )
 
     def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
+        if other.__class__ is not TruncatedSeries:
+            return NotImplemented
         cap, den, a, b = self._aligned(other)
         return TruncatedSeries.from_integers(cap, den, [x + y for x, y in zip(a, b)])
 
     def __sub__(self, other: "TruncatedSeries") -> "TruncatedSeries":
+        if other.__class__ is not TruncatedSeries:
+            return NotImplemented
         cap, den, a, b = self._aligned(other)
         return TruncatedSeries.from_integers(cap, den, [x - y for x, y in zip(a, b)])
 
@@ -151,6 +155,8 @@ class TruncatedSeries:
         for left-side products and as the layer the benchmark's tracer
         wraps.
         """
+        if other.__class__ is not TruncatedSeries:
+            return NotImplemented
         cap = min(self.cap, other.cap)
         a, b = self.nums, other.nums
         nums = [sum(map(mul, a[: k + 1], b[k::-1])) for k in range(cap + 1)]

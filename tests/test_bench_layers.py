@@ -11,8 +11,9 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SCRIPT = ROOT / "scripts" / "bench_layers.py"
 IMPORT_CASE = "import hypident.cli"
+REQUEST_CASE = "cli.run verify 1.8 --output=json"
 CONSTRUCTORS = {"FloatSum", "HypSpec 1F1", "IdentityParams", "3.1 tuple(ProductSide.terms) i=8 j=8"}
-QUICK_CASES = {"1.10 build_rhs cap=16", "1.10 build_lhs cap=16", "1.10 rhs_float", *CONSTRUCTORS, IMPORT_CASE}
+QUICK_CASES = {"1.10 build_rhs cap=16", "1.10 build_lhs cap=16", "1.10 rhs_float", *CONSTRUCTORS, REQUEST_CASE, IMPORT_CASE}
 
 
 def bench(other: Path, out: Path) -> dict:
@@ -45,13 +46,13 @@ def test_a_case_the_other_tree_cannot_build_is_missing(tmp_path):
     floats = "rhs_float=lambda p, xs: _side_floats(rhs(p), xs),"
     assert text.count(build) == text.count(floats) == 1
     identities.write_text(text.replace(build, "build_rhs=lambda p: 1 / 0,").replace(floats, "rhs_float=lambda p, xs: 1 / 0,"))
-    # the package does not import its command line, so only the import case breaks
+    # the package does not import its command line, so only the request and import cases break
     cli = tmp_path / "src" / "hypident" / "cli.py"
     cli.write_text(cli.read_text() + "\nraise ImportError('no command line')\n")
     cases = bench(tmp_path, tmp_path / "bench.json")
     assert cases["1.10 build_rhs cap=16"] == {"missing": ["other"]}
     assert cases["1.10 rhs_float"] == {"missing": ["other"]}
-    assert cases[IMPORT_CASE] == {"missing": ["other"]}
+    assert cases[IMPORT_CASE] == cases[REQUEST_CASE] == {"missing": ["other"]}
     assert "median_ratio" in cases["1.10 build_lhs cap=16"]
     # the records are still made in the broken tree
     assert all("median_ratio" in cases[name] for name in CONSTRUCTORS)
@@ -66,7 +67,8 @@ def test_the_full_ladder_times_float_sides_and_a_deep_left_side():
     assert len(labels) == len(set(labels))
     assert "1.6 build_lhs cap=512" in labels
     assert [label for label in labels if "verify" in label] == [
-        f"{tag} verify_identity" for tag in ("1.5", "1.9", "1.10", "1.12", "1.13")]
+        *(f"{tag} verify_identity" for tag in ("1.5", "1.9", "1.10", "1.12", "1.13")), "1.8 verify_identity gamma=5"]
+    assert bench_layers.REQUEST_CASE == REQUEST_CASE and "--identity=1.8" in bench_layers.REQUEST
     floats = [label for label in labels if "_float" in label]
     assert floats == [f"{tag} {side}{point}" for tag, point in
                       (("1.10", ""), ("1.17", " i=8"), ("2.1", " i=8 j=8"), ("3.1", " i=8 j=8"))

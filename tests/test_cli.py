@@ -5,6 +5,7 @@ exercise exactly what a shell user sees: stdout payloads, stderr
 diagnostics, and exit codes.
 """
 
+import argparse
 import json
 import math
 import os
@@ -853,6 +854,63 @@ class TestSharedParser:
         assert exc.value.code == 2
         capsys.readouterr()
         assert verify_once() == first
+
+
+WATSON_REQUEST = ["verify", "--identity", "1.8", "--alpha", "1/3", "--beta", "2/5", "--gamma", "5"]
+
+
+def exit_of(capsys, parse, argv):
+    """``parse(argv)``'s exit status, stdout and stderr, where argparse
+    ends the call with SystemExit."""
+    with pytest.raises(SystemExit) as exc:
+        parse(argv)
+    captured = capsys.readouterr()
+    return exc.value.code, captured.out, captured.err
+
+
+class TestDispatch:
+    """``run`` parses a command line that starts with a command name by that
+    command's parser alone; every outcome is the top-level parser's."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            [],
+            ["-h"],
+            ["--help"],
+            ["verify", "-h"],
+            ["verifyy"],
+            ["--output", "json", "verify", "--identity", "1.8", "--alpha", "1/3"],
+            ["verify", "--alpha", "1/3"],
+            ["verify", "--identity", "1.8", "--alpha", "1/3", "--i", "x"],
+            [*WATSON_REQUEST, "--tol", "0.5"],
+            ["sweep", "--identity", "2.1", "--alpha", "3/7", "extra", "--beta", "2/5"],
+        ],
+        ids=["empty", "h", "help", "verify_h", "typo", "option_first", "no_identity", "bad_i", "tol", "extra"],
+    )
+    def test_a_refused_or_help_request_exits_as_the_top_level_parser_does(self, capsys, argv):
+        assert exit_of(capsys, run, argv) == exit_of(capsys, build_parser().parse_args, argv)
+
+    @pytest.mark.parametrize("argv", [WATSON_REQUEST + ["--output=json"], ["list"],
+                                      ["eval", "--identity", "1.1", "--alpha", "1/2", "--beta", "1/3", "--x", "0.5"]])
+    def test_a_request_gets_the_top_level_parsers_namespace(self, monkeypatch, argv):
+        seen = []
+        monkeypatch.setitem(cli._COMMANDS, argv[0], lambda args: seen.append(vars(args)) or 0)
+        assert run(argv) == 0
+        assert seen == [vars(build_parser().parse_args(argv))]
+
+    def test_a_request_takes_one_pass_of_its_commands_parser(self, capsys, monkeypatch):
+        parser = cli._shared_parser()
+        real = argparse.ArgumentParser.parse_known_args
+        receivers = []
+
+        def spy(self, *args, **kwargs):
+            receivers.append(self)
+            return real(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", spy)
+        assert invoke(capsys, *WATSON_REQUEST)[0] == 0
+        assert len(receivers) == 1 and receivers[0] is parser.commands["verify"]
 
 
 def test_parser_builds_and_documents_subcommands():

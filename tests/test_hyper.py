@@ -8,6 +8,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from hypident import hyper
 from hypident.hyper import (
     DegenerateParameterError,
     HypSpec,
@@ -289,8 +290,10 @@ def watson_spec(a, b, c) -> HypSpec:
     return HypSpec((a, b, c), ((a + b + 1) / 2, 2 * c))
 
 
-def low_excess_points(count: int, seed: int) -> list[tuple[Fraction, Fraction, Fraction]]:
-    """Seeded non-terminating 1.8 points with excess in (0, 3/2].
+def watson_points(count: int, seed: int, low=0, high=Fraction(3, 2)) -> list[tuple[Fraction, Fraction, Fraction]]:
+    """Seeded non-terminating 1.8 points with a, b in (-2, 2) and the
+    excess ``c - (a+b)/2 + 1/2`` in (low, high], such as the benchmark's
+    float_sums windows [1/4, 3/2] and [3, 6].
 
     a and b have distinct odd-prime denominators and the excess a third
     one, doubled, so no parameter, lower parameter or Gamma argument of
@@ -302,7 +305,8 @@ def low_excess_points(count: int, seed: int) -> list[tuple[Fraction, Fraction, F
         qa, qb, qs = rng.sample((3, 5, 7, 11, 13), 3)
         a = Fraction(rng.choice([k for k in range(-2 * qa + 1, 2 * qa) if k % qa]), qa)
         b = Fraction(rng.choice([k for k in range(-2 * qb + 1, 2 * qb) if k % qb]), qb)
-        excess = Fraction(rng.choice([k for k in range(1, 3 * qs + 1) if k % qs]), 2 * qs)
+        steps = range(math.floor(2 * qs * low) + 1, math.floor(2 * qs * high) + 1)
+        excess = Fraction(rng.choice([k for k in steps if k % qs]), 2 * qs)
         out.append((a, b, excess + (a + b) / 2 - Fraction(1, 2)))
     return out
 
@@ -377,6 +381,37 @@ class TestFloatTailBound:
         assert pfq_eval_float(gauss, 0.5, tol=1e-16, max_terms=600).terms == 46
 
 
+class TestTailSkip:
+    """The cheap test that skips a telescoped rule check changes no sum."""
+
+    @pytest.mark.parametrize("low, high", [(Fraction(1, 4), Fraction(3, 2)), (3, 6)])
+    def test_every_sum_is_the_one_without_skips(self, monkeypatch, low, high):
+        specs = [watson_spec(*point) for point in watson_points(60, seed=40, low=low, high=high)]
+        runs = [(tol, max_terms) for tol in (1e-16, 1e-12, 1e-8) for max_terms in (10, 60, 400_000)]
+
+        def sums():
+            return [pfq_eval_float(spec, 1.0, tol=tol, max_terms=max_terms) for spec in specs for tol, max_terms in runs]
+
+        real, verdicts = hyper._tail_cannot_stop, []
+        monkeypatch.setattr(hyper, "_tail_cannot_stop", lambda *args: verdicts.append(real(*args)) or verdicts[-1])
+        skipping = sums()
+        assert sum(verdicts) > len(verdicts) / 2  # most checks are skipped
+        monkeypatch.setattr(hyper, "_tail_cannot_stop", lambda *args: False)
+        full = sums()
+        assert [repr(s) for s in skipping] == [repr(s) for s in full]
+        assert sum(s.converged for s in full) > len(full) / 2
+
+    @pytest.mark.parametrize("n", [2, 5])
+    def test_a_check_whose_factor_rounds_to_zero_is_not_skipped(self, monkeypatch, n):
+        # b = -n + 2**-58 is -n as a double, so the check at N = n divides by
+        # 1 + b/N = 0.0 and ends the sum, a step before the terms divide by b + n
+        spec = HypSpec((-n + Fraction(1, 2**60), Fraction(1, 3), Fraction(1, 5)), (-n + Fraction(1, 2**58), 30))
+        skipping = pfq_eval_float(spec, 1.0, tol=1e-16, max_terms=100)
+        assert (skipping.value, skipping.terms) == (math.inf, n + 1)
+        monkeypatch.setattr(hyper, "_tail_cannot_stop", lambda *args: False)
+        assert pfq_eval_float(spec, 1.0, tol=1e-16, max_terms=100) == skipping
+
+
 class TestFloatTailBoundOracle:
     """Returned bounds against high-precision values from mpmath (optional)."""
 
@@ -387,7 +422,7 @@ class TestFloatTailBoundOracle:
             return mpmath.gamma(mpmath.mpf(q.numerator) / q.denominator)
 
         half = Fraction(1, 2)
-        for a, b, c in low_excess_points(30, seed=8):
+        for a, b, c in watson_points(30, seed=8):
             # Watson's theorem at 30 digits stands in for hyp3f2(..., 1),
             # which mpmath needs seconds for here (and fails at excess 1/24)
             with mpmath.workdps(30):

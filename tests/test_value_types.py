@@ -7,6 +7,7 @@ is a ``__slots__`` class, and ``IdentityDef`` is the one dataclass left.
 """
 
 import copy
+import operator
 import os
 import pickle
 import subprocess
@@ -125,8 +126,13 @@ def test_a_degenerate_lower_parameter_names_itself():
 
 def test_a_series_gains_no_tuple_operations():
     series = VALUES["TruncatedSeries"]()
-    with pytest.raises(TypeError):
-        3 * series
+    # a series' own operations take only a series: anything else is Python's TypeError
+    for other in (3, F(1, 2), 0.5, (1,)):
+        for operation in (operator.add, operator.sub, operator.mul):
+            with pytest.raises(TypeError):
+                operation(series, other)
+            with pytest.raises(TypeError):
+                operation(other, series)
     with pytest.raises(TypeError):
         (1,) + series
     with pytest.raises(TypeError):
