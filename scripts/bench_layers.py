@@ -28,15 +28,19 @@ of 1.17 at i = 8, and of 2.1 and 3.1 at i = j = 8. The point is alpha 3/7,
 beta 2/5. Then come the record constructors that the hot paths call per
 point: a ``FloatSum``, a ``1F1`` ``HypSpec``, an ``IdentityParams``, and
 ``tuple(ProductSide.terms)`` of 3.1's right side at i = j = 8, which
-builds its 81 ``Term`` and ``HypSpec`` records. Then comes one whole
-request, ``cli.run`` of ``verify`` at that 1.8 point with ``--output=json``,
+built its 81 ``Term`` and ``HypSpec`` records and is missing in a tree
+without that view. Then come the per-point layers: ``_float_terms`` of
+the same side, which lists those blocks for the float route, and
+``verify.check_admissible`` of 1.8 at gamma 5 and of 2.1 at i = j = 8,
+each on a fresh ``IdentityParams`` as a request makes one. Then comes one
+whole request, ``cli.run`` of ``verify`` at that 1.8 point with ``--output=json``,
 its stdout kept in memory. Last comes the import case, ``python3 -c "import hypident.cli"`` with only the tree's ``src``
 on ``PYTHONPATH``: the wall time of one fresh process a batch, as the
 benchmark's ``setup_s`` takes it. Both trees are byte-compiled first, as ``bench_pairs.py`` does,
 since a fresh process may not write its own cache; a tree that cannot
 import it is reported as missing. ``--quick`` takes two builders
-at cap 16, one float side, the constructors, the request and the import
-case, for a smoke test.
+at cap 16, one float side, the constructors, the per-point layers, the
+request and the import case, for a smoke test.
 
 The result is printed as a table and, with ``--out``, written under the
 ``layers`` key of that JSON file; an existing file is updated, not
@@ -68,6 +72,7 @@ EXPONENTIAL_RIGHT_SIDES = ("1.5", "1.9", "1.10", "1.12", "1.13")
 FLOAT_SIDES = (("1.10", {}), ("1.17", dict(i=8)), ("2.1", dict(i=8, j=8)), ("3.1", dict(i=8, j=8)))
 BATCH_SECONDS = 1e-3
 CONSTRUCTORS = ("FloatSum", "HypSpec 1F1", "IdentityParams", "3.1 tuple(ProductSide.terms) i=8 j=8")
+LAYERS = ("3.1 _float_terms i=8 j=8", "check_admissible 1.8 gamma=5", "check_admissible 2.1 i=8 j=8")
 IMPORT_CASE = "import hypident.cli"
 WATSON_POINT = dict(gamma=Fraction(5))
 REQUEST = ["verify", "--identity=1.8", "--alpha=3/7", "--beta=2/5", "--gamma=5", "--output=json"]
@@ -135,6 +140,25 @@ def constructor_call(tree, name: str):
     return call
 
 
+def layer_call(tree, name: str):
+    """A no-argument call of one of ``LAYERS`` in one tree, at the ladder's
+    point, or None if the tree cannot make it."""
+    identities = sys.modules[f"{tree.__name__}.identities"]
+    check_admissible = sys.modules[f"{tree.__name__}.verify"].check_admissible
+    params = identities.IdentityParams
+    try:
+        side = identities._equal_param_rhs((True, True), params(**POINT, i=8, j=8), False)
+        call = {
+            "3.1 _float_terms i=8 j=8": lambda: identities._float_terms(side),
+            "check_admissible 1.8 gamma=5": lambda: check_admissible("1.8", params(**POINT, **WATSON_POINT)),
+            "check_admissible 2.1 i=8 j=8": lambda: check_admissible("2.1", params(**POINT, i=8, j=8)),
+        }[name]
+        call()
+    except Exception:  # noqa: BLE001 - a case a tree cannot run is missing
+        return None
+    return call
+
+
 def request_call(tree):
     """A no-argument ``cli.run`` of ``REQUEST`` in one tree, its stdout kept
     in memory, or None if the tree's request does not exit 0."""
@@ -175,6 +199,8 @@ def cases_of(quick: bool, trees, srcs):
         yield label(*case), [call_of(tree, *case) for tree in trees]
     for name in CONSTRUCTORS:
         yield name, [constructor_call(tree, name) for tree in trees]
+    for name in LAYERS:
+        yield name, [layer_call(tree, name) for tree in trees]
     yield REQUEST_CASE, [request_call(tree) for tree in trees]
     yield IMPORT_CASE, [import_call(src) for src in srcs]
 
@@ -211,8 +237,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("other", type=Path, help="root of the checkout to compare with")
     parser.add_argument("--rounds", type=int, default=15)
     parser.add_argument("--quick", action="store_true",
-                        help="two builders at cap 16, one float side, the constructors, the request and "
-                             "the import case, for a smoke test")
+                        help="two builders at cap 16, one float side, the constructors, the per-point layers, "
+                             "the request and the import case, for a smoke test")
     parser.add_argument("--out", type=Path, help="JSON file whose 'layers' key to create or update")
     args = parser.parse_args(argv)
     if not (args.other / "src" / "hypident" / "__init__.py").is_file():

@@ -137,9 +137,8 @@ def _parse_rational_list(text: str, option: str) -> list[Fraction]:
 
 def _write(output: str, doc: Callable[[], object], table: Callable[[], tuple], text: Callable[[], str]) -> None:
     """Write the requested rendering, and only build that one: ``doc()`` as
-    JSON, ``table()`` as a ``(header, rows)`` CSV table, or ``text()``. If
-    the reader closes stdout early, the rest goes to the null device and the
-    command keeps its exit status."""
+    JSON, ``table()`` as a ``(header, rows)`` CSV table, or ``text()``, to
+    stdout by :func:`_emit`."""
     if output == "json":
         import json  # only JSON output needs it, so `import hypident.cli` does not load it
 
@@ -148,13 +147,20 @@ def _write(output: str, doc: Callable[[], object], table: Callable[[], tuple], t
         payload = csv_text(*table())
     else:
         payload = text() + "\n"
+    _emit(sys.stdout, payload)
+
+
+def _emit(stream, text: str) -> None:
+    """Write ``text`` to stdout or stderr. If the reader closed the stream
+    early, the rest goes to the null device and the command keeps its exit
+    status: stdout and stderr may share one pipe (``2>&1 | head -1``)."""
     try:
-        sys.stdout.write(payload)
-        sys.stdout.flush()
+        stream.write(text)
+        stream.flush()
     except BrokenPipeError:
-        # the interpreter flushes stdout again at exit; let that flush succeed
+        # the interpreter flushes the stream again at exit; let that flush succeed
         devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
+        os.dup2(devnull, stream.fileno())
         os.close(devnull)
 
 
@@ -178,7 +184,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     report = verify_identity(args.identity, params)
     _write(args.output, report.to_json_dict, lambda: (CSV_HEADER, [report.csv_row()]), report.render_text)
     if report.findings:
-        print(f"hypident: inadmissible: {report.findings[0].detail}", file=sys.stderr)
+        _emit(sys.stderr, f"hypident: inadmissible: {report.findings[0].detail}\n")
     return 0 if report.passed else 1
 
 
@@ -227,12 +233,12 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         lambda: "\n".join(r.summary_line() for r in reports),
     )
     passed = sum(1 for r in reports if r.passed)
-    print(f"hypident: {passed}/{len(reports)} points passed", file=sys.stderr)
+    _emit(sys.stderr, f"hypident: {passed}/{len(reports)} points passed\n")
     per_point = [r.elapsed_seconds * 1000 for r in reports]
     # inclusive, so p95 never exceeds max; before Python 3.13 quantiles needs two points
     p95 = statistics.quantiles(per_point, n=20, method="inclusive")[18] if len(per_point) > 1 else per_point[0]
-    print(f"timing: {len(reports)} points in {wall:.3f} s; per point p50 {statistics.median(per_point):.3f} ms, "
-          f"p95 {p95:.3f} ms, max {max(per_point):.3f} ms", file=sys.stderr)
+    _emit(sys.stderr, f"timing: {len(reports)} points in {wall:.3f} s; per point p50 {statistics.median(per_point):.3f} ms, "
+                      f"p95 {p95:.3f} ms, max {max(per_point):.3f} ms\n")
     return 0 if passed == len(reports) else 1
 
 
@@ -326,7 +332,7 @@ def run(argv: list[str] | None = None) -> int:
     try:
         return _COMMANDS[args.command](args)
     except (ZeroDivisionError, ValueError) as exc:
-        print(f"hypident: error: {exc}", file=sys.stderr)
+        _emit(sys.stderr, f"hypident: error: {exc}\n")
         return 2
 
 

@@ -27,7 +27,7 @@ from collections import namedtuple
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Callable, Iterator, NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .hyper import DegenerateParameterError, FloatSum, HypSpec, _pfq_integers, bailey_product_spec, pfq_eval_float
 from .left import _raw_product_series
@@ -159,9 +159,6 @@ class Arg(NamedTuple):
     c: int = 1
     squared: bool = False
 
-    def at(self, x: float) -> float:
-        return x * x / self.c if self.squared else self.c * x
-
 
 _X = Arg()
 _NEG_X = Arg(-1)
@@ -223,10 +220,6 @@ class RawProduct(namedtuple("RawProduct", "factors exp")):
 
     _make = classmethod(lambda cls, iterable: cls(*iterable))
 
-    @property
-    def terms(self) -> tuple[Term]:
-        return (Term(self.factors),)
-
 
 #: ``(rho, weights)``: the sum over shifts m of
 #: ``weights[m] * x**m * 0F1(; rho + m; x**2/16)``.
@@ -239,24 +232,11 @@ class ProductSide(NamedTuple):
     :func:`_equal_param_factor` in alpha alone for 3.x. Block (m, n) of the
     product is the 1.11 block ``2F3(...; x**2/4)`` of ``(rho + m, sigma +
     n)``, weighted ``v[m] * w[n]`` at power ``m + n``.
-
-    The right route sums it one anti-diagonal at a time; ``terms`` lists the
-    blocks one by one, in m-major order without zero weights, for
-    ``_side_floats``.
     """
 
     first: Expansion
     second: Expansion
     exp = Fraction(1)
-
-    @property
-    def terms(self) -> Iterator[Term]:
-        (rho, first), (sigma, second) = self.first, self.second
-        for m, w1 in enumerate(first):
-            for n, w2 in enumerate(second):
-                weight = w1 * w2
-                if weight != 0:
-                    yield Term(((bailey_product_spec(rho + m, sigma + n), _SQ4),), weight, m + n)
 
 
 def _side_series(side: RawProduct | Side | ProductSide, cap: int) -> TruncatedSeries:
@@ -270,19 +250,41 @@ def _side_series(side: RawProduct | Side | ProductSide, cap: int) -> TruncatedSe
     return _sum_series(side, cap)
 
 
+def _float_terms(side: RawProduct | Side | ProductSide) -> Sequence[Term]:
+    """The terms the float route sums: a :class:`RawProduct` as one term, a
+    :class:`Side` as its ``terms``, a :class:`ProductSide` as its blocks in
+    m-major order without zero weights, each ``rho + m``, ``sigma + n`` and
+    anti-diagonal's three block parameters formed once."""
+    if isinstance(side, RawProduct):
+        return (Term(side.factors),)
+    if isinstance(side, Side):
+        return side.terms
+    (rho, first), (sigma, second) = side.first, side.second
+    rhos, sigmas = [rho + m for m in range(len(first))], [sigma + n for n in range(len(second))]
+    diagonals = [(t / 2, (t - 1) / 2, t - 1) for t in (rho + sigma + s for s in range(len(first) + len(second) - 1))]
+    terms = []
+    for m, w1 in enumerate(first):
+        for n, w2 in enumerate(second):
+            weight = w1 * w2
+            if weight != 0:
+                half, below, total = diagonals[m + n]
+                terms.append(Term(((HypSpec((half, below), (rhos[m], sigmas[n], total)), _SQ4),), weight, m + n))
+    return terms
+
+
 def _side_floats(side: RawProduct | Side | ProductSide, xs: Sequence[float]) -> list[tuple[float, bool]]:
     """Float value of a side at each x, and whether it is finite and every
     factor's sum converged; ``(inf, False)`` at an x where a weight, power
     or exponential overflows a double, or where an overflowed sum would
-    read nan. The terms are listed once, then summed at each x in the same
-    order.
+    read nan. The terms are listed once, by :func:`_float_terms`, then
+    summed at each x in the same order.
 
     Each distinct factor is summed once per call: the sums are kept by
     ``(id(spec), argument)``, which is safe because ``terms`` holds every
     spec for the whole call. An ``x**2/c`` factor takes the same argument
     at ``x`` and ``-x``, so at symmetric points it is summed half as often.
     """
-    terms = tuple(side.terms)
+    terms = _float_terms(side)
     sums: dict[tuple[int, float], FloatSum] = {}
     values = []
     for x in xs:
@@ -291,8 +293,8 @@ def _side_floats(side: RawProduct | Side | ProductSide, xs: Sequence[float]) -> 
         try:
             for term in terms:
                 value = float(term.weight) * x**term.power
-                for spec, arg in term.factors:
-                    key = id(spec), arg.at(x)
+                for spec, (c, squared) in term.factors:
+                    key = id(spec), x * x / c if squared else c * x
                     factor = sums.get(key)
                     if factor is None:
                         factor = sums[key] = pfq_eval_float(spec, key[1], tol=_FLOAT_TOL, max_terms=_FLOAT_TERMS)
@@ -582,17 +584,6 @@ def _product_requirements(raised: tuple[bool, bool], params: IdentityParams, equ
     return reqs
 
 
-def _watson_requirements(values: dict[str, Fraction]) -> Findings:
-    """1.8's conditions on the values of :func:`_watson_values`: the two
-    lower parameters, the two Gamma numerators that can reach a pole, and
-    convergence unless an upper parameter terminates the sum."""
-    reqs = [check_lower(e, values[e]) for e in ("(alpha + beta + 1)/2", "2*gamma")]
-    reqs += [check_pole(e, values[e]) for e in ("gamma + 1/2", "gamma - (alpha + beta)/2 + 1/2")]
-    if not any(is_nonpositive_integer(values[u]) for u in ("alpha", "beta", "gamma")):
-        reqs.append(check_positive("2*gamma - alpha - beta + 1", values["2*gamma - alpha - beta + 1"]))
-    return reqs
-
-
 # --------------------------------------------------------------------------
 # the catalog
 
@@ -693,9 +684,9 @@ def _float_sum_entry(
     values: Callable[[IdentityParams], dict[str, Fraction]],
     spec: tuple[Names, Names],
     gammas: tuple[Names, Names],
-    requirements: Callable[[dict[str, Fraction]], Findings],
     x: float,
     max_terms: int,
+    excess: str | None = None,
     **fields,
 ) -> IdentityDef:
     """A float-sum entry: ``pFq(spec; x)`` summed in floating point against
@@ -703,10 +694,13 @@ def _float_sum_entry(
     ``values`` works out every value the entry names from a point, in exact
     rationals, once for the admissibility check and the sum that follows it
     at the same point; ``spec`` (upper, lower) and ``gammas`` name the
-    values they take, and ``requirements`` tests them. ``x`` is also the
-    entry's ``fixed_argument``."""
+    values they take, and the findings read the same names: each lower
+    parameter, each Gamma numerator that is not one at a pole, and, for a
+    sum at x = 1, ``excess > 0`` unless an upper parameter is a nonpositive
+    integer. ``x`` is also the entry's ``fixed_argument``."""
     upper, lower = spec
     numerators, denominators = gammas
+    poles = [e for e in numerators if e not in lower]
     last = (None, None)
 
     def values_at(p: IdentityParams) -> dict[str, Fraction]:
@@ -726,8 +720,14 @@ def _float_sum_entry(
         lhs = pfq_eval_float(HypSpec([v[e] for e in upper], [v[e] for e in lower]), x, tol=_FLOAT_TOL, max_terms=max_terms)
         return lhs.value, _gamma_ratio([v[e] for e in numerators], [v[e] for e in denominators]), lhs
 
-    return IdentityDef(kind="float_sum", scalar_float=sides, requirements=lambda p: requirements(values_at(p)),
-                       fixed_argument=x, **fields)
+    def requirements(p: IdentityParams) -> Findings:
+        v = values_at(p)
+        reqs = [check_lower(e, v[e]) for e in lower] + [check_pole(e, v[e]) for e in poles]
+        if excess is not None and not any(is_nonpositive_integer(v[e]) for e in upper):
+            reqs.append(check_positive(excess, v[excess]))
+        return reqs
+
+    return IdentityDef(kind="float_sum", scalar_float=sides, requirements=requirements, fixed_argument=x, **fields)
 
 
 def _product_entries(prod_id: IdentityId, equal_id: IdentityId, raised: tuple[bool, bool], reading: bool) -> list[IdentityDef]:
@@ -946,7 +946,6 @@ def _build_registry() -> dict[IdentityId, IdentityDef]:
         values=_gauss_second_values,
         spec=(("alpha", "beta"), ("(alpha + beta + 1)/2",)),
         gammas=(("1/2", "(alpha + beta + 1)/2"), ("(alpha + 1)/2", "(beta + 1)/2")),
-        requirements=lambda v: [check_lower("(alpha + beta + 1)/2", v["(alpha + beta + 1)/2"])],
         x=0.5,
         max_terms=600,
     ))
@@ -963,9 +962,9 @@ def _build_registry() -> dict[IdentityId, IdentityDef]:
             ("1/2", "gamma + 1/2", "(alpha + beta + 1)/2", "gamma - (alpha + beta)/2 + 1/2"),
             ("(alpha + 1)/2", "(beta + 1)/2", "gamma - alpha/2 + 1/2", "gamma - beta/2 + 1/2"),
         ),
-        requirements=_watson_requirements,
         x=1.0,
         max_terms=400_000,
+        excess="2*gamma - alpha - beta + 1",
     ))
 
     return {d.id: d for d in defs}

@@ -12,8 +12,13 @@ ROOT = Path(__file__).resolve().parent.parent
 SCRIPT = ROOT / "scripts" / "bench_layers.py"
 IMPORT_CASE = "import hypident.cli"
 REQUEST_CASE = "cli.run verify 1.8 --output=json"
-CONSTRUCTORS = {"FloatSum", "HypSpec 1F1", "IdentityParams", "3.1 tuple(ProductSide.terms) i=8 j=8"}
-QUICK_CASES = {"1.10 build_rhs cap=16", "1.10 build_lhs cap=16", "1.10 rhs_float", *CONSTRUCTORS, REQUEST_CASE, IMPORT_CASE}
+# the view the float route once read; the package no longer has it, so the
+# ladder keeps the case and reports it missing
+TERMS_VIEW = "3.1 tuple(ProductSide.terms) i=8 j=8"
+CONSTRUCTORS = {"FloatSum", "HypSpec 1F1", "IdentityParams", TERMS_VIEW}
+LAYERS = {"3.1 _float_terms i=8 j=8", "check_admissible 1.8 gamma=5", "check_admissible 2.1 i=8 j=8"}
+QUICK_CASES = {"1.10 build_rhs cap=16", "1.10 build_lhs cap=16", "1.10 rhs_float", *CONSTRUCTORS, *LAYERS, REQUEST_CASE,
+               IMPORT_CASE}
 
 
 def bench(other: Path, out: Path) -> dict:
@@ -30,6 +35,7 @@ def test_a_checkout_runs_even_with_itself(tmp_path):
     cases = bench(ROOT, out)
     assert json.loads(out.read_text())["kept"] == 1
     assert set(cases) == QUICK_CASES
+    assert cases.pop(TERMS_VIEW) == {"missing": ["this", "other"]}
     for case in cases.values():
         assert case["rounds"] == 5 and 0 <= case["this_won"] <= 5
         # timings on a shared machine are noisy: ask only for a real ratio
@@ -54,8 +60,9 @@ def test_a_case_the_other_tree_cannot_build_is_missing(tmp_path):
     assert cases["1.10 rhs_float"] == {"missing": ["other"]}
     assert cases[IMPORT_CASE] == cases[REQUEST_CASE] == {"missing": ["other"]}
     assert "median_ratio" in cases["1.10 build_lhs cap=16"]
-    # the records are still made in the broken tree
-    assert all("median_ratio" in cases[name] for name in CONSTRUCTORS)
+    # the records and the per-point layers are still made in the broken tree
+    assert all("median_ratio" in cases[name] for name in (CONSTRUCTORS - {TERMS_VIEW}) | LAYERS)
+    assert cases[TERMS_VIEW] == {"missing": ["this", "other"]}
 
 
 def test_the_full_ladder_times_float_sides_and_a_deep_left_side():

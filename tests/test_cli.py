@@ -980,3 +980,33 @@ def test_closed_stdout_ends_the_output_quietly():
     _, err = proc.communicate(timeout=120)
     assert proc.returncode == 0, err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv, status",
+    [
+        # 676 points, about 215 KB of JSON, far more than a pipe holds; all pass
+        (["sweep", "--identity", "2.1", "--alpha", "3/7,1/3", "--beta", "2/5,1/5", "--i", "12", "--j", "12",
+          "--output", "json"], 0),
+        (["verify", "--identity", "2.1", "--alpha=-1/2", "--beta", "2/5", "--i", "2", "--output", "json"], 1),
+        (["verify", "--identity", "9.9", "--alpha", "1"], 2),
+    ],
+    ids=["passing-sweep", "inadmissible-verify", "bad-request"],
+)
+def test_closed_shared_pipe_keeps_the_exit_status(argv, status):
+    """stdout and stderr share one pipe, as with ``2>&1 | head -1``, and its
+    reader closes: after the first line of the sweep, whose output no pipe
+    holds, and before the first line of the shorter outputs. The stderr
+    diagnostics that follow go nowhere, and the command keeps its status,
+    where an uncaught BrokenPipeError would exit 1."""
+    read_end, write_end = os.pipe()
+    sweep = argv[0] == "sweep"
+    if not sweep:
+        os.close(read_end)
+    proc = subprocess.Popen([sys.executable, "-m", "hypident.cli", *argv], stdout=write_end, stderr=subprocess.STDOUT,
+                            env=src_env())
+    os.close(write_end)
+    if sweep:
+        with open(read_end, "rb") as reader:
+            assert reader.readline() == b"[\n"
+    assert proc.wait(timeout=120) == status

@@ -30,6 +30,7 @@ from hypident.identities import (
     _equal_param_factor,
     _equal_param_rhs,
     _expansion_terms,
+    _float_terms,
     _gamma_ratio,
     _product_rhs,
     _side_floats,
@@ -493,6 +494,24 @@ def term_ratio_factor(spec, arg, cap):
     return TruncatedSeries(cap, coeffs)
 
 
+def declared_terms(side):
+    """A side's terms as its declaration states them: a raw product is one
+    unweighted term, a :class:`Side` its own terms, and a product side
+    block (m, n) by block, in m-major order without zero weights, each the
+    1.11 block of ``bailey_product_spec(rho + m, sigma + n)``."""
+    if isinstance(side, RawProduct):
+        return [Term(side.factors)]
+    if isinstance(side, Side):
+        return list(side.terms)
+    (rho, first), (sigma, second) = side.first, side.second
+    return [
+        Term(((bailey_product_spec(rho + m, sigma + n), SQ4),), w1 * w2, m + n)
+        for m, w1 in enumerate(first)
+        for n, w2 in enumerate(second)
+        if w1 * w2 != 0
+    ]
+
+
 def reference_side_series(side, cap):
     """The side built term by term from TruncatedSeries operations: each
     factor from its term ratio (:func:`term_ratio_factor`), each block
@@ -500,7 +519,7 @@ def reference_side_series(side, cap):
     ``e**(eps*x)``, whose coefficients ``eps**k / k!`` are exact for any
     rational eps."""
     total = TruncatedSeries.from_integers(cap, 1, [0] * (cap + 1))
-    for term in side.terms:
+    for term in declared_terms(side):
         need = cap - term.power
         if need < 0:
             continue
@@ -657,7 +676,7 @@ class TestSideSeries:
         factor = HypSpec((A,), (B,))
         with pytest.raises(ValueError, match="c\\*x arguments only"):
             RawProduct(((factor, Arg(1)), (factor, SQ4)))
-        assert RawProduct(((factor, Arg(1)),), Fraction(-1, 2)).terms == (Term(((factor, Arg(1)),)),)
+        assert _float_terms(RawProduct(((factor, Arg(1)),), Fraction(-1, 2))) == (Term(((factor, Arg(1)),)),)
 
     @pytest.mark.parametrize(
         "factors, message",
@@ -952,7 +971,7 @@ class TestFloatSumDerivation:
         s = (a + b + 1) / 2
         assert spec == self.textbook_spec((a, b), (s,))
         assert gammas == (None if spec[0] == "raises" else ([Fraction(1, 2), s], [(a + 1) / 2, (b + 1) / 2]))
-        assert checks == [("lower", "(alpha + beta + 1)/2", s)]
+        assert checks == [("lower", "(alpha + beta + 1)/2", s), ("pole", "1/2", Fraction(1, 2))]
 
     @pytest.mark.parametrize("a, b, c", float_sum_points(seed=18, count=120), ids=str)
     def test_watson(self, a, b, c, seen):
@@ -967,6 +986,7 @@ class TestFloatSumDerivation:
         expected = [
             ("lower", "(alpha + beta + 1)/2", s),
             ("lower", "2*gamma", 2 * c),
+            ("pole", "1/2", half),
             ("pole", "gamma + 1/2", c + half),
             ("pole", "gamma - (alpha + beta)/2 + 1/2", c - (a + b) / 2 + half),
         ]
@@ -1085,8 +1105,8 @@ LEFT_SIDE_POINTS = [
 def test_left_sides_match_term_by_term_reference(tag, side, monkeypatch):
     """Every catalog left side, products of two factors included, and every
     right side equal the reference built from their own side declaration,
-    at the default cap and at the benchmark's cap 96. A 2.x right side's
-    reference takes its blocks from ``ProductSide.terms``."""
+    at the default cap and at the benchmark's cap 96. A 2.x or 3.x right
+    side's reference takes its blocks from ``bailey_product_spec``."""
     built_sides = []
     real = identities._side_series
 
@@ -1357,8 +1377,8 @@ def test_the_two_routes_are_two_modules():
 def per_term_side_floats(side, xs):
     """The float interpreter with no kept sums: every factor of every term
     summed afresh at every x, weight, power, product and exponential in the
-    order ``_side_floats`` takes them."""
-    terms = tuple(side.terms)
+    order ``_side_floats`` takes them, from the side's declared terms."""
+    terms = declared_terms(side)
     values = []
     for x in xs:
         total = 0.0
@@ -1366,8 +1386,9 @@ def per_term_side_floats(side, xs):
         try:
             for term in terms:
                 value = float(term.weight) * x**term.power
-                for spec, arg in term.factors:
-                    factor = pfq_eval_float(spec, arg.at(x), tol=identities._FLOAT_TOL, max_terms=identities._FLOAT_TERMS)
+                for spec, (c, squared) in term.factors:
+                    factor = pfq_eval_float(spec, x * x / c if squared else c * x, tol=identities._FLOAT_TOL,
+                                            max_terms=identities._FLOAT_TERMS)
                     value *= factor.value
                     converged = converged and factor.converged
                 total += value
@@ -1414,3 +1435,74 @@ def test_a_product_side_sums_each_block_once_per_distinct_argument(monkeypatch):
     get("2.1").rhs_float(IdentityParams(alpha=A, beta=B, i=i, j=j), DEFAULT_FLOAT_POINTS)
     assert len(calls) == (i + 1) * (j + 1) * 3
     assert {x for _, x in calls} == {x * x / 4 for x in DEFAULT_FLOAT_POINTS}
+
+
+@pytest.mark.parametrize("name", ["PP", "MM", "PM"])
+def test_float_terms_list_each_product_block_from_bailey_product_spec(name):
+    """The float route's blocks of every 2.x and 3.x right side, both
+    readings of 2.3 and 3.3, are block for block the 1.11 block of
+    ``bailey_product_spec(rho + m, sigma + n)`` at power ``m + n``."""
+    raised = RAISED[name]
+    for alpha, beta, i, j in [(A, B, 8, 8), (Fraction(-5, 11), Fraction(7, 13), 3, 5), (Fraction(-7, 3), Fraction(1, 4), 4, 2)]:
+        for printed in (False, True) if name == "PM" else (False,):
+            params = IdentityParams(alpha=alpha, beta=beta, i=i, j=j, printed_form=printed)
+            for side in (_product_rhs(raised, params, printed), _equal_param_rhs(raised, params, printed)):
+                terms = _float_terms(side)
+                assert terms == declared_terms(side), (alpha, beta, i, j, printed)
+                assert all(type(p) is Fraction for term in terms for spec, _ in term.factors for p in spec.upper + spec.lower)
+
+
+def degenerate_points(seed: int, count: int) -> list[tuple[Fraction, Fraction, Fraction, int, int, bool]]:
+    """Seeded (alpha, beta, gamma, i, j, printed_form): each rational n/d with
+    d in 1, 2, 4 and n/d in [-4, 1], so that the parameters, their halves,
+    doubles, sums and shifts often land on a nonpositive integer; shifts up
+    to 3."""
+    rng = random.Random(seed)
+
+    def value() -> Fraction:
+        d = rng.choice((1, 2, 4))
+        return Fraction(rng.randint(-4 * d, d), d)
+
+    return [(value(), value(), value(), rng.randint(0, 3), rng.randint(0, 3), rng.random() < 0.5) for _ in range(count)]
+
+
+def raises_degenerate(call, params) -> bool:
+    try:
+        call(params)
+    except DegenerateParameterError:
+        return True
+    return False
+
+
+@pytest.mark.parametrize("tag", SERIES_TAGS)
+def test_gate_refuses_exactly_where_a_builder_raises(tag):
+    """The admissibility gate of every series entry, written beside its
+    builders, refuses a point exactly where ``build_lhs`` or ``build_rhs``
+    raises ``DegenerateParameterError``, at cap 8."""
+    define = get(tag)
+    outcomes = set()
+    for alpha, beta, gamma, i, j, printed in degenerate_points(seed=41, count=120):
+        params = IdentityParams(alpha, beta if "beta" in define.uses else None, i if "i" in define.uses else 0,
+                                j if "j" in define.uses else 0, cap=8, printed_form=printed and define.reading)
+        refused = bool(check_admissible(tag, params))
+        assert refused == (raises_degenerate(define.build_lhs, params) or raises_degenerate(define.build_rhs, params)), params
+        outcomes.add(refused)
+    assert outcomes == {True, False}
+
+
+@pytest.mark.parametrize("tag", ["1.3", "1.4", "1.8"])
+def test_scalar_gate_refuses_exactly_where_a_side_raises(tag, monkeypatch):
+    """The findings of 1.3, 1.4 and 1.8 other than the convergence
+    condition, which no side checks, appear exactly where ``scalar_exact``
+    or ``scalar_float`` raises ``DegenerateParameterError``. The float sum
+    is stubbed: a sum that does not converge would spend its whole budget."""
+    monkeypatch.setattr(identities, "pfq_eval_float", lambda spec, x, tol, max_terms: FloatSum(1.0, True, 1, 1.0, 0.0))
+    define = get(tag)
+    side = define.scalar_exact or define.scalar_float
+    outcomes = set()
+    for alpha, beta, gamma, i, _, _ in degenerate_points(seed=42, count=400):
+        params = IdentityParams(alpha, beta, i if "i" in define.uses else 0, gamma=gamma if "gamma" in define.uses else None)
+        findings = [f for f in check_admissible(tag, params) if not f.detail.startswith("convergence condition")]
+        assert bool(findings) == raises_degenerate(side, params), params
+        outcomes.add(bool(findings))
+    assert outcomes == {True, False}
