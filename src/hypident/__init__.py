@@ -27,7 +27,6 @@ from .reports import (
     FloatResidual,
     VerifyReport,
     compare_series,
-    reports_to_csv,
 )
 from .series import TruncatedSeries
 from .verify import (
@@ -65,7 +64,6 @@ __all__ = [
     "parse_rational",
     "pfq_eval_float",
     "pochhammer",
-    "reports_to_csv",
     "sweep",
     "verify_identity",
 ]

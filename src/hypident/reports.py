@@ -31,7 +31,6 @@ __all__ = [
     "compare_series",
     "csv_text",
     "relative_error",
-    "reports_to_csv",
     "CSV_HEADER",
     "STATUS_EXACT_MATCH",
     "STATUS_FLOAT_INCONCLUSIVE",

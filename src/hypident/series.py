@@ -194,7 +194,7 @@ class TruncatedSeries:
         return TruncatedSeries.from_integers(cap, self.den * math.factorial(cap) * (q * p) ** cap, sums)
 
     def scale(self, factor: Fraction | int) -> "TruncatedSeries":
-        factor = Fraction(factor)
+        factor = _exact_rational(factor, "factor")
         p = factor.numerator
         return TruncatedSeries.from_integers(
             self.cap, self.den * factor.denominator, [p * n for n in self.nums]
@@ -206,7 +206,7 @@ class TruncatedSeries:
         With factor -1 this flips the signs of the odd coefficients, which
         is how every ``f(-x)`` in the catalog is built.
         """
-        factor = Fraction(factor)
+        factor = _exact_rational(factor, "factor")
         return TruncatedSeries(self.cap, [c * factor**k for k, c in enumerate(self.coeffs)])
 
     def shift(self, power: int, cap: int | None = None) -> "TruncatedSeries":
@@ -233,7 +233,7 @@ class TruncatedSeries:
         coefficients are all zero by construction. The cap may be at most
         ``2 * self.cap + 1``, the last degree the input still determines.
         """
-        divisor = Fraction(divisor)
+        divisor = _exact_rational(divisor, "divisor")
         if divisor == 0:
             raise ValueError("substitute_even divisor must be nonzero")
         if cap is None:
@@ -297,7 +297,7 @@ def exp_series(cap: int, eps: Fraction | int = 1) -> TruncatedSeries:
     Unused by the package: perfbench's tracer patches it, and tests use it as
     an oracle independent of ``times_exp``.
     """
-    eps = Fraction(eps)
+    eps = _exact_rational(eps, "eps")
     if eps == 0:
         raise ValueError("exp_series takes a nonzero rational")
     return TruncatedSeries(cap, [eps**k / math.factorial(k) for k in range(cap + 1)])

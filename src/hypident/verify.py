@@ -18,6 +18,7 @@ from typing import Iterable, Sequence
 
 from . import identities, reports
 from .identities import IdentityDef, IdentityId, IdentityParams
+from .rationals import _exact_rational
 from .reports import (
     STATUS_EXACT_MATCH,
     STATUS_FLOAT_INCONCLUSIVE,
@@ -169,9 +170,9 @@ def sweep_axes(
     Values are in ascending order. Nothing is verified, so a caller can
     size the grid before running it."""
     define = identities.get(identity)
-    alphas = sorted(set(Fraction(a) for a in alpha_set))
+    alphas = sorted(set(_exact_rational(a, "alpha") for a in alpha_set))
     if "beta" in define.uses:
-        betas: list[Fraction | None] = sorted(set(Fraction(b) for b in beta_set))
+        betas: list[Fraction | None] = sorted(set(_exact_rational(b, "beta") for b in beta_set))
     else:
         betas = [None]
     i_values = range(i_max + 1) if "i" in define.uses else (0,)
@@ -195,7 +196,7 @@ def sweep(
     inadmissible reports, not errors. A sweep runs no float cross-checks.
     """
     axes = sweep_axes(identity, alpha_set, beta_set, i_max, j_max)
-    gamma = Fraction(gamma) if gamma is not None else None
+    gamma = None if gamma is None else _exact_rational(gamma, "gamma")
     out = []
     for alpha, beta, i, j in itertools.product(*axes):
         params = IdentityParams(alpha=alpha, beta=beta, i=i, j=j, cap=cap, gamma=gamma, printed_form=printed_form)

@@ -76,7 +76,14 @@ def test_the_full_ladder_times_float_sides_and_a_deep_left_side():
     assert [label for label in labels if "verify" in label] == [
         *(f"{tag} verify_identity" for tag in ("1.5", "1.9", "1.10", "1.12", "1.13")), "1.8 verify_identity gamma=5"]
     assert bench_layers.REQUEST_CASE == REQUEST_CASE and "--identity=1.8" in bench_layers.REQUEST
-    floats = [label for label in labels if "_float" in label]
+    floats = [label for label in labels if label.split()[1] in ("lhs_float", "rhs_float")]
     assert floats == [f"{tag} {side}{point}" for tag, point in
                       (("1.10", ""), ("1.17", " i=8"), ("2.1", " i=8 j=8"), ("3.1", " i=8 j=8"))
                       for side in ("lhs_float", "rhs_float")]
+    # the float_sums specs (1.8 at high and low excess) and 2.1's double sum, each made in this tree
+    layers = ["1.4 pfq_eval_float", "1.8 pfq_eval_float gamma=5", "1.8 pfq_eval_float gamma=1/2",
+              "2.1 _bailey_double_sum i=8 j=8"]
+    assert labels[-len(layers):] == layers
+    table, src = bench_layers.table(quick=False), ROOT / "src"
+    tree = bench_layers.load(src, "hypident_ladder")
+    assert all(bench_layers.made(table[name], tree, src) for name in layers)

@@ -20,7 +20,7 @@ import pytest
 from hypident.hyper import DegenerateParameterError, FloatSum, HypSpec
 from hypident.identities import Arg, IdentityParams, ProductSide, RawProduct, Side, Term
 from hypident.reports import AdmissibilityFinding, CoefficientMismatch, FloatResidual, VerifyReport
-from hypident.series import TruncatedSeries
+from hypident.series import TruncatedSeries, exp_series
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -109,10 +109,15 @@ def test_ints_are_normalised_to_fractions():
         lambda: RawProduct._make([((HypSpec((1, 2), (3,)), Arg()),)]),
         lambda: TruncatedSeries(0, [0.1]),
         lambda: TruncatedSeries(1, [1]),
+        lambda: TruncatedSeries(2, [1, 2, 3]).scale(0.1),
+        lambda: TruncatedSeries(2, [1, 2, 3]).scale_argument(0.1),
+        lambda: TruncatedSeries(2, [1, 2, 3]).substitute_even(0.1),
+        lambda: exp_series(2, 0.1),
     ],
     ids=["params", "params_replace", "params_make", "params_shift", "params_cap",
          "spec", "spec_replace", "spec_make", "spec_degenerate", "raw_squared", "raw_replace", "raw_make",
-         "series_float", "series_length"],
+         "series_float", "series_length", "series_scale", "series_scale_argument", "series_substitute_even",
+         "exp_series"],
 )
 def test_every_construction_path_validates(build):
     with pytest.raises(ValueError):

@@ -583,6 +583,15 @@ class TestSweep:
         assert len(reports) == 1
         assert reports[0].status == "float_only_pass"
 
+    @pytest.mark.parametrize(
+        "args, gamma, name",
+        [(("1.2", [0.1]), None, "alpha"), (("2.1", [A], [0.25]), None, "beta"), (("1.8", [A], [B]), 0.1, "gamma")],
+    )
+    def test_a_float_is_refused_as_params_refuse_it(self, args, gamma, name):
+        # Fraction(0.1) is the nearest double, not 1/10: the sweep would leave the exact domain
+        with pytest.raises(ValueError, match=f"^{name} must be an exact rational, not the float"):
+            sweep(*args, gamma=gamma)
+
 
 def test_report_is_immutable_but_replaceable():
     report = verify_identity("1.2", IdentityParams(alpha=A))
