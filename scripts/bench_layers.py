@@ -28,7 +28,11 @@ i = j = 8. Then come layers on their own, with the arguments that
 ``verify_identity`` of the entry first passes them: ``pfq_eval_float`` of 1.4
 (x = 1/2) and of 1.8 (x = 1) at gamma 5 and 1/2, in the ``float_sums``
 workload's high and low excess windows (excess 5.09 and 0.59), and
-``right._bailey_double_sum`` of 2.1 at i = j = 8. Then come the record
+``right._bailey_double_sum`` of 2.1 at i = j = 8, which repeats one call
+and so, in a tree that keeps span quotients between calls, times a warm
+table. Then comes one grid, ``verify.sweep`` of 2.1's 81 points at
+i, j <= 8, every memo that the tree keeps between points cleared at the
+start of each call, so a batch times what a grid pays from cold. Then come the record
 constructors that the hot paths call per point: a ``FloatSum``, a ``1F1``
 ``HypSpec``, an ``IdentityParams``, and ``tuple(ProductSide.terms)`` of 3.1's
 right side at i = j = 8, which built its 81 ``Term`` and ``HypSpec`` records
@@ -43,7 +47,8 @@ comes one whole request, ``cli.run`` of ``verify`` at that 1.8 point with
 ``setup_s`` takes it, each tree byte-compiled first, as ``bench_pairs.py``
 does, since a fresh process may not write its own cache. ``--quick`` takes two
 builders at cap 16, one float side, the constructors, the per-point layers,
-the request and the import case, for a smoke test.
+the request and the import case, for a smoke test; the grid is in the full
+ladder only.
 
 The result is printed as a table and, with ``--out``, written under the
 ``layers`` key of that JSON file; an existing file is updated, not
@@ -81,6 +86,7 @@ WATSON_POINT = dict(gamma=Fraction(5))
 CALLED_LAYERS = {"pfq_eval_float": "identities", "_bailey_double_sum": "right"}
 REQUEST = ["verify", "--identity=1.8", "--alpha=3/7", "--beta=2/5", "--gamma=5", "--output=json"]
 REQUEST_CASE = "cli.run verify 1.8 --output=json"
+GRID_CASE = "2.1 sweep i<=8 j<=8 memos cleared"
 
 
 def ladder(quick: bool) -> list[tuple[str, str, dict]]:
@@ -141,6 +147,18 @@ def first_call(module, name: str, run):
     return partial(layer, *args, **kwargs)
 
 
+def cold_grid(tree, src):
+    """``GRID_CASE``: ``_clear_memos``, where the tree has it, then the sweep."""
+    clear = getattr(tree.identities, "_clear_memos", lambda: None)
+    grid = partial(tree.verify.sweep, "2.1", [POINT["alpha"]], [POINT["beta"]], 8, 8)
+
+    def call():
+        clear()
+        return grid()
+
+    return call
+
+
 def deep_side(tree):
     """3.1's right side at i = j = 8, 81 blocks."""
     identities = tree.identities
@@ -180,6 +198,7 @@ def table(quick: bool) -> dict:
     """Every case's ``make(tree, src)`` by name, in the order the cases run."""
     return {
         **{label(*case): entry_case(*case) for case in ladder(quick)},
+        **({} if quick else {GRID_CASE: cold_grid}),
         "FloatSum": lambda tree, src: partial(tree.hyper.FloatSum, 0.5, True, 40, 1.5, 1e-16),
         "HypSpec 1F1": lambda tree, src: partial(tree.hyper.HypSpec, (POINT["alpha"],), (2 * POINT["alpha"],)),
         "IdentityParams": lambda tree, src: partial(tree.identities.IdentityParams, **POINT, i=8, j=8),

@@ -21,6 +21,7 @@ identity does.
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from collections import namedtuple
@@ -33,7 +34,7 @@ from .hyper import DegenerateParameterError, FloatSum, HypSpec, _pfq_integers, b
 from .left import _raw_product_series
 from .rationals import _exact_rational, _over_common, format_rational, is_nonpositive_integer, pochhammer
 from .reports import AdmissibilityFinding, check_lower, check_poch, check_pole, check_positive
-from .right import _double_sum_series, _sum_series
+from .right import _SPANS, _double_sum_series, _sum_series
 from .series import TruncatedSeries
 
 __all__ = [
@@ -322,6 +323,11 @@ def _side_floats(side: RawProduct | Side | ProductSide, xs: Sequence[float]) -> 
 _FIRST = ("alpha", "i", "m")
 _SECOND = ("beta", "j", "n")
 
+# An expansion and its findings are kept by (parameter, shift, direction,
+# names), so the points of a grid share them: enough for every factor of a
+# 2.1-2.3 sweep at i, j <= 64, three tags of two factors at 65 shifts each.
+_FACTOR_MEMO = 3 * 2 * 65
+
 
 def _expansion_spelling(
     alpha: Fraction, i: int, raised: bool, names: tuple[str, str, str]
@@ -334,6 +340,7 @@ def _expansion_spelling(
     return alpha - i, f"2*{a} - {s}", f"{a} - {s} - 1/2", f"{a} + {k} - {s} + 1/2"
 
 
+@functools.lru_cache(maxsize=_FACTOR_MEMO)
 def _expansion_terms(
     alpha: Fraction, i: int, raised: bool, names: tuple[str, str, str] = _FIRST
 ) -> Expansion:
@@ -541,9 +548,10 @@ def _gauss_terminating(p: IdentityParams) -> tuple[Fraction, Fraction]:
 # admissibility conditions, checked before any building: each is a finding
 # or None
 
-Findings = list[AdmissibilityFinding | None]
+Findings = Sequence[AdmissibilityFinding | None]
 
 
+@functools.lru_cache(maxsize=_FACTOR_MEMO)
 def _expand_requirements(
     alpha: Fraction, i: int, raised: bool, names: tuple[str, str, str] = _FIRST
 ) -> tuple[Findings, Findings]:
@@ -551,14 +559,22 @@ def _expand_requirements(
     weights, then the lower parameter of every block."""
     base, lower, weight_base, block = _expansion_spelling(alpha, i, raised, names)
     k = names[2]
-    weights = [
+    weights = (
         check_lower(lower, 2 * base + i),
         check_poch(f"({lower})_{k}", 2 * base + i, i, k),
         check_poch(f"({weight_base})_{k}", base - HALF, i, k),
-    ]
+    )
     rho = base + HALF  # every rho + m has rho's denominator, so only an integer rho can fail
-    blocks = [check_lower(block, rho + m, where=f"summand {k}={m}") for m in range(i + 1)] if rho.denominator == 1 else []
+    blocks = tuple([check_lower(block, rho + m, where=f"summand {k}={m}") for m in range(i + 1)]) if rho.denominator == 1 else ()
     return weights, blocks
+
+
+def _clear_memos() -> None:
+    """Forget what the points of a grid share: each factor's expansion and
+    findings, and the kept span quotients."""
+    _expansion_terms.cache_clear()
+    _expand_requirements.cache_clear()
+    _SPANS.clear()
 
 
 def _product_requirements(raised: tuple[bool, bool], params: IdentityParams, equal_param: bool = False) -> Findings:
@@ -569,7 +585,7 @@ def _product_requirements(raised: tuple[bool, bool], params: IdentityParams, equ
     beta, b_name = (alpha, "alpha") if equal_param else (params.beta, "beta")
     first_weights, first_blocks = _expand_requirements(alpha, i, first_raised)
     second_weights, second_blocks = _expand_requirements(beta, j, second_raised, (b_name, "j", "n"))
-    reqs = first_weights + second_weights + first_blocks + second_blocks
+    reqs = [*first_weights, *second_weights, *first_blocks, *second_blocks]
 
     # rho + sigma - 1 is alpha + beta plus a shift running over m + n,
     # offset by -i for a lowered first factor and -j for a lowered second;
@@ -903,7 +919,7 @@ def _build_registry() -> dict[IdentityId, IdentityDef]:
             uses=("alpha", "i"),
             lhs=lambda p: RawProduct((_f11(p.alpha, 2 * p.alpha + p.i),), exp=-HALF),
             rhs=lambda p: _expansion_side(p.alpha, p.i, raised=True),
-            requirements=lambda p: sum(_expand_requirements(p.alpha, p.i, raised=True), []),
+            requirements=lambda p: sum(_expand_requirements(p.alpha, p.i, True), ()),
         ),
         _series_entry(
             id=IdentityId.EXPAND_LOWERED,
@@ -911,7 +927,7 @@ def _build_registry() -> dict[IdentityId, IdentityDef]:
             uses=("alpha", "i"),
             lhs=lambda p: RawProduct((_f11(p.alpha, 2 * p.alpha - p.i),), exp=-HALF),
             rhs=lambda p: _expansion_side(p.alpha, p.i, raised=False),
-            requirements=lambda p: sum(_expand_requirements(p.alpha, p.i, raised=False), []),
+            requirements=lambda p: sum(_expand_requirements(p.alpha, p.i, False), ()),
         ),
     ]
 

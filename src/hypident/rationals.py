@@ -94,7 +94,7 @@ def pochhammer(base: Fraction | int, count: int) -> Fraction:
     """
     if count < 0:
         raise ValueError("pochhammer index must be nonnegative")
-    p, q = base.numerator, base.denominator
+    p, q = _exact_rational(base, "base").as_integer_ratio()
     if q == 1 and -count < p <= 0:  # the factor at index -p is 0
         return Fraction(0)
     return Fraction(math.prod(range(p, p + count * q, q)), q**count)

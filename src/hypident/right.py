@@ -13,7 +13,7 @@ import math
 from collections.abc import Sequence
 from fractions import Fraction
 from itertools import accumulate, repeat
-from operator import add, floordiv, mul, sub
+from operator import add, mul, sub
 
 from .hyper import HypSpec, _pfq_integers, bailey_product_spec
 from .rationals import is_nonpositive_integer
@@ -210,12 +210,13 @@ def _bailey_double_sum(
     ``16**k Q**k k! prod_{l<k} (pa + l qa)(pb + l qb)``. Only the span of F
     depends on the diagonal. Every other denominator divides the one of the
     deepest k, so one k-table ``shared[k]`` over that denominator serves
-    every diagonal. The spans stay in the numerator, as exact quotients
-    ``G[s+2k] // G[s+k]`` of one prefix table ``G[t] = F(-1) ... F(t-2)``,
-    so no prefix of F widens the common denominator. Coefficient k of
-    diagonal s is then ``shared[k] * span * sum_m A[m][k] B[s-m][k]``: each
-    diagonal sums its pairs as one vector over k, column by column, and
-    writes its coefficients ``nums[s::2]`` at once.
+    every diagonal. The spans stay in the numerator: with ``n, P0 =
+    divmod(P, Q)`` the span of diagonal s is row ``s + n`` of the class
+    ``(P0, Q)``'s quotient table (:class:`_SpanQuotients`), which the points
+    of one grid share. Coefficient k of diagonal s is then ``shared[k] *
+    span * sum_m A[m][k] B[s-m][k]``: each diagonal sums its pairs as one
+    vector over k, column by column, and writes its coefficients
+    ``nums[s::2]`` at once.
     """
     # every block's parameters are block (0, 0)'s plus nonnegative integers,
     # so if any block is degenerate, block (0, 0) is: one of rho, sigma and
@@ -232,15 +233,74 @@ def _bailey_double_sum(
     (pa, qa), (pb, qb) = (rho + top_a).as_integer_ratio(), (sigma + top_b).as_integer_ratio()
     steps = [16 * Q * k * (pa + (k - 1) * qa) * (pb + (k - 1) * qb) for k in range(depth + 1)]
     common, shared = _over_last(1, steps, list(accumulate(repeat(qa * qb, depth), mul, initial=1)))
-    spans = list(accumulate(range(P - Q, P + (cap - 2) * Q + 1, Q), mul, initial=1))  # G[t]
+    n, P0 = divmod(P, Q)
     nums = [0] * (cap + 1)
     for s in range(min(cap, top_a + top_b) + 1):
         pairs = [0] * ((cap - s) // 2 + 1)
         for m in range(max(0, s - top_b), min(s, top_a) + 1):
             pairs = list(map(add, pairs, map(mul, cols_a[m], cols_b[s - m])))
-        scales = map(mul, shared, map(floordiv, spans[s::2], spans[s:]))
+        scales = map(mul, shared, _SPANS.row(P0, Q, s + n, len(pairs) - 1))
         nums[s::2] = map(add, nums[s::2], map(mul, scales, pairs))
     return common * den_a * den_b, nums
+
+
+# quotients kept: every row of a 2.1-2.3 grid at i, j <= 20 and its default
+# caps takes 3268; at degree 512 a request keeps about 16 rows of its 129
+SPAN_BUDGET = 4096
+
+
+class _SpanQuotients:
+    """The span quotients of one class ``(P0, Q)`` of ``rho + sigma``, kept
+    between calls: with ``F0(u) = P0 + u*Q``, row t holds
+
+        q(t, k) = F0(t+k-1) ... F0(t+2k-2)
+
+    at k = 0, 1, ..., the span of F on diagonal ``s = t - n`` of a double
+    sum whose ``rho + sigma`` is ``n + P0/Q``. Every point of a 2.1, 2.2 or
+    2.3 grid at one (alpha, beta) has its ``rho + sigma`` in one class, so
+    they all read one table. A row grows on demand by the exact step
+
+        q(t, k+1) = q(t, k) F0(t+2k-1) F0(t+2k) // F0(t+k-1),
+
+    whose divisor is ``F(s+k-1)``, nonzero at every block the caller
+    admits. Another class replaces the table. At most ``SPAN_BUDGET``
+    quotients are kept; a row that would pass it is grown for its call
+    only and dropped.
+    """
+
+    __slots__ = ("key", "rows", "kept")
+
+    def __init__(self) -> None:
+        self.clear()
+
+    def clear(self) -> None:
+        self.key: tuple[int, int] | None = None
+        self.rows: dict[int, list[int]] = {}
+        self.kept = 0
+
+    def row(self, P0: int, Q: int, t: int, depth: int) -> list[int]:
+        """Row t up to ``k = depth`` at least."""
+        if self.key != (P0, Q):
+            self.clear()
+            self.key = P0, Q
+        row = self.rows.get(t, [1])
+        known = len(row) - 1
+        if known >= depth:
+            return row
+        keep = self.kept + depth - known <= SPAN_BUDGET
+        if not keep:
+            row = row.copy()
+        q = row[-1]
+        for k in range(known, depth):
+            q = q * (P0 + (t + 2 * k - 1) * Q) * (P0 + (t + 2 * k) * Q) // (P0 + (t + k - 1) * Q)
+            row.append(q)
+        if keep:
+            self.rows[t] = row
+            self.kept += depth - known
+        return row
+
+
+_SPANS = _SpanQuotients()
 
 
 def _shift_table(rho: Fraction, weights: Sequence[Fraction], depth: int) -> tuple[int, list[list[int]]]:

@@ -173,7 +173,7 @@ class TruncatedSeries:
         ``den * cap! * q**cap * p**cap``, numerator k is that sum times
         ``p**k q**(cap-k) cap!/k!``.
         """
-        p, q, cap = eps.numerator, eps.denominator, self.cap
+        (p, q), cap = _exact_rational(eps, "eps").as_integer_ratio(), self.cap
         if p == 0:
             raise ValueError("times_exp takes a nonzero rational")
         rows, weight = [], p**cap

@@ -8,6 +8,13 @@ settings.register_profile("exact", deadline=None)
 settings.load_profile("exact")
 
 
+@pytest.fixture(autouse=True)
+def cold_memos():
+    """Every test starts from cleared memos, so a test that patches what a
+    memoized derivation calls leaves none of its results to later tests."""
+    identities._clear_memos()
+
+
 @pytest.fixture
 def float_budget_of_ten(monkeypatch):
     """Run every float sum of the catalog with a budget of ten terms."""

@@ -87,3 +87,9 @@ def test_the_full_ladder_times_float_sides_and_a_deep_left_side():
     table, src = bench_layers.table(quick=False), ROOT / "src"
     tree = bench_layers.load(src, "hypident_ladder")
     assert all(bench_layers.made(table[name], tree, src) for name in layers)
+    # the 2.1 grid at i, j <= 8 from cleared memos, after the ladder and in the full table only
+    names = list(table)
+    assert names[names.index(layers[-1]) + 1] == bench_layers.GRID_CASE
+    assert bench_layers.GRID_CASE not in bench_layers.table(quick=True)
+    grid = bench_layers.made(table[bench_layers.GRID_CASE], tree, src)
+    assert [report.status for report in grid()] == ["exact_match"] * 81

@@ -83,6 +83,11 @@ class TestPochhammer:
         with pytest.raises(ValueError):
             pochhammer(Fraction(1, 2), -1)
 
+    def test_a_float_base_is_refused(self):
+        # Fraction(0.1) is the nearest double, not 1/10: refused as every exact entry point refuses it
+        with pytest.raises(ValueError, match=r"^base must be an exact rational, not the float 0.5$"):
+            pochhammer(0.5, 2)
+
     @pytest.mark.parametrize(
         "base",
         [0, 1, -1, 7, -7, -60, -61, 59, Fraction(0), Fraction(-12), Fraction(5), Fraction(1, 2), Fraction(-1, 2),

@@ -321,6 +321,10 @@ class TestIntegerRepresentation:
         with pytest.raises(ValueError, match="nonzero rational"):
             exp_series(3).times_exp(0)
 
+    def test_times_exp_refuses_a_float(self):
+        with pytest.raises(ValueError, match=r"^eps must be an exact rational, not the float 0.5$"):
+            TruncatedSeries(2, [1, 2, 3]).times_exp(0.5)
+
     @given(coeff_lists(max_cap=10), st.integers(min_value=0, max_value=12))
     @few
     def test_output_cap_limits(self, a, power):

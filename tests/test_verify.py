@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import pytest
 
-from hypident import identities
+from hypident import identities, right
 from hypident.hyper import DegenerateParameterError
 from hypident.identities import IdentityParams, catalog, get
 from hypident.reports import (
@@ -591,6 +591,88 @@ class TestSweep:
         # Fraction(0.1) is the nearest double, not 1/10: the sweep would leave the exact domain
         with pytest.raises(ValueError, match=f"^{name} must be an exact rational, not the float"):
             sweep(*args, gamma=gamma)
+
+
+class TestSharedMemos:
+    """The points of a grid share each factor's expansion and findings and
+    the span quotients of their class of rho + sigma: no report may depend
+    on what an earlier point left behind."""
+
+    ALPHA_FIRST = IdentityParams(alpha=Fraction(-3, 2), beta=B, i=1, j=1)
+    BETA_SECOND = IdentityParams(alpha=B, beta=Fraction(-3, 2), i=1, j=1)
+    # (alpha - 1/2)_m vanishes at m = 1: the first expansion raises, and no memo keeps it
+    DEGENERATE = IdentityParams(alpha=Fraction(1, 2), beta=B, i=1, j=1)
+    POINTS = [
+        ("2.1", IdentityParams(alpha=A, beta=B, i=2, j=3)),
+        ("3.1", IdentityParams(alpha=A, i=2, j=1)),
+        ("2.2", IdentityParams(alpha=Fraction(-11, 7), beta=Fraction(-13, 5), i=3, j=1)),
+        ("2.1", DEGENERATE),
+        ("2.3", IdentityParams(alpha=A, beta=B, i=1, j=3)),
+        # -3/2 first as alpha at i = 1, then as beta at j = 1: each spelled as its own factor
+        ("2.1", ALPHA_FIRST),
+        ("2.2", IdentityParams(alpha=A, beta=B, i=2, j=2)),
+        ("2.1", BETA_SECOND),
+        # alpha + beta = -1: rho + sigma - 1 vanishes at shift 1
+        ("2.1", IdentityParams(alpha=Fraction(-1, 3), beta=Fraction(-2, 3), i=1, j=1)),
+        # alpha + beta = 1, admissible: the class of rho + sigma = 2 has F0(0) = 0
+        ("2.1", IdentityParams(alpha=Fraction(1, 3), beta=Fraction(2, 3), i=2, j=1)),
+        ("2.3", IdentityParams(alpha=Fraction(-11, 7), beta=Fraction(-13, 5), i=2, j=2, printed_form=True)),
+        ("2.1", DEGENERATE),
+        ("3.1", IdentityParams(alpha=Fraction(-11, 7), i=3, j=3)),
+        ("2.1", IdentityParams(alpha=A, beta=B, i=2, j=3)),
+        # rho + sigma = 2 again, from a lowered pair
+        ("2.2", IdentityParams(alpha=Fraction(4, 3), beta=Fraction(5, 3), i=1, j=1)),
+        # rho + sigma = 64/35, then 47/35: one denominator, two classes
+        ("2.3", IdentityParams(alpha=A, beta=B, i=1, j=3)),
+        ("2.1", IdentityParams(alpha=Fraction(1, 7), beta=Fraction(1, 5), i=2, j=3)),
+    ]
+
+    @staticmethod
+    def outcome(tag, params):
+        """The report, elapsed time aside, and for a refused point what
+        building its right side raises."""
+        report = verify_identity(tag, params, ())._replace(elapsed_seconds=0.0)
+        if report.status != "inadmissible":
+            return report, None
+        try:
+            get(tag).build_rhs(params)
+        except DegenerateParameterError as err:
+            return report, (err.expr, err.value, err.index)
+        return report, None
+
+    def cold(self):
+        outcomes = []
+        for point in self.POINTS:
+            identities._clear_memos()
+            outcomes.append(self.outcome(*point))
+        return outcomes
+
+    def test_a_warm_memo_gives_the_report_a_cold_one_gives(self):
+        cold = self.cold()
+        identities._clear_memos()
+        assert [self.outcome(*point) for point in self.POINTS] == cold
+        reports, raised = zip(*cold)
+        # the degenerate point raises each time it is built
+        assert raised[3] == raised[11] == ("(alpha - 1/2)_m", 0, 1)
+        assert [f.parameter_expr for f in reports[5].findings] == ["2*alpha + i", *["alpha + m + 1/2"] * 2]
+        assert [f.parameter_expr for f in reports[7].findings] == ["2*beta + j", *["beta + n + 1/2"] * 2]
+        assert "(summand n=1)" in reports[7].findings[-1].detail
+        assert [f.parameter_expr for f in reports[8].findings] == ["alpha + beta", "alpha + beta + 1"]
+        assert reports[9].status == reports[14].status == "exact_match"
+
+    def test_rows_past_the_budget_are_dropped(self, monkeypatch):
+        cold = self.cold()
+        monkeypatch.setattr(right, "SPAN_BUDGET", 40)
+        identities._clear_memos()
+        assert [self.outcome(*point) for point in self.POINTS] == cold
+        assert 0 < right._SPANS.kept <= 40
+
+    def test_the_kept_table_stays_within_its_budget(self):
+        identities._clear_memos()
+        # 25 diagonals of up to 200 quotients: more than the budget holds
+        report = verify_identity("2.1", IdentityParams(alpha=A, beta=B, i=12, j=12, cap=400), ())
+        assert report.status == "exact_match"
+        assert right._SPANS.kept <= right.SPAN_BUDGET and len(right._SPANS.rows) < 25
 
 
 def test_report_is_immutable_but_replaceable():
