@@ -199,10 +199,11 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     for n, define in enumerate(defines):
         if define in defines[:n]:
             raise ValueError(f"--identity {args.identity} names identity {define.tag} more than once")
-    for shift in ("i", "j"):
-        value = getattr(args, shift)
-        if value and not any(shift in define.uses for define in defines):
-            raise ValueError(f"--{shift} {value}: none of the identities {args.identity} takes shift {shift}")
+    for name in ("i", "j", "beta", "gamma"):
+        value = getattr(args, name)
+        if value and not any(name in define.uses for define in defines):
+            takes = f"shift {name}" if name in ("i", "j") else name
+            raise ValueError(f"--{name} {value}: none of the identities {args.identity} takes {takes}")
     if args.degree is not None and not any(define.kind == "series" for define in defines):
         raise ValueError(f"--degree {args.degree}: none of the identities {args.identity} is a series entry")
     points = 0

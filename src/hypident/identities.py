@@ -103,6 +103,10 @@ class IdentityParams(namedtuple("IdentityParams", "alpha beta i j cap gamma prin
         alpha = _exact_rational(alpha, "alpha")
         beta = None if beta is None else _exact_rational(beta, "beta")
         gamma = None if gamma is None else _exact_rational(gamma, "gamma")
+        # a bool is an int, but no shift or cap
+        for name, value in (("i", i), ("j", j), ("cap", 0 if cap is None else cap)):
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValueError(f"{name} must be an int, got {value!r}")
         if i < 0 or j < 0:
             raise ValueError("shifts i and j must be nonnegative")
         if cap is not None and cap < 0:

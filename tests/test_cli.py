@@ -263,7 +263,12 @@ class TestVerify:
         code, out, _ = invoke(capsys, "verify", *point, "--output", "csv")
         assert code == 0
         assert out.splitlines()[1].startswith(csv_prefix)
-        code, out, _ = invoke(capsys, "sweep", *point)
+        # a sweep refuses a beta or gamma that its entry does not use, and runs without them
+        unused = [option for option in ("--beta", "--gamma") if option in point and option[2:] not in params]
+        assert invoke(capsys, "sweep", *point)[0] == (2 if unused else 0)
+        kept = [word for option, value in zip(point[::2], point[1::2]) if option not in unused
+                for word in (option, value)]
+        code, out, _ = invoke(capsys, "sweep", *kept)
         assert code == 0
         # the sweep's last point is the requested one
         assert out.splitlines()[-1].startswith(f"{point[1]} " + " ".join(f"{k}={v}" for k, v in params.items()) + ": ")
@@ -734,6 +739,11 @@ class TestBadRequests:
              "identity 1.4 takes no cap (--degree)"),
             (["eval", "--identity", "1.8", "--alpha", "1/3", "--beta", "2/5", "--gamma", "5", "--degree", "20"],
              "identity 1.8 takes no cap (--degree)"),
+            # in a sweep, a beta or gamma that none of the listed tags uses
+            (["sweep", "--identity", "1.5,1.2", "--alpha", "3/7", "--beta", "2/5", "--gamma", "1/9"],
+             "--beta 2/5: none of the identities 1.5,1.2 takes beta"),
+            (["sweep", "--identity", "1.1,1.3", "--alpha", "3/7", "--beta", "2/5,1/3", "--gamma=-1/9"],
+             "--gamma -1/9: none of the identities 1.1,1.3 takes gamma"),
         ],
     )
     def test_exit_2_with_message(self, capsys, argv, needle):

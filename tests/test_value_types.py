@@ -10,6 +10,7 @@ import copy
 import operator
 import os
 import pickle
+import re
 import subprocess
 import sys
 from fractions import Fraction as F
@@ -100,6 +101,7 @@ def test_ints_are_normalised_to_fractions():
         lambda: IdentityParams._make([0.5]),
         lambda: IdentityParams(alpha=F(1, 2))._replace(i=-1),
         lambda: IdentityParams(alpha=F(1, 2), cap=-1),
+        lambda: IdentityParams(alpha=F(1, 2))._replace(j=True),
         lambda: HypSpec((0.1,), (1,)),
         lambda: HypSpec((1,), (2,))._replace(upper=(0.1,)),
         lambda: HypSpec._make([(), (0.1,)]),
@@ -114,7 +116,7 @@ def test_ints_are_normalised_to_fractions():
         lambda: TruncatedSeries(2, [1, 2, 3]).substitute_even(0.1),
         lambda: exp_series(2, 0.1),
     ],
-    ids=["params", "params_replace", "params_make", "params_shift", "params_cap",
+    ids=["params", "params_replace", "params_make", "params_shift", "params_cap", "params_bool_shift",
          "spec", "spec_replace", "spec_make", "spec_degenerate", "raw_squared", "raw_replace", "raw_make",
          "series_float", "series_length", "series_scale", "series_scale_argument", "series_substitute_even",
          "exp_series"],
@@ -122,6 +124,12 @@ def test_ints_are_normalised_to_fractions():
 def test_every_construction_path_validates(build):
     with pytest.raises(ValueError):
         build()
+
+
+@pytest.mark.parametrize("field, value", [("i", 1.5), ("i", True), ("j", F(1)), ("cap", True)])
+def test_a_shift_or_cap_that_is_no_int_names_its_field(field, value):
+    with pytest.raises(ValueError, match=f"^{field} must be an int, got {re.escape(repr(value))}$"):
+        IdentityParams(alpha=F(3, 7), beta=F(2, 5), **{field: value})
 
 
 def test_a_degenerate_lower_parameter_names_itself():
