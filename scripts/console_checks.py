@@ -58,9 +58,10 @@ def judge(label: str, done: subprocess.CompletedProcess, code: int, expect) -> t
 
 
 def sweep_against_verify():
-    """A sweep's points share each factor's expansion and the span quotients: its rows
-    must equal single-point verifies but in elapsed_seconds and max_float_residual."""
-    command = "sweep --identity 2.1,2.2,2.3 --alpha 3/7,-11/7 --beta 2/5,-13/5 --i 3 --j 3 --output csv"
+    """A sweep's points share each factor's expansion and the span quotients, whose class of
+    rho + sigma is (29, 35) at alpha 3/7 and -11/7 and (11, 15) at 1/3, so each tag replaces the
+    table twice: its rows must equal single-point verifies but in elapsed_seconds and max_float_residual."""
+    command = "sweep --identity 2.1,2.2,2.3 --alpha 3/7,-11/7,1/3 --beta 2/5,-13/5 --i 3 --j 3 --output csv"
 
     def same_rows(out, err):
         swept, differ = list(csv.DictReader(io.StringIO(out))), []
@@ -70,10 +71,30 @@ def sweep_against_verify():
             assert row.pop("max_float_residual") == "" and single.pop("max_float_residual") != "", row
             del row["elapsed_seconds"], single["elapsed_seconds"]
             differ += [] if row == single else [(row, single)]
-        assert len(swept) == 192 and not differ, f"{len(swept)} rows, differing: {differ[:2]}"
+        assert len(swept) == 288 and not differ, f"{len(swept)} rows, differing: {differ[:2]}"
         return True
 
     return [judge(f"{command}, each row against verify", hypident(command), 0, same_rows)]
+
+
+# a printed-form sweep at i, j <= 2 in CSV: an exact match at i = j = 0, else every
+# degree from 1 up to the point's cap 16 + 2(i + j) mismatched
+PRINTED = [("exact_match", "0", "")] + [("mismatch", str(16 + 2 * (i + j)), "1") for i in range(3) for j in range(3)][1:]
+
+
+def printed(out, err):
+    rows = csv.DictReader(io.StringIO(out))
+    return [(r["status"], r["mismatch_count"], r["first_mismatch_degree"]) for r in rows] == PRINTED
+
+
+def printed_forms_agree():
+    """The printed form composed from the 2.x expansions at beta = alpha and the one written with
+    alpha alone for 3.3: every point's status and mismatches, degree and both values, agree."""
+    command = "sweep --identity {} --i 2 --j 2 --printed-form --output json"
+    composed, written = hypident(command.format("2.3 --alpha 3/7 --beta 3/7")).stdout, command.format("3.3 --alpha 3/7")
+    reading = lambda out: [(report["status"], report["mismatches"]) for report in json.loads(out)]
+    return [judge(f"{written}, against 2.3 at beta = alpha", hypident(written), 1,
+                  lambda out, err: reading(out) == reading(composed))]
 
 
 def float_cross_check():
@@ -124,11 +145,12 @@ CASES = [
     # i = j = 0. The equal-parameter forms pass at the 2.x grids' shifts
     ("sweep --identity 2.1,2.2,2.3 --alpha 3/7 --beta 2/5 --i -1", 2, refused("--i -1 is below the limit of 0")),
     ("verify --identity 2.1 --alpha 3/7 --beta 2/5 --printed-form", 2, refused("takes no printed_form")),
-    ("sweep --identity 2.3 --alpha 3/7 --beta 2/5 --i 2 --j 2 --printed-form", 1, stderr("1/9 points passed")),
+    ("sweep --identity 2.3 --alpha 3/7 --beta 2/5 --i 2 --j 2 --printed-form --output csv", 1, printed),
     ("sweep --identity 3.1,3.2,3.3 --alpha 3/7 --i 4 --j 4", 0, stderr("75/75 points passed")),
     ("sweep --identity 3.1,3.2,3.3 --alpha 3/7 --i 12 --j 12", 0, stderr("507/507 points passed")),
     ("sweep --identity 3.1,3.2,3.3 --alpha 3/7 --i 20 --j 20", 0, stderr("1323/1323 points passed")),
-    ("sweep --identity 3.3 --alpha 3/7 --i 2 --j 2 --printed-form", 1, stderr("1/9 points passed")),
+    ("sweep --identity 3.3 --alpha 3/7 --i 2 --j 2 --printed-form --output csv", 1, printed),
+    printed_forms_agree,
     float_cross_check,
     # left sides at cap 96 from the factors' differential equations: lone
     # 1F1/0F1 factors (1.1, 1.2, 1.5, 1.17, 1.18) and pairs (the rest)

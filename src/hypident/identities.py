@@ -328,52 +328,55 @@ _FIRST = ("alpha", "i", "m")
 _SECOND = ("beta", "j", "n")
 
 # An expansion and its findings are kept by (parameter, shift, direction,
-# names), so the points of a grid share them: enough for every factor of a
-# 2.1-2.3 sweep at i, j <= 64, three tags of two factors at 65 shifts each.
+# names), so the points of a grid and the gate and builder of each share
+# them: enough for every factor of a 2.1-2.3 sweep at i, j <= 64, three tags
+# of two factors at 65 shifts each.
 _FACTOR_MEMO = 3 * 2 * 65
 
 
-def _expansion_spelling(
-    alpha: Fraction, i: int, raised: bool, names: tuple[str, str, str]
-) -> tuple[Fraction, str, str, str]:
-    """Base parameter of the raised form, then how to write its lower
-    parameter ``2*alpha +/- i``, its weight base and its block parameter."""
+@functools.lru_cache(maxsize=_FACTOR_MEMO)
+def _expansion(
+    alpha: Fraction, i: int, raised: bool, names: tuple[str, str, str] = _FIRST
+) -> tuple[Findings, Findings, Expansion | AdmissibilityFinding]:
+    """One expansion and its admissibility: the findings on its factor and
+    weights, those on the lower parameter of every block, then ``(rho,
+    weights)``, the sum of ``weights[m] * x**m * 0F1(; rho + m; x**2/16)``,
+    or, if a weight's denominator vanishes, the finding with the first index
+    (``(2*base +/- i)_m`` on a tie). A zero weight makes every later one
+    zero, and the weights stop before the first of them."""
     a, s, k = names
     if raised:
-        return alpha, f"2*{a} + {s}", f"{a} - 1/2", f"{a} + {k} + 1/2"
-    return alpha - i, f"2*{a} - {s}", f"{a} - {s} - 1/2", f"{a} + {k} - {s} + 1/2"
-
-
-@functools.lru_cache(maxsize=_FACTOR_MEMO)
-def _expansion_terms(
-    alpha: Fraction, i: int, raised: bool, names: tuple[str, str, str] = _FIRST
-) -> Expansion:
-    """The expansion as ``(rho, weights)``, the sum of ``weights[m] * x**m *
-    0F1(; rho + m; x**2/16)``. A zero weight makes every later one zero, and
-    the weights stop before the first of them."""
-    base, lower, weight_base, _ = _expansion_spelling(alpha, i, raised, names)
-    k = names[2]
-    sign = 1 if raised else -1
+        base, lower, weight_base, block = alpha, f"2*{a} + {s}", f"{a} - 1/2", f"{a} + {k} + 1/2"
+    else:
+        base, lower, weight_base, block = alpha - i, f"2*{a} - {s}", f"{a} - {s} - 1/2", f"{a} + {k} - {s} + 1/2"
+    vanishing = (check_poch(f"({lower})_{k}", 2 * base + i, i, k), check_poch(f"({weight_base})_{k}", base - HALF, i, k))
+    rho = base + HALF  # every rho + m has rho's denominator, so only an integer rho can fail
+    blocks = tuple([check_lower(block, rho + m, where=f"summand {k}={m}") for m in range(i + 1)]) if rho.denominator == 1 else ()
+    findings = (check_lower(lower, 2 * base + i), *vanishing), blocks
+    if any(vanishing):
+        return *findings, min(filter(None, vanishing), key=lambda finding: finding.index)
     # weight m is sign**m (-i)_m (2*base - 1)_m / ((2*base + i)_m
     # (base - 1/2)_m m! 4**m); with base = P/Q, step m multiplies it by
     # sign (m-1-i) (2P + (m-2)Q) Q / (2m (2P + (i+m-1)Q) (2P + (2m-3)Q))
+    sign = 1 if raised else -1
     P, Q = base.numerator, base.denominator
     num = den = 1
     weights = [Fraction(1)]
     for m in range(1, i + 1):
-        # denominator guards run before the zero-numerator shortcut so that
-        # a 0/0 weight raises instead of being silently dropped
-        lower_factor = 2 * P + (i + m - 1) * Q
-        if lower_factor == 0:
-            raise DegenerateParameterError(f"({lower})_{k}", 2 * base + i, m)
-        base_factor = 2 * P + (2 * m - 3) * Q
-        if base_factor == 0:
-            raise DegenerateParameterError(f"({weight_base})_{k}", base - HALF, m)
         num *= sign * (m - 1 - i) * (2 * P + (m - 2) * Q) * Q
-        den *= 2 * m * lower_factor * base_factor
+        den *= 2 * m * (2 * P + (i + m - 1) * Q) * (2 * P + (2 * m - 3) * Q)
         if num:
             weights.append(Fraction(num, den))
-    return base + HALF, tuple(weights)
+    return *findings, (rho, tuple(weights))
+
+
+def _expansion_terms(alpha: Fraction, i: int, raised: bool, names: tuple[str, str, str] = _FIRST) -> Expansion:
+    """The expansion's ``(rho, weights)``; raises where a weight's
+    denominator vanishes, at the finding :func:`_expansion` gives."""
+    found = _expansion(alpha, i, raised, names)[2]
+    if isinstance(found, AdmissibilityFinding):
+        raise DegenerateParameterError(found.parameter_expr, found.value, found.index)
+    return found
 
 
 def _expansion_side(alpha: Fraction, i: int, raised: bool) -> Side:
@@ -555,29 +558,10 @@ def _gauss_terminating(p: IdentityParams) -> tuple[Fraction, Fraction]:
 Findings = Sequence[AdmissibilityFinding | None]
 
 
-@functools.lru_cache(maxsize=_FACTOR_MEMO)
-def _expand_requirements(
-    alpha: Fraction, i: int, raised: bool, names: tuple[str, str, str] = _FIRST
-) -> tuple[Findings, Findings]:
-    """Admissibility of one expansion: the conditions on its factor and
-    weights, then the lower parameter of every block."""
-    base, lower, weight_base, block = _expansion_spelling(alpha, i, raised, names)
-    k = names[2]
-    weights = (
-        check_lower(lower, 2 * base + i),
-        check_poch(f"({lower})_{k}", 2 * base + i, i, k),
-        check_poch(f"({weight_base})_{k}", base - HALF, i, k),
-    )
-    rho = base + HALF  # every rho + m has rho's denominator, so only an integer rho can fail
-    blocks = tuple([check_lower(block, rho + m, where=f"summand {k}={m}") for m in range(i + 1)]) if rho.denominator == 1 else ()
-    return weights, blocks
-
-
 def _clear_memos() -> None:
     """Forget what the points of a grid share: each factor's expansion and
     findings, and the kept span quotients."""
-    _expansion_terms.cache_clear()
-    _expand_requirements.cache_clear()
+    _expansion.cache_clear()
     _SPANS.clear()
 
 
@@ -587,8 +571,8 @@ def _product_requirements(raised: tuple[bool, bool], params: IdentityParams, equ
     first_raised, second_raised = raised
     alpha, i, j = params.alpha, params.i, params.j
     beta, b_name = (alpha, "alpha") if equal_param else (params.beta, "beta")
-    first_weights, first_blocks = _expand_requirements(alpha, i, first_raised)
-    second_weights, second_blocks = _expand_requirements(beta, j, second_raised, (b_name, "j", "n"))
+    first_weights, first_blocks, _ = _expansion(alpha, i, first_raised)
+    second_weights, second_blocks, _ = _expansion(beta, j, second_raised, (b_name, "j", "n"))
     reqs = [*first_weights, *second_weights, *first_blocks, *second_blocks]
 
     # rho + sigma - 1 is alpha + beta plus a shift running over m + n,
@@ -923,7 +907,7 @@ def _build_registry() -> dict[IdentityId, IdentityDef]:
             uses=("alpha", "i"),
             lhs=lambda p: RawProduct((_f11(p.alpha, 2 * p.alpha + p.i),), exp=-HALF),
             rhs=lambda p: _expansion_side(p.alpha, p.i, raised=True),
-            requirements=lambda p: sum(_expand_requirements(p.alpha, p.i, True), ()),
+            requirements=lambda p: sum(_expansion(p.alpha, p.i, True)[:2], ()),
         ),
         _series_entry(
             id=IdentityId.EXPAND_LOWERED,
@@ -931,7 +915,7 @@ def _build_registry() -> dict[IdentityId, IdentityDef]:
             uses=("alpha", "i"),
             lhs=lambda p: RawProduct((_f11(p.alpha, 2 * p.alpha - p.i),), exp=-HALF),
             rhs=lambda p: _expansion_side(p.alpha, p.i, raised=False),
-            requirements=lambda p: sum(_expand_requirements(p.alpha, p.i, False), ()),
+            requirements=lambda p: sum(_expansion(p.alpha, p.i, False)[:2], ()),
         ),
     ]
 

@@ -10,6 +10,7 @@ left route, :mod:`~hypident.left`."""
 from __future__ import annotations
 
 import math
+import threading
 from collections.abc import Sequence
 from fractions import Fraction
 from itertools import accumulate, repeat
@@ -265,39 +266,43 @@ class _SpanQuotients:
     whose divisor is ``F(s+k-1)``, nonzero at every block the caller
     admits. Another class replaces the table. At most ``SPAN_BUDGET``
     quotients are kept; a row that would pass it is grown for its call
-    only and dropped.
+    only and dropped. One lock covers each call, so threads that build
+    right sides at once read and grow the table one at a time; a row
+    handed out is only ever extended, so its caller reads it unlocked.
     """
 
-    __slots__ = ("key", "rows", "kept")
+    __slots__ = ("key", "rows", "kept", "lock")
 
     def __init__(self) -> None:
+        self.lock = threading.Lock()
         self.clear()
 
     def clear(self) -> None:
-        self.key: tuple[int, int] | None = None
-        self.rows: dict[int, list[int]] = {}
-        self.kept = 0
+        with self.lock:
+            self.key: tuple[int, int] | None = None
+            self.rows: dict[int, list[int]] = {}
+            self.kept = 0
 
     def row(self, P0: int, Q: int, t: int, depth: int) -> list[int]:
         """Row t up to ``k = depth`` at least."""
-        if self.key != (P0, Q):
-            self.clear()
-            self.key = P0, Q
-        row = self.rows.get(t, [1])
-        known = len(row) - 1
-        if known >= depth:
+        with self.lock:
+            if self.key != (P0, Q):
+                self.key, self.rows, self.kept = (P0, Q), {}, 0
+            row = self.rows.get(t, [1])
+            known = len(row) - 1
+            if known >= depth:
+                return row
+            keep = self.kept + depth - known <= SPAN_BUDGET
+            if not keep:
+                row = row.copy()
+            q = row[-1]
+            for k in range(known, depth):
+                q = q * (P0 + (t + 2 * k - 1) * Q) * (P0 + (t + 2 * k) * Q) // (P0 + (t + k - 1) * Q)
+                row.append(q)
+            if keep:
+                self.rows[t] = row
+                self.kept += depth - known
             return row
-        keep = self.kept + depth - known <= SPAN_BUDGET
-        if not keep:
-            row = row.copy()
-        q = row[-1]
-        for k in range(known, depth):
-            q = q * (P0 + (t + 2 * k - 1) * Q) * (P0 + (t + 2 * k) * Q) // (P0 + (t + k - 1) * Q)
-            row.append(q)
-        if keep:
-            self.rows[t] = row
-            self.kept += depth - known
-        return row
 
 
 _SPANS = _SpanQuotients()

@@ -311,6 +311,26 @@ class TestExpansions:
             _expansion_terms(alpha, i, raised)
         assert (err.value.expr, err.value.value, err.value.index) == (expr, value, index)
 
+    @pytest.mark.parametrize(
+        "tag, params, vanishing, raised",
+        [
+            # (2*alpha + i)_m vanishes from m = 2 and (alpha - 1/2)_m from m = 4
+            ("1.17", IdentityParams(alpha=Fraction(-5, 2), i=4), [("(2*alpha + i)_m", 2), ("(alpha - 1/2)_m", 4)],
+             ("(2*alpha + i)_m", -1, 2)),
+            # a lowered second factor: (2*beta - j)_n vanishes from n = 3
+            ("2.3", IdentityParams(alpha=A, beta=Fraction(1, 2), i=1, j=3), [("(2*beta - j)_n", 3)],
+             ("(2*beta - j)_n", -2, 3)),
+        ],
+    )
+    def test_gate_and_builder_read_one_derivation(self, tag, params, vanishing, raised):
+        """The gate lists every vanishing weight denominator, and the
+        builder raises at the first of them."""
+        found = [(f.parameter_expr, f.index) for f in check_admissible(tag, params) if f.parameter_expr.startswith("(")]
+        assert found == vanishing
+        with pytest.raises(DegenerateParameterError) as err:
+            get(tag).build_rhs(params)
+        assert (err.value.expr, err.value.value, err.value.index) == raised
+
 
 class TestProductExpansion:
     @pytest.mark.parametrize("variant", ("PP", "MM", "PM"))
@@ -1294,6 +1314,7 @@ RIGHT_SIDE_ONLY = {name for name in PACKAGE_FUNCTIONS.values() if name.startswit
     "hyper._pfq_integers",
     "hyper.bailey_product_spec",
     "series.TruncatedSeries.times_exp",
+    "identities._expansion",
     "identities._expansion_terms",
     "identities._equal_param_factor",
 }
@@ -1344,10 +1365,11 @@ def test_the_two_routes_stay_two(tag, point):
     if tag in ("1.5", "1.9", "1.10", "1.12", "1.13"):
         assert "right._exp_term_integers" in rhs and "series.TruncatedSeries.times_exp" not in rhs
     assert lhs & rhs <= SHARED, (lhs & rhs) - SHARED
+    expansion = {"identities._expansion", "identities._expansion_terms"}
     if tag.startswith("2."):
-        assert "identities._expansion_terms" in rhs
+        assert expansion <= rhs
     if tag.startswith("3."):
-        assert "identities._expansion_terms" not in rhs
+        assert expansion & rhs == set()
         assert {"identities._equal_param_factor", "right._bailey_double_sum"} <= rhs
 
 
@@ -1483,8 +1505,9 @@ def raises_degenerate(call, params) -> bool:
 @pytest.mark.parametrize("tag", SERIES_TAGS)
 def test_gate_refuses_exactly_where_a_builder_raises(tag):
     """The admissibility gate of every series entry, written beside its
-    builders, refuses a point exactly where ``build_lhs`` or ``build_rhs``
-    raises ``DegenerateParameterError``, at cap 8."""
+    builders or, for the expansion family, read from the same derivation,
+    refuses a point exactly where ``build_lhs`` or ``build_rhs`` raises
+    ``DegenerateParameterError``, at cap 8."""
     define = get(tag)
     outcomes = set()
     for alpha, beta, gamma, i, j, printed in degenerate_points(seed=41, count=120):

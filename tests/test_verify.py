@@ -5,6 +5,8 @@ import json
 import math
 import random
 import re
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
@@ -673,6 +675,37 @@ class TestSharedMemos:
         report = verify_identity("2.1", IdentityParams(alpha=A, beta=B, i=12, j=12, cap=400), ())
         assert report.status == "exact_match"
         assert right._SPANS.kept <= right.SPAN_BUDGET and len(right._SPANS.rows) < 25
+
+    def test_threads_building_at_once_get_the_series_one_thread_gets(self):
+        """Four threads build 2.1 right sides of two classes of rho + sigma
+        at once, switching every microsecond, so that the span table is
+        read, grown and replaced under them: every series equals its
+        single-thread build."""
+        build = get("2.1").build_rhs
+        points = [IdentityParams(alpha=alpha, beta=B, i=6, j=6, cap=cap)
+                  for alpha, cap in ((A, 160), (Fraction(1, 3), 180), (A, 200), (Fraction(1, 3), 170))]
+        alone = []
+        for params in points:
+            identities._clear_memos()
+            alone.append(build(params))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        differ = 0
+        try:
+            for _ in range(30):
+                identities._clear_memos()
+                built = [None] * len(points)
+                threads = [threading.Thread(target=lambda k=k: built.__setitem__(k, build(points[k])))
+                           for k in range(len(points))]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60)
+                assert not any(thread.is_alive() for thread in threads)
+                differ += sum(series != single for series, single in zip(built, alone))
+        finally:
+            sys.setswitchinterval(interval)
+        assert differ == 0, f"{differ} of {30 * len(points)} right sides differ"
 
 
 def test_report_is_immutable_but_replaceable():
