@@ -38,8 +38,9 @@ constructors that the hot paths call per point: a ``FloatSum``, a ``1F1``
 right side at i = j = 8, which built its 81 ``Term`` and ``HypSpec`` records
 and is missing in a tree without that view. Then come the per-point layers:
 ``_float_terms`` of the same side, which lists those blocks for the float
-route, and ``verify.check_admissible`` of 1.8 at gamma 5 and of 2.1 at
-i = j = 8, each on a fresh ``IdentityParams`` as a request makes one. Then
+route, and ``verify.check_admissible`` of 1.7, whose findings a tree may
+read off its side declarations, of 1.8 at gamma 5 and of 2.1 at i = j = 8,
+each on a fresh ``IdentityParams`` as a request makes one. Then
 comes one whole request, ``cli.run`` of ``verify`` at that 1.8 point with
 ``--output=json``, its stdout kept in memory. Last comes the import case,
 ``python3 -c "import hypident.cli"`` with only the tree's ``src`` on
@@ -205,6 +206,7 @@ def table(quick: bool) -> dict:
         "3.1 tuple(ProductSide.terms) i=8 j=8":
             lambda tree, src: partial(lambda side: tuple(side.terms), deep_side(tree)),
         "3.1 _float_terms i=8 j=8": lambda tree, src: partial(tree.identities._float_terms, deep_side(tree)),
+        "check_admissible 1.7": lambda tree, src: admissible(tree, "1.7", {}),
         "check_admissible 1.8 gamma=5": lambda tree, src: admissible(tree, "1.8", WATSON_POINT),
         "check_admissible 2.1 i=8 j=8": lambda tree, src: admissible(tree, "2.1", dict(i=8, j=8)),
         REQUEST_CASE: request,

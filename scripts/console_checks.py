@@ -193,6 +193,10 @@ CASES = [
     ("eval --identity 1.8 --alpha 1/3 --beta 2/5 --gamma=-1/7 --output json", 2,
      refused("2*gamma - alpha - beta + 1")),
     ("verify --identity 1.2 --alpha=-1/18446744073709551616", 2, refused("exceeds the limit of 64 bits")),
+    # a gamma goes only where it is read: refused by a single point of an
+    # entry without one, and passed only to the tags of a sweep that take one
+    ("verify --identity 1.5 --alpha 3/7 --gamma 1/9", 2, refused("identity 1.5 takes no gamma, got gamma = 1/9")),
+    ("sweep --identity 1.8,1.4 --alpha 1/3 --beta 2/5 --gamma 5", 0, stderr("^hypident: 2/2 points passed$")),
     ("verify --identity 1.8 --alpha 1/3 --beta 2/5 --gamma 1/7 --tol 0.5", 2,
      lambda out, err: err.startswith("usage: hypident [-h] {list,verify,sweep,expand,eval}")
      and "unrecognized arguments: --tol 0.5" in err),

@@ -206,6 +206,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             raise ValueError(f"--{name} {value}: none of the identities {args.identity} takes {takes}")
     if args.degree is not None and not any(define.kind == "series" for define in defines):
         raise ValueError(f"--degree {args.degree}: none of the identities {args.identity} is a series entry")
+    gamma_of = lambda define: gamma if "gamma" in define.uses else None
     points = 0
     for define in defines:
         axes = sweep_axes(define.id, alphas, betas, args.i, args.j)
@@ -216,14 +217,14 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         points += size
         # every tag's request errors come before the first point runs
         alpha, beta, i, j = (axis[0] for axis in axes)
-        define.validate_params(IdentityParams(alpha, beta, i, j, gamma=gamma, printed_form=args.printed_form))
+        define.validate_params(IdentityParams(alpha, beta, i, j, gamma=gamma_of(define), printed_form=args.printed_form))
     if points > MAX_SWEEP_POINTS:
         raise ValueError(f"sweep grid of {points} points exceeds the limit of {MAX_SWEEP_POINTS}")
     start = time.perf_counter()
     reports = [
         report
         for define in defines
-        for report in sweep(define.id, alphas, betas, args.i, args.j, gamma=gamma,
+        for report in sweep(define.id, alphas, betas, args.i, args.j, gamma=gamma_of(define),
                             cap=args.degree if define.kind == "series" else None, printed_form=args.printed_form)
     ]
     wall = time.perf_counter() - start

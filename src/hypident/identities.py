@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import functools
 import math
+import re
 import sys
 from collections import namedtuple
 from dataclasses import dataclass
@@ -558,6 +559,36 @@ def _gauss_terminating(p: IdentityParams) -> tuple[Fraction, Fraction]:
 Findings = Sequence[AdmissibilityFinding | None]
 
 
+def _spell(form: tuple[int, int, int, int]) -> str:
+    """The form ``(a, b, c, d)``, ``(a*alpha + b*beta + c)/d``, as the
+    findings spell it: ``2*alpha + 1``, ``alpha + beta - 1``."""
+    *coefficients, d = form
+    words = [format_rational(Fraction(c, d)) + f"*{name}" * bool(name) for c, name in zip(coefficients, ("alpha", "beta", "")) if c]
+    return re.sub(r"\b1\*", "", " + ".join(words).replace("+ -", "- ")) or "0"  # 1*alpha is alpha, -1*beta -beta
+
+
+def _lower_forms(*sides: SideOf) -> tuple[tuple[str, tuple[int, int, int, int]], ...]:
+    """The spelling and form of each distinct lower parameter of the sides,
+    in declaration order, read at generic integer points (alpha, beta): a
+    base, a step in each and a check, none degenerate. Two equal at a point
+    (``2*alpha``, ``2*beta`` at beta = alpha) stay two. One not affine in
+    alpha and beta, or a count that depends on the point, raises ValueError."""
+    points = (1000, 3000), (1001, 3000), (1000, 3001), (2017, 4999)
+    (a0, b0), *_, (a3, b3) = points
+    forms = {}
+    for side in sides:
+        lowers = [[lower for term in _float_terms(side(IdentityParams(*point))) for spec, _ in term.factors
+                   for lower in spec.lower] for point in points]
+        for v0, va, vb, v3 in zip(*lowers, strict=True):  # a count that depends on the point raises
+            a, b = va - v0, vb - v0
+            c = v0 - a * a0 - b * b0
+            if a * a3 + b * b3 + c != v3:
+                raise ValueError(f"lower parameter {format_rational(v0)} at {points[0]} is not affine in alpha and beta")
+            d = math.lcm(a.denominator, b.denominator, c.denominator)
+            forms[int(a * d), int(b * d), int(c * d), d] = None
+    return tuple((_spell(form), form) for form in forms)
+
+
 def _clear_memos() -> None:
     """Forget what the points of a grid share: each factor's expansion and
     findings, and the kept span quotients."""
@@ -578,13 +609,11 @@ def _product_requirements(raised: tuple[bool, bool], params: IdentityParams, equ
     # rho + sigma - 1 is alpha + beta plus a shift running over m + n,
     # offset by -i for a lowered first factor and -j for a lowered second;
     # it can be a nonpositive integer only when alpha + beta is an integer
-    s_name = "2*alpha" if equal_param else "alpha + beta"
     low = (0 if first_raised else -i) + (0 if second_raised else -j)
     total = alpha + beta
     for shift in range(low, low + i + j + 1) if total.denominator == 1 else ():
-        sign = "+" if shift >= 0 else "-"
-        expr = f"{s_name} {sign} {abs(shift)}" if shift != 0 else s_name
-        reqs.append(check_lower(expr, total + shift, where=f"summand shift {shift}"))
+        form = (2, 0, shift, 1) if equal_param else (1, 1, shift, 1)
+        reqs.append(check_lower(_spell(form), total + shift, where=f"summand shift {shift}"))
     return reqs
 
 
@@ -616,13 +645,13 @@ class IdentityDef:
     summary: str
     uses: tuple[str, ...]
     kind: str
+    requirements: Callable[[IdentityParams], Findings]
     build_lhs: Callable[[IdentityParams], TruncatedSeries] | None = None
     build_rhs: Callable[[IdentityParams], TruncatedSeries] | None = None
     lhs_float: Callable[[IdentityParams, Sequence[float]], list[tuple[float, bool]]] | None = None
     rhs_float: Callable[[IdentityParams, Sequence[float]], list[tuple[float, bool]]] | None = None
     scalar_exact: Callable[[IdentityParams], tuple[Fraction, Fraction]] | None = None
     scalar_float: Callable[[IdentityParams], tuple[float, float, FloatSum]] | None = None
-    requirements: Callable[[IdentityParams], Findings] = lambda params: []
     fixed_argument: float | None = None
     reading: bool = False
 
@@ -636,10 +665,11 @@ class IdentityDef:
         return self.id.name.lower().replace("_", "-")
 
     def validate_params(self, params: IdentityParams) -> None:
-        if "beta" in self.uses and params.beta is None:
-            raise ValueError(f"identity {self.tag} needs beta")
-        if "gamma" in self.uses and params.gamma is None:
-            raise ValueError(f"identity {self.tag} needs gamma")
+        for name in ("beta", "gamma"):
+            if name in self.uses and getattr(params, name) is None:
+                raise ValueError(f"identity {self.tag} needs {name}")
+        if "gamma" not in self.uses and params.gamma is not None:
+            raise ValueError(f"identity {self.tag} takes no gamma, got gamma = {format_rational(params.gamma)}")
         for shift in ("i", "j"):
             value = getattr(params, shift)
             if value and shift not in self.uses:
@@ -670,7 +700,15 @@ SideOf = Callable[[IdentityParams], RawProduct | Side | ProductSide]
 
 def _series_entry(lhs: SideOf, rhs: SideOf, **fields) -> IdentityDef:
     """A series entry: both builders and both float evaluators come from
-    the two side declarations."""
+    the two side declarations, and unless stated so do its requirements:
+    ``check_lower`` of each of their :func:`_lower_forms`, read once."""
+    forms = functools.cache(lambda: _lower_forms(lhs, rhs))
+
+    def derived(p: IdentityParams) -> Findings:
+        (P, Q), (R, S) = p.alpha.as_integer_ratio(), (p.beta or 0).as_integer_ratio()
+        return [check_lower(expr, Fraction(a * P * S + b * R * Q + c * Q * S, d * Q * S)) for expr, (a, b, c, d) in forms()]
+
+    fields.setdefault("requirements", derived)
     return IdentityDef(
         kind="series",
         build_lhs=lambda p: _side_series(lhs(p), p.effective_cap),
@@ -762,21 +800,6 @@ def _product_entries(prod_id: IdentityId, equal_id: IdentityId, raised: tuple[bo
 
 
 def _build_registry() -> dict[IdentityId, IdentityDef]:
-    def halved_reqs(p: IdentityParams) -> Findings:
-        return [
-            check_lower("2*alpha", 2 * p.alpha),
-            check_lower("alpha + 1/2", p.alpha + HALF),
-        ]
-
-    def bailey_reqs(p: IdentityParams) -> Findings:
-        return [
-            check_lower("2*alpha", 2 * p.alpha),
-            check_lower("2*beta", 2 * p.beta),
-            check_lower("alpha + 1/2", p.alpha + HALF),
-            check_lower("beta + 1/2", p.beta + HALF),
-            check_lower("alpha + beta", p.alpha + p.beta),
-        ]
-
     def preece_block(p: IdentityParams) -> Factor:
         return HypSpec((p.alpha,), (p.alpha + HALF, 2 * p.alpha)), _SQ4
 
@@ -809,7 +832,6 @@ def _build_registry() -> dict[IdentityId, IdentityDef]:
             uses=("alpha", "beta"),
             lhs=lambda p: RawProduct((_f11(p.alpha, p.beta),), exp=-1),
             rhs=lambda p: _block(_f11(p.beta - p.alpha, p.beta, _NEG_X)),
-            requirements=lambda p: [check_lower("beta", p.beta)],
         ),
         # ---- half-exponential square-argument transformations
         _series_entry(
@@ -818,7 +840,6 @@ def _build_registry() -> dict[IdentityId, IdentityDef]:
             uses=("alpha",),
             lhs=lambda p: RawProduct((_f11(p.alpha, 2 * p.alpha),), exp=-HALF),
             rhs=lambda p: _block(_f01(p.alpha + HALF, _SQ16)),
-            requirements=halved_reqs,
         ),
         _series_entry(
             id=IdentityId.KUMMER_SECOND_SCALED,
@@ -826,7 +847,6 @@ def _build_registry() -> dict[IdentityId, IdentityDef]:
             uses=("alpha",),
             lhs=lambda p: RawProduct((_f11(p.alpha, 2 * p.alpha, Arg(2)),)),
             rhs=lambda p: _block(_f01(p.alpha + HALF, _SQ4), exp=1),
-            requirements=halved_reqs,
         ),
         # ---- alternating and matched products of two confluent factors
         _series_entry(
@@ -835,7 +855,6 @@ def _build_registry() -> dict[IdentityId, IdentityDef]:
             uses=("alpha",),
             lhs=lambda p: RawProduct((_f11(p.alpha, 2 * p.alpha), _f11(p.alpha, 2 * p.alpha, _NEG_X))),
             rhs=lambda p: _block(preece_block(p)),
-            requirements=halved_reqs,
         ),
         _series_entry(
             id=IdentityId.PREECE_SQUARED,
@@ -843,7 +862,6 @@ def _build_registry() -> dict[IdentityId, IdentityDef]:
             uses=("alpha",),
             lhs=lambda p: RawProduct((_f11(p.alpha, 2 * p.alpha), _f11(p.alpha, 2 * p.alpha))),
             rhs=lambda p: _block(preece_block(p), exp=1),
-            requirements=halved_reqs,
         ),
         _series_entry(
             id=IdentityId.BAILEY_ALTERNATING,
@@ -851,7 +869,6 @@ def _build_registry() -> dict[IdentityId, IdentityDef]:
             uses=("alpha", "beta"),
             lhs=lambda p: RawProduct((_f11(p.alpha, 2 * p.alpha), _f11(p.beta, 2 * p.beta, _NEG_X))),
             rhs=lambda p: _block(bailey_block(p)),
-            requirements=bailey_reqs,
         ),
         _series_entry(
             id=IdentityId.BAILEY_MATCHED,
@@ -859,7 +876,6 @@ def _build_registry() -> dict[IdentityId, IdentityDef]:
             uses=("alpha", "beta"),
             lhs=lambda p: RawProduct((_f11(p.alpha, 2 * p.alpha), _f11(p.beta, 2 * p.beta))),
             rhs=lambda p: _block(bailey_block(p), exp=1),
-            requirements=bailey_reqs,
         ),
         # ---- product of two 0F1 factors as one 2F3
         _series_entry(
@@ -868,11 +884,6 @@ def _build_registry() -> dict[IdentityId, IdentityDef]:
             uses=("alpha", "beta"),
             lhs=lambda p: RawProduct((_f01(p.alpha), _f01(p.beta))),
             rhs=lambda p: _block((bailey_product_spec(p.alpha, p.beta), Arg(4))),
-            requirements=lambda p: [
-                check_lower("alpha", p.alpha),
-                check_lower("beta", p.beta),
-                check_lower("alpha + beta - 1", p.alpha + p.beta - 1),
-            ],
         ),
         # ---- contiguous products (lower parameter off by one)
         _series_entry(
@@ -881,12 +892,6 @@ def _build_registry() -> dict[IdentityId, IdentityDef]:
             uses=("alpha",),
             lhs=lambda p: RawProduct((_f11(p.alpha, 2 * p.alpha), _f11(p.alpha, 2 * p.alpha + 1))),
             rhs=contig_raised_rhs,
-            requirements=lambda p: [
-                check_lower("2*alpha", 2 * p.alpha),
-                check_lower("2*alpha + 1", 2 * p.alpha + 1),
-                check_lower("alpha + 1/2", p.alpha + HALF),
-                check_lower("alpha + 3/2", p.alpha + Fraction(3, 2)),
-            ],
         ),
         _series_entry(
             id=IdentityId.CONTIGUOUS_LOWERED,
@@ -894,11 +899,6 @@ def _build_registry() -> dict[IdentityId, IdentityDef]:
             uses=("alpha",),
             lhs=lambda p: RawProduct((_f11(p.alpha, 2 * p.alpha), _f11(p.alpha, 2 * p.alpha - 1))),
             rhs=contig_lowered_rhs,
-            requirements=lambda p: [
-                check_lower("2*alpha", 2 * p.alpha),
-                check_lower("2*alpha - 1", 2 * p.alpha - 1),
-                check_lower("alpha + 1/2", p.alpha + HALF),
-            ],
         ),
         # ---- expansion of e^(-x/2) 1F1 with shifted lower parameter
         _series_entry(

@@ -16,7 +16,8 @@ REQUEST_CASE = "cli.run verify 1.8 --output=json"
 # ladder keeps the case and reports it missing
 TERMS_VIEW = "3.1 tuple(ProductSide.terms) i=8 j=8"
 CONSTRUCTORS = {"FloatSum", "HypSpec 1F1", "IdentityParams", TERMS_VIEW}
-LAYERS = {"3.1 _float_terms i=8 j=8", "check_admissible 1.8 gamma=5", "check_admissible 2.1 i=8 j=8"}
+LAYERS = {"3.1 _float_terms i=8 j=8", "check_admissible 1.7", "check_admissible 1.8 gamma=5",
+          "check_admissible 2.1 i=8 j=8"}
 QUICK_CASES = {"1.10 build_rhs cap=16", "1.10 build_lhs cap=16", "1.10 rhs_float", *CONSTRUCTORS, *LAYERS, REQUEST_CASE,
                IMPORT_CASE}
 

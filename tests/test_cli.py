@@ -236,19 +236,19 @@ class TestVerify:
         assert out.splitlines()[1].startswith("1.8,1/3,2/5,7/3,,,,float_only_pass,0,,")
 
     # a report states only the fields its entry uses, plus the cap of a series
-    # entry: an unused CSV column stays empty. A shift, or a degree, the entry
-    # does not use is refused (see TestBadRequests), so only an unused beta or
-    # gamma is given here
+    # entry: an unused CSV column stays empty. A shift, a degree or a gamma
+    # the entry does not use is refused (see TestBadRequests), so only an
+    # unused beta is given here
     @pytest.mark.parametrize(
         "point, params, csv_prefix",
         [
-            (["--identity", "1.3", "--alpha", "1/2", "--beta", "5/3", "--gamma", "7/3", "--i", "2"],
+            (["--identity", "1.3", "--alpha", "1/2", "--beta", "5/3", "--i", "2"],
              {"alpha": "1/2", "beta": "5/3", "i": 2}, "1.3,1/2,5/3,,2,,2,exact_match,"),
-            (["--identity", "1.4", "--alpha", "1/3", "--beta", "2/5", "--gamma", "7/3"],
+            (["--identity", "1.4", "--alpha", "1/3", "--beta", "2/5"],
              {"alpha": "1/3", "beta": "2/5"}, "1.4,1/3,2/5,,,,,float_only_pass,"),
             (["--identity", "1.8", "--alpha", "1/3", "--beta", "2/5", "--gamma", "7/3"],
              {"alpha": "1/3", "beta": "2/5", "gamma": "7/3"}, "1.8,1/3,2/5,7/3,,,,float_only_pass,"),
-            (["--identity", "1.2", "--alpha", "1/2", "--beta", "2/5", "--gamma", "7/3", "--degree", "6"],
+            (["--identity", "1.2", "--alpha", "1/2", "--beta", "2/5", "--degree", "6"],
              {"alpha": "1/2", "cap": 6}, "1.2,1/2,,,,,6,exact_match,"),
         ],
         ids=["1.3", "1.4", "1.8", "1.2"],
@@ -296,6 +296,16 @@ class TestSweep:
         assert lines[0].startswith("identity,alpha,beta,")
         assert len(lines) == 1 + 9
         assert "hypident: 9/9 points passed" in err
+
+    def test_a_gamma_goes_only_to_the_tags_that_take_one(self, capsys):
+        code, out, err = invoke(capsys, "sweep", "--identity", "1.8,1.4", "--alpha", "1/3", "--beta", "2/5",
+                                "--gamma", "5", "--output", "json")
+        assert code == 0
+        assert [(r["identity"], r["params"], r["status"]) for r in json.loads(out)] == [
+            ("1.8", {"alpha": "1/3", "beta": "2/5", "gamma": "5"}, "float_only_pass"),
+            ("1.4", {"alpha": "1/3", "beta": "2/5"}, "float_only_pass"),
+        ]
+        assert "hypident: 2/2 points passed" in err
 
     def test_exit_1_when_a_point_fails(self, capsys):
         code, _, err = invoke(
@@ -752,6 +762,15 @@ class TestBadRequests:
         assert out == ""
         assert err.startswith("hypident: error:")
         assert needle in err
+
+    @pytest.mark.parametrize("command", ["verify", "eval", "expand"])
+    @pytest.mark.parametrize("define", [d for d in catalog() if "gamma" not in d.uses], ids=lambda d: d.tag)
+    def test_a_gamma_the_entry_does_not_use_is_refused(self, capsys, define, command):
+        # it used to be dropped: the run went on as if none were given
+        argv = [command, "--identity", define.tag, "--alpha", "3/7", "--gamma", "1/9"]
+        argv += ["--beta", "2/5"] if "beta" in define.uses else []
+        argv += ["--x", "0.5"] if command == "eval" and define.kind == "series" else []
+        assert invoke(capsys, *argv) == (2, "", f"hypident: error: identity {define.tag} takes no gamma, got gamma = 1/9\n")
 
     def test_unknown_subcommand_exits_2_via_argparse(self, capsys):
         with pytest.raises(SystemExit) as exc:

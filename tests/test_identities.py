@@ -37,6 +37,7 @@ from hypident.identities import (
     _side_series,
 )
 from hypident.rationals import pochhammer
+from hypident.reports import check_lower
 from hypident.series import TruncatedSeries, exp_series
 from hypident.verify import DEFAULT_FLOAT_POINTS, check_admissible, verify_identity
 
@@ -87,9 +88,10 @@ class TestCatalog:
         # the ones whose validate_params accepts the flag
         readers = [d.tag for d in catalog() if d.reading]
         assert readers == ["2.3", "3.3"]
-        params = IdentityParams(alpha=A, beta=B, gamma=Fraction(1, 7), printed_form=True)
         accepted = []
         for d in catalog():
+            # a gamma only where the entry reads one: an unused gamma is refused
+            params = IdentityParams(alpha=A, beta=B, gamma=Fraction(1, 7) if "gamma" in d.uses else None, printed_form=True)
             try:
                 d.validate_params(params)
             except ValueError as error:
@@ -1535,3 +1537,90 @@ def test_scalar_gate_refuses_exactly_where_a_side_raises(tag, monkeypatch):
         assert bool(findings) == raises_degenerate(side, params), params
         outcomes.add(bool(findings))
     assert outcomes == {True, False}
+
+
+# The lower parameters of entries 1.1-1.13, as their findings spell them and
+# as values at (alpha, beta): the distinct ones of the left side, then of the
+# right side, in declaration order. Written out by hand, as an oracle for the
+# gate, which reads them off the side declarations.
+HALVED = [("2*alpha", lambda a, b: 2 * a), ("alpha + 1/2", lambda a, b: a + Fraction(1, 2))]
+BAILEY = [
+    ("2*alpha", lambda a, b: 2 * a),
+    ("2*beta", lambda a, b: 2 * b),
+    ("alpha + 1/2", lambda a, b: a + Fraction(1, 2)),
+    ("beta + 1/2", lambda a, b: b + Fraction(1, 2)),
+    ("alpha + beta", lambda a, b: a + b),
+]
+LOWER_PARAMETERS = {
+    "1.1": [("beta", lambda a, b: b)],
+    "1.2": HALVED,
+    "1.5": HALVED,
+    "1.6": HALVED,
+    "1.7": BAILEY,
+    "1.9": HALVED,
+    "1.10": BAILEY,
+    "1.11": [("alpha", lambda a, b: a), ("beta", lambda a, b: b), ("alpha + beta - 1", lambda a, b: a + b - 1)],
+    "1.12": [
+        ("2*alpha", lambda a, b: 2 * a),
+        ("2*alpha + 1", lambda a, b: 2 * a + 1),
+        ("alpha + 1/2", lambda a, b: a + Fraction(1, 2)),
+        ("alpha + 3/2", lambda a, b: a + Fraction(3, 2)),
+    ],
+    "1.13": [("2*alpha", lambda a, b: 2 * a), ("2*alpha - 1", lambda a, b: 2 * a - 1), ("alpha + 1/2", lambda a, b: a + Fraction(1, 2))],
+}
+
+
+@pytest.mark.parametrize("tag", list(LOWER_PARAMETERS))
+def test_a_series_gate_is_check_lower_of_each_declared_lower_parameter(tag):
+    """At seeded points, a fifth of them at beta = alpha and many degenerate,
+    the gate's findings are ``check_lower`` over the table, in its order,
+    and each spelling in the table is found at some point."""
+    define = get(tag)
+    rng = random.Random(46)
+    spelled = set()
+    for alpha, beta, *_ in degenerate_points(seed=46, count=300):
+        beta = alpha if rng.random() < 0.2 else beta
+        params = IdentityParams(alpha, beta if "beta" in define.uses else None)
+        want = [check_lower(expr, value(alpha, beta)) for expr, value in LOWER_PARAMETERS[tag]]
+        found = check_admissible(tag, params)
+        assert found == [f for f in want if f is not None], params
+        spelled.update(f.parameter_expr for f in found)
+    assert spelled == {expr for expr, _ in LOWER_PARAMETERS[tag]}
+
+
+def test_equal_lower_parameters_of_two_symbols_stay_two_findings():
+    # at beta = alpha = -1, 2*alpha and 2*beta are one value and two findings
+    found = check_admissible("1.7", IdentityParams(alpha=-1, beta=-1))
+    assert [(f.parameter_expr, f.value) for f in found] == [("2*alpha", -2), ("2*beta", -2), ("alpha + beta", -2)]
+
+
+def test_lower_forms_refuse_a_lower_parameter_that_is_not_affine():
+    with pytest.raises(ValueError, match="not affine in alpha and beta"):
+        identities._lower_forms(lambda p: RawProduct((identities._f01(p.alpha * p.beta),)))
+
+
+def test_lower_forms_refuse_a_count_that_depends_on_the_point():
+    # one term at alpha = 1000, two at alpha = 1001
+    side = lambda p: Side(tuple(Term((identities._f01(p.alpha + k),)) for k in range(p.alpha.numerator % 3)))
+    with pytest.raises(ValueError, match=r"zip\(\) argument \d is (shorter|longer)"):
+        identities._lower_forms(side)
+
+
+def test_lower_forms_are_read_once_on_the_first_gate_call(monkeypatch):
+    calls = []
+    real = identities._lower_forms
+    monkeypatch.setattr(identities, "_lower_forms", lambda *sides: calls.append(sides) or real(*sides))
+    lhs = lambda p: RawProduct((identities._f11(p.alpha, 2 * p.alpha - 3),))
+    rhs = lambda p: Side((Term((identities._f01(p.beta - p.alpha / 2),)),))
+    define = identities._series_entry(lhs, rhs, id=IdentityId.KUMMER_FIRST, summary="", uses=("alpha", "beta"))
+    assert calls == []
+    params = IdentityParams(alpha=Fraction(3, 2), beta=Fraction(-1, 4))
+    for _ in range(2):
+        assert [f.parameter_expr for f in define.requirements(params) if f] == ["2*alpha - 3", "-1/2*alpha + beta"]
+    assert calls == [(lhs, rhs)]
+
+
+def test_an_entry_states_its_requirements():
+    # no default admits every point
+    with pytest.raises(TypeError, match="requirements"):
+        identities.IdentityDef(id=IdentityId.KUMMER_FIRST, summary="", uses=("alpha",), kind="series")

@@ -318,8 +318,10 @@ class TestVerifyIdentity:
         ],
     )
     def test_a_shift_the_entry_does_not_use_is_refused(self, tag, shifts, message):
-        # it used to be dropped, though the default cap still read it
-        params = IdentityParams(alpha=Fraction(1, 2), beta=Fraction(5, 3), gamma=Fraction(1, 7), **shifts)
+        # it used to be dropped, though the default cap still read it; a
+        # gamma is given only where the entry reads one
+        gamma = Fraction(1, 7) if "gamma" in get(tag).uses else None
+        params = IdentityParams(alpha=Fraction(1, 2), beta=Fraction(5, 3), gamma=gamma, **shifts)
         with pytest.raises(ValueError, match=message):
             verify_identity(tag, params)
         # a zero shift is no shift: the point is checked, not refused
@@ -328,11 +330,12 @@ class TestVerifyIdentity:
 
     @pytest.mark.parametrize("tag", [d.tag for d in catalog() if d.tag not in ("2.3", "3.3")])
     def test_a_printed_form_the_entry_does_not_read_is_refused(self, tag):
-        # it used to be reported, though only the mixed variants read it
-        params = IdentityParams(alpha=Fraction(1, 2), beta=Fraction(5, 3), gamma=Fraction(1, 7), printed_form=True)
+        # it used to be reported, though only the mixed variants read it; a
+        # gamma is given only where the entry reads one
+        params = IdentityParams(alpha=Fraction(1, 2), beta=Fraction(5, 3), printed_form=True)
         message = f"identity {tag} takes no printed_form: only 2.3 and 3.3 have a printed-form reading"
         with pytest.raises(ValueError, match=re.escape(message)):
-            verify_identity(tag, params)
+            verify_identity(tag, params._replace(gamma=Fraction(1, 7)) if "gamma" in get(tag).uses else params)
         for reader in ("2.3", "3.3"):
             assert verify_identity(reader, params, float_points=()).params.printed_form
 
