@@ -21,7 +21,8 @@ with an exponential (1.5, 1.9, 1.10, 1.12, 1.13) and ``build_lhs`` of 1.10 at
 caps 16, 96 and 512; ``build_rhs`` of 1.7 at the same caps;
 ``verify_identity`` of the five exponential entries at their defaults and of
 1.8 at gamma 5, a non-terminating unit-argument sum; ``build_rhs`` of 3.1 at
-i = j in 2, 8 and 20, at the default cap, and of 2.1 at i = j = 2;
+i = j in 2, 8 and 20, at the default cap, of 3.3 in its printed form at
+i = j = 8, and of 2.1 at i = j = 2;
 ``build_lhs`` of 1.6 at cap 512; ``lhs_float`` and ``rhs_float`` at the
 default float points of 1.10, of 1.17 at i = 8, and of 2.1 and 3.1 at
 i = j = 8. Then come layers on their own, with the arguments that
@@ -101,6 +102,7 @@ def ladder(quick: bool) -> list[tuple[str, str, dict]]:
     cases += [(tag, "verify_identity", {}) for tag in EXPONENTIAL_RIGHT_SIDES]
     cases.append(("1.8", "verify_identity", WATSON_POINT))
     cases += [("3.1", "build_rhs", dict(i=n, j=n)) for n in (2, 8, 20)]
+    cases.append(("3.3", "build_rhs", dict(printed_form=True, i=8, j=8)))
     cases.append(("2.1", "build_rhs", dict(i=2, j=2)))
     cases.append(("1.6", "build_lhs", dict(cap=512)))
     cases += [(tag, side, point) for tag, point in FLOAT_SIDES for side in ("lhs_float", "rhs_float")]
@@ -110,7 +112,8 @@ def ladder(quick: bool) -> list[tuple[str, str, dict]]:
 
 
 def label(tag: str, builder: str, point: dict) -> str:
-    return " ".join([tag, builder, *(f"{key}={value}" for key, value in point.items())])
+    """The case's name: a set flag is its bare name, any other field ``key=value``."""
+    return " ".join([tag, builder, *(key if value is True else f"{key}={value}" for key, value in point.items())])
 
 
 def entry_case(tag: str, builder: str, point: dict):
@@ -163,7 +166,7 @@ def cold_grid(tree, src):
 def deep_side(tree):
     """3.1's right side at i = j = 8, 81 blocks."""
     identities = tree.identities
-    return identities._equal_param_rhs((True, True), identities.IdentityParams(**POINT, i=8, j=8), False)
+    return identities._equal_param_rhs((True, True), identities.IdentityParams(**POINT, i=8, j=8))
 
 
 def admissible(tree, tag: str, point: dict):

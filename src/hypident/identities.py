@@ -90,9 +90,9 @@ class IdentityParams(namedtuple("IdentityParams", "alpha beta i j cap gamma prin
     ignored by the one-parameter identities), ``i`` and ``j`` the
     nonnegative integer shifts, ``cap`` the truncation degree (None means
     ``default_cap(i, j)``). ``gamma`` is the third rational of the
-    unit-argument summation check. ``printed_form`` switches the mixed
-    product variants (2.3, 3.3) to their alternate transcription, whose
-    second shift factor is indexed by m instead of n. Every way to a
+    unit-argument summation check. ``printed_form``, a bool, switches the
+    mixed product variants (2.3, 3.3) to their alternate transcription,
+    whose second shift factor is indexed by m instead of n. Every way to a
     bundle goes through ``__new__``: ``_make``, and so ``_replace``, call it.
     """
 
@@ -112,6 +112,8 @@ class IdentityParams(namedtuple("IdentityParams", "alpha beta i j cap gamma prin
             raise ValueError("shifts i and j must be nonnegative")
         if cap is not None and cap < 0:
             raise ValueError("cap must be nonnegative")
+        if not isinstance(printed_form, bool):
+            raise ValueError(f"printed_form must be a bool, got {printed_form!r}")
         return tuple.__new__(cls, (alpha, beta, i, j, cap, gamma, printed_form))
 
     _make = classmethod(lambda cls, iterable: cls(*iterable))
@@ -145,14 +147,6 @@ class IdentityParams(namedtuple("IdentityParams", "alpha beta i j cap gamma prin
         if self.printed_form:
             doc["printed_form"] = True
         return doc
-
-
-def _nonzero_poch(expr: str, base: Fraction, count: int) -> Fraction:
-    """Rising factorial that must not vanish (a denominator weight)."""
-    value = pochhammer(base, count)
-    if value == 0:
-        raise DegenerateParameterError(expr, base, int(-base) + 1)
-    return value
 
 
 # --------------------------------------------------------------------------
@@ -398,23 +392,22 @@ def _product_lhs(raised: tuple[bool, bool], params: IdentityParams, beta: Fracti
     ))
 
 
-def _product_rhs(raised: tuple[bool, bool], params: IdentityParams, printed: bool) -> ProductSide:
+def _product_rhs(raised: tuple[bool, bool], params: IdentityParams) -> ProductSide:
     """Composed closed form: e**x times the product of the two factors'
-    1.17/1.18 expansions, each pair of 0F1 blocks merged by the 1.11 block.
-
-    The printed form indexes the second shift factor by m: it weights
-    block (m, n) by ``(-j)_m / (-j)_n`` more, which splits into ``(-j)_m``
-    on the first expansion and ``1 / (-j)_n`` on the second.
-    """
+    1.17/1.18 expansions, each pair of 0F1 blocks merged by the 1.11 block."""
     first = _expansion_terms(params.alpha, params.i, raised[0])
-    second = _expansion_terms(params.beta, params.j, raised[1], _SECOND)
-    if printed:
-        j = Fraction(-params.j)
-        (rho, v), (sigma, w) = first, second
-        # (-j)_m vanishes for m > j: those weights drop like any zero weight
-        first = rho, tuple([c * pochhammer(j, m) for m, c in enumerate(v[: params.j + 1])])
-        second = sigma, tuple([c / pochhammer(j, n) for n, c in enumerate(w)])
-    return ProductSide(first, second)
+    return ProductSide(first, _expansion_terms(params.beta, params.j, raised[1], _SECOND))
+
+
+def _printed(side: ProductSide, j: int) -> ProductSide:
+    """The printed form of a mixed product, whose second shift factor is
+    indexed by m instead of n: block (m, n) weighs ``(-j)_m / (-j)_n`` more,
+    ``(-j)_m`` on the first weights and ``1 / (-j)_n`` on the second.
+    ``(-j)_m`` vanishes for m > j: those weights drop like any zero weight."""
+    (rho, v), (sigma, w) = side.first, side.second
+    shift = Fraction(-j)
+    first = tuple([c * pochhammer(shift, m) for m, c in enumerate(v[: j + 1])])
+    return ProductSide((rho, first), (sigma, tuple([c / pochhammer(shift, n) for n, c in enumerate(w)])))
 
 
 # --------------------------------------------------------------------------
@@ -422,49 +415,44 @@ def _product_rhs(raised: tuple[bool, bool], params: IdentityParams, printed: boo
 # from their own single-parameter closed forms rather than by substitution
 
 
-def _equal_param_factor(
-    alpha: Fraction, shift: int, k: int, raised: bool, names: tuple[str, str]
-) -> tuple[Fraction, int]:
-    """Summand k of one factor of an equal-parameter closed form, without its
-    ``(-shift)_k``: with ``d = 0`` raised and ``d = shift`` lowered, the part
-    ``(+-1)**k (2*alpha - 2d - 1)_k / ((2*alpha +- shift)_k (alpha - d - 1/2)_k
-    k! 4**k)`` and its block offset ``k - d``. ``names`` spells (shift,
-    summation index) in messages."""
+def _equal_param_factor(alpha: Fraction, shift: int, raised: bool, names: tuple[str, str]) -> tuple[Fraction, ...]:
+    """One factor's summands k = 0..shift of an equal-parameter closed form:
+    with ``d = 0`` raised and ``d = shift`` lowered, ``(+-1)**k (-shift)_k
+    (2*alpha - 2d - 1)_k / ((2*alpha +- shift)_k (alpha - d - 1/2)_k k!
+    4**k)``, each from the one before by its term ratio. Raises at the first
+    vanishing denominator factor, ``(2*alpha +- shift)_k`` first on a tie.
+    ``names`` spells (shift, summation index) in messages."""
     s, index = names
     if raised:
-        d, lower, base = 0, f"(2*alpha + {s})_{index}", f"(alpha - 1/2)_{index}"
+        sign, d, spelled = 1, 0, (f"(2*alpha + {s})_{index}", f"(alpha - 1/2)_{index}")
     else:
-        d, lower, base = shift, f"(2*alpha - {s})_{index}", f"(alpha - {s} - 1/2)_{index}"
-    lower_poch = _nonzero_poch(lower, 2 * alpha + (shift if raised else -shift), k)
-    den = lower_poch * _nonzero_poch(base, alpha - d - HALF, k) * math.factorial(k) * 4**k
-    sign = 1 if raised or k % 2 == 0 else -1
-    return sign * pochhammer(2 * alpha - 2 * d - 1, k) / den, k - d
+        sign, d, spelled = -1, shift, (f"(2*alpha - {s})_{index}", f"(alpha - {s} - 1/2)_{index}")
+    bases = 2 * alpha + sign * shift, alpha - d - HALF
+    top = 2 * alpha - 2 * d - 1
+    summands = [Fraction(1)]
+    for k in range(shift):
+        for expr, base in zip(spelled, bases):
+            if base + k == 0:
+                raise DegenerateParameterError(expr, base, k + 1)
+        summands.append(summands[-1] * (sign * (k - shift) * (top + k)) / (4 * (k + 1) * (bases[0] + k) * (bases[1] + k)))
+    return tuple(summands)
 
 
-def _equal_param_rhs(raised: tuple[bool, bool], params: IdentityParams, printed: bool) -> ProductSide:
+def _equal_param_rhs(raised: tuple[bool, bool], params: IdentityParams) -> ProductSide:
     """Single-parameter closed form at beta = alpha. Only alpha appears, so
     comparing it with the composed two-parameter side is not a tautology.
 
-    It is the :class:`ProductSide` of the two factors' parts times ``(-i)_m``
-    and ``(-j)_n``; the printed form reads ``(-j)_m`` for ``(-j)_n``. Each
-    summand is formed once, in the order a block-by-block build in m-major
-    order reaches it, so a build raises where a per-pair one does."""
+    It is the :class:`ProductSide` of the two factors' summands, each block
+    offset by ``-shift`` for a lowered factor. Block (0, 0) is checked
+    first, then the second factor is formed and then the first, so a build
+    raises where a block-by-block one in m-major order does."""
     alpha, i, j = params.alpha, params.i, params.j
-    head, a = _equal_param_factor(alpha, i, 0, raised[0], ("i", "m"))
-    column, b = _equal_param_factor(alpha, j, 0, raised[1], ("j", "n"))
-    rho, sigma = alpha + a + HALF, alpha + b + HALF
+    rho, sigma = (alpha + HALF - (0 if up else shift) for up, shift in zip(raised, (i, j)))
     # block (m, n)'s lower parameters are block (0, 0)'s plus m, n and m + n:
     # if any block is degenerate, this one is, and it is the first one reached
     bailey_product_spec(rho, sigma)
-    second = [column] + [_equal_param_factor(alpha, j, n, raised[1], ("j", "n"))[0] for n in range(1, j + 1)]
-    first = [head] + [_equal_param_factor(alpha, i, m, raised[0], ("i", "m"))[0] for m in range(1, i + 1)]
-    first = [pochhammer(Fraction(-i), m) * part for m, part in enumerate(first)]
-    if printed:
-        # (-j)_m vanishes for m > j: those weights drop like any zero weight
-        first = [pochhammer(Fraction(-j), m) * weight for m, weight in enumerate(first[: j + 1])]
-    else:
-        second = [pochhammer(Fraction(-j), n) * part for n, part in enumerate(second)]
-    return ProductSide((rho, tuple(first)), (sigma, tuple(second)))
+    second = _equal_param_factor(alpha, j, raised[1], ("j", "n"))
+    return ProductSide((rho, _equal_param_factor(alpha, i, raised[0], ("i", "m"))), (sigma, second))
 
 
 # --------------------------------------------------------------------------
@@ -547,7 +535,9 @@ def _gauss_terminating(p: IdentityParams) -> tuple[Fraction, Fraction]:
     ``(c)_n`` does not; a ``HypSpec`` would refuse c = -5 even at n = 3.
     """
     n, b, c = p.i, p.alpha, p.beta
-    c_n = _nonzero_poch("(c)_n", c, n)
+    c_n = pochhammer(c, n)
+    if c_n == 0:
+        raise DegenerateParameterError("(c)_n", c, int(-c) + 1)
     den, nums = _pfq_integers((Fraction(-n), b), (c,), n)
     return Fraction(sum(nums), den), pochhammer(c - b, n) / c_n
 
@@ -777,6 +767,10 @@ def _product_entries(prod_id: IdentityId, equal_id: IdentityId, raised: tuple[bo
     the variant's one statement: which factors are raised, and whether it
     has a printed-form reading."""
     first, second = (("+" if up else "-") + shift for up, shift in zip(raised, "ij"))
+
+    def read(side: ProductSide, p: IdentityParams) -> ProductSide:
+        return _printed(side, p.j) if reading and p.printed_form else side
+
     return [
         _series_entry(
             id=prod_id,
@@ -784,7 +778,7 @@ def _product_entries(prod_id: IdentityId, equal_id: IdentityId, raised: tuple[bo
             uses=("alpha", "beta", "i", "j"),
             reading=reading,
             lhs=lambda p: _product_lhs(raised, p, p.beta),
-            rhs=lambda p: _product_rhs(raised, p, reading and p.printed_form),
+            rhs=lambda p: read(_product_rhs(raised, p), p),
             requirements=lambda p: _product_requirements(raised, p),
         ),
         _series_entry(
@@ -793,7 +787,7 @@ def _product_entries(prod_id: IdentityId, equal_id: IdentityId, raised: tuple[bo
             uses=("alpha", "i", "j"),
             reading=reading,
             lhs=lambda p: _product_lhs(raised, p, p.alpha),
-            rhs=lambda p: _equal_param_rhs(raised, p, reading and p.printed_form),
+            rhs=lambda p: read(_equal_param_rhs(raised, p), p),
             requirements=lambda p: _product_requirements(raised, p, equal_param=True),
         ),
     ]

@@ -74,6 +74,7 @@ def test_the_full_ladder_times_float_sides_and_a_deep_left_side():
     labels = [bench_layers.label(*case) for case in bench_layers.ladder(quick=False)]
     assert len(labels) == len(set(labels))
     assert "1.6 build_lhs cap=512" in labels
+    assert [label for label in labels if label.split()[:2] == ["3.3", "build_rhs"]] == ["3.3 build_rhs printed_form i=8 j=8"]
     assert [label for label in labels if "verify" in label] == [
         *(f"{tag} verify_identity" for tag in ("1.5", "1.9", "1.10", "1.12", "1.13")), "1.8 verify_identity gamma=5"]
     assert bench_layers.REQUEST_CASE == REQUEST_CASE and "--identity=1.8" in bench_layers.REQUEST

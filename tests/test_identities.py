@@ -27,11 +27,11 @@ from hypident.identities import (
     catalog,
     default_cap,
     get,
-    _equal_param_factor,
     _equal_param_rhs,
     _expansion_terms,
     _float_terms,
     _gamma_ratio,
+    _printed,
     _product_rhs,
     _side_floats,
     _side_series,
@@ -467,18 +467,20 @@ class TestEqualParameterForm:
 
     @pytest.mark.parametrize("tag, printed_form", [("3.1", False), ("3.2", False), ("3.3", False), ("3.3", True)])
     def test_each_summand_is_formed_once(self, monkeypatch, tag, printed_form):
-        # (i+1) + (j+1) summands, not one per pair: the first factor's at the
-        # head of each row, the second's in row 0
+        # one call per factor, not one per pair or per summand: the second
+        # factor first, as a block-by-block build in m-major order reaches
+        # all of it in row 0, each call giving all its shift + 1 summands
         formed = []
         real = identities._equal_param_factor
 
-        def counted(alpha, shift, k, raised, names):
-            formed.append(f"{names[1]}{k}")
-            return real(alpha, shift, k, raised, names)
+        def counted(alpha, shift, raised, names):
+            summands = real(alpha, shift, raised, names)
+            formed.append((names[1], len(summands)))
+            return summands
 
         monkeypatch.setattr(identities, "_equal_param_factor", counted)
         get(tag).build_rhs(IdentityParams(alpha=A, i=4, j=6, printed_form=printed_form))
-        assert formed == ["m0", "n0", "n1", "n2", "n3", "n4", "n5", "n6", "m1", "m2", "m3", "m4"]
+        assert formed == [("n", 7), ("m", 5)]
 
     @given(
         st.fractions(min_value=-4, max_value=4, max_denominator=12),
@@ -577,18 +579,41 @@ def per_block_product_side(variant, params):
     return Side(tuple(terms), Fraction(1))
 
 
+def equal_param_part(alpha, shift, k, raised, names):
+    """Summand k of one 3.x factor without its ``(-shift)_k``, from
+    ``pochhammer`` at each k: with ``d = 0`` raised and ``d = shift``
+    lowered, ``(+-1)**k (2*alpha - 2d - 1)_k / ((2*alpha +- shift)_k
+    (alpha - d - 1/2)_k k! 4**k)``, and its block offset ``k - d``. A
+    denominator factor that vanishes raises, ``(2*alpha +- shift)_k`` first."""
+    s, index = names
+    d = 0 if raised else shift
+    denominators = [
+        (f"(2*alpha {'+' if raised else '-'} {s})_{index}", 2 * alpha + (shift if raised else -shift)),
+        (f"(alpha{'' if raised else f' - {s}'} - 1/2)_{index}", alpha - d - Fraction(1, 2)),
+    ]
+    den = math.factorial(k) * 4**k
+    for expr, base in denominators:
+        value = pochhammer(base, k)
+        if value == 0:
+            raise DegenerateParameterError(expr, base, int(-base) + 1)
+        den *= value
+    sign = 1 if raised or k % 2 == 0 else -1
+    return sign * pochhammer(2 * alpha - 2 * d - 1, k) / den, k - d
+
+
 def per_pair_equal_param_side(variant, params):
     """The 3.x right side with both factors' summands formed again for every
-    pair (m, n), in m-major order: the weight ``(-i)_m (-j)_n`` (``(-j)_m``
-    in the printed form) times both parts, and the block built before its
-    weight is tested, so a degenerate block raises even where it vanishes."""
+    pair (m, n), in m-major order, by :func:`equal_param_part`: the weight
+    ``(-i)_m (-j)_n`` (``(-j)_m`` in the printed form) times both parts, and
+    the block built before its weight is tested, so a degenerate block
+    raises even where it vanishes."""
     first_raised, second_raised = RAISED[variant]
     alpha, i, j = params.alpha, params.i, params.j
     terms = []
     for m in range(i + 1):
-        first, a = _equal_param_factor(alpha, i, m, first_raised, ("i", "m"))
+        first, a = equal_param_part(alpha, i, m, first_raised, ("i", "m"))
         for n in range(j + 1):
-            second, b = _equal_param_factor(alpha, j, n, second_raised, ("j", "n"))
+            second, b = equal_param_part(alpha, j, n, second_raised, ("j", "n"))
             weight = pochhammer(Fraction(-i), m) * pochhammer(Fraction(-j), m if params.printed_form else n) * first * second
             s = 2 * alpha + a + b
             spec = HypSpec(upper=((s + 1) / 2, s / 2), lower=(alpha + a + Fraction(1, 2), alpha + b + Fraction(1, 2), s))
@@ -745,7 +770,9 @@ class TestSideSeries:
         for alpha in (A, Fraction(0)):
             for i, j in [*itertools.product(range(7), repeat=2), (12, 12)]:
                 params = IdentityParams(alpha=alpha, beta=B, i=i, j=j, printed_form=printed_form)
-                side, reference = _product_rhs(RAISED[variant], params, printed_form), per_block_product_side(variant, params)
+                side, reference = _product_rhs(RAISED[variant], params), per_block_product_side(variant, params)
+                if printed_form:
+                    side = _printed(side, j)
                 for cap in [*range(i + j + 1), params.effective_cap]:
                     assert _side_series(side, cap) == reference_side_series(reference, cap), (alpha, i, j, cap)
 
@@ -753,14 +780,21 @@ class TestSideSeries:
     def test_equal_param_right_sides(self, variant, printed_form):
         # each factor's summands are listed once per build; the per-pair
         # reference forms them again for every pair, and must give the same
-        # series, or raise the same exception at the same point
+        # series, or raise the same exception at the same point. In the
+        # printed form, so must the default side edited by _printed
         define = get(EQUAL_PARAM_TAG[variant])
+
+        def edited(params):
+            return _side_series(_printed(_equal_param_rhs(RAISED[variant], params), params.j), params.effective_cap)
+
         for alpha in map(Fraction, ("3/7", "1", "0", "-1/2", "-1", "1/2", "3/2", "-7/4")):
             for i, j in [*itertools.product(range(5), repeat=2), (6, 6)]:
                 for cap in (0, None):
                     params = IdentityParams(alpha=alpha, i=i, j=j, cap=cap, printed_form=printed_form)
                     want = build_outcome(lambda: _side_series(per_pair_equal_param_side(variant, params), params.effective_cap))
                     assert build_outcome(lambda: define.build_rhs(params)) == want, (alpha, i, j, cap)
+                    if printed_form:
+                        assert build_outcome(lambda: edited(params)) == want, (alpha, i, j, cap)
 
     @pytest.mark.parametrize("variant, printed_form", [("PP", False), ("MM", False), ("PM", False), ("PM", True)])
     def test_product_right_side_floats(self, variant, printed_form):
@@ -1319,6 +1353,7 @@ RIGHT_SIDE_ONLY = {name for name in PACKAGE_FUNCTIONS.values() if name.startswit
     "identities._expansion",
     "identities._expansion_terms",
     "identities._equal_param_factor",
+    "identities._printed",
 }
 # all that a left side and a right side may share: the canonicaliser and
 # the suffix products that bring a reduced recurrence to its last
@@ -1373,6 +1408,20 @@ def test_the_two_routes_stay_two(tag, point):
     if tag.startswith("3."):
         assert expansion & rhs == set()
         assert {"identities._equal_param_factor", "right._bailey_double_sum"} <= rhs
+    assert "identities._printed" not in rhs
+
+
+@pytest.mark.parametrize("point", AUDIT_POINTS[:2], ids=["generic", "cap_96"])
+@pytest.mark.parametrize("tag", ["2.3", "3.3"])
+def test_the_printed_reading_is_a_right_side_edit(tag, point):
+    """Only 2.3 and 3.3 read the printed form, the other entries refuse it:
+    their right side reaches ``_printed`` and their left side does not."""
+    define = get(tag)
+    params = IdentityParams(**{key: value for key, value in point.items() if key in (*define.uses, "cap")}, printed_form=True)
+    assert not check_admissible(tag, params)
+    lhs, rhs = reached(define.build_lhs, params), reached(define.build_rhs, params)
+    assert "identities._printed" in rhs and lhs & RIGHT_SIDE_ONLY == set()
+    assert lhs & rhs <= SHARED, (lhs & rhs) - SHARED
 
 
 def package_imports(name):
@@ -1476,7 +1525,8 @@ def test_float_terms_list_each_product_block_from_bailey_product_spec(name):
     for alpha, beta, i, j in [(A, B, 8, 8), (Fraction(-5, 11), Fraction(7, 13), 3, 5), (Fraction(-7, 3), Fraction(1, 4), 4, 2)]:
         for printed in (False, True) if name == "PM" else (False,):
             params = IdentityParams(alpha=alpha, beta=beta, i=i, j=j, printed_form=printed)
-            for side in (_product_rhs(raised, params, printed), _equal_param_rhs(raised, params, printed)):
+            for side in (_product_rhs(raised, params), _equal_param_rhs(raised, params)):
+                side = _printed(side, j) if printed else side
                 terms = _float_terms(side)
                 assert terms == declared_terms(side), (alpha, beta, i, j, printed)
                 assert all(type(p) is Fraction for term in terms for spec, _ in term.factors for p in spec.upper + spec.lower)

@@ -132,6 +132,15 @@ def test_a_shift_or_cap_that_is_no_int_names_its_field(field, value):
         IdentityParams(alpha=F(3, 7), beta=F(2, 5), **{field: value})
 
 
+@pytest.mark.parametrize("value", ["False", 0, 1, None])
+def test_a_printed_form_that_is_no_bool_is_refused(value):
+    # the string "False" is truthy: unrefused, it would run the printed reading
+    with pytest.raises(ValueError, match=f"^printed_form must be a bool, got {re.escape(repr(value))}$"):
+        IdentityParams(alpha=F(3, 7), beta=F(2, 5), i=1, j=1, printed_form=value)
+    with pytest.raises(ValueError, match="^printed_form must be a bool"):
+        IdentityParams(alpha=F(3, 7))._replace(printed_form=value)
+
+
 def test_a_degenerate_lower_parameter_names_itself():
     with pytest.raises(DegenerateParameterError, match=r"lower\[0\] = -2"):
         HypSpec((1,), (2,))._replace(lower=(-2,))
