@@ -31,9 +31,17 @@ i = j = 8. Then come layers on their own, with the arguments that
 workload's high and low excess windows (excess 5.09 and 0.59), and
 ``right._bailey_double_sum`` of 2.1 at i = j = 8, which repeats one call
 and so, in a tree that keeps span quotients between calls, times a warm
-table. Then comes one grid, ``verify.sweep`` of 2.1's 81 points at
-i, j <= 8, every memo that the tree keeps between points cleared at the
-start of each call, so a batch times what a grid pays from cold. Then come the record
+table. Each of these repeats one call: in a tree that keeps float sums
+between calls, the float sides and ``verify_identity`` rows time kept sums.
+The rows marked "memos cleared" call ``_clear_memos``, where the tree has
+it, at the start of each call, so a batch times what a call pays from
+cold. First of them comes one grid, ``verify.sweep`` of 2.1's 81 points at
+i, j <= 8; then each float side above; then the default
+``verify_identity`` of 2.1, 2.2, 2.3 and 3.1 at i = j = 8 and 20, whose
+blocks are all distinct within a point; then one catalog point,
+``verify_identity`` at cap 96 of 1.1, 1.2, 1.5-1.7 and 1.9-1.13 at alpha
+and beta and of 1.17 and 1.18 at i = 0..2, as a ``deep_series`` block
+verifies them at one (alpha, beta). Then come the record
 constructors that the hot paths call per point: a ``FloatSum``, a ``1F1``
 ``HypSpec``, an ``IdentityParams``, and ``tuple(ProductSide.terms)`` of 3.1's
 right side at i = j = 8, which built its 81 ``Term`` and ``HypSpec`` records
@@ -48,9 +56,9 @@ comes one whole request, ``cli.run`` of ``verify`` at that 1.8 point with
 ``PYTHONPATH``: the wall time of one fresh process a batch, as the benchmark's
 ``setup_s`` takes it, each tree byte-compiled first, as ``bench_pairs.py``
 does, since a fresh process may not write its own cache. ``--quick`` takes two
-builders at cap 16, one float side, the constructors, the per-point layers,
-the request and the import case, for a smoke test; the grid is in the full
-ladder only.
+builders at cap 16, one float side warm and cold, the constructors, the
+per-point layers, the request and the import case, for a smoke test; the
+grid is in the full ladder only.
 
 The result is printed as a table and, with ``--out``, written under the
 ``layers`` key of that JSON file; an existing file is updated, not
@@ -88,7 +96,19 @@ WATSON_POINT = dict(gamma=Fraction(5))
 CALLED_LAYERS = {"pfq_eval_float": "identities", "_bailey_double_sum": "right"}
 REQUEST = ["verify", "--identity=1.8", "--alpha=3/7", "--beta=2/5", "--gamma=5", "--output=json"]
 REQUEST_CASE = "cli.run verify 1.8 --output=json"
-GRID_CASE = "2.1 sweep i<=8 j<=8 memos cleared"
+COLD = "memos cleared"
+GRID_CASE = f"2.1 sweep i<=8 j<=8 {COLD}"
+# the entries that deep_series verifies at alpha and beta; 1.17 and 1.18 follow at i = 0..2
+PAIR_TAGS = ("1.1", "1.2", "1.5", "1.6", "1.7", "1.9", "1.10", "1.11", "1.12", "1.13")
+CATALOG_POINT_CASE = f"catalog point verify_identity cap=96 {COLD}"
+
+
+def cold_ladder(quick: bool) -> list[tuple[str, str, dict]]:
+    """``(tag, builder, point)`` of every entry case that runs with every memo cleared."""
+    if quick:
+        return [("1.10", "rhs_float", {})]
+    cases = [(tag, side, point) for tag, point in FLOAT_SIDES for side in ("lhs_float", "rhs_float")]
+    return cases + [(tag, "verify_identity", dict(i=n, j=n)) for n in (8, 20) for tag in ("2.1", "2.2", "2.3", "3.1")]
 
 
 def ladder(quick: bool) -> list[tuple[str, str, dict]]:
@@ -151,16 +171,35 @@ def first_call(module, name: str, run):
     return partial(layer, *args, **kwargs)
 
 
-def cold_grid(tree, src):
-    """``GRID_CASE``: ``_clear_memos``, where the tree has it, then the sweep."""
-    clear = getattr(tree.identities, "_clear_memos", lambda: None)
-    grid = partial(tree.verify.sweep, "2.1", [POINT["alpha"]], [POINT["beta"]], 8, 8)
+def cleared(make):
+    """``make`` of the case whose call first runs ``_clear_memos``, where the
+    tree has it, so that a batch times what a call pays from cold."""
 
-    def call():
-        clear()
-        return grid()
+    def make_cold(tree, src):
+        clear, run = getattr(tree.identities, "_clear_memos", lambda: None), make(tree, src)
 
-    return call
+        def call():
+            clear()
+            return run()
+
+        return call
+
+    return make_cold
+
+
+def grid(tree, src):
+    """2.1's 81 points at i, j <= 8."""
+    return partial(tree.verify.sweep, "2.1", [POINT["alpha"]], [POINT["beta"]], 8, 8)
+
+
+def catalog_point(tree, src):
+    """``CATALOG_POINT_CASE``: deep_series' block at ``POINT``, ``verify_identity``
+    at cap 96 of ``PAIR_TAGS`` at alpha and beta, then of 1.17 and 1.18 at
+    alpha and i = 0..2."""
+    params = partial(tree.identities.IdentityParams, POINT["alpha"], cap=96)
+    points = [(tag, params(beta=POINT["beta"])) for tag in PAIR_TAGS]
+    points += [(tag, params(i=i)) for tag in ("1.17", "1.18") for i in range(3)]
+    return lambda: [tree.verify.verify_identity(tag, p) for tag, p in points]
 
 
 def deep_side(tree):
@@ -202,7 +241,9 @@ def table(quick: bool) -> dict:
     """Every case's ``make(tree, src)`` by name, in the order the cases run."""
     return {
         **{label(*case): entry_case(*case) for case in ladder(quick)},
-        **({} if quick else {GRID_CASE: cold_grid}),
+        **({} if quick else {GRID_CASE: cleared(grid)}),
+        **{f"{label(*case)} {COLD}": cleared(entry_case(*case)) for case in cold_ladder(quick)},
+        **({} if quick else {CATALOG_POINT_CASE: cleared(catalog_point)}),
         "FloatSum": lambda tree, src: partial(tree.hyper.FloatSum, 0.5, True, 40, 1.5, 1e-16),
         "HypSpec 1F1": lambda tree, src: partial(tree.hyper.HypSpec, (POINT["alpha"],), (2 * POINT["alpha"],)),
         "IdentityParams": lambda tree, src: partial(tree.identities.IdentityParams, **POINT, i=8, j=8),
@@ -259,7 +300,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("other", type=Path, help="root of the checkout to compare with")
     parser.add_argument("--rounds", type=int, default=15)
     parser.add_argument("--quick", action="store_true",
-                        help="two builders at cap 16, one float side, the constructors, the per-point layers, "
+                        help="two builders at cap 16, one float side warm and cold, the constructors, the per-point layers, "
                              "the request and the import case, for a smoke test")
     parser.add_argument("--out", type=Path, help="JSON file whose 'layers' key to create or update")
     args = parser.parse_args(argv)

@@ -272,6 +272,32 @@ def _float_terms(side: RawProduct | Side | ProductSide) -> Sequence[Term]:
     return terms
 
 
+# Every factor sum is kept for the process by value, (spec, argument), so the
+# float sides of every entry at one point share each 1F1, 0F1 and 2F3 sum: at
+# most 512 specs, the most recently used, each at up to 16 arguments. One
+# point's catalog needs at least 20 specs and one 2.x side at i = j = 20 has
+# 441 blocks; at the six default float points, 1F1(alpha; 2*alpha; c*x) at
+# c = 1, -1 and 2 takes twelve arguments. Full of 2F3 sums, it holds about 2 MB.
+# Threads need no lock: each lookup and store is one dict operation, and two
+# threads that sum one factor at once make the same sum; only the count and
+# the store are two steps, so threads storing at one moment may pass 16 by one.
+_FLOAT_SPECS = 512
+_FLOAT_ARGS = 16
+
+
+@functools.lru_cache(maxsize=_FLOAT_SPECS)
+def _factor_sums(key: tuple[int | tuple[int, int], ...]) -> dict[float, FloatSum]:
+    """The kept sums of the spec whose :func:`_spec_key` is ``key``, by argument."""
+    return {}
+
+
+def _spec_key(spec: HypSpec) -> tuple[int | tuple[int, int], ...]:
+    """A spec's value as integers: its count of upper parameters, then each
+    parameter's integer ratio. It hashes in well under a microsecond, where
+    a spec's Fractions take 2 to 5."""
+    return len(spec.upper), *map(Fraction.as_integer_ratio, spec.upper + spec.lower)
+
+
 def _side_floats(side: RawProduct | Side | ProductSide, xs: Sequence[float]) -> list[tuple[float, bool]]:
     """Float value of a side at each x, and whether it is finite and every
     factor's sum converged; ``(inf, False)`` at an x where a weight, power
@@ -279,25 +305,33 @@ def _side_floats(side: RawProduct | Side | ProductSide, xs: Sequence[float]) -> 
     read nan. The terms are listed once, by :func:`_float_terms`, then
     summed at each x in the same order.
 
-    Each distinct factor is summed once per call: the sums are kept by
-    ``(id(spec), argument)``, which is safe because ``terms`` holds every
-    spec for the whole call. An ``x**2/c`` factor takes the same argument
-    at ``x`` and ``-x``, so at symmetric points it is summed half as often.
+    Each distinct factor is summed once per process: the sums are kept by
+    value, ``(spec, argument)``, in :func:`_factor_sums`, so both sides of
+    every entry at one point share them, and an ``x**2/c`` factor takes the
+    same argument at ``x`` and ``-x``. A kept sum is what the call would
+    return, so no float depends on what was summed before. The call looks
+    each factor's spec up once and keeps no sums of its own; a NaN
+    argument, which no lookup finds again, is not kept.
     """
-    terms = _float_terms(side)
-    sums: dict[tuple[int, float], FloatSum] = {}
+    try:
+        terms = [(float(term.weight), term.power, [(_factor_sums(_spec_key(spec)), spec, arg) for spec, arg in term.factors])
+                 for term in _float_terms(side)]
+    except OverflowError:  # a weight past the double range
+        return [(math.inf, False)] * len(xs)
     values = []
     for x in xs:
         total = 0.0
         converged = True
         try:
-            for term in terms:
-                value = float(term.weight) * x**term.power
-                for spec, (c, squared) in term.factors:
-                    key = id(spec), x * x / c if squared else c * x
-                    factor = sums.get(key)
+            for weight, power, factors in terms:
+                value = weight * x**power
+                for sums, spec, (c, squared) in factors:
+                    arg = x * x / c if squared else c * x
+                    factor = sums.get(arg)
                     if factor is None:
-                        factor = sums[key] = pfq_eval_float(spec, key[1], tol=_FLOAT_TOL, max_terms=_FLOAT_TERMS)
+                        factor = pfq_eval_float(spec, arg, tol=_FLOAT_TOL, max_terms=_FLOAT_TERMS)
+                        if len(sums) < _FLOAT_ARGS and not math.isnan(arg):
+                            sums[arg] = factor
                     value *= factor.value
                     converged = converged and factor.converged
                 total += value
@@ -581,9 +615,10 @@ def _lower_forms(*sides: SideOf) -> tuple[tuple[str, tuple[int, int, int, int]],
 
 def _clear_memos() -> None:
     """Forget what the points of a grid share: each factor's expansion and
-    findings, and the kept span quotients."""
+    findings, the kept span quotients and the kept float sums."""
     _expansion.cache_clear()
     _SPANS.clear()
+    _factor_sums.cache_clear()
 
 
 def _product_requirements(raised: tuple[bool, bool], params: IdentityParams, equal_param: bool = False) -> Findings:

@@ -18,8 +18,9 @@ TERMS_VIEW = "3.1 tuple(ProductSide.terms) i=8 j=8"
 CONSTRUCTORS = {"FloatSum", "HypSpec 1F1", "IdentityParams", TERMS_VIEW}
 LAYERS = {"3.1 _float_terms i=8 j=8", "check_admissible 1.7", "check_admissible 1.8 gamma=5",
           "check_admissible 2.1 i=8 j=8"}
-QUICK_CASES = {"1.10 build_rhs cap=16", "1.10 build_lhs cap=16", "1.10 rhs_float", *CONSTRUCTORS, *LAYERS, REQUEST_CASE,
-               IMPORT_CASE}
+COLD_FLOAT = "1.10 rhs_float memos cleared"
+QUICK_CASES = {"1.10 build_rhs cap=16", "1.10 build_lhs cap=16", "1.10 rhs_float", COLD_FLOAT, *CONSTRUCTORS, *LAYERS,
+               REQUEST_CASE, IMPORT_CASE}
 
 
 def bench(other: Path, out: Path) -> dict:
@@ -58,7 +59,7 @@ def test_a_case_the_other_tree_cannot_build_is_missing(tmp_path):
     cli.write_text(cli.read_text() + "\nraise ImportError('no command line')\n")
     cases = bench(tmp_path, tmp_path / "bench.json")
     assert cases["1.10 build_rhs cap=16"] == {"missing": ["other"]}
-    assert cases["1.10 rhs_float"] == {"missing": ["other"]}
+    assert cases["1.10 rhs_float"] == cases[COLD_FLOAT] == {"missing": ["other"]}
     assert cases[IMPORT_CASE] == cases[REQUEST_CASE] == {"missing": ["other"]}
     assert "median_ratio" in cases["1.10 build_lhs cap=16"]
     # the records and the per-point layers are still made in the broken tree
@@ -95,3 +96,11 @@ def test_the_full_ladder_times_float_sides_and_a_deep_left_side():
     assert bench_layers.GRID_CASE not in bench_layers.table(quick=True)
     grid = bench_layers.made(table[bench_layers.GRID_CASE], tree, src)
     assert [report.status for report in grid()] == ["exact_match"] * 81
+    # after the grid, every float side and the 2.x and 3.1 default verifies from cleared memos, then one catalog point
+    cold = names[names.index(bench_layers.GRID_CASE) + 1:names.index(bench_layers.CATALOG_POINT_CASE) + 1]
+    assert cold == [*(f"{label} memos cleared" for label in floats),
+                    *(f"{tag} verify_identity i={n} j={n} memos cleared" for n in (8, 20) for tag in ("2.1", "2.2", "2.3", "3.1")),
+                    "catalog point verify_identity cap=96 memos cleared"]
+    point = bench_layers.made(table[bench_layers.CATALOG_POINT_CASE], tree, src)
+    assert [report.identity for report in point()] == [*bench_layers.PAIR_TAGS, *["1.17"] * 3, *["1.18"] * 3]
+    assert {report.status for report in point()} == {"exact_match"}

@@ -7,6 +7,7 @@ import math
 import pkgutil
 import random
 import sys
+import threading
 from fractions import Fraction
 from pathlib import Path
 
@@ -1500,6 +1501,15 @@ def test_side_floats_match_the_per_term_loop_bit_for_bit(tag, monkeypatch):
         assert repr(got) == repr(want), xs
 
 
+def test_a_weight_past_the_double_range_reads_inf_at_every_x():
+    """A weight that no double holds is an overflow at every x, a NaN and
+    the zeros included, as in the per-term loop, which meets it at each x."""
+    big = Fraction(10**400, 3)
+    side = Side((Term((identities._f11(A, 2 * A),)), Term((identities._f01(A + 1, Arg(4, True)),), big, 1)), Fraction(1))
+    assert _side_floats(side, EDGE_FLOAT_POINTS) == per_term_side_floats(side, EDGE_FLOAT_POINTS)
+    assert _side_floats(side, EDGE_FLOAT_POINTS) == [(math.inf, False)] * len(EDGE_FLOAT_POINTS)
+
+
 def test_a_product_side_sums_each_block_once_per_distinct_argument(monkeypatch):
     """Every block of 2.1 is a factor at ``x**2/4``, so the six symmetric
     default points give it three distinct arguments."""
@@ -1514,6 +1524,130 @@ def test_a_product_side_sums_each_block_once_per_distinct_argument(monkeypatch):
     get("2.1").rhs_float(IdentityParams(alpha=A, beta=B, i=i, j=j), DEFAULT_FLOAT_POINTS)
     assert len(calls) == (i + 1) * (j + 1) * 3
     assert {x for _, x in calls} == {x * x / 4 for x in DEFAULT_FLOAT_POINTS}
+
+
+def float_sides(tag, xs):
+    """Both float sides of a series entry at one point of the catalog, by ``repr``."""
+    define = get(tag)
+    point = {name: value for name, value in (("beta", B), ("i", 2), ("j", 3)) if name in define.uses}
+    params = IdentityParams(alpha=A, **point)
+    return repr([define.lhs_float(params, xs), define.rhs_float(params, xs)])
+
+
+def test_kept_float_sums_change_no_float():
+    """Every series entry's float sides, at the default and the edge
+    points, read the same from kept sums as from cleared memos, after the
+    whole catalog warmed the memo in forward and in reverse order."""
+    cold = {}
+    for tag in SERIES_TAGS:
+        identities._clear_memos()
+        cold[tag] = [float_sides(tag, xs) for xs in (DEFAULT_FLOAT_POINTS, EDGE_FLOAT_POINTS)]
+    for order in (SERIES_TAGS, SERIES_TAGS[::-1]):
+        identities._clear_memos()
+        warming = {tag: [float_sides(tag, xs) for xs in (DEFAULT_FLOAT_POINTS, EDGE_FLOAT_POINTS)] for tag in order}
+        assert warming == cold
+        for tag in order:
+            assert [float_sides(tag, xs) for xs in (DEFAULT_FLOAT_POINTS, EDGE_FLOAT_POINTS)] == cold[tag], tag
+
+
+@pytest.fixture
+def summed(monkeypatch):
+    """Every ``(spec, argument)`` the float route sums, in order."""
+    calls = []
+
+    def counting(spec, x, **kwargs):
+        calls.append((spec, x))
+        return pfq_eval_float(spec, x, **kwargs)
+
+    monkeypatch.setattr(identities, "pfq_eval_float", counting)
+    return calls
+
+
+@pytest.mark.parametrize("tag", ["1.5", "1.6", "1.9"])
+def test_a_left_side_of_one_repeated_factor_takes_six_sums(tag, summed):
+    """1.5's ``1F1(alpha; 2*alpha; 2x)``, 1.6's mirrored pair and 1.9's
+    squared pair are each one factor at six arguments: kept by value, the
+    pair's two equal specs share their sums."""
+    get(tag).lhs_float(IdentityParams(alpha=A), DEFAULT_FLOAT_POINTS)
+    assert len(summed) == len(set(summed)) == 6
+    assert {spec for spec, _ in summed} == {HypSpec((A,), (2 * A,))}
+
+
+def test_the_entries_at_one_point_share_each_factor_sum(summed):
+    """Both sides of 1.5, 1.6, 1.7, 1.9, 1.12 and 1.13 at one point sum
+    every factor once per argument; ``1F1(alpha; 2*alpha; c*x)``, at
+    c = 1, -1 and 2, takes twelve."""
+    params = IdentityParams(alpha=A, beta=B)
+    for tag in ("1.5", "1.6", "1.7", "1.9", "1.12", "1.13"):
+        get(tag).lhs_float(params, DEFAULT_FLOAT_POINTS)
+        get(tag).rhs_float(params, DEFAULT_FLOAT_POINTS)
+    assert len(summed) == len(set(summed))
+    kummer = sorted(x for spec, x in summed if spec == HypSpec((A,), (2 * A,)))
+    assert kummer == sorted(c * x for c in (1, 2) for x in DEFAULT_FLOAT_POINTS)
+
+
+def kept_sums(spec):
+    """The memo's sums of one spec, by argument; an empty dict for a spec it does not keep."""
+    return identities._factor_sums(identities._spec_key(spec))
+
+
+def test_the_float_memo_is_bounded_and_cleared(summed):
+    """``_clear_memos`` empties the memo; a 2.1 side of more blocks than
+    it keeps specs leaves it full, not past its bound; a spec keeps at most
+    ``_FLOAT_ARGS`` arguments, and a later argument is summed again."""
+    memo = identities._factor_sums
+    n = 23
+    assert (n + 1) ** 2 > identities._FLOAT_SPECS
+    get("2.1").rhs_float(IdentityParams(alpha=A, beta=B, i=n, j=n), DEFAULT_FLOAT_POINTS)
+    assert memo.cache_info().currsize == identities._FLOAT_SPECS
+    identities._clear_memos()
+    assert memo.cache_info().currsize == 0
+
+    xs = [k / 8 for k in range(1, identities._FLOAT_ARGS + 5)]
+    lhs_float, params, spec = get("1.2").lhs_float, IdentityParams(alpha=A), HypSpec((A,), (2 * A,))
+    first = lhs_float(params, xs)
+    assert sorted(kept_sums(spec)) == xs[: identities._FLOAT_ARGS]
+    del summed[:]
+    assert lhs_float(params, xs) == first
+    assert summed == [(spec, x) for x in xs[identities._FLOAT_ARGS:]]
+
+
+def test_a_nan_argument_leaves_no_sum(summed):
+    lhs_float, params, spec = get("1.2").lhs_float, IdentityParams(alpha=A), HypSpec((A,), (2 * A,))
+    for _ in range(2):
+        ((value, converged),) = lhs_float(params, (math.nan,))
+        assert math.isnan(value) and not converged
+    assert len(summed) == 2 and kept_sums(spec) == {}
+
+
+def test_threads_summing_float_sides_at_once_get_the_single_thread_values():
+    """Four threads evaluate the float sides of six entries at once, each
+    in its own order, switching every microsecond, so that the memo is
+    filled, read and cleared under them: every value equals the one a
+    single thread gets."""
+    tags = ["1.5", "1.6", "1.9", "1.10", "2.1", "3.1"]
+    alone = {}
+    for tag in tags:
+        identities._clear_memos()
+        alone[tag] = float_sides(tag, DEFAULT_FLOAT_POINTS)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    differ = 0
+    try:
+        for _ in range(20):
+            identities._clear_memos()
+            got = [None] * 4
+            threads = [threading.Thread(target=lambda k=k: got.__setitem__(
+                k, {tag: float_sides(tag, DEFAULT_FLOAT_POINTS) for tag in tags[k:] + tags[:k]})) for k in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in threads)
+            differ += sum(values != alone for values in got)
+    finally:
+        sys.setswitchinterval(interval)
+    assert differ == 0, f"{differ} of 80 threads differ"
 
 
 @pytest.mark.parametrize("name", ["PP", "MM", "PM"])
