@@ -49,16 +49,19 @@ and is missing in a tree without that view. Then come the per-point layers:
 ``_float_terms`` of the same side, which lists those blocks for the float
 route, and ``verify.check_admissible`` of 1.7, whose findings a tree may
 read off its side declarations, of 1.8 at gamma 5 and of 2.1 at i = j = 8,
-each on a fresh ``IdentityParams`` as a request makes one. Then
-comes one whole request, ``cli.run`` of ``verify`` at that 1.8 point with
-``--output=json``, its stdout kept in memory. Last comes the import case,
+each on a fresh ``IdentityParams`` as a request makes one; in the full
+ladder the 2.1 gate follows from cleared memos, at i = j = 8 and at the
+command line's largest shift, i = j = 64, so that each derives its two
+factors from cold. Then comes one whole request, ``cli.run`` of
+``verify`` at that 1.8 point with ``--output=json``, its stdout kept in
+memory. Last comes the import case,
 ``python3 -c "import hypident.cli"`` with only the tree's ``src`` on
 ``PYTHONPATH``: the wall time of one fresh process a batch, as the benchmark's
 ``setup_s`` takes it, each tree byte-compiled first, as ``bench_pairs.py``
 does, since a fresh process may not write its own cache. ``--quick`` takes two
 builders at cap 16, one float side warm and cold, the constructors, the
 per-point layers, the request and the import case, for a smoke test; the
-grid is in the full ladder only.
+grid and the cold gates are in the full ladder only.
 
 The result is printed as a table and, with ``--out``, written under the
 ``layers`` key of that JSON file; an existing file is updated, not
@@ -101,6 +104,8 @@ GRID_CASE = f"2.1 sweep i<=8 j<=8 {COLD}"
 # the entries that deep_series verifies at alpha and beta; 1.17 and 1.18 follow at i = 0..2
 PAIR_TAGS = ("1.1", "1.2", "1.5", "1.6", "1.7", "1.9", "1.10", "1.11", "1.12", "1.13")
 CATALOG_POINT_CASE = f"catalog point verify_identity cap=96 {COLD}"
+MAX_SHIFT = 64  # the command line's largest shift, cli.MAX_SHIFT
+COLD_GATES = {f"check_admissible 2.1 i={n} j={n} {COLD}": dict(i=n, j=n) for n in (8, MAX_SHIFT)}
 
 
 def cold_ladder(quick: bool) -> list[tuple[str, str, dict]]:
@@ -253,6 +258,8 @@ def table(quick: bool) -> dict:
         "check_admissible 1.7": lambda tree, src: admissible(tree, "1.7", {}),
         "check_admissible 1.8 gamma=5": lambda tree, src: admissible(tree, "1.8", WATSON_POINT),
         "check_admissible 2.1 i=8 j=8": lambda tree, src: admissible(tree, "2.1", dict(i=8, j=8)),
+        **({} if quick else {name: cleared(lambda tree, src, point=point: admissible(tree, "2.1", point))
+                             for name, point in COLD_GATES.items()}),
         REQUEST_CASE: request,
         IMPORT_CASE: fresh_import,
     }

@@ -358,45 +358,39 @@ _SECOND = ("beta", "j", "n")
 
 # An expansion and its findings are kept by (parameter, shift, direction,
 # names), so the points of a grid and the gate and builder of each share
-# them: enough for every factor of a 2.1-2.3 sweep at i, j <= 64, three tags
-# of two factors at 65 shifts each.
-_FACTOR_MEMO = 3 * 2 * 65
+# them. The bound holds, at one (alpha, beta) and i, j <= 64, the four
+# factors of 2.1-2.3 (2.3's are 2.1's first and 2.2's second) and the
+# second factor of the 3.1-3.3 gates, spelled with alpha.
+_FACTOR_MEMO = (4 + 2) * 65
 
 
 @functools.lru_cache(maxsize=_FACTOR_MEMO)
 def _expansion(
-    alpha: Fraction, i: int, raised: bool, names: tuple[str, str, str] = _FIRST
+    alpha: Fraction, i: int, raised: bool, names: tuple[str, str, str]
 ) -> tuple[Findings, Findings, Expansion | AdmissibilityFinding]:
     """One expansion and its admissibility: the findings on its factor and
     weights, those on the lower parameter of every block, then ``(rho,
     weights)``, the sum of ``weights[m] * x**m * 0F1(; rho + m; x**2/16)``,
     or, if a weight's denominator vanishes, the finding with the first index
-    (``(2*base +/- i)_m`` on a tie). A zero weight makes every later one
-    zero, and the weights stop before the first of them."""
+    (``(2*base +/- i)_m`` on a tie). Weight m is term m of
+    ``2F2(-i, 2*base - 1; 2*base +/- i, base - 1/2; +/-t/4)``, each
+    denominator declared once with its spelling; the weights stop before
+    the first zero one."""
     a, s, k = names
     if raised:
         base, lower, weight_base, block = alpha, f"2*{a} + {s}", f"{a} - 1/2", f"{a} + {k} + 1/2"
     else:
         base, lower, weight_base, block = alpha - i, f"2*{a} - {s}", f"{a} - {s} - 1/2", f"{a} + {k} - {s} + 1/2"
-    vanishing = (check_poch(f"({lower})_{k}", 2 * base + i, i, k), check_poch(f"({weight_base})_{k}", base - HALF, i, k))
+    twice = 2 * base
+    lowers = (lower, twice + i), (weight_base, base - HALF)
+    vanishing = tuple([check_poch(f"({spelling})_{k}", value, i, k) for spelling, value in lowers])
     rho = base + HALF  # every rho + m has rho's denominator, so only an integer rho can fail
     blocks = tuple([check_lower(block, rho + m, where=f"summand {k}={m}") for m in range(i + 1)]) if rho.denominator == 1 else ()
-    findings = (check_lower(lower, 2 * base + i), *vanishing), blocks
+    findings = (check_lower(*lowers[0]), *vanishing), blocks
     if any(vanishing):
         return *findings, min(filter(None, vanishing), key=lambda finding: finding.index)
-    # weight m is sign**m (-i)_m (2*base - 1)_m / ((2*base + i)_m
-    # (base - 1/2)_m m! 4**m); with base = P/Q, step m multiplies it by
-    # sign (m-1-i) (2P + (m-2)Q) Q / (2m (2P + (i+m-1)Q) (2P + (2m-3)Q))
-    sign = 1 if raised else -1
-    P, Q = base.numerator, base.denominator
-    num = den = 1
-    weights = [Fraction(1)]
-    for m in range(1, i + 1):
-        num *= sign * (m - 1 - i) * (2 * P + (m - 2) * Q) * Q
-        den *= 2 * m * (2 * P + (i + m - 1) * Q) * (2 * P + (2 * m - 3) * Q)
-        if num:
-            weights.append(Fraction(num, den))
-    return *findings, (rho, tuple(weights))
+    den, nums = _pfq_integers((Fraction(-i), twice - 1), tuple([value for _, value in lowers]), i, 1 if raised else -1, 4)
+    return *findings, (rho, tuple([Fraction(num, den) for num in nums if num]))  # zeros come only past the end
 
 
 def _expansion_terms(alpha: Fraction, i: int, raised: bool, names: tuple[str, str, str] = _FIRST) -> Expansion:
@@ -627,7 +621,7 @@ def _product_requirements(raised: tuple[bool, bool], params: IdentityParams, equ
     first_raised, second_raised = raised
     alpha, i, j = params.alpha, params.i, params.j
     beta, b_name = (alpha, "alpha") if equal_param else (params.beta, "beta")
-    first_weights, first_blocks, _ = _expansion(alpha, i, first_raised)
+    first_weights, first_blocks, _ = _expansion(alpha, i, first_raised, _FIRST)
     second_weights, second_blocks, _ = _expansion(beta, j, second_raised, (b_name, "j", "n"))
     reqs = [*first_weights, *second_weights, *first_blocks, *second_blocks]
 
@@ -936,7 +930,7 @@ def _build_registry() -> dict[IdentityId, IdentityDef]:
             uses=("alpha", "i"),
             lhs=lambda p: RawProduct((_f11(p.alpha, 2 * p.alpha + p.i),), exp=-HALF),
             rhs=lambda p: _expansion_side(p.alpha, p.i, raised=True),
-            requirements=lambda p: sum(_expansion(p.alpha, p.i, True)[:2], ()),
+            requirements=lambda p: sum(_expansion(p.alpha, p.i, True, _FIRST)[:2], ()),
         ),
         _series_entry(
             id=IdentityId.EXPAND_LOWERED,
@@ -944,7 +938,7 @@ def _build_registry() -> dict[IdentityId, IdentityDef]:
             uses=("alpha", "i"),
             lhs=lambda p: RawProduct((_f11(p.alpha, 2 * p.alpha - p.i),), exp=-HALF),
             rhs=lambda p: _expansion_side(p.alpha, p.i, raised=False),
-            requirements=lambda p: sum(_expansion(p.alpha, p.i, False)[:2], ()),
+            requirements=lambda p: sum(_expansion(p.alpha, p.i, False, _FIRST)[:2], ()),
         ),
     ]
 

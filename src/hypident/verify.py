@@ -170,8 +170,10 @@ def sweep_axes(
     is the grid: alpha always, beta when used (an empty beta_set then
     means an empty grid), i and j from 0 up to the given maxima when used.
     Values are in ascending order. Nothing is verified, so a caller can
-    size the grid before running it."""
+    size the grid before running it. A maximum shift that
+    :class:`IdentityParams` refuses as a shift raises its ValueError."""
     define = identities.get(identity)
+    IdentityParams(0, i=i_max, j=j_max)
     alphas = sorted(set(_exact_rational(a, "alpha") for a in alpha_set))
     if "beta" in define.uses:
         betas: list[Fraction | None] = sorted(set(_exact_rational(b, "beta") for b in beta_set))

@@ -8,6 +8,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+from hypident.cli import MAX_SHIFT
+
 ROOT = Path(__file__).resolve().parent.parent
 SCRIPT = ROOT / "scripts" / "bench_layers.py"
 IMPORT_CASE = "import hypident.cli"
@@ -104,3 +106,9 @@ def test_the_full_ladder_times_float_sides_and_a_deep_left_side():
     point = bench_layers.made(table[bench_layers.CATALOG_POINT_CASE], tree, src)
     assert [report.identity for report in point()] == [*bench_layers.PAIR_TAGS, *["1.17"] * 3, *["1.18"] * 3]
     assert {report.status for report in point()} == {"exact_match"}
+    # the 2.1 gate from cleared memos, after the per-point layers, at the benchmark's shifts and the largest one
+    assert bench_layers.MAX_SHIFT == MAX_SHIFT
+    gates = ["check_admissible 2.1 i=8 j=8 memos cleared", f"check_admissible 2.1 i={MAX_SHIFT} j={MAX_SHIFT} memos cleared"]
+    start = names.index("check_admissible 2.1 i=8 j=8") + 1
+    assert names[start:start + 2] == gates and not set(gates) & set(bench_layers.table(quick=True))
+    assert all(bench_layers.made(table[name], tree, src)() == [] for name in gates)

@@ -1326,16 +1326,21 @@ def package_functions():
 PACKAGE_FUNCTIONS = package_functions()
 
 
-def reached(build, params):
+def reached(build, params, callers_of=None):
     """The package functions that ``build(params)`` calls, recorded with
     ``sys.setprofile``, every memo cleared first so that a memoized
-    function is called, not only looked up."""
+    function is called, not only looked up. Given ``callers_of``, a
+    function's name, the functions that call that one instead."""
     seen = set()
     identities._clear_memos()
 
     def profile(frame, event, arg):
         if event == "call" and frame.f_code in PACKAGE_FUNCTIONS:
-            seen.add(PACKAGE_FUNCTIONS[frame.f_code])
+            name = PACKAGE_FUNCTIONS[frame.f_code]
+            if callers_of is None:
+                seen.add(name)
+            elif name == callers_of:
+                seen.add(PACKAGE_FUNCTIONS.get(frame.f_back.f_code))
 
     sys.setprofile(profile)
     try:
@@ -1388,8 +1393,10 @@ AUDIT_POINTS = [
 def test_the_two_routes_stay_two(tag, point):
     """A left side reaches none of the right sides' machinery, the two
     sides share only the functions in ``SHARED``, and a 3.x right side is
-    written with alpha only, not composed from the 2.x expansions: only its
-    summation, the double sum of 2F3 blocks, is shared with 2.x."""
+    written with alpha only, not composed from the 2.x expansions. A 2.x
+    right side reaches the pFq kernel only through ``_expansion``, for the
+    factors' weights, and a 3.x one reaches neither: only its summation,
+    the double sum of 2F3 blocks, is shared with 2.x."""
     define = get(tag)
     point = {**point, **{shift: 0 for shift in ("i", "j") if shift not in define.uses}}
     params = IdentityParams(**point)
@@ -1406,8 +1413,9 @@ def test_the_two_routes_stay_two(tag, point):
     expansion = {"identities._expansion", "identities._expansion_terms"}
     if tag.startswith("2."):
         assert expansion <= rhs
+        assert reached(define.build_rhs, params, callers_of="hyper._pfq_integers") == {"identities._expansion"}
     if tag.startswith("3."):
-        assert expansion & rhs == set()
+        assert (expansion | {"hyper._pfq_integers"}) & rhs == set()
         assert {"identities._equal_param_factor", "right._bailey_double_sum"} <= rhs
     assert "identities._printed" not in rhs
 

@@ -29,6 +29,7 @@ from hypident.verify import (
     check_admissible,
     float_residuals,
     sweep,
+    sweep_axes,
     verify_identity,
 )
 
@@ -588,6 +589,18 @@ class TestSweep:
         assert len(reports) == 1
         assert reports[0].status == "float_only_pass"
 
+    @pytest.mark.parametrize("shift, message", [
+        (dict(i_max=-1), "shifts i and j must be nonnegative"),
+        (dict(j_max=-2), "shifts i and j must be nonnegative"),
+        (dict(i_max=True), "i must be an int, got True"),
+        (dict(j_max=1.5), "j must be an int, got 1.5"),
+    ])
+    @pytest.mark.parametrize("axes", [sweep, sweep_axes], ids=["sweep", "sweep_axes"])
+    def test_a_negative_or_non_int_max_shift_is_refused_as_params_refuse_it(self, axes, shift, message):
+        # unrefused, -1 gave an empty grid and True the grid 0..1
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            axes("2.1", [A], [B], **shift)
+
     @pytest.mark.parametrize(
         "args, gamma, name",
         [(("1.2", [0.1]), None, "alpha"), (("2.1", [A], [0.25]), None, "beta"), (("1.8", [A], [B]), 0.1, "gamma")],
@@ -678,6 +691,28 @@ class TestSharedMemos:
         report = verify_identity("2.1", IdentityParams(alpha=A, beta=B, i=12, j=12, cap=400), ())
         assert report.status == "exact_match"
         assert right._SPANS.kept <= right.SPAN_BUDGET and len(right._SPANS.rows) < 25
+
+    def test_the_gate_and_the_builder_read_one_entry_per_factor(self):
+        """The gate and the builder of a point derive each of its factors
+        once: one entry for 1.17's factor, two for a 2.1 point's, and 24 for
+        2.1-2.3 and 3.1-3.3 over i, j <= 3 at one (alpha, beta), the four
+        2.x factors at each shift and the 3.x gates' second, spelled with alpha."""
+        memo = identities._expansion
+        identities._clear_memos()
+        verify_identity("1.17", IdentityParams(alpha=A, i=3), ())
+        assert memo.cache_info().misses == 1
+        identities._clear_memos()
+        params = IdentityParams(alpha=A, beta=B, i=3, j=2)
+        assert not check_admissible("2.1", params)
+        get("2.1").build_rhs(params)
+        assert memo.cache_info().misses == 2
+        identities._clear_memos()
+        for tag in ("2.1", "2.2", "2.3", "3.1", "3.2", "3.3"):
+            beta = B if tag.startswith("2.") else None
+            for i in range(4):
+                for j in range(4):
+                    verify_identity(tag, IdentityParams(alpha=A, beta=beta, i=i, j=j), ())
+        assert memo.cache_info().currsize == 24
 
     def test_threads_building_at_once_get_the_series_one_thread_gets(self):
         """Four threads build 2.1 right sides of two classes of rho + sigma
