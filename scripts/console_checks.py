@@ -12,7 +12,8 @@ On a working tree that is not installed, through a shim:
 
 A row of ``CASES`` is a command line, its exit status and one expectation on
 ``(stdout, stderr)``; a check of several commands is a function in the
-table. Prints one line per check, then the failures; exits 1 if any fails.
+table. A command still running after ``TIMEOUT`` seconds is killed and fails
+its check. Prints one line per check, then the failures; exits 1 if any fails.
 """
 
 import csv
@@ -24,8 +25,28 @@ import subprocess
 import sys
 
 
+# seconds a command may run before it is killed and its check fails; the
+# slowest, a 3.x sweep at i, j <= 20, takes about 5 s
+TIMEOUT = 300
+
+
+def finish(command: str, process: subprocess.Popen) -> subprocess.CompletedProcess:
+    """``process`` run to its end, or killed after ``TIMEOUT`` seconds and
+    given the exit status None, which fails its check as timed out."""
+    try:
+        out, err = process.communicate(timeout=TIMEOUT)
+        code = process.returncode
+    except subprocess.TimeoutExpired:
+        process.kill()
+        out, err = process.communicate()
+        code = None
+    return subprocess.CompletedProcess(command, code, out or "", err or "")
+
+
 def hypident(command: str) -> subprocess.CompletedProcess:
-    return subprocess.run(["hypident", *shlex.split(command)], capture_output=True, text=True)
+    process = subprocess.Popen(["hypident", *shlex.split(command)], stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                               text=True)
+    return finish(command, process)
 
 
 def status(want: str, extra=lambda report, err: True):
@@ -48,6 +69,8 @@ EXACT = status("exact_match")
 
 def judge(label: str, done: subprocess.CompletedProcess, code: int, expect) -> tuple[str, str | None]:
     """``(label, None)`` when ``done`` exited ``code`` and ``expect(stdout, stderr)`` holds, else ``(label, why)``."""
+    if done.returncode is None:
+        return label, f"timed out after {TIMEOUT} s; stderr ends {done.stderr[-300:]!r}"
     try:
         why = None if expect(done.stdout, done.stderr) else "expectation not met"
     except Exception as exc:  # an output the expectation cannot read fails the case
@@ -126,8 +149,7 @@ def closed_readers():
         reader = subprocess.Popen(["hypident", *shlex.split(command)], stdout=subprocess.PIPE, text=True,
                                   stderr=subprocess.STDOUT if shared else subprocess.PIPE)
         reader.stdout.close()
-        err = "" if shared else reader.stderr.read()
-        done = subprocess.CompletedProcess(command, reader.wait(), "", err)
+        done = finish(command, reader)
         label = f"{command}{' 2>&1' if shared else ''}, its reader gone"
         results.append(judge(label, done, 0, lambda out, err: "Traceback" not in err))
     return results

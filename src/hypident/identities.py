@@ -31,11 +31,11 @@ from enum import Enum
 from fractions import Fraction
 from typing import Callable, NamedTuple, Sequence
 
+from . import right
 from .hyper import DegenerateParameterError, FloatSum, HypSpec, _pfq_integers, bailey_product_spec, pfq_eval_float
 from .left import _raw_product_series
 from .rationals import _exact_rational, _over_common, format_rational, is_nonpositive_integer, pochhammer
 from .reports import AdmissibilityFinding, check_lower, check_poch, check_pole, check_positive
-from .right import _SPANS, _double_sum_series, _sum_series
 from .series import TruncatedSeries
 
 __all__ = [
@@ -100,7 +100,7 @@ class IdentityParams(namedtuple("IdentityParams", "alpha beta i j cap gamma prin
 
     def __new__(cls, alpha: Fraction | int, beta: Fraction | int | None = None, i: int = 0, j: int = 0,
                 cap: int | None = None, gamma: Fraction | int | None = None, printed_form: bool = False) -> IdentityParams:
-        # alpha is required, and a float is refused
+        # alpha is required, and a float or a bool is refused
         alpha = _exact_rational(alpha, "alpha")
         beta = None if beta is None else _exact_rational(beta, "beta")
         gamma = None if gamma is None else _exact_rational(gamma, "gamma")
@@ -246,8 +246,8 @@ def _side_series(side: RawProduct | Side | ProductSide, cap: int) -> TruncatedSe
     if isinstance(side, RawProduct):
         return _raw_product_series(side, cap)
     if isinstance(side, ProductSide):
-        return _double_sum_series(side, cap)
-    return _sum_series(side, cap)
+        return right._double_sum_series(side, cap)
+    return right._sum_series(side, cap)
 
 
 def _float_terms(side: RawProduct | Side | ProductSide) -> Sequence[Term]:
@@ -611,7 +611,7 @@ def _clear_memos() -> None:
     """Forget what the points of a grid share: each factor's expansion and
     findings, the kept span quotients and the kept float sums."""
     _expansion.cache_clear()
-    _SPANS.clear()
+    right._span_row.cache_clear()
     _factor_sums.cache_clear()
 
 

@@ -69,10 +69,13 @@ def is_nonpositive_integer(value: Fraction | int) -> bool:
 
 def _exact_rational(value: Fraction | int, name: str) -> Fraction:
     """``value`` as a fraction, a ``Fraction`` kept as it is. A float is refused:
-    ``Fraction(0.1)`` is the nearest double, not 1/10. ``name`` names the value."""
-    if isinstance(value, float):
-        raise ValueError(f"{name} must be an exact rational, not the float {value!r}")
-    return value if isinstance(value, Fraction) else Fraction(value)
+    ``Fraction(0.1)`` is the nearest double, not 1/10. So is a bool: Python
+    counts ``True`` as the int 1, but it is no rational. ``name`` names the value."""
+    if isinstance(value, Fraction):
+        return value
+    if isinstance(value, (bool, float)):
+        raise ValueError(f"{name} must be an exact rational, not the {type(value).__name__} {value!r}")
+    return Fraction(value)
 
 
 def _over_common(*values: Fraction) -> tuple[int, list[int]]:
@@ -92,6 +95,8 @@ def pochhammer(base: Fraction | int, count: int) -> Fraction:
     With ``base = p/q`` it is one integer product over ``q**count``,
     ``p (p+q) ... (p+(count-1)q) / q**count``, reduced once at the end.
     """
+    if isinstance(count, bool) or not isinstance(count, int):
+        raise ValueError(f"pochhammer index must be an int, got {count!r}")
     if count < 0:
         raise ValueError("pochhammer index must be nonnegative")
     p, q = _exact_rational(base, "base").as_integer_ratio()

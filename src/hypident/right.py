@@ -9,8 +9,8 @@ left route, :mod:`~hypident.left`."""
 
 from __future__ import annotations
 
+import functools
 import math
-import threading
 from collections.abc import Sequence
 from fractions import Fraction
 from itertools import accumulate, repeat
@@ -213,8 +213,10 @@ def _bailey_double_sum(
     deepest k, so one k-table ``shared[k]`` over that denominator serves
     every diagonal. The spans stay in the numerator: with ``n, P0 =
     divmod(P, Q)`` the span of diagonal s is row ``s + n`` of the class
-    ``(P0, Q)``'s quotient table (:class:`_SpanQuotients`), which the points
-    of one grid share. Coefficient k of diagonal s is then ``shared[k] *
+    ``(P0, Q)`` (:func:`_span_row`), which the points of one grid share. The
+    row is read at the diagonal's depth rounded up to a power of two, so
+    points whose caps differ a little read one row; ``map`` stops at the
+    shorter list. Coefficient k of diagonal s is then ``shared[k] *
     span * sum_m A[m][k] B[s-m][k]``: each diagonal sums its pairs as one
     vector over k, column by column, and writes its coefficients
     ``nums[s::2]`` at once.
@@ -240,72 +242,30 @@ def _bailey_double_sum(
         pairs = [0] * ((cap - s) // 2 + 1)
         for m in range(max(0, s - top_b), min(s, top_a) + 1):
             pairs = list(map(add, pairs, map(mul, cols_a[m], cols_b[s - m])))
-        scales = map(mul, shared, _SPANS.row(P0, Q, s + n, len(pairs) - 1))
+        scales = map(mul, shared, _span_row(P0, Q, s + n, 1 << (len(pairs) - 2).bit_length()))
         nums[s::2] = map(add, nums[s::2], map(mul, scales, pairs))
     return common * den_a * den_b, nums
 
 
-# quotients kept: every row of a 2.1-2.3 grid at i, j <= 20 and its default
-# caps takes 3268; at degree 512 a request keeps about 16 rows of its 129
-SPAN_BUDGET = 4096
+# rows kept, not integers, as a row holds up to cap/2 + 1 quotients: one class
+# of a seed-1 block of the benchmark's 2.1-2.3 grid reads at most 34 rows, a
+# 2.1-2.3 sweep at i, j <= 20 misses 334 of its 27,783 reads, and a verify at
+# degree 512 reads 129 rows, each once
+SPAN_ROWS = 64
 
 
-class _SpanQuotients:
-    """The span quotients of one class ``(P0, Q)`` of ``rho + sigma``, kept
-    between calls: with ``F0(u) = P0 + u*Q``, row t holds
-
-        q(t, k) = F0(t+k-1) ... F0(t+2k-2)
-
-    at k = 0, 1, ..., the span of F on diagonal ``s = t - n`` of a double
-    sum whose ``rho + sigma`` is ``n + P0/Q``. Every point of a 2.1, 2.2 or
-    2.3 grid at one (alpha, beta) has its ``rho + sigma`` in one class, so
-    they all read one table. A row grows on demand by the exact step
-
-        q(t, k+1) = q(t, k) F0(t+2k-1) F0(t+2k) // F0(t+k-1),
-
-    whose divisor is ``F(s+k-1)``, nonzero at every block the caller
-    admits. Another class replaces the table. At most ``SPAN_BUDGET``
-    quotients are kept; a row that would pass it is grown for its call
-    only and dropped. One lock covers each call, so threads that build
-    right sides at once read and grow the table one at a time; a row
-    handed out is only ever extended, so its caller reads it unlocked.
-    """
-
-    __slots__ = ("key", "rows", "kept", "lock")
-
-    def __init__(self) -> None:
-        self.lock = threading.Lock()
-        self.clear()
-
-    def clear(self) -> None:
-        with self.lock:
-            self.key: tuple[int, int] | None = None
-            self.rows: dict[int, list[int]] = {}
-            self.kept = 0
-
-    def row(self, P0: int, Q: int, t: int, depth: int) -> list[int]:
-        """Row t up to ``k = depth`` at least."""
-        with self.lock:
-            if self.key != (P0, Q):
-                self.key, self.rows, self.kept = (P0, Q), {}, 0
-            row = self.rows.get(t, [1])
-            known = len(row) - 1
-            if known >= depth:
-                return row
-            keep = self.kept + depth - known <= SPAN_BUDGET
-            if not keep:
-                row = row.copy()
-            q = row[-1]
-            for k in range(known, depth):
-                q = q * (P0 + (t + 2 * k - 1) * Q) * (P0 + (t + 2 * k) * Q) // (P0 + (t + k - 1) * Q)
-                row.append(q)
-            if keep:
-                self.rows[t] = row
-                self.kept += depth - known
-            return row
-
-
-_SPANS = _SpanQuotients()
+@functools.lru_cache(maxsize=SPAN_ROWS)
+def _span_row(P0: int, Q: int, t: int, depth: int) -> tuple[int, ...]:
+    """Row t of the span quotients ``q(t, k) = F0(t+k-1) ... F0(t+2k-2)``
+    of the class ``(P0, Q)``, ``F0(u) = P0 + u*Q``, for ``k <= depth``, by
+    the exact step ``q(t, k+1) = q(t, k) F0(t+2k-1) F0(t+2k) // F0(t+k-1)``,
+    whose divisor is ``F(s+k-1)`` of :func:`_bailey_double_sum`, nonzero at
+    every block it admits. A kept row never changes, so threads share rows
+    with no lock; two that build one row at once build equal rows."""
+    row = [1]
+    for k in range(depth):
+        row.append(row[-1] * (P0 + (t + 2 * k - 1) * Q) * (P0 + (t + 2 * k) * Q) // (P0 + (t + k - 1) * Q))
+    return tuple(row)
 
 
 def _shift_table(rho: Fraction, weights: Sequence[Fraction], depth: int) -> tuple[int, list[list[int]]]:

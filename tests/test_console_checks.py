@@ -28,6 +28,27 @@ def shim(tmp_path, monkeypatch):
     monkeypatch.setenv("PATH", f"{tmp_path}{os.pathsep}{os.environ['PATH']}")
 
 
+@pytest.fixture
+def hung(tmp_path, monkeypatch):
+    """A ``hypident`` first on PATH that never ends on its own, and a timeout of half a second."""
+    script = tmp_path / "hypident"
+    script.write_text("#!/bin/sh\nexec sleep 60\n")
+    script.chmod(0o755)
+    monkeypatch.setenv("PATH", f"{tmp_path}{os.pathsep}{os.environ['PATH']}")
+    monkeypatch.setattr(checks, "TIMEOUT", 0.5)
+
+
+def test_a_hung_command_fails_its_own_check(hung, capsys):
+    """A command line, and each of a check's commands whose reader closes
+    stdout, is killed at its timeout and fails under its own label."""
+    assert checks.main([FAST, checks.closed_readers]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    labels = [line.removeprefix("FAILED hypident ") for line in lines[:3]]
+    assert labels[0] == FAST[0] and all(label.endswith(", its reader gone") for label in labels[1:])
+    assert lines[3] == "0/3 console checks passed"
+    assert [line.split(": ", 1)[1] for line in lines[4:]] == ["timed out after 0.5 s; stderr ends ''"] * 3
+
+
 def test_a_fast_case_passes(shim, capsys):
     assert checks.main([FAST]) == 0
     assert capsys.readouterr().out.splitlines() == [f"ok     hypident {FAST[0]}", "1/1 console checks passed"]

@@ -123,6 +123,13 @@ class TestParams:
         assert getattr(IdentityParams(**{**point, name: Fraction(1, 10)}), name) == Fraction(1, 10)
         assert getattr(IdentityParams(**{**point, name: -3}), name) == Fraction(-3)
 
+    @pytest.mark.parametrize("name", ["alpha", "beta", "gamma"])
+    def test_a_bool_parameter_is_refused(self, name):
+        # True is the int 1 to Python: unrefused, 1.10 verified at alpha = 1
+        point = {"alpha": A, "beta": B, "gamma": Fraction(1, 7)}
+        with pytest.raises(ValueError, match=f"^{name} must be an exact rational, not the bool True$"):
+            IdentityParams(**{**point, name: True})
+
     def test_missing_beta_detected(self):
         with pytest.raises(ValueError, match="needs beta"):
             get("1.7").validate_params(IdentityParams(alpha=A))

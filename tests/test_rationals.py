@@ -1,5 +1,6 @@
 """Tests for the exact scalar layer: parsing, formatting, rising factorials."""
 
+import re
 from fractions import Fraction
 
 import pytest
@@ -87,6 +88,17 @@ class TestPochhammer:
         # Fraction(0.1) is the nearest double, not 1/10: refused as every exact entry point refuses it
         with pytest.raises(ValueError, match=r"^base must be an exact rational, not the float 0.5$"):
             pochhammer(0.5, 2)
+
+    def test_a_bool_base_is_refused(self):
+        # True is the int 1 to Python: unrefused, (True)_3 was 6
+        with pytest.raises(ValueError, match=r"^base must be an exact rational, not the bool True$"):
+            pochhammer(True, 3)
+
+    @pytest.mark.parametrize("count", [True, False, 2.0, Fraction(2), "2"], ids=repr)
+    def test_a_count_that_is_no_int_is_refused(self, count):
+        # unrefused, (1/2)_True was 1/2 and (1/2)_2.0 raised TypeError from range
+        with pytest.raises(ValueError, match=f"^pochhammer index must be an int, got {re.escape(repr(count))}$"):
+            pochhammer(Fraction(1, 2), count)
 
     @pytest.mark.parametrize(
         "base",

@@ -1,6 +1,7 @@
 """Tests for admissibility checking, verification reports, and sweeps."""
 
 import dataclasses
+import functools
 import json
 import math
 import random
@@ -678,19 +679,41 @@ class TestSharedMemos:
         assert [f.parameter_expr for f in reports[8].findings] == ["alpha + beta", "alpha + beta + 1"]
         assert reports[9].status == reports[14].status == "exact_match"
 
-    def test_rows_past_the_budget_are_dropped(self, monkeypatch):
+    def test_rows_evicted_at_once_change_no_report(self, monkeypatch):
+        """With room for one span row, every row is built again where it is
+        next read: every point gives its cold outcome."""
         cold = self.cold()
-        monkeypatch.setattr(right, "SPAN_BUDGET", 40)
+        monkeypatch.setattr(right, "_span_row", functools.lru_cache(maxsize=1)(right._span_row.__wrapped__))
         identities._clear_memos()
         assert [self.outcome(*point) for point in self.POINTS] == cold
-        assert 0 < right._SPANS.kept <= 40
+        assert right._span_row.cache_info().misses > len(self.POINTS)
 
-    def test_the_kept_table_stays_within_its_budget(self):
+    def test_the_kept_rows_stay_within_their_bound(self, monkeypatch):
+        """25 diagonals of up to 200 quotients: every row the build reads is
+        kept whole, as a tuple, and no more than ``SPAN_ROWS`` rows are kept."""
         identities._clear_memos()
-        # 25 diagonals of up to 200 quotients: more than the budget holds
+        kept, read = right._span_row, []
+        monkeypatch.setattr(right, "_span_row", lambda *key: read.append(key) or kept(*key))
         report = verify_identity("2.1", IdentityParams(alpha=A, beta=B, i=12, j=12, cap=400), ())
         assert report.status == "exact_match"
-        assert right._SPANS.kept <= right.SPAN_BUDGET and len(right._SPANS.rows) < 25
+        assert 0 < kept.cache_info().currsize <= right.SPAN_ROWS
+        hits = kept.cache_info().hits
+        assert all(type(kept(*key)) is tuple for key in read)
+        assert kept.cache_info().hits == hits + len(read)
+
+    def test_rounded_depths_serve_every_cap(self):
+        """2.1-2.3 at caps 0..40 and i, j <= 3, built in one process, read
+        rows built for other caps and other points: each right side equals
+        its fresh build."""
+        points = [(get(tag).build_rhs, IdentityParams(alpha=A, beta=B, i=i, j=j, cap=cap))
+                  for tag in ("2.1", "2.2", "2.3") for cap in range(41) for i in range(4) for j in range(4)]
+        identities._clear_memos()
+        warm = [build(params) for build, params in points]
+        fresh = []
+        for build, params in points:
+            identities._clear_memos()
+            fresh.append(build(params))
+        assert warm == fresh
 
     def test_the_gate_and_the_builder_read_one_entry_per_factor(self):
         """The gate and the builder of a point derive each of its factors
