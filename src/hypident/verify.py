@@ -75,10 +75,14 @@ def float_residuals(identity: IdentityId | str, params: IdentityParams, xs: Sequ
     summed, and it is infinite when the sum ended unbounded (an infinite
     value or ``sum |t_k|``). An exact sum reports the floats of its exact
     sides and their exact relative error; a side past the double range
-    raises ValueError.
+    raises ValueError, and so does a point that is not finite, which JSON
+    could not write.
     The parameters are taken as given: admissibility is the caller's to check.
     """
     define = identities.get(identity)
+    for x in xs:
+        if not math.isfinite(x):
+            raise ValueError(f"a float point must be finite, got x = {x}")
     if define.kind == "series":
         sides = zip(xs, define.lhs_float(params, xs), define.rhs_float(params, xs)) if xs else ()
         return tuple(FloatResidual(x, relative_error(lhs, rhs) if l_ok and r_ok else math.inf, lhs, rhs, l_ok and r_ok)

@@ -1,10 +1,10 @@
 """Acceptance suite: ten go/no-go criteria for the verification engine.
 
 Each criterion is a standalone function returning a list of failure
-descriptions (empty means the criterion holds). The pytest wrappers print
-one ``criterion NN (label): PASS|FAIL`` line each, so a verbose run shows
-the full scoreboard; ``scripts/run_acceptance.py`` reuses the same
-functions outside pytest.
+descriptions (empty means the criterion holds). One test runs each of
+them, its id the criterion's number and name, so ``pytest -v`` on this
+file is the scoreboard, and a failing criterion's message lists every
+failure.
 
 Pinned tolerances: everything is exact rational equality except criterion 7
 (unit- and half-argument sums checked in floats at 1e-10 relative) and
@@ -15,6 +15,8 @@ import dataclasses
 import random
 import time
 from fractions import Fraction
+
+import pytest
 
 from hypident import identities
 from hypident.hyper import HypSpec, pfq_series
@@ -316,49 +318,8 @@ CRITERIA = (
 )
 
 
-def _run(number):
-    label, fn = next((lbl, f) for n, lbl, f in CRITERIA if n == number)
-    failures = fn()
-    verdict = "PASS" if not failures else "FAIL"
-    print(f"criterion {number:02d} ({label}): {verdict}")
-    assert not failures, f"criterion {number:02d}: " + "; ".join(failures)
-
-
-def test_criterion_01_product_grid():
-    _run(1)
-
-
-def test_criterion_02_bailey_reduction():
-    _run(2)
-
-
-def test_criterion_03_preece_reduction():
-    _run(3)
-
-
-def test_criterion_04_equal_parameter_consistency():
-    _run(4)
-
-
-def test_criterion_05_expansion_lemmas():
-    _run(5)
-
-
-def test_criterion_06_transformation_checks():
-    _run(6)
-
-
-def test_criterion_07_classical_sums():
-    _run(7)
-
-
-def test_criterion_08_float_consistency():
-    _run(8)
-
-
-def test_criterion_09_fault_sensitivity():
-    _run(9)
-
-
-def test_criterion_10_reading_adjudication():
-    _run(10)
+@pytest.mark.parametrize("number, label, criterion", CRITERIA,
+                         ids=[criterion.__name__.removeprefix("criterion_") for _, _, criterion in CRITERIA])
+def test_criterion(number, label, criterion):
+    failures = criterion()
+    assert not failures, f"criterion {number:02d} ({label}) fails:\n" + "\n".join(failures)

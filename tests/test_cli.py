@@ -6,6 +6,8 @@ diagnostics, and exit codes.
 """
 
 import argparse
+import csv
+import io
 import json
 import math
 import os
@@ -248,10 +250,13 @@ class TestVerify:
              {"alpha": "1/3", "beta": "2/5"}, "1.4,1/3,2/5,,,,,float_only_pass,"),
             (["--identity", "1.8", "--alpha", "1/3", "--beta", "2/5", "--gamma", "7/3"],
              {"alpha": "1/3", "beta": "2/5", "gamma": "7/3"}, "1.8,1/3,2/5,7/3,,,,float_only_pass,"),
+            # a terminating sum needs no convergence: 2*gamma - alpha - beta + 1 = -4/3
+            (["--identity", "1.8", "--alpha", "-2", "--beta", "5", "--gamma", "1/3"],
+             {"alpha": "-2", "beta": "5", "gamma": "1/3"}, "1.8,-2,5,1/3,,,,float_only_pass,"),
             (["--identity", "1.2", "--alpha", "1/2", "--beta", "2/5", "--degree", "6"],
              {"alpha": "1/2", "cap": 6}, "1.2,1/2,,,,,6,exact_match,"),
         ],
-        ids=["1.3", "1.4", "1.8", "1.2"],
+        ids=["1.3", "1.4", "1.8", "1.8-terminating", "1.2"],
     )
     def test_report_states_only_the_fields_its_entry_uses(self, capsys, point, params, csv_prefix):
         code, out, _ = invoke(capsys, "verify", *point, "--output", "json")
@@ -306,6 +311,21 @@ class TestSweep:
             ("1.4", {"alpha": "1/3", "beta": "2/5"}, "float_only_pass"),
         ]
         assert "hypident: 2/2 points passed" in err
+
+    def test_a_grid_where_alpha_plus_beta_is_negative_passes(self, capsys):
+        code, _, err = invoke(capsys, "sweep", "--identity", "2.1,2.2,2.3", "--alpha=-11/7", "--beta=-13/5",
+                              "--i", "4", "--j", "4")
+        assert code == 0 and err.startswith("hypident: 75/75 points passed\n")
+
+    @pytest.mark.parametrize("point", [["2.3", "--beta", "2/5"], ["3.3"]])
+    def test_the_printed_form_fails_every_degree_but_at_zero_shift(self, capsys, point):
+        # each point but i = j = 0 mismatches at every degree from 1 up to its cap 16 + 2(i + j)
+        code, out, _ = invoke(capsys, "sweep", "--identity", point[0], "--alpha", "3/7", *point[1:], "--i", "2",
+                              "--j", "2", "--printed-form", "--output", "csv")
+        rows = [(r["status"], r["mismatch_count"], r["first_mismatch_degree"]) for r in csv.DictReader(io.StringIO(out))]
+        assert code == 1
+        assert rows == [("exact_match", "0", "")] + [("mismatch", str(16 + 2 * (i + j)), "1")
+                                                     for i in range(3) for j in range(3)][1:]
 
     def test_exit_1_when_a_point_fails(self, capsys):
         code, _, err = invoke(

@@ -245,6 +245,12 @@ class TestVerifyIdentity:
         assert len(report.float_residuals) == len(DEFAULT_FLOAT_POINTS)
         assert calls == dict.fromkeys(declarations, 2)
 
+    @pytest.mark.parametrize("x", [math.inf, -math.inf, math.nan], ids=str)
+    def test_a_point_that_is_not_finite_is_refused(self, x):
+        # its report's JSON would hold "x": Infinity or NaN, which is no JSON
+        with pytest.raises(ValueError, match=f"^a float point must be finite, got x = {x}$"):
+            verify_identity("1.10", IdentityParams(alpha=A, beta=B), (0.5, x))
+
     def test_inadmissible_short_circuits(self):
         report = verify_identity("2.1", IdentityParams(alpha=Fraction(1, 2), beta=B, i=2))
         assert report.status == "inadmissible"
@@ -739,8 +745,8 @@ class TestSharedMemos:
 
     def test_threads_building_at_once_get_the_series_one_thread_gets(self):
         """Four threads build 2.1 right sides of two classes of rho + sigma
-        at once, switching every microsecond, so that the span table is
-        read, grown and replaced under them: every series equals its
+        at once, switching every microsecond, so that the cached span rows
+        are read and added to under them: every series equals its
         single-thread build."""
         build = get("2.1").build_rhs
         points = [IdentityParams(alpha=alpha, beta=B, i=6, j=6, cap=cap)
