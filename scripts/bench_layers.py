@@ -41,7 +41,9 @@ i, j <= 8; then each float side above; then the default
 blocks are all distinct within a point; then one catalog point,
 ``verify_identity`` at cap 96 of 1.1, 1.2, 1.5-1.7 and 1.9-1.13 at alpha
 and beta and of 1.17 and 1.18 at i = 0..2, as a ``deep_series`` block
-verifies them at one (alpha, beta). Then come the record
+verifies them at one (alpha, beta), and, in the full ladder, the product-grid
+sweep the benchmark's north star names, ``verify.sweep`` of 2.1, 2.2 and
+2.3 at i, j <= 4, 8 and 12, one row each. Then come the record
 constructors that the hot paths call per point: a ``FloatSum``, a ``1F1``
 ``HypSpec``, an ``IdentityParams``, and ``tuple(ProductSide.terms)`` of 3.1's
 right side at i = j = 8, which built its 81 ``Term`` and ``HypSpec`` records
@@ -54,14 +56,17 @@ ladder the 2.1 gate follows from cleared memos, at i = j = 8 and at the
 command line's largest shift, i = j = 64, so that each derives its two
 factors from cold. Then comes one whole request, ``cli.run`` of
 ``verify`` at that 1.8 point with ``--output=json``, its stdout kept in
-memory. Last comes the import case,
-``python3 -c "import hypident.cli"`` with only the tree's ``src`` on
-``PYTHONPATH``: the wall time of one fresh process a batch, as the benchmark's
-``setup_s`` takes it, each tree byte-compiled first, as ``bench_pairs.py``
-does, since a fresh process may not write its own cache. ``--quick`` takes two
+memory. Last come the fresh processes, each with
+only the tree's ``src`` on ``PYTHONPATH`` and timed by its wall time, one
+process a batch: the import case, ``python3 -c "import hypident.cli"``, as
+the benchmark's ``setup_s`` takes it, and, in the full ladder, one cold
+``python3 -m hypident.cli verify`` of 2.1 at i = j = 8 with ``--output
+json``. Each tree is byte-compiled first, as ``bench_pairs.py`` does, since a
+fresh process may not write its own cache. ``--quick`` takes two
 builders at cap 16, one float side warm and cold, the constructors, the
 per-point layers, the request and the import case, for a smoke test; the
-grid and the cold gates are in the full ladder only.
+grids, the cold gates and the cold ``verify`` process are in the full
+ladder only.
 
 The result is printed as a table and, with ``--out``, written under the
 ``layers`` key of that JSON file; an existing file is updated, not
@@ -106,6 +111,10 @@ PAIR_TAGS = ("1.1", "1.2", "1.5", "1.6", "1.7", "1.9", "1.10", "1.11", "1.12", "
 CATALOG_POINT_CASE = f"catalog point verify_identity cap=96 {COLD}"
 MAX_SHIFT = 64  # the command line's largest shift, cli.MAX_SHIFT
 COLD_GATES = {f"check_admissible 2.1 i={n} j={n} {COLD}": dict(i=n, j=n) for n in (8, MAX_SHIFT)}
+PRODUCT_TAGS = ("2.1", "2.2", "2.3")
+PRODUCT_GRIDS = {f"2.1-2.3 sweep i<={n} j<={n} {COLD}": n for n in (4, 8, 12)}
+VERIFY_PROCESS = ["verify", "--identity", "2.1", "--alpha", "3/7", "--beta", "2/5", "--i", "8", "--j", "8", "--output", "json"]
+VERIFY_PROCESS_CASE = "python3 -m hypident.cli verify 2.1 i=8 j=8 --output json"
 
 
 def cold_ladder(quick: bool) -> list[tuple[str, str, dict]]:
@@ -197,6 +206,16 @@ def grid(tree, src):
     return partial(tree.verify.sweep, "2.1", [POINT["alpha"]], [POINT["beta"]], 8, 8)
 
 
+def product_grid(n: int):
+    """``make`` of the sweep of ``PRODUCT_TAGS`` at i, j <= n."""
+
+    def make(tree, src):
+        sweep = partial(tree.verify.sweep, alpha_set=[POINT["alpha"]], beta_set=[POINT["beta"]], i_max=n, j_max=n)
+        return lambda: [sweep(tag) for tag in PRODUCT_TAGS]
+
+    return make
+
+
 def catalog_point(tree, src):
     """``CATALOG_POINT_CASE``: deep_series' block at ``POINT``, ``verify_identity``
     at cap 96 of ``PAIR_TAGS`` at alpha and beta, then of 1.17 and 1.18 at
@@ -232,14 +251,19 @@ def request(tree, src):
     return call
 
 
-def fresh_import(tree, src: Path):
-    """``IMPORT_CASE`` in a fresh process with only ``src`` on the path. The
-    tree is byte-compiled first: with ``PYTHONDONTWRITEBYTECODE`` set, every
-    import would otherwise compile the sources again."""
-    compileall.compile_dir(src / "hypident", quiet=1)
-    env = {**os.environ, "PYTHONPATH": str(src)}
-    return partial(subprocess.run, [sys.executable, "-c", IMPORT_CASE], cwd=src.parent, env=env,
-                   capture_output=True, check=True, timeout=120)
+def fresh_process(*args: str):
+    """``make`` of ``python3 *args`` in a fresh process with only ``src`` on
+    the path, which must exit 0. The tree is byte-compiled first: with
+    ``PYTHONDONTWRITEBYTECODE`` set, every import would otherwise compile
+    the sources again."""
+
+    def make(tree, src: Path):
+        compileall.compile_dir(src / "hypident", quiet=1)
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        return partial(subprocess.run, [sys.executable, *args], cwd=src.parent, env=env,
+                       capture_output=True, check=True, timeout=120)
+
+    return make
 
 
 def table(quick: bool) -> dict:
@@ -249,6 +273,7 @@ def table(quick: bool) -> dict:
         **({} if quick else {GRID_CASE: cleared(grid)}),
         **{f"{label(*case)} {COLD}": cleared(entry_case(*case)) for case in cold_ladder(quick)},
         **({} if quick else {CATALOG_POINT_CASE: cleared(catalog_point)}),
+        **({} if quick else {name: cleared(product_grid(n)) for name, n in PRODUCT_GRIDS.items()}),
         "FloatSum": lambda tree, src: partial(tree.hyper.FloatSum, 0.5, True, 40, 1.5, 1e-16),
         "HypSpec 1F1": lambda tree, src: partial(tree.hyper.HypSpec, (POINT["alpha"],), (2 * POINT["alpha"],)),
         "IdentityParams": lambda tree, src: partial(tree.identities.IdentityParams, **POINT, i=8, j=8),
@@ -261,7 +286,8 @@ def table(quick: bool) -> dict:
         **({} if quick else {name: cleared(lambda tree, src, point=point: admissible(tree, "2.1", point))
                              for name, point in COLD_GATES.items()}),
         REQUEST_CASE: request,
-        IMPORT_CASE: fresh_import,
+        IMPORT_CASE: fresh_process("-c", IMPORT_CASE),
+        **({} if quick else {VERIFY_PROCESS_CASE: fresh_process("-m", "hypident.cli", *VERIFY_PROCESS)}),
     }
 
 

@@ -32,9 +32,11 @@ parameter) would spend its whole term budget, so there it is not summed.
 ``--quick`` takes two alphas, shifts up to 1 and caps 0 and the default,
 and three scalar values of each parameter.
 
-Prints the number of cases compared, the number that differ and the first
-differences. Exit status is 1 on any difference, 0 otherwise. Only the
-standard library is used.
+Prints the number of cases compared, the number that differ, the first
+differences, and then the number of differing cases in each class, a class
+being the entry's tag and the case's kind (``3.1 build_rhs: 12``), in the
+order the classes first differ. Exit status is 1 on any difference, 0
+otherwise. Only the standard library is used.
 """
 
 from __future__ import annotations
@@ -44,6 +46,7 @@ import importlib
 import importlib.util
 import itertools
 import sys
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 from types import ModuleType
@@ -146,6 +149,12 @@ def cases(trees: list[ModuleType], quick: bool):
                     yield f"{label} {side}_float", floats
 
 
+def case_class(label: str) -> str:
+    """A case's class: the first and last words of its label, the entry's tag and the case's kind."""
+    words = label.split()
+    return f"{words[0]} {words[-1]}"
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("other", type=Path, help="root of the checkout to compare with")
@@ -162,6 +171,8 @@ def main(argv: list[str] | None = None) -> int:
     print(f"compared {total} cases: {len(differ)} differ")
     for label, this, other in differ[:SHOWN]:
         print(f"  {label}\n    this:  {str(this)[:200]}\n    other: {str(other)[:200]}")
+    for name, count in Counter(case_class(label) for label, *_ in differ).items():
+        print(f"{name}: {count}")
     return 1 if differ else 0
 
 

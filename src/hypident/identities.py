@@ -471,16 +471,14 @@ def _equal_param_rhs(raised: tuple[bool, bool], params: IdentityParams) -> Produ
     comparing it with the composed two-parameter side is not a tautology.
 
     It is the :class:`ProductSide` of the two factors' summands, each block
-    offset by ``-shift`` for a lowered factor. Block (0, 0) is checked
-    first, then the second factor is formed and then the first, so a build
-    raises where a block-by-block one in m-major order does."""
+    offset by ``-shift`` for a lowered factor. The first factor is formed,
+    then the second, as :func:`_product_rhs` forms its expansions, so a
+    build raises where a 2.x build does: at the first factor's vanishing
+    weight, then the second's, then at block (0, 0)."""
     alpha, i, j = params.alpha, params.i, params.j
     rho, sigma = (alpha + HALF - (0 if up else shift) for up, shift in zip(raised, (i, j)))
-    # block (m, n)'s lower parameters are block (0, 0)'s plus m, n and m + n:
-    # if any block is degenerate, this one is, and it is the first one reached
-    bailey_product_spec(rho, sigma)
-    second = _equal_param_factor(alpha, j, raised[1], ("j", "n"))
-    return ProductSide((rho, _equal_param_factor(alpha, i, raised[0], ("i", "m"))), (sigma, second))
+    first = _equal_param_factor(alpha, i, raised[0], ("i", "m"))
+    return ProductSide((rho, first), (sigma, _equal_param_factor(alpha, j, raised[1], ("j", "n"))))
 
 
 # --------------------------------------------------------------------------

@@ -165,8 +165,8 @@ class FloatResidual(NamedTuple):
     ``terms`` is the number of series terms a float-sum verdict summed;
     it is None for the cross-checks of series identities. JSON has no
     non-finite floats, so ``to_json_dict`` writes a non-finite side or
-    residual as null; ``x`` is finite, as ``float_residuals`` refuses any
-    other point.
+    residual as null; ``x`` is a finite float, as ``float_residuals``
+    reads each point as one and refuses any other.
     """
 
     x: float

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from fractions import Fraction
 from time import perf_counter
 from typing import Iterable, Sequence
@@ -60,7 +61,7 @@ def check_admissible(identity: IdentityId | str, params: IdentityParams) -> list
     return [finding for finding in define.requirements(params) if finding is not None]
 
 
-def float_residuals(identity: IdentityId | str, params: IdentityParams, xs: Sequence[float] = ()) -> tuple[FloatResidual, ...]:
+def float_residuals(identity: IdentityId | str, params: IdentityParams, xs: Iterable[float] = ()) -> tuple[FloatResidual, ...]:
     """Both sides of a series entry evaluated in floating point at each of
     ``xs``, each side declared once for all of them, or both sides of a
     scalar entry at its fixed argument (it refuses any ``xs``), and their
@@ -75,14 +76,16 @@ def float_residuals(identity: IdentityId | str, params: IdentityParams, xs: Sequ
     summed, and it is infinite when the sum ended unbounded (an infinite
     value or ``sum |t_k|``). An exact sum reports the floats of its exact
     sides and their exact relative error; a side past the double range
-    raises ValueError, and so does a point that is not finite, which JSON
-    could not write.
+    raises ValueError.
+    The points are read once, into one tuple of floats, so a generator
+    serves as a tuple does and an int or ``Fraction`` point is reported as
+    its float. A bool or a value that is not a real number raises
+    ValueError, and so does a point that is not finite as a double, which
+    JSON could not write.
     The parameters are taken as given: admissibility is the caller's to check.
     """
     define = identities.get(identity)
-    for x in xs:
-        if not math.isfinite(x):
-            raise ValueError(f"a float point must be finite, got x = {x}")
+    xs = tuple(map(_float_point, xs))
     if define.kind == "series":
         sides = zip(xs, define.lhs_float(params, xs), define.rhs_float(params, xs)) if xs else ()
         return tuple(FloatResidual(x, relative_error(lhs, rhs) if l_ok and r_ok else math.inf, lhs, rhs, l_ok and r_ok)
@@ -102,11 +105,24 @@ def float_residuals(identity: IdentityId | str, params: IdentityParams, xs: Sequ
         raise ValueError(f"a float side of identity {define.tag} overflows at x = {define.fixed_argument:g}") from None
 
 
+def _float_point(x: float) -> float:
+    """One float point of :func:`float_residuals`, as a finite float."""
+    if isinstance(x, bool) or not isinstance(x, numbers.Real):
+        raise ValueError(f"a float point must be a real number, got x = {x!r}")
+    try:
+        x = float(x)
+    except OverflowError:  # an int or Fraction past the double range
+        x = math.inf
+    if not math.isfinite(x):
+        raise ValueError(f"a float point must be finite, got x = {x}")
+    return x
+
+
 # Each check gives the fields of its report beside identity, params and
 # elapsed_seconds, so that verify_identity builds the report once.
 
 
-def _series_check(define: IdentityDef, params: IdentityParams, float_points: Sequence[float]) -> dict:
+def _series_check(define: IdentityDef, params: IdentityParams, float_points: Iterable[float]) -> dict:
     lhs, rhs = define.build_lhs(params), define.build_rhs(params)
     # through the module, so that perfbench's tracing wrapper sees the call
     mismatches = reports.compare_series(lhs, rhs)
@@ -133,7 +149,7 @@ def _scalar_float_check(define: IdentityDef, params: IdentityParams) -> dict:
 def verify_identity(
     identity: IdentityId | str,
     params: IdentityParams,
-    float_points: Sequence[float] = DEFAULT_FLOAT_POINTS,
+    float_points: Iterable[float] = DEFAULT_FLOAT_POINTS,
 ) -> VerifyReport:
     """Full verification of one catalog entry at one parameter point.
 

@@ -106,9 +106,23 @@ def test_the_full_ladder_times_float_sides_and_a_deep_left_side():
     point = bench_layers.made(table[bench_layers.CATALOG_POINT_CASE], tree, src)
     assert [report.identity for report in point()] == [*bench_layers.PAIR_TAGS, *["1.17"] * 3, *["1.18"] * 3]
     assert {report.status for report in point()} == {"exact_match"}
+    # then the product-grid sweeps of 2.1-2.3 from cleared memos, in the full table only
+    start = names.index(bench_layers.CATALOG_POINT_CASE) + 1
+    sweeps = [f"2.1-2.3 sweep i<={n} j<={n} memos cleared" for n in (4, 8, 12)]
+    assert names[start:start + 3] == sweeps and not set(sweeps) & set(bench_layers.table(quick=True))
+    grids = bench_layers.made(table[sweeps[0]], tree, src)()
+    assert [{(report.identity, report.status) for report in grid} for grid in grids] == [
+        {(tag, "exact_match")} for tag in ("2.1", "2.2", "2.3")]
+    assert [len(grid) for grid in grids] == [25] * 3
     # the 2.1 gate from cleared memos, after the per-point layers, at the benchmark's shifts and the largest one
     assert bench_layers.MAX_SHIFT == MAX_SHIFT
     gates = ["check_admissible 2.1 i=8 j=8 memos cleared", f"check_admissible 2.1 i={MAX_SHIFT} j={MAX_SHIFT} memos cleared"]
     start = names.index("check_admissible 2.1 i=8 j=8") + 1
     assert names[start:start + 2] == gates and not set(gates) & set(bench_layers.table(quick=True))
     assert all(bench_layers.made(table[name], tree, src)() == [] for name in gates)
+    # last, the fresh processes: the import, then one cold verify of 2.1 at i = j = 8, in the full table only
+    process = "python3 -m hypident.cli verify 2.1 i=8 j=8 --output json"
+    assert names[-2:] == [IMPORT_CASE, process] and process not in bench_layers.table(quick=True)
+    assert bench_layers.VERIFY_PROCESS[:2] == ["verify", "--identity"] and bench_layers.VERIFY_PROCESS[-2:] == ["--output", "json"]
+    done = bench_layers.made(table[process], tree, src)()
+    assert done.returncode == 0 and json.loads(done.stdout)["status"] == "exact_match"

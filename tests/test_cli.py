@@ -488,6 +488,14 @@ class TestExpand:
         assert code == 2
         assert "scalar check" in err
 
+    def test_a_degenerate_equal_parameter_side_is_refused_as_its_product_is(self, capsys):
+        # block (0, 0) has lower[0] = alpha + 1/2 = -1 too, but the first
+        # factor's weight (2*alpha + i)_m = (-1)_m vanishes first, in 3.1 as in 2.1
+        shifts = ["--alpha=-3/2", "--i", "2", "--j", "3"]
+        want = "hypident: error: degenerate parameter: (2*alpha + i)_m = -1 (zero factor at index 2)\n"
+        assert invoke(capsys, "expand", "--identity", "2.1", *shifts, "--beta=-3/2") == (2, "", want)
+        assert invoke(capsys, "expand", "--identity", "3.1", *shifts) == (2, "", want)
+
 
 class TestEval:
     def test_series_eval_json(self, capsys):

@@ -1,17 +1,34 @@
 """Smoke test of ``scripts/compare_sides.py`` on its small grid."""
 
+import re
 import shutil
 import subprocess
 import sys
 from pathlib import Path
 
+from hypident.identities import catalog
+
 ROOT = Path(__file__).resolve().parent.parent
 SCRIPT = ROOT / "scripts" / "compare_sides.py"
+SERIES_TAGS = [d.tag for d in catalog() if d.kind == "series"]
 
 
 def compare(other: Path) -> subprocess.CompletedProcess:
     return subprocess.run([sys.executable, str(SCRIPT), str(other), "--quick"],
                           capture_output=True, text=True, timeout=60)
+
+
+def class_counts(stdout: str) -> dict[str, int]:
+    """The per-class lines after the first differences, ``tag kind: count``,
+    each checked to add up to the summary's count of differing cases."""
+    summary, *lines = stdout.splitlines()
+    counts = {}
+    for line in lines:
+        if match := re.fullmatch(r"(\S+ \S+): (\d+)", line):
+            counts[match[1]] = int(match[2])
+    differ = int(re.fullmatch(r"compared \d+ cases: (\d+) differ", summary)[1])
+    assert sum(counts.values()) == differ and lines[-len(counts):] == [f"{k}: {v}" for k, v in counts.items()]
+    return counts
 
 
 def test_a_checkout_matches_itself():
@@ -34,6 +51,11 @@ def test_a_changed_default_cap_is_reported(tmp_path):
     assert first.strip().endswith("build_lhs")
     assert this.split()[:3] == ["this:", "('series',", "16,"]
     assert other.split()[:3] == ["other:", "('series',", "17,"]
+    # the default cap of every series entry changed, so each of its sides differs there
+    counts = class_counts(done.stdout)
+    assert {name.split()[1] for name in counts} == {"build_lhs", "build_rhs"}
+    assert [name.split()[0] for name in counts if name.endswith("build_lhs")] == SERIES_TAGS
+    assert counts["1.1 build_lhs"] == 6  # two alphas and three betas, at the default cap only
 
 
 def test_a_shifted_gamma_argument_of_the_watson_sum_is_reported(tmp_path):
@@ -52,3 +74,4 @@ def test_a_shifted_gamma_argument_of_the_watson_sum_is_reported(tmp_path):
     this_lhs, this_rhs = this.split()[2:4]
     other_lhs, other_rhs = other.split()[2:4]
     assert this_lhs == other_lhs and this_rhs != other_rhs
+    assert list(class_counts(done.stdout)) == ["1.8 scalar_float"]

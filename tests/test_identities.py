@@ -6,6 +6,7 @@ import itertools
 import math
 import pkgutil
 import random
+import re
 import sys
 import threading
 from fractions import Fraction
@@ -443,28 +444,29 @@ class TestEqualParameterForm:
         "tag, alpha, i, j, printed_form, expr, value, index",
         [
             ("3.1", "-1/2", 0, 0, False, "lower[0]", "0", 0),
-            ("3.1", "-3/2", 2, 3, False, "lower[0]", "-1", 1),
+            # the first factor's weight fails before block (0, 0) is reached
+            ("3.1", "-3/2", 2, 3, False, "(2*alpha + i)_m", "-1", 2),
             ("3.1", "1/2", 1, 0, False, "(alpha - 1/2)_m", "0", 1),
-            # the second factor's weight fails at (m, n) = (0, 1), before the first's at m = 1
-            ("3.1", "1/2", 3, 2, False, "(alpha - 1/2)_n", "0", 1),
+            # the first factor's weight fails at m = 1, before the second's at n = 1
+            ("3.1", "1/2", 3, 2, False, "(alpha - 1/2)_m", "0", 1),
             ("3.2", "5/2", 0, 2, False, "(alpha - j - 1/2)_n", "0", 1),
-            ("3.2", "5/2", 0, 3, False, "lower[1]", "0", 0),
+            ("3.2", "5/2", 0, 3, False, "(alpha - j - 1/2)_n", "-1", 2),
             ("3.2", "5/2", 2, 1, False, "(alpha - i - 1/2)_m", "0", 1),
-            ("3.2", "5/2", 3, 3, False, "lower[0]", "0", 0),
+            ("3.2", "5/2", 3, 3, False, "(alpha - i - 1/2)_m", "-1", 2),
             ("3.2", "-3/2", 3, 2, False, "lower[0]", "-4", 4),
             ("3.2", "1", 1, 1, False, "lower[2]", "0", 0),
-            ("3.2", "1", 3, 3, False, "lower[2]", "-4", 4),
+            ("3.2", "1", 3, 3, False, "(2*alpha - i)_m", "-1", 2),
             ("3.3", "5/2", 3, 2, False, "(alpha - j - 1/2)_n", "0", 1),
             ("3.3", "5/2", 3, 2, True, "(alpha - j - 1/2)_n", "0", 1),
-            ("3.3", "5/2", 1, 3, True, "lower[1]", "0", 0),
-            ("3.3", "-1/2", 3, 3, True, "lower[0]", "0", 0),
-            ("3.3", "1", 2, 3, False, "lower[2]", "-1", 1),
-            ("3.3", "1", 2, 3, True, "lower[2]", "-1", 1),
-            ("3.3", "1/2", 2, 1, False, "lower[1]", "0", 0),
-            ("3.3", "1/2", 0, 2, True, "lower[1]", "-1", 1),
-            # block (0, 0) fails before (2*alpha - j)_n = (-2)_n vanishes at n = 3
-            ("3.3", "1", 1, 4, False, "lower[2]", "-2", 2),
-            ("3.3", "1", 1, 4, True, "lower[2]", "-2", 2),
+            ("3.3", "5/2", 1, 3, True, "(alpha - j - 1/2)_n", "-1", 2),
+            ("3.3", "-1/2", 3, 3, True, "(alpha - 1/2)_m", "-1", 2),
+            ("3.3", "1", 2, 3, False, "(2*alpha - j)_n", "-1", 2),
+            ("3.3", "1", 2, 3, True, "(2*alpha - j)_n", "-1", 2),
+            ("3.3", "1/2", 2, 1, False, "(alpha - 1/2)_m", "0", 1),
+            ("3.3", "1/2", 0, 2, True, "(2*alpha - j)_n", "-1", 2),
+            # (2*alpha - j)_n = (-2)_n vanishes at n = 3, before block (0, 0) is reached
+            ("3.3", "1", 1, 4, False, "(2*alpha - j)_n", "-2", 3),
+            ("3.3", "1", 1, 4, True, "(2*alpha - j)_n", "-2", 3),
         ],
     )
     def test_degenerate_alpha_raises(self, tag, alpha, i, j, printed_form, expr, value, index):
@@ -475,9 +477,9 @@ class TestEqualParameterForm:
 
     @pytest.mark.parametrize("tag, printed_form", [("3.1", False), ("3.2", False), ("3.3", False), ("3.3", True)])
     def test_each_summand_is_formed_once(self, monkeypatch, tag, printed_form):
-        # one call per factor, not one per pair or per summand: the second
-        # factor first, as a block-by-block build in m-major order reaches
-        # all of it in row 0, each call giving all its shift + 1 summands
+        # one call per factor, not one per pair or per summand: the first
+        # factor, then the second, as a 2.x build forms its expansions, each
+        # call giving all its shift + 1 summands
         formed = []
         real = identities._equal_param_factor
 
@@ -488,7 +490,7 @@ class TestEqualParameterForm:
 
         monkeypatch.setattr(identities, "_equal_param_factor", counted)
         get(tag).build_rhs(IdentityParams(alpha=A, i=4, j=6, printed_form=printed_form))
-        assert formed == [("n", 7), ("m", 5)]
+        assert formed == [("m", 5), ("n", 7)]
 
     @given(
         st.fractions(min_value=-4, max_value=4, max_denominator=12),
@@ -610,18 +612,19 @@ def equal_param_part(alpha, shift, k, raised, names):
 
 
 def per_pair_equal_param_side(variant, params):
-    """The 3.x right side with both factors' summands formed again for every
-    pair (m, n), in m-major order, by :func:`equal_param_part`: the weight
-    ``(-i)_m (-j)_n`` (``(-j)_m`` in the printed form) times both parts, and
-    the block built before its weight is tested, so a degenerate block
-    raises even where it vanishes."""
+    """The 3.x right side with one block per pair (m, n), in m-major order:
+    the first factor's parts, then the second's, each formed on its own by
+    :func:`equal_param_part`, then for each pair the weight ``(-i)_m (-j)_n``
+    (``(-j)_m`` in the printed form) times both parts, and the block built
+    before its weight is tested, so a degenerate block raises even where it
+    vanishes."""
     first_raised, second_raised = RAISED[variant]
     alpha, i, j = params.alpha, params.i, params.j
+    firsts = [equal_param_part(alpha, i, m, first_raised, ("i", "m")) for m in range(i + 1)]
+    seconds = [equal_param_part(alpha, j, n, second_raised, ("j", "n")) for n in range(j + 1)]
     terms = []
-    for m in range(i + 1):
-        first, a = equal_param_part(alpha, i, m, first_raised, ("i", "m"))
-        for n in range(j + 1):
-            second, b = equal_param_part(alpha, j, n, second_raised, ("j", "n"))
+    for m, (first, a) in enumerate(firsts):
+        for n, (second, b) in enumerate(seconds):
             weight = pochhammer(Fraction(-i), m) * pochhammer(Fraction(-j), m if params.printed_form else n) * first * second
             s = 2 * alpha + a + b
             spec = HypSpec(upper=((s + 1) / 2, s / 2), lower=(alpha + a + Fraction(1, 2), alpha + b + Fraction(1, 2), s))
@@ -786,8 +789,9 @@ class TestSideSeries:
 
     @pytest.mark.parametrize("variant, printed_form", [("PP", False), ("MM", False), ("PM", False), ("PM", True)])
     def test_equal_param_right_sides(self, variant, printed_form):
-        # each factor's summands are listed once per build; the per-pair
-        # reference forms them again for every pair, and must give the same
+        # each factor's summands are listed once per build, by the term
+        # ratio; the per-pair reference forms each from pochhammer on its
+        # own and builds each block on its own, and must give the same
         # series, or raise the same exception at the same point. In the
         # printed form, so must the default side edited by _printed
         define = get(EQUAL_PARAM_TAG[variant])
@@ -1627,6 +1631,27 @@ def test_the_float_memo_is_bounded_and_cleared(summed):
     assert summed == [(spec, x) for x in xs[identities._FLOAT_ARGS:]]
 
 
+def test_clear_memos_empties_every_per_process_cache():
+    """Every module-level cache of the package, found by its ``cache_clear``,
+    is empty after ``_clear_memos``, once two verifies have filled the
+    three memos, so that no cache added later outlives the ``cold_memos``
+    fixture or warms a "memos cleared" bench row. The command line's one
+    parser, ``cli._shared_parser``, is the cache a process keeps."""
+    caches = {}
+    for info in pkgutil.iter_modules(hypident.__path__):
+        module = importlib.import_module(f"hypident.{info.name}")
+        caches.update({f"{info.name}.{name}": value for name, value in vars(module).items()
+                       if hasattr(value, "cache_clear") and value.__module__ == module.__name__})
+    assert caches.pop("cli._shared_parser")
+    memos = {"identities._expansion", "right._span_row", "identities._factor_sums"}
+    assert memos <= set(caches)
+    verify_identity("1.10", IdentityParams(alpha=A, beta=B))
+    verify_identity("2.1", IdentityParams(alpha=A, beta=B, i=2, j=2))
+    assert all(caches[name].cache_info().currsize for name in memos)
+    identities._clear_memos()
+    assert {name: cache.cache_info().currsize for name, cache in caches.items()} == dict.fromkeys(caches, 0)
+
+
 def test_a_nan_argument_leaves_no_sum(summed):
     lhs_float, params, spec = get("1.2").lhs_float, IdentityParams(alpha=A), HypSpec((A,), (2 * A,))
     for _ in range(2):
@@ -1718,6 +1743,42 @@ def test_gate_refuses_exactly_where_a_builder_raises(tag):
         assert refused == (raises_degenerate(define.build_lhs, params) or raises_degenerate(define.build_rhs, params)), params
         outcomes.add(refused)
     assert outcomes == {True, False}
+
+
+EXPANSION_BUILT = [("1.17", False), ("1.18", False), ("2.1", False), ("2.2", False), ("2.3", False), ("2.3", True),
+                   ("3.1", False), ("3.2", False), ("3.3", False), ("3.3", True)]
+
+
+@pytest.mark.parametrize("tag, printed", EXPANSION_BUILT)
+def test_an_expansion_built_right_side_refuses_by_one_rule(tag, printed):
+    """Every right side built from expansion factors refuses a degenerate
+    point by one rule: first the vanishing weight denominator of the first
+    factor (index m) that has one, the gate's ``check_poch`` finding with
+    the smallest index (the first listed on a tie), then the second's
+    (index n), and only where no weight vanishes a ``lower[k]`` block
+    error. At cap 8, over seeded degenerate points, both kinds are met."""
+    define = get(tag)
+    met = set()
+    for alpha, beta, _, i, j, _ in degenerate_points(seed=52, count=300):
+        params = IdentityParams(alpha, beta if "beta" in define.uses else None, i, j if "j" in define.uses else 0,
+                                cap=8, printed_form=printed)
+        try:
+            define.build_rhs(params)
+        except DegenerateParameterError as error:
+            raised = (error.expr, error.value, error.index)
+        else:
+            continue
+        findings = check_admissible(tag, params)
+        weights = [[f for f in findings if f.parameter_expr.endswith(f")_{k}")] for k in "mn"]
+        first = next((found for found in weights if found), None)
+        if first:
+            want = min(first, key=lambda f: f.index)
+            assert raised == (want.parameter_expr, want.value, want.index), params
+            met.add("weight")
+        else:
+            assert re.fullmatch(r"lower\[\d\]", raised[0]), (params, raised)
+            met.add("block")
+    assert met == {"weight", "block"}
 
 
 @pytest.mark.parametrize("tag", ["1.3", "1.4", "1.8"])

@@ -251,6 +251,31 @@ class TestVerifyIdentity:
         with pytest.raises(ValueError, match=f"^a float point must be finite, got x = {x}$"):
             verify_identity("1.10", IdentityParams(alpha=A, beta=B), (0.5, x))
 
+    def test_points_are_read_once(self):
+        # a generator, read by both sides and by the pairing, gave no residual
+        params = IdentityParams(alpha=A, beta=B)
+        want = float_residuals("1.10", params, (0.5, 2.0))
+        assert len(want) == 2
+        assert float_residuals("1.10", params, (x for x in [0.5, 2.0])) == want
+        assert verify_identity("1.10", params, (x for x in [0.5, 2.0])).float_residuals == want
+
+    def test_an_exact_point_is_reported_as_its_float(self):
+        report = verify_identity("1.10", IdentityParams(alpha=A, beta=B), (Fraction(1, 2), 2))
+        assert report.float_residuals == float_residuals("1.10", report.params, (0.5, 2.0))
+        assert [type(r.x) for r in report.float_residuals] == [float, float]
+        assert [doc["x"] for doc in json.loads(json.dumps(report.to_json_dict()))["float_residuals"]] == [0.5, 2.0]
+        floats = verify_identity("1.10", report.params, (0.5, 2.0)).render_text().splitlines()
+        assert report.render_text().splitlines()[:-1] == floats[:-1]  # all but the elapsed line
+
+    @pytest.mark.parametrize("x", [True, "1", None, 1j], ids=repr)
+    def test_a_point_that_is_not_a_real_number_is_refused(self, x):
+        with pytest.raises(ValueError, match=f"^a float point must be a real number, got x = {re.escape(repr(x))}$"):
+            verify_identity("1.10", IdentityParams(alpha=A, beta=B), (0.5, x))
+
+    def test_an_int_past_the_double_range_is_not_finite(self):
+        with pytest.raises(ValueError, match="^a float point must be finite, got x = inf$"):
+            float_residuals("1.10", IdentityParams(alpha=A, beta=B), (10**400,))
+
     def test_inadmissible_short_circuits(self):
         report = verify_identity("2.1", IdentityParams(alpha=Fraction(1, 2), beta=B, i=2))
         assert report.status == "inadmissible"
