@@ -19,10 +19,10 @@ request raises when it exits nonzero.
 The ladder, at alpha 3/7, beta 2/5: ``build_rhs`` of every single-series entry
 with an exponential (1.5, 1.9, 1.10, 1.12, 1.13) and ``build_lhs`` of 1.10 at
 caps 16, 96 and 512; ``build_rhs`` of 1.7 at the same caps;
-``verify_identity`` of the five exponential entries at their defaults and of
-1.8 at gamma 5, a non-terminating unit-argument sum; ``build_rhs`` of 3.1 at
-i = j in 2, 8 and 20, at the default cap, of 3.3 in its printed form at
-i = j = 8, and of 2.1 at i = j = 2;
+``verify_identity`` at their defaults of the five exponential entries, then
+of 1.6, 1.7 and 1.11, and of 1.8 at gamma 5, a non-terminating unit-argument
+sum; ``build_rhs`` of 3.1 at i = j in 2, 8 and 20, at the default cap, of 3.3
+in its printed form at i = j = 8, and of 2.1 at i = j = 2;
 ``build_lhs`` of 1.6 at cap 512; ``lhs_float`` and ``rhs_float`` at the
 default float points of 1.10, of 1.17 at i = 8, and of 2.1 and 3.1 at
 i = j = 8. Then come layers on their own, with the arguments that
@@ -133,7 +133,8 @@ def ladder(quick: bool) -> list[tuple[str, str, dict]]:
     for cap in (16, 96, 512):
         cases += [(tag, "build_rhs", dict(cap=cap)) for tag in (*EXPONENTIAL_RIGHT_SIDES, "1.7")]
         cases.append(("1.10", "build_lhs", dict(cap=cap)))
-    cases += [(tag, "verify_identity", {}) for tag in EXPONENTIAL_RIGHT_SIDES]
+    # every series entry from 1.5 to 1.13 but the float sum 1.8
+    cases += [(tag, "verify_identity", {}) for tag in (*EXPONENTIAL_RIGHT_SIDES, "1.6", "1.7", "1.11")]
     cases.append(("1.8", "verify_identity", WATSON_POINT))
     cases += [("3.1", "build_rhs", dict(i=n, j=n)) for n in (2, 8, 20)]
     cases.append(("3.3", "build_rhs", dict(printed_form=True, i=8, j=8)))

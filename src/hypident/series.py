@@ -51,6 +51,9 @@ class TruncatedSeries:
     __slots__ = ("cap", "den", "nums")
 
     def __init__(self, cap: int, coeffs: Iterable[Fraction | int]) -> None:
+        # a bool is an int, but no cap
+        if isinstance(cap, bool) or not isinstance(cap, int):
+            raise ValueError(f"series cap must be an int, got {cap!r}")
         if cap < 0:
             raise ValueError("series cap must be nonnegative")
         # over the lcm of reduced denominators no common factor is left
@@ -99,8 +102,13 @@ class TruncatedSeries:
         order, since the gcd of several integers does not.
         """
         nums = tuple(nums)
+        # a bool is an int, but no cap
+        if isinstance(cap, bool) or not isinstance(cap, int):
+            raise ValueError(f"series cap must be an int, got {cap!r}")
         if cap < 0:
             raise ValueError("series cap must be nonnegative")
+        if den == 0:
+            raise ValueError("series denominator must be nonzero")
         if len(nums) != cap + 1:
             raise ValueError(f"expected {cap + 1} numerators for cap {cap}, got {len(nums)}")
         g = math.gcd(den, *reversed(nums))

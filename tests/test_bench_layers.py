@@ -78,8 +78,9 @@ def test_the_full_ladder_times_float_sides_and_a_deep_left_side():
     assert len(labels) == len(set(labels))
     assert "1.6 build_lhs cap=512" in labels
     assert [label for label in labels if label.split()[:2] == ["3.3", "build_rhs"]] == ["3.3 build_rhs printed_form i=8 j=8"]
-    assert [label for label in labels if "verify" in label] == [
-        *(f"{tag} verify_identity" for tag in ("1.5", "1.9", "1.10", "1.12", "1.13")), "1.8 verify_identity gamma=5"]
+    # every series entry from 1.5 to 1.13 at its defaults, the exponential ones first, then the float sum 1.8
+    defaults = [f"{tag} verify_identity" for tag in ("1.5", "1.9", "1.10", "1.12", "1.13", "1.6", "1.7", "1.11")]
+    assert [label for label in labels if "verify" in label] == [*defaults, "1.8 verify_identity gamma=5"]
     assert bench_layers.REQUEST_CASE == REQUEST_CASE and "--identity=1.8" in bench_layers.REQUEST
     floats = [label for label in labels if label.split()[1] in ("lhs_float", "rhs_float")]
     assert floats == [f"{tag} {side}{point}" for tag, point in
@@ -91,6 +92,7 @@ def test_the_full_ladder_times_float_sides_and_a_deep_left_side():
     assert labels[-len(layers):] == layers
     table, src = bench_layers.table(quick=False), ROOT / "src"
     tree = bench_layers.load(src, "hypident_ladder")
+    assert all(bench_layers.made(table[name], tree, src)().status == "exact_match" for name in defaults)
     assert all(bench_layers.made(table[name], tree, src) for name in layers)
     # the 2.1 grid at i, j <= 8 from cleared memos, after the ladder and in the full table only
     names = list(table)

@@ -978,14 +978,26 @@ def test_parser_builds_and_documents_subcommands():
 
 
 @pytest.mark.skipif(shutil.which("hypident") is None, reason="console script not on PATH")
-def test_console_script_smoke():
-    proc = subprocess.run(
-        ["hypident", "verify", "--identity", "1.10", "--alpha", "3/7",
-         "--beta", "2/5", "--output", "json"],
-        capture_output=True, text=True, timeout=120,
-    )
-    assert proc.returncode == 0
-    assert json.loads(proc.stdout)["status"] == "exact_match"
+@pytest.mark.parametrize(
+    "argv, fact",
+    [
+        (["list", "--output", "csv"], lambda out: out.count("\n") == 22),
+        (["verify", "--identity", "1.10", "--alpha", "3/7", "--beta", "2/5", "--output", "json"],
+         lambda out: json.loads(out)["status"] == "exact_match"),
+        (["sweep", "--identity", "2.1", "--alpha", "3/7", "--beta", "2/5", "--i", "2", "--j", "2", "--output", "json"],
+         lambda out: [report["status"] for report in json.loads(out)] == ["exact_match"] * 9),
+        (["expand", "--identity", "1.10", "--alpha", "3/7", "--beta", "2/5", "--degree", "8", "--output", "json"],
+         lambda out: len(json.loads(out)["coefficients"]) == 9),
+        (["eval", "--identity", "1.10", "--alpha", "3/7", "--beta", "2/5", "--x", "2", "--output", "json"],
+         lambda out: json.loads(out)["x"] == 2.0),
+    ],
+    ids=["list", "verify", "sweep", "expand", "eval"],
+)
+def test_console_script_smoke(argv, fact):
+    """Each command once through the installed entry point, ``hypident`` on PATH."""
+    proc = subprocess.run(["hypident", *argv], capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert fact(proc.stdout)
 
 
 def test_fresh_interpreter_smoke():

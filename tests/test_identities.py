@@ -53,6 +53,16 @@ EQUAL_PARAM_TAG = {"PP": "3.1", "MM": "3.2", "PM": "3.3"}
 RAISED = {"PP": (True, True), "MM": (False, False), "PM": (True, False)}
 
 
+def by_point(name, rows):
+    """Each row as a ``pytest.param`` with the id ``name(*row)``, formed from
+    the row's point alone, so that a changed expectation keeps the id."""
+    return [pytest.param(*row, id=name(*row)) for row in rows]
+
+
+def printed(printed_form):
+    return "-printed" if printed_form else ""
+
+
 def expanded(tag, alpha, i, cap):
     """Right side of expansion 1.17 (raised) or 1.18 (lowered)."""
     return get(tag).build_rhs(IdentityParams(alpha=alpha, i=i, cap=cap))
@@ -306,7 +316,7 @@ class TestExpansions:
 
     @pytest.mark.parametrize(
         "alpha, i, raised, expr, value, index",
-        [
+        by_point(lambda alpha, i, raised, *_: f"alpha={alpha}-i={i}-{'raised' if raised else 'lowered'}", [
             # (2*alpha + i)_m vanishes at m = 2, (alpha - 1/2)_m at m = 4
             (Fraction(-5, 2), 4, True, "(2*alpha + i)_m", Fraction(-1), 2),
             # (alpha - 1/2)_m vanishes at m = 2, (2*alpha + i)_m never
@@ -315,7 +325,7 @@ class TestExpansions:
             (Fraction(-3, 2), 3, True, "(2*alpha + i)_m", Fraction(0), 1),
             # lowered: (2*alpha - i)_m vanishes at m = 3
             (Fraction(1), 4, False, "(2*alpha - i)_m", Fraction(-2), 3),
-        ],
+        ]),
     )
     def test_weight_guards(self, alpha, i, raised, expr, value, index):
         with pytest.raises(DegenerateParameterError) as err:
@@ -390,7 +400,8 @@ class TestProductExpansion:
 class TestProductDegenerateBlocks:
     @pytest.mark.parametrize(
         "tag, alpha, beta, i, j, printed_form, expr, value, index",
-        [
+        by_point(lambda tag, alpha, beta, i, j, printed_form, *_:
+                 f"{tag}-alpha={alpha}-beta={beta}-i={i}-j={j}{printed(printed_form)}", [
             ("2.1", "-9/2", "-9/2", 0, 0, False, "lower[0]", "-4", 4),
             ("2.1", "-4", "-9/2", 0, 0, False, "lower[1]", "-4", 4),
             ("2.1", "-4", "-4", 0, 0, False, "lower[2]", "-8", 8),
@@ -406,7 +417,7 @@ class TestProductDegenerateBlocks:
             ("2.3", "-2", "3", 0, 1, True, "lower[2]", "0", 0),
             ("2.3", "1", "-1", 2, 3, False, "lower[2]", "-3", 3),
             ("2.3", "1", "-1", 2, 3, True, "lower[2]", "-3", 3),
-        ],
+        ]),
     )
     def test_degenerate_block_raises(self, tag, alpha, beta, i, j, printed_form, expr, value, index):
         params = IdentityParams(alpha=Fraction(alpha), beta=Fraction(beta), i=i, j=j, printed_form=printed_form)
@@ -442,7 +453,7 @@ class TestProductDegenerateBlocks:
 class TestEqualParameterForm:
     @pytest.mark.parametrize(
         "tag, alpha, i, j, printed_form, expr, value, index",
-        [
+        by_point(lambda tag, alpha, i, j, printed_form, *_: f"{tag}-alpha={alpha}-i={i}-j={j}{printed(printed_form)}", [
             ("3.1", "-1/2", 0, 0, False, "lower[0]", "0", 0),
             # the first factor's weight fails before block (0, 0) is reached
             ("3.1", "-3/2", 2, 3, False, "(2*alpha + i)_m", "-1", 2),
@@ -467,7 +478,7 @@ class TestEqualParameterForm:
             # (2*alpha - j)_n = (-2)_n vanishes at n = 3, before block (0, 0) is reached
             ("3.3", "1", 1, 4, False, "(2*alpha - j)_n", "-2", 3),
             ("3.3", "1", 1, 4, True, "(2*alpha - j)_n", "-2", 3),
-        ],
+        ]),
     )
     def test_degenerate_alpha_raises(self, tag, alpha, i, j, printed_form, expr, value, index):
         params = IdentityParams(alpha=Fraction(alpha), i=i, j=j, printed_form=printed_form)

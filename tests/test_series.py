@@ -2,6 +2,7 @@
 
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -36,6 +37,19 @@ class TestConstruction:
     def test_negative_cap(self):
         with pytest.raises(ValueError):
             TruncatedSeries(-1, ())
+
+    @pytest.mark.parametrize("cap, coeffs", [(2.0, [1, 2, 3]), (True, [1, 2]), (Fraction(2), [1, 2, 3])],
+                             ids=["float", "bool", "fraction"])
+    def test_a_cap_that_is_no_int_is_refused(self, cap, coeffs):
+        with pytest.raises(ValueError, match=rf"^series cap must be an int, got {re.escape(repr(cap))}$"):
+            TruncatedSeries(cap, coeffs)
+        with pytest.raises(ValueError, match=rf"^series cap must be an int, got {re.escape(repr(cap))}$"):
+            TruncatedSeries.from_integers(cap, 1, coeffs)
+
+    @pytest.mark.parametrize("cap, nums", [(2, [1, 2, 3]), (1, [0, 0])], ids=["nonzero", "zero"])
+    def test_a_zero_denominator_is_refused(self, cap, nums):
+        with pytest.raises(ValueError, match="^series denominator must be nonzero$"):
+            TruncatedSeries.from_integers(cap, 0, nums)
 
     def test_a_float_coefficient_is_refused(self):
         # Fraction(0.1) is 3602879701896397/36028797018963968, not 1/10
