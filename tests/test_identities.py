@@ -400,8 +400,9 @@ class TestProductExpansion:
 class TestProductDegenerateBlocks:
     @pytest.mark.parametrize(
         "tag, alpha, beta, i, j, printed_form, expr, value, index",
+        # tag-alpha-beta-i-j, unlabelled: the ids stay short enough to tell apart
         by_point(lambda tag, alpha, beta, i, j, printed_form, *_:
-                 f"{tag}-alpha={alpha}-beta={beta}-i={i}-j={j}{printed(printed_form)}", [
+                 f"{tag}-{alpha}-{beta}-{i}-{j}{printed(printed_form)}", [
             ("2.1", "-9/2", "-9/2", 0, 0, False, "lower[0]", "-4", 4),
             ("2.1", "-4", "-9/2", 0, 0, False, "lower[1]", "-4", 4),
             ("2.1", "-4", "-4", 0, 0, False, "lower[2]", "-8", 8),
