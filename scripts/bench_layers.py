@@ -22,23 +22,26 @@ caps 16, 96 and 512; ``build_rhs`` of 1.7 at the same caps;
 ``verify_identity`` at their defaults of the five exponential entries, then
 of 1.6, 1.7 and 1.11, and of 1.8 at gamma 5, a non-terminating unit-argument
 sum; ``build_rhs`` of 3.1 at i = j in 2, 8 and 20, at the default cap, of 3.3
-in its printed form at i = j = 8, and of 2.1 at i = j = 2;
+in its printed form at i = j = 8, and of 2.1 at i = j = 2 and 8;
 ``build_lhs`` of 1.6 at cap 512; ``lhs_float`` and ``rhs_float`` at the
 default float points of 1.10, of 1.17 at i = 8, and of 2.1 and 3.1 at
 i = j = 8. Then come layers on their own, with the arguments that
 ``verify_identity`` of the entry first passes them: ``pfq_eval_float`` of 1.4
 (x = 1/2) and of 1.8 (x = 1) at gamma 5 and 1/2, in the ``float_sums``
 workload's high and low excess windows (excess 5.09 and 0.59), and
-``right._bailey_double_sum`` of 2.1 at i = j = 8, which repeats one call
-and so, in a tree that keeps span quotients between calls, times a warm
-table. Each of these repeats one call: in a tree that keeps float sums
+``right._bailey_double_sum`` of 2.1 at i = j = 8, then
+``left._raw_product_series`` of 2.1's left side at i = j = 0 and 8 (caps
+16 and 48). Each of these repeats one call: in a tree that keeps shift
+tables and span quotients between calls, the 2.1 ``build_rhs`` and
+``_bailey_double_sum`` rows time warm ones, and in a tree that keeps float sums
 between calls, the float sides and ``verify_identity`` rows time kept sums.
 The rows marked "memos cleared" call ``_clear_memos``, where the tree has
 it, at the start of each call, so a batch times what a call pays from
 cold. First of them comes one grid, ``verify.sweep`` of 2.1's 81 points at
 i, j <= 8; then each float side above; then the default
 ``verify_identity`` of 2.1, 2.2, 2.3 and 3.1 at i = j = 8 and 20, whose
-blocks are all distinct within a point; then one catalog point,
+blocks are all distinct within a point, and ``build_rhs`` of 2.1 at i = j =
+8, the cold twin of its warm row; then one catalog point,
 ``verify_identity`` at cap 96 of 1.1, 1.2, 1.5-1.7 and 1.9-1.13 at alpha
 and beta and of 1.17 and 1.18 at i = 0..2, as a ``deep_series`` block
 verifies them at one (alpha, beta), and, in the full ladder, the product-grid
@@ -61,8 +64,8 @@ only the tree's ``src`` on ``PYTHONPATH`` and timed by its wall time, one
 process a batch: the import case, ``python3 -c "import hypident.cli"``, as
 the benchmark's ``setup_s`` takes it, and, in the full ladder, one cold
 ``python3 -m hypident.cli verify`` of 2.1 at i = j = 8 with ``--output
-json``. Each tree is byte-compiled first, as ``bench_pairs.py`` does, since a
-fresh process may not write its own cache. ``--quick`` takes two
+json``. Each tree is byte-compiled first, since a fresh process may not
+write its own cache. ``--quick`` takes two
 builders at cap 16, one float side warm and cold, the constructors, the
 per-point layers, the request and the import case, for a smoke test; the
 grids, the cold gates and the cold ``verify`` process are in the full
@@ -101,7 +104,7 @@ BATCH_SECONDS = 1e-3
 IMPORT_CASE = "import hypident.cli"
 WATSON_POINT = dict(gamma=Fraction(5))
 # each layer a ladder case may name, by the module whose binding of it the catalog's routes call
-CALLED_LAYERS = {"pfq_eval_float": "identities", "_bailey_double_sum": "right"}
+CALLED_LAYERS = {"pfq_eval_float": "identities", "_bailey_double_sum": "right", "_raw_product_series": "identities"}
 REQUEST = ["verify", "--identity=1.8", "--alpha=3/7", "--beta=2/5", "--gamma=5", "--output=json"]
 REQUEST_CASE = "cli.run verify 1.8 --output=json"
 COLD = "memos cleared"
@@ -122,7 +125,8 @@ def cold_ladder(quick: bool) -> list[tuple[str, str, dict]]:
     if quick:
         return [("1.10", "rhs_float", {})]
     cases = [(tag, side, point) for tag, point in FLOAT_SIDES for side in ("lhs_float", "rhs_float")]
-    return cases + [(tag, "verify_identity", dict(i=n, j=n)) for n in (8, 20) for tag in ("2.1", "2.2", "2.3", "3.1")]
+    cases += [(tag, "verify_identity", dict(i=n, j=n)) for n in (8, 20) for tag in ("2.1", "2.2", "2.3", "3.1")]
+    return cases + [("2.1", "build_rhs", dict(i=8, j=8))]
 
 
 def ladder(quick: bool) -> list[tuple[str, str, dict]]:
@@ -138,11 +142,12 @@ def ladder(quick: bool) -> list[tuple[str, str, dict]]:
     cases.append(("1.8", "verify_identity", WATSON_POINT))
     cases += [("3.1", "build_rhs", dict(i=n, j=n)) for n in (2, 8, 20)]
     cases.append(("3.3", "build_rhs", dict(printed_form=True, i=8, j=8)))
-    cases.append(("2.1", "build_rhs", dict(i=2, j=2)))
+    cases += [("2.1", "build_rhs", dict(i=n, j=n)) for n in (2, 8)]
     cases.append(("1.6", "build_lhs", dict(cap=512)))
     cases += [(tag, side, point) for tag, point in FLOAT_SIDES for side in ("lhs_float", "rhs_float")]
     cases += [("1.4", "pfq_eval_float", {}), ("1.8", "pfq_eval_float", WATSON_POINT),
               ("1.8", "pfq_eval_float", dict(gamma=Fraction(1, 2))), ("2.1", "_bailey_double_sum", dict(i=8, j=8))]
+    cases += [("2.1", "_raw_product_series", dict(i=n, j=n)) for n in (0, 8)]
     return cases
 
 

@@ -607,8 +607,9 @@ def _lower_forms(*sides: SideOf) -> tuple[tuple[str, tuple[int, int, int, int]],
 
 def _clear_memos() -> None:
     """Forget what the points of a grid share: each factor's expansion and
-    findings, the kept span quotients and the kept float sums."""
+    findings, the kept shift tables and span quotients and the kept float sums."""
     _expansion.cache_clear()
+    right._shift_tables.cache_clear()
     right._span_row.cache_clear()
     _factor_sums.cache_clear()
 

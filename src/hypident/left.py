@@ -9,7 +9,6 @@ import math
 from fractions import Fraction
 from operator import mul
 
-from .rationals import _over_common
 from .series import TruncatedSeries, _over_last
 
 __all__: list[str] = []
@@ -29,9 +28,10 @@ def _raw_product_series(side, cap: int) -> TruncatedSeries:
     ``phi_1 = beta / b``. The first components are brought to one
     denominator by :func:`_over_last` and canonicalised once. (D.
     Zeilberger, *A holonomic systems approach to special function
-    identities*, J. Comput. Appl. Math. 32, 1990, for such systems.)
+    identities*, J. Comput. Appl. Math. 32, 1990, for such systems.) Every
+    parameter enters as its integer ratio, so the set-up forms no ``Fraction``.
     """
-    eps = Fraction(side.exp)
+    eps = side.exp.as_integer_ratio()
     odes = [_factor_ode(spec, arg.c) for spec, arg in side.factors]
     if len(odes) == 1:
         den, steps, heads, _ = _lone_rows(*odes, eps, cap)
@@ -40,8 +40,23 @@ def _raw_product_series(side, cap: int) -> TruncatedSeries:
     return TruncatedSeries.from_integers(cap, *_over_last(den, steps, heads))
 
 
-#: ``(alpha, beta, b)`` of a factor's equation ``x phi'' = (alpha x - b) phi' + beta phi``
-Ode = tuple[Fraction, Fraction, Fraction]
+#: ``(alpha, beta, b)`` of a factor's equation ``x phi'' = (alpha x - b) phi' + beta phi``:
+#: the int ``alpha``, then ``beta`` and ``b`` as integer ratios in lowest terms
+Ode = tuple[int, tuple[int, int], tuple[int, int]]
+#: a rational as its integer ratio ``(p, q)``, ``q > 0``, in lowest terms
+Ratio = tuple[int, int]
+
+
+def _ratio(num: int, den: int) -> Ratio:
+    """``num / den`` in lowest terms with a positive denominator, as ``Fraction`` gives it."""
+    g = math.gcd(num, den)
+    return (num // g, den // g) if den > 0 else (-num // g, -den // g)
+
+
+def _over_lcm(*ratios: Ratio) -> tuple[int, list[int]]:
+    """``(L, [p*L/q, ...])``: the ratios as integers over their common denominator L."""
+    scale = math.lcm(*[q for _, q in ratios])
+    return scale, [p * (scale // q) for p, q in ratios]
 
 
 def _factor_ode(spec, c: int) -> Ode:
@@ -51,11 +66,13 @@ def _factor_ode(spec, c: int) -> Ode:
     ``phi_(k+1) / phi_k = (beta + k alpha) / ((k + 1)(b + k))``."""
     (b,) = spec.lower
     if spec.upper:
-        return Fraction(c), spec.upper[0] * c, b
-    return Fraction(0), Fraction(c), b
+        p, q = spec.upper[0].as_integer_ratio()
+        g = math.gcd(c, q)
+        return c, (p * (c // g), q // g), b.as_integer_ratio()
+    return 0, (c, 1), b.as_integer_ratio()
 
 
-def _lone_rows(ode: Ode, eps: Fraction, cap: int) -> tuple[int, list[int], list[int], list[int]]:
+def _lone_rows(ode: Ode, eps: Ratio, cap: int) -> tuple[int, list[int], list[int], list[int]]:
     """``h = E phi`` and ``v = E phi'`` up to ``x**cap`` by
 
         d h_d = eps h + v,    (d + b) v_d = (eps + alpha) v + beta h_d,
@@ -67,11 +84,14 @@ def _lone_rows(ode: Ode, eps: Fraction, cap: int) -> tuple[int, list[int], list[
     the running denominator, and then divides the state and the step by
     their common factor, one gcd with the small step. That keeps the
     running denominator near the reduced one. ``d + b`` never vanishes: a
-    ``HypSpec`` refuses a nonpositive integer lower parameter."""
-    alpha, beta, b = ode
-    e1, s1 = eps.as_integer_ratio()
-    l2, (lb, a2, b2) = _over_common(b, eps + alpha, beta)
-    den, (h, v) = _over_common(Fraction(1), beta / b)
+    ``HypSpec`` refuses a nonpositive integer lower parameter. ``eps =
+    e1/s1`` comes as its integer ratio, and ``eps + alpha`` is ``(e1 +
+    alpha s1)/s1``, in lowest terms as ``eps`` is."""
+    alpha, (bp, bq), b = ode
+    e1, s1 = eps
+    l2, (lb, a2, b2) = _over_lcm(b, (e1 + alpha * s1, s1), (bp, bq))
+    v, den = _ratio(bp * b[1], bq * b[0])  # beta / b
+    h = den
     steps, hs, vs = [1], [h], [v]
     for d in range(1, cap + 1):
         p1, p2 = s1 * d, l2 * d + lb
@@ -87,7 +107,7 @@ def _lone_rows(ode: Ode, eps: Fraction, cap: int) -> tuple[int, list[int], list[
     return den, steps, hs, vs
 
 
-def _pair_rows(first: Ode, second: Ode, eps: Fraction, cap: int) -> tuple[int, list[int], list[int]]:
+def _pair_rows(first: Ode, second: Ode, eps: Ratio, cap: int) -> tuple[int, list[int], list[int]]:
     """``u1 = E phi psi``, as :func:`_lone_rows` gives ``h``, through
     ``u2 = E phi' psi``, ``u3 = E phi psi'`` and ``u4 = E phi' psi'``:
 
@@ -103,11 +123,15 @@ def _pair_rows(first: Ode, second: Ode, eps: Fraction, cap: int) -> tuple[int, l
     integer. That degree of ``u4`` is left free by its equation, so it is
     taken from its definition (:func:`_resonant_u4`)."""
     (alpha, beta, b), (alpha2, beta2, b2) = first, second
-    e1, s1 = eps.as_integer_ratio()
-    l2, (lb2, a2, c2) = _over_common(b, eps + alpha, beta)
-    l3, (lb3, a3, c3) = _over_common(b2, eps + alpha2, beta2)
-    l4, (lb4, a4, c42, c43) = _over_common(b + b2, eps + alpha + alpha2, beta2, beta)
-    den, (u1, u2, u3, u4) = _over_common(Fraction(1), beta / b, beta2 / b2, beta * beta2 / (b * b2))
+    e1, s1 = eps
+    l2, (lb2, a2, c2) = _over_lcm(b, (e1 + alpha * s1, s1), beta)
+    l3, (lb3, a3, c3) = _over_lcm(b2, (e1 + alpha2 * s1, s1), beta2)
+    lower = _ratio(b[0] * b2[1] + b2[0] * b[1], b[1] * b2[1])  # b + b'
+    l4, (lb4, a4, c42, c43) = _over_lcm(lower, (e1 + (alpha + alpha2) * s1, s1), beta2, beta)
+    over_b, over_b2 = (beta[0] * b[1], beta[1] * b[0]), (beta2[0] * b2[1], beta2[1] * b2[0])
+    den, (u1, u2, u3, u4) = _over_lcm(
+        (1, 1), _ratio(*over_b), _ratio(*over_b2), _ratio(over_b[0] * over_b2[0], over_b[1] * over_b2[1])
+    )
     steps, heads = [1], [u1]
     for d in range(1, cap + 1):
         p1, p2, p3, p4 = s1 * d, l2 * d + lb2, l3 * d + lb3, l4 * d + lb4
@@ -136,11 +160,11 @@ def _pair_rows(first: Ode, second: Ode, eps: Fraction, cap: int) -> tuple[int, l
     return den, steps, heads
 
 
-def _resonant_u4(first: Ode, second: Ode, eps: Fraction, d: int) -> Fraction:
+def _resonant_u4(first: Ode, second: Ode, eps: Ratio, d: int) -> Fraction:
     """Coefficient d of ``E phi' psi'``: the sum over k of ``(E phi')_k
     (psi')_(d-k)``, each factor by :func:`_lone_rows`."""
     den, steps, _, vs = _lone_rows(first, eps, d)
     den_a, a = _over_last(den, steps, vs)
-    den, steps, _, vs = _lone_rows(second, Fraction(0), d)
+    den, steps, _, vs = _lone_rows(second, (0, 1), d)
     den_b, b = _over_last(den, steps, vs)
     return Fraction(sum(map(mul, a, reversed(b))), den_a * den_b)

@@ -11,13 +11,14 @@ from __future__ import annotations
 
 import functools
 import math
-from collections.abc import Sequence
+import threading
+from collections.abc import Callable, Sequence
 from fractions import Fraction
 from itertools import accumulate, repeat
 from operator import add, mul, sub
+from typing import NamedTuple
 
 from .hyper import HypSpec, _pfq_integers, bailey_product_spec
-from .rationals import is_nonpositive_integer
 from .series import TruncatedSeries, _over_last
 
 __all__: list[str] = []
@@ -205,37 +206,44 @@ def _bailey_double_sum(
         [first[m] / (rho+m)_k] [second[n] / (sigma+n)_k] (T+k)_k / (16**k k!).
 
     Each factor's part is one integer column ``A[m][k]`` per shift, relative
-    to ``(rho + top)_k`` (:func:`_shift_table`). With ``rho + top = pa/qa``,
-    ``sigma + top' = pb/qb``, ``rho + sigma = P/Q`` and ``F(u) = P + u*Q``,
-    the rest of coefficient k is ``(qa qb)**k F(s+k-1) ... F(s+2k-2)`` over
-    ``16**k Q**k k! prod_{l<k} (pa + l qa)(pb + l qb)``. Only the span of F
-    depends on the diagonal. Every other denominator divides the one of the
-    deepest k, so one k-table ``shared[k]`` over that denominator serves
+    to ``(rho + top)_k`` (:func:`_shift_table`). The table depends on the
+    factor alone, so it is read from :data:`_shift_tables`, which keeps it
+    for the process by the factor's value as integers, at the depth rounded
+    up to a power of two: the points of one grid whose caps differ read one
+    table, and ``map`` stops at the shorter column. With ``rho = p/q``,
+    ``sigma = p'/q'``, ``rho + top = pa/q``, ``sigma + top' = pb/q'``, ``rho
+    + sigma = P/Q`` and ``F(u) = P + u*Q``, the rest of coefficient k is
+    ``(q q')**k F(s+k-1) ... F(s+2k-2)`` over ``16**k Q**k k! prod_{l<k} (pa
+    + l q)(pb + l q')``; every one of these is formed from the integer
+    ratios of rho and sigma, with no ``Fraction`` arithmetic. Only the span
+    of F depends on the diagonal. Every other denominator divides the one of
+    the deepest k, so one k-table ``shared[k]`` over that denominator serves
     every diagonal. The spans stay in the numerator: with ``n, P0 =
     divmod(P, Q)`` the span of diagonal s is row ``s + n`` of the class
     ``(P0, Q)`` (:func:`_span_row`), which the points of one grid share. The
-    row is read at the diagonal's depth rounded up to a power of two, so
-    points whose caps differ a little read one row; ``map`` stops at the
-    shorter list. Coefficient k of diagonal s is then ``shared[k] *
-    span * sum_m A[m][k] B[s-m][k]``: each diagonal sums its pairs as one
-    vector over k, column by column, and writes its coefficients
-    ``nums[s::2]`` at once.
+    row is read at the diagonal's depth rounded up as the tables are.
+    Coefficient k of diagonal s is then ``shared[k] * span * sum_m A[m][k]
+    B[s-m][k]``: each diagonal sums its pairs as one vector over k, column
+    by column, and writes its coefficients ``nums[s::2]`` at once.
     """
     # every block's parameters are block (0, 0)'s plus nonnegative integers,
     # so if any block is degenerate, block (0, 0) is: one of rho, sigma and
     # rho + sigma - 1 = (P - Q)/Q is a nonpositive integer, and building the
     # block raises as bailey_product_spec does. Otherwise F(u) != 0 for every
     # u >= -1
-    P, Q = (rho + sigma).as_integer_ratio()
-    if is_nonpositive_integer(rho) or is_nonpositive_integer(sigma) or (Q == 1 and P <= 1):
+    (p, q), (p2, q2) = rho.as_integer_ratio(), sigma.as_integer_ratio()
+    g = math.gcd(p * q2 + p2 * q, q * q2)
+    P, Q = (p * q2 + p2 * q) // g, q * q2 // g
+    if (q == 1 and p <= 0) or (q2 == 1 and p2 <= 0) or (Q == 1 and P <= 1):
         bailey_product_spec(rho, sigma)
     depth = cap // 2
-    den_a, cols_a = _shift_table(rho, first, depth)
-    den_b, cols_b = _shift_table(sigma, second, depth)
+    rounded = 1 << (depth - 1).bit_length()
+    den_a, cols_a = _shift_tables(((p, q), *map(Fraction.as_integer_ratio, first)), rounded)
+    den_b, cols_b = _shift_tables(((p2, q2), *map(Fraction.as_integer_ratio, second)), rounded)
     top_a, top_b = len(first) - 1, len(second) - 1
-    (pa, qa), (pb, qb) = (rho + top_a).as_integer_ratio(), (sigma + top_b).as_integer_ratio()
-    steps = [16 * Q * k * (pa + (k - 1) * qa) * (pb + (k - 1) * qb) for k in range(depth + 1)]
-    common, shared = _over_last(1, steps, list(accumulate(repeat(qa * qb, depth), mul, initial=1)))
+    pa, pb = p + top_a * q, p2 + top_b * q2
+    steps = [16 * Q * k * (pa + (k - 1) * q) * (pb + (k - 1) * q2) for k in range(depth + 1)]
+    common, shared = _over_last(1, steps, list(accumulate(repeat(q * q2, depth), mul, initial=1)))
     n, P0 = divmod(P, Q)
     nums = [0] * (cap + 1)
     for s in range(min(cap, top_a + top_b) + 1):
@@ -268,34 +276,116 @@ def _span_row(P0: int, Q: int, t: int, depth: int) -> tuple[int, ...]:
     return tuple(row)
 
 
-def _shift_table(rho: Fraction, weights: Sequence[Fraction], depth: int) -> tuple[int, list[list[int]]]:
+#: a factor ``(rho, weights)`` as integers: ``rho``'s integer ratio, then each weight's
+ShiftKey = tuple[tuple[int, int], ...]
+ShiftTable = tuple[int, tuple[tuple[int, ...], ...]]
+
+
+def _shift_table(key: ShiftKey, depth: int) -> ShiftTable:
     """Integer columns ``cols[m][k]`` over one ``den`` with
 
         cols[m][k] / den = weights[m] * (rho + top)_k / (rho + m)_k
 
-    for ``k <= depth`` and every shift m, ``top = len(weights) - 1``.
+    for ``k <= depth`` and every shift m, ``top = len(weights) - 1``, the
+    factor given by its :data:`ShiftKey`, ``((p, q), *weights)`` with ``rho
+    = p/q``, each weight as its integer ratio: no ``Fraction`` is formed.
 
-    With ``rho = p/q`` and ``F(l) = p + l*q``, ``(rho + top)_k / (rho + m)_k``
-    is ``F(m+k) ... F(top+k-1)`` over ``F(m) ... F(top-1)``. Over ``den`` =
-    the weights' common denominator times ``F(0) ... F(top-1)``, entry
-    (m, k) is the weight's numerator times the prefix ``F(0) ... F(m-1)``
-    times that k-dependent suffix. Walking m down, each suffix column is the
-    one above it times the column ``F(m+k)`` over k.
-    The caller guarantees no ``F(l)`` is 0.
+    With ``F(l) = p + l*q``, ``(rho + top)_k / (rho + m)_k`` is ``F(m+k)
+    ... F(top+k-1)`` over ``F(m) ... F(top-1)``. Over ``den`` = the weights'
+    common denominator times ``F(0) ... F(top-1)``, entry (m, k) is the
+    weight's numerator times the prefix ``F(0) ... F(m-1)`` times that
+    k-dependent suffix. Walking m down, each suffix column is the one above
+    it times the column ``F(m+k)`` over k. The columns are tuples, so a kept
+    table never changes. The caller guarantees no ``F(l)`` is 0.
     """
-    p, q = rho.numerator, rho.denominator
+    (p, q), *weights = key
     top = len(weights) - 1
-    wden = math.lcm(*[w.denominator for w in weights])
+    wden = math.lcm(*[d for _, d in weights])
     lead = []  # numerator of weights[m] over wden, times F(0) ... F(m-1)
     prefix = 1
-    for m, w in enumerate(weights):
-        lead.append(w.numerator * (wden // w.denominator) * prefix)
+    for m, (num, d) in enumerate(weights):
+        lead.append(num * (wden // d) * prefix)
         if m < top:
             prefix *= p + m * q
     cols = []
     suffix = [1] * (depth + 1)  # F(m+k) ... F(top+k-1) over k
     for m in range(top, -1, -1):
-        cols.append([lead[m] * v for v in suffix])
+        cols.append(tuple([lead[m] * v for v in suffix]))
         suffix = list(map(mul, suffix, range(p + (m - 1) * q, p + (m - 1 + depth) * q + 1, q)))
     cols.reverse()
-    return wden * prefix, cols
+    return wden * prefix, tuple(cols)
+
+
+def _table_size(key: ShiftKey, depth: int) -> int:
+    """The integers in the columns of a table: one per shift and k."""
+    return (len(key) - 1) * (depth + 1)
+
+
+class TableInfo(NamedTuple):
+    """``_shift_tables.cache_info()``: an ``lru_cache``'s fields, the budget and count in integers."""
+
+    hits: int
+    misses: int
+    budget: int  # integers
+    kept: int  # integers
+    currsize: int  # tables
+
+
+def _kept_tables(budget: int) -> Callable[[ShiftKey, int], ShiftTable]:
+    """:func:`_shift_table`, each table kept for the process by its
+    :data:`ShiftKey` and depth, up to ``budget`` integers of columns in
+    all; the first kept is the first dropped, and a table larger than the
+    budget is built and not kept. The key is integers because hashing the
+    weights' Fractions costs what a kept table saves. A kept table never
+    changes, so a read takes no lock, and two threads that build one table
+    at once build equal tables. The lock covers only a store: the dict's
+    order, which says what to drop, and the count of kept integers. The
+    hit and miss counts are not locked and may lose a count to a thread
+    switch. Like a ``functools.lru_cache``, the result has ``cache_info``
+    and ``cache_clear``."""
+    tables: dict[tuple[ShiftKey, int], ShiftTable] = {}
+    hits = misses = kept = 0
+    lock = threading.Lock()
+
+    def lookup(key: ShiftKey, depth: int) -> ShiftTable:
+        nonlocal hits, misses, kept
+        table = tables.get((key, depth))
+        if table is not None:
+            hits += 1
+            return table
+        misses += 1
+        table = _shift_table(key, depth)
+        size = _table_size(key, depth)
+        with lock:
+            if size <= budget and (key, depth) not in tables:
+                while kept + size > budget:
+                    first = next(iter(tables))
+                    del tables[first]
+                    kept -= _table_size(*first)
+                tables[key, depth] = table
+                kept += size
+        return table
+
+    def cache_clear() -> None:
+        nonlocal hits, misses, kept
+        with lock:
+            tables.clear()
+            hits = misses = kept = 0
+
+    lookup.cache_info = lambda: TableInfo(hits, misses, budget, kept, len(tables))
+    lookup.cache_clear = cache_clear
+    return lookup
+
+
+# integers kept, not tables, as a table holds (top + 1)(depth + 1) of them:
+# 297 for a factor at i = 8 read at depth 32, but 16,705 (3.3 MB) at i = 64 and
+# depth 256. Each tag of a block of the benchmark's 2.1-2.3 grid reads 36
+# tables, 4,452 integers, and at this budget every block of seeds 1 and 2
+# misses only each tag's first read of each, 108 of 486 reads, for about
+# 0.25 MB more peak RSS; 16,384 integers keep a whole block for about 1 MB
+# more. A 2.1-2.3 sweep at i, j <= 20 reads 182 tables, 89,630 integers, and
+# misses 1,578 of its 2,646 reads here; at 16,384 it misses 474 and takes
+# about 3% less time for 0.8 MB more. A verify at degree 512 and i = j = 64
+# reads two tables, each once and each past the budget
+SHIFT_BUDGET = 1 << 12
+_shift_tables = _kept_tables(SHIFT_BUDGET)

@@ -88,12 +88,16 @@ def test_the_full_ladder_times_float_sides_and_a_deep_left_side():
                       for side in ("lhs_float", "rhs_float")]
     # the float_sums specs (1.8 at high and low excess) and 2.1's double sum, each made in this tree
     layers = ["1.4 pfq_eval_float", "1.8 pfq_eval_float gamma=5", "1.8 pfq_eval_float gamma=1/2",
-              "2.1 _bailey_double_sum i=8 j=8"]
+              "2.1 _bailey_double_sum i=8 j=8", "2.1 _raw_product_series i=0 j=0", "2.1 _raw_product_series i=8 j=8"]
     assert labels[-len(layers):] == layers
     table, src = bench_layers.table(quick=False), ROOT / "src"
     tree = bench_layers.load(src, "hypident_ladder")
     assert all(bench_layers.made(table[name], tree, src)().status == "exact_match" for name in defaults)
     assert all(bench_layers.made(table[name], tree, src) for name in layers)
+    # 2.1's left side at its default caps, 16 and 48
+    assert [bench_layers.made(table[name], tree, src)().cap for name in layers[-2:]] == [16, 48]
+    # 2.1's right side at i = j = 8 warm, after the one at 2, and from cleared memos after the cold verifies
+    assert [label for label in labels if label.startswith("2.1 build_rhs")] == ["2.1 build_rhs i=2 j=2", "2.1 build_rhs i=8 j=8"]
     # the 2.1 grid at i, j <= 8 from cleared memos, after the ladder and in the full table only
     names = list(table)
     assert names[names.index(layers[-1]) + 1] == bench_layers.GRID_CASE
@@ -104,7 +108,7 @@ def test_the_full_ladder_times_float_sides_and_a_deep_left_side():
     cold = names[names.index(bench_layers.GRID_CASE) + 1:names.index(bench_layers.CATALOG_POINT_CASE) + 1]
     assert cold == [*(f"{label} memos cleared" for label in floats),
                     *(f"{tag} verify_identity i={n} j={n} memos cleared" for n in (8, 20) for tag in ("2.1", "2.2", "2.3", "3.1")),
-                    "catalog point verify_identity cap=96 memos cleared"]
+                    "2.1 build_rhs i=8 j=8 memos cleared", "catalog point verify_identity cap=96 memos cleared"]
     point = bench_layers.made(table[bench_layers.CATALOG_POINT_CASE], tree, src)
     assert [report.identity for report in point()] == [*bench_layers.PAIR_TAGS, *["1.17"] * 3, *["1.18"] * 3]
     assert {report.status for report in point()} == {"exact_match"}

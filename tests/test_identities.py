@@ -17,7 +17,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import hypident
-from hypident import identities, right
+from hypident import identities, left, right
 from hypident.hyper import DegenerateParameterError, FloatSum, HypSpec, bailey_product_spec, pfq_eval_float, pfq_series
 from hypident.identities import (
     Arg,
@@ -40,7 +40,7 @@ from hypident.identities import (
 )
 from hypident.rationals import pochhammer
 from hypident.reports import check_lower
-from hypident.series import TruncatedSeries, exp_series
+from hypident.series import TruncatedSeries, _over_last, exp_series
 from hypident.verify import DEFAULT_FLOAT_POINTS, check_admissible, verify_identity
 
 A = Fraction(3, 7)
@@ -741,6 +741,18 @@ class TestSideSeries:
             side = RawProduct(PRODUCT_FACTORS[name], exp)
             for cap in [*range(41), 96]:
                 assert _side_series(side, cap) == reference_side_series(side, cap), (exp, cap)
+
+    def test_the_pair_recurrence_ends_near_the_reduced_denominator(self):
+        """1.10's left side at (3/7, 2/5) to cap 96, from integer ratios: the
+        running denominator that ``left._pair_rows`` leaves has 870 bits,
+        against 868 for the canonical series, as its docstring states."""
+        side = RawProduct(((HypSpec((A,), (2 * A,)), Arg(1)), (HypSpec((B,), (2 * B,)), Arg(1))))
+        odes = [left._factor_ode(spec, arg.c) for spec, arg in side.factors]
+        assert odes == [(1, (3, 7), (6, 7)), (1, (2, 5), (4, 5))]
+        den, _ = _over_last(*left._pair_rows(*odes, (0, 1), 96))
+        assert den.bit_length() == 870
+        assert _side_series(side, 96).den.bit_length() == 868
+        assert _side_series(side, 96) == get("1.10").build_lhs(IdentityParams(alpha=A, beta=B, cap=96))
 
     def test_raw_product_refuses_a_squared_argument(self):
         factor = HypSpec((A,), (B,))
@@ -1646,7 +1658,7 @@ def test_the_float_memo_is_bounded_and_cleared(summed):
 def test_clear_memos_empties_every_per_process_cache():
     """Every module-level cache of the package, found by its ``cache_clear``,
     is empty after ``_clear_memos``, once two verifies have filled the
-    three memos, so that no cache added later outlives the ``cold_memos``
+    four memos, so that no cache added later outlives the ``cold_memos``
     fixture or warms a "memos cleared" bench row. The command line's one
     parser, ``cli._shared_parser``, is the cache a process keeps."""
     caches = {}
@@ -1655,7 +1667,7 @@ def test_clear_memos_empties_every_per_process_cache():
         caches.update({f"{info.name}.{name}": value for name, value in vars(module).items()
                        if hasattr(value, "cache_clear") and value.__module__ == module.__name__})
     assert caches.pop("cli._shared_parser")
-    memos = {"identities._expansion", "right._span_row", "identities._factor_sums"}
+    memos = {"identities._expansion", "right._shift_tables", "right._span_row", "identities._factor_sums"}
     assert memos <= set(caches)
     verify_identity("1.10", IdentityParams(alpha=A, beta=B))
     verify_identity("2.1", IdentityParams(alpha=A, beta=B, i=2, j=2))

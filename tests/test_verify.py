@@ -644,9 +644,9 @@ class TestSweep:
 
 
 class TestSharedMemos:
-    """The points of a grid share each factor's expansion and findings and
-    the span quotients of their class of rho + sigma: no report may depend
-    on what an earlier point left behind."""
+    """The points of a grid share each factor's expansion, findings and
+    shift table and the span quotients of their class of rho + sigma: no
+    report may depend on what an earlier point left behind."""
 
     ALPHA_FIRST = IdentityParams(alpha=Fraction(-3, 2), beta=B, i=1, j=1)
     BETA_SECOND = IdentityParams(alpha=B, beta=Fraction(-3, 2), i=1, j=1)
@@ -732,14 +732,52 @@ class TestSharedMemos:
         assert all(type(kept(*key)) is tuple for key in read)
         assert kept.cache_info().hits == hits + len(read)
 
+    @pytest.mark.parametrize("budget", [0, 64])
+    def test_tables_dropped_at_once_change_no_report(self, monkeypatch, budget):
+        """With a budget that keeps no shift table, every table is built
+        again where it is next read, and with one of 64 integers the small
+        tables are kept and dropped in turn: every point gives its cold outcome."""
+        cold = self.cold()
+        monkeypatch.setattr(right, "_shift_tables", right._kept_tables(budget))
+        identities._clear_memos()
+        assert [self.outcome(*point) for point in self.POINTS] == cold
+        info = right._shift_tables.cache_info()
+        assert info.misses > len(self.POINTS) and info.kept <= budget
+        if budget:
+            assert info.hits > 0
+        else:
+            assert (info.hits, info.currsize) == (0, 0)
+
+    def test_the_kept_tables_stay_within_their_budget(self, monkeypatch):
+        """Two factors at i = j = 12 read at depth 256, 13 * 257 integers
+        each: the tables kept stay within ``SHIFT_BUDGET`` integers, the
+        first kept dropped first, and the last read is kept whole, its
+        columns tuples."""
+        identities._clear_memos()
+        kept, read = right._shift_tables, []
+        monkeypatch.setattr(right, "_shift_tables", lambda *key: read.append(key) or kept(*key))
+        report = verify_identity("2.1", IdentityParams(alpha=A, beta=B, i=12, j=12, cap=400), ())
+        assert report.status == "exact_match"
+        assert [depth for _, depth in read] == [256, 256]
+        info, size = kept.cache_info(), 13 * 257
+        assert info.currsize == min(2, right.SHIFT_BUDGET // size) >= 1
+        assert info.kept == info.currsize * size <= right.SHIFT_BUDGET
+        den, cols = kept(*read[-1])
+        assert type(cols) is tuple and len(cols) == 13 and all(type(col) is tuple and len(col) == 257 for col in cols)
+        assert kept.cache_info().hits == info.hits + 1
+
     def test_rounded_depths_serve_every_cap(self):
         """2.1-2.3 at caps 0..40 and i, j <= 3, built in one process, read
-        rows built for other caps and other points: each right side equals
-        its fresh build."""
+        rows and tables built for other caps and other points: each table
+        is built once and read again, and each right side equals its fresh
+        build."""
         points = [(get(tag).build_rhs, IdentityParams(alpha=A, beta=B, i=i, j=j, cap=cap))
                   for tag in ("2.1", "2.2", "2.3") for cap in range(41) for i in range(4) for j in range(4)]
         identities._clear_memos()
         warm = [build(params) for build, params in points]
+        tables = right._shift_tables.cache_info()
+        assert tables.misses == tables.currsize and tables.hits == 2 * len(points) - tables.misses
+        assert tables.hits > 20 * tables.misses
         fresh = []
         for build, params in points:
             identities._clear_memos()
@@ -770,9 +808,9 @@ class TestSharedMemos:
 
     def test_threads_building_at_once_get_the_series_one_thread_gets(self):
         """Four threads build 2.1 right sides of two classes of rho + sigma
-        at once, switching every microsecond, so that the cached span rows
-        are read and added to under them: every series equals its
-        single-thread build."""
+        at once, switching every microsecond, so that the kept shift tables
+        and span rows are read and added to under them: every series equals
+        its single-thread build."""
         build = get("2.1").build_rhs
         points = [IdentityParams(alpha=alpha, beta=B, i=6, j=6, cap=cap)
                   for alpha, cap in ((A, 160), (Fraction(1, 3), 180), (A, 200), (Fraction(1, 3), 170))]
