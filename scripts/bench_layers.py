@@ -64,8 +64,12 @@ only the tree's ``src`` on ``PYTHONPATH`` and timed by its wall time, one
 process a batch: the import case, ``python3 -c "import hypident.cli"``, as
 the benchmark's ``setup_s`` takes it, and, in the full ladder, one cold
 ``python3 -m hypident.cli verify`` of 2.1 at i = j = 8 with ``--output
-json``. Each tree is byte-compiled first, since a fresh process may not
-write its own cache. ``--quick`` takes two
+json``. These run uncompiled, as the benchmark runs a fresh checkout and
+as ``bench_pairs.py`` runs its trees: each tree's ``src/**/__pycache__`` is
+removed first, since a process reads the bytecode it finds, and each
+process has ``PYTHONDONTWRITEBYTECODE=1``. The script writes no bytecode
+either, so it leaves no ``__pycache__`` in either tree.
+``--quick`` takes two
 builders at cap 16, one float side warm and cold, the constructors, the
 per-point layers, the request and the import case, for a smoke test; the
 grids, the cold gates and the cold ``verify`` process are in the full
@@ -79,13 +83,13 @@ replaced. Only the standard library is used.
 from __future__ import annotations
 
 import argparse
-import compileall
 import contextlib
 import gc
 import importlib
 import io
 import json
 import os
+import shutil
 import statistics
 import subprocess
 import sys
@@ -94,6 +98,7 @@ from fractions import Fraction
 from functools import partial
 from pathlib import Path
 
+sys.dont_write_bytecode = True
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 from compare_sides import ROOT, load  # noqa: E402
 
@@ -259,13 +264,13 @@ def request(tree, src):
 
 def fresh_process(*args: str):
     """``make`` of ``python3 *args`` in a fresh process with only ``src`` on
-    the path, which must exit 0. The tree is byte-compiled first: with
-    ``PYTHONDONTWRITEBYTECODE`` set, every import would otherwise compile
-    the sources again."""
+    the path, which must exit 0. Each process compiles the package at
+    import, as a fresh checkout does, and writes no bytecode."""
 
     def make(tree, src: Path):
-        compileall.compile_dir(src / "hypident", quiet=1)
-        env = {**os.environ, "PYTHONPATH": str(src)}
+        for cache in src.rglob("__pycache__"):
+            shutil.rmtree(cache)
+        env = {**os.environ, "PYTHONPATH": str(src), "PYTHONDONTWRITEBYTECODE": "1"}
         return partial(subprocess.run, [sys.executable, *args], cwd=src.parent, env=env,
                        capture_output=True, check=True, timeout=120)
 

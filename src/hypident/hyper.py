@@ -15,13 +15,16 @@ for the omitted tail and returns that bound with the value: a geometric
 bound from the term ratio wherever the ratio tends below 1, and a
 telescoped tail at the unit argument, where ``p = q + 1`` series converge
 only like ``k**-(1+s)``. A sum that exhausts its term budget reports no
-bound rather than a wrong value.
+bound rather than a wrong value. :data:`KEPT` is the process's one store of
+what the points of a grid share, under one budget in bits.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-from collections import namedtuple
+import threading
+from collections import OrderedDict, namedtuple
 from collections.abc import Sequence
 from fractions import Fraction
 from itertools import accumulate
@@ -448,3 +451,102 @@ def bailey_product_series(rho: Fraction | int, sigma: Fraction | int, cap: int) 
     Unused by the package: perfbench's tracer patches it, and tests use it as an oracle.
     """
     return pfq_series(bailey_product_spec(rho, sigma), cap).scale_argument(4)
+
+
+class KeptInfo(NamedTuple):
+    """One namespace of :data:`KEPT`: its reads, and the bits and entries it keeps."""
+
+    hits: int
+    misses: int
+    bits: int
+    entries: int
+
+
+def _bits(value) -> int:
+    """What keeping ``value`` is charged: the bits of its integers, a
+    ``Fraction``'s two, summed over tuples; 2,048 for a ``FloatSum``, which
+    holds no integer of size; nothing for a string."""
+    if isinstance(value, FloatSum):
+        return 2048
+    if isinstance(value, tuple):
+        if value and type(value[-1]) is int:  # a row or column of integers, summed at C speed
+            try:
+                return sum(map(int.bit_length, value))
+            except TypeError:  # not integers alone
+                pass
+        return sum(map(_bits, value))
+    if isinstance(value, Fraction):
+        return value.numerator.bit_length() + value.denominator.bit_length()
+    return value.bit_length() if type(value) is int else 0
+
+
+class KeptStore:
+    """Values kept for the process, each under a key whose first item names
+    its namespace, up to ``budget`` bits (:func:`_bits`) in all. The first
+    kept is the first dropped, and a value larger than the budget is built
+    and not kept. A kept value is a tuple and never changes, so a read takes
+    no lock, and two threads that build one value at once build equal
+    values. The lock covers only a store: the order, which says what to
+    drop, and the count of kept bits. The hit and miss counts are not
+    locked and may lose a count to a thread switch."""
+
+    def __init__(self, budget: int, namespaces: Sequence[str]):
+        self.budget = budget
+        self._kept: OrderedDict = OrderedDict()
+        self._bits = 0
+        self._reads = {name: [0, 0] for name in namespaces}  # hits, misses: indexed by "missed"
+        self._lock = threading.Lock()
+
+    def get(self, *key):
+        """The value kept under ``key``, or None."""
+        value = self._kept.get(key)
+        self._reads[key[0]][value is None] += 1
+        return value
+
+    def put(self, value, *key):
+        """Keep ``value`` under ``key`` if it fits the budget, dropping the first kept to make room; return it."""
+        bits = _bits(value)
+        with self._lock:
+            if bits <= self.budget and key not in self._kept:
+                while self._bits + bits > self.budget:
+                    self._bits -= _bits(self._kept.popitem(last=False)[1])
+                self._kept[key] = value
+                self._bits += bits
+        return value
+
+    def memo(self, namespace: str):
+        """A decorator, as ``functools.lru_cache`` is one: the function's
+        value is kept in ``namespace`` by its positional arguments."""
+
+        def wrap(build):
+            kept, reads = self._kept, self._reads[namespace]
+
+            def lookup(*args):  # get, inlined: a grid point reads about 15 values
+                key = (namespace, *args)
+                value = kept.get(key)
+                reads[value is None] += 1
+                return self.put(build(*args), *key) if value is None else value
+
+            return functools.update_wrapper(lookup, build)
+
+        return wrap
+
+    def cache_info(self) -> dict[str, KeptInfo]:
+        """Each namespace's counts since the last clear, by name."""
+        with self._lock:
+            kept = [(key[0], _bits(value)) for key, value in self._kept.items()]
+        return {name: KeptInfo(hits, misses, sum(bits for namespace, bits in kept if namespace == name),
+                               sum(namespace == name for namespace, _ in kept))
+                for name, (hits, misses) in self._reads.items()}
+
+    def cache_clear(self) -> None:
+        with self._lock:
+            self._kept.clear()
+            self._bits = 0
+            for reads in self._reads.values():
+                reads[:] = 0, 0
+
+
+#: the bits :data:`KEPT` may hold over every namespace; README's "How sides are built" says why
+KEPT_BITS = 1 << 22
+KEPT = KeptStore(KEPT_BITS, ("expansions", "shift tables", "span rows", "float sums"))

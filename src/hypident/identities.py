@@ -32,7 +32,7 @@ from fractions import Fraction
 from typing import Callable, NamedTuple, Sequence
 
 from . import right
-from .hyper import DegenerateParameterError, FloatSum, HypSpec, _pfq_integers, bailey_product_spec, pfq_eval_float
+from .hyper import KEPT, DegenerateParameterError, FloatSum, HypSpec, _pfq_integers, bailey_product_spec, pfq_eval_float
 from .left import _raw_product_series
 from .rationals import _exact_rational, _over_common, format_rational, is_nonpositive_integer, pochhammer
 from .reports import AdmissibilityFinding, check_lower, check_poch, check_pole, check_positive
@@ -272,25 +272,6 @@ def _float_terms(side: RawProduct | Side | ProductSide) -> Sequence[Term]:
     return terms
 
 
-# Every factor sum is kept for the process by value, (spec, argument), so the
-# float sides of every entry at one point share each 1F1, 0F1 and 2F3 sum: at
-# most 512 specs, the most recently used, each at up to 16 arguments. One
-# point's catalog needs at least 20 specs and one 2.x side at i = j = 20 has
-# 441 blocks; at the six default float points, 1F1(alpha; 2*alpha; c*x) at
-# c = 1, -1 and 2 takes twelve arguments. Full of 2F3 sums, it holds about 2 MB.
-# Threads need no lock: each lookup and store is one dict operation, and two
-# threads that sum one factor at once make the same sum; only the count and
-# the store are two steps, so threads storing at one moment may pass 16 by one.
-_FLOAT_SPECS = 512
-_FLOAT_ARGS = 16
-
-
-@functools.lru_cache(maxsize=_FLOAT_SPECS)
-def _factor_sums(key: tuple[int | tuple[int, int], ...]) -> dict[float, FloatSum]:
-    """The kept sums of the spec whose :func:`_spec_key` is ``key``, by argument."""
-    return {}
-
-
 def _spec_key(spec: HypSpec) -> tuple[int | tuple[int, int], ...]:
     """A spec's value as integers: its count of upper parameters, then each
     parameter's integer ratio. It hashes in well under a microsecond, where
@@ -305,16 +286,17 @@ def _side_floats(side: RawProduct | Side | ProductSide, xs: Sequence[float]) -> 
     read nan. The terms are listed once, by :func:`_float_terms`, then
     summed at each x in the same order.
 
-    Each distinct factor is summed once per process: the sums are kept by
-    value, ``(spec, argument)``, in :func:`_factor_sums`, so both sides of
-    every entry at one point share them, and an ``x**2/c`` factor takes the
-    same argument at ``x`` and ``-x``. A kept sum is what the call would
-    return, so no float depends on what was summed before. The call looks
-    each factor's spec up once and keeps no sums of its own; a NaN
-    argument, which no lookup finds again, is not kept.
+    Each distinct factor is summed once while it is kept: the sums are kept
+    by value, ``(spec, argument)``, in :data:`~hypident.hyper.KEPT`,
+    namespace ``"float sums"``, so both sides of every entry at one point
+    share them, and an ``x**2/c`` factor takes the same argument at ``x``
+    and ``-x``. A kept sum is what the call would return, so no float
+    depends on what was summed before. The call forms each factor's
+    :func:`_spec_key` once and keeps no sums of its own; a NaN argument,
+    which no lookup finds again, is not kept.
     """
     try:
-        terms = [(float(term.weight), term.power, [(_factor_sums(_spec_key(spec)), spec, arg) for spec, arg in term.factors])
+        terms = [(float(term.weight), term.power, [(_spec_key(spec), spec, arg) for spec, arg in term.factors])
                  for term in _float_terms(side)]
     except OverflowError:  # a weight past the double range
         return [(math.inf, False)] * len(xs)
@@ -325,13 +307,13 @@ def _side_floats(side: RawProduct | Side | ProductSide, xs: Sequence[float]) -> 
         try:
             for weight, power, factors in terms:
                 value = weight * x**power
-                for sums, spec, (c, squared) in factors:
+                for key, spec, (c, squared) in factors:
                     arg = x * x / c if squared else c * x
-                    factor = sums.get(arg)
+                    factor = KEPT.get("float sums", key, arg)
                     if factor is None:
                         factor = pfq_eval_float(spec, arg, tol=_FLOAT_TOL, max_terms=_FLOAT_TERMS)
-                        if len(sums) < _FLOAT_ARGS and not math.isnan(arg):
-                            sums[arg] = factor
+                        if not math.isnan(arg):
+                            KEPT.put(factor, "float sums", key, arg)
                     value *= factor.value
                     converged = converged and factor.converged
                 total += value
@@ -356,15 +338,9 @@ def _side_floats(side: RawProduct | Side | ProductSide, xs: Sequence[float]) -> 
 _FIRST = ("alpha", "i", "m")
 _SECOND = ("beta", "j", "n")
 
-# An expansion and its findings are kept by (parameter, shift, direction,
-# names), so the points of a grid and the gate and builder of each share
-# them. The bound holds, at one (alpha, beta) and i, j <= 64, the four
-# factors of 2.1-2.3 (2.3's are 2.1's first and 2.2's second) and the
-# second factor of the 3.1-3.3 gates, spelled with alpha.
-_FACTOR_MEMO = (4 + 2) * 65
 
-
-@functools.lru_cache(maxsize=_FACTOR_MEMO)
+# kept by (parameter, shift, direction, names): a grid's gates and builders share each derivation
+@KEPT.memo("expansions")
 def _expansion(
     alpha: Fraction, i: int, raised: bool, names: tuple[str, str, str]
 ) -> tuple[Findings, Findings, Expansion | AdmissibilityFinding]:
@@ -606,12 +582,10 @@ def _lower_forms(*sides: SideOf) -> tuple[tuple[str, tuple[int, int, int, int]],
 
 
 def _clear_memos() -> None:
-    """Forget what the points of a grid share: each factor's expansion and
-    findings, the kept shift tables and span quotients and the kept float sums."""
-    _expansion.cache_clear()
-    right._shift_tables.cache_clear()
-    right._span_row.cache_clear()
-    _factor_sums.cache_clear()
+    """Forget what the points of a grid share: every namespace of the one
+    kept store, each factor's expansion and findings, the shift tables, the
+    span quotients and the float sums."""
+    KEPT.cache_clear()
 
 
 def _product_requirements(raised: tuple[bool, bool], params: IdentityParams, equal_param: bool = False) -> Findings:

@@ -9,16 +9,13 @@ left route, :mod:`~hypident.left`."""
 
 from __future__ import annotations
 
-import functools
 import math
-import threading
-from collections.abc import Callable, Sequence
+from collections.abc import Sequence
 from fractions import Fraction
 from itertools import accumulate, repeat
 from operator import add, mul, sub
-from typing import NamedTuple
 
-from .hyper import HypSpec, _pfq_integers, bailey_product_spec
+from .hyper import KEPT, HypSpec, _pfq_integers, bailey_product_spec
 from .series import TruncatedSeries, _over_last
 
 __all__: list[str] = []
@@ -207,15 +204,15 @@ def _bailey_double_sum(
 
     Each factor's part is one integer column ``A[m][k]`` per shift, relative
     to ``(rho + top)_k`` (:func:`_shift_table`). The table depends on the
-    factor alone, so it is read from :data:`_shift_tables`, which keeps it
-    for the process by the factor's value as integers, at the depth rounded
-    up to a power of two: the points of one grid whose caps differ read one
-    table, and ``map`` stops at the shorter column. With ``rho = p/q``,
-    ``sigma = p'/q'``, ``rho + top = pa/q``, ``sigma + top' = pb/q'``, ``rho
-    + sigma = P/Q`` and ``F(u) = P + u*Q``, the rest of coefficient k is
-    ``(q q')**k F(s+k-1) ... F(s+2k-2)`` over ``16**k Q**k k! prod_{l<k} (pa
-    + l q)(pb + l q')``; every one of these is formed from the integer
-    ratios of rho and sigma, with no ``Fraction`` arithmetic. Only the span
+    factor alone, so it is kept between points by the factor's value as
+    integers, at the depth rounded up to a power of two: the points of one
+    grid whose caps differ read one table, and ``map`` stops at the shorter
+    column. With ``rho = p/q``, ``sigma = p'/q'``, ``rho + top = pa/q``,
+    ``sigma + top' = pb/q'``, ``rho + sigma = P/Q`` and ``F(u) = P + u*Q``,
+    the rest of coefficient k is ``(q q')**k F(s+k-1) ... F(s+2k-2)`` over
+    ``16**k Q**k k! prod_{l<k} (pa + l q)(pb + l q')``; every one of these
+    is formed from the integer ratios of rho and sigma, with no
+    ``Fraction`` arithmetic. Only the span
     of F depends on the diagonal. Every other denominator divides the one of
     the deepest k, so one k-table ``shared[k]`` over that denominator serves
     every diagonal. The spans stay in the numerator: with ``n, P0 =
@@ -238,8 +235,8 @@ def _bailey_double_sum(
         bailey_product_spec(rho, sigma)
     depth = cap // 2
     rounded = 1 << (depth - 1).bit_length()
-    den_a, cols_a = _shift_tables(((p, q), *map(Fraction.as_integer_ratio, first)), rounded)
-    den_b, cols_b = _shift_tables(((p2, q2), *map(Fraction.as_integer_ratio, second)), rounded)
+    den_a, cols_a = _shift_table(((p, q), *map(Fraction.as_integer_ratio, first)), rounded)
+    den_b, cols_b = _shift_table(((p2, q2), *map(Fraction.as_integer_ratio, second)), rounded)
     top_a, top_b = len(first) - 1, len(second) - 1
     pa, pb = p + top_a * q, p2 + top_b * q2
     steps = [16 * Q * k * (pa + (k - 1) * q) * (pb + (k - 1) * q2) for k in range(depth + 1)]
@@ -255,21 +252,16 @@ def _bailey_double_sum(
     return common * den_a * den_b, nums
 
 
-# rows kept, not integers, as a row holds up to cap/2 + 1 quotients: one class
-# of a seed-1 block of the benchmark's 2.1-2.3 grid reads at most 34 rows, a
-# 2.1-2.3 sweep at i, j <= 20 misses 334 of its 27,783 reads, and a verify at
-# degree 512 reads 129 rows, each once
-SPAN_ROWS = 64
-
-
-@functools.lru_cache(maxsize=SPAN_ROWS)
+@KEPT.memo("span rows")
 def _span_row(P0: int, Q: int, t: int, depth: int) -> tuple[int, ...]:
     """Row t of the span quotients ``q(t, k) = F0(t+k-1) ... F0(t+2k-2)``
     of the class ``(P0, Q)``, ``F0(u) = P0 + u*Q``, for ``k <= depth``, by
     the exact step ``q(t, k+1) = q(t, k) F0(t+2k-1) F0(t+2k) // F0(t+k-1)``,
     whose divisor is ``F(s+k-1)`` of :func:`_bailey_double_sum`, nonzero at
-    every block it admits. A kept row never changes, so threads share rows
-    with no lock; two that build one row at once build equal rows."""
+    every block it admits. The row is kept in :data:`~hypident.hyper.KEPT`,
+    namespace ``"span rows"``, by its arguments: the depth is in the key, so
+    a row is never read past its end. A kept row never changes, so threads
+    share rows with no lock; two that build one row at once build equal rows."""
     row = [1]
     for k in range(depth):
         row.append(row[-1] * (P0 + (t + 2 * k - 1) * Q) * (P0 + (t + 2 * k) * Q) // (P0 + (t + k - 1) * Q))
@@ -281,6 +273,7 @@ ShiftKey = tuple[tuple[int, int], ...]
 ShiftTable = tuple[int, tuple[tuple[int, ...], ...]]
 
 
+@KEPT.memo("shift tables")
 def _shift_table(key: ShiftKey, depth: int) -> ShiftTable:
     """Integer columns ``cols[m][k]`` over one ``den`` with
 
@@ -295,8 +288,11 @@ def _shift_table(key: ShiftKey, depth: int) -> ShiftTable:
     common denominator times ``F(0) ... F(top-1)``, entry (m, k) is the
     weight's numerator times the prefix ``F(0) ... F(m-1)`` times that
     k-dependent suffix. Walking m down, each suffix column is the one above
-    it times the column ``F(m+k)`` over k. The columns are tuples, so a kept
-    table never changes. The caller guarantees no ``F(l)`` is 0.
+    it times the column ``F(m+k)`` over k. The table is kept in
+    :data:`~hypident.hyper.KEPT`, namespace ``"shift tables"``, by key and
+    depth; the key is integers because hashing the weights' Fractions costs
+    what a kept table saves. The columns are tuples, so a kept table never
+    changes. The caller guarantees no ``F(l)`` is 0.
     """
     (p, q), *weights = key
     top = len(weights) - 1
@@ -314,78 +310,3 @@ def _shift_table(key: ShiftKey, depth: int) -> ShiftTable:
         suffix = list(map(mul, suffix, range(p + (m - 1) * q, p + (m - 1 + depth) * q + 1, q)))
     cols.reverse()
     return wden * prefix, tuple(cols)
-
-
-def _table_size(key: ShiftKey, depth: int) -> int:
-    """The integers in the columns of a table: one per shift and k."""
-    return (len(key) - 1) * (depth + 1)
-
-
-class TableInfo(NamedTuple):
-    """``_shift_tables.cache_info()``: an ``lru_cache``'s fields, the budget and count in integers."""
-
-    hits: int
-    misses: int
-    budget: int  # integers
-    kept: int  # integers
-    currsize: int  # tables
-
-
-def _kept_tables(budget: int) -> Callable[[ShiftKey, int], ShiftTable]:
-    """:func:`_shift_table`, each table kept for the process by its
-    :data:`ShiftKey` and depth, up to ``budget`` integers of columns in
-    all; the first kept is the first dropped, and a table larger than the
-    budget is built and not kept. The key is integers because hashing the
-    weights' Fractions costs what a kept table saves. A kept table never
-    changes, so a read takes no lock, and two threads that build one table
-    at once build equal tables. The lock covers only a store: the dict's
-    order, which says what to drop, and the count of kept integers. The
-    hit and miss counts are not locked and may lose a count to a thread
-    switch. Like a ``functools.lru_cache``, the result has ``cache_info``
-    and ``cache_clear``."""
-    tables: dict[tuple[ShiftKey, int], ShiftTable] = {}
-    hits = misses = kept = 0
-    lock = threading.Lock()
-
-    def lookup(key: ShiftKey, depth: int) -> ShiftTable:
-        nonlocal hits, misses, kept
-        table = tables.get((key, depth))
-        if table is not None:
-            hits += 1
-            return table
-        misses += 1
-        table = _shift_table(key, depth)
-        size = _table_size(key, depth)
-        with lock:
-            if size <= budget and (key, depth) not in tables:
-                while kept + size > budget:
-                    first = next(iter(tables))
-                    del tables[first]
-                    kept -= _table_size(*first)
-                tables[key, depth] = table
-                kept += size
-        return table
-
-    def cache_clear() -> None:
-        nonlocal hits, misses, kept
-        with lock:
-            tables.clear()
-            hits = misses = kept = 0
-
-    lookup.cache_info = lambda: TableInfo(hits, misses, budget, kept, len(tables))
-    lookup.cache_clear = cache_clear
-    return lookup
-
-
-# integers kept, not tables, as a table holds (top + 1)(depth + 1) of them:
-# 297 for a factor at i = 8 read at depth 32, but 16,705 (3.3 MB) at i = 64 and
-# depth 256. Each tag of a block of the benchmark's 2.1-2.3 grid reads 36
-# tables, 4,452 integers, and at this budget every block of seeds 1 and 2
-# misses only each tag's first read of each, 108 of 486 reads, for about
-# 0.25 MB more peak RSS; 16,384 integers keep a whole block for about 1 MB
-# more. A 2.1-2.3 sweep at i, j <= 20 reads 182 tables, 89,630 integers, and
-# misses 1,578 of its 2,646 reads here; at 16,384 it misses 474 and takes
-# about 3% less time for 0.8 MB more. A verify at degree 512 and i = j = 64
-# reads two tables, each once and each past the budget
-SHIFT_BUDGET = 1 << 12
-_shift_tables = _kept_tables(SHIFT_BUDGET)

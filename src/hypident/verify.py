@@ -66,8 +66,9 @@ def float_residuals(identity: IdentityId | str, params: IdentityParams, xs: Iter
     ``xs``, each side declared once for all of them, or both sides of a
     scalar entry at its fixed argument (it refuses any ``xs``), and their
     relative disagreement: one residual per point. A series side's factor
-    sums are kept for the process, so a factor that an earlier side summed
-    at the same argument is not summed again; the floats are the same.
+    sums are kept for the process, within the kept store's budget, so a
+    factor that an earlier side summed at the same argument is not summed
+    again while it is kept; the floats are the same.
 
     A series residual is infinite unless both sides converged. A float-sum
     residual is scaled by ``sum |t_k|`` as well as by both sides, so that a

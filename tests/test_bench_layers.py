@@ -67,6 +67,8 @@ def test_a_case_the_other_tree_cannot_build_is_missing(tmp_path):
     # the records and the per-point layers are still made in the broken tree
     assert all("median_ratio" in cases[name] for name in (CONSTRUCTORS - {TERMS_VIEW}) | LAYERS)
     assert cases[TERMS_VIEW] == {"missing": ["this", "other"]}
+    # the fresh processes ran uncompiled and wrote no bytecode
+    assert not list(tmp_path.rglob("__pycache__"))
 
 
 def test_the_full_ladder_times_float_sides_and_a_deep_left_side():

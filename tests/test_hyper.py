@@ -11,7 +11,11 @@ from hypothesis import strategies as st
 from hypident import hyper
 from hypident.hyper import (
     DegenerateParameterError,
+    FloatSum,
     HypSpec,
+    KeptInfo,
+    KeptStore,
+    _bits,
     _pfq_integers,
     bailey_product_series,
     bailey_product_spec,
@@ -565,3 +569,41 @@ class TestBaileyDoubleSum:
         with pytest.raises(DegenerateParameterError) as err:
             _bailey_double_sum(rho, [Fraction(1), Fraction(2)], sigma, [Fraction(1)], 6)
         assert (err.value.expr, err.value.value, err.value.index) == (first.value.expr, first.value.value, first.value.index)
+
+
+class TestKeptStore:
+    SUM = FloatSum(0.5, True, 40, 1.5, 1e-16)
+
+    def test_a_value_is_charged_the_bits_of_its_integers(self):
+        assert _bits((Fraction(-3, 8), (5, (6,)), "x", None)) == 2 + 4 + 3 + 3
+        assert _bits(self.SUM) == 2048
+        assert _bits(((1 << 100) - 1, 0)) == 100
+
+    def test_the_first_kept_is_the_first_dropped(self):
+        """Room for two 8-bit values: a third drops the first; a value past
+        the budget is returned and not kept; ``cache_clear`` zeroes every
+        namespace, and one built after it is kept again."""
+        store = KeptStore(16, ("a", "b"))
+        for k in range(3):
+            assert store.get("a", k) is None
+            assert store.put((255,), "a", k) == (255,)
+        assert [store.get("a", k) for k in range(3)] == [None, (255,), (255,)]
+        assert store.put(self.SUM, "b", 0) is self.SUM and store.get("b", 0) is None
+        assert store.cache_info() == {"a": KeptInfo(2, 4, 16, 2), "b": KeptInfo(0, 1, 0, 0)}
+        store.cache_clear()
+        assert store.cache_info() == {"a": KeptInfo(0, 0, 0, 0), "b": KeptInfo(0, 0, 0, 0)}
+        store.put((1,), "b", 0)
+        assert store.get("b", 0) == (1,)
+
+    def test_a_memo_keeps_by_its_arguments_and_wraps_its_builder(self):
+        store = KeptStore(64, ("squares",))
+        built = []
+
+        def square(n):
+            built.append(n)
+            return (n * n,)
+
+        kept = store.memo("squares")(square)
+        assert [kept(3), kept(3), kept(4)] == [(9,), (9,), (16,)] and built == [3, 4]
+        assert kept.__wrapped__ is square and kept.__name__ == "square"
+        assert store.cache_info()["squares"] == KeptInfo(1, 2, 4 + 5, 2)

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 import hypident
 from hypident import identities, left, right
-from hypident.hyper import DegenerateParameterError, FloatSum, HypSpec, bailey_product_spec, pfq_eval_float, pfq_series
+from hypident.hyper import KEPT, KEPT_BITS, DegenerateParameterError, _bits, FloatSum, HypSpec, bailey_product_spec, pfq_eval_float, pfq_series
 from hypident.identities import (
     Arg,
     IdentityId,
@@ -1630,50 +1630,51 @@ def test_the_entries_at_one_point_share_each_factor_sum(summed):
 
 
 def kept_sums(spec):
-    """The memo's sums of one spec, by argument; an empty dict for a spec it does not keep."""
-    return identities._factor_sums(identities._spec_key(spec))
+    """The store's sums of one spec, by argument."""
+    key = identities._spec_key(spec)
+    return {x: value for (namespace, *rest, x), value in KEPT._kept.items() if namespace == "float sums" and rest == [key]}
 
 
 def test_the_float_memo_is_bounded_and_cleared(summed):
-    """``_clear_memos`` empties the memo; a 2.1 side of more blocks than
-    it keeps specs leaves it full, not past its bound; a spec keeps at most
-    ``_FLOAT_ARGS`` arguments, and a later argument is summed again."""
-    memo = identities._factor_sums
-    n = 23
-    assert (n + 1) ** 2 > identities._FLOAT_SPECS
+    """``_clear_memos`` empties the store; a 2.1 side of 1,024 blocks at
+    the six default points, three arguments a block, leaves its sums within
+    the budget, the first dropped; a spec keeps every argument, so a second
+    call sums nothing again."""
+    n = 31
+    assert (n + 1) ** 2 * 3 * _bits(FloatSum(0.0, True, 0, 0.0, 0.0)) > KEPT_BITS
     get("2.1").rhs_float(IdentityParams(alpha=A, beta=B, i=n, j=n), DEFAULT_FLOAT_POINTS)
-    assert memo.cache_info().currsize == identities._FLOAT_SPECS
+    info = KEPT.cache_info()["float sums"]
+    assert info.misses == len(summed) > info.entries > 0 and info.bits <= KEPT_BITS
     identities._clear_memos()
-    assert memo.cache_info().currsize == 0
+    assert KEPT.cache_info()["float sums"] == (0, 0, 0, 0)
 
-    xs = [k / 8 for k in range(1, identities._FLOAT_ARGS + 5)]
+    xs = [k / 8 for k in range(1, 21)]
     lhs_float, params, spec = get("1.2").lhs_float, IdentityParams(alpha=A), HypSpec((A,), (2 * A,))
-    first = lhs_float(params, xs)
-    assert sorted(kept_sums(spec)) == xs[: identities._FLOAT_ARGS]
     del summed[:]
-    assert lhs_float(params, xs) == first
-    assert summed == [(spec, x) for x in xs[identities._FLOAT_ARGS:]]
+    first = lhs_float(params, xs)
+    assert sorted(kept_sums(spec)) == xs and len(summed) == len(xs)
+    assert lhs_float(params, xs) == first and len(summed) == len(xs)
 
 
 def test_clear_memos_empties_every_per_process_cache():
-    """Every module-level cache of the package, found by its ``cache_clear``,
-    is empty after ``_clear_memos``, once two verifies have filled the
-    four memos, so that no cache added later outlives the ``cold_memos``
-    fixture or warms a "memos cleared" bench row. The command line's one
-    parser, ``cli._shared_parser``, is the cache a process keeps."""
+    """The package keeps one per-process cache besides the command line's
+    one parser, ``cli._shared_parser``: the store ``hyper.KEPT``, found by
+    its ``cache_clear``. Once two verifies have filled each of its
+    namespaces, ``_clear_memos`` leaves every count at 0, so that no cache
+    outlives the ``cold_memos`` fixture or warms a "memos cleared" bench row."""
     caches = {}
     for info in pkgutil.iter_modules(hypident.__path__):
         module = importlib.import_module(f"hypident.{info.name}")
         caches.update({f"{info.name}.{name}": value for name, value in vars(module).items()
-                       if hasattr(value, "cache_clear") and value.__module__ == module.__name__})
+                       if hasattr(value, "cache_clear") and not isinstance(value, type)
+                       and value.__module__ == module.__name__})
     assert caches.pop("cli._shared_parser")
-    memos = {"identities._expansion", "right._shift_tables", "right._span_row", "identities._factor_sums"}
-    assert memos <= set(caches)
+    assert caches == {"hyper.KEPT": KEPT}
     verify_identity("1.10", IdentityParams(alpha=A, beta=B))
     verify_identity("2.1", IdentityParams(alpha=A, beta=B, i=2, j=2))
-    assert all(caches[name].cache_info().currsize for name in memos)
+    assert all(counts.entries for counts in KEPT.cache_info().values())
     identities._clear_memos()
-    assert {name: cache.cache_info().currsize for name, cache in caches.items()} == dict.fromkeys(caches, 0)
+    assert KEPT.cache_info() == dict.fromkeys(KEPT.cache_info(), (0, 0, 0, 0))
 
 
 def test_a_nan_argument_leaves_no_sum(summed):

@@ -1,7 +1,6 @@
 """Tests for admissibility checking, verification reports, and sweeps."""
 
 import dataclasses
-import functools
 import json
 import math
 import random
@@ -13,7 +12,7 @@ from fractions import Fraction
 import pytest
 
 from hypident import identities, right
-from hypident.hyper import DegenerateParameterError
+from hypident.hyper import KEPT, KEPT_BITS, DegenerateParameterError
 from hypident.identities import IdentityParams, catalog, get
 from hypident.reports import (
     PASSING_STATUSES,
@@ -710,61 +709,63 @@ class TestSharedMemos:
         assert [f.parameter_expr for f in reports[8].findings] == ["alpha + beta", "alpha + beta + 1"]
         assert reports[9].status == reports[14].status == "exact_match"
 
-    def test_rows_evicted_at_once_change_no_report(self, monkeypatch):
-        """With room for one span row, every row is built again where it is
-        next read: every point gives its cold outcome."""
+    @pytest.mark.parametrize("budget", [0, 1 << 12, KEPT_BITS], ids=["nothing", "a_few", "default"])
+    def test_every_budget_gives_the_cold_reports(self, monkeypatch, budget):
+        """With a budget that keeps nothing, every expansion, table and row
+        is built again where it is next read; with one of a few entries they
+        are kept and dropped in turn; at the default the points share them:
+        every point gives its cold outcome, and after each the kept bits
+        stay within the budget."""
         cold = self.cold()
-        monkeypatch.setattr(right, "_span_row", functools.lru_cache(maxsize=1)(right._span_row.__wrapped__))
+        monkeypatch.setattr(KEPT, "budget", budget)
         identities._clear_memos()
-        assert [self.outcome(*point) for point in self.POINTS] == cold
-        assert right._span_row.cache_info().misses > len(self.POINTS)
+        warm = []
+        for point in self.POINTS:
+            warm.append(self.outcome(*point))
+            assert sum(info.bits for info in KEPT.cache_info().values()) <= budget
+        assert warm == cold
+        info = KEPT.cache_info()
+        hits, misses, entries = (sum(getattr(counts, field) for counts in info.values())
+                                 for field in ("hits", "misses", "entries"))
+        assert misses > len(self.POINTS)
+        if budget == 0:
+            assert (hits, entries) == (0, 0)
+        elif budget < KEPT_BITS:
+            assert hits > 0 and entries < misses
+        else:
+            assert all(counts.hits for name, counts in info.items() if name != "float sums")
+
+    DEEP = IdentityParams(alpha=A, beta=B, i=12, j=12, cap=400)
 
     def test_the_kept_rows_stay_within_their_bound(self, monkeypatch):
         """25 diagonals of up to 200 quotients: every row the build reads is
-        kept whole, as a tuple, and no more than ``SPAN_ROWS`` rows are kept."""
+        a tuple of its depth, some are kept and the kept bits stay within
+        ``KEPT_BITS``, and the last row read is read again from the store."""
         identities._clear_memos()
         kept, read = right._span_row, []
         monkeypatch.setattr(right, "_span_row", lambda *key: read.append(key) or kept(*key))
-        report = verify_identity("2.1", IdentityParams(alpha=A, beta=B, i=12, j=12, cap=400), ())
-        assert report.status == "exact_match"
-        assert 0 < kept.cache_info().currsize <= right.SPAN_ROWS
-        hits = kept.cache_info().hits
-        assert all(type(kept(*key)) is tuple for key in read)
-        assert kept.cache_info().hits == hits + len(read)
-
-    @pytest.mark.parametrize("budget", [0, 64])
-    def test_tables_dropped_at_once_change_no_report(self, monkeypatch, budget):
-        """With a budget that keeps no shift table, every table is built
-        again where it is next read, and with one of 64 integers the small
-        tables are kept and dropped in turn: every point gives its cold outcome."""
-        cold = self.cold()
-        monkeypatch.setattr(right, "_shift_tables", right._kept_tables(budget))
-        identities._clear_memos()
-        assert [self.outcome(*point) for point in self.POINTS] == cold
-        info = right._shift_tables.cache_info()
-        assert info.misses > len(self.POINTS) and info.kept <= budget
-        if budget:
-            assert info.hits > 0
-        else:
-            assert (info.hits, info.currsize) == (0, 0)
+        assert verify_identity("2.1", self.DEEP, ()).status == "exact_match"
+        info = KEPT.cache_info()
+        assert 0 < info["span rows"].entries < len(read) == 25
+        assert sum(counts.bits for counts in info.values()) <= KEPT_BITS
+        hits = info["span rows"].hits
+        assert kept(*read[-1]) and KEPT.cache_info()["span rows"].hits == hits + 1
+        assert all(type(row) is tuple and len(row) == key[3] + 1 for key in read for row in [kept(*key)])
 
     def test_the_kept_tables_stay_within_their_budget(self, monkeypatch):
         """Two factors at i = j = 12 read at depth 256, 13 * 257 integers
-        each: the tables kept stay within ``SHIFT_BUDGET`` integers, the
-        first kept dropped first, and the last read is kept whole, its
-        columns tuples."""
+        each: each table is kept until the build's rows drop it, the kept
+        bits stay within ``KEPT_BITS``, and its columns are tuples."""
         identities._clear_memos()
-        kept, read = right._shift_tables, []
-        monkeypatch.setattr(right, "_shift_tables", lambda *key: read.append(key) or kept(*key))
-        report = verify_identity("2.1", IdentityParams(alpha=A, beta=B, i=12, j=12, cap=400), ())
-        assert report.status == "exact_match"
+        kept, read = right._shift_table, []
+        monkeypatch.setattr(right, "_shift_table", lambda *key: read.append(key) or kept(*key))
+        assert verify_identity("2.1", self.DEEP, ()).status == "exact_match"
         assert [depth for _, depth in read] == [256, 256]
-        info, size = kept.cache_info(), 13 * 257
-        assert info.currsize == min(2, right.SHIFT_BUDGET // size) >= 1
-        assert info.kept == info.currsize * size <= right.SHIFT_BUDGET
+        info = KEPT.cache_info()
+        assert info["shift tables"] == (0, 2, 0, 0) and sum(counts.bits for counts in info.values()) <= KEPT_BITS
         den, cols = kept(*read[-1])
         assert type(cols) is tuple and len(cols) == 13 and all(type(col) is tuple and len(col) == 257 for col in cols)
-        assert kept.cache_info().hits == info.hits + 1
+        assert KEPT.cache_info()["shift tables"].entries == 1
 
     def test_rounded_depths_serve_every_cap(self):
         """2.1-2.3 at caps 0..40 and i, j <= 3, built in one process, read
@@ -775,8 +776,8 @@ class TestSharedMemos:
                   for tag in ("2.1", "2.2", "2.3") for cap in range(41) for i in range(4) for j in range(4)]
         identities._clear_memos()
         warm = [build(params) for build, params in points]
-        tables = right._shift_tables.cache_info()
-        assert tables.misses == tables.currsize and tables.hits == 2 * len(points) - tables.misses
+        tables = KEPT.cache_info()["shift tables"]
+        assert tables.misses == tables.entries and tables.hits == 2 * len(points) - tables.misses
         assert tables.hits > 20 * tables.misses
         fresh = []
         for build, params in points:
@@ -789,22 +790,21 @@ class TestSharedMemos:
         once: one entry for 1.17's factor, two for a 2.1 point's, and 24 for
         2.1-2.3 and 3.1-3.3 over i, j <= 3 at one (alpha, beta), the four
         2.x factors at each shift and the 3.x gates' second, spelled with alpha."""
-        memo = identities._expansion
         identities._clear_memos()
         verify_identity("1.17", IdentityParams(alpha=A, i=3), ())
-        assert memo.cache_info().misses == 1
+        assert KEPT.cache_info()["expansions"].misses == 1
         identities._clear_memos()
         params = IdentityParams(alpha=A, beta=B, i=3, j=2)
         assert not check_admissible("2.1", params)
         get("2.1").build_rhs(params)
-        assert memo.cache_info().misses == 2
+        assert KEPT.cache_info()["expansions"].misses == 2
         identities._clear_memos()
         for tag in ("2.1", "2.2", "2.3", "3.1", "3.2", "3.3"):
             beta = B if tag.startswith("2.") else None
             for i in range(4):
                 for j in range(4):
                     verify_identity(tag, IdentityParams(alpha=A, beta=beta, i=i, j=j), ())
-        assert memo.cache_info().currsize == 24
+        assert KEPT.cache_info()["expansions"].entries == 24
 
     def test_threads_building_at_once_get_the_series_one_thread_gets(self):
         """Four threads build 2.1 right sides of two classes of rho + sigma
