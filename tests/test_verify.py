@@ -12,7 +12,7 @@ from fractions import Fraction
 import pytest
 
 from hypident import identities, right
-from hypident.hyper import KEPT, KEPT_BITS, DegenerateParameterError
+from hypident.hyper import KEPT, KEPT_BITS, DegenerateParameterError, KeptStore
 from hypident.identities import IdentityParams, catalog, get
 from hypident.reports import (
     PASSING_STATUSES,
@@ -734,6 +734,36 @@ class TestSharedMemos:
             assert hits > 0 and entries < misses
         else:
             assert all(counts.hits for name, counts in info.items() if name != "float sums")
+
+    def test_rows_evicted_at_once_change_no_report(self, monkeypatch):
+        """With a store of its own that has room for one or two span rows,
+        every row is built again where it is next read: every point gives
+        its cold outcome."""
+        cold = self.cold()
+        rows = KeptStore(1 << 11, ("span rows",))
+        monkeypatch.setattr(right, "_span_row", rows.memo("span rows")(right._span_row.__wrapped__))
+        identities._clear_memos()
+        assert [self.outcome(*point) for point in self.POINTS] == cold
+        info = rows.cache_info()["span rows"]
+        assert info.misses > len(self.POINTS) and 0 < info.entries <= 3 and info.bits <= 1 << 11
+
+    @pytest.mark.parametrize("words", [0, 64])
+    def test_tables_dropped_at_once_change_no_report(self, monkeypatch, words):
+        """With a store of its own that keeps no shift table, every table is
+        built again where it is next read, and with one of 64 words of 64
+        bits the small tables are kept and dropped in turn: every point
+        gives its cold outcome."""
+        cold = self.cold()
+        tables = KeptStore(64 * words, ("shift tables",))
+        monkeypatch.setattr(right, "_shift_table", tables.memo("shift tables")(right._shift_table.__wrapped__))
+        identities._clear_memos()
+        assert [self.outcome(*point) for point in self.POINTS] == cold
+        info = tables.cache_info()["shift tables"]
+        assert info.misses > len(self.POINTS) and info.bits <= 64 * words
+        if words:
+            assert info.hits > 0 and info.entries < info.misses
+        else:
+            assert (info.hits, info.entries) == (0, 0)
 
     DEEP = IdentityParams(alpha=A, beta=B, i=12, j=12, cap=400)
 
