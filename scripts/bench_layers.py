@@ -25,7 +25,8 @@ sum; ``build_rhs`` of 3.1 at i = j in 2, 8 and 20, at the default cap, of 3.3
 in its printed form at i = j = 8, and of 2.1 at i = j = 2 and 8;
 ``build_lhs`` of 1.6 at cap 512; ``lhs_float`` and ``rhs_float`` at the
 default float points of 1.10, of 1.17 at i = 8, and of 2.1 and 3.1 at
-i = j = 8. Then come layers on their own, with the arguments that
+i = j = 8; ``verify_identity``, ``lhs_float`` and ``rhs_float`` of 1.17 at
+i = 2 and cap 96, one point of a ``deep_series`` block. Then come layers on their own, with the arguments that
 ``verify_identity`` of the entry first passes them: ``pfq_eval_float`` of 1.4
 (x = 1/2) and of 1.8 (x = 1) at gamma 5 and 1/2, in the ``float_sums``
 workload's high and low excess windows (excess 5.09 and 0.59), and
@@ -40,8 +41,9 @@ it, at the start of each call, so a batch times what a call pays from
 cold. First of them comes one grid, ``verify.sweep`` of 2.1's 81 points at
 i, j <= 8; then each float side above; then the default
 ``verify_identity`` of 2.1, 2.2, 2.3 and 3.1 at i = j = 8 and 20, whose
-blocks are all distinct within a point, and ``build_rhs`` of 2.1 at i = j =
-8, the cold twin of its warm row; then one catalog point,
+blocks are all distinct within a point, ``build_rhs`` of 2.1 at i = j =
+8, the cold twin of its warm row, and the three 1.17 rows at i = 2 and cap
+96; then one catalog point,
 ``verify_identity`` at cap 96 of 1.1, 1.2, 1.5-1.7 and 1.9-1.13 at alpha
 and beta and of 1.17 and 1.18 at i = 0..2, as a ``deep_series`` block
 verifies them at one (alpha, beta), and, in the full ladder, the product-grid
@@ -105,6 +107,8 @@ from compare_sides import ROOT, load  # noqa: E402
 POINT = dict(alpha=Fraction(3, 7), beta=Fraction(2, 5))
 EXPONENTIAL_RIGHT_SIDES = ("1.5", "1.9", "1.10", "1.12", "1.13")
 FLOAT_SIDES = (("1.10", {}), ("1.17", dict(i=8)), ("2.1", dict(i=8, j=8)), ("3.1", dict(i=8, j=8)))
+# one deep_series expansion point: its verify and float sides, warm and from cold
+DEEP_EXPANSION = [("1.17", builder, dict(i=2, cap=96)) for builder in ("verify_identity", "lhs_float", "rhs_float")]
 BATCH_SECONDS = 1e-3
 IMPORT_CASE = "import hypident.cli"
 WATSON_POINT = dict(gamma=Fraction(5))
@@ -131,7 +135,7 @@ def cold_ladder(quick: bool) -> list[tuple[str, str, dict]]:
         return [("1.10", "rhs_float", {})]
     cases = [(tag, side, point) for tag, point in FLOAT_SIDES for side in ("lhs_float", "rhs_float")]
     cases += [(tag, "verify_identity", dict(i=n, j=n)) for n in (8, 20) for tag in ("2.1", "2.2", "2.3", "3.1")]
-    return cases + [("2.1", "build_rhs", dict(i=8, j=8))]
+    return cases + [("2.1", "build_rhs", dict(i=8, j=8)), *DEEP_EXPANSION]
 
 
 def ladder(quick: bool) -> list[tuple[str, str, dict]]:
@@ -150,6 +154,7 @@ def ladder(quick: bool) -> list[tuple[str, str, dict]]:
     cases += [("2.1", "build_rhs", dict(i=n, j=n)) for n in (2, 8)]
     cases.append(("1.6", "build_lhs", dict(cap=512)))
     cases += [(tag, side, point) for tag, point in FLOAT_SIDES for side in ("lhs_float", "rhs_float")]
+    cases += DEEP_EXPANSION
     cases += [("1.4", "pfq_eval_float", {}), ("1.8", "pfq_eval_float", WATSON_POINT),
               ("1.8", "pfq_eval_float", dict(gamma=Fraction(1, 2))), ("2.1", "_bailey_double_sum", dict(i=8, j=8))]
     cases += [("2.1", "_raw_product_series", dict(i=n, j=n)) for n in (0, 8)]

@@ -87,6 +87,14 @@ class HypSpec(namedtuple("HypSpec", "upper lower")):
     _make = classmethod(lambda cls, iterable: cls(*iterable))
 
 
+def _spec_key(spec: HypSpec) -> tuple[int | tuple[int, int], ...]:
+    """A spec's value as integers: its count of upper parameters, then each
+    parameter's integer ratio. It hashes in well under a microsecond, where
+    a spec's Fractions take 2 to 5; :data:`KEPT` keys a spec's blocks and
+    float sums by it."""
+    return len(spec.upper), *map(Fraction.as_integer_ratio, spec.upper + spec.lower)
+
+
 def pfq_series(spec: HypSpec, cap: int) -> TruncatedSeries:
     """Exact truncation of pFq(upper; lower; x) to the given cap: the
     integers of :func:`_pfq_integers` brought to canonical form by one gcd.
@@ -202,7 +210,10 @@ def pfq_eval_float(
     Terms follow the same ratio recurrence as the exact path, accumulated
     with Neumaier compensation. The sum stops only when a proven bound on
     the tail is at most ``tol * |value|``; running out of ``max_terms``
-    gives ``converged`` False, which means "no bound", not "wrong".
+    gives ``converged`` False, which means "no bound", not "wrong". Each
+    parameter is converted once, as ``numerator / denominator``: the double
+    that ``float`` gives a ``Fraction``, without its call through the
+    ``numbers`` ABC. Each term's magnitude is formed once.
 
     * A term that is exactly 0 (an upper parameter ``-n``) ends the sum
       with tail 0.
@@ -227,8 +238,8 @@ def pfq_eval_float(
     abs_sum = 1.0
     k = -1  # no step yet, should a parameter overflow
     try:
-        upper = [float(a) for a in spec.upper]
-        lower = [float(b) for b in spec.lower]
+        upper = [a.numerator / a.denominator for a in spec.upper]
+        lower = [b.numerator / b.denominator for b in spec.lower]
         telescoped = None
         if x == 1.0 and len(upper) == len(lower) + 1:
             if not any(is_nonpositive_integer(a) for a in spec.upper):
@@ -241,18 +252,19 @@ def pfq_eval_float(
             for b in lower:
                 ratio /= b + k
             term *= ratio
+            size = abs(term)
             fresh = total + term
-            if abs(total) >= abs(term):
+            if abs(total) >= size:
                 comp += (total - fresh) + term
             else:
                 comp += (term - fresh) + total
             total = fresh
-            abs_sum += abs(term)
+            abs_sum += size
 
             # terms t_0 .. t_{k+1} are in the sum. A term that is not finite
             # never continues here, as its compensation makes the sum nan, so
             # the check below costs the hot loop nothing
-            if telescoped is None and abs(term) > tol * abs(total + comp):
+            if telescoped is None and size > tol * abs(total + comp):
                 continue
             if not math.isfinite(term):
                 return FloatSum(term, False, k + 2, math.inf, math.inf)
@@ -484,15 +496,18 @@ class KeptStore:
     """Values kept for the process, each under a key whose first item names
     its namespace, up to ``budget`` bits (:func:`_bits`) in all. The first
     kept is the first dropped, and a value larger than the budget is built
-    and not kept. A kept value is a tuple and never changes, so a read takes
-    no lock, and two threads that build one value at once build equal
-    values. The lock covers only a store: the order, which says what to
-    drop, and the count of kept bits. The hit and miss counts are not
+    and not kept. A value is charged once, when it is kept, and its charge
+    is kept beside it, so a drop and :meth:`cache_info` read it rather than
+    walk the value again. A kept value is a tuple and never changes, so a
+    read takes no lock, and two threads that build one value at once build
+    equal values. The lock covers only a store: the order, which says what
+    to drop, and the count of kept bits. The hit and miss counts are not
     locked and may lose a count to a thread switch."""
 
     def __init__(self, budget: int, namespaces: Sequence[str]):
         self.budget = budget
         self._kept: OrderedDict = OrderedDict()
+        self._charges: dict = {}  # the bits each kept value was charged, by key
         self._bits = 0
         self._reads = {name: [0, 0] for name in namespaces}  # hits, misses: indexed by "missed"
         self._lock = threading.Lock()
@@ -509,8 +524,9 @@ class KeptStore:
         with self._lock:
             if bits <= self.budget and key not in self._kept:
                 while self._bits + bits > self.budget:
-                    self._bits -= _bits(self._kept.popitem(last=False)[1])
+                    self._bits -= self._charges.pop(self._kept.popitem(last=False)[0])
                 self._kept[key] = value
+                self._charges[key] = bits
                 self._bits += bits
         return value
 
@@ -534,7 +550,7 @@ class KeptStore:
     def cache_info(self) -> dict[str, KeptInfo]:
         """Each namespace's counts since the last clear, by name."""
         with self._lock:
-            kept = [(key[0], _bits(value)) for key, value in self._kept.items()]
+            kept = [(key[0], bits) for key, bits in self._charges.items()]
         return {name: KeptInfo(hits, misses, sum(bits for namespace, bits in kept if namespace == name),
                                sum(namespace == name for namespace, _ in kept))
                 for name, (hits, misses) in self._reads.items()}
@@ -542,6 +558,7 @@ class KeptStore:
     def cache_clear(self) -> None:
         with self._lock:
             self._kept.clear()
+            self._charges.clear()
             self._bits = 0
             for reads in self._reads.values():
                 reads[:] = 0, 0
@@ -549,4 +566,4 @@ class KeptStore:
 
 #: the bits :data:`KEPT` may hold over every namespace; README's "How sides are built" says why
 KEPT_BITS = 1 << 22
-KEPT = KeptStore(KEPT_BITS, ("expansions", "shift tables", "span rows", "float sums"))
+KEPT = KeptStore(KEPT_BITS, ("expansions", "shift tables", "span rows", "blocks", "float sums"))

@@ -32,7 +32,7 @@ from fractions import Fraction
 from typing import Callable, NamedTuple, Sequence
 
 from . import right
-from .hyper import KEPT, DegenerateParameterError, FloatSum, HypSpec, _pfq_integers, bailey_product_spec, pfq_eval_float
+from .hyper import KEPT, DegenerateParameterError, FloatSum, HypSpec, _pfq_integers, _spec_key, bailey_product_spec, pfq_eval_float
 from .left import _raw_product_series
 from .rationals import _exact_rational, _over_common, format_rational, is_nonpositive_integer, pochhammer
 from .reports import AdmissibilityFinding, check_lower, check_poch, check_pole, check_positive
@@ -272,53 +272,46 @@ def _float_terms(side: RawProduct | Side | ProductSide) -> Sequence[Term]:
     return terms
 
 
-def _spec_key(spec: HypSpec) -> tuple[int | tuple[int, int], ...]:
-    """A spec's value as integers: its count of upper parameters, then each
-    parameter's integer ratio. It hashes in well under a microsecond, where
-    a spec's Fractions take 2 to 5."""
-    return len(spec.upper), *map(Fraction.as_integer_ratio, spec.upper + spec.lower)
-
-
 def _side_floats(side: RawProduct | Side | ProductSide, xs: Sequence[float]) -> list[tuple[float, bool]]:
     """Float value of a side at each x, and whether it is finite and every
     factor's sum converged; ``(inf, False)`` at an x where a weight, power
     or exponential overflows a double, or where an overflowed sum would
-    read nan. The terms are listed once, by :func:`_float_terms`, then
-    summed at each x in the same order.
-
-    Each distinct factor is summed once while it is kept: the sums are kept
-    by value, ``(spec, argument)``, in :data:`~hypident.hyper.KEPT`,
-    namespace ``"float sums"``, so both sides of every entry at one point
-    share them, and an ``x**2/c`` factor takes the same argument at ``x``
-    and ``-x``. A kept sum is what the call would return, so no float
-    depends on what was summed before. The call forms each factor's
-    :func:`_spec_key` once and keeps no sums of its own; a NaN argument,
-    which no lookup finds again, is not kept.
+    read nan. The terms are listed once, by :func:`_float_terms`, with each
+    weight and the exponent converted to a float once. Each factor is then
+    summed at its distinct arguments by :func:`_factor_sums`, factor by
+    factor, the arguments of each :class:`Arg` worked out once
+    (:func:`_arguments`), and the terms are added at each x in their listed
+    order, so every float is the one a loop over x, summing each factor at
+    that x, gives.
     """
+    places: dict[Arg, tuple] = {}
     try:
-        terms = [(float(term.weight), term.power, [(_spec_key(spec), spec, arg) for spec, arg in term.factors])
-                 for term in _float_terms(side)]
-    except OverflowError:  # a weight past the double range
+        grow = float(side.exp) if side.exp else None
+        terms = []
+        for term in _float_terms(side):
+            factors = []
+            for spec, arg in term.factors:
+                if arg not in places:
+                    places[arg] = _arguments(arg, xs)
+                args, keep, order = places[arg]
+                factors.append((_factor_sums(spec, args, keep), order))
+            terms.append((float(term.weight), term.power, factors))
+    except OverflowError:  # a weight or an exponent past the double range
         return [(math.inf, False)] * len(xs)
     values = []
-    for x in xs:
+    for at, x in enumerate(xs):
         total = 0.0
         converged = True
         try:
             for weight, power, factors in terms:
                 value = weight * x**power
-                for key, spec, (c, squared) in factors:
-                    arg = x * x / c if squared else c * x
-                    factor = KEPT.get("float sums", key, arg)
-                    if factor is None:
-                        factor = pfq_eval_float(spec, arg, tol=_FLOAT_TOL, max_terms=_FLOAT_TERMS)
-                        if not math.isnan(arg):
-                            KEPT.put(factor, "float sums", key, arg)
+                for sums, order in factors:
+                    factor = sums[order[at]]
                     value *= factor.value
                     converged = converged and factor.converged
                 total += value
-            if side.exp:
-                total *= math.exp(side.exp * x)
+            if grow is not None:
+                total *= math.exp(grow * x)
         except OverflowError:
             total, converged = math.inf, False
         if math.isnan(total) and not math.isnan(x):
@@ -326,6 +319,38 @@ def _side_floats(side: RawProduct | Side | ProductSide, xs: Sequence[float]) -> 
             total = math.inf
         values.append((total, converged and math.isfinite(total)))
     return values
+
+
+def _arguments(arg: Arg, xs: Sequence[float]) -> tuple[tuple[float, ...], bool, list[int]]:
+    """The sorted distinct arguments that ``arg`` takes at the points, so
+    the ``x**2/c`` of ``x`` and ``-x`` is one; whether they may be kept,
+    that is hold no NaN, which no lookup finds again; and each x's place
+    among them."""
+    c, squared = arg
+    args = [x * x / c if squared else c * x for x in xs]
+    distinct = tuple(sorted(set(args)))
+    place = {a: k for k, a in enumerate(distinct)}  # a NaN is found by identity
+    return distinct, not any(map(math.isnan, distinct)), [place[a] for a in args]
+
+
+def _factor_sums(spec: HypSpec, args: tuple[float, ...], keep: bool) -> tuple[FloatSum, ...]:
+    """The sums of ``pFq(spec)`` at each of ``args``, distinct arguments.
+
+    They are kept by value, under the spec's :func:`_spec_key` and the
+    arguments, in :data:`~hypident.hyper.KEPT`, namespace ``"float sums"``,
+    unless ``keep`` is False: one read and at most one write a factor, not
+    one an x. So both sides of every entry at one point share them, and so
+    do the factors ``F(c*x)`` and ``F(-c*x)`` of one spec, whose arguments
+    over symmetric points are one set. A kept sum is what the call would
+    return, so no float depends on what was summed before.
+    """
+    key = _spec_key(spec)
+    sums = KEPT.get("float sums", key, args) if keep else None
+    if sums is None:
+        sums = tuple([pfq_eval_float(spec, a, tol=_FLOAT_TOL, max_terms=_FLOAT_TERMS) for a in args])
+        if keep:
+            KEPT.put(sums, "float sums", key, args)
+    return sums
 
 
 # --------------------------------------------------------------------------
@@ -584,8 +609,11 @@ def _lower_forms(*sides: SideOf) -> tuple[tuple[str, tuple[int, int, int, int]],
 def _clear_memos() -> None:
     """Forget what the points of a grid share: every namespace of the one
     kept store, each factor's expansion and findings, the shift tables, the
-    span quotients and the float sums."""
+    span quotients, the blocks and the float sums; and each entry's last
+    declaration (:func:`_read_once`)."""
     KEPT.cache_clear()
+    for last in _LAST_READ:
+        last[0] = None, None
 
 
 def _product_requirements(raised: tuple[bool, bool], params: IdentityParams, equal_param: bool = False) -> Findings:
@@ -689,16 +717,46 @@ _NOTE_PRINTED = (
 
 SideOf = Callable[[IdentityParams], RawProduct | Side | ProductSide]
 
+#: the last ``(params, value)`` of every :func:`_read_once` reader, which :func:`_clear_memos` forgets
+_LAST_READ: list[list[tuple]] = []
+
+
+def _read_once(read: Callable[[IdentityParams], object]) -> Callable[[IdentityParams], object]:
+    """``read``, made once per params object: the last object and its value
+    are kept by identity, so a second call with that object costs no
+    hashing. ``verify_identity`` checks, builds and evaluates the one params
+    object it was given, so a series side is declared once for its exact
+    series and its floats, and a float-sum entry's values are worked out
+    once for its gate and its sum. The pair is replaced whole, so a thread
+    reads either pair, never a mix; two threads may both call ``read``."""
+    last = [(None, None)]
+    _LAST_READ.append(last)
+
+    def reader(p: IdentityParams):
+        point, value = last[0]
+        if point is not p:
+            value = read(p)
+            last[0] = p, value
+        return value
+
+    return reader
+
 
 def _series_entry(lhs: SideOf, rhs: SideOf, **fields) -> IdentityDef:
     """A series entry: both builders and both float evaluators come from
-    the two side declarations, and unless stated so do its requirements:
+    the two side declarations, each read once per params object
+    (:func:`_read_once`), and unless stated so do its requirements:
     ``check_lower`` of each of their :func:`_lower_forms`, read once."""
-    forms = functools.cache(lambda: _lower_forms(lhs, rhs))
+    declared = lhs, rhs
+    forms = functools.cache(lambda: _lower_forms(*declared))
+    lhs, rhs = _read_once(lhs), _read_once(rhs)
 
     def derived(p: IdentityParams) -> Findings:
+        # form (a, b, c, d) is (num / den) at the point, a finding only where
+        # that is a nonpositive integer: only a finding forms its Fraction
         (P, Q), (R, S) = p.alpha.as_integer_ratio(), (p.beta or 0).as_integer_ratio()
-        return [check_lower(expr, Fraction(a * P * S + b * R * Q + c * Q * S, d * Q * S)) for expr, (a, b, c, d) in forms()]
+        values = [(expr, a * P * S + b * R * Q + c * Q * S, d * Q * S) for expr, (a, b, c, d) in forms()]
+        return [None if num > 0 or num % den else check_lower(expr, Fraction(num, den)) for expr, num, den in values]
 
     fields.setdefault("requirements", derived)
     return IdentityDef(
@@ -735,19 +793,9 @@ def _float_sum_entry(
     upper, lower = spec
     numerators, denominators = gammas
     poles = [e for e in numerators if e not in lower]
-    last = (None, None)
-
-    def values_at(p: IdentityParams) -> dict[str, Fraction]:
-        # verify_identity checks, then sums, the one params object it was
-        # given; keyed by identity, the second call costs no hashing. It
-        # saves one values(p) a request: 15 us of a 540 us cli.run verify
-        # of 1.8, 5 us of 273 us for 1.4 (Python 3.11.7, BENCH_35.json memo)
-        nonlocal last
-        point, found = last
-        if point is not p:
-            found = values(p)
-            last = p, found
-        return found
+    # it saves one values(p) a request: 15 us of a 540 us cli.run verify of
+    # 1.8, 5 us of 273 us for 1.4 (Python 3.11.7, BENCH_35.json memo)
+    values_at = _read_once(values)
 
     def sides(p: IdentityParams) -> tuple[float, float, FloatSum]:
         v = values_at(p)

@@ -82,19 +82,22 @@ def test_the_full_ladder_times_float_sides_and_a_deep_left_side():
     assert [label for label in labels if label.split()[:2] == ["3.3", "build_rhs"]] == ["3.3 build_rhs printed_form i=8 j=8"]
     # every series entry from 1.5 to 1.13 at its defaults, the exponential ones first, then the float sum 1.8
     defaults = [f"{tag} verify_identity" for tag in ("1.5", "1.9", "1.10", "1.12", "1.13", "1.6", "1.7", "1.11")]
-    assert [label for label in labels if "verify" in label] == [*defaults, "1.8 verify_identity gamma=5"]
+    # one deep_series point, 1.17 at i = 2 and cap 96: its verify and float sides, warm and from cleared memos
+    deep = [f"1.17 {builder} i=2 cap=96" for builder in ("verify_identity", "lhs_float", "rhs_float")]
+    assert [label for label in labels if "verify" in label] == [*defaults, "1.8 verify_identity gamma=5", deep[0]]
     assert bench_layers.REQUEST_CASE == REQUEST_CASE and "--identity=1.8" in bench_layers.REQUEST
     floats = [label for label in labels if label.split()[1] in ("lhs_float", "rhs_float")]
-    assert floats == [f"{tag} {side}{point}" for tag, point in
-                      (("1.10", ""), ("1.17", " i=8"), ("2.1", " i=8 j=8"), ("3.1", " i=8 j=8"))
-                      for side in ("lhs_float", "rhs_float")]
+    assert floats[:-2] == [f"{tag} {side}{point}" for tag, point in
+                           (("1.10", ""), ("1.17", " i=8"), ("2.1", " i=8 j=8"), ("3.1", " i=8 j=8"))
+                           for side in ("lhs_float", "rhs_float")]
+    assert floats[-2:] == deep[1:]
     # the float_sums specs (1.8 at high and low excess) and 2.1's double sum, each made in this tree
     layers = ["1.4 pfq_eval_float", "1.8 pfq_eval_float gamma=5", "1.8 pfq_eval_float gamma=1/2",
               "2.1 _bailey_double_sum i=8 j=8", "2.1 _raw_product_series i=0 j=0", "2.1 _raw_product_series i=8 j=8"]
     assert labels[-len(layers):] == layers
     table, src = bench_layers.table(quick=False), ROOT / "src"
     tree = bench_layers.load(src, "hypident_ladder")
-    assert all(bench_layers.made(table[name], tree, src)().status == "exact_match" for name in defaults)
+    assert all(bench_layers.made(table[name], tree, src)().status == "exact_match" for name in [*defaults, deep[0]])
     assert all(bench_layers.made(table[name], tree, src) for name in layers)
     # 2.1's left side at its default caps, 16 and 48
     assert [bench_layers.made(table[name], tree, src)().cap for name in layers[-2:]] == [16, 48]
@@ -108,9 +111,10 @@ def test_the_full_ladder_times_float_sides_and_a_deep_left_side():
     assert [report.status for report in grid()] == ["exact_match"] * 81
     # after the grid, every float side and the 2.x and 3.1 default verifies from cleared memos, then one catalog point
     cold = names[names.index(bench_layers.GRID_CASE) + 1:names.index(bench_layers.CATALOG_POINT_CASE) + 1]
-    assert cold == [*(f"{label} memos cleared" for label in floats),
+    assert cold == [*(f"{label} memos cleared" for label in floats[:-2]),
                     *(f"{tag} verify_identity i={n} j={n} memos cleared" for n in (8, 20) for tag in ("2.1", "2.2", "2.3", "3.1")),
-                    "2.1 build_rhs i=8 j=8 memos cleared", "catalog point verify_identity cap=96 memos cleared"]
+                    "2.1 build_rhs i=8 j=8 memos cleared", *(f"{label} memos cleared" for label in deep),
+                    "catalog point verify_identity cap=96 memos cleared"]
     point = bench_layers.made(table[bench_layers.CATALOG_POINT_CASE], tree, src)
     assert [report.identity for report in point()] == [*bench_layers.PAIR_TAGS, *["1.17"] * 3, *["1.18"] * 3]
     assert {report.status for report in point()} == {"exact_match"}

@@ -607,3 +607,20 @@ class TestKeptStore:
         assert [kept(3), kept(3), kept(4)] == [(9,), (9,), (16,)] and built == [3, 4]
         assert kept.__wrapped__ is square and kept.__name__ == "square"
         assert store.cache_info()["squares"] == KeptInfo(1, 2, 4 + 5, 2)
+
+    def test_a_value_is_charged_once_and_its_charge_kept(self, monkeypatch):
+        """At a budget of a few values, rows of 1 to 40 integers of up to
+        200 bits are kept and dropped in turn: each is charged once, when it
+        is put, and a drop and ``cache_info`` read the kept charge, so the
+        kept-bit count is the sum of ``_bits`` over the kept values."""
+        rng = random.Random(5)
+        charged = []
+        monkeypatch.setattr(hyper, "_bits", lambda value: charged.append(value) or _bits(value))
+        store = KeptStore(1 << 11, ("rows",))
+        rows = [tuple(rng.getrandbits(rng.randint(1, 200)) for _ in range(rng.randint(1, 40))) for _ in range(200)]
+        for k, row in enumerate(rows):
+            store.put(row, "rows", k)
+            info = store.cache_info()["rows"]
+            assert info.bits == store._bits == sum(map(_bits, store._kept.values())) <= store.budget
+        assert charged == rows
+        assert 0 < info.entries < len(rows) - 100

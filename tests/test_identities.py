@@ -1252,6 +1252,23 @@ def test_the_kernel_reduces_as_it_goes(alpha, beta, monkeypatch):
         assert abs(den) == canonical, (call, abs(den).bit_length(), canonical.bit_length())
 
 
+def test_a_kept_block_is_built_once_for_every_side_that_has_it(monkeypatch):
+    """The right sides of 1.2, and of 1.17 and 1.18 at i = 0..2, at one
+    alpha and cap 96, as a ``deep_series`` block verifies them, hold 13
+    ``0F1`` blocks, 7 of them distinct: the kernel builds those 7. A 1.17
+    sweep at one degree over i <= 4 builds its 5 distinct blocks, not 15."""
+    built = []
+    real = right._pfq_integers
+    monkeypatch.setattr(right, "_pfq_integers", lambda *args: built.append(args) or real(*args))
+    for tag, i in [("1.2", 0), *((tag, i) for tag in ("1.17", "1.18") for i in range(3))]:
+        get(tag).build_rhs(IdentityParams(alpha=A, i=i, cap=96))
+    assert len(built) == 7 and KEPT.cache_info()["blocks"].hits == 13 - 7
+    del built[:]
+    for i in range(5):
+        get("1.17").build_rhs(IdentityParams(alpha=A, i=i, cap=40))
+    assert len(built) == 5
+
+
 @pytest.mark.parametrize("alpha, beta", KERNEL_POINTS, ids=str)
 def test_the_exponential_recurrence_reduces_as_it_goes(alpha, beta, monkeypatch):
     """Every exponential right-side term built by its own recurrence, the
@@ -1553,6 +1570,57 @@ def test_a_weight_past_the_double_range_reads_inf_at_every_x():
     assert _side_floats(side, EDGE_FLOAT_POINTS) == [(math.inf, False)] * len(EDGE_FLOAT_POINTS)
 
 
+def random_float_side(rng):
+    """A side drawn from ``rng``: a raw product of one or two factors at
+    ``c*x``, or a ``Side`` of one to four weighted one-factor terms, a
+    squared argument among them, each times an exponential or not. One
+    weight in five is past the double range."""
+    def rational():
+        return Fraction(rng.randint(-40, 40), rng.randint(1, 9))
+
+    def lower():
+        value = rational()
+        return value if not (value.denominator == 1 and value <= 0) else value + Fraction(1, 2)
+
+    exp = rng.choice([0, 1, -1, Fraction(-1, 2), Fraction(1, 3)])
+    if rng.random() < 0.3:
+        factors = [(HypSpec([rational()] * rng.randint(0, 1), [lower()]), Arg(rng.choice([1, -1, 2])))
+                   for _ in range(rng.randint(1, 2))]
+        return RawProduct(tuple(factors), exp)
+    terms = []
+    for _ in range(rng.randint(1, 4)):
+        size = rng.randint(0, 2)
+        spec = HypSpec([rational() for _ in range(size)], [lower() for _ in range(size + rng.randint(0, 1))])
+        arg = rng.choice([Arg(), Arg(-1), Arg(2), Arg(4, True), Arg(16, True)])
+        weight = Fraction(10**400, 7) if rng.random() < 0.2 else rational()
+        terms.append(Term(((spec, arg),), weight, rng.randint(0, 3)))
+    return Side(tuple(terms), Fraction(exp))
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_factor_major_floats_match_the_per_x_loop(seed):
+    """Summing each factor at the distinct arguments of every x, then the
+    terms at each x, gives the per-x loop's floats and flags, by ``repr``:
+    at points that hold each x with its negation (one argument of an
+    ``x**2/c`` factor), a repeated x, zeros of both signs, an x whose power
+    or exponential overflows and a NaN, after which nothing is kept; and
+    again from kept sums."""
+    rng = random.Random(seed)
+    for _ in range(40):
+        side = random_float_side(rng)
+        half = [rng.choice([0.25, 0.5, 1.5, 3.0, 7.0, 1e120]) for _ in range(rng.randint(1, 3))]
+        xs = [*half, *[-x for x in half], half[0], 0.0, -0.0]
+        rng.shuffle(xs)
+        identities._clear_memos()
+        want = repr(per_term_side_floats(side, xs))
+        assert repr(_side_floats(side, xs)) == want, side
+        assert repr(_side_floats(side, xs)) == want, side
+        identities._clear_memos()
+        with_nan = [math.nan, *xs]
+        assert repr(_side_floats(side, with_nan)) == repr(per_term_side_floats(side, with_nan)), side
+        assert KEPT.cache_info()["float sums"].entries == 0
+
+
 def test_a_product_side_sums_each_block_once_per_distinct_argument(monkeypatch):
     """Every block of 2.1 is a factor at ``x**2/4``, so the six symmetric
     default points give it three distinct arguments."""
@@ -1630,21 +1698,25 @@ def test_the_entries_at_one_point_share_each_factor_sum(summed):
 
 
 def kept_sums(spec):
-    """The store's sums of one spec, by argument."""
+    """The store's sums of one spec, by argument: each entry holds the sums
+    at its key's sorted distinct arguments."""
     key = identities._spec_key(spec)
-    return {x: value for (namespace, *rest, x), value in KEPT._kept.items() if namespace == "float sums" and rest == [key]}
+    return {x: value for (namespace, *rest), sums in KEPT._kept.items() if namespace == "float sums" and rest[0] == key
+            for x, value in zip(rest[1], sums, strict=True)}
 
 
 def test_the_float_memo_is_bounded_and_cleared(summed):
     """``_clear_memos`` empties the store; a 2.1 side of 1,024 blocks at
-    the six default points, three arguments a block, leaves its sums within
-    the budget, the first dropped; a spec keeps every argument, so a second
-    call sums nothing again."""
+    the six default points, three arguments a block, is one read of the
+    store a block, and leaves its sums within the budget, the first
+    dropped; a spec keeps every argument, so a second call sums nothing
+    again."""
     n = 31
     assert (n + 1) ** 2 * 3 * _bits(FloatSum(0.0, True, 0, 0.0, 0.0)) > KEPT_BITS
     get("2.1").rhs_float(IdentityParams(alpha=A, beta=B, i=n, j=n), DEFAULT_FLOAT_POINTS)
     info = KEPT.cache_info()["float sums"]
-    assert info.misses == len(summed) > info.entries > 0 and info.bits <= KEPT_BITS
+    assert info.misses == (n + 1) ** 2 and len(summed) == 3 * info.misses
+    assert info.misses > info.entries > 0 and info.bits <= KEPT_BITS
     identities._clear_memos()
     assert KEPT.cache_info()["float sums"] == (0, 0, 0, 0)
 
@@ -1672,17 +1744,23 @@ def test_clear_memos_empties_every_per_process_cache():
     assert caches == {"hyper.KEPT": KEPT}
     verify_identity("1.10", IdentityParams(alpha=A, beta=B))
     verify_identity("2.1", IdentityParams(alpha=A, beta=B, i=2, j=2))
+    verify_identity("1.17", IdentityParams(alpha=A, i=2))
     assert all(counts.entries for counts in KEPT.cache_info().values())
     identities._clear_memos()
     assert KEPT.cache_info() == dict.fromkeys(KEPT.cache_info(), (0, 0, 0, 0))
 
 
 def test_a_nan_argument_leaves_no_sum(summed):
+    """A NaN argument is summed each time and kept never, and neither are
+    the arguments summed beside it."""
     lhs_float, params, spec = get("1.2").lhs_float, IdentityParams(alpha=A), HypSpec((A,), (2 * A,))
     for _ in range(2):
         ((value, converged),) = lhs_float(params, (math.nan,))
         assert math.isnan(value) and not converged
     assert len(summed) == 2 and kept_sums(spec) == {}
+    (_, ok), (value, converged) = lhs_float(params, (0.5, math.nan))
+    assert ok and math.isnan(value) and not converged
+    assert len(summed) == 4 and kept_sums(spec) == {}
 
 
 def test_threads_summing_float_sides_at_once_get_the_single_thread_values():

@@ -229,7 +229,7 @@ class TestVerifyIdentity:
         ids=["2.1", "2.3-printed", "1.17"],
     )
     def test_each_side_is_declared_once_for_all_float_points(self, monkeypatch, tag, params, declarations):
-        # once for the exact series and once for every float point
+        # once for the exact series and all the float points together
         calls = dict.fromkeys(declarations, 0)
 
         def counter(name, declare):
@@ -242,7 +242,7 @@ class TestVerifyIdentity:
             monkeypatch.setattr(identities, name, counter(name, getattr(identities, name)))
         report = verify_identity(tag, params)
         assert len(report.float_residuals) == len(DEFAULT_FLOAT_POINTS)
-        assert calls == dict.fromkeys(declarations, 2)
+        assert calls == dict.fromkeys(declarations, 1)
 
     @pytest.mark.parametrize("x", [math.inf, -math.inf, math.nan], ids=str)
     def test_a_point_that_is_not_finite_is_refused(self, x):
@@ -644,8 +644,9 @@ class TestSweep:
 
 class TestSharedMemos:
     """The points of a grid share each factor's expansion, findings and
-    shift table and the span quotients of their class of rho + sigma: no
-    report may depend on what an earlier point left behind."""
+    shift table, the span quotients of their class of rho + sigma and the
+    one-factor blocks of a right side: no report may depend on what an
+    earlier point left behind."""
 
     ALPHA_FIRST = IdentityParams(alpha=Fraction(-3, 2), beta=B, i=1, j=1)
     BETA_SECOND = IdentityParams(alpha=B, beta=Fraction(-3, 2), i=1, j=1)
@@ -674,6 +675,9 @@ class TestSharedMemos:
         # rho + sigma = 64/35, then 47/35: one denominator, two classes
         ("2.3", IdentityParams(alpha=A, beta=B, i=1, j=3)),
         ("2.1", IdentityParams(alpha=Fraction(1, 7), beta=Fraction(1, 5), i=2, j=3)),
+        # 1.2's one block is block 0 of 1.17 at i = 2 and cap 20
+        ("1.17", IdentityParams(alpha=A, i=2)),
+        ("1.2", IdentityParams(alpha=A, cap=20)),
     ]
 
     @staticmethod
@@ -711,8 +715,8 @@ class TestSharedMemos:
 
     @pytest.mark.parametrize("budget", [0, 1 << 12, KEPT_BITS], ids=["nothing", "a_few", "default"])
     def test_every_budget_gives_the_cold_reports(self, monkeypatch, budget):
-        """With a budget that keeps nothing, every expansion, table and row
-        is built again where it is next read; with one of a few entries they
+        """With a budget that keeps nothing, every expansion, table, row and
+        block is built again where it is next read; with one of a few entries they
         are kept and dropped in turn; at the default the points share them:
         every point gives its cold outcome, and after each the kept bits
         stay within the budget."""
