@@ -48,7 +48,9 @@ blocks are all distinct within a point, ``build_rhs`` of 2.1 at i = j =
 and beta and of 1.17 and 1.18 at i = 0..2, as a ``deep_series`` block
 verifies them at one (alpha, beta), and, in the full ladder, the product-grid
 sweep the benchmark's north star names, ``verify.sweep`` of 2.1, 2.2 and
-2.3 at i, j <= 4, 8 and 12, one row each. Then come the record
+2.3 at i, j <= 4, 8 and 12, one row each, and the sweep of 1.17 and 1.18
+at alpha 3/7 and 2/5, i <= 20, at the one degree 96, whose sides share
+their ``0F1`` blocks from one i to the next. Then come the record
 constructors that the hot paths call per point: a ``FloatSum``, a ``1F1``
 ``HypSpec``, an ``IdentityParams``, and ``tuple(ProductSide.terms)`` of 3.1's
 right side at i = j = 8, which built its 81 ``Term`` and ``HypSpec`` records
@@ -125,6 +127,8 @@ MAX_SHIFT = 64  # the command line's largest shift, cli.MAX_SHIFT
 COLD_GATES = {f"check_admissible 2.1 i={n} j={n} {COLD}": dict(i=n, j=n) for n in (8, MAX_SHIFT)}
 PRODUCT_TAGS = ("2.1", "2.2", "2.3")
 PRODUCT_GRIDS = {f"2.1-2.3 sweep i<={n} j<={n} {COLD}": n for n in (4, 8, 12)}
+EXPANSION_TAGS = ("1.17", "1.18")
+FIXED_DEGREE_SWEEP_CASE = f"1.17,1.18 sweep alpha=3/7,2/5 i<=20 cap=96 {COLD}"
 VERIFY_PROCESS = ["verify", "--identity", "2.1", "--alpha", "3/7", "--beta", "2/5", "--i", "8", "--j", "8", "--output", "json"]
 VERIFY_PROCESS_CASE = "python3 -m hypident.cli verify 2.1 i=8 j=8 --output json"
 
@@ -232,6 +236,13 @@ def product_grid(n: int):
     return make
 
 
+def fixed_degree_sweep(tree, src):
+    """``FIXED_DEGREE_SWEEP_CASE``: ``sweep --identity 1.17,1.18 --alpha
+    3/7,2/5 --i 20 --degree 96`` without the command line."""
+    sweep = partial(tree.verify.sweep, alpha_set=[POINT["alpha"], POINT["beta"]], i_max=20, cap=96)
+    return lambda: [sweep(tag) for tag in EXPANSION_TAGS]
+
+
 def catalog_point(tree, src):
     """``CATALOG_POINT_CASE``: deep_series' block at ``POINT``, ``verify_identity``
     at cap 96 of ``PAIR_TAGS`` at alpha and beta, then of 1.17 and 1.18 at
@@ -290,6 +301,7 @@ def table(quick: bool) -> dict:
         **{f"{label(*case)} {COLD}": cleared(entry_case(*case)) for case in cold_ladder(quick)},
         **({} if quick else {CATALOG_POINT_CASE: cleared(catalog_point)}),
         **({} if quick else {name: cleared(product_grid(n)) for name, n in PRODUCT_GRIDS.items()}),
+        **({} if quick else {FIXED_DEGREE_SWEEP_CASE: cleared(fixed_degree_sweep)}),
         "FloatSum": lambda tree, src: partial(tree.hyper.FloatSum, 0.5, True, 40, 1.5, 1e-16),
         "HypSpec 1F1": lambda tree, src: partial(tree.hyper.HypSpec, (POINT["alpha"],), (2 * POINT["alpha"],)),
         "IdentityParams": lambda tree, src: partial(tree.identities.IdentityParams, **POINT, i=8, j=8),

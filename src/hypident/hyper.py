@@ -87,14 +87,6 @@ class HypSpec(namedtuple("HypSpec", "upper lower")):
     _make = classmethod(lambda cls, iterable: cls(*iterable))
 
 
-def _spec_key(spec: HypSpec) -> tuple[int | tuple[int, int], ...]:
-    """A spec's value as integers: its count of upper parameters, then each
-    parameter's integer ratio. It hashes in well under a microsecond, where
-    a spec's Fractions take 2 to 5; :data:`KEPT` keys a spec's blocks and
-    float sums by it."""
-    return len(spec.upper), *map(Fraction.as_integer_ratio, spec.upper + spec.lower)
-
-
 def pfq_series(spec: HypSpec, cap: int) -> TruncatedSeries:
     """Exact truncation of pFq(upper; lower; x) to the given cap: the
     integers of :func:`_pfq_integers` brought to canonical form by one gcd.
@@ -493,16 +485,17 @@ def _bits(value) -> int:
 
 
 class KeptStore:
-    """Values kept for the process, each under a key whose first item names
-    its namespace, up to ``budget`` bits (:func:`_bits`) in all. The first
-    kept is the first dropped, and a value larger than the budget is built
-    and not kept. A value is charged once, when it is kept, and its charge
-    is kept beside it, so a drop and :meth:`cache_info` read it rather than
-    walk the value again. A kept value is a tuple and never changes, so a
-    read takes no lock, and two threads that build one value at once build
-    equal values. The lock covers only a store: the order, which says what
-    to drop, and the count of kept bits. The hit and miss counts are not
-    locked and may lose a count to a thread switch."""
+    """Values kept for the process, each built by a :meth:`memo` builder and
+    kept under its namespace and arguments, up to ``budget`` bits
+    (:func:`_bits`) in all. The first kept is the first dropped, and a
+    value larger than the budget is built and not kept. A value is charged
+    once, when it is kept, and its charge is kept beside it, so a drop and
+    :meth:`cache_info` read it rather than walk the value again. A kept
+    value is a tuple and never changes, so a read takes no lock, and two
+    threads that build one value at once build equal values. The lock
+    covers only a store: the order, which says what to drop, and the count
+    of kept bits. The hit and miss counts are not locked and may lose a
+    count to a thread switch."""
 
     def __init__(self, budget: int, namespaces: Sequence[str]):
         self.budget = budget
@@ -511,12 +504,6 @@ class KeptStore:
         self._bits = 0
         self._reads = {name: [0, 0] for name in namespaces}  # hits, misses: indexed by "missed"
         self._lock = threading.Lock()
-
-    def get(self, *key):
-        """The value kept under ``key``, or None."""
-        value = self._kept.get(key)
-        self._reads[key[0]][value is None] += 1
-        return value
 
     def put(self, value, *key):
         """Keep ``value`` under ``key`` if it fits the budget, dropping the first kept to make room; return it."""
@@ -537,7 +524,7 @@ class KeptStore:
         def wrap(build):
             kept, reads = self._kept, self._reads[namespace]
 
-            def lookup(*args):  # get, inlined: a grid point reads about 15 values
+            def lookup(*args):
                 key = (namespace, *args)
                 value = kept.get(key)
                 reads[value is None] += 1
@@ -566,4 +553,4 @@ class KeptStore:
 
 #: the bits :data:`KEPT` may hold over every namespace; README's "How sides are built" says why
 KEPT_BITS = 1 << 22
-KEPT = KeptStore(KEPT_BITS, ("expansions", "shift tables", "span rows", "blocks", "float sums"))
+KEPT = KeptStore(KEPT_BITS, ("expansions", "shift tables", "span rows", "float sums"))

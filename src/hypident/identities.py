@@ -32,7 +32,7 @@ from fractions import Fraction
 from typing import Callable, NamedTuple, Sequence
 
 from . import right
-from .hyper import KEPT, DegenerateParameterError, FloatSum, HypSpec, _pfq_integers, _spec_key, bailey_product_spec, pfq_eval_float
+from .hyper import KEPT, DegenerateParameterError, FloatSum, HypSpec, _pfq_integers, bailey_product_spec, pfq_eval_float
 from .left import _raw_product_series
 from .rationals import _exact_rational, _over_common, format_rational, is_nonpositive_integer, pochhammer
 from .reports import AdmissibilityFinding, check_lower, check_poch, check_pole, check_positive
@@ -293,8 +293,8 @@ def _side_floats(side: RawProduct | Side | ProductSide, xs: Sequence[float]) -> 
             for spec, arg in term.factors:
                 if arg not in places:
                     places[arg] = _arguments(arg, xs)
-                args, keep, order = places[arg]
-                factors.append((_factor_sums(spec, args, keep), order))
+                args, sums, order = places[arg]
+                factors.append((sums(_spec_key(spec), args), order))
             terms.append((float(term.weight), term.power, factors))
     except OverflowError:  # a weight or an exponent past the double range
         return [(math.inf, False)] * len(xs)
@@ -321,36 +321,41 @@ def _side_floats(side: RawProduct | Side | ProductSide, xs: Sequence[float]) -> 
     return values
 
 
-def _arguments(arg: Arg, xs: Sequence[float]) -> tuple[tuple[float, ...], bool, list[int]]:
+def _arguments(arg: Arg, xs: Sequence[float]) -> tuple[tuple[float, ...], Callable, list[int]]:
     """The sorted distinct arguments that ``arg`` takes at the points, so
-    the ``x**2/c`` of ``x`` and ``-x`` is one; whether they may be kept,
-    that is hold no NaN, which no lookup finds again; and each x's place
-    among them."""
+    the ``x**2/c`` of ``x`` and ``-x`` is one; what sums a factor at them,
+    :func:`_factor_sums`, or its ``__wrapped__``, which keeps nothing, where
+    they hold a NaN, which no lookup finds again; and each x's place among
+    them."""
     c, squared = arg
     args = [x * x / c if squared else c * x for x in xs]
     distinct = tuple(sorted(set(args)))
     place = {a: k for k, a in enumerate(distinct)}  # a NaN is found by identity
-    return distinct, not any(map(math.isnan, distinct)), [place[a] for a in args]
+    sums = _factor_sums.__wrapped__ if any(map(math.isnan, distinct)) else _factor_sums
+    return distinct, sums, [place[a] for a in args]
 
 
-def _factor_sums(spec: HypSpec, args: tuple[float, ...], keep: bool) -> tuple[FloatSum, ...]:
-    """The sums of ``pFq(spec)`` at each of ``args``, distinct arguments.
+def _spec_key(spec: HypSpec) -> tuple[int | tuple[int, int], ...]:
+    """A spec's value as integers, the key of its float sums: its count of
+    upper parameters, then each parameter's integer ratio. It hashes in well
+    under a microsecond, where a spec's Fractions take 2 to 5."""
+    return len(spec.upper), *map(Fraction.as_integer_ratio, spec.upper + spec.lower)
 
-    They are kept by value, under the spec's :func:`_spec_key` and the
-    arguments, in :data:`~hypident.hyper.KEPT`, namespace ``"float sums"``,
-    unless ``keep`` is False: one read and at most one write a factor, not
-    one an x. So both sides of every entry at one point share them, and so
-    do the factors ``F(c*x)`` and ``F(-c*x)`` of one spec, whose arguments
-    over symmetric points are one set. A kept sum is what the call would
-    return, so no float depends on what was summed before.
+
+@KEPT.memo("float sums")
+def _factor_sums(key: tuple[int | tuple[int, int], ...], args: tuple[float, ...]) -> tuple[FloatSum, ...]:
+    """The sums of ``pFq`` at each of ``args``, distinct arguments, the spec
+    rebuilt from its :func:`_spec_key`, kept by the key and the arguments in
+    :data:`~hypident.hyper.KEPT`, namespace ``"float sums"``: one read and
+    at most one write a factor, not one an x. So both sides of every entry
+    at one point share them, and so do the factors ``F(c*x)`` and
+    ``F(-c*x)`` of one spec, whose arguments over symmetric points are one
+    set. A kept sum is what the call would return, so no float depends on
+    what was summed before.
     """
-    key = _spec_key(spec)
-    sums = KEPT.get("float sums", key, args) if keep else None
-    if sums is None:
-        sums = tuple([pfq_eval_float(spec, a, tol=_FLOAT_TOL, max_terms=_FLOAT_TERMS) for a in args])
-        if keep:
-            KEPT.put(sums, "float sums", key, args)
-    return sums
+    params = [Fraction(*ratio) for ratio in key[1:]]
+    spec = HypSpec(params[: key[0]], params[key[0] :])
+    return tuple([pfq_eval_float(spec, a, tol=_FLOAT_TOL, max_terms=_FLOAT_TERMS) for a in args])
 
 
 # --------------------------------------------------------------------------
@@ -609,8 +614,8 @@ def _lower_forms(*sides: SideOf) -> tuple[tuple[str, tuple[int, int, int, int]],
 def _clear_memos() -> None:
     """Forget what the points of a grid share: every namespace of the one
     kept store, each factor's expansion and findings, the shift tables, the
-    span quotients, the blocks and the float sums; and each entry's last
-    declaration (:func:`_read_once`)."""
+    span quotients and the float sums; and each entry's last declaration,
+    every ``_LAST_READ`` pair (:func:`_read_once`)."""
     KEPT.cache_clear()
     for last in _LAST_READ:
         last[0] = None, None

@@ -15,7 +15,7 @@ from fractions import Fraction
 from itertools import accumulate, repeat
 from operator import add, mul, sub
 
-from .hyper import KEPT, HypSpec, _pfq_integers, _spec_key, bailey_product_spec
+from .hyper import KEPT, HypSpec, _pfq_integers, bailey_product_spec
 from .series import TruncatedSeries, _over_last
 
 __all__: list[str] = []
@@ -46,16 +46,9 @@ def _terms_integers(terms, cap: int, eps: Fraction | int = 0) -> tuple[int, list
     the term ratio, dividing each step by c or multiplying it by c, so its
     unreduced integers belong on degree ``power + stride*k`` as they come,
     times the weight: stride 2 for an ``x**2/c`` argument, 1 for ``c*x``.
-    Such a block depends on its spec, its depth and those scales alone, so
-    it is kept in :data:`~hypident.hyper.KEPT`, namespace ``"blocks"``, by
-    the spec's integer ratios (:func:`~hypident.hyper._spec_key`), the
-    exact depth and the scales, its integers a tuple: the ``0F1`` blocks of
-    1.2, 1.17 and 1.18 at one alpha and cap are read, not built, by every
-    side that has them. With an exponential, the factor times
-    ``e**(eps*x)`` comes from its own recurrence
-    (:func:`_exp_term_integers`), every degree in turn, and is not kept.
-    Each term joins the sum over the lcm of its denominator and the
-    running one.
+    With one, the factor times ``e**(eps*x)`` comes from its own recurrence
+    (:func:`_exp_term_integers`), every degree in turn. Each term joins the
+    sum over the lcm of its denominator and the running one.
     """
     den = 1
     nums = [0] * (cap + 1)
@@ -70,12 +63,7 @@ def _terms_integers(terms, cap: int, eps: Fraction | int = 0) -> tuple[int, list
         else:
             scales = (1, arg.c) if arg.squared else (arg.c, 1)
             stride = 2 if arg.squared else 1
-            key = _spec_key(spec), need // stride, *scales
-            block = KEPT.get("blocks", *key)
-            if block is None:
-                block_den, block_nums = _pfq_integers(spec.upper, spec.lower, need // stride, *scales)
-                block = KEPT.put((block_den, tuple(block_nums)), "blocks", *key)
-            block_den, block_nums = block
+            block_den, block_nums = _pfq_integers(spec.upper, spec.lower, need // stride, *scales)
         block_den *= term.weight.denominator
         common = math.lcm(den, block_den)
         if common != den:

@@ -126,6 +126,13 @@ def test_the_full_ladder_times_float_sides_and_a_deep_left_side():
     assert [{(report.identity, report.status) for report in grid} for grid in grids] == [
         {(tag, "exact_match")} for tag in ("2.1", "2.2", "2.3")]
     assert [len(grid) for grid in grids] == [25] * 3
+    # then 1.17 and 1.18 at two alphas and i <= 20, all at degree 96, from cleared memos, in the full table only
+    fixed = bench_layers.FIXED_DEGREE_SWEEP_CASE
+    assert names[start + 3] == fixed == "1.17,1.18 sweep alpha=3/7,2/5 i<=20 cap=96 memos cleared"
+    assert fixed not in bench_layers.table(quick=True)
+    sweeps = bench_layers.made(table[fixed], tree, src)()
+    assert [[(report.identity, report.cap, report.status) for report in sweep] for sweep in sweeps] == [
+        [(tag, 96, "exact_match")] * 42 for tag in ("1.17", "1.18")]
     # the 2.1 gate from cleared memos, after the per-point layers, at the benchmark's shifts and the largest one
     assert bench_layers.MAX_SHIFT == MAX_SHIFT
     gates = ["check_admissible 2.1 i=8 j=8 memos cleared", f"check_admissible 2.1 i={MAX_SHIFT} j={MAX_SHIFT} memos cleared"]

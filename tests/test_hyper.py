@@ -580,20 +580,23 @@ class TestKeptStore:
         assert _bits(((1 << 100) - 1, 0)) == 100
 
     def test_the_first_kept_is_the_first_dropped(self):
-        """Room for two 8-bit values: a third drops the first; a value past
-        the budget is returned and not kept; ``cache_clear`` zeroes every
-        namespace, and one built after it is kept again."""
+        """Room for two 8-bit values, read through a memo: a third drops the
+        first, which is built again where it is next read and then drops
+        the second; a value past the budget is returned and not kept, so
+        each read builds it; ``cache_clear`` zeroes every namespace, and a
+        value built after it is kept again."""
         store = KeptStore(16, ("a", "b"))
-        for k in range(3):
-            assert store.get("a", k) is None
-            assert store.put((255,), "a", k) == (255,)
-        assert [store.get("a", k) for k in range(3)] == [None, (255,), (255,)]
-        assert store.put(self.SUM, "b", 0) is self.SUM and store.get("b", 0) is None
-        assert store.cache_info() == {"a": KeptInfo(2, 4, 16, 2), "b": KeptInfo(0, 1, 0, 0)}
+        built = []
+        byte = store.memo("a")(lambda k: built.append(k) or (255,))
+        total = store.memo("b")(lambda k: built.append(k) or self.SUM)
+        assert [byte(k) for k in (0, 1, 2, 1, 2, 0)] == [(255,)] * 6 and built == [0, 1, 2, 0]
+        assert list(store._kept) == [("a", 2), ("a", 0)]
+        assert total(3) is total(3) is self.SUM and built[4:] == [3, 3]
+        assert store.cache_info() == {"a": KeptInfo(2, 4, 16, 2), "b": KeptInfo(0, 2, 0, 0)}
         store.cache_clear()
         assert store.cache_info() == {"a": KeptInfo(0, 0, 0, 0), "b": KeptInfo(0, 0, 0, 0)}
-        store.put((1,), "b", 0)
-        assert store.get("b", 0) == (1,)
+        assert byte(1) == byte(1) == (255,) and built[6:] == [1]
+        assert store.cache_info()["a"] == KeptInfo(1, 1, 8, 1)
 
     def test_a_memo_keeps_by_its_arguments_and_wraps_its_builder(self):
         store = KeptStore(64, ("squares",))

@@ -2,6 +2,7 @@
 
 import ast
 import importlib
+import inspect
 import itertools
 import math
 import pkgutil
@@ -1252,23 +1253,6 @@ def test_the_kernel_reduces_as_it_goes(alpha, beta, monkeypatch):
         assert abs(den) == canonical, (call, abs(den).bit_length(), canonical.bit_length())
 
 
-def test_a_kept_block_is_built_once_for_every_side_that_has_it(monkeypatch):
-    """The right sides of 1.2, and of 1.17 and 1.18 at i = 0..2, at one
-    alpha and cap 96, as a ``deep_series`` block verifies them, hold 13
-    ``0F1`` blocks, 7 of them distinct: the kernel builds those 7. A 1.17
-    sweep at one degree over i <= 4 builds its 5 distinct blocks, not 15."""
-    built = []
-    real = right._pfq_integers
-    monkeypatch.setattr(right, "_pfq_integers", lambda *args: built.append(args) or real(*args))
-    for tag, i in [("1.2", 0), *((tag, i) for tag in ("1.17", "1.18") for i in range(3))]:
-        get(tag).build_rhs(IdentityParams(alpha=A, i=i, cap=96))
-    assert len(built) == 7 and KEPT.cache_info()["blocks"].hits == 13 - 7
-    del built[:]
-    for i in range(5):
-        get("1.17").build_rhs(IdentityParams(alpha=A, i=i, cap=40))
-    assert len(built) == 5
-
-
 @pytest.mark.parametrize("alpha, beta", KERNEL_POINTS, ids=str)
 def test_the_exponential_recurrence_reduces_as_it_goes(alpha, beta, monkeypatch):
     """Every exponential right-side term built by its own recurrence, the
@@ -1731,8 +1715,10 @@ def test_the_float_memo_is_bounded_and_cleared(summed):
 def test_clear_memos_empties_every_per_process_cache():
     """The package keeps one per-process cache besides the command line's
     one parser, ``cli._shared_parser``: the store ``hyper.KEPT``, found by
-    its ``cache_clear``. Once two verifies have filled each of its
-    namespaces, ``_clear_memos`` leaves every count at 0, so that no cache
+    its ``cache_clear``. Once three verifies have filled each of its
+    namespaces and set the ``_LAST_READ`` pairs of their entries, each
+    reader's last params object and declaration, ``_clear_memos`` leaves
+    every count at 0 and every pair ``(None, None)``, so that no cache
     outlives the ``cold_memos`` fixture or warms a "memos cleared" bench row."""
     caches = {}
     for info in pkgutil.iter_modules(hypident.__path__):
@@ -1746,8 +1732,27 @@ def test_clear_memos_empties_every_per_process_cache():
     verify_identity("2.1", IdentityParams(alpha=A, beta=B, i=2, j=2))
     verify_identity("1.17", IdentityParams(alpha=A, i=2))
     assert all(counts.entries for counts in KEPT.cache_info().values())
+    assert sum(last != [(None, None)] for last in identities._LAST_READ) >= 6
     identities._clear_memos()
     assert KEPT.cache_info() == dict.fromkeys(KEPT.cache_info(), (0, 0, 0, 0))
+    assert all(last == [(None, None)] for last in identities._LAST_READ)
+
+
+def test_each_namespace_of_the_store_has_one_builder():
+    """Every namespace that ``KEPT`` declares is the namespace of exactly
+    one ``KEPT.memo`` builder in the package, found by its ``__wrapped__``
+    and read off its closure: every kept value comes from a named builder."""
+    builders = {}
+    for info in pkgutil.iter_modules(hypident.__path__):
+        module = importlib.import_module(f"hypident.{info.name}")
+        for name, value in vars(module).items():
+            if inspect.isfunction(value) and hasattr(value, "__wrapped__") and value.__module__ == module.__name__:
+                closure = inspect.getclosurevars(value).nonlocals
+                if closure.get("self") is KEPT:
+                    builders.setdefault(closure["namespace"], []).append(f"{info.name}.{name}")
+    assert builders == {"expansions": ["identities._expansion"], "shift tables": ["right._shift_table"],
+                        "span rows": ["right._span_row"], "float sums": ["identities._factor_sums"]}
+    assert sorted(builders) == sorted(KEPT.cache_info())
 
 
 def test_a_nan_argument_leaves_no_sum(summed):

@@ -644,9 +644,9 @@ class TestSweep:
 
 class TestSharedMemos:
     """The points of a grid share each factor's expansion, findings and
-    shift table, the span quotients of their class of rho + sigma and the
-    one-factor blocks of a right side: no report may depend on what an
-    earlier point left behind."""
+    shift table and the span quotients of their class of rho + sigma, while
+    the one-factor blocks of a right side are built at every point: no
+    report may depend on what an earlier point left behind."""
 
     ALPHA_FIRST = IdentityParams(alpha=Fraction(-3, 2), beta=B, i=1, j=1)
     BETA_SECOND = IdentityParams(alpha=B, beta=Fraction(-3, 2), i=1, j=1)
@@ -675,7 +675,7 @@ class TestSharedMemos:
         # rho + sigma = 64/35, then 47/35: one denominator, two classes
         ("2.3", IdentityParams(alpha=A, beta=B, i=1, j=3)),
         ("2.1", IdentityParams(alpha=Fraction(1, 7), beta=Fraction(1, 5), i=2, j=3)),
-        # 1.2's one block is block 0 of 1.17 at i = 2 and cap 20
+        # 1.2's one block is block 0 of 1.17 at i = 2 and cap 20, built again, not read
         ("1.17", IdentityParams(alpha=A, i=2)),
         ("1.2", IdentityParams(alpha=A, cap=20)),
     ]
@@ -715,8 +715,8 @@ class TestSharedMemos:
 
     @pytest.mark.parametrize("budget", [0, 1 << 12, KEPT_BITS], ids=["nothing", "a_few", "default"])
     def test_every_budget_gives_the_cold_reports(self, monkeypatch, budget):
-        """With a budget that keeps nothing, every expansion, table, row and
-        block is built again where it is next read; with one of a few entries they
+        """With a budget that keeps nothing, every expansion, table and row
+        is built again where it is next read; with one of a few entries they
         are kept and dropped in turn; at the default the points share them:
         every point gives its cold outcome, and after each the kept bits
         stay within the budget."""
