@@ -50,7 +50,9 @@ verifies them at one (alpha, beta), and, in the full ladder, the product-grid
 sweep the benchmark's north star names, ``verify.sweep`` of 2.1, 2.2 and
 2.3 at i, j <= 4, 8 and 12, one row each, and the sweep of 1.17 and 1.18
 at alpha 3/7 and 2/5, i <= 20, at the one degree 96, whose sides share
-their ``0F1`` blocks from one i to the next. Then come the record
+their ``0F1`` blocks from one i to the next, then ``KEPT.cache_info()``
+once the 2.1-2.3 sweep at i, j <= 8 has filled the store from cleared
+memos, the read that gives a report its memo stats. Then come the record
 constructors that the hot paths call per point: a ``FloatSum``, a ``1F1``
 ``HypSpec``, an ``IdentityParams``, and ``tuple(ProductSide.terms)`` of 3.1's
 right side at i = j = 8, which built its 81 ``Term`` and ``HypSpec`` records
@@ -129,6 +131,7 @@ PRODUCT_TAGS = ("2.1", "2.2", "2.3")
 PRODUCT_GRIDS = {f"2.1-2.3 sweep i<={n} j<={n} {COLD}": n for n in (4, 8, 12)}
 EXPANSION_TAGS = ("1.17", "1.18")
 FIXED_DEGREE_SWEEP_CASE = f"1.17,1.18 sweep alpha=3/7,2/5 i<=20 cap=96 {COLD}"
+KEPT_INFO_CASE = "KEPT.cache_info after 2.1-2.3 sweep i<=8 j<=8"
 VERIFY_PROCESS = ["verify", "--identity", "2.1", "--alpha", "3/7", "--beta", "2/5", "--i", "8", "--j", "8", "--output", "json"]
 VERIFY_PROCESS_CASE = "python3 -m hypident.cli verify 2.1 i=8 j=8 --output json"
 
@@ -243,6 +246,14 @@ def fixed_degree_sweep(tree, src):
     return lambda: [sweep(tag) for tag in EXPANSION_TAGS]
 
 
+def kept_info(tree, src):
+    """``KEPT_INFO_CASE``: the store's ``cache_info`` once the sweep of
+    ``PRODUCT_TAGS`` at i, j <= 8 has filled it from cleared memos."""
+    tree.identities._clear_memos()
+    product_grid(8)(tree, src)()
+    return tree.hyper.KEPT.cache_info
+
+
 def catalog_point(tree, src):
     """``CATALOG_POINT_CASE``: deep_series' block at ``POINT``, ``verify_identity``
     at cap 96 of ``PAIR_TAGS`` at alpha and beta, then of 1.17 and 1.18 at
@@ -301,7 +312,7 @@ def table(quick: bool) -> dict:
         **{f"{label(*case)} {COLD}": cleared(entry_case(*case)) for case in cold_ladder(quick)},
         **({} if quick else {CATALOG_POINT_CASE: cleared(catalog_point)}),
         **({} if quick else {name: cleared(product_grid(n)) for name, n in PRODUCT_GRIDS.items()}),
-        **({} if quick else {FIXED_DEGREE_SWEEP_CASE: cleared(fixed_degree_sweep)}),
+        **({} if quick else {FIXED_DEGREE_SWEEP_CASE: cleared(fixed_degree_sweep), KEPT_INFO_CASE: kept_info}),
         "FloatSum": lambda tree, src: partial(tree.hyper.FloatSum, 0.5, True, 40, 1.5, 1e-16),
         "HypSpec 1F1": lambda tree, src: partial(tree.hyper.HypSpec, (POINT["alpha"],), (2 * POINT["alpha"],)),
         "IdentityParams": lambda tree, src: partial(tree.identities.IdentityParams, **POINT, i=8, j=8),

@@ -489,46 +489,49 @@ class KeptStore:
     kept under its namespace and arguments, up to ``budget`` bits
     (:func:`_bits`) in all. The first kept is the first dropped, and a
     value larger than the budget is built and not kept. A value is charged
-    once, when it is kept, and its charge is kept beside it, so a drop and
-    :meth:`cache_info` read it rather than walk the value again. A kept
-    value is a tuple and never changes, so a read takes no lock, and two
-    threads that build one value at once build equal values. The lock
-    covers only a store: the order, which says what to drop, and the count
-    of kept bits. The hit and miss counts are not locked and may lose a
-    count to a thread switch."""
+    once, when it is built, and kept beside its charge, so a drop reads the
+    charge; each namespace's counts run as values are kept and dropped, so
+    :meth:`cache_info` walks nothing. A kept value is a tuple and never
+    changes, so a read takes no lock, and two threads that build one value
+    at once build equal values. The lock covers the order, which says what
+    to drop, and the kept bits and entries; the hit and miss counts are not
+    locked and may lose a count to a thread switch."""
 
-    def __init__(self, budget: int, namespaces: Sequence[str]):
+    def __init__(self, budget: int):
         self.budget = budget
-        self._kept: OrderedDict = OrderedDict()
-        self._charges: dict = {}  # the bits each kept value was charged, by key
+        self._kept: OrderedDict = OrderedDict()  # (namespace, *args): (value, bits)
         self._bits = 0
-        self._reads = {name: [0, 0] for name in namespaces}  # hits, misses: indexed by "missed"
+        self._counts: dict[str, list[int]] = {}  # hits, misses, bits, entries, by namespace
         self._lock = threading.Lock()
-
-    def put(self, value, *key):
-        """Keep ``value`` under ``key`` if it fits the budget, dropping the first kept to make room; return it."""
-        bits = _bits(value)
-        with self._lock:
-            if bits <= self.budget and key not in self._kept:
-                while self._bits + bits > self.budget:
-                    self._bits -= self._charges.pop(self._kept.popitem(last=False)[0])
-                self._kept[key] = value
-                self._charges[key] = bits
-                self._bits += bits
-        return value
 
     def memo(self, namespace: str):
         """A decorator, as ``functools.lru_cache`` is one: the function's
-        value is kept in ``namespace`` by its positional arguments."""
+        value is kept in ``namespace``, made here and refused a second
+        builder (``ValueError``), by its positional arguments."""
+        if namespace in self._counts:
+            raise ValueError(f"namespace {namespace!r} already has a builder")
+        kept, counts = self._kept, self._counts.setdefault(namespace, [0, 0, 0, 0])
 
         def wrap(build):
-            kept, reads = self._kept, self._reads[namespace]
-
             def lookup(*args):
                 key = (namespace, *args)
-                value = kept.get(key)
-                reads[value is None] += 1
-                return self.put(build(*args), *key) if value is None else value
+                found = kept.get(key)
+                counts[found is None] += 1  # hits, misses
+                if found is not None:
+                    return found[0]
+                value = build(*args)
+                bits = _bits(value)
+                with self._lock:
+                    if bits <= self.budget and key not in kept:
+                        while self._bits + bits > self.budget:
+                            first, (_, charge) = kept.popitem(last=False)
+                            dropped = self._counts[first[0]]
+                            self._bits -= charge
+                            dropped[2:] = dropped[2] - charge, dropped[3] - 1
+                        kept[key] = value, bits
+                        self._bits += bits
+                        counts[2:] = counts[2] + bits, counts[3] + 1
+                return value
 
             return functools.update_wrapper(lookup, build)
 
@@ -537,20 +540,16 @@ class KeptStore:
     def cache_info(self) -> dict[str, KeptInfo]:
         """Each namespace's counts since the last clear, by name."""
         with self._lock:
-            kept = [(key[0], bits) for key, bits in self._charges.items()]
-        return {name: KeptInfo(hits, misses, sum(bits for namespace, bits in kept if namespace == name),
-                               sum(namespace == name for namespace, _ in kept))
-                for name, (hits, misses) in self._reads.items()}
+            return {name: KeptInfo(*counts) for name, counts in self._counts.items()}
 
     def cache_clear(self) -> None:
         with self._lock:
             self._kept.clear()
-            self._charges.clear()
             self._bits = 0
-            for reads in self._reads.values():
-                reads[:] = 0, 0
+            for counts in self._counts.values():
+                counts[:] = 0, 0, 0, 0
 
 
 #: the bits :data:`KEPT` may hold over every namespace; README's "How sides are built" says why
 KEPT_BITS = 1 << 22
-KEPT = KeptStore(KEPT_BITS, ("expansions", "shift tables", "span rows", "float sums"))
+KEPT = KeptStore(KEPT_BITS)

@@ -133,6 +133,11 @@ def test_the_full_ladder_times_float_sides_and_a_deep_left_side():
     sweeps = bench_layers.made(table[fixed], tree, src)()
     assert [[(report.identity, report.cap, report.status) for report in sweep] for sweep in sweeps] == [
         [(tag, 96, "exact_match")] * 42 for tag in ("1.17", "1.18")]
+    # then the store's cache_info, filled once by the 2.1-2.3 sweep at i, j <= 8, in the full table only
+    assert names[start + 4] == bench_layers.KEPT_INFO_CASE and bench_layers.KEPT_INFO_CASE not in bench_layers.table(quick=True)
+    info = bench_layers.made(table[bench_layers.KEPT_INFO_CASE], tree, src)()
+    assert sorted(info) == ["expansions", "float sums", "shift tables", "span rows"]
+    assert all(info[name].hits and info[name].entries for name in ("expansions", "shift tables", "span rows"))
     # the 2.1 gate from cleared memos, after the per-point layers, at the benchmark's shifts and the largest one
     assert bench_layers.MAX_SHIFT == MAX_SHIFT
     gates = ["check_admissible 2.1 i=8 j=8 memos cleared", f"check_admissible 2.1 i={MAX_SHIFT} j={MAX_SHIFT} memos cleared"]

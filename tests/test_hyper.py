@@ -2,6 +2,7 @@
 
 import math
 import random
+from collections import OrderedDict
 from fractions import Fraction
 
 import pytest
@@ -585,7 +586,7 @@ class TestKeptStore:
         the second; a value past the budget is returned and not kept, so
         each read builds it; ``cache_clear`` zeroes every namespace, and a
         value built after it is kept again."""
-        store = KeptStore(16, ("a", "b"))
+        store = KeptStore(16)
         built = []
         byte = store.memo("a")(lambda k: built.append(k) or (255,))
         total = store.memo("b")(lambda k: built.append(k) or self.SUM)
@@ -599,7 +600,7 @@ class TestKeptStore:
         assert store.cache_info()["a"] == KeptInfo(1, 1, 8, 1)
 
     def test_a_memo_keeps_by_its_arguments_and_wraps_its_builder(self):
-        store = KeptStore(64, ("squares",))
+        store = KeptStore(64)
         built = []
 
         def square(n):
@@ -613,17 +614,70 @@ class TestKeptStore:
 
     def test_a_value_is_charged_once_and_its_charge_kept(self, monkeypatch):
         """At a budget of a few values, rows of 1 to 40 integers of up to
-        200 bits are kept and dropped in turn: each is charged once, when it
-        is put, and a drop and ``cache_info`` read the kept charge, so the
-        kept-bit count is the sum of ``_bits`` over the kept values."""
+        200 bits are read through a memo, each once, and kept and dropped in
+        turn: each is charged once, when it is built, and a drop and
+        ``cache_info`` read the kept charge, so the kept-bit count is the
+        sum of ``_bits`` over the kept values."""
         rng = random.Random(5)
         charged = []
         monkeypatch.setattr(hyper, "_bits", lambda value: charged.append(value) or _bits(value))
-        store = KeptStore(1 << 11, ("rows",))
+        store = KeptStore(1 << 11)
         rows = [tuple(rng.getrandbits(rng.randint(1, 200)) for _ in range(rng.randint(1, 40))) for _ in range(200)]
-        for k, row in enumerate(rows):
-            store.put(row, "rows", k)
+        row = store.memo("rows")(rows.__getitem__)
+        for k in range(len(rows)):
+            assert row(k) is rows[k]
             info = store.cache_info()["rows"]
-            assert info.bits == store._bits == sum(map(_bits, store._kept.values())) <= store.budget
+            assert info.bits == store._bits == sum(_bits(value) for value, _ in store._kept.values()) <= store.budget
         assert charged == rows
         assert 0 < info.entries < len(rows) - 100
+
+    def test_a_namespace_has_one_builder(self):
+        store = KeptStore(64)
+        store.memo("squares")(lambda n: (n * n,))
+        with pytest.raises(ValueError, match="'squares' already has a builder"):
+            store.memo("squares")
+        assert list(store.cache_info()) == ["squares"]
+
+    def test_the_running_counts_equal_a_recount(self):
+        """200 random reads over three namespaces at a budget of a few
+        values keep and drop in turn, ``()`` charged 0 bits among them, as
+        a float side at no points keeps it: after each, every namespace's
+        counts equal a recount over the kept table, its hits and misses its
+        reads, and a value of 0 bits is one entry when kept and when dropped."""
+        rng = random.Random(7)
+        store = KeptStore(1 << 12)
+        builders = {"rows": lambda k: tuple(range(1 << k)), "sums": lambda k: self.SUM if k < 3 else (k,),
+                    "empty": lambda k: ()}
+        memos = {name: store.memo(name)(build) for name, build in builders.items()}
+        reads = dict.fromkeys(builders, 0)
+        for _ in range(200):
+            name = rng.choice(list(builders))
+            reads[name] += 1
+            k = rng.randrange(8)
+            assert memos[name](k) == builders[name](k)
+            info = store.cache_info()
+            for namespace, counts in info.items():
+                kept = [bits for (kept_in, *_), (_, bits) in store._kept.items() if kept_in == namespace]
+                assert counts.hits + counts.misses == reads[namespace]
+                assert (counts.bits, counts.entries) == (sum(kept), len(kept))
+            assert store._bits == sum(counts.bits for counts in info.values()) <= store.budget
+        # every miss of () keeps it, so each miss past the entries left was a drop
+        assert info["empty"].misses > info["empty"].entries > 0 and info["empty"].bits == 0
+
+    def test_cache_info_reads_counts_and_never_the_kept_values(self):
+        """With a kept table that raises when walked, values are kept and
+        dropped and ``cache_info`` still gives every count."""
+
+        class Unwalkable(OrderedDict):
+            def __iter__(self):
+                raise AssertionError("cache_info walked the kept values")
+
+            keys = values = items = __iter__
+
+        store = KeptStore(16)
+        store._kept = Unwalkable()
+        byte = store.memo("a")(lambda k: (255,))
+        assert [byte(k) for k in (0, 1, 2, 1)] == [(255,)] * 4
+        assert store.cache_info() == {"a": KeptInfo(1, 3, 16, 2)}
+        with pytest.raises(AssertionError):
+            list(store._kept)

@@ -1683,10 +1683,12 @@ def test_the_entries_at_one_point_share_each_factor_sum(summed):
 
 def kept_sums(spec):
     """The store's sums of one spec, by argument: each entry holds the sums
-    at its key's sorted distinct arguments."""
+    at its key's sorted distinct arguments, beside the bits they were charged."""
     key = identities._spec_key(spec)
-    return {x: value for (namespace, *rest), sums in KEPT._kept.items() if namespace == "float sums" and rest[0] == key
-            for x, value in zip(rest[1], sums, strict=True)}
+    kept = [(rest[1], sums, bits) for (namespace, *rest), (sums, bits) in KEPT._kept.items()
+            if namespace == "float sums" and rest[0] == key]
+    assert all(bits == _bits(sums) for _, sums, bits in kept)
+    return {x: value for args, sums, _ in kept for x, value in zip(args, sums, strict=True)}
 
 
 def test_the_float_memo_is_bounded_and_cleared(summed):
@@ -1694,7 +1696,7 @@ def test_the_float_memo_is_bounded_and_cleared(summed):
     the six default points, three arguments a block, is one read of the
     store a block, and leaves its sums within the budget, the first
     dropped; a spec keeps every argument, so a second call sums nothing
-    again."""
+    again; and a side at no points keeps ``()``, one entry of 0 bits."""
     n = 31
     assert (n + 1) ** 2 * 3 * _bits(FloatSum(0.0, True, 0, 0.0, 0.0)) > KEPT_BITS
     get("2.1").rhs_float(IdentityParams(alpha=A, beta=B, i=n, j=n), DEFAULT_FLOAT_POINTS)
@@ -1710,6 +1712,8 @@ def test_the_float_memo_is_bounded_and_cleared(summed):
     first = lhs_float(params, xs)
     assert sorted(kept_sums(spec)) == xs and len(summed) == len(xs)
     assert lhs_float(params, xs) == first and len(summed) == len(xs)
+    hits, misses, bits, entries = KEPT.cache_info()["float sums"]
+    assert lhs_float(params, ()) == [] and KEPT.cache_info()["float sums"] == (hits, misses + 1, bits, entries + 1)
 
 
 def test_clear_memos_empties_every_per_process_cache():

@@ -744,7 +744,7 @@ class TestSharedMemos:
         every row is built again where it is next read: every point gives
         its cold outcome."""
         cold = self.cold()
-        rows = KeptStore(1 << 11, ("span rows",))
+        rows = KeptStore(1 << 11)
         monkeypatch.setattr(right, "_span_row", rows.memo("span rows")(right._span_row.__wrapped__))
         identities._clear_memos()
         assert [self.outcome(*point) for point in self.POINTS] == cold
@@ -758,7 +758,7 @@ class TestSharedMemos:
         bits the small tables are kept and dropped in turn: every point
         gives its cold outcome."""
         cold = self.cold()
-        tables = KeptStore(64 * words, ("shift tables",))
+        tables = KeptStore(64 * words)
         monkeypatch.setattr(right, "_shift_table", tables.memo("shift tables")(right._shift_table.__wrapped__))
         identities._clear_memos()
         assert [self.outcome(*point) for point in self.POINTS] == cold
