@@ -17,9 +17,10 @@ where making its call or its first run raises, ``SystemExit`` included; the
 request raises when it exits nonzero.
 
 The ladder, at alpha 3/7, beta 2/5: ``build_rhs`` of every single-series entry
-with an exponential (1.5, 1.9, 1.10, 1.12, 1.13) and ``build_lhs`` of 1.10 at
-caps 16, 96 and 512; ``build_rhs`` of 1.7 at the same caps;
-``verify_identity`` at their defaults of the five exponential entries, then
+the paper states with ``e**x`` (1.5, 1.9, 1.10, 1.12, 1.13, checked with
+``e**(-x)`` on the left) and ``build_lhs`` of 1.10 at caps 16, 96 and 512;
+``build_rhs`` of 1.7 at the same caps; ``verify_identity`` at their
+defaults of those five entries, then
 of 1.6, 1.7 and 1.11, and of 1.8 at gamma 5, a non-terminating unit-argument
 sum; ``build_rhs`` of 3.1 at i = j in 2, 8 and 20, at the default cap, of 3.3
 in its printed form at i = j = 8, and of 2.1 at i = j = 2 and 8;

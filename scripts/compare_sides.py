@@ -12,6 +12,11 @@ nums)`` are compared; where a build raises, the exception's type name,
 message, ``expr``, ``value`` and ``index`` are compared instead. At the
 default cap ``lhs_float`` and ``rhs_float`` at the default float points
 are compared too, bit for bit (by ``repr``, which round-trips a double).
+At every series point the ``verdict`` of ``verify_identity`` is compared
+as well: its status, first mismatch degree, findings and notes, or what it
+raises, but not its mismatch counts or values. So a change that restates
+the sides on purpose shows in the ``build_*`` and ``*_float`` kinds while
+``verdict`` reads 0.
 The scalar entries are compared by the ``repr`` of what they give:
 ``scalar_exact`` of 1.3 (both exact sides), and ``scalar_float`` of 1.4
 and 1.8 (lhs, rhs and every ``FloatSum`` field). At every point of every
@@ -90,6 +95,12 @@ def outcome(call) -> tuple:
     return ("value", repr(result))
 
 
+def verdict(report) -> tuple:
+    """A report's verdict: its status, first mismatch degree, findings and notes."""
+    first = report.mismatches[0].degree if report.mismatches else None
+    return report.status, first, [f.to_json_dict() for f in report.findings], report.notes
+
+
 def points(define, quick: bool):
     """Keyword arguments of every grid point of one catalog entry: the
     fields it uses, the cap, and the printed form where it reads one."""
@@ -125,7 +136,7 @@ def converges(point: dict) -> bool:
 
 def cases(trees: list[ModuleType], quick: bool):
     """``(label, outcome in each tree)`` for every side, series, float and
-    scalar, and every admissibility check."""
+    scalar, every series verdict and every admissibility check."""
     modules = [(importlib.import_module(f"{t.__name__}.identities"), importlib.import_module(f"{t.__name__}.verify"))
                for t in trees]
     for define in modules[0][0].catalog():
@@ -141,6 +152,7 @@ def cases(trees: list[ModuleType], quick: bool):
                 if define.tag != "1.8" or converges(point):
                     yield f"{label} {field}", [outcome(lambda: getattr(d, field)(p)) for d, p, _ in builds]
                 continue
+            yield f"{label} verdict", [outcome(lambda: verdict(v.verify_identity(d.tag, p, ()))) for d, p, v in builds]
             for side in ("lhs", "rhs"):
                 yield f"{label} build_{side}", [outcome(lambda: getattr(d, f"build_{side}")(p)) for d, p, _ in builds]
                 if point["cap"] is None:  # a float side has no cap

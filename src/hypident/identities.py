@@ -177,12 +177,10 @@ class Term(NamedTuple):
 
 
 class Side(NamedTuple):
-    """A right side: a sum of one-factor terms times ``e**(exp*x)``, with
-    ``exp`` any rational; :func:`~hypident.right._sum_series` says how it is
-    taken."""
+    """A right side: a sum of one-factor terms, with no exponential
+    (:func:`~hypident.right._sum_series`)."""
 
     terms: tuple[Term, ...]
-    exp: Fraction = Fraction(0)
 
 
 def _f11(a: Fraction, b: Fraction, arg: Arg = _X) -> Factor:
@@ -193,16 +191,18 @@ def _f01(b: Fraction, arg: Arg = _X) -> Factor:
     return HypSpec((), (b,)), arg
 
 
-def _block(factor: Factor, exp: Fraction | int = 0) -> Side:
-    """A right side of one unweighted factor, times ``e**(exp*x)``."""
-    return Side((Term((factor,)),), Fraction(exp))
+def _block(factor: Factor) -> Side:
+    """A right side of one unweighted factor."""
+    return Side((Term((factor,)),))
 
 
 class RawProduct(namedtuple("RawProduct", "factors exp")):
     """A left side: the plain product of one or two factors ``F(c*x)``,
     each ``F`` a ``1F1`` or a ``0F1``, times ``e**(exp*x)``, with ``exp``
-    any rational: the recurrence builds every one exactly. It has no
-    weight, no power and one term. Its series comes from the factors'
+    any rational: the recurrence builds every one exactly. It is the only
+    side with an exponential: where the paper states ``e**x`` times a sum,
+    the left side is ``e**(-x)`` times its product. It has no weight, no
+    power and one term. Its series comes from the factors'
     differential equations (:mod:`~hypident.left`), so any other declaration
     (three factors, another pFq, an ``x**2/c`` argument) is refused here,
     by ``__new__``, which ``_make`` and ``_replace`` call too."""
@@ -227,16 +227,16 @@ Expansion = tuple[Fraction, tuple[Fraction, ...]]
 
 
 class ProductSide(NamedTuple):
-    """``e**x`` times the product of two expansions, ``first = (rho, v)``
-    and ``second = (sigma, w)``: 1.17/1.18's for 2.x, or the summands of
+    """The double sum of two expansions, ``first = (rho, v)`` and ``second
+    = (sigma, w)``: 1.17/1.18's for 2.x, or the summands of
     :func:`_equal_param_factor` in alpha alone for 3.x. Block (m, n) of the
-    product is the 1.11 block ``2F3(...; x**2/4)`` of ``(rho + m, sigma +
-    n)``, weighted ``v[m] * w[n]`` at power ``m + n``.
+    sum is the 1.11 block ``2F3(...; x**2/4)`` of ``(rho + m, sigma + n)``,
+    weighted ``v[m] * w[n]`` at power ``m + n``. The paper's product is
+    ``e**x`` times this sum; the exponential is declared on the left side.
     """
 
     first: Expansion
     second: Expansion
-    exp = Fraction(1)
 
 
 def _side_series(side: RawProduct | Side | ProductSide, cap: int) -> TruncatedSeries:
@@ -286,7 +286,7 @@ def _side_floats(side: RawProduct | Side | ProductSide, xs: Sequence[float]) -> 
     """
     places: dict[Arg, tuple] = {}
     try:
-        grow = float(side.exp) if side.exp else None
+        grow = float(side.exp) if isinstance(side, RawProduct) and side.exp else None
         terms = []
         for term in _float_terms(side):
             factors = []
@@ -418,17 +418,17 @@ def _expansion_side(alpha: Fraction, i: int, raised: bool) -> Side:
 
 
 def _product_lhs(raised: tuple[bool, bool], params: IdentityParams, beta: Fraction) -> RawProduct:
-    """The raw product of the two confluent factors, nothing else."""
+    """``e**(-x)`` times the raw product of the two confluent factors."""
     alpha, i, j = params.alpha, params.i, params.j
     return RawProduct((
         _f11(alpha, 2 * alpha + (i if raised[0] else -i)),
         _f11(beta, 2 * beta + (j if raised[1] else -j)),
-    ))
+    ), exp=-1)
 
 
 def _product_rhs(raised: tuple[bool, bool], params: IdentityParams) -> ProductSide:
-    """Composed closed form: e**x times the product of the two factors'
-    1.17/1.18 expansions, each pair of 0F1 blocks merged by the 1.11 block."""
+    """Composed closed form: the product of the two factors' 1.17/1.18
+    expansions, each pair of 0F1 blocks merged by the 1.11 block."""
     first = _expansion_terms(params.alpha, params.i, raised[0])
     return ProductSide(first, _expansion_terms(params.beta, params.j, raised[1], _SECOND))
 
@@ -829,7 +829,7 @@ def _product_entries(prod_id: IdentityId, equal_id: IdentityId, raised: tuple[bo
     return [
         _series_entry(
             id=prod_id,
-            summary=f"1F1(alpha; 2*alpha{first}; x) 1F1(beta; 2*beta{second}; x) = e^x times a double sum of weighted x^(m+n) 2F3(...; x^2/4) blocks",
+            summary=f"e^(-x) 1F1(alpha; 2*alpha{first}; x) 1F1(beta; 2*beta{second}; x) = a double sum of weighted x^(m+n) 2F3(...; x^2/4) blocks; the paper states it as e^x times the sum",
             uses=("alpha", "beta", "i", "j"),
             reading=reading,
             lhs=lambda p: _product_lhs(raised, p, p.beta),
@@ -838,7 +838,7 @@ def _product_entries(prod_id: IdentityId, equal_id: IdentityId, raised: tuple[bo
         ),
         _series_entry(
             id=equal_id,
-            summary=f"beta = alpha form: 1F1(alpha; 2*alpha{first}; x) 1F1(alpha; 2*alpha{second}; x) as e^x times a double sum written with alpha only",
+            summary=f"beta = alpha form: e^(-x) 1F1(alpha; 2*alpha{first}; x) 1F1(alpha; 2*alpha{second}; x) as a double sum written with alpha only; the paper states it as e^x times the sum",
             uses=("alpha", "i", "j"),
             reading=reading,
             lhs=lambda p: _product_lhs(raised, p, p.alpha),
@@ -862,7 +862,7 @@ def _build_registry() -> dict[IdentityId, IdentityDef]:
         return Side((
             Term((head,)),
             Term(((tail, _SQ4),), Fraction(-1) / (2 * (2 * a + 1)), 1),
-        ), Fraction(1))
+        ))
 
     def contig_lowered_rhs(p: IdentityParams) -> Side:
         a = p.alpha
@@ -871,7 +871,7 @@ def _build_registry() -> dict[IdentityId, IdentityDef]:
         return Side((
             Term(((head, _SQ4),)),
             Term((tail,), Fraction(1) / (2 * (2 * a - 1)), 1),
-        ), Fraction(1))
+        ))
 
     defs = [
         # ---- two-parameter exponential-shift transformation
@@ -892,10 +892,10 @@ def _build_registry() -> dict[IdentityId, IdentityDef]:
         ),
         _series_entry(
             id=IdentityId.KUMMER_SECOND_SCALED,
-            summary="1F1(alpha; 2*alpha; 2x) = e^x 0F1(; alpha + 1/2; x^2/4)",
+            summary="e^(-x) 1F1(alpha; 2*alpha; 2x) = 0F1(; alpha + 1/2; x^2/4); the paper states it as e^x times the 0F1",
             uses=("alpha",),
-            lhs=lambda p: RawProduct((_f11(p.alpha, 2 * p.alpha, Arg(2)),)),
-            rhs=lambda p: _block(_f01(p.alpha + HALF, _SQ4), exp=1),
+            lhs=lambda p: RawProduct((_f11(p.alpha, 2 * p.alpha, Arg(2)),), exp=-1),
+            rhs=lambda p: _block(_f01(p.alpha + HALF, _SQ4)),
         ),
         # ---- alternating and matched products of two confluent factors
         _series_entry(
@@ -907,10 +907,10 @@ def _build_registry() -> dict[IdentityId, IdentityDef]:
         ),
         _series_entry(
             id=IdentityId.PREECE_SQUARED,
-            summary="[1F1(alpha; 2*alpha; x)]^2 = e^x 1F2(alpha; alpha + 1/2, 2*alpha; x^2/4)",
+            summary="e^(-x) [1F1(alpha; 2*alpha; x)]^2 = 1F2(alpha; alpha + 1/2, 2*alpha; x^2/4); the paper states it as e^x times the 1F2",
             uses=("alpha",),
-            lhs=lambda p: RawProduct((_f11(p.alpha, 2 * p.alpha), _f11(p.alpha, 2 * p.alpha))),
-            rhs=lambda p: _block(preece_block(p), exp=1),
+            lhs=lambda p: RawProduct((_f11(p.alpha, 2 * p.alpha), _f11(p.alpha, 2 * p.alpha)), exp=-1),
+            rhs=lambda p: _block(preece_block(p)),
         ),
         _series_entry(
             id=IdentityId.BAILEY_ALTERNATING,
@@ -921,10 +921,10 @@ def _build_registry() -> dict[IdentityId, IdentityDef]:
         ),
         _series_entry(
             id=IdentityId.BAILEY_MATCHED,
-            summary="1F1(alpha; 2*alpha; x) 1F1(beta; 2*beta; x) = e^x 2F3(...; x^2/4), same block as 1.7",
+            summary="e^(-x) 1F1(alpha; 2*alpha; x) 1F1(beta; 2*beta; x) = 2F3(...; x^2/4), same block as 1.7; the paper states it as e^x times the 2F3",
             uses=("alpha", "beta"),
-            lhs=lambda p: RawProduct((_f11(p.alpha, 2 * p.alpha), _f11(p.beta, 2 * p.beta))),
-            rhs=lambda p: _block(bailey_block(p), exp=1),
+            lhs=lambda p: RawProduct((_f11(p.alpha, 2 * p.alpha), _f11(p.beta, 2 * p.beta)), exp=-1),
+            rhs=lambda p: _block(bailey_block(p)),
         ),
         # ---- product of two 0F1 factors as one 2F3
         _series_entry(
@@ -937,16 +937,16 @@ def _build_registry() -> dict[IdentityId, IdentityDef]:
         # ---- contiguous products (lower parameter off by one)
         _series_entry(
             id=IdentityId.CONTIGUOUS_RAISED,
-            summary="1F1(alpha; 2*alpha; x) 1F1(alpha; 2*alpha+1; x) = e^x (1F2 block - x/(2(2*alpha+1)) 1F2 block)",
+            summary="e^(-x) 1F1(alpha; 2*alpha; x) 1F1(alpha; 2*alpha+1; x) = 1F2 block - x/(2(2*alpha+1)) 1F2 block; the paper states it as e^x times the difference",
             uses=("alpha",),
-            lhs=lambda p: RawProduct((_f11(p.alpha, 2 * p.alpha), _f11(p.alpha, 2 * p.alpha + 1))),
+            lhs=lambda p: RawProduct((_f11(p.alpha, 2 * p.alpha), _f11(p.alpha, 2 * p.alpha + 1)), exp=-1),
             rhs=contig_raised_rhs,
         ),
         _series_entry(
             id=IdentityId.CONTIGUOUS_LOWERED,
-            summary="1F1(alpha; 2*alpha; x) 1F1(alpha; 2*alpha-1; x) = e^x (1F2 block + x/(2(2*alpha-1)) 1F2 block)",
+            summary="e^(-x) 1F1(alpha; 2*alpha; x) 1F1(alpha; 2*alpha-1; x) = 1F2 block + x/(2(2*alpha-1)) 1F2 block; the paper states it as e^x times the sum",
             uses=("alpha",),
-            lhs=lambda p: RawProduct((_f11(p.alpha, 2 * p.alpha), _f11(p.alpha, 2 * p.alpha - 1))),
+            lhs=lambda p: RawProduct((_f11(p.alpha, 2 * p.alpha), _f11(p.alpha, 2 * p.alpha - 1)), exp=-1),
             rhs=contig_lowered_rhs,
         ),
         # ---- expansion of e^(-x/2) 1F1 with shifted lower parameter

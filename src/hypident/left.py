@@ -117,8 +117,8 @@ def _pair_rows(first: Ode, second: Ode, eps: Ratio, cap: int) -> tuple[int, list
         (d + b + b') u4_d = (eps + alpha + alpha') u4 + beta' u2_d + beta u3_d
 
     The state is kept and reduced as there: for 1.10 at alpha 3/7, beta
-    2/5 and cap 96 the last denominator has 870 bits, against 3,002
-    without the reduction and 868 canonical. ``d + b + b'`` vanishes at
+    2/5 and cap 96 the last denominator has 837 bits, against 3,002
+    without the reduction and 835 canonical. ``d + b + b'`` vanishes at
     ``d = -(b + b')`` when the lower parameters sum to a nonpositive
     integer. That degree of ``u4`` is left free by its equation, so it is
     taken from its definition (:func:`_resonant_u4`)."""

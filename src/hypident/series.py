@@ -13,12 +13,13 @@ which takes one full-size gcd where the other order takes one a degree.
 ``coeffs`` presents the coefficients as :class:`fractions.Fraction` values;
 it is built on each access.
 
-An operation stays integer arithmetic where measured traffic pays for it:
-``times_exp``, which the right route calls, and ``+``, ``-``, ``*``,
-``scale`` and ``shift``, on which the tests' reference builders lean
-(with ``+``, ``-``, ``scale`` and ``shift`` written over ``coeffs``,
-``tests/test_identities.py`` took 38-41 s against 22-24 s, Python 3.11.7
-on a two-core x86 VM).
+No route multiplies or adds series: each builds its integers by its own
+recurrence and hands them to :meth:`~TruncatedSeries.from_integers`. An
+operation stays integer arithmetic where measured traffic pays for it:
+``+``, ``-``, ``*``, ``scale`` and ``shift``, on which the tests' reference
+builders lean (with ``+``, ``-``, ``scale`` and ``shift`` written over
+``coeffs``, ``tests/test_identities.py`` took 38-41 s against 22-24 s,
+Python 3.11.7 on a two-core x86 VM).
 ``scale_argument``, ``substitute_even`` and :func:`exp_series`, which no
 route calls, are their definitions over ``coeffs``.
 
@@ -32,7 +33,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from operator import add, mul
+from operator import mul
 from typing import Iterable
 
 from .rationals import _exact_rational, _over_common, format_rational
@@ -170,37 +171,6 @@ class TruncatedSeries:
         nums = [sum(map(mul, a[: k + 1], b[k::-1])) for k in range(cap + 1)]
         return TruncatedSeries.from_integers(cap, self.den * other.den, nums)
 
-    def times_exp(self, eps: Fraction | int) -> "TruncatedSeries":
-        """Multiply by ``e**(eps*x)``, ``eps = p/q`` any nonzero rational.
-
-        With the integers lifted to ``a_j = j! q**j p**(cap-j) f_j`` over the
-        same denominator, the product g has ``k! q**k p**(cap-k) g_k = sum_j
-        C(k, j) a_j``: a binomial transform, taken by repeated pairwise sums,
-        so it costs O(cap**2) additions whatever the series, and its only big
-        multiplications are O(cap) rescalings, not a Cauchy product. Over
-        ``den * cap! * q**cap * p**cap``, numerator k is that sum times
-        ``p**k q**(cap-k) cap!/k!``.
-        """
-        (p, q), cap = _exact_rational(eps, "eps").as_integer_ratio(), self.cap
-        if p == 0:
-            raise ValueError("times_exp takes a nonzero rational")
-        rows, weight = [], p**cap
-        for j, n in enumerate(self.nums, 1):
-            rows.append(n * weight)
-            # the next j! q**j p**(cap-j): exact but at the last step, whose weight is unused
-            weight = weight * (q * j) // p
-        # after k passes rows[0] is sum_j C(k, j) a_j
-        sums = [rows[0]]
-        for _ in range(cap):
-            rows = list(map(add, rows, rows[1:]))
-            sums.append(rows[0])
-        # p**k q**(cap-k) cap!/k!, built from the top down
-        lift = p**cap
-        for k in range(cap, -1, -1):
-            sums[k] *= lift
-            lift = lift * (q * k) // p
-        return TruncatedSeries.from_integers(cap, self.den * math.factorial(cap) * (q * p) ** cap, sums)
-
     def scale(self, factor: Fraction | int) -> "TruncatedSeries":
         factor = _exact_rational(factor, "factor")
         p = factor.numerator
@@ -303,7 +273,7 @@ def exp_series(cap: int, eps: Fraction | int = 1) -> TruncatedSeries:
     is ``eps**k / k!``. Example: ``exp_series(2, Fraction(-1, 2))`` is
     ``1 - 1/2*x + 1/8*x^2``.
     Unused by the package: perfbench's tracer patches it, and tests use it as
-    an oracle independent of ``times_exp``.
+    an oracle independent of the left route's recurrence.
     """
     eps = _exact_rational(eps, "eps")
     if eps == 0:

@@ -80,7 +80,7 @@ def test_the_full_ladder_times_float_sides_and_a_deep_left_side():
     assert len(labels) == len(set(labels))
     assert "1.6 build_lhs cap=512" in labels
     assert [label for label in labels if label.split()[:2] == ["3.3", "build_rhs"]] == ["3.3 build_rhs printed_form i=8 j=8"]
-    # every series entry from 1.5 to 1.13 at its defaults, the exponential ones first, then the float sum 1.8
+    # every series entry from 1.5 to 1.13 at its defaults, those the paper states with e**x first, then the float sum 1.8
     defaults = [f"{tag} verify_identity" for tag in ("1.5", "1.9", "1.10", "1.12", "1.13", "1.6", "1.7", "1.11")]
     # one deep_series point, 1.17 at i = 2 and cap 96: its verify and float sides, warm and from cleared memos
     deep = [f"1.17 {builder} i=2 cap=96" for builder in ("verify_identity", "lhs_float", "rhs_float")]

@@ -4,6 +4,7 @@ import re
 import shutil
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 from hypident.identities import catalog
@@ -75,3 +76,22 @@ def test_a_shifted_gamma_argument_of_the_watson_sum_is_reported(tmp_path):
     other_lhs, other_rhs = other.split()[2:4]
     assert this_lhs == other_lhs and this_rhs != other_rhs
     assert list(class_counts(done.stdout)) == ["1.8 scalar_float"]
+
+
+def test_a_mutated_closed_form_is_reported_as_a_verdict(tmp_path):
+    """A wrong 1.7/1.10 block, ``beta + 1`` for ``beta``, changes the
+    verdicts of both entries, not only their right sides; the quick grid
+    with its verdicts stays within the 60 s timeout of :func:`compare`."""
+    shutil.copytree(ROOT / "src", tmp_path / "src", ignore=shutil.ignore_patterns("__pycache__"))
+    identities = tmp_path / "src" / "hypident" / "identities.py"
+    text = identities.read_text()
+    block = "bailey_product_spec(p.alpha + HALF, p.beta + HALF), _SQ4"
+    assert text.count(block) == 1
+    identities.write_text(text.replace(block, "bailey_product_spec(p.alpha + HALF, p.beta + 1 + HALF), _SQ4"))
+    start = time.perf_counter()
+    done = compare(tmp_path)
+    assert time.perf_counter() - start < 60
+    assert done.returncode == 1, done.stderr
+    counts = class_counts(done.stdout)
+    assert {name.split()[0] for name in counts} == {"1.7", "1.10"}
+    assert counts["1.7 verdict"] > 0 and counts["1.10 verdict"] > 0

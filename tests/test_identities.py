@@ -562,9 +562,9 @@ def declared_terms(side):
 def reference_side_series(side, cap):
     """The side built term by term from TruncatedSeries operations: each
     factor from its term ratio (:func:`term_ratio_factor`), each block
-    multiplied, shifted, scaled and added on its own, and the sum times
-    ``e**(eps*x)``, whose coefficients ``eps**k / k!`` are exact for any
-    rational eps."""
+    multiplied, shifted, scaled and added on its own, and a raw product's
+    sum times ``e**(eps*x)``, whose coefficients ``eps**k / k!`` are exact
+    for any rational eps. No right side has an exponential."""
     total = TruncatedSeries.from_integers(cap, 1, [0] * (cap + 1))
     for term in declared_terms(side):
         need = cap - term.power
@@ -575,7 +575,7 @@ def reference_side_series(side, cap):
             factor = term_ratio_factor(spec, arg, need)
             block = factor if block is None else block * factor
         total = total + block.shift(term.power, cap).scale(term.weight)
-    if side.exp:
+    if isinstance(side, RawProduct) and side.exp:
         eps = Fraction(side.exp)
         total = TruncatedSeries(cap, [eps**k / math.factorial(k) for k in range(cap + 1)]) * total
     return total
@@ -599,7 +599,7 @@ def per_block_product_side(variant, params):
                 weight = weight * pochhammer(Fraction(-params.j), m) / pochhammer(Fraction(-params.j), n)
             if weight != 0:
                 terms.append(Term(((bailey_product_spec(rho + m, sigma + n), SQ4),), weight, m + n))
-    return Side(tuple(terms), Fraction(1))
+    return Side(tuple(terms))
 
 
 def equal_param_part(alpha, shift, k, raised, names):
@@ -643,7 +643,7 @@ def per_pair_equal_param_side(variant, params):
             spec = HypSpec(upper=((s + 1) / 2, s / 2), lower=(alpha + a + Fraction(1, 2), alpha + b + Fraction(1, 2), s))
             if weight != 0:
                 terms.append(Term(((spec, SQ4),), weight, m + n))
-    return Side(tuple(terms), Fraction(1))
+    return Side(tuple(terms))
 
 
 def build_outcome(build):
@@ -687,10 +687,14 @@ RAW_FACTORS = {
     "lone_0f1_2x": ((HypSpec((), (B,)), Arg(2)),),
     "lone_terminating": ((TERMINATING_1F1, Arg(-1)),),
 }
-ORACLE_SIDES = {name: lambda exp, term=term: Side((term,), Fraction(exp)) for name, term in ORACLE_TERMS.items()}
-ORACLE_SIDES["all"] = lambda exp: Side(tuple(ORACLE_TERMS.values()), Fraction(exp))
-ORACLE_SIDES["empty"] = lambda exp: Side((), Fraction(exp))
-ORACLE_SIDES.update({name: lambda exp, f=factors: RawProduct(f, exp) for name, factors in RAW_FACTORS.items()})
+# right sides, which carry no exponential: one term each, all of them and none
+ORACLE_SIDES = {name: Side((term,)) for name, term in ORACLE_TERMS.items()}
+ORACLE_SIDES["all"] = Side(tuple(ORACLE_TERMS.values()))
+ORACLE_SIDES["empty"] = Side(())
+# every oracle side, a right side as declared and a left side at each exponential
+ORACLE_CASES = [pytest.param(side, id=f"{name}-0") for name, side in ORACLE_SIDES.items()] + [
+    pytest.param(RawProduct(factors, exp), id=f"{name}-{exp}") for name, factors in RAW_FACTORS.items() for exp in EXPS
+]
 # pairs taken from their differential system: arguments c*x at c = 1, -1,
 # 2, -3 and 4, and terminating factors
 PRODUCT_FACTORS = {
@@ -725,12 +729,10 @@ PRODUCT_FACTORS = {
 
 
 class TestSideSeries:
-    @pytest.mark.parametrize("exp", EXPS, ids=str)
-    @pytest.mark.parametrize("name", ORACLE_SIDES)
-    def test_matches_term_by_term_reference(self, name, exp):
+    @pytest.mark.parametrize("side", ORACLE_CASES)
+    def test_matches_term_by_term_reference(self, side):
         # caps 0..9 put the powers 0, 1, 2, 3 and 9 below, at and past the
         # cap; power 12 is past every cap
-        side = ORACLE_SIDES[name](exp)
         for cap in range(10):
             assert _side_series(side, cap) == reference_side_series(side, cap), cap
 
@@ -745,14 +747,14 @@ class TestSideSeries:
 
     def test_the_pair_recurrence_ends_near_the_reduced_denominator(self):
         """1.10's left side at (3/7, 2/5) to cap 96, from integer ratios: the
-        running denominator that ``left._pair_rows`` leaves has 870 bits,
-        against 868 for the canonical series, as its docstring states."""
-        side = RawProduct(((HypSpec((A,), (2 * A,)), Arg(1)), (HypSpec((B,), (2 * B,)), Arg(1))))
+        running denominator that ``left._pair_rows`` leaves has 837 bits,
+        against 835 for the canonical series, as its docstring states."""
+        side = RawProduct(((HypSpec((A,), (2 * A,)), Arg(1)), (HypSpec((B,), (2 * B,)), Arg(1))), -1)
         odes = [left._factor_ode(spec, arg.c) for spec, arg in side.factors]
         assert odes == [(1, (3, 7), (6, 7)), (1, (2, 5), (4, 5))]
-        den, _ = _over_last(*left._pair_rows(*odes, (0, 1), 96))
-        assert den.bit_length() == 870
-        assert _side_series(side, 96).den.bit_length() == 868
+        den, _ = _over_last(*left._pair_rows(*odes, (-1, 1), 96))
+        assert den.bit_length() == 837
+        assert _side_series(side, 96).den.bit_length() == 835
         assert _side_series(side, 96) == get("1.10").build_lhs(IdentityParams(alpha=A, beta=B, cap=96))
 
     def test_raw_product_refuses_a_squared_argument(self):
@@ -775,15 +777,6 @@ class TestSideSeries:
         with pytest.raises(ValueError, match=message):
             RawProduct(factors, -1)
 
-    @pytest.mark.parametrize("exp", [Fraction(2, 3), Fraction(-5, 4), 3], ids=str)
-    @pytest.mark.parametrize("names", [("x",), ("x", "sq4")], ids=["one_term", "two_terms"])
-    def test_side_at_any_rational_exponential(self, names, exp):
-        # each term takes the exponential by its own recurrence
-        # (_side_series), at any cap
-        side = Side(tuple(ORACLE_TERMS[name] for name in names), Fraction(exp))
-        for cap in (40 * len(names) - 1, 40 * len(names)):
-            assert _side_series(side, cap) == reference_side_series(side, cap), cap
-
     @pytest.mark.parametrize("exp", [Fraction(2, 3), Fraction(-5, 4)], ids=str)
     @pytest.mark.parametrize("factors", [*RAW_FACTORS.values(), *PRODUCT_FACTORS.values()], ids=[*RAW_FACTORS, *PRODUCT_FACTORS])
     def test_raw_product_at_any_rational_exponential(self, factors, exp):
@@ -794,7 +787,9 @@ class TestSideSeries:
     @pytest.mark.parametrize("exp", [1, -1, Fraction(1, 2), Fraction(-1, 2)], ids=str)
     @pytest.mark.parametrize("cap", [24, 48, 96])
     def test_exponential_at_benchmark_caps(self, cap, exp):
-        side = ORACLE_SIDES["all"](exp)
+        # every exponential is a left side's: 1.10's raw product, the shape
+        # of every 2.x and 3.x left side, at the benchmarks' caps
+        side = RawProduct(((HypSpec((A,), (2 * A,)), Arg(1)), (HypSpec((B,), (2 * B + 3,)), Arg(1))), exp)
         assert _side_series(side, cap) == reference_side_series(side, cap)
 
     @pytest.mark.parametrize("variant, printed_form", [("PP", False), ("MM", False), ("PM", False), ("PM", True)])
@@ -840,18 +835,21 @@ class TestSideSeries:
             params = IdentityParams(alpha=A, beta=B, i=i, j=j, printed_form=printed_form)
             reference = per_block_product_side(variant, params)
             assert rhs_float(params, DEFAULT_FLOAT_POINTS) == _side_floats(reference, DEFAULT_FLOAT_POINTS), (i, j)
-            # e**x overflows a double at 1e6; at -800 it underflows to 0.0
-            # while the blocks' sums overflow, and inf * 0.0 must not read
-            # nan. The points beside them are what a one-point call gives
+            # the blocks' sums overflow a double at 1e6 and at -800, to an
+            # infinity of the sign of the block that overflows first. The
+            # points beside them are what a one-point call gives
             batch = rhs_float(params, (0.5, 1e6, -0.5, -800.0))
-            overflow = (math.inf, False)
-            assert batch == [*rhs_float(params, (0.5,)), overflow, *rhs_float(params, (-0.5,)), overflow], (i, j)
+            assert batch[::2] == [*rhs_float(params, (0.5,)), *rhs_float(params, (-0.5,))], (i, j)
+            assert all(math.isinf(value) and not ok for value, ok in batch[1::2]), (i, j)
             assert batch == _side_floats(reference, (0.5, 1e6, -0.5, -800.0)), (i, j)
+            # the left side's e**(-x) underflows to 0.0 at 1e6 while its
+            # factors' sums overflow, and inf * 0.0 must not read nan
+            assert get(PRODUCT_TAG[variant]).lhs_float(params, (1e6,)) == [(math.inf, False)], (i, j)
         near, far = verify_identity(PRODUCT_TAG[variant], params, float_points=(0.5, 1e6)).float_residuals
         assert near.converged and math.isfinite(near.relative_error)
         assert (far.converged, far.relative_error) == (False, math.inf)
-        # a plain side: at 1e6 the 1.9 product's sums overflow and its right
-        # side's e**x overflows, both to inf
+        # a plain side: at 1e6 the 1.9 product's sums overflow, and so does
+        # its right side's sum, both to inf
         params = IdentityParams(alpha=A)
         for side_float in (get("1.9").lhs_float, get("1.9").rhs_float):
             assert side_float(params, (1e6,)) == [(math.inf, False)]
@@ -859,8 +857,8 @@ class TestSideSeries:
         # an overflowed sum times an e**(exp*x) that underflowed to 0.0, or
         # overflows of both signs, read as an overflow too
         params = IdentityParams(alpha=A, beta=B, i=2)
-        overflowing = [("1.1", "lhs", 800.0), ("1.1", "lhs", 1e6), ("1.2", "lhs", 1e6), ("1.5", "rhs", -800.0),
-                       ("1.9", "rhs", -800.0), ("1.17", "rhs", 1e6)]
+        overflowing = [("1.1", "lhs", 800.0), ("1.1", "lhs", 1e6), ("1.2", "lhs", 1e6), ("1.5", "lhs", 1e6),
+                       ("1.5", "rhs", -800.0), ("1.9", "lhs", 1e6), ("1.9", "rhs", -800.0), ("1.17", "rhs", 1e6)]
         for tag, side, x in overflowing:
             assert getattr(get(tag), f"{side}_float")(params, (x,)) == [(math.inf, False)], (tag, side, x)
         # a nan point is no overflow: it stays nan
@@ -1214,10 +1212,103 @@ def test_left_sides_match_term_by_term_reference(tag, side, monkeypatch):
             assert built == reference_side_series(*built_sides.pop()), (alpha, beta, i, j, cap)
 
 
+# the entries the paper states as e**x times their right side, which the
+# catalog checks as e**(-x) times the raw product against that right side
+PAPER_EXP_TAGS = ["1.5", "1.9", "1.10", "1.12", "1.13", "2.1", "2.2", "2.3", "3.1", "3.2", "3.3"]
+
+
+def seeded_points(tag, rng, count=3):
+    """``count`` admissible points of entry ``tag`` drawn from ``rng``:
+    alpha and beta rationals p/q with |p| <= 40 and q <= 9, shifts up to 4."""
+    define = get(tag)
+    found = []
+    while len(found) < count:
+        point = {"alpha": Fraction(rng.randint(-40, 40), rng.randint(1, 9))}
+        point.update({name: Fraction(rng.randint(-40, 40), rng.randint(1, 9)) for name in ("beta",) if name in define.uses})
+        point.update({name: rng.randint(0, 4) for name in ("i", "j") if name in define.uses})
+        params = IdentityParams(**point)
+        if not check_admissible(tag, params):
+            found.append(params)
+    return found
+
+
+def declared_left_side(define, params, monkeypatch):
+    """The :class:`RawProduct` that ``define.build_lhs(params)`` builds."""
+    declared = []
+    real = identities._side_series
+    monkeypatch.setattr(identities, "_side_series", lambda side, cap: declared.append(side) or real(side, cap))
+    define.build_lhs(params)
+    monkeypatch.undo()
+    [side] = declared
+    return side
+
+
+@pytest.mark.parametrize("tag", PAPER_EXP_TAGS)
+def test_the_papers_orientation_holds_exactly(tag, monkeypatch):
+    """``e**x`` times the right side is the raw product with no exponential,
+    exactly, at three seeded points and caps 0, the default and 96: the
+    paper's form of the identity, by ``exp_series`` and the Cauchy product,
+    beside the catalog's ``e**(-x)`` form, which the left route builds."""
+    define = get(tag)
+    for params in seeded_points(tag, random.Random(tag)):
+        lhs = declared_left_side(define, params, monkeypatch)
+        assert lhs.exp == -1
+        for given in (0, None, 96):
+            point = params._replace(cap=given)
+            cap = point.effective_cap
+            paper = exp_series(cap) * define.build_rhs(point)
+            assert paper == _side_series(RawProduct(lhs.factors), cap), (params, cap)
+
+
+def mpmath_left_side(mpmath, side, x):
+    """A raw product times its exponential at x, by mpmath at its working precision."""
+    def mp(q):
+        return mpmath.mpf(q.numerator) / q.denominator
+
+    x = mpmath.mpf(x)
+    value = mpmath.exp(mp(Fraction(side.exp)) * x)
+    for spec, arg in side.factors:
+        at = arg.c * x
+        value *= mpmath.hyp1f1(mp(spec.upper[0]), mp(spec.lower[0]), at) if spec.upper else mpmath.hyp0f1(mp(spec.lower[0]), at)
+    return value
+
+
+# The bounds are the worst errors measured at these draws, times about
+# seven and five, and cancellation sets them. On the left, 1F1(a; b; c*x)
+# alternates at negative c*x while e**(-x) grows: 1.5 at alpha 32 and
+# x = -8 reads 1.4e-10, 3.2 and 3.3 1.1e-10 and 9.2e-11. On the right the
+# 2F3 blocks of 3.2 at alpha 23/9, i, j = 4, 1 and x = -8 read 1.8e-11,
+# after which the worst is 9.7e-14. Elsewhere the right sides reach more:
+# 2.1 at alpha -16/3, beta -10/9, i, j = 2, 3 and x = 6.974 reads 1.6e-9,
+# where its weights alternate.
+FLOAT_ERROR_BOUNDS = {"lhs": 1e-9, "rhs": 1e-10}
+
+
+@pytest.mark.parametrize("tag", PAPER_EXP_TAGS)
+def test_floats_of_the_restated_sides_match_mpmath(tag, monkeypatch):
+    """Both float sides of each entry that the paper states with ``e**x``,
+    at three seeded points, at the default float points and three seeded
+    x, against the left side at 30 digits (the identity holds exactly, so
+    it is the value of both)."""
+    mpmath = pytest.importorskip("mpmath")
+    define = get(tag)
+    rng = random.Random(f"{tag} floats")
+    xs = (*DEFAULT_FLOAT_POINTS, *[round(rng.uniform(-8, 8), 3) for _ in range(3)])
+    for params in seeded_points(tag, rng):
+        lhs = declared_left_side(define, params, monkeypatch)
+        with mpmath.workdps(30):
+            exact = [mpmath_left_side(mpmath, lhs, x) for x in xs]
+            for side in ("lhs", "rhs"):
+                for x, want, (value, converged) in zip(xs, exact, getattr(define, f"{side}_float")(params, xs)):
+                    assert converged, (side, params, x)
+                    error = float(abs((mpmath.mpf(value) - want) / want))
+                    assert error <= FLOAT_ERROR_BOUNDS[side], (side, params, x, error)
+
+
 KERNEL_POINTS = [(A, B), (Fraction(-11, 7), Fraction(-13, 5)), (Fraction(4, 11), Fraction(6, 13))]
 
 
-def recorded_right_side_terms(name, alpha, beta, caps, monkeypatch, i=2):
+def recorded_right_side_terms(name, alpha, beta, caps, monkeypatch, i):
     """``(call, den, canonical den)`` of every call of ``right.<name>``
     that the catalog's right sides make at shift i, j = 3 and the given caps."""
     built = []
@@ -1245,91 +1336,13 @@ def test_the_kernel_reduces_as_it_goes(alpha, beta, monkeypatch):
     16, 48 and 96, comes over exactly the canonical denominator: the kernel
     keeps its integers in lowest terms step by step, not only after its
     last step. Most of the terms are the 0F1 blocks of 1.17 and of 1.18,
-    more than 100 of them; the exponential sides take their own recurrence
-    and the 2.x and 3.x sides the double sum instead."""
+    more than 100 of them; the terms of 1.5, 1.9, 1.10, 1.12 and 1.13 come
+    from the kernel too, and the 2.x and 3.x sides take the double sum
+    instead."""
     built = recorded_right_side_terms("_pfq_integers", alpha, beta, (16, 48, 96), monkeypatch, i=20)
     assert len(built) > 100
     for call, den, canonical in built:
         assert abs(den) == canonical, (call, abs(den).bit_length(), canonical.bit_length())
-
-
-@pytest.mark.parametrize("alpha, beta", KERNEL_POINTS, ids=str)
-def test_the_exponential_recurrence_reduces_as_it_goes(alpha, beta, monkeypatch):
-    """Every exponential right-side term built by its own recurrence, the
-    one term of 1.5, 1.9 and 1.10 and the two of 1.12 and 1.13 at each of
-    caps 16, 48 and 96, comes over exactly the canonical denominator."""
-    built = recorded_right_side_terms("_exp_term_integers", alpha, beta, (16, 48, 96), monkeypatch)
-    assert len(built) == 21
-    for call, den, canonical in built:
-        assert abs(den) == canonical, (call, abs(den).bit_length(), canonical.bit_length())
-
-
-# one-factor specs for the exponential terms' recurrence: 0F1 to 2F3, two
-# terminating ones, and lower parameters 1/2, -1/2, -3/2 and -7/2, whose
-# pivots vanish at an x**2/c argument (degrees 1, 3, 5 and 9). At x**2/4
-# and eps = 1 the terminating 1F2's last coefficient C_2 of the shortened
-# recurrence vanishes at its first degree but not at the others
-EXP_TERM_SPECS = {
-    "0F1": HypSpec((), (B,)),
-    "1F1": HypSpec((A,), (Fraction(7, 3),)),
-    "1F2": HypSpec((A,), (B, Fraction(-5, 4))),
-    "2F3": HypSpec((A, Fraction(5, 3)), (B, Fraction(1, 3), Fraction(9, 4))),
-    "terminating_1F2": HypSpec((Fraction(-4),), (Fraction(1), Fraction(-7, 2))),
-    "terminating_2F3": HypSpec((Fraction(-3), A), (B, Fraction(1, 5), Fraction(7, 2))),
-    "resonant_1F2": HypSpec((A,), (Fraction(-1, 2), Fraction(1, 2))),
-    "resonant_0F1": HypSpec((), (Fraction(-3, 2),)),
-    "doubly_resonant_2F3": HypSpec((Fraction(-7, 2), A), (Fraction(-1, 2), Fraction(-3, 2), B)),
-}
-EXP_TERM_ARGS = [Arg(1), Arg(-1), Arg(2), Arg(-3), SQ16, Arg(-4, squared=True), Arg(9, squared=True)]
-
-
-@pytest.mark.parametrize("eps", [1, -1, Fraction(1, 2), Fraction(-1, 2), Fraction(2, 3), Fraction(-5, 4)], ids=str)
-@pytest.mark.parametrize("name", EXP_TERM_SPECS)
-def test_exponential_terms_match_the_transform_of_their_sum(name, eps):
-    """Terms summed with the exponential inside each one, by its own
-    recurrence, equal their plain sum times the exponential by
-    ``times_exp``, at caps 0 to 60 (every cap to 20, past every resonant
-    degree, then every sixth): one term at powers 0, 1 and 2,
-    and two terms with a second spec drawn from a seeded stream, at a c*x
-    argument, at x**2/4 and at one more x**2/c."""
-    rng = random.Random(f"{name} {eps}")
-    spec = EXP_TERM_SPECS[name]
-    for arg in (rng.choice(EXP_TERM_ARGS[:4]), SQ4, rng.choice(EXP_TERM_ARGS[4:])):
-        weight = Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 9))
-        sides = [(Term(((spec, arg),), weight, power),) for power in range(3)]
-        other = (rng.choice(list(EXP_TERM_SPECS.values())), rng.choice([*EXP_TERM_ARGS, SQ4]))
-        sides.append((Term(((spec, arg),), weight, rng.randint(0, 2)), Term((other,), -weight / 3, rng.randint(0, 2))))
-        for terms in sides:
-            after = TruncatedSeries.from_integers(60, *right._terms_integers(terms, 60)).times_exp(eps)
-            for cap in [*range(21), *range(24, 61, 6)]:
-                inside = TruncatedSeries.from_integers(cap, *right._terms_integers(terms, cap, eps))
-                assert inside == TruncatedSeries.from_integers(cap, after.den, after.nums[: cap + 1]), (arg, terms, cap)
-
-
-@pytest.mark.parametrize("count", [1, 2, 9])
-def test_a_side_takes_its_exponential_by_recurrence_at_every_cap(count, monkeypatch):
-    """A Side of T terms never calls ``times_exp``: each term takes the
-    exponential by its own recurrence, at each cap here from 0 to 96, and
-    the sum is the plain sum times the exponential. Every ProductSide, 2.x
-    and 3.x, takes ``times_exp`` on its double sum."""
-    transforms = []
-    real = TruncatedSeries.times_exp
-
-    def recording(series, *args, **kwargs):
-        transforms.append(series.cap)
-        return real(series, *args, **kwargs)
-
-    monkeypatch.setattr(TruncatedSeries, "times_exp", recording)
-    side = Side(tuple(Term(((HypSpec((A,), (B, Fraction(m + 1, 3))), SQ4),), Fraction(1, m + 1), m) for m in range(count)), Fraction(-1, 2))
-    for cap in (0, 1, 16, 40 * count - 1, 40 * count, 96):
-        after = real(TruncatedSeries.from_integers(cap, *right._terms_integers(side.terms, cap)), Fraction(-1, 2))
-        assert _side_series(side, cap) == after
-    assert transforms == []
-    for tag in ("2.1", "2.2", "2.3", "3.1", "3.2", "3.3"):
-        define = get(tag)
-        define.build_rhs(IdentityParams(alpha=A, beta=B if "beta" in define.uses else None, i=1, j=2, cap=96))
-        assert transforms == [96], tag
-        transforms.clear()
 
 
 # --------------------------------------------------------------------------
@@ -1391,7 +1404,6 @@ def reached(build, params, callers_of=None):
 RIGHT_SIDE_ONLY = {name for name in PACKAGE_FUNCTIONS.values() if name.startswith("right.")} | {
     "hyper._pfq_integers",
     "hyper.bailey_product_spec",
-    "series.TruncatedSeries.times_exp",
     "identities._expansion",
     "identities._expansion_terms",
     "identities._equal_param_factor",
@@ -1412,13 +1424,10 @@ SHARED = {
     "identities._f01",
 }
 AUDIT_POINTS = [
-    # at the default cap and at cap 96 the one- and two-term exponential
-    # right sides run their own recurrences
+    # at the default cap and at cap 96
     dict(alpha=A, beta=B, i=2, j=3),
     dict(alpha=A, beta=B, i=2, j=3, cap=96),
-    # 1.10's lower parameters sum to -3: a resonant left side, and a right
-    # side whose block's lower parameter alpha + beta = -3/2 makes degree 5
-    # resonant, at both caps
+    # 1.10's lower parameters sum to -3: a resonant left side, at both caps
     dict(alpha=Fraction(-3, 4), beta=Fraction(-3, 4), i=0, j=0),
     dict(alpha=Fraction(-3, 4), beta=Fraction(-3, 4), i=0, j=0, cap=96),
 ]
@@ -1442,9 +1451,10 @@ def test_the_two_routes_stay_two(tag, point):
     assert "left._raw_product_series" in lhs and "identities._side_series" in rhs
     assert lhs & RIGHT_SIDE_ONLY == set() and rhs & RIGHT_SIDE_ONLY
     if tag == "1.10" and params.alpha < 0:
-        assert "left._resonant_u4" in lhs and "right._resonant_exp_term" in rhs
+        assert "left._resonant_u4" in lhs
     if tag in ("1.5", "1.9", "1.10", "1.12", "1.13"):
-        assert "right._exp_term_integers" in rhs and "series.TruncatedSeries.times_exp" not in rhs
+        # the paper's e**x is the left side's e**(-x): the right side is its bare terms
+        assert {"right._terms_integers", "hyper._pfq_integers"} <= rhs
     assert lhs & rhs <= SHARED, (lhs & rhs) - SHARED
     expansion = {"identities._expansion", "identities._expansion_terms"}
     if tag.startswith("2."):
@@ -1516,7 +1526,7 @@ def per_term_side_floats(side, xs):
                     value *= factor.value
                     converged = converged and factor.converged
                 total += value
-            if side.exp:
+            if isinstance(side, RawProduct) and side.exp:
                 total *= math.exp(side.exp * x)
         except OverflowError:
             total, converged = math.inf, False
@@ -1549,16 +1559,16 @@ def test_a_weight_past_the_double_range_reads_inf_at_every_x():
     """A weight that no double holds is an overflow at every x, a NaN and
     the zeros included, as in the per-term loop, which meets it at each x."""
     big = Fraction(10**400, 3)
-    side = Side((Term((identities._f11(A, 2 * A),)), Term((identities._f01(A + 1, Arg(4, True)),), big, 1)), Fraction(1))
+    side = Side((Term((identities._f11(A, 2 * A),)), Term((identities._f01(A + 1, Arg(4, True)),), big, 1)))
     assert _side_floats(side, EDGE_FLOAT_POINTS) == per_term_side_floats(side, EDGE_FLOAT_POINTS)
     assert _side_floats(side, EDGE_FLOAT_POINTS) == [(math.inf, False)] * len(EDGE_FLOAT_POINTS)
 
 
 def random_float_side(rng):
     """A side drawn from ``rng``: a raw product of one or two factors at
-    ``c*x``, or a ``Side`` of one to four weighted one-factor terms, a
-    squared argument among them, each times an exponential or not. One
-    weight in five is past the double range."""
+    ``c*x`` times an exponential or not, or a ``Side`` of one to four
+    weighted one-factor terms, a squared argument among them. One weight in
+    five is past the double range."""
     def rational():
         return Fraction(rng.randint(-40, 40), rng.randint(1, 9))
 
@@ -1578,7 +1588,7 @@ def random_float_side(rng):
         arg = rng.choice([Arg(), Arg(-1), Arg(2), Arg(4, True), Arg(16, True)])
         weight = Fraction(10**400, 7) if rng.random() < 0.2 else rational()
         terms.append(Term(((spec, arg),), weight, rng.randint(0, 3)))
-    return Side(tuple(terms), Fraction(exp))
+    return Side(tuple(terms))
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])

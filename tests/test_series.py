@@ -215,16 +215,8 @@ def assert_matches(result: TruncatedSeries, reference: list[Fraction]) -> None:
     assert hash(result) == hash(rebuilt)
 
 
-# the catalog's exponents, and three that no catalog side uses
+# the catalog's exponents, -1 and -1/2, and five that no catalog side uses
 EXPONENTS = [1, -1, Fraction(1, 2), Fraction(-1, 2), Fraction(2, 3), Fraction(-5, 4), 3]
-
-
-def times_exp_reference(a: list[Fraction], eps: Fraction | int) -> list[Fraction]:
-    """``e**(eps*x) * f`` term by term: ``g_k = sum_j f_j eps**(k-j) / (k-j)!``."""
-    return [
-        sum((a[j] * Fraction(eps) ** (k - j) / math.factorial(k - j) for j in range(k + 1)), Fraction(0))
-        for k in range(len(a))
-    ]
 
 
 class TestIntegerRepresentation:
@@ -315,29 +307,6 @@ class TestIntegerRepresentation:
     def test_exp_series(self, cap, eps):
         reference = [Fraction(eps) ** k / math.factorial(k) for k in range(cap + 1)]
         assert_matches(exp_series(cap, eps), reference)
-
-    @given(
-        st.one_of(coeff_lists(), st.integers(0, 40).map(lambda cap: [Fraction(0)] * (cap + 1))),
-        st.sampled_from(EXPONENTS),
-    )
-    @few
-    def test_times_exp(self, a, eps):
-        assert_matches(TruncatedSeries(len(a) - 1, a).times_exp(eps), times_exp_reference(a, eps))
-
-    def test_times_exp_at_cap_96(self):
-        a = [Fraction((-1) ** k * (7 * k + 3), 11 * k + 2) for k in range(97)]
-        s = TruncatedSeries(96, a)
-        for eps in EXPONENTS:
-            assert_matches(s.times_exp(eps), times_exp_reference(a, eps))
-
-    def test_times_exp_bad_sign(self):
-        # e**(0*x) is no exponential; every other rational is built
-        with pytest.raises(ValueError, match="nonzero rational"):
-            exp_series(3).times_exp(0)
-
-    def test_times_exp_refuses_a_float(self):
-        with pytest.raises(ValueError, match=r"^eps must be an exact rational, not the float 0.5$"):
-            TruncatedSeries(2, [1, 2, 3]).times_exp(0.5)
 
     @given(coeff_lists(max_cap=10), st.integers(min_value=0, max_value=12))
     @few

@@ -36,7 +36,7 @@ VALUES = {
     "AdmissibilityFinding": lambda: AdmissibilityFinding("2*alpha", 1, F(-1), "a zero factor"),
     "Arg": lambda: Arg(4, squared=True),
     "Term": lambda: Term(((HypSpec((F(1, 3),), (F(2, 3),)), Arg()),), F(1, 2), 1),
-    "Side": lambda: Side((_TERM,), F(-1)),
+    "Side": lambda: Side((_TERM,)),
     "ProductSide": lambda: ProductSide((F(1, 2), (F(1),)), (F(3, 2), (F(1), F(1, 4)))),
     "VerifyReport": lambda: VerifyReport("1.1", IdentityParams(alpha=F(3, 7)), 16, "exact_match"),
     "HypSpec": lambda: HypSpec((1, F(1, 3)), (2,)),
@@ -81,8 +81,10 @@ def test_field_order_defaults_and_class_attributes():
     assert VerifyReport._fields[-1] == "elapsed_seconds"
     # class attributes, not fields
     assert "severity" not in AdmissibilityFinding._fields and VALUES["AdmissibilityFinding"]().severity == "fatal"
-    assert "exp" not in ProductSide._fields and VALUES["ProductSide"]().exp == 1
-    assert Side((_TERM,)).exp == 0 and Arg() == Arg(1, False)
+    assert Arg() == Arg(1, False)
+    # only a left side carries an exponential
+    assert Side._fields == ("terms",) and ProductSide._fields == ("first", "second")
+    assert not hasattr(ProductSide, "exp")
 
 
 def test_ints_are_normalised_to_fractions():
