@@ -2,7 +2,7 @@
 """Time the side builders and layers of this checkout against those of
 another one, call by call in one process.
 
-    python3 scripts/bench_layers.py OTHER_CHECKOUT [--rounds N] [--quick] [--out BENCH.json]
+    python3 scripts/bench_layers.py OTHER_CHECKOUT [--rounds N] [--quick] [--counts] [--out BENCH.json]
 
 Both ``src/hypident`` trees are loaded as packages of their own with
 ``compare_sides.py``'s loader. Each case is a name and a ``make(tree, src)``
@@ -64,9 +64,14 @@ read off its side declarations, of 1.8 at gamma 5 and of 2.1 at i = j = 8,
 each on a fresh ``IdentityParams`` as a request makes one; in the full
 ladder the 2.1 gate follows from cleared memos, at i = j = 8 and at the
 command line's largest shift, i = j = 64, so that each derives its two
-factors from cold. Then comes one whole request, ``cli.run`` of
-``verify`` at that 1.8 point with ``--output=json``, its stdout kept in
-memory. Last come the fresh processes, each with
+factors from cold. Then come the steps of a request around its check, on
+a median-class ``verify`` of 1.4: ``cli._parse_params`` of its parsed
+arguments, ``IdentityParams.to_json_dict`` and ``VerifyReport.to_json_dict``
+of its point and report. Then come whole requests, each ``cli.run`` with its
+stdout and stderr kept in memory: ``verify`` at that 1.8 point with
+``--output=json``, and in the full ladder ``verify`` of 1.4 at alpha and
+beta, a ``sweep`` of 1.4 over 100 points and ``expand`` of 1.11 at
+degree 512, each with ``--output=json``. Last come the fresh processes, each with
 only the tree's ``src`` on ``PYTHONPATH`` and timed by its wall time, one
 process a batch: the import case, ``python3 -c "import hypident.cli"``, as
 the benchmark's ``setup_s`` takes it, and, in the full ladder, one cold
@@ -78,13 +83,27 @@ process has ``PYTHONDONTWRITEBYTECODE=1``. The script writes no bytecode
 either, so it leaves no ``__pycache__`` in either tree.
 ``--quick`` takes two
 builders at cap 16, one float side warm and cold, the constructors, the
-per-point layers, the request and the import case, for a smoke test; the
-grids, the cold gates and the cold ``verify`` process are in the full
-ladder only.
+per-point layers, the request steps, the 1.8 request and the import case,
+for a smoke test; the grids, the cold gates, the other requests and the
+cold ``verify`` process are in the full ladder only.
+
+``--counts`` also reports, for each case made in process and each tree,
+the case's work: ``cpu_s``, the CPU time (``time.process_time``) a call
+over one batch, warm as the case is timed; and from one call each, made
+after ``_clear_memos``, ``tracemalloc_peak_bytes``, the peak of the memory
+Python allocates, and ``python_calls`` and ``bytecodes``, the Python frames
+entered (a generator's every resume is one) and the bytecodes they execute,
+counted by a ``sys.settrace`` function with ``f_trace_opcodes`` on. The
+last three repeat exactly from run to run, where a time on a shared host
+does not. They miss work inside one bytecode: big-integer and ``Fraction``
+arithmetic on longer operands, C functions such as ``json``'s encoders,
+``re`` and ``math``, and the garbage collector, which is off while the
+cases run. So a change that only shortens operands shows in ``cpu_s`` and
+not in ``bytecodes``. The fresh processes have no counts.
 
 The result is printed as a table and, with ``--out``, written under the
-``layers`` key of that JSON file; an existing file is updated, not
-replaced. Only the standard library is used.
+``layers`` key of that JSON file, the counts under ``counts``; an existing
+file is updated, not replaced. Only the standard library is used.
 """
 
 from __future__ import annotations
@@ -101,6 +120,7 @@ import statistics
 import subprocess
 import sys
 import time
+import tracemalloc
 from fractions import Fraction
 from functools import partial
 from pathlib import Path
@@ -121,6 +141,17 @@ WATSON_POINT = dict(gamma=Fraction(5))
 CALLED_LAYERS = {"pfq_eval_float": "identities", "_bailey_double_sum": "right", "_raw_product_series": "identities"}
 REQUEST = ["verify", "--identity=1.8", "--alpha=3/7", "--beta=2/5", "--gamma=5", "--output=json"]
 REQUEST_CASE = "cli.run verify 1.8 --output=json"
+# a median-class request of the float_sums workload, and the steps around its check
+MEDIAN_REQUEST = ["verify", "--identity=1.4", "--alpha=3/7", "--beta=2/5", "--output=json"]
+REQUEST_STEPS = ("cli._parse_params verify 1.4", "IdentityParams.to_json_dict 1.4", "VerifyReport.to_json_dict 1.4")
+SCALAR_SWEEP_VALUES = ",".join(f"{n}/{n + 7}" for n in range(1, 11))
+FULL_REQUESTS = {
+    "cli.run verify 1.4 --output=json": MEDIAN_REQUEST,
+    "cli.run sweep 1.4 100 points --output=json": ["sweep", "--identity=1.4", f"--alpha={SCALAR_SWEEP_VALUES}",
+                                                   f"--beta={SCALAR_SWEEP_VALUES}", "--output=json"],
+    "cli.run expand 1.11 degree=512 --output=json": ["expand", "--identity=1.11", "--alpha=3/7", "--beta=2/5",
+                                                     "--degree=512", "--output=json"],
+}
 COLD = "memos cleared"
 GRID_CASE = f"2.1 sweep i<=8 j<=8 {COLD}"
 # the entries that deep_series verifies at alpha and beta; 1.17 and 1.18 follow at i = 0..2
@@ -277,17 +308,36 @@ def admissible(tree, tag: str, point: dict):
     return lambda: check(tag, params(**POINT, **point))
 
 
-def request(tree, src):
-    """``cli.run`` of ``REQUEST``, its stdout kept in memory."""
-    run = importlib.import_module(f"{tree.__name__}.cli").run
+def request(argv: list[str]):
+    """``make`` of ``cli.run(argv)``, its stdout and stderr kept in memory,
+    which must exit 0."""
 
-    def call():
-        with contextlib.redirect_stdout(io.StringIO()):
-            return run(REQUEST)
+    def make(tree, src):
+        run = importlib.import_module(f"{tree.__name__}.cli").run
 
-    if call() != 0:
-        raise RuntimeError(f"{REQUEST_CASE} does not exit 0")
-    return call
+        def call():
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+                return run(argv)
+
+        if call() != 0:
+            raise RuntimeError(f"cli.run {' '.join(argv)} does not exit 0")
+        return call
+
+    return make
+
+
+def request_step(step: int):
+    """``make`` of step ``step`` of ``REQUEST_STEPS``, on what
+    ``MEDIAN_REQUEST`` gives it: its parsed arguments, its point or its report."""
+
+    def make(tree, src):
+        cli = importlib.import_module(f"{tree.__name__}.cli")
+        args, _ = cli.build_parser().commands["verify"].parse_known_args(MEDIAN_REQUEST[1:])
+        params = cli._parse_params(args)
+        report = tree.verify.verify_identity(args.identity, params)
+        return (partial(cli._parse_params, args), partial(params.to_json_dict, args.identity), report.to_json_dict)[step]
+
+    return make
 
 
 def fresh_process(*args: str):
@@ -325,7 +375,9 @@ def table(quick: bool) -> dict:
         "check_admissible 2.1 i=8 j=8": lambda tree, src: admissible(tree, "2.1", dict(i=8, j=8)),
         **({} if quick else {name: cleared(lambda tree, src, point=point: admissible(tree, "2.1", point))
                              for name, point in COLD_GATES.items()}),
-        REQUEST_CASE: request,
+        **{name: request_step(step) for step, name in enumerate(REQUEST_STEPS)},
+        REQUEST_CASE: request(REQUEST),
+        **({} if quick else {name: request(argv) for name, argv in FULL_REQUESTS.items()}),
         IMPORT_CASE: fresh_process("-c", IMPORT_CASE),
         **({} if quick else {VERIFY_PROCESS_CASE: fresh_process("-m", "hypident.cli", *VERIFY_PROCESS)}),
     }
@@ -368,6 +420,40 @@ def measure(this, other, rounds: int) -> dict:
     }
 
 
+def work_counts(call, clear, number: int) -> dict:
+    """``--counts`` of one case in one tree: the CPU time a call over a
+    batch of ``number`` calls, then, from one call each after ``clear()``,
+    the ``tracemalloc`` peak, and the Python calls and bytecodes."""
+    start = time.process_time()
+    for _ in range(number):
+        call()
+    cpu_s = (time.process_time() - start) / number
+    clear()
+    tracemalloc.start()
+    try:
+        call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    counted = [0, 0]
+
+    def trace(frame, event, arg):
+        if event == "opcode":
+            counted[1] += 1
+        elif event == "call":
+            counted[0] += 1
+            frame.f_trace_opcodes = True
+        return trace
+
+    clear()
+    sys.settrace(trace)
+    try:
+        call()
+    finally:
+        sys.settrace(None)
+    return {"cpu_s": cpu_s, "tracemalloc_peak_bytes": peak, "python_calls": counted[0], "bytecodes": counted[1]}
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("other", type=Path, help="root of the checkout to compare with")
@@ -375,7 +461,9 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--quick", action="store_true",
                         help="two builders at cap 16, one float side warm and cold, the constructors, the per-point layers, "
                              "the request and the import case, for a smoke test")
-    parser.add_argument("--out", type=Path, help="JSON file whose 'layers' key to create or update")
+    parser.add_argument("--counts", action="store_true",
+                        help="also report each case's CPU time, tracemalloc peak, Python calls and bytecodes")
+    parser.add_argument("--out", type=Path, help="JSON file whose 'layers' (and 'counts') key to create or update")
     args = parser.parse_args(argv)
     if not (args.other / "src" / "hypident" / "__init__.py").is_file():
         parser.error(f"no src/hypident package under {args.other}")
@@ -383,7 +471,8 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("--rounds must be at least 1")
     srcs = ROOT / "src", args.other.resolve() / "src"
     trees = load(srcs[0], "hypident_this"), load(srcs[1], "hypident_other")
-    cases = {}
+    clears = [getattr(tree.identities, "_clear_memos", lambda: None) for tree in trees]
+    cases, counts = {}, {}
     gc.disable()
     try:
         for name, make in table(args.quick).items():
@@ -392,11 +481,18 @@ def main(argv: list[str] | None = None) -> int:
                 cases[name] = {"missing": [tree for tree, call in zip(("this", "other"), calls) if call is None]}
             else:
                 cases[name] = measure(*calls, args.rounds)
+                if args.counts and name not in (IMPORT_CASE, VERIFY_PROCESS_CASE):
+                    counts[name] = {tree: work_counts(call, clear, cases[name]["calls_a_batch"])
+                                    for tree, call, clear in zip(("this", "other"), calls, clears)}
                 gc.collect()
             row = cases[name]
             print(name, "missing in " + ", ".join(row["missing"]) if "missing" in row else
                   f"other {row['other_min_s'] * 1e3:.3f} ms, this {row['this_min_s'] * 1e3:.3f} ms, "
                   f"ratio {row['median_ratio']}, this won {row['this_won']}/{row['rounds']}", flush=True)
+            if name in counts:
+                print("  counts " + "; ".join(f"{tree} {row['cpu_s'] * 1e3:.3f} ms cpu, {row['tracemalloc_peak_bytes']} B peak, "
+                                              f"{row['python_calls']} calls, {row['bytecodes']} bytecodes"
+                                              for tree, row in counts[name].items()), flush=True)
     finally:
         gc.enable()
     if args.out:
@@ -407,6 +503,12 @@ def main(argv: list[str] | None = None) -> int:
             "python": sys.version.split()[0],
             "cases": cases,
         }
+        if args.counts:
+            doc["counts"] = {
+                "command": "python3 scripts/bench_layers.py OTHER_CHECKOUT --counts",
+                "how": " ".join(__doc__.split("\n\n")[4].split()),
+                "cases": counts,
+            }
         args.out.write_text(json.dumps(doc, indent=1) + "\n")
     return 0
 

@@ -140,14 +140,74 @@ def _write(output: str, doc: Callable[[], object], table: Callable[[], tuple], t
     JSON, ``table()`` as a ``(header, rows)`` CSV table, or ``text()``, to
     stdout by :func:`_emit`."""
     if output == "json":
-        import json  # only JSON output needs it, so `import hypident.cli` does not load it
-
-        payload = json.dumps(doc(), indent=2) + "\n"
+        payload = _json_writer()(doc()) + "\n"
     elif output == "csv":
         payload = csv_text(*table())
     else:
         payload = text() + "\n"
     _emit(sys.stdout, payload)
+
+
+@functools.cache
+def _json_writer() -> Callable[[object], str]:
+    """The writer of every JSON document: ``write(value)`` is the text of
+    ``json.dumps(value, indent=2)``, byte for byte, its pieces put in one
+    list in one pass and joined once. Python 3.11's ``json`` encodes an
+    indented document in pure Python, through nested generators. A value is
+    taken in ``json.encoder``'s own type order: str (a subclass as its
+    text), None, True, False, int, float (``float.__repr__``, and ``NaN``,
+    ``Infinity``, ``-Infinity``), list or tuple, and dict with str keys; any
+    other raises ``TypeError``. ``json.encoder`` is imported on the first
+    call, so ``import hypident.cli`` does not load it."""
+    from json.encoder import encode_basestring_ascii as quote
+
+    special = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+    def put(value, parts: list[str], indent: str) -> None:
+        if isinstance(value, str):
+            parts.append(quote(value))
+        elif value is None:
+            parts.append("null")
+        elif value is True:
+            parts.append("true")
+        elif value is False:
+            parts.append("false")
+        elif isinstance(value, int):
+            parts.append(int.__repr__(value))
+        elif isinstance(value, float):
+            text = float.__repr__(value)
+            parts.append(special.get(text, text))
+        elif isinstance(value, (list, tuple)):
+            if not value:
+                parts.append("[]")
+                return
+            inner = indent + "  "
+            separator, between = "[" + inner, "," + inner
+            for item in value:
+                parts.append(separator)
+                put(item, parts, inner)
+                separator = between
+            parts.append(indent + "]")
+        elif isinstance(value, dict):
+            if not value:
+                parts.append("{}")
+                return
+            inner = indent + "  "
+            separator, between = "{" + inner, "," + inner
+            for key, item in value.items():
+                parts.append(separator + quote(key) + ": ")
+                put(item, parts, inner)
+                separator = between
+            parts.append(indent + "}")
+        else:
+            raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+    def write(value) -> str:
+        parts = []
+        put(value, parts, "\n")
+        return "".join(parts)
+
+    return write
 
 
 def _emit(stream, text: str) -> None:

@@ -130,18 +130,16 @@ class IdentityParams(namedtuple("IdentityParams", "alpha beta i j cap gamma prin
 
     def to_json_dict(self, identity: IdentityId | str) -> dict:
         """The one statement of a point, as catalog entry ``identity`` reads
-        it: the fields the entry ``uses``, in the order alpha, beta, gamma,
-        i, j, then ``cap`` (the effective cap) for a series entry and
-        ``printed_form`` when set. An unset ``beta`` or ``gamma`` is null."""
+        it: the fields the entry ``uses``, in their order there, which every
+        entry states as alpha, beta, gamma, i, j, then ``cap`` (the effective
+        cap) for a series entry and ``printed_form`` when set. An unset
+        ``beta`` or ``gamma`` is null. Only a field the entry uses is
+        formatted."""
         define = get(identity)
-        doc = {
-            "alpha": format_rational(self.alpha),
-            "beta": None if self.beta is None else format_rational(self.beta),
-            "gamma": None if self.gamma is None else format_rational(self.gamma),
-            "i": self.i,
-            "j": self.j,
-        }
-        doc = {key: value for key, value in doc.items() if key in define.uses}
+        doc = {}
+        for key in define.uses:
+            value = getattr(self, key)
+            doc[key] = value if value is None or key in ("i", "j") else format_rational(value)
         if define.kind == "series":
             doc["cap"] = self.effective_cap
         if self.printed_form:
@@ -272,17 +270,34 @@ def _float_terms(side: RawProduct | Side | ProductSide) -> Sequence[Term]:
     return terms
 
 
+def _uncompared(side: Side | ProductSide, cap: int) -> tuple[str, ...]:
+    """A note on the terms of a right side (``power > cap``) or the blocks
+    with a weight (``m + n > cap``) that start past the cap, so that none of
+    their coefficients is compared, and how many there are; none when every
+    one starts within it, as at the default cap."""
+    if isinstance(side, Side):
+        noun, where, count = "term", "power", sum(term.power > cap for term in side.terms)
+    else:
+        (_, first), (_, second) = side.first, side.second
+        noun, where, count = "block", "m + n", 0
+        if len(first) + len(second) - 2 > cap:  # the last block starts past the cap
+            count = sum(1 for m, v in enumerate(first) if v for n, w in enumerate(second) if w and m + n > cap)
+    if not count:
+        return ()
+    return (f"cap {cap} leaves {count} right-side {noun}{'' if count == 1 else 's'} uncompared ({where} > {cap})",)
+
+
 def _side_floats(side: RawProduct | Side | ProductSide, xs: Sequence[float]) -> list[tuple[float, bool]]:
     """Float value of a side at each x, and whether it is finite and every
-    factor's sum converged; ``(inf, False)`` at an x where a weight, power
-    or exponential overflows a double, or where an overflowed sum would
-    read nan. The terms are listed once, by :func:`_float_terms`, with each
-    weight and the exponent converted to a float once. Each factor is then
-    summed at its distinct arguments by :func:`_factor_sums`, factor by
-    factor, the arguments of each :class:`Arg` worked out once
-    (:func:`_arguments`), and the terms are added at each x in their listed
-    order, so every float is the one a loop over x, summing each factor at
-    that x, gives.
+    factor's sum converged; ``(inf, False)`` at an x that is not NaN where
+    a weight, power or exponential overflows a double, or where a sum
+    overflows, to either sign or to nan. The terms are listed once, by
+    :func:`_float_terms`, with each weight and the exponent converted to a
+    float once. Each factor is then summed at its distinct arguments by
+    :func:`_factor_sums`, factor by factor, the arguments of each
+    :class:`Arg` worked out once (:func:`_arguments`), and the terms are
+    added at each x in their listed order, so every float is the one a loop
+    over x, summing each factor at that x, gives.
     """
     places: dict[Arg, tuple] = {}
     try:
@@ -314,8 +329,10 @@ def _side_floats(side: RawProduct | Side | ProductSide, xs: Sequence[float]) -> 
                 total *= math.exp(grow * x)
         except OverflowError:
             total, converged = math.inf, False
-        if math.isnan(total) and not math.isnan(x):
-            # inf * 0.0 from an e**(exp*x) that underflowed, or inf - inf
+        if not math.isfinite(total) and not math.isnan(x):
+            # one reading of an overflow: -inf from a block that overflowed
+            # negative first, nan from inf * 0.0 (an e**(exp*x) that
+            # underflowed) or from inf - inf
             total = math.inf
         values.append((total, converged and math.isfinite(total)))
     return values
@@ -658,7 +675,9 @@ class IdentityDef:
     evaluation is advisory), "exact_sum" (one exact scalar equation), or
     "float_sum" (scalar closed form checked in floating point).
     ``fixed_argument`` is the argument of every scalar entry: the point at
-    which its sum is taken and its float residual reported. The builders,
+    which its sum is taken and its float residual reported. ``uncompared``
+    of a series entry notes the right side's terms or blocks that start past
+    the cap, whose coefficients the comparison never reaches. The builders,
     float sides and scalar sides take their parameters as given; the gate
     that ``verify``, ``sweep`` and ``eval`` ask is ``verify.check_admissible``,
     which runs :meth:`validate_params` first (``expand`` prints one side and
@@ -677,6 +696,7 @@ class IdentityDef:
     rhs_float: Callable[[IdentityParams, Sequence[float]], list[tuple[float, bool]]] | None = None
     scalar_exact: Callable[[IdentityParams], tuple[Fraction, Fraction]] | None = None
     scalar_float: Callable[[IdentityParams], tuple[float, float, FloatSum]] | None = None
+    uncompared: Callable[[IdentityParams], tuple[str, ...]] | None = None
     fixed_argument: float | None = None
     reading: bool = False
 
@@ -770,6 +790,7 @@ def _series_entry(lhs: SideOf, rhs: SideOf, **fields) -> IdentityDef:
         build_rhs=lambda p: _side_series(rhs(p), p.effective_cap),
         lhs_float=lambda p, xs: _side_floats(lhs(p), xs),
         rhs_float=lambda p, xs: _side_floats(rhs(p), xs),
+        uncompared=lambda p: _uncompared(rhs(p), p.effective_cap),
         **fields,
     )
 
@@ -848,7 +869,7 @@ def _product_entries(prod_id: IdentityId, equal_id: IdentityId, raised: tuple[bo
     ]
 
 
-def _build_registry() -> dict[IdentityId, IdentityDef]:
+def _build_registry() -> dict[str, IdentityDef]:
     def preece_block(p: IdentityParams) -> Factor:
         return HypSpec((p.alpha,), (p.alpha + HALF, 2 * p.alpha)), _SQ4
 
@@ -1020,21 +1041,22 @@ def _build_registry() -> dict[IdentityId, IdentityDef]:
         excess="2*gamma - alpha - beta + 1",
     ))
 
-    return {d.id: d for d in defs}
+    return {d.tag: d for d in defs}
 
 
+#: The catalog, keyed by tag string; the only registry, which perfbench's
+#: tracer rewrites in place.
 _REGISTRY = _build_registry()
 
 
 def get(identity: IdentityId | str) -> IdentityDef:
-    """Look up a catalog entry by enum member or tag string."""
-    if isinstance(identity, str) and not isinstance(identity, IdentityId):
-        try:
-            identity = IdentityId(identity)
-        except ValueError:
-            known = ", ".join(tag.value for tag in IdentityId)
-            raise ValueError(f"unknown identity tag {identity!r} (known: {known})") from None
-    return _REGISTRY[identity]
+    """Look up a catalog entry by enum member or tag string, in one dict
+    lookup: a member is a ``str`` that hashes and compares as its tag."""
+    try:
+        return _REGISTRY[identity]
+    except KeyError:
+        known = ", ".join(tag.value for tag in IdentityId)
+        raise ValueError(f"unknown identity tag {identity!r} (known: {known})") from None
 
 
 def catalog() -> tuple[IdentityDef, ...]:

@@ -129,7 +129,7 @@ def _series_check(define: IdentityDef, params: IdentityParams, float_points: Ite
     mismatches = reports.compare_series(lhs, rhs)
     return dict(cap=min(lhs.cap, rhs.cap), status=STATUS_MISMATCH if mismatches else STATUS_EXACT_MATCH,
                 mismatches=mismatches, float_residuals=float_residuals(define.id, params, float_points),
-                notes=define.notes(params))
+                notes=define.notes(params) + define.uncompared(params))
 
 
 def _scalar_exact_check(define: IdentityDef, params: IdentityParams) -> dict:

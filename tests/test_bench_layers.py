@@ -21,23 +21,27 @@ CONSTRUCTORS = {"FloatSum", "HypSpec 1F1", "IdentityParams", TERMS_VIEW}
 LAYERS = {"3.1 _float_terms i=8 j=8", "check_admissible 1.7", "check_admissible 1.8 gamma=5",
           "check_admissible 2.1 i=8 j=8"}
 COLD_FLOAT = "1.10 rhs_float memos cleared"
+# the steps of a verify request around its check
+REQUEST_STEPS = {"cli._parse_params verify 1.4", "IdentityParams.to_json_dict 1.4", "VerifyReport.to_json_dict 1.4"}
 QUICK_CASES = {"1.10 build_rhs cap=16", "1.10 build_lhs cap=16", "1.10 rhs_float", COLD_FLOAT, *CONSTRUCTORS, *LAYERS,
-               REQUEST_CASE, IMPORT_CASE}
+               *REQUEST_STEPS, REQUEST_CASE, IMPORT_CASE}
+COUNTS = {"cpu_s", "tracemalloc_peak_bytes", "python_calls", "bytecodes"}
 
 
-def bench(other: Path, out: Path) -> dict:
-    done = subprocess.run([sys.executable, str(SCRIPT), str(other), "--quick", "--rounds", "5", "--out", str(out)],
+def bench(other: Path, out: Path, *options: str) -> dict:
+    done = subprocess.run([sys.executable, str(SCRIPT), str(other), "--quick", "--rounds", "5", "--out", str(out), *options],
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
-    assert len(done.stdout.splitlines()) == len(QUICK_CASES)
+    assert len([line for line in done.stdout.splitlines() if not line.startswith("  counts ")]) == len(QUICK_CASES)
     return json.loads(out.read_text())["layers"]["cases"]
 
 
 def test_a_checkout_runs_even_with_itself(tmp_path):
     out = tmp_path / "bench.json"
     out.write_text(json.dumps({"kept": 1}))
-    cases = bench(ROOT, out)
-    assert json.loads(out.read_text())["kept"] == 1
+    cases = bench(ROOT, out, "--counts")
+    doc = json.loads(out.read_text())
+    assert doc["kept"] == 1
     assert set(cases) == QUICK_CASES
     assert cases.pop(TERMS_VIEW) == {"missing": ["this", "other"]}
     for case in cases.values():
@@ -46,6 +50,11 @@ def test_a_checkout_runs_even_with_itself(tmp_path):
         assert math.isfinite(case["median_ratio"]) and case["median_ratio"] > 0, case
     # the import case is one fresh process a batch
     assert cases[IMPORT_CASE]["calls_a_batch"] == 1
+    # --counts: every case made in process has its fields in each tree; no value is read
+    assert set(doc["counts"]) == {"command", "how", "cases"}
+    assert set(doc["counts"]["cases"]) == set(cases) - {IMPORT_CASE}
+    assert all(set(row) == {"this", "other"} and all(set(tree) == COUNTS for tree in row.values())
+               for row in doc["counts"]["cases"].values())
 
 
 def test_a_case_the_other_tree_cannot_build_is_missing(tmp_path):
@@ -62,7 +71,7 @@ def test_a_case_the_other_tree_cannot_build_is_missing(tmp_path):
     cases = bench(tmp_path, tmp_path / "bench.json")
     assert cases["1.10 build_rhs cap=16"] == {"missing": ["other"]}
     assert cases["1.10 rhs_float"] == cases[COLD_FLOAT] == {"missing": ["other"]}
-    assert cases[IMPORT_CASE] == cases[REQUEST_CASE] == {"missing": ["other"]}
+    assert all(cases[name] == {"missing": ["other"]} for name in (IMPORT_CASE, REQUEST_CASE, *REQUEST_STEPS))
     assert "median_ratio" in cases["1.10 build_lhs cap=16"]
     # the records and the per-point layers are still made in the broken tree
     assert all("median_ratio" in cases[name] for name in (CONSTRUCTORS - {TERMS_VIEW}) | LAYERS)
@@ -144,6 +153,14 @@ def test_the_full_ladder_times_float_sides_and_a_deep_left_side():
     start = names.index("check_admissible 2.1 i=8 j=8") + 1
     assert names[start:start + 2] == gates and not set(gates) & set(bench_layers.table(quick=True))
     assert all(bench_layers.made(table[name], tree, src)() == [] for name in gates)
+    # then the requests: the 1.8 verify, then in the full table only a
+    # median-class verify, a sweep of 100 scalar points and a degree-512 expand
+    requests = [REQUEST_CASE, "cli.run verify 1.4 --output=json", "cli.run sweep 1.4 100 points --output=json",
+                "cli.run expand 1.11 degree=512 --output=json"]
+    assert names[-6:-2] == requests and not set(requests[1:]) & set(bench_layers.table(quick=True))
+    assert all(bench_layers.made(table[name], tree, src)() == 0 for name in requests)
+    sweep = bench_layers.FULL_REQUESTS[requests[2]]
+    assert len(sweep[2].split(",")) * len(sweep[3].split(",")) == 100
     # last, the fresh processes: the import, then one cold verify of 2.1 at i = j = 8, in the full table only
     process = "python3 -m hypident.cli verify 2.1 i=8 j=8 --output json"
     assert names[-2:] == [IMPORT_CASE, process] and process not in bench_layers.table(quick=True)

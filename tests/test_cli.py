@@ -7,6 +7,7 @@ diagnostics, and exit codes.
 
 import argparse
 import csv
+import enum
 import io
 import json
 import math
@@ -20,10 +21,12 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from hypident import cli, identities
 from hypident.cli import MAX_DEGREE, MAX_RATIONAL_BITS, MAX_SHIFT, MAX_SWEEP_POINTS, build_parser, run
-from hypident.identities import IdentityParams, catalog
+from hypident.identities import IdentityId, IdentityParams, catalog
 from hypident.rationals import parse_rational, pochhammer
 from hypident.verify import check_admissible, verify_identity
 
@@ -277,6 +280,28 @@ class TestVerify:
         assert code == 0
         # the sweep's last point is the requested one
         assert out.splitlines()[-1].startswith(f"{point[1]} " + " ".join(f"{k}={v}" for k, v in params.items()) + ": ")
+
+    # a cap below the last block's start compares fewer blocks and says how
+    # many it leaves out; the status is the comparison's up to the cap. At
+    # the last block's start, none is left out
+    @pytest.mark.parametrize(
+        "point, cap, last, note",
+        [
+            ("2.1 --beta 2/5 --i 64 --j 64", 0, 128, "cap 0 leaves 4224 right-side blocks uncompared (m + n > 0)"),
+            ("2.1 --beta 2/5 --i 3 --j 3", 5, 6, "cap 5 leaves 1 right-side block uncompared (m + n > 5)"),
+            ("3.2 --i 2 --j 3", 4, 5, "cap 4 leaves 1 right-side block uncompared (m + n > 4)"),
+            ("1.17 --i 8", 0, 8, "cap 0 leaves 8 right-side terms uncompared (power > 0)"),
+            ("1.18 --i 8", 7, 8, "cap 7 leaves 1 right-side term uncompared (power > 7)"),
+            ("1.13", 0, 1, "cap 0 leaves 1 right-side term uncompared (power > 0)"),
+        ],
+    )
+    def test_a_cap_that_leaves_blocks_uncompared_says_so(self, capsys, point, cap, last, note):
+        request = ["verify", "--identity", *point.split(), "--alpha", "3/7", "--output", "json"]
+        code, out, err = invoke(capsys, *request, "--degree", str(cap))
+        report = json.loads(out)
+        assert (code, report["status"], report["notes"]) == (0, "exact_match", [note]), err
+        code, out, _ = invoke(capsys, *request, "--degree", str(last))
+        assert (code, json.loads(out)["notes"]) == (0, [])
 
     def test_csv_single_row(self, capsys):
         code, out, _ = invoke(
@@ -972,6 +997,38 @@ class TestDispatch:
         monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", spy)
         assert invoke(capsys, *WATSON_REQUEST)[0] == 0
         assert len(receivers) == 1 and receivers[0] is parser.commands["verify"]
+
+
+# every value type the JSON writer takes, with the edge values of each:
+# floats at the ends of the double range and non-finite ones, ints past 64
+# bits, an int subclass, catalog tags (a str subclass) and text with control
+# and non-ASCII characters, in lists, tuples and dicts, empty ones included
+JSON_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.integers(min_value=2**64, max_value=2**80).map(lambda n: -n),
+    st.floats(), st.sampled_from([-0.0, 5e-324, 1e308, math.nan, math.inf, -math.inf, 2**64, -(2**70)]),
+    st.sampled_from(list(enum.IntEnum("Level", ["LOW", "HIGH"]))), st.text(), st.sampled_from(list(IdentityId)),
+)
+JSON_KEYS = st.text() | st.sampled_from(list(IdentityId))
+JSON_VALUES = st.recursive(
+    JSON_SCALARS,
+    lambda inner: st.lists(inner) | st.lists(inner).map(tuple) | st.dictionaries(JSON_KEYS, inner),
+    max_leaves=25,
+)
+
+
+@given(JSON_VALUES)
+@example({"": [], "\u00e9\x00\n\"": {}, IdentityId.WATSON_UNIT: [-0.0, 5e-324, 1e308, math.nan, math.inf, -math.inf]})
+@example([[{}], (), 2**64 + 1, -(2**65), "\u2028\x1f\ud800", True, False, None])
+def test_the_json_writer_writes_what_json_dumps_writes(value):
+    assert cli._json_writer()(value) == json.dumps(value, indent=2)
+
+
+@pytest.mark.parametrize("value", [Fraction(1, 3), [1, Fraction(1, 3)], {"alpha": Fraction(1, 3)}, {1, 2}])
+def test_the_json_writer_refuses_what_json_refuses(value):
+    with pytest.raises(TypeError):
+        json.dumps(value, indent=2)
+    with pytest.raises(TypeError, match=" is not JSON serializable"):
+        cli._json_writer()(value)
 
 
 def test_parser_builds_and_documents_subcommands():

@@ -37,18 +37,24 @@ def test_benchmark_tracer_installs():
     # perfbench/tracing.py looks each patched name up with getattr, so
     # deleting one breaks `perfbench/run.py --trace 1`; it wraps the
     # catalog's float fields as they are called, so a wrapper that no
-    # longer fits them breaks a traced verify of a series or a float sum
+    # longer fits them breaks a traced verify of a series or a float sum.
+    # It rewrites the one registry in place, so that ``get`` by tag string
+    # and by enum member both return its wrapped entries
     code = (
         "import sys; "
         f"sys.path[:0] = [{str(ROOT / 'src')!r}, {str(ROOT / 'perfbench')!r}]; "
+        "from hypident.identities import IdentityId, get; plain = get('1.8'); "
         "import tracing; tracer = tracing.Tracer(); tracing.install(tracer); "
         "from hypident import verify; from hypident.identities import IdentityParams; "
         "verify.verify_identity('2.1', IdentityParams(alpha='3/7', beta='2/5', i=2, j=1)); "
         "verify.verify_identity('1.4', IdentityParams(alpha='1/3', beta='2/5')); "
-        "print([tracer.calls[layer] for layer in "
-        "('identities.float_sides', 'identities.build_rhs', 'hyper.pfq_eval_float')])"
+        "watson = get('1.8'), get(IdentityId.WATSON_UNIT); "
+        "print(([tracer.calls[layer] for layer in "
+        "('identities.float_sides', 'identities.build_rhs', 'hyper.pfq_eval_float')], "
+        "[define is not plain and define.scalar_float.__wrapped__ is plain.scalar_float for define in watson]))"
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    calls = ast.literal_eval(proc.stdout.strip())
+    calls, wrapped = ast.literal_eval(proc.stdout.strip())
     assert len(calls) == 3 and all(calls), calls
+    assert wrapped == [True, True]

@@ -87,6 +87,8 @@ class TestCatalog:
 
     def test_every_entry_is_runnable_shape(self):
         for d in catalog():
+            # a point's JSON states the fields in this order (IdentityParams.to_json_dict)
+            assert list(d.uses) == sorted(d.uses, key=("alpha", "beta", "gamma", "i", "j").index), d.tag
             if d.kind == "series":
                 assert d.build_lhs and d.build_rhs and d.lhs_float and d.rhs_float
             elif d.kind == "exact_sum":
@@ -835,12 +837,12 @@ class TestSideSeries:
             params = IdentityParams(alpha=A, beta=B, i=i, j=j, printed_form=printed_form)
             reference = per_block_product_side(variant, params)
             assert rhs_float(params, DEFAULT_FLOAT_POINTS) == _side_floats(reference, DEFAULT_FLOAT_POINTS), (i, j)
-            # the blocks' sums overflow a double at 1e6 and at -800, to an
-            # infinity of the sign of the block that overflows first. The
-            # points beside them are what a one-point call gives
+            # the blocks' sums overflow a double at 1e6 and at -800, some
+            # negative first; every overflow reads inf. The points beside
+            # them are what a one-point call gives
             batch = rhs_float(params, (0.5, 1e6, -0.5, -800.0))
             assert batch[::2] == [*rhs_float(params, (0.5,)), *rhs_float(params, (-0.5,))], (i, j)
-            assert all(math.isinf(value) and not ok for value, ok in batch[1::2]), (i, j)
+            assert batch[1::2] == [(math.inf, False)] * 2, (i, j)
             assert batch == _side_floats(reference, (0.5, 1e6, -0.5, -800.0)), (i, j)
             # the left side's e**(-x) underflows to 0.0 at 1e6 while its
             # factors' sums overflow, and inf * 0.0 must not read nan
@@ -1530,7 +1532,7 @@ def per_term_side_floats(side, xs):
                 total *= math.exp(side.exp * x)
         except OverflowError:
             total, converged = math.inf, False
-        if math.isnan(total) and not math.isnan(x):
+        if not math.isfinite(total) and not math.isnan(x):
             total = math.inf
         values.append((total, converged and math.isfinite(total)))
     return values
@@ -1728,7 +1730,9 @@ def test_the_float_memo_is_bounded_and_cleared(summed):
 
 def test_clear_memos_empties_every_per_process_cache():
     """The package keeps one per-process cache besides the command line's
-    one parser, ``cli._shared_parser``: the store ``hyper.KEPT``, found by
+    one parser, ``cli._shared_parser``, and its one JSON writer,
+    ``cli._json_writer``, each built once and holding no request's data:
+    the store ``hyper.KEPT``, found by
     its ``cache_clear``. Once three verifies have filled each of its
     namespaces and set the ``_LAST_READ`` pairs of their entries, each
     reader's last params object and declaration, ``_clear_memos`` leaves
@@ -1740,7 +1744,7 @@ def test_clear_memos_empties_every_per_process_cache():
         caches.update({f"{info.name}.{name}": value for name, value in vars(module).items()
                        if hasattr(value, "cache_clear") and not isinstance(value, type)
                        and value.__module__ == module.__name__})
-    assert caches.pop("cli._shared_parser")
+    assert caches.pop("cli._shared_parser") and caches.pop("cli._json_writer")
     assert caches == {"hyper.KEPT": KEPT}
     verify_identity("1.10", IdentityParams(alpha=A, beta=B))
     verify_identity("2.1", IdentityParams(alpha=A, beta=B, i=2, j=2))
