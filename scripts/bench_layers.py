@@ -39,8 +39,9 @@ tables and span quotients between calls, the 2.1 ``build_rhs`` and
 between calls, the float sides and ``verify_identity`` rows time kept sums.
 The rows marked "memos cleared" call ``_clear_memos``, where the tree has
 it, at the start of each call, so a batch times what a call pays from
-cold. First of them comes one grid, ``verify.sweep`` of 2.1's 81 points at
-i, j <= 8; then each float side above; then the default
+cold. First of them come the grids of 81 points at i, j <= 8, ``verify.sweep``
+of 2.1, and, in the full ladder, of 3.1 and of 2.3 in its printed form; then
+each float side above; then the default
 ``verify_identity`` of 2.1, 2.2, 2.3 and 3.1 at i = j = 8 and 20, whose
 blocks are all distinct within a point, ``build_rhs`` of 2.1 at i = j =
 8, the cold twin of its warm row, and the three 1.17 rows at i = 2 and cap
@@ -154,6 +155,8 @@ FULL_REQUESTS = {
 }
 COLD = "memos cleared"
 GRID_CASE = f"2.1 sweep i<=8 j<=8 {COLD}"
+# the full ladder's other grids at i, j <= 8: the 3.x double sum and the printed-form weights
+FULL_GRIDS = {f"3.1 sweep i<=8 j<=8 {COLD}": ("3.1", {}), f"2.3 printed sweep i<=8 j<=8 {COLD}": ("2.3", dict(printed_form=True))}
 # the entries that deep_series verifies at alpha and beta; 1.17 and 1.18 follow at i = 0..2
 PAIR_TAGS = ("1.1", "1.2", "1.5", "1.6", "1.7", "1.9", "1.10", "1.11", "1.12", "1.13")
 CATALOG_POINT_CASE = f"catalog point verify_identity cap=96 {COLD}"
@@ -256,9 +259,13 @@ def cleared(make):
     return make_cold
 
 
-def grid(tree, src):
-    """2.1's 81 points at i, j <= 8."""
-    return partial(tree.verify.sweep, "2.1", [POINT["alpha"]], [POINT["beta"]], 8, 8)
+def grid(tag: str, options: dict):
+    """``make`` of the sweep of ``tag``'s 81 points at i, j <= 8 with ``options``."""
+
+    def make(tree, src):
+        return partial(tree.verify.sweep, tag, [POINT["alpha"]], [POINT["beta"]], 8, 8, **options)
+
+    return make
 
 
 def product_grid(n: int):
@@ -359,7 +366,7 @@ def table(quick: bool) -> dict:
     """Every case's ``make(tree, src)`` by name, in the order the cases run."""
     return {
         **{label(*case): entry_case(*case) for case in ladder(quick)},
-        **({} if quick else {GRID_CASE: cleared(grid)}),
+        **({} if quick else {name: cleared(grid(*case)) for name, case in {GRID_CASE: ("2.1", {}), **FULL_GRIDS}.items()}),
         **{f"{label(*case)} {COLD}": cleared(entry_case(*case)) for case in cold_ladder(quick)},
         **({} if quick else {CATALOG_POINT_CASE: cleared(catalog_point)}),
         **({} if quick else {name: cleared(product_grid(n)) for name, n in PRODUCT_GRIDS.items()}),

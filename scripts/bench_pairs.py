@@ -6,7 +6,11 @@
 
 Each pair runs ``perfbench/run.py --workload W --seed N --seconds S
 --trace 0`` once in each tree, from that tree's root; even pairs run the
-parent first and odd pairs the change first. The trees run uncompiled, as
+parent first and odd pairs the change first. Before the first pair, one
+A/A pair runs the parent twice: each end-to-end metric's two values and
+their relative difference go under ``aa`` (see :func:`summarize_aa`), so
+a verdict can be read against the spread of the hour it was measured in.
+The A/A runs take no part in the verdicts. The trees run uncompiled, as
 the benchmark runs a fresh checkout: before the first pair each tree's
 ``src/**/__pycache__`` is removed, and every run has
 ``PYTHONDONTWRITEBYTECODE=1``, so no run writes or reads bytecode of the
@@ -92,6 +96,19 @@ def summarize(parent: list[float], change: list[float], better: str, bound: floa
     }
 
 
+def summarize_aa(first: dict[str, float], second: dict[str, float]) -> dict:
+    """The A/A pair, two runs of one tree, by metric: its two values and
+    their relative difference ``(second - first) / |first|``, None where
+    the first value is 0."""
+    return {
+        metric: {
+            "values": [value, second[metric]],
+            "relative_difference": round((second[metric] - value) / abs(value), 4) if value else None,
+        }
+        for metric, value in first.items()
+    }
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent", type=Path, help="root of the parent checkout")
@@ -111,6 +128,12 @@ def main() -> int:
             shutil.rmtree(cache)
     metrics = {m["name"]: m for m in json.loads((trees["change"] / "BENCHMARK.json").read_text())["end_to_end"]}
 
+    aa = []
+    for run in range(2):
+        result = run_once(trees["parent"], args.workload, args.seed, args.seconds)
+        aa.append({m: round(v["value"], 4) for m, v in result["metrics"].items() if m in metrics})
+        print(f"A/A run {run} parent: correct={result['correct']} failed={result['failed']} {aa[-1]}", flush=True)
+
     runs: dict[str, list[dict]] = {"parent": [], "change": []}
     for pair in range(args.pairs):
         for name in ("parent", "change") if pair % 2 == 0 else ("change", "parent"):
@@ -119,7 +142,7 @@ def main() -> int:
             values = {m: round(v["value"], 4) for m, v in result["metrics"].items() if m in metrics}
             print(f"pair {pair} {name}: correct={result['correct']} failed={result['failed']} {values}", flush=True)
 
-    entry = {"seconds": args.seconds, "pairs": args.pairs}
+    entry = {"seconds": args.seconds, "pairs": args.pairs, "aa": summarize_aa(*aa)}
     for metric, spec in metrics.items():
         values = {name: [round(r["metrics"][metric]["value"], 4) for r in rs] for name, rs in runs.items()}
         entry[metric] = summarize(values["parent"], values["change"], spec["better"], spec["bound"])

@@ -36,7 +36,7 @@ from .hyper import KEPT, DegenerateParameterError, FloatSum, HypSpec, _pfq_integ
 from .left import _raw_product_series
 from .rationals import _exact_rational, _over_common, format_rational, is_nonpositive_integer, pochhammer
 from .reports import AdmissibilityFinding, check_lower, check_poch, check_pole, check_positive
-from .series import TruncatedSeries
+from .series import TruncatedSeries, _over_last
 
 __all__ = [
     "IdentityDef",
@@ -219,18 +219,18 @@ class RawProduct(namedtuple("RawProduct", "factors exp")):
     _make = classmethod(lambda cls, iterable: cls(*iterable))
 
 
-#: ``(rho, weights)``: the sum over shifts m of
-#: ``weights[m] * x**m * 0F1(; rho + m; x**2/16)``.
-Expansion = tuple[Fraction, tuple[Fraction, ...]]
+#: ``(rho, den, nums)``, the weights as canonical integer lanes (:func:`_lanes`):
+#: the sum over shifts m of ``nums[m] / den * x**m * 0F1(; rho + m; x**2/16)``.
+Expansion = tuple[Fraction, int, tuple[int, ...]]
 
 
 class ProductSide(NamedTuple):
-    """The double sum of two expansions, ``first = (rho, v)`` and ``second
-    = (sigma, w)``: 1.17/1.18's for 2.x, or the summands of
+    """The double sum of two expansions, ``first = (rho, den, v)`` and
+    ``second = (sigma, den', w)``: 1.17/1.18's for 2.x, or the summands of
     :func:`_equal_param_factor` in alpha alone for 3.x. Block (m, n) of the
     sum is the 1.11 block ``2F3(...; x**2/4)`` of ``(rho + m, sigma + n)``,
-    weighted ``v[m] * w[n]`` at power ``m + n``. The paper's product is
-    ``e**x`` times this sum; the exponential is declared on the left side.
+    weighted ``v[m] w[n] / (den den')`` at power ``m + n``. The paper's
+    product is ``e**x`` times this sum; the exponential is declared on the left side.
     """
 
     first: Expansion
@@ -257,16 +257,16 @@ def _float_terms(side: RawProduct | Side | ProductSide) -> Sequence[Term]:
         return (Term(side.factors),)
     if isinstance(side, Side):
         return side.terms
-    (rho, first), (sigma, second) = side.first, side.second
+    (rho, den_a, first), (sigma, den_b, second) = side.first, side.second
     rhos, sigmas = [rho + m for m in range(len(first))], [sigma + n for n in range(len(second))]
     diagonals = [(t / 2, (t - 1) / 2, t - 1) for t in (rho + sigma + s for s in range(len(first) + len(second) - 1))]
     terms = []
-    for m, w1 in enumerate(first):
-        for n, w2 in enumerate(second):
-            weight = w1 * w2
-            if weight != 0:
+    for m, v in enumerate(first):
+        for n, w in enumerate(second):
+            weight = v * w
+            if weight:
                 half, below, total = diagonals[m + n]
-                terms.append(Term(((HypSpec((half, below), (rhos[m], sigmas[n], total)), _SQ4),), weight, m + n))
+                terms.append(Term(((HypSpec((half, below), (rhos[m], sigmas[n], total)), _SQ4),), Fraction(weight, den_a * den_b), m + n))
     return terms
 
 
@@ -278,7 +278,7 @@ def _uncompared(side: Side | ProductSide, cap: int) -> tuple[str, ...]:
     if isinstance(side, Side):
         noun, where, count = "term", "power", sum(term.power > cap for term in side.terms)
     else:
-        (_, first), (_, second) = side.first, side.second
+        (_, _, first), (_, _, second) = side.first, side.second
         noun, where, count = "block", "m + n", 0
         if len(first) + len(second) - 2 > cap:  # the last block starts past the cap
             count = sum(1 for m, v in enumerate(first) if v for n, w in enumerate(second) if w and m + n > cap)
@@ -392,8 +392,8 @@ def _expansion(
     alpha: Fraction, i: int, raised: bool, names: tuple[str, str, str]
 ) -> tuple[Findings, Findings, Expansion | AdmissibilityFinding]:
     """One expansion and its admissibility: the findings on its factor and
-    weights, those on the lower parameter of every block, then ``(rho,
-    weights)``, the sum of ``weights[m] * x**m * 0F1(; rho + m; x**2/16)``,
+    weights, those on the lower parameter of every block, then the
+    :data:`Expansion` ``(rho, den, nums)``, the kernel's integers as lanes,
     or, if a weight's denominator vanishes, the finding with the first index
     (``(2*base +/- i)_m`` on a tie). Weight m is term m of
     ``2F2(-i, 2*base - 1; 2*base +/- i, base - 1/2; +/-t/4)``, each
@@ -413,11 +413,18 @@ def _expansion(
     if any(vanishing):
         return *findings, min(filter(None, vanishing), key=lambda finding: finding.index)
     den, nums = _pfq_integers((Fraction(-i), twice - 1), tuple([value for _, value in lowers]), i, 1 if raised else -1, 4)
-    return *findings, (rho, tuple([Fraction(num, den) for num in nums if num]))  # zeros come only past the end
+    return *findings, (rho, *_lanes(den, [num for num in nums if num]))  # zeros come only past the end
+
+
+def _lanes(den: int, nums: Sequence[int]) -> tuple[int, tuple[int, ...]]:
+    """``nums[m] / den`` as canonical lanes, ``den > 0`` and ``gcd(den, *nums) == 1``,
+    as ``_over_common`` gives them: so a factor's lanes, a shift table's key, are its value."""
+    g = math.gcd(den, *nums) * (-1 if den < 0 else 1)
+    return den // g, tuple([num // g for num in nums])
 
 
 def _expansion_terms(alpha: Fraction, i: int, raised: bool, names: tuple[str, str, str] = _FIRST) -> Expansion:
-    """The expansion's ``(rho, weights)``; raises where a weight's
+    """The expansion's ``(rho, den, nums)``; raises where a weight's
     denominator vanishes, at the finding :func:`_expansion` gives."""
     found = _expansion(alpha, i, raised, names)[2]
     if isinstance(found, AdmissibilityFinding):
@@ -426,8 +433,8 @@ def _expansion_terms(alpha: Fraction, i: int, raised: bool, names: tuple[str, st
 
 
 def _expansion_side(alpha: Fraction, i: int, raised: bool) -> Side:
-    rho, weights = _expansion_terms(alpha, i, raised)
-    return Side(tuple(Term((_f01(rho + m, _SQ16),), weight, m) for m, weight in enumerate(weights)))
+    rho, den, nums = _expansion_terms(alpha, i, raised)
+    return Side(tuple(Term((_f01(rho + m, _SQ16),), Fraction(num, den), m) for m, num in enumerate(nums)))
 
 
 # --------------------------------------------------------------------------
@@ -453,12 +460,12 @@ def _product_rhs(raised: tuple[bool, bool], params: IdentityParams) -> ProductSi
 def _printed(side: ProductSide, j: int) -> ProductSide:
     """The printed form of a mixed product, whose second shift factor is
     indexed by m instead of n: block (m, n) weighs ``(-j)_m / (-j)_n`` more,
-    ``(-j)_m`` on the first weights and ``1 / (-j)_n`` on the second.
-    ``(-j)_m`` vanishes for m > j: those weights drop like any zero weight."""
-    (rho, v), (sigma, w) = side.first, side.second
-    shift = Fraction(-j)
-    first = tuple([c * pochhammer(shift, m) for m, c in enumerate(v[: j + 1])])
-    return ProductSide((rho, first), (sigma, tuple([c / pochhammer(shift, n) for n, c in enumerate(w)])))
+    ``(-j)_m = (-1)**m j!/(j-m)!`` on the first lanes, zero for m > j like
+    any dropped weight, and ``1 / (-j)_n = (-1)**n (j-n)!/j!`` on the second."""
+    (rho, den_a, v), (sigma, den_b, w) = side.first, side.second
+    first = _lanes(den_a, [(-1) ** m * c * math.perm(j, m) for m, c in enumerate(v[: j + 1])])
+    second = _lanes(den_b * math.factorial(j), [(-1) ** n * c * math.factorial(j - n) for n, c in enumerate(w)])
+    return ProductSide((rho, *first), (sigma, *second))
 
 
 # --------------------------------------------------------------------------
@@ -466,27 +473,28 @@ def _printed(side: ProductSide, j: int) -> ProductSide:
 # from their own single-parameter closed forms rather than by substitution
 
 
-def _equal_param_factor(alpha: Fraction, shift: int, raised: bool, names: tuple[str, str]) -> tuple[Fraction, ...]:
+def _equal_param_factor(alpha: Fraction, shift: int, raised: bool, names: tuple[str, str]) -> tuple[int, tuple[int, ...]]:
     """One factor's summands k = 0..shift of an equal-parameter closed form:
     with ``d = 0`` raised and ``d = shift`` lowered, ``(+-1)**k (-shift)_k
     (2*alpha - 2d - 1)_k / ((2*alpha +- shift)_k (alpha - d - 1/2)_k k!
-    4**k)``, each from the one before by its term ratio. Raises at the first
-    vanishing denominator factor, ``(2*alpha +- shift)_k`` first on a tie.
-    ``names`` spells (shift, summation index) in messages."""
+    4**k)``, as lanes, each from the one before by its term ratio in the
+    integers of ``alpha = a/b``. Raises at the first vanishing denominator
+    factor, ``(2*alpha +- shift)_k`` first on a tie; ``names`` spells (shift, index)."""
     s, index = names
     if raised:
         sign, d, spelled = 1, 0, (f"(2*alpha + {s})_{index}", f"(alpha - 1/2)_{index}")
     else:
         sign, d, spelled = -1, shift, (f"(2*alpha - {s})_{index}", f"(alpha - {s} - 1/2)_{index}")
-    bases = 2 * alpha + sign * shift, alpha - d - HALF
-    top = 2 * alpha - 2 * d - 1
-    summands = [Fraction(1)]
+    a, b = alpha.as_integer_ratio()
+    f, t = 2 * a + sign * shift * b, 2 * a - (2 * d + 1) * b  # 2*alpha +- shift over b, alpha - d - 1/2 over 2b
+    rows, steps = [1], [1]
     for k in range(shift):
-        for expr, base in zip(spelled, bases):
-            if base + k == 0:
-                raise DegenerateParameterError(expr, base, k + 1)
-        summands.append(summands[-1] * (sign * (k - shift) * (top + k)) / (4 * (k + 1) * (bases[0] + k) * (bases[1] + k)))
-    return tuple(summands)
+        for expr, base, scale in zip(spelled, (f, t), (b, 2 * b)):
+            if base + k * scale == 0:
+                raise DegenerateParameterError(expr, Fraction(base, scale), k + 1)
+        rows.append(rows[-1] * sign * (k - shift) * (t + k * b) * b)
+        steps.append(2 * (k + 1) * (f + k * b) * (t + 2 * k * b))
+    return _lanes(*_over_last(1, steps, rows))
 
 
 def _equal_param_rhs(raised: tuple[bool, bool], params: IdentityParams) -> ProductSide:
@@ -501,7 +509,7 @@ def _equal_param_rhs(raised: tuple[bool, bool], params: IdentityParams) -> Produ
     alpha, i, j = params.alpha, params.i, params.j
     rho, sigma = (alpha + HALF - (0 if up else shift) for up, shift in zip(raised, (i, j)))
     first = _equal_param_factor(alpha, i, raised[0], ("i", "m"))
-    return ProductSide((rho, first), (sigma, _equal_param_factor(alpha, j, raised[1], ("j", "n"))))
+    return ProductSide((rho, *first), (sigma, *_equal_param_factor(alpha, j, raised[1], ("j", "n"))))
 
 
 # --------------------------------------------------------------------------

@@ -68,14 +68,14 @@ def _terms_integers(terms, cap: int) -> tuple[int, list[int]]:
 
 
 def _bailey_double_sum(
-    rho: Fraction, first: Sequence[Fraction], sigma: Fraction, second: Sequence[Fraction], cap: int
+    rho: Fraction, den_a: int, first: Sequence[int], sigma: Fraction, den_b: int, second: Sequence[int], cap: int
 ) -> tuple[int, list[int]]:
     """Coefficients ``nums[d] / den``, up to ``x**cap`` and not reduced, of
 
-        sum over m, n of first[m] * second[n] * x**(m+n) * 2F3(B(rho+m, sigma+n); x**2/4),
+        sum over m, n of first[m] / den_a * second[n] / den_b * x**(m+n) * 2F3(B(rho+m, sigma+n); x**2/4),
 
-    with ``B`` the :func:`bailey_product_spec` block. The weight lists are
-    indexed by the shift and may hold zeros.
+    with ``B`` the :func:`bailey_product_spec` block. Each factor's weights
+    are canonical integer lanes, indexed by the shift, which may hold zeros.
 
     On the anti-diagonal ``s = m + n`` the block's third lower parameter is
     ``T = rho + sigma + s - 1`` and its upper ones are ``T/2`` and
@@ -118,8 +118,8 @@ def _bailey_double_sum(
         bailey_product_spec(rho, sigma)
     depth = cap // 2
     rounded = 1 << (depth - 1).bit_length()
-    den_a, cols_a = _shift_table(((p, q), *map(Fraction.as_integer_ratio, first)), rounded)
-    den_b, cols_b = _shift_table(((p2, q2), *map(Fraction.as_integer_ratio, second)), rounded)
+    den_a, cols_a = _shift_table((p, q, den_a, *first), rounded)
+    den_b, cols_b = _shift_table((p2, q2, den_b, *second), rounded)
     top_a, top_b = len(first) - 1, len(second) - 1
     pa, pb = p + top_a * q, p2 + top_b * q2
     steps = [16 * Q * k * (pa + (k - 1) * q) * (pb + (k - 1) * q2) for k in range(depth + 1)]
@@ -151,8 +151,8 @@ def _span_row(P0: int, Q: int, t: int, depth: int) -> tuple[int, ...]:
     return tuple(row)
 
 
-#: a factor ``(rho, weights)`` as integers: ``rho``'s integer ratio, then each weight's
-ShiftKey = tuple[tuple[int, int], ...]
+#: a factor ``(rho, den, nums)`` as integers: ``(p, q, den, *nums)`` with ``rho = p/q``
+ShiftKey = tuple[int, ...]
 ShiftTable = tuple[int, tuple[tuple[int, ...], ...]]
 
 
@@ -160,30 +160,28 @@ ShiftTable = tuple[int, tuple[tuple[int, ...], ...]]
 def _shift_table(key: ShiftKey, depth: int) -> ShiftTable:
     """Integer columns ``cols[m][k]`` over one ``den`` with
 
-        cols[m][k] / den = weights[m] * (rho + top)_k / (rho + m)_k
+        cols[m][k] / den = nums[m] / wden * (rho + top)_k / (rho + m)_k
 
-    for ``k <= depth`` and every shift m, ``top = len(weights) - 1``, the
-    factor given by its :data:`ShiftKey`, ``((p, q), *weights)`` with ``rho
-    = p/q``, each weight as its integer ratio: no ``Fraction`` is formed.
+    for ``k <= depth`` and every shift m, ``top = len(nums) - 1``, the
+    factor given by its :data:`ShiftKey`, ``(p, q, wden, *nums)`` with
+    ``rho = p/q`` and canonical weight lanes: no ``Fraction`` is formed.
 
     With ``F(l) = p + l*q``, ``(rho + top)_k / (rho + m)_k`` is ``F(m+k)
-    ... F(top+k-1)`` over ``F(m) ... F(top-1)``. Over ``den`` = the weights'
-    common denominator times ``F(0) ... F(top-1)``, entry (m, k) is the
-    weight's numerator times the prefix ``F(0) ... F(m-1)`` times that
-    k-dependent suffix. Walking m down, each suffix column is the one above
-    it times the column ``F(m+k)`` over k. The table is kept in
-    :data:`~hypident.hyper.KEPT`, namespace ``"shift tables"``, by key and
-    depth; the key is integers because hashing the weights' Fractions costs
-    what a kept table saves. The columns are tuples, so a kept table never
-    changes. The caller guarantees no ``F(l)`` is 0.
+    ... F(top+k-1)`` over ``F(m) ... F(top-1)``. Over ``den = wden F(0)
+    ... F(top-1)``, entry (m, k) is ``nums[m]`` times the prefix ``F(0) ...
+    F(m-1)`` times that k-dependent suffix. Walking m down, each suffix
+    column is the one above it times the column ``F(m+k)`` over k. The
+    table is kept in :data:`~hypident.hyper.KEPT`, namespace ``"shift
+    tables"``, by key and depth; canonical lanes make the key the factor's
+    value. The columns are tuples, so a kept table never changes. The
+    caller guarantees no ``F(l)`` is 0.
     """
-    (p, q), *weights = key
-    top = len(weights) - 1
-    wden = math.lcm(*[d for _, d in weights])
-    lead = []  # numerator of weights[m] over wden, times F(0) ... F(m-1)
+    p, q, wden, *nums = key
+    top = len(nums) - 1
+    lead = []  # nums[m] times F(0) ... F(m-1)
     prefix = 1
-    for m, (num, d) in enumerate(weights):
-        lead.append(num * (wden // d) * prefix)
+    for m, num in enumerate(nums):
+        lead.append(num * prefix)
         if m < top:
             prefix *= p + m * q
     cols = []

@@ -118,8 +118,14 @@ def test_the_full_ladder_times_float_sides_and_a_deep_left_side():
     assert bench_layers.GRID_CASE not in bench_layers.table(quick=True)
     grid = bench_layers.made(table[bench_layers.GRID_CASE], tree, src)
     assert [report.status for report in grid()] == ["exact_match"] * 81
-    # after the grid, every float side and the 2.x and 3.1 default verifies from cleared memos, then one catalog point
-    cold = names[names.index(bench_layers.GRID_CASE) + 1:names.index(bench_layers.CATALOG_POINT_CASE) + 1]
+    # then the 3.1 grid and the printed 2.3 grid, whose points but (0, 0) mismatch, in the full table only
+    grids = ["3.1 sweep i<=8 j<=8 memos cleared", "2.3 printed sweep i<=8 j<=8 memos cleared"]
+    start = names.index(bench_layers.GRID_CASE) + 1
+    assert names[start:start + 2] == grids and not set(grids) & set(bench_layers.table(quick=True))
+    assert [[report.status for report in bench_layers.made(table[name], tree, src)()] for name in grids] == [
+        ["exact_match"] * 81, ["exact_match"] + ["mismatch"] * 80]
+    # after the grids, every float side and the 2.x and 3.1 default verifies from cleared memos, then one catalog point
+    cold = names[start + 2:names.index(bench_layers.CATALOG_POINT_CASE) + 1]
     assert cold == [*(f"{label} memos cleared" for label in floats[:-2]),
                     *(f"{tag} verify_identity i={n} j={n} memos cleared" for n in (8, 20) for tag in ("2.1", "2.2", "2.3", "3.1")),
                     "2.1 build_rhs i=8 j=8 memos cleared", *(f"{label} memos cleared" for label in deep),

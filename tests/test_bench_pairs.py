@@ -48,3 +48,15 @@ def test_counts_pairs_won_and_keeps_the_runs():
     assert summary["change_better_pairs"] == 9
     assert (summary["parent"], summary["change"]) == (PARENT, change)
     assert summary["median"]["change"] == 108.0
+
+
+def test_the_aa_pair_keeps_both_values_and_their_relative_difference():
+    first = {"throughput_pts_per_s": 2500.0, "latency_p50_ms": 0.4, "verdict_accuracy": 1.0, "setup_s": 0.0}
+    second = {"throughput_pts_per_s": 2400.0, "latency_p50_ms": 0.5, "verdict_accuracy": 1.0, "setup_s": 0.1}
+    aa = bench_pairs.summarize_aa(first, second)
+    assert list(aa) == list(first)
+    assert aa["throughput_pts_per_s"] == {"values": [2500.0, 2400.0], "relative_difference": -0.04}
+    assert aa["latency_p50_ms"] == {"values": [0.4, 0.5], "relative_difference": 0.25}
+    assert aa["verdict_accuracy"]["relative_difference"] == 0.0
+    # no relative difference from a first value of 0
+    assert aa["setup_s"] == {"values": [0.0, 0.1], "relative_difference": None}

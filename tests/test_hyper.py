@@ -23,7 +23,7 @@ from hypident.hyper import (
     pfq_eval_float,
     pfq_series,
 )
-from hypident.rationals import is_nonpositive_integer, pochhammer
+from hypident.rationals import _over_common, is_nonpositive_integer, pochhammer
 from hypident.right import _bailey_double_sum
 from hypident.series import TruncatedSeries
 
@@ -525,6 +525,12 @@ def block_by_block_sum(rho, first, sigma, second, cap):
     return expected
 
 
+def lanes_double_sum(rho, first, sigma, second, cap):
+    """``_bailey_double_sum`` of Fraction weights, each list passed as the
+    canonical integer lanes ``_over_common`` gives, as ``(den, nums)``."""
+    return _bailey_double_sum(rho, *_over_common(*first), sigma, *_over_common(*second), cap)
+
+
 class TestBaileyDoubleSum:
     @given(admissible_lower_st, admissible_lower_st, weights_st, weights_st, st.integers(0, 48))
     # rho + sigma = P/Q a negative non-integer: F(u) = P + u*Q, whose spans
@@ -537,7 +543,7 @@ class TestBaileyDoubleSum:
         # the weights may vanish anywhere, leading and trailing ones included;
         # nine weights and cap 48 are what an i, j <= 8 grid reaches
         assume(not is_nonpositive_integer(rho + sigma - 1))
-        den, nums = _bailey_double_sum(rho, first, sigma, second, cap)
+        den, nums = lanes_double_sum(rho, first, sigma, second, cap)
         assert [Fraction(v, den) for v in nums] == block_by_block_sum(rho, first, sigma, second, cap)
 
     @given(
@@ -559,7 +565,7 @@ class TestBaileyDoubleSum:
     @settings(max_examples=10, deadline=None)
     def test_long_columns_match_block_by_block_sum(self, rho, sigma, first, second, cap):
         assume(not is_nonpositive_integer(rho + sigma - 1))
-        den, nums = _bailey_double_sum(rho, first, sigma, second, cap)
+        den, nums = lanes_double_sum(rho, first, sigma, second, cap)
         assert [Fraction(v, den) for v in nums] == block_by_block_sum(rho, first, sigma, second, cap)
 
     @pytest.mark.parametrize("rho, sigma", [("-2", "5/2"), ("5/2", "0"), ("-1/2", "1/2")])
@@ -568,8 +574,23 @@ class TestBaileyDoubleSum:
         with pytest.raises(DegenerateParameterError) as first:
             bailey_product_spec(rho, sigma)
         with pytest.raises(DegenerateParameterError) as err:
-            _bailey_double_sum(rho, [Fraction(1), Fraction(2)], sigma, [Fraction(1)], 6)
+            _bailey_double_sum(rho, 1, [1, 2], sigma, 1, [1], 6)
         assert (err.value.expr, err.value.value, err.value.index) == (first.value.expr, first.value.value, first.value.index)
+
+    @pytest.mark.parametrize("order", ["halves_first", "wholes_first"])
+    def test_lanes_that_differ_only_in_den_read_two_tables(self, order):
+        """One rho with the lanes (2, (2, 1)) and (1, (2, 1)), the weights
+        (1, 1/2) and (2, 1): the shift-table key holds den, so from cleared
+        memos each factor builds its own table, in either order, and each
+        sum is the block-by-block one."""
+        hyper.KEPT.cache_clear()
+        rho, sigma, cap = Fraction(3, 7), Fraction(2, 5), 12
+        factors = [(2, [2, 1]), (1, [2, 1])]
+        for den, nums in factors if order == "halves_first" else factors[::-1]:
+            got, coeffs = _bailey_double_sum(rho, den, nums, sigma, 1, [1], cap)
+            weights = [Fraction(num, den) for num in nums]
+            assert [Fraction(v, got) for v in coeffs] == block_by_block_sum(rho, weights, sigma, [Fraction(1)], cap)
+        assert hyper.KEPT.cache_info()["shift tables"].misses == 3
 
 
 class TestKeptStore:

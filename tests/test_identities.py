@@ -14,7 +14,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import hypident
@@ -67,6 +67,26 @@ def printed(printed_form):
 def expanded(tag, alpha, i, cap):
     """Right side of expansion 1.17 (raised) or 1.18 (lowered)."""
     return get(tag).build_rhs(IdentityParams(alpha=alpha, i=i, cap=cap))
+
+
+def pochhammer_weight(alpha, i, m, raised):
+    """Weight m of expansion 1.17 (raised) or 1.18 (lowered) from
+    ``pochhammer`` at m, ``(+-1)**m (-i)_m (2*base - 1)_m / ((2*base +- i)_m
+    (base - 1/2)_m m! 4**m)`` with ``base = alpha`` raised and ``alpha - i``
+    lowered, or None where its denominator vanishes."""
+    base = alpha if raised else alpha - i
+    den = pochhammer(2 * base + i, m) * pochhammer(base - Fraction(1, 2), m)
+    if den == 0:
+        return None
+    sign = 1 if raised else -1
+    return sign**m * pochhammer(Fraction(-i), m) * pochhammer(2 * base - 1, m) / (den * math.factorial(m) * 4**m)
+
+
+def fraction_weights(factor):
+    """An expansion or a product side's factor, ``(rho, den, nums)``, as
+    ``(rho, weights)`` with ``weights[m] = Fraction(nums[m], den)``."""
+    rho, den, nums = factor
+    return rho, [Fraction(num, den) for num in nums]
 
 
 class TestCatalog:
@@ -299,22 +319,17 @@ class TestExpansions:
         for alpha in (A, Fraction(-5, 11), Fraction(7, 2), Fraction(1, 2), Fraction(-1), Fraction(3)):
             for i in range(7):
                 base = alpha if raised else alpha - i
-                sign = 1 if raised else -1
                 expected = []
                 for m in range(i + 1):
-                    den = pochhammer(2 * base + i, m) * pochhammer(base - Fraction(1, 2), m)
-                    if den == 0:
+                    weight = pochhammer_weight(alpha, i, m, raised)
+                    if weight is None:
                         with pytest.raises(DegenerateParameterError):
                             _expansion_terms(alpha, i, raised)
                         break
-                    weight = (
-                        sign**m * pochhammer(Fraction(-i), m) * pochhammer(2 * base - 1, m)
-                        / (den * math.factorial(m) * 4**m)
-                    )
                     if weight:
                         expected.append((weight, m, base + m + Fraction(1, 2)))
                 else:
-                    rho, weights = _expansion_terms(alpha, i, raised)
+                    rho, weights = fraction_weights(_expansion_terms(alpha, i, raised))
                     assert [(w, m, rho + m) for m, w in enumerate(weights)] == expected
 
     @pytest.mark.parametrize(
@@ -447,8 +462,8 @@ class TestProductDegenerateBlocks:
             get(PRODUCT_TAG[variant]).build_rhs(params)
         except DegenerateParameterError as err:
             assume(err.expr.startswith("lower"))
-            rho, _ = _expansion_terms(alpha, i, RAISED[variant][0])
-            sigma, _ = _expansion_terms(beta, j, RAISED[variant][1])
+            rho, _, _ = _expansion_terms(alpha, i, RAISED[variant][0])
+            sigma, _, _ = _expansion_terms(beta, j, RAISED[variant][1])
             with pytest.raises(DegenerateParameterError) as first:
                 bailey_product_spec(rho, sigma)
             assert (err.expr, err.value, err.index) == (first.value.expr, first.value.value, first.value.index)
@@ -499,9 +514,9 @@ class TestEqualParameterForm:
         real = identities._equal_param_factor
 
         def counted(alpha, shift, raised, names):
-            summands = real(alpha, shift, raised, names)
+            den, summands = real(alpha, shift, raised, names)
             formed.append((names[1], len(summands)))
-            return summands
+            return den, summands
 
         monkeypatch.setattr(identities, "_equal_param_factor", counted)
         get(tag).build_rhs(IdentityParams(alpha=A, i=4, j=6, printed_form=printed_form))
@@ -552,7 +567,7 @@ def declared_terms(side):
         return [Term(side.factors)]
     if isinstance(side, Side):
         return list(side.terms)
-    (rho, first), (sigma, second) = side.first, side.second
+    (rho, first), (sigma, second) = fraction_weights(side.first), fraction_weights(side.second)
     return [
         Term(((bailey_product_spec(rho + m, sigma + n), SQ4),), w1 * w2, m + n)
         for m, w1 in enumerate(first)
@@ -591,8 +606,8 @@ def per_block_product_side(variant, params):
     """The 2.x right side as a plain Side, one 1.11 block per nonzero
     weight: ``w1 * w2`` (times ``(-j)_m / (-j)_n`` in the printed form) at
     power ``m + n``, each block built by ``bailey_product_spec`` on its own."""
-    rho, first = _expansion_terms(params.alpha, params.i, RAISED[variant][0])
-    sigma, second = _expansion_terms(params.beta, params.j, RAISED[variant][1], ("beta", "j", "n"))
+    rho, first = fraction_weights(_expansion_terms(params.alpha, params.i, RAISED[variant][0]))
+    sigma, second = fraction_weights(_expansion_terms(params.beta, params.j, RAISED[variant][1], ("beta", "j", "n")))
     terms = []
     for m, w1 in enumerate(first):
         for n, w2 in enumerate(second):
@@ -646,6 +661,79 @@ def per_pair_equal_param_side(variant, params):
             if weight != 0:
                 terms.append(Term(((spec, SQ4),), weight, m + n))
     return Side(tuple(terms))
+
+
+def canonical(den, nums):
+    """Integer lanes in canonical form: ``den > 0`` and ``gcd(den, *nums) == 1``."""
+    return den > 0 and math.gcd(den, *nums) == 1
+
+
+@given(
+    st.fractions(min_value=-6, max_value=6, max_denominator=12),
+    st.fractions(min_value=-6, max_value=6, max_denominator=12),
+    st.integers(0, 12),
+    st.integers(0, 12),
+    st.booleans(),
+)
+# (2*alpha + i)_m vanishes at m = 2; a raised (2*alpha - 1)_m = (-3)_m drops
+# the weights from m = 4 on; a lowered pair at the largest shifts
+@example(Fraction(-5, 2), B, 4, 3, True)
+@example(Fraction(-1), B, 6, 5, True)
+@example(A, B, 12, 12, False)
+@settings(max_examples=150, deadline=None)
+def test_every_factor_is_canonical_lanes_of_its_pochhammer_form(alpha, beta, i, j, raised):
+    """The three producers of a product side's lanes, ``_expansion_terms``,
+    ``_equal_param_factor`` and ``_printed``, give canonical lanes whose
+    ``nums[m] / den`` are the weights ``pochhammer`` gives at each m, or
+    raise where that form has a vanishing denominator, as it does."""
+    weights = [pochhammer_weight(alpha, i, m, raised) for m in range(i + 1)]
+    if None in weights:
+        with pytest.raises(DegenerateParameterError):
+            _expansion_terms(alpha, i, raised)
+    else:
+        _, den, nums = _expansion_terms(alpha, i, raised)
+        assert canonical(den, nums)
+        assert [Fraction(num, den) for num in nums] == [w for w in weights if w]  # its zeros are trailing
+    names = ("i", "m")
+    try:
+        parts = [equal_param_part(alpha, i, k, raised, names)[0] for k in range(i + 1)]
+    except DegenerateParameterError as err:
+        with pytest.raises(DegenerateParameterError) as got:
+            identities._equal_param_factor(alpha, i, raised, names)
+        assert (got.value.expr, got.value.value, got.value.index) == (err.expr, err.value, err.index)
+    else:
+        den, nums = identities._equal_param_factor(alpha, i, raised, names)
+        assert canonical(den, nums)
+        assert [Fraction(num, den) for num in nums] == [pochhammer(Fraction(-i), k) * part for k, part in enumerate(parts)]
+    # the printed reading of both mixed right sides: (-j)_m on the first
+    # weights, which drop past m = j, and 1 / (-j)_n on the second
+    params = IdentityParams(alpha=alpha, beta=beta, i=i, j=j)
+    for build in (_product_rhs, _equal_param_rhs):
+        try:
+            side = build(RAISED["PM"], params)
+        except DegenerateParameterError:
+            continue
+        (rho, v), (sigma, w) = fraction_weights(side.first), fraction_weights(side.second)
+        edited = _printed(side, j)
+        assert all(canonical(den, nums) for _, den, nums in edited)
+        shift = Fraction(-j)
+        assert fraction_weights(edited.first) == (rho, [c * pochhammer(shift, m) for m, c in enumerate(v[: j + 1])])
+        assert fraction_weights(edited.second) == (sigma, [c / pochhammer(shift, n) for n, c in enumerate(w)])
+
+
+@pytest.mark.parametrize("alpha, i, j", [(A, 3, 5), (Fraction(-5, 11), 4, 2), (Fraction(7, 3), 0, 6)])
+def test_one_factor_by_two_routes_reads_one_shift_table(alpha, i, j):
+    """From cleared memos, 2.1 at beta = alpha builds one shift table per
+    factor, and 3.1 at the same point, whose factors have the same values
+    by their own term ratio, builds none: a table's key is its factor's
+    value, canonical lanes, however the lanes were formed."""
+    identities._clear_memos()
+    get("2.1").build_rhs(IdentityParams(alpha=alpha, beta=alpha, i=i, j=j))
+    built = KEPT.cache_info()["shift tables"]
+    assert built.misses == 2
+    get("3.1").build_rhs(IdentityParams(alpha=alpha, i=i, j=j))
+    read = KEPT.cache_info()["shift tables"]
+    assert (read.misses, read.hits) == (built.misses, built.hits + 2)
 
 
 def build_outcome(build):
@@ -1410,6 +1498,7 @@ RIGHT_SIDE_ONLY = {name for name in PACKAGE_FUNCTIONS.values() if name.startswit
     "identities._expansion_terms",
     "identities._equal_param_factor",
     "identities._printed",
+    "identities._lanes",
 }
 # all that a left side and a right side may share: the canonicaliser and
 # the suffix products that bring a reduced recurrence to its last

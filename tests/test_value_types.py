@@ -37,7 +37,7 @@ VALUES = {
     "Arg": lambda: Arg(4, squared=True),
     "Term": lambda: Term(((HypSpec((F(1, 3),), (F(2, 3),)), Arg()),), F(1, 2), 1),
     "Side": lambda: Side((_TERM,)),
-    "ProductSide": lambda: ProductSide((F(1, 2), (F(1),)), (F(3, 2), (F(1), F(1, 4)))),
+    "ProductSide": lambda: ProductSide((F(1, 2), 1, (1,)), (F(3, 2), 4, (4, 1))),
     "VerifyReport": lambda: VerifyReport("1.1", IdentityParams(alpha=F(3, 7)), 16, "exact_match"),
     "HypSpec": lambda: HypSpec((1, F(1, 3)), (2,)),
     "IdentityParams": lambda: IdentityParams(alpha=F(3, 7), beta=2, i=1, cap=20),
